@@ -5,6 +5,15 @@ quantities, and the identity/comparison/uniqueness verification suites.
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# RLAB_THREADS caps the numerical thread pools; the pools read these
+# variables when numpy first loads, which the imports below trigger.
+if _os.environ.get("RLAB_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["RLAB_THREADS"])
+
 from .mesh import (Grid, MetricField, ScalarField, SPDError, TensorField,
                    build_grid, flat_metric, integrate, interior,
                    partial_derivative)

@@ -8,27 +8,19 @@ The manifest is deterministic: it contains the config hash, tool version,
 seeds, relative output paths, and the pass/fail summary - no timestamps -
 so identical configs produce byte-identical manifests.
 
-RLAB_THREADS caps the numerical thread pools (exported to the BLAS/OpenMP
-environment before the compute modules load).
+RLAB_THREADS caps the numerical thread pools (``rlab/__init__`` exports it
+to the BLAS/OpenMP environment before numpy loads).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 TOOL_VERSION = "0.1.0"
-
-
-def _setup_threads():
-    nt = os.environ.get("RLAB_THREADS")
-    if nt:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, nt)
 
 
 # --------------------------------------------------------------------------
@@ -192,7 +184,7 @@ def stage_entropy(cfg, out: Path, checks, outputs):
                          seed=cfg.get("seed", 1234))
     grid, metric, u0 = build_from_config(cfg)
     params = flow_params_from(cfg)
-    sched = schedule_from(cfg)
+    sched = replace(schedule_from(cfg), diagnostics=False)
     traj = run(FlowState(grid, metric, u0), params, sched)
     idxs = np.linspace(0, traj.nsnapshots - 1, samples).astype(int)
     rows, mus = [], []
@@ -258,7 +250,7 @@ def stage_uniqueness(cfg, out: Path, checks, outputs):
     beta = ucfg.get("beta", 0.5)
     grid, metric, u0 = build_from_config(cfg)
     params = flow_params_from(cfg)
-    sched = schedule_from(cfg)
+    sched = replace(schedule_from(cfg), diagnostics=False)
     x1 = grid.coords()[0]
     pert = metric.values.copy()
     pert[(0, 0)] = pert[(0, 0)] + delta * np.sin(x1)
@@ -420,7 +412,6 @@ def emit_plots(manifest_path):
 # entry point
 
 def main(argv=None):
-    _setup_threads()
     parser = argparse.ArgumentParser(prog="rlab",
                                      description="flow/curvature laboratory")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow import FlowState, Geometry
 from .mesh import MetricField, grad_stack, integrate
-from .tensor import (cov_d, curvature, divergence, hessian, norm_sq,
+from .tensor import (cov_d, curvature, divergence, norm_sq,
                      raise_index, rough_laplacian, wy_curvature)
 
 KILLING_TOL = 1e-6
@@ -290,31 +291,27 @@ def lemma57_defect(metric: MetricField, u: np.ndarray, X: np.ndarray) -> dict:
                            -(1/2) int |X|^2 Delta u (valid for Killing X).
     """
     grid = metric.grid
-    from .tensor import christoffel
-    gamma = christoffel(metric)
-    cb = curvature(metric)
-    du = grad_stack(u, grid)
-    H = hessian(u, grid, gamma)
-    lhs = integrate(np.einsum("i...,j...,ij...->...", X, X, H), metric)
+    f = Geometry(FlowState(grid, metric, u))
+    gamma = f.gamma
+    lhs = integrate(np.einsum("i...,j...,ij...->...", X, X, f.hess), metric)
     lapX = rough_laplacian(X, grid, gamma, metric, 1, 0)
     div = divergence(metric, X, gamma)
     grad_div = np.einsum("ij...,j...->i...", metric.inv, grad_stack(div, grid))
     ricX = np.einsum("ij...,j...->i...",
-                     raise_index(cb.ric, metric, 0), X)     # Ric^i_j X^j
+                     raise_index(f.ric, metric, 0), X)      # Ric^i_j X^j
     vec = lapX + grad_div + ricX
     x_vec = np.einsum("ij...,i...,j...->...", metric.values, X, vec)
     lie_sq = norm_sq(lie_derivative_metric(metric, X), metric, 0, 2)
     xsq = np.einsum("ij...,i...,j...->...", metric.values, X, X)
     lap_xsq = rough_laplacian(xsq, grid, gamma, metric, 0, 0)
-    x_du = np.einsum("i...,i...->...", X, du)
+    x_du = np.einsum("i...,i...->...", X, f.du)
     rhs = (integrate(u * x_vec, metric)
            + 0.5 * integrate(u * (lie_sq - lap_xsq), metric)
            - integrate(x_du * div, metric))
-    lap_u = np.einsum("ij...,ij...->...", metric.inv, H)
     return {
         "general": lhs - rhs,
         "killing_a": lhs + 0.5 * integrate(u * lap_xsq, metric),
-        "killing_b": lhs + 0.5 * integrate(xsq * lap_u, metric),
+        "killing_b": lhs + 0.5 * integrate(xsq * f.lap_u, metric),
         "lhs": lhs,
     }
 
@@ -326,20 +323,15 @@ def wy_hat_margin_identity(metric: MetricField, u: np.ndarray,
     int [Ric_WY_hat(X,X) - Ric(X,X)] dV - (3/2) int u Delta |X|^2 dV
         - int (|X|^2 |grad u|^2 - <X, grad u>^2) dV
     """
-    grid = metric.grid
-    from .tensor import christoffel
-    gamma = christoffel(metric)
-    cb = curvature(metric)
-    wy = wy_curvature(metric, u, curv=cb)
-    du = grad_stack(u, grid)
+    f = Geometry(FlowState(metric.grid, metric, u))
+    wy = wy_curvature(metric, u, curv=f.cb)
     xsq = np.einsum("ij...,i...,j...->...", metric.values, X, X)
-    lap_xsq = rough_laplacian(xsq, grid, gamma, metric, 0, 0)
-    x_du = np.einsum("i...,i...->...", X, du)
-    gsq = np.einsum("ij...,i...,j...->...", metric.inv, du, du)
-    lhs = integrate(np.einsum("ij...,i...,j...->...", wy.ric_wy_hat - cb.ric, X, X),
+    lap_xsq = rough_laplacian(xsq, metric.grid, f.gamma, metric, 0, 0)
+    x_du = np.einsum("i...,i...->...", X, f.du)
+    lhs = integrate(np.einsum("ij...,i...,j...->...", wy.ric_wy_hat - f.ric, X, X),
                     metric)
     return (lhs - 1.5 * integrate(u * lap_xsq, metric)
-            - integrate(xsq * gsq - x_du ** 2, metric))
+            - integrate(xsq * f.grad_sq - x_du ** 2, metric))
 
 
 def weighted_divergence_integral(metric: MetricField, u: np.ndarray) -> float:

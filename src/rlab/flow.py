@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .mesh import Grid, MetricField, SPDError, grad_stack, integrate
-from .tensor import CurvatureBundle, curvature, hessian, norm_sq, sm_tensor
+from .tensor import (christoffel, cov_d, curvature, hessian, norm_sq, raise_index,
+                     ricci)
 
 DIAG_COLUMNS = ("t", "max_rm", "max_grad_u_sq", "min_Sg", "vol",
                 "int_hess_sq_cum", "int_lap_u_sq", "int_sic_sq", "int_sic_p4",
@@ -74,19 +76,116 @@ class BlowUpError(RuntimeError):
         self.state = state
 
 
-def flow_rhs(state: FlowState, params: FlowParams,
-             curv: CurvatureBundle | None = None):
-    """Right-hand sides (dg/dt, du/dt); params must be reduced."""
+class Geometry:
+    """Geometric quantities of one flow state, each computed on first use.
+
+    The flow right-hand side asks only for Gamma, Ric and the Hessian, so the
+    Riemann tensor is formed only when a diagnostic or an identity needs it.
+    """
+
+    def __init__(self, state: FlowState):
+        self.state = state
+        self.grid = state.grid
+        self.metric = state.metric
+        self.g = state.metric.values
+        self.ginv = state.metric.inv
+        self.u = state.u
+
+    @cached_property
+    def gamma(self):
+        return christoffel(self.metric)
+
+    @cached_property
+    def ric(self):
+        return ricci(self.metric, self.gamma)
+
+    @cached_property
+    def cb(self):
+        return curvature(self.metric, self.gamma, self.ric)
+
+    @property
+    def rm4(self):
+        return self.cb.rm4
+
+    @property
+    def rm13(self):
+        return self.cb.rm13
+
+    @cached_property
+    def scalar(self):       # the same trace ``curvature`` takes, without the 4-tensor
+        return np.einsum("jk...,jk...->...", self.ginv, self.ric)
+
+    @cached_property
+    def rm_sq(self):        # |Rm|^2 = R^{ij}_{kl} R^{kl}_{ij}, by pair exchange
+        up = raise_index(raise_index(self.rm4, self.metric, 0), self.metric, 1)
+        return np.einsum("ijkl...,klij...->...", up, up)
+
+    @cached_property
+    def ric_up(self):       # Ric^{pq}
+        return raise_index(raise_index(self.ric, self.metric, 0), self.metric, 1)
+
+    @cached_property
+    def ric_mixed(self):    # Ric_i{}^p
+        return raise_index(self.ric, self.metric, 1)
+
+    @cached_property
+    def du(self):
+        return grad_stack(self.u, self.grid)
+
+    @cached_property
+    def du_up(self):
+        return np.einsum("ij...,j...->i...", self.ginv, self.du)
+
+    @cached_property
+    def hess(self):
+        return hessian(self.u, self.grid, self.gamma)
+
+    @cached_property
+    def hess_mixed(self):   # H_i{}^p
+        return raise_index(self.hess, self.metric, 1)
+
+    @cached_property
+    def hess_up(self):
+        return raise_index(self.hess_mixed, self.metric, 0)
+
+    @cached_property
+    def hess_sq(self):      # |Hess u|^2
+        return norm_sq(self.hess, self.metric, 0, 2)
+
+    @cached_property
+    def d3u(self):          # nabla_a H_{ij}
+        return cov_d(self.hess, self.grid, self.gamma, 0, 2)
+
+    @cached_property
+    def lap_u(self):
+        return np.einsum("ij...,ij...->...", self.ginv, self.hess)
+
+    @cached_property
+    def grad_sq(self):      # |du|^2
+        return np.einsum("ij...,i...,j...->...", self.ginv, self.du, self.du)
+
+    @cached_property
+    def grad_ric(self):     # nabla_a R_{ij}
+        return cov_d(self.ric, self.grid, self.gamma, 0, 2)
+
+    @cached_property
+    def grad_rm13(self):    # nabla_a R^l_{ijk}
+        return cov_d(self.rm13, self.grid, self.gamma, 1, 3)
+
+    @cached_property
+    def ln_sqrt_det(self):
+        return np.log(self.metric.sqrt_det)
+
+
+def flow_rhs(state: FlowState, params: FlowParams, geo: Geometry | None = None):
+    """Right-hand sides (dg/dt, du/dt); params must be reduced.  ``geo`` is
+    the cached geometry of ``state`` when the caller already has one."""
     if not params.reduced:
         raise ValueError("flow_rhs requires reduced parameters")
-    grid = state.grid
-    cb = curv if curv is not None else curvature(state.metric)
-    du = grad_stack(state.u, grid)
-    gdot = -2.0 * cb.ric + 2.0 * params.alpha1 * np.einsum("i...,j...->ij...", du, du)
-    H = hessian(state.u, grid, cb.gamma)
-    lap = np.einsum("ij...,ij...->...", state.metric.inv, H)
-    gsq = np.einsum("ij...,i...,j...->...", state.metric.inv, du, du)
-    udot = lap + params.beta1 * gsq + params.beta2 * state.u
+    geo = geo if geo is not None else Geometry(state)
+    du = geo.du
+    gdot = -2.0 * geo.ric + 2.0 * params.alpha1 * np.einsum("i...,j...->ij...", du, du)
+    udot = geo.lap_u + params.beta1 * geo.grad_sq + params.beta2 * state.u
     return gdot, udot
 
 
@@ -101,15 +200,14 @@ def ricci_flow_rhs(state: FlowState):
 
 
 def cfl_dt(state: FlowState, safety: float = 0.8,
-           curv: CurvatureBundle | None = None) -> float:
+           geo: Geometry | None = None) -> float:
     """Parabolic step bound dt = safety * min h^2 / (4 n max(1, |Rm|, |Hess u|))."""
     if not 0 < safety <= 1:
         raise ValueError("safety must lie in (0, 1]")
     grid = state.grid
-    cb = curv if curv is not None else curvature(state.metric)
-    H = hessian(state.u, grid, cb.gamma)
-    mrm = float(np.sqrt(np.max(norm_sq(cb.rm4, state.metric, 0, 4))))
-    mh = float(np.sqrt(np.max(norm_sq(H, state.metric, 0, 2))))
+    geo = geo if geo is not None else Geometry(state)
+    mrm = float(np.sqrt(np.max(geo.rm_sq)))
+    mh = float(np.sqrt(np.max(geo.hess_sq)))
     hmin = min(grid.spacing)
     return safety * hmin * hmin / (4.0 * grid.n * max(1.0, mrm, mh))
 
@@ -121,17 +219,18 @@ def _advance(state: FlowState, gdot, udot, dt, check=True) -> FlowState:
 
 
 def step(state: FlowState, params: FlowParams, dt: float,
-         method: str = "rk4") -> FlowState:
-    """One explicit step; SPD is re-checked on the accepted state."""
+         method: str = "rk4", geo: Geometry | None = None) -> FlowState:
+    """One explicit step; SPD is re-checked on the accepted state.  The first
+    stage reads ``geo``, the cached geometry of ``state``, when it is given."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     p = reduce_parameters(params)
     try:
         if method == "euler":
-            gdot, udot = flow_rhs(state, p)
+            gdot, udot = flow_rhs(state, p, geo)
             return _advance(state, gdot, udot, dt)
         if method == "rk4":
-            k1g, k1u = flow_rhs(state, p)
+            k1g, k1u = flow_rhs(state, p, geo)
             s2 = _advance(state, k1g, k1u, 0.5 * dt, check=False)
             k2g, k2u = flow_rhs(s2, p)
             s3 = _advance(state, k2g, k2u, 0.5 * dt, check=False)
@@ -181,30 +280,30 @@ class Trajectory:
         return list(zip(*cols))
 
 
-def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float):
-    grid = state.grid
-    cb = curvature(state.metric)
-    du = grad_stack(state.u, grid)
-    H = hessian(state.u, grid, cb.gamma)
-    lap = np.einsum("ij...,ij...->...", state.metric.inv, H)
-    gsq = np.einsum("ij...,i...,j...->...", state.metric.inv, du, du)
-    sic = cb.ric - params.alpha1 * np.einsum("i...,j...->ij...", du, du)
-    S = cb.scalar - params.alpha1 * gsq
-    sm = sm_tensor(cb.rm4, du, state.metric.values, params.alpha1)
-    sic_sq = norm_sq(sic, state.metric, 0, 2)
-    hess_sq = norm_sq(H, state.metric, 0, 2)
+def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
+              geo: Geometry | None = None):
+    geo = geo if geo is not None else Geometry(state)
+    m, a1 = state.metric, params.alpha1
+    sic = geo.ric - a1 * np.einsum("i...,j...->ij...", geo.du, geo.du)
+    S = geo.scalar - a1 * geo.grad_sq
+    sic_sq = norm_sq(sic, m, 0, 2)
+    # |Sm|^2 for Sm_{ijkl} = R_{ijkl} - (a1/2)(g_{jl} du_i du_k + g_{kl} du_i du_j),
+    # expanded through the symmetries of Rm so that no second 4-tensor is normed
+    sm_sq = (geo.rm_sq
+             + a1 * np.einsum("ij...,i...,j...->...", geo.ric, geo.du_up, geo.du_up)
+             + 0.5 * (state.grid.n + 1) * a1 * a1 * geo.grad_sq ** 2)
     row = {
         "t": state.t,
-        "max_rm": float(np.sqrt(np.max(norm_sq(cb.rm4, state.metric, 0, 4)))),
-        "max_grad_u_sq": float(np.max(gsq)),
+        "max_rm": float(np.sqrt(np.max(geo.rm_sq))),
+        "max_grad_u_sq": float(np.max(geo.grad_sq)),
         "min_Sg": float(np.min(S)),
-        "vol": integrate(np.ones(grid.shape), state.metric),
-        "int_hess_sq_cum": cum_hess + dt * integrate(hess_sq, state.metric),
-        "int_lap_u_sq": integrate(lap * lap, state.metric),
-        "int_sic_sq": integrate(sic_sq, state.metric),
-        "int_sic_p4": integrate(sic_sq * sic_sq, state.metric),
-        "int_rm_sq": integrate(norm_sq(cb.rm4, state.metric, 0, 4), state.metric),
-        "int_sm_sq": integrate(norm_sq(sm, state.metric, 0, 4), state.metric),
+        "vol": integrate(np.ones(state.grid.shape), m),
+        "int_hess_sq_cum": cum_hess + dt * integrate(geo.hess_sq, m),
+        "int_lap_u_sq": integrate(geo.lap_u * geo.lap_u, m),
+        "int_sic_sq": integrate(sic_sq, m),
+        "int_sic_p4": integrate(sic_sq * sic_sq, m),
+        "int_rm_sq": integrate(geo.rm_sq, m),
+        "int_sm_sq": integrate(sm_sq, m),
     }
     return row
 
@@ -218,22 +317,22 @@ def rm_lp_series(traj: Trajectory, p: float):
     out = []
     for k in range(traj.nsnapshots):
         s = traj.state(k)
-        cb = curvature(s.metric)
-        rm_sq = norm_sq(cb.rm4, s.metric, 0, 4)
-        out.append((s.t, integrate(rm_sq ** (p / 2.0), s.metric)))
+        out.append((s.t, integrate(Geometry(s).rm_sq ** (p / 2.0), s.metric)))
     return out
 
 
 def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Trajectory:
     """Integrate to t_end, recording snapshots and per-step diagnostics."""
     p = reduce_parameters(params)
-    du0 = grad_stack(initial_state.u, initial_state.grid)
-    c0 = float(np.max(np.einsum("ij...,i...,j...->...",
-                                initial_state.metric.inv, du0, du0)))
+    # one geometry per accepted state, shared by its diagnostics row, the
+    # initial step bound and the first stage of the step that leaves it
+    geo = Geometry(initial_state)
+    c0 = float(np.max(geo.grad_sq))
     if c0 > 0 and not is_regular(p, c0):
         warnings.warn("flow parameters are not regular; gradient bound not guaranteed",
                       RuntimeWarning)
-    dt = schedule.dt if schedule.dt is not None else cfl_dt(initial_state, schedule.safety)
+    dt = (schedule.dt if schedule.dt is not None
+          else cfl_dt(initial_state, schedule.safety, geo))
     nsteps = max(1, int(round(schedule.t_end / dt)))
     traj = Trajectory(initial_state.grid, p, dt)
     state = initial_state
@@ -246,21 +345,22 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
 
     record(state)
     if schedule.diagnostics:
-        row = _diagnose(state, p, cum_hess, 0.0)
+        row = _diagnose(state, p, cum_hess, 0.0, geo)
         cum_hess = row["int_hess_sq_cum"]
         for k, v in row.items():
             traj.diagnostics.setdefault(k, []).append(v)
     for k in range(nsteps):
         try:
-            state = step(state, p, dt, schedule.method)
+            state = step(state, p, dt, schedule.method, geo)
         except BlowUpError as e:
             traj.aborted = str(e)
             record(e.state)
             break
+        geo = Geometry(state)
         if (k + 1) % schedule.cadence == 0 or k == nsteps - 1:
             record(state)
         if schedule.diagnostics:
-            row = _diagnose(state, p, cum_hess, dt)
+            row = _diagnose(state, p, cum_hess, dt, geo)
             cum_hess = row["int_hess_sq_cum"]
             for kk, v in row.items():
                 traj.diagnostics.setdefault(kk, []).append(v)

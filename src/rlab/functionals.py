@@ -28,17 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow import FlowState, Geometry
 from .mesh import MetricField, diff1, grad_stack, integrate
 from .tensor import curvature, norm_sq, sm_tensor
 
 
-def coupled_scalar(metric: MetricField, u: np.ndarray, alpha1: float = 2.0,
-                   curv=None) -> np.ndarray:
+def coupled_scalar(metric: MetricField, u: np.ndarray, alpha1: float = 2.0) -> np.ndarray:
     """S = R - alpha1 |grad u|^2."""
-    cb = curv if curv is not None else curvature(metric)
-    du = grad_stack(u, metric.grid)
-    gsq = np.einsum("ij...,i...,j...->...", metric.inv, du, du)
-    return cb.scalar - alpha1 * gsq
+    f = Geometry(FlowState(metric.grid, metric, u))
+    return f.scalar - alpha1 * f.grad_sq
 
 
 def normalize_f(metric: MetricField, f: np.ndarray, tau: float) -> np.ndarray:

@@ -27,88 +27,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .flow import FlowParams, FlowState, Trajectory
-from .mesh import MetricField, grad_stack, integrate
-from .tensor import (cov_d, curvature, hessian, lower_rm, max_norm, norm_sq,
-                     raise_index, riemann_13, rough_laplacian, sm_tensor,
-                     weighted_christoffel)
+from .flow import FlowParams, FlowState, Geometry, Trajectory
+from .mesh import MetricField, integrate
+from .tensor import (cov_d, lower_rm, max_norm, norm_sq, raise_index, riemann_13,
+                     rough_laplacian, sm_tensor, weighted_christoffel)
 
 
-class Frame:
-    """Cached geometric quantities of one flow snapshot."""
+class Frame(Geometry):
+    """A snapshot's cached geometry plus the quantities that depend on the
+    flow parameters."""
 
     def __init__(self, state: FlowState, params: FlowParams):
-        self.state = state
-        self.grid = state.grid
-        self.metric = state.metric
-        self.g = state.metric.values
-        self.ginv = state.metric.inv
-        self.u = state.u
+        super().__init__(state)
         self.params = params
-
-    @cached_property
-    def cb(self):
-        return curvature(self.metric)
-
-    @property
-    def gamma(self):
-        return self.cb.gamma
-
-    @property
-    def rm4(self):
-        return self.cb.rm4
-
-    @property
-    def rm13(self):
-        return self.cb.rm13
-
-    @property
-    def ric(self):
-        return self.cb.ric
-
-    @property
-    def scalar(self):
-        return self.cb.scalar
-
-    @cached_property
-    def ric_up(self):       # Ric^{pq}
-        return raise_index(raise_index(self.ric, self.metric, 0), self.metric, 1)
-
-    @cached_property
-    def ric_mixed(self):    # Ric_i{}^p
-        return raise_index(self.ric, self.metric, 1)
-
-    @cached_property
-    def du(self):
-        return grad_stack(self.u, self.grid)
-
-    @cached_property
-    def du_up(self):
-        return np.einsum("ij...,j...->i...", self.ginv, self.du)
-
-    @cached_property
-    def hess(self):
-        return hessian(self.u, self.grid, self.gamma)
-
-    @cached_property
-    def hess_mixed(self):   # H_i{}^p
-        return raise_index(self.hess, self.metric, 1)
-
-    @cached_property
-    def hess_up(self):
-        return raise_index(self.hess_mixed, self.metric, 0)
-
-    @cached_property
-    def d3u(self):          # nabla_a H_{ij}
-        return cov_d(self.hess, self.grid, self.gamma, 0, 2)
-
-    @cached_property
-    def lap_u(self):
-        return np.einsum("ij...,ij...->...", self.ginv, self.hess)
-
-    @cached_property
-    def grad_sq(self):
-        return np.einsum("ij...,i...,j...->...", self.ginv, self.du, self.du)
 
     @cached_property
     def sic(self):
@@ -130,18 +61,6 @@ class Frame:
     @cached_property
     def sm(self):
         return sm_tensor(self.rm4, self.du, self.g, self.params.alpha1)
-
-    @cached_property
-    def grad_ric(self):     # nabla_a R_{ij}
-        return cov_d(self.ric, self.grid, self.gamma, 0, 2)
-
-    @cached_property
-    def grad_rm13(self):    # nabla_a R^l_{ijk}
-        return cov_d(self.rm13, self.grid, self.gamma, 1, 3)
-
-    @cached_property
-    def ln_sqrt_det(self):
-        return np.log(self.metric.sqrt_det)
 
 
 # --------------------------------------------------------------------------
@@ -216,14 +135,14 @@ def rhs_scalar(f: Frame):
     a1 = f.params.alpha1
     return (2.0 * np.einsum("ij...,ij...->...", f.ric, f.ric_up)
             + 2.0 * a1 * f.lap_u ** 2
-            - 2.0 * a1 * norm_sq(f.hess, f.metric, 0, 2)
+            - 2.0 * a1 * f.hess_sq
             - 4.0 * a1 * np.einsum("ij...,i...,j...->...", f.ric, f.du_up, f.du_up))
 
 
 def rhs_grad_sq(f: Frame):
     a1, b1, b2 = f.params.alpha1, f.params.beta1, f.params.beta2
     hess_du_du = np.einsum("ij...,i...,j...->...", f.hess, f.du_up, f.du_up)
-    return (2.0 * b2 * f.grad_sq - 2.0 * norm_sq(f.hess, f.metric, 0, 2)
+    return (2.0 * b2 * f.grad_sq - 2.0 * f.hess_sq
             - 2.0 * a1 * f.grad_sq ** 2 + 4.0 * b1 * hess_du_du)
 
 
@@ -433,22 +352,6 @@ def verify_appendix_A(traj: Trajectory, t_index: int | None = None,
     return [evaluate_identity(traj, i, t_index, frames) for i in ids]
 
 
-def verify_appendix_C(traj: Trajectory, t_index: int | None = None,
-                      ids=APPENDIX_C_IDS):
-    t_index = _default_index(traj, t_index)
-    frames = _frames(traj, t_index)
-    return [evaluate_identity(traj, i, t_index, frames) for i in ids]
-
-
-def verify_lemma_31(traj: Trajectory, t_index: int | None = None,
-                    C: float = 0.0):
-    # C enters the shifted quantities of the pinching machinery, not these
-    # two evolution identities; accepted for interface parity.
-    t_index = _default_index(traj, t_index)
-    frames = _frames(traj, t_index)
-    return [evaluate_identity(traj, i, t_index, frames) for i in LEMMA31_IDS]
-
-
 def a11_norm_bound(traj: Trajectory, t_index: int, c_id: float):
     """Schematic bound |d/dt Rm| <= C (|nabla^2 Ric| + |Ric||Rm| + |H|^2 + |Rm||du|^2)."""
     fm, f0, fp = _frames(traj, t_index)
@@ -474,15 +377,11 @@ def a11_norm_bound(traj: Trajectory, t_index: int, c_id: float):
 # constant u and measures genuine O(h^2) discretization content otherwise.
 
 def _lemma52_fields(metric: MetricField, u: np.ndarray):
-    grid = metric.grid
-    cb = curvature(metric)
-    du = grad_stack(u, grid)
-    H = hessian(u, grid, cb.gamma)
-    gamma_u = weighted_christoffel(cb.gamma, du, grid.n)
-    rm_wy = lower_rm(riemann_13(gamma_u, grid), metric)
-    rm_ref = lower_rm(riemann_13(cb.gamma, grid), metric)
-    rm_l = sm_tensor(rm_ref, du, metric.values, 2.0)
-    return cb, du, H, rm_wy, rm_ref, rm_l
+    f = Geometry(FlowState(metric.grid, metric, u))
+    gamma_u = weighted_christoffel(f.gamma, f.du, f.grid.n)
+    rm_wy = lower_rm(riemann_13(gamma_u, f.grid), metric)
+    rm_ref = lower_rm(riemann_13(f.gamma, f.grid), metric)
+    return f, rm_wy, rm_ref, sm_tensor(rm_ref, f.du, f.g, 2.0)
 
 
 def _pairs(g, a, b):
@@ -499,7 +398,8 @@ def lemma52_defects(metric: MetricField, u: np.ndarray,
     """
     grid = metric.grid
     g = metric.values
-    cb, du, H, wy, ref, rl = _lemma52_fields(metric, u)
+    f, wy, ref, rl = _lemma52_fields(metric, u)
+    du, H = f.du, f.hess
     sgn = -1.0 if mutate else 1.0
 
     def T(arr, perm):
@@ -557,10 +457,8 @@ def lemma52_defects(metric: MetricField, u: np.ndarray,
     tr_ric = np.einsum("il...,ijkl...->jk...", ginv, wy)
     tr_hat_ref = np.einsum("il...,jilk...->jk...", ginv, ref)
     tr_ric_ref = np.einsum("il...,ijkl...->jk...", ginv, ref)
-    lap = np.einsum("ij...,ij...->...", ginv, H)
-    gsq = np.einsum("ij...,i...,j...->...", ginv, du, du)
     n = grid.n
-    rhs15 = ((lap + gsq) * g
+    rhs15 = ((f.lap_u + f.grad_sq) * g
              - n * (H + np.einsum("i...,j...->ij...", du, du)))
     out["5.15"] = (tr_hat - tr_ric) - (tr_hat_ref - tr_ric_ref) - sgn * rhs15
     return out

@@ -70,18 +70,6 @@ class Grid:
         axes = [self.axis_coords(a) for a in range(self.n)]
         return list(np.meshgrid(*axes, indexing="ij"))
 
-    def evaluable_mask(self, margin: int = STENCIL_RADIUS) -> np.ndarray:
-        """True where a field with the given collar margin is valid."""
-        mask = np.ones(self.shape, dtype=bool)
-        if self.kind == "chart" and margin > 0:
-            for ax in range(self.n):
-                sl = [slice(None)] * self.n
-                sl[ax] = slice(0, margin)
-                mask[tuple(sl)] = False
-                sl[ax] = slice(-margin, None)
-                mask[tuple(sl)] = False
-        return mask
-
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n,
                 "shape": list(self.shape), "extents": list(self.extents)}
@@ -267,7 +255,3 @@ def integrate(values, metric: MetricField) -> float:
     arr = values.values if isinstance(values, ScalarField) else np.asarray(values)
     return float(np.sum(arr * metric.sqrt_det) * metric.grid.cell_volume)
 
-
-def l2_norm(values: np.ndarray, metric: MetricField) -> float:
-    """L2 norm of a pointwise-scalar array (e.g. a pointwise tensor norm)."""
-    return float(np.sqrt(integrate(values * values, metric)))

@@ -123,13 +123,21 @@ def read_checkpoint(path):
 # --------------------------------------------------------------------------
 # CSV / JSON emitters
 
+def _cell(v):
+    """CSV text of a value: floats, numpy scalars included, as their shortest
+    round-trip repr, which ``float()`` parses back exactly."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    return repr(v) if isinstance(v, float) else v
+
+
 def write_diagnostics_csv(path, trajectory):
     from .flow import DIAG_COLUMNS
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(DIAG_COLUMNS)
         for row in trajectory.diag_rows():
-            w.writerow([repr(v) for v in row])
+            w.writerow([_cell(v) for v in row])
 
 
 def write_energy_csv(path, trace):
@@ -137,7 +145,7 @@ def write_energy_csv(path, trace):
         w = csv.writer(fh)
         w.writerow(("t", "E", "h_norm", "A_norm", "T_norm", "v_norm", "w_norm"))
         for row in trace.rows():
-            w.writerow([repr(v) for v in row])
+            w.writerow([_cell(v) for v in row])
 
 
 def write_entropy_csv(path, rows):
@@ -146,7 +154,7 @@ def write_entropy_csv(path, rows):
         w = csv.writer(fh)
         w.writerow(("t", "tau", "mu", "mu_upper", "norm_defect", "iters"))
         for row in rows:
-            w.writerow([repr(v) for v in row])
+            w.writerow([_cell(v) for v in row])
 
 
 def write_verdicts_csv(path, verdicts):
@@ -154,7 +162,7 @@ def write_verdicts_csv(path, verdicts):
         w = csv.writer(fh)
         w.writerow(("pair", "weight", "left", "right", "margin", "verdict"))
         for v in verdicts:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in v.row()])
+            w.writerow([_cell(x) for x in v.row()])
 
 
 def write_reports_json(path, reports):

@@ -11,7 +11,8 @@ round sphere has positive scalar curvature (the stereographic oracle in the
 tests).  The lowered Levi-Civita tensor is assembled from compact second
 derivatives of g plus Christoffel products (``riemann_lowered``), a
 composition under which the pair antisymmetries, pair-exchange symmetry,
-and first Bianchi identity hold to rounding.
+and first Bianchi identity hold to rounding.  Ricci is that trace taken term
+by term (``ricci``), so the flow never forms the 4-tensor.
 
 The weighted-connection curvature is computed directly from the
 connection coefficients of nabla^u_X Y = nabla_X Y - (Yu)X - (Xu)Y, which
@@ -22,6 +23,7 @@ relations between the curvature variants are tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,20 +94,33 @@ def riemann_lowered(metric: MetricField, gamma: np.ndarray) -> np.ndarray:
     return R
 
 
+def ricci(metric: MetricField, gamma: np.ndarray) -> np.ndarray:
+    """Ric_{jk} = g^{il} R_{ijkl} of ``riemann_lowered``, contracted term by term
+    so that no 4-tensor is formed:
+
+        Ric_{jk} = (1/2)(A_{jk} + A_{kj} - g^{il} d_i d_l g_{jk} - g^{il} d_j d_k g_{il})
+                   + Gamma_{p,jl} g^{li} Gamma^p_{ik} - Gamma^p_{jk} g^{il} Gamma_{p,il},
+
+    with A_{jk} = g^{il} d_i d_k g_{jl} and Gamma_{p,jl} = g_{pq} Gamma^q_{jl}.
+    """
+    if metric.n == 1:       # no intrinsic curvature; keep the rounding out of it
+        return np.zeros((1, 1) + metric.grid.shape)
+    ginv = metric.inv
+    ddg = second_derivatives(metric.values, metric.grid)
+    A = np.einsum("il...,ikjl...->jk...", ginv, ddg)
+    ric = 0.5 * (A + np.swapaxes(A, 0, 1)
+                 - np.einsum("il...,iljk...->jk...", ginv, ddg)
+                 - np.einsum("il...,jkil...->jk...", ginv, ddg))
+    gG = np.einsum("pq...,qjl...->pjl...", metric.values, gamma)
+    up = np.einsum("li...,pik...->plk...", ginv, gamma)
+    ric += np.einsum("pjl...,plk...->jk...", gG, up)
+    ric -= np.einsum("pjk...,p...->jk...", gamma,
+                     np.einsum("il...,pil...->p...", ginv, gG))
+    return ric
+
+
 def lower_rm(rm13: np.ndarray, metric: MetricField) -> np.ndarray:
     return np.einsum("lm...,mijk...->ijkl...", metric.values, rm13)
-
-
-def project_riemann(rm4: np.ndarray) -> np.ndarray:
-    """Project onto antisymmetry in (i,j) and (k,l) and pair-exchange symmetry."""
-    a = 0.5 * (rm4 - np.swapaxes(rm4, 0, 1))
-    b = 0.5 * (a - np.swapaxes(a, 2, 3))
-    perm = (2, 3, 0, 1) + tuple(range(4, rm4.ndim))
-    return 0.5 * (b + np.transpose(b, perm))
-
-
-def ricci_from_lowered(rm4: np.ndarray, metric: MetricField) -> np.ndarray:
-    return np.einsum("il...,ijkl...->jk...", metric.inv, rm4)
 
 
 def weyl_tensor(rm4: np.ndarray, ric: np.ndarray, scal: np.ndarray,
@@ -207,27 +222,28 @@ def max_norm(vals: np.ndarray, metric: MetricField, con: int, cov: int) -> float
 class CurvatureBundle:
     metric: MetricField
     gamma: np.ndarray          # Gamma^k_{ij}
-    rm13: np.ndarray           # R^l_{ijk} (raised from the lowered tensor)
     rm4: np.ndarray            # R_{ijkl}; algebraic symmetries exact by construction
-    ric: np.ndarray
+    ric: np.ndarray            # assembled directly (``ricci``), not traced from rm4
     scalar: np.ndarray
-    weyl: np.ndarray
+
+    @cached_property
+    def rm13(self):            # R^l_{ijk}, raised from the lowered tensor
+        return np.einsum("lm...,ijkm...->lijk...", self.metric.inv, self.rm4)
+
+    @cached_property
+    def weyl(self):
+        return weyl_tensor(self.rm4, self.ric, self.scalar, self.metric)
 
 
-def curvature(metric: MetricField) -> CurvatureBundle:
-    grid = metric.grid
-    gamma = christoffel(metric)
-    if grid.n == 1:
-        z4 = np.zeros((1, 1, 1, 1) + grid.shape)
-        z2 = np.zeros((1, 1) + grid.shape)
-        return CurvatureBundle(metric, gamma, z4.copy(), z4.copy(),
-                               z2, np.zeros(grid.shape), z4.copy())
+def curvature(metric: MetricField, gamma: np.ndarray | None = None,
+              ric: np.ndarray | None = None) -> CurvatureBundle:
+    """Curvature of ``metric``; ``gamma`` and ``ric`` reuse values already
+    computed from the same metric.  ``rm13`` and ``weyl`` are built on first use."""
+    gamma = christoffel(metric) if gamma is None else gamma
+    ric = ricci(metric, gamma) if ric is None else ric
     rm4 = riemann_lowered(metric, gamma)
-    rm13 = np.einsum("lm...,ijkm...->lijk...", metric.inv, rm4)
-    ric = ricci_from_lowered(rm4, metric)
     scal = np.einsum("jk...,jk...->...", metric.inv, ric)
-    W = weyl_tensor(rm4, ric, scal, metric)
-    return CurvatureBundle(metric, gamma, rm13, rm4, ric, scal, W)
+    return CurvatureBundle(metric, gamma, rm4, ric, scal)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import Trajectory
-from .mesh import Grid, MetricField, grad_stack, integrate
-from .tensor import cov_d, curvature, hessian, norm_sq
+from .flow import Geometry, Trajectory
+from .mesh import Grid, MetricField, integrate
+from .tensor import cov_d, norm_sq
 
 
 @dataclass(frozen=True)
@@ -76,22 +76,15 @@ def difference_bundle(traj1: Trajectory, traj2: Trajectory,
     _check_pair(traj1, traj2, t_index)
     s1, s2 = traj1.state(t_index), traj2.state(t_index)
     grid = s1.grid
-    c1, c2 = curvature(s1.metric), curvature(s2.metric)
-    A = c1.gamma - c2.gamma
-    B = cov_d(A, grid, c1.gamma, 1, 2)
-    U = (cov_d(c1.rm13, grid, c1.gamma, 1, 3)
-         - cov_d(c2.rm13, grid, c2.gamma, 1, 3))
-    du1, du2 = grad_stack(s1.u, grid), grad_stack(s2.u, grid)
-    H1 = hessian(s1.u, grid, c1.gamma)
-    H2 = hessian(s2.u, grid, c2.gamma)
-    w = du1 - du2
-    x = cov_d(w, grid, c1.gamma, 0, 1)
-    z = (cov_d(H1, grid, c1.gamma, 0, 2) - cov_d(H2, grid, c2.gamma, 0, 2))
+    f1, f2 = Geometry(s1), Geometry(s2)
+    A = f1.gamma - f2.gamma
+    w = f1.du - f2.du
     bundle = DiffBundle(
-        t=s1.t, h=s1.metric.values - s2.metric.values, A=A, B=B,
-        T=c1.rm13 - c2.rm13, U=U, v=s1.u - s2.u, w=w, x=x,
-        y=H1 - H2, z=z, metric=s1.metric)
-    object.__setattr__(bundle, "_du2", du2)
+        t=s1.t, h=f1.g - f2.g, A=A, B=cov_d(A, grid, f1.gamma, 1, 2),
+        T=f1.rm13 - f2.rm13, U=f1.grad_rm13 - f2.grad_rm13, v=s1.u - s2.u,
+        w=w, x=cov_d(w, grid, f1.gamma, 0, 1), y=f1.hess - f2.hess,
+        z=f1.d3u - f2.d3u, metric=s1.metric)
+    object.__setattr__(bundle, "_du2", f2.du)
     return bundle
 
 

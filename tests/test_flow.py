@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from rlab.flow import (FlowParams, FlowState, Schedule, cfl_dt,
-                       flow_rhs, is_regular, reduce_parameters, rhf_rhs,
+from rlab.flow import (DIAG_COLUMNS, FlowParams, FlowState, Schedule, _diagnose,
+                       cfl_dt, flow_rhs, is_regular, reduce_parameters, rhf_rhs,
                        ricci_flow_rhs, run, step)
-from rlab.instances import (perturbed_flat_metric,
+from rlab.instances import (perturbed_flat_metric, random_instance,
                             verification_initial_data)
 from rlab.mesh import build_grid, flat_metric, grad_stack, integrate
-from rlab.tensor import curvature
+from rlab.tensor import curvature, norm_sq, sm_tensor
 
 
 def flat_state(res=16):
@@ -227,3 +227,57 @@ def test_ricci_flow_min_scalar_nondecreasing():
     assert np.all(np.array(traj.diagnostics["max_grad_u_sq"]) == 0.0)
     minR = np.array(traj.diagnostics["min_Sg"])   # equals min R when u == 0
     assert np.all(np.diff(minR) >= -1e-8 * max(1.0, abs(minR[0])))
+
+
+@pytest.mark.parametrize("params", [FlowParams(2.0), FlowParams(1.0, 0.3, 0.5, -0.3)])
+def test_run_shared_geometry_bitwise(params):
+    # run() hands each accepted state's geometry to its diagnostics row and to
+    # the next step's first stage; bare calls build their own and must agree
+    st, dt = curved_state(16), 1e-3
+    traj = run(st, params, Schedule(t_end=4 * dt, dt=dt))
+    p = reduce_parameters(params)
+    s, cum = st, 0.0
+    for k in range(traj.nsnapshots):
+        if k:
+            s = step(s, params, dt)
+        row = _diagnose(s, p, cum, dt if k else 0.0)
+        cum = row["int_hess_sq_cum"]
+        assert np.array_equal(traj.metrics[k].values, s.metric.values)
+        assert np.array_equal(traj.potentials[k], s.u)
+        assert all(traj.diagnostics[c][k] == row[c] for c in DIAG_COLUMNS)
+
+
+def test_shared_geometry_saves_one_christoffel_per_state(monkeypatch):
+    import rlab.flow as flow
+    calls = []
+    real = flow.christoffel
+    monkeypatch.setattr(flow, "christoffel", lambda m: calls.append(m) or real(m))
+    st, p, dt, nsteps = curved_state(16), FlowParams(2.0), 1e-3, 3
+    run(st, p, Schedule(t_end=nsteps * dt, dt=dt))
+    shared = len(calls)
+    calls.clear()
+    s = st
+    _diagnose(s, p, 0.0, 0.0)
+    for _ in range(nsteps):
+        s = step(s, p, dt)
+        _diagnose(s, p, 0.0, dt)
+    # rk4 stages 2-4 plus one per accepted state, whose row and the first
+    # stage of the step leaving it share a single evaluation
+    assert shared == 4 * nsteps + 1
+    assert len(calls) - shared == nsteps
+
+
+def test_diagnose_curvature_norms_match_tensor_norms():
+    # max_rm, int_rm_sq and int_sm_sq come from pair-exchange and expanded
+    # forms; they must agree with norming the 4-tensors directly
+    for n, res in ((2, 16), (3, 10), (4, 8)):
+        _, m, u = random_instance(n, res, seed=21)
+        cb = curvature(m)
+        du = grad_stack(u, m.grid)
+        rm_sq = norm_sq(cb.rm4, m, 0, 4)
+        for a1 in (2.0, -0.7):
+            row = _diagnose(FlowState(m.grid, m, u), FlowParams(a1, reduced=True), 0.0, 0.0)
+            sm_sq = integrate(norm_sq(sm_tensor(cb.rm4, du, m.values, a1), m, 0, 4), m)
+            assert abs(row["max_rm"] - np.sqrt(np.max(rm_sq))) <= 1e-13 * row["max_rm"]
+            assert abs(row["int_rm_sq"] - integrate(rm_sq, m)) <= 1e-13 * row["int_rm_sq"]
+            assert abs(row["int_sm_sq"] - sm_sq) <= 1e-12 * sm_sq, (n, a1)

@@ -1,10 +1,14 @@
+import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rlab
 from rlab.config import ConfigError, config_hash, validate
 from rlab.flow import FlowParams, FlowState, Schedule
 from rlab.instances import random_instance, verification_initial_data
@@ -228,9 +232,70 @@ def test_emit_plots(tmp_path):
 
 
 def test_rlab_threads_env(tmp_path):
+    # the child records OMP_NUM_THREADS at numpy's first import: the cap only
+    # takes effect if RLAB_THREADS was exported before that moment
     cfg = write_cfg(tmp_path)
-    r = subprocess.run([sys.executable, "-m", "rlab.cli", "run", "--config",
+    probe = ("import os, sys\n"
+             "seen = []\n"
+             "sys.addaudithook(lambda event, args: event == 'import'"
+             " and args[0] == 'numpy' and not seen"
+             " and seen.append(os.environ.get('OMP_NUM_THREADS')))\n"
+             "from rlab.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print('OMP_NUM_THREADS at numpy import:', seen)\n"
+             "sys.exit(code)\n")
+    src = str(Path(rlab.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-c", probe, "run", "--config",
                         str(cfg), "--out", str(tmp_path / "thr")],
                        capture_output=True, text=True,
-                       env={"PATH": "/usr/bin:/bin", "RLAB_THREADS": "1"})
+                       env={"PATH": "/usr/bin:/bin", "RLAB_THREADS": "1",
+                            "PYTHONPATH": src})
     assert r.returncode == 0, r.stderr
+    assert "OMP_NUM_THREADS at numpy import: ['1']" in r.stdout, r.stdout
+
+
+STAGE_CFG = {"entropy": {"tau0": 0.5, "samples": 2, "nseeds": 1},
+             "uniqueness": {"delta": 1e-3, "beta": 0.5}}
+
+
+def test_emitted_csv_cells_parse_as_floats(tmp_path):
+    from rlab.cli import run_experiment
+    cfg = write_cfg(tmp_path, STAGE_CFG)
+    _, code = run_experiment(cfg, tmp_path / "o",
+                             stages=["run", "entropy", "uniqueness"])
+    assert code == 0
+    names = sorted(p.name for p in (tmp_path / "o").glob("*.csv"))
+    assert names == ["diagnostics.csv", "energy.csv", "entropy.csv"]
+    for name in names:
+        with open(tmp_path / "o" / name, newline="") as fh:
+            head, *body = list(csv.reader(fh))
+        assert body, name
+        for row in body:
+            assert len(row) == len(head)
+            for cell in row:
+                float(cell)
+
+
+def test_entropy_uniqueness_outputs_unchanged_without_diagnostics(tmp_path, monkeypatch):
+    # the two stages write no diagnostics rows, so they run their flows with
+    # diagnostics off; forcing them back on must not change a byte
+    import rlab.flow
+    from rlab.cli import run_experiment
+    cfg = write_cfg(tmp_path, STAGE_CFG)
+    real_run, flags = rlab.flow.run, []
+
+    def spy(state, params, schedule, force=None):
+        flags.append(schedule.diagnostics)
+        if force is not None:
+            schedule = replace(schedule, diagnostics=force)
+        return real_run(state, params, schedule)
+
+    monkeypatch.setattr(rlab.flow, "run", spy)
+    run_experiment(cfg, tmp_path / "off", stages=["entropy", "uniqueness"])
+    assert flags == [False, False, False]
+    monkeypatch.setattr(rlab.flow, "run",
+                        lambda st, p, s: spy(st, p, s, force=True))
+    run_experiment(cfg, tmp_path / "on", stages=["entropy", "uniqueness"])
+    for name in ("entropy.csv", "energy.csv", "manifest.json"):
+        assert ((tmp_path / "off" / name).read_bytes()
+                == (tmp_path / "on" / name).read_bytes()), name

@@ -281,3 +281,23 @@ def test_bundle_invariants_randomized_instances():
         h2 = max(grid.spacing) ** 2
         for key, field in d.items():
             assert np.max(np.abs(field)) < 5.0 * h2, (seed, key)
+
+
+def test_direct_ricci_matches_contraction():
+    from rlab.tensor import ricci, riemann_lowered
+    for n, res in ((2, 16), (3, 10), (4, 8)):
+        _, m, _ = random_instance(n, res, seed=11)
+        G = christoffel(m)
+        ric = ricci(m, G)
+        traced = np.einsum("il...,ijkl...->jk...", m.inv, riemann_lowered(m, G))
+        assert np.max(np.abs(ric - traced)) <= 1e-13 * np.max(np.abs(ric)), n
+
+
+def test_lazy_curvature_parts_match_eager_formulas():
+    from rlab.tensor import weyl_tensor
+    _, m, _ = random_instance(4, 8, seed=12)
+    cb = curvature(m)
+    assert "rm13" not in vars(cb) and "weyl" not in vars(cb)
+    assert np.array_equal(cb.rm13, np.einsum("lm...,ijkm...->lijk...", m.inv, cb.rm4))
+    assert np.array_equal(cb.weyl, weyl_tensor(cb.rm4, cb.ric, cb.scalar, m))
+    assert cb.weyl is cb.weyl     # computed once, then cached
