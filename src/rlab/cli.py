@@ -78,10 +78,8 @@ def flow_params_from(cfg):
 
 def schedule_from(cfg):
     from .flow import Schedule
-    s = cfg.get("schedule", {})
-    return Schedule(t_end=s.get("t_end", 0.02), dt=s.get("dt"),
-                    safety=s.get("safety", 0.5), cadence=s.get("cadence", 1),
-                    method=s.get("method", "rk4"))
+    # the schema admits exactly Schedule's fields; absent ones take its defaults
+    return Schedule(**{"t_end": 0.02, **cfg.get("schedule", {})})
 
 
 # --------------------------------------------------------------------------
@@ -102,8 +100,6 @@ def stage_run(cfg, out: Path, checks, outputs):
     write_checkpoint(out / "checkpoint.rlab", final, params, sched)
     outputs.append("checkpoint.rlab")
     checks["run.completed"] = traj.aborted is None
-    if traj.aborted:
-        checks["run.abort_reason"] = traj.aborted
     if (params.alpha1 >= 0 and params.beta1 == 0 and params.beta2 == 0
             and traj.aborted is None):
         mg = np.array(traj.diagnostics["max_grad_u_sq"])
@@ -330,9 +326,11 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
         selected = [s for s in STAGES if STAGE_SECTIONS[s] in cfg]
         if not selected:
             selected = ["run"]
-    checks, outputs = {}, []
+    checks, outputs, abort_reason = {}, [], None
     for name in selected:
-        STAGES[name](cfg, out, checks, outputs)
+        result = STAGES[name](cfg, out, checks, outputs)
+        if name == "run":
+            abort_reason = result.aborted
     failed = sorted(k for k, v in checks.items() if v is False)
     manifest = {
         "config_hash": config_hash(cfg),
@@ -343,6 +341,8 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
         "passed": not failed,
         "failed_checks": failed,
     }
+    if abort_reason:
+        manifest["abort_reason"] = abort_reason
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1,
                                                   sort_keys=True))
     return manifest, (0 if not failed else 1)

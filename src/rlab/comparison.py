@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowState, Geometry
 from .mesh import MetricField, grad_stack, integrate
-from .tensor import (cov_d, curvature, divergence, norm_sq,
-                     raise_index, rough_laplacian, wy_curvature)
+from .tensor import (Geometry, christoffel, cov_d, div_form_weighted_laplacian,
+                     divergence, norm_sq, raise_index, ricci, rough_laplacian)
 
 KILLING_TOL = 1e-6
 CONST_NORM_TOL = 1e-8
@@ -72,8 +71,6 @@ class KillingReport:
 def lie_derivative_metric(metric: MetricField, X: np.ndarray) -> np.ndarray:
     """(L_X g)_{ij} = nabla_i X_j + nabla_j X_i."""
     grid = metric.grid
-    gamma = None
-    from .tensor import christoffel
     gamma = christoffel(metric)
     Xl = np.einsum("ij...,j...->i...", metric.values, X)
     dX = cov_d(Xl, grid, gamma, 0, 1)
@@ -82,7 +79,6 @@ def lie_derivative_metric(metric: MetricField, X: np.ndarray) -> np.ndarray:
 
 def killing_report(metric: MetricField, X: np.ndarray) -> KillingReport:
     grid = metric.grid
-    from .tensor import christoffel
     gamma = christoffel(metric)
     lie = lie_derivative_metric(metric, X)
     lie_sq = norm_sq(lie, metric, 0, 2)
@@ -149,54 +145,34 @@ def _weight_values(metric: MetricField, u: np.ndarray, weight: str) -> np.ndarra
 SCALAR_PAIRS = ("RL_vs_R", "R_vs_RWY", "R_eq_RWY_e^u")
 
 
-def _one_pipeline_curvatures(metric: MetricField, u: np.ndarray):
-    """Plain, gradient-reduced, and weighted curvature through one pipeline.
-
-    All three sides of an ordering are differentiated the same way (the
-    connection-coefficient route that the weighted curvature requires), so
-    cross-stencil bias cancels and constant-u margins vanish to rounding.
-    """
-    from .tensor import (christoffel, lower_rm, riemann_13,
-                         weighted_christoffel)
-    grid = metric.grid
-    gamma = christoffel(metric)
-    du = grad_stack(u, grid)
-    ref4 = lower_rm(riemann_13(gamma, grid), metric)
-    wy4 = lower_rm(riemann_13(weighted_christoffel(gamma, du, grid.n), grid),
-                   metric)
-    ric = np.einsum("il...,ijkl...->jk...", metric.inv, ref4)
-    ric_wy = np.einsum("il...,ijkl...->jk...", metric.inv, wy4)
-    ric_wy_hat = np.einsum("il...,jilk...->jk...", metric.inv, wy4)
-    ric_l = ric - 2.0 * np.einsum("i...,j...->ij...", du, du)
-    return du, ric, ric_l, ric_wy, ric_wy_hat
-
-
 def scalar_order(metric: MetricField, u: np.ndarray, which_pair: str,
                  weight: str = "volume", tol_scale: float | None = None) -> OrderVerdict:
     """Weighted integral comparison of the scalar-curvature variants."""
     if metric.grid.kind != "torus":
         raise ValueError("integral orderings require a torus grid")
-    du, ric, ric_l, ric_wy, _ = _one_pipeline_curvatures(metric, u)
-    ginv = metric.inv
-    R = np.einsum("jk...,jk...->...", ginv, ric)
-    R_l = np.einsum("jk...,jk...->...", ginv, ric_l)
-    R_wy = np.einsum("jk...,jk...->...", ginv, ric_wy)
+    # every side is traced from the Gamma-form tensors, the route the weighted
+    # curvature requires, so cross-stencil bias cancels and constant-u
+    # margins vanish to rounding
+    geo = Geometry(metric, u)
+    R = np.einsum("jk...,jk...->...", metric.inv, geo.ric_ref)
     mu = _weight_values(metric, u, "e^u" if which_pair == "R_eq_RWY_e^u" else weight)
     h2 = max(metric.grid.spacing) ** 2
     vol = integrate(np.ones(metric.grid.shape), metric)
     tol = tol_scale if tol_scale is not None else 10.0 * h2 * vol
     if which_pair == "RL_vs_R":
+        ric_l = geo.ric_ref - 2.0 * np.einsum("i...,j...->ij...", geo.du, geo.du)
+        R_l = np.einsum("jk...,jk...->...", metric.inv, ric_l)
         return OrderVerdict(which_pair, weight,
                             integrate(R_l * mu, metric),
                             integrate(R * mu, metric), tol)
     if which_pair == "R_vs_RWY":
         return OrderVerdict(which_pair, weight,
                             integrate(R * mu, metric),
-                            integrate(R_wy * mu, metric), tol)
+                            integrate(geo.scalar_wy * mu, metric), tol)
     if which_pair == "R_eq_RWY_e^u":
         return OrderVerdict(which_pair, "e^u",
                             integrate(R * mu, metric),
-                            integrate(R_wy * mu, metric), tol)
+                            integrate(geo.scalar_wy * mu, metric), tol)
     raise ValueError(f"unknown pair {which_pair!r}")
 
 
@@ -223,22 +199,19 @@ def ricci_order(metric: MetricField, u: np.ndarray, X: np.ndarray,
         if not rep.constant_norm:
             raise ValueError("precondition failed: constant_norm is False "
                              f"(variance = {rep.norm_sq_variance:.3e})")
-    du, ric, ric_l, ric_wy, ric_wy_hat = _one_pipeline_curvatures(metric, u)
+    geo = Geometry(metric, u)       # Gamma-form traces, as in scalar_order
     mu = _weight_values(metric, u, weight)
     h2 = max(metric.grid.spacing) ** 2
     vol = integrate(np.ones(metric.grid.shape), metric)
     tol = tol_scale if tol_scale is not None else 10.0 * h2 * vol
     def quad(T):
-        return np.einsum("ij...,i...,j...->...", T, X, X)
+        return integrate(np.einsum("ij...,i...,j...->...", T, X, X) * mu, metric)
     if variant == "L_vs_Ric":
-        left = integrate(quad(ric_l) * mu, metric)
-        right = integrate(quad(ric) * mu, metric)
-    elif variant == "Ric_vs_WY":
-        left = integrate(quad(ric) * mu, metric)
-        right = integrate(quad(ric_wy) * mu, metric)
+        left = quad(geo.ric_ref - 2.0 * np.einsum("i...,j...->ij...", geo.du, geo.du))
+        right = quad(geo.ric_ref)
     else:
-        left = integrate(quad(ric) * mu, metric)
-        right = integrate(quad(ric_wy_hat) * mu, metric)
+        left = quad(geo.ric_ref)
+        right = quad(geo.ric_wy if variant == "Ric_vs_WY" else geo.ric_wy_hat)
     return OrderVerdict(f"{variant}(X,X)", weight, left, right, tol)
 
 
@@ -254,14 +227,12 @@ def yano_defect(metric: MetricField, X: np.ndarray,
     converges to zero, and that decision lives in the test manifest.
     """
     grid = metric.grid
-    from .tensor import christoffel
     gamma = christoffel(metric)
-    cb = curvature(metric)
     lie = lie_derivative_metric(metric, X)
     Xl = np.einsum("ij...,j...->i...", metric.values, X)
     dX = cov_d(Xl, grid, gamma, 0, 1)
     div = divergence(metric, X, gamma)
-    ric_xx = np.einsum("ij...,i...,j...->...", cb.ric, X, X)
+    ric_xx = np.einsum("ij...,i...,j...->...", ricci(metric, gamma), X, X)
     lhs = lhs_factor * integrate(norm_sq(lie, metric, 0, 2), metric)
     rhs = integrate(norm_sq(dX, metric, 0, 2) + div * div - ric_xx, metric)
     return lhs - rhs
@@ -291,7 +262,7 @@ def lemma57_defect(metric: MetricField, u: np.ndarray, X: np.ndarray) -> dict:
                            -(1/2) int |X|^2 Delta u (valid for Killing X).
     """
     grid = metric.grid
-    f = Geometry(FlowState(grid, metric, u))
+    f = Geometry(metric, u)
     gamma = f.gamma
     lhs = integrate(np.einsum("i...,j...,ij...->...", X, X, f.hess), metric)
     lapX = rough_laplacian(X, grid, gamma, metric, 1, 0)
@@ -323,12 +294,11 @@ def wy_hat_margin_identity(metric: MetricField, u: np.ndarray,
     int [Ric_WY_hat(X,X) - Ric(X,X)] dV - (3/2) int u Delta |X|^2 dV
         - int (|X|^2 |grad u|^2 - <X, grad u>^2) dV
     """
-    f = Geometry(FlowState(metric.grid, metric, u))
-    wy = wy_curvature(metric, u, curv=f.cb)
+    f = Geometry(metric, u)
     xsq = np.einsum("ij...,i...,j...->...", metric.values, X, X)
     lap_xsq = rough_laplacian(xsq, metric.grid, f.gamma, metric, 0, 0)
     x_du = np.einsum("i...,i...->...", X, f.du)
-    lhs = integrate(np.einsum("ij...,i...,j...->...", wy.ric_wy_hat - f.ric, X, X),
+    lhs = integrate(np.einsum("ij...,i...,j...->...", f.ric_wy_hat - f.ric, X, X),
                     metric)
     return (lhs - 1.5 * integrate(u * lap_xsq, metric)
             - integrate(xsq * f.grad_sq - x_du ** 2, metric))
@@ -337,7 +307,6 @@ def wy_hat_margin_identity(metric: MetricField, u: np.ndarray,
 def weighted_divergence_integral(metric: MetricField, u: np.ndarray) -> float:
     """int (Delta u + |grad u|^2) e^u dV in discrete divergence form (exactly
     telescoping on a periodic grid)."""
-    from .tensor import div_form_weighted_laplacian
     return integrate(div_form_weighted_laplacian(metric, u), metric)
 
 

@@ -24,7 +24,7 @@ SCHEMA = {
     "grid": {"kind": str, "n": int, "resolutions": list, "extents": list},
     "initial_data": {
         "metric": {"family": str, "components": dict, "phi_terms": list,
-                   "diag": list, "amplitude": float, "seed": int},
+                   "diag": list},
         "u_terms": list,
     },
     "flow": {"alpha1": float, "alpha2": float, "beta1": float, "beta2": float},
@@ -33,12 +33,11 @@ SCHEMA = {
     "verify": {"identities": list, "resolutions": list, "t_eval_frac": float},
     "entropy": {"tau0": float, "samples": int, "tol": float, "max_iter": int,
                 "nseeds": int},
-    "compare": {"scalar_pairs": list, "ricci_variants": list, "weights": list,
-                "instances": int},
-    "uniqueness": {"delta": float, "beta": float, "window_frac": float},
+    "compare": {"scalar_pairs": list, "instances": int},
+    "uniqueness": {"delta": float, "beta": float},
     "constants": {"K": float, "L": float, "P": float, "rho": float, "D": float,
                   "A": float, "C_user": float, "C_s": float, "Cn_user": float,
-                  "A1": float, "C": float, "C0": float, "chi": float, "p": float},
+                  "A1": float, "C": float, "C0": float, "chi": float},
     "seed": int,
 }
 

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .mesh import Grid, MetricField, SPDError, grad_stack, integrate
-from .tensor import (christoffel, cov_d, curvature, hessian, norm_sq, raise_index,
-                     ricci)
+from .mesh import Grid, MetricField, SPDError, integrate
+from .tensor import CoupledGeometry, Geometry, norm_sq
 
 DIAG_COLUMNS = ("t", "max_rm", "max_grad_u_sq", "min_Sg", "vol",
                 "int_hess_sq_cum", "int_lap_u_sq", "int_sic_sq", "int_sic_p4",
@@ -76,136 +74,25 @@ class BlowUpError(RuntimeError):
         self.state = state
 
 
-class Geometry:
-    """Geometric quantities of one flow state, each computed on first use.
-
-    The flow right-hand side asks only for Gamma, Ric and the Hessian, so the
-    Riemann tensor is formed only when a diagnostic or an identity needs it.
-    """
-
-    def __init__(self, state: FlowState):
-        self.state = state
-        self.grid = state.grid
-        self.metric = state.metric
-        self.g = state.metric.values
-        self.ginv = state.metric.inv
-        self.u = state.u
-
-    @cached_property
-    def gamma(self):
-        return christoffel(self.metric)
-
-    @cached_property
-    def ric(self):
-        return ricci(self.metric, self.gamma)
-
-    @cached_property
-    def cb(self):
-        return curvature(self.metric, self.gamma, self.ric)
-
-    @property
-    def rm4(self):
-        return self.cb.rm4
-
-    @property
-    def rm13(self):
-        return self.cb.rm13
-
-    @cached_property
-    def scalar(self):       # the same trace ``curvature`` takes, without the 4-tensor
-        return np.einsum("jk...,jk...->...", self.ginv, self.ric)
-
-    @cached_property
-    def rm_sq(self):        # |Rm|^2 = R^{ij}_{kl} R^{kl}_{ij}, by pair exchange
-        up = raise_index(raise_index(self.rm4, self.metric, 0), self.metric, 1)
-        return np.einsum("ijkl...,klij...->...", up, up)
-
-    @cached_property
-    def ric_up(self):       # Ric^{pq}
-        return raise_index(raise_index(self.ric, self.metric, 0), self.metric, 1)
-
-    @cached_property
-    def ric_mixed(self):    # Ric_i{}^p
-        return raise_index(self.ric, self.metric, 1)
-
-    @cached_property
-    def du(self):
-        return grad_stack(self.u, self.grid)
-
-    @cached_property
-    def du_up(self):
-        return np.einsum("ij...,j...->i...", self.ginv, self.du)
-
-    @cached_property
-    def hess(self):
-        return hessian(self.u, self.grid, self.gamma)
-
-    @cached_property
-    def hess_mixed(self):   # H_i{}^p
-        return raise_index(self.hess, self.metric, 1)
-
-    @cached_property
-    def hess_up(self):
-        return raise_index(self.hess_mixed, self.metric, 0)
-
-    @cached_property
-    def hess_sq(self):      # |Hess u|^2
-        return norm_sq(self.hess, self.metric, 0, 2)
-
-    @cached_property
-    def d3u(self):          # nabla_a H_{ij}
-        return cov_d(self.hess, self.grid, self.gamma, 0, 2)
-
-    @cached_property
-    def lap_u(self):
-        return np.einsum("ij...,ij...->...", self.ginv, self.hess)
-
-    @cached_property
-    def grad_sq(self):      # |du|^2
-        return np.einsum("ij...,i...,j...->...", self.ginv, self.du, self.du)
-
-    @cached_property
-    def grad_ric(self):     # nabla_a R_{ij}
-        return cov_d(self.ric, self.grid, self.gamma, 0, 2)
-
-    @cached_property
-    def grad_rm13(self):    # nabla_a R^l_{ijk}
-        return cov_d(self.rm13, self.grid, self.gamma, 1, 3)
-
-    @cached_property
-    def ln_sqrt_det(self):
-        return np.log(self.metric.sqrt_det)
-
-
 def flow_rhs(state: FlowState, params: FlowParams, geo: Geometry | None = None):
     """Right-hand sides (dg/dt, du/dt); params must be reduced.  ``geo`` is
     the cached geometry of ``state`` when the caller already has one."""
     if not params.reduced:
         raise ValueError("flow_rhs requires reduced parameters")
-    geo = geo if geo is not None else Geometry(state)
+    geo = geo if geo is not None else Geometry(state.metric, state.u)
     du = geo.du
     gdot = -2.0 * geo.ric + 2.0 * params.alpha1 * np.einsum("i...,j...->ij...", du, du)
     udot = geo.lap_u + params.beta1 * geo.grad_sq + params.beta2 * state.u
     return gdot, udot
 
 
-def rhf_rhs(state: FlowState):
-    """Harmonic-map coupled flow right-hand side; same code path, gated at (2,0,0,0)."""
-    return flow_rhs(state, FlowParams(2.0, 0.0, 0.0, 0.0, reduced=True))
-
-
-def ricci_flow_rhs(state: FlowState):
-    """Pure Ricci flow right-hand side: the u terms vanish at (0,0,0,0) with u = 0."""
-    return flow_rhs(state, FlowParams(0.0, 0.0, 0.0, 0.0, reduced=True))
-
-
-def cfl_dt(state: FlowState, safety: float = 0.8,
+def cfl_dt(state: FlowState, safety: float,
            geo: Geometry | None = None) -> float:
     """Parabolic step bound dt = safety * min h^2 / (4 n max(1, |Rm|, |Hess u|))."""
     if not 0 < safety <= 1:
         raise ValueError("safety must lie in (0, 1]")
     grid = state.grid
-    geo = geo if geo is not None else Geometry(state)
+    geo = geo if geo is not None else Geometry(state.metric, state.u)
     mrm = float(np.sqrt(np.max(geo.rm_sq)))
     mh = float(np.sqrt(np.max(geo.hess_sq)))
     hmin = min(grid.spacing)
@@ -250,7 +137,7 @@ def step(state: FlowState, params: FlowParams, dt: float,
 class Schedule:
     t_end: float
     dt: float | None = None          # None: fixed dt from the initial CFL bound
-    safety: float = 0.8
+    safety: float = 0.5
     cadence: int = 1                 # snapshot every ``cadence`` steps
     method: str = "rk4"
     diagnostics: bool = True
@@ -281,29 +168,23 @@ class Trajectory:
 
 
 def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
-              geo: Geometry | None = None):
-    geo = geo if geo is not None else Geometry(state)
-    m, a1 = state.metric, params.alpha1
-    sic = geo.ric - a1 * np.einsum("i...,j...->ij...", geo.du, geo.du)
-    S = geo.scalar - a1 * geo.grad_sq
-    sic_sq = norm_sq(sic, m, 0, 2)
-    # |Sm|^2 for Sm_{ijkl} = R_{ijkl} - (a1/2)(g_{jl} du_i du_k + g_{kl} du_i du_j),
-    # expanded through the symmetries of Rm so that no second 4-tensor is normed
-    sm_sq = (geo.rm_sq
-             + a1 * np.einsum("ij...,i...,j...->...", geo.ric, geo.du_up, geo.du_up)
-             + 0.5 * (state.grid.n + 1) * a1 * a1 * geo.grad_sq ** 2)
+              geo: CoupledGeometry | None = None):
+    geo = (geo if geo is not None
+           else CoupledGeometry(state.metric, state.u, params.alpha1))
+    m = state.metric
+    sic_sq = norm_sq(geo.sic, m, 0, 2)
     row = {
         "t": state.t,
         "max_rm": float(np.sqrt(np.max(geo.rm_sq))),
         "max_grad_u_sq": float(np.max(geo.grad_sq)),
-        "min_Sg": float(np.min(S)),
+        "min_Sg": float(np.min(geo.S)),
         "vol": integrate(np.ones(state.grid.shape), m),
         "int_hess_sq_cum": cum_hess + dt * integrate(geo.hess_sq, m),
         "int_lap_u_sq": integrate(geo.lap_u * geo.lap_u, m),
         "int_sic_sq": integrate(sic_sq, m),
         "int_sic_p4": integrate(sic_sq * sic_sq, m),
         "int_rm_sq": integrate(geo.rm_sq, m),
-        "int_sm_sq": integrate(sm_sq, m),
+        "int_sm_sq": integrate(geo.sm_sq, m),
     }
     return row
 
@@ -317,7 +198,8 @@ def rm_lp_series(traj: Trajectory, p: float):
     out = []
     for k in range(traj.nsnapshots):
         s = traj.state(k)
-        out.append((s.t, integrate(Geometry(s).rm_sq ** (p / 2.0), s.metric)))
+        rm_sq = Geometry(s.metric, s.u).rm_sq
+        out.append((s.t, integrate(rm_sq ** (p / 2.0), s.metric)))
     return out
 
 
@@ -326,7 +208,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
     p = reduce_parameters(params)
     # one geometry per accepted state, shared by its diagnostics row, the
     # initial step bound and the first stage of the step that leaves it
-    geo = Geometry(initial_state)
+    geo = CoupledGeometry(initial_state.metric, initial_state.u, p.alpha1)
     c0 = float(np.max(geo.grad_sq))
     if c0 > 0 and not is_regular(p, c0):
         warnings.warn("flow parameters are not regular; gradient bound not guaranteed",
@@ -356,7 +238,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
             traj.aborted = str(e)
             record(e.state)
             break
-        geo = Geometry(state)
+        geo = CoupledGeometry(state.metric, state.u, p.alpha1)
         if (k + 1) % schedule.cadence == 0 or k == nsteps - 1:
             record(state)
         if schedule.diagnostics:

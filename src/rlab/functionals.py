@@ -28,15 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowState, Geometry
 from .mesh import MetricField, diff1, grad_stack, integrate
-from .tensor import curvature, norm_sq, sm_tensor
+from .tensor import CoupledGeometry, curvature, norm_sq
 
 
 def coupled_scalar(metric: MetricField, u: np.ndarray, alpha1: float = 2.0) -> np.ndarray:
     """S = R - alpha1 |grad u|^2."""
-    f = Geometry(FlowState(metric.grid, metric, u))
-    return f.scalar - alpha1 * f.grad_sq
+    return CoupledGeometry(metric, u, alpha1).S
 
 
 def normalize_f(metric: MetricField, f: np.ndarray, tau: float) -> np.ndarray:
@@ -343,22 +341,19 @@ def pinching_quantities(metric: MetricField, u: np.ndarray, alpha1: float,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    from .tensor import coupled  # local import to avoid cycle at module load
     grid = metric.grid
-    cpl = coupled(metric, u, alpha1)
-    Sp = cpl.s + C
+    geo = CoupledGeometry(metric, u, alpha1)
+    Sp = geo.S + C
     if np.min(Sp) <= 0:
         loc = np.unravel_index(int(np.argmin(Sp)), grid.shape)
         raise PositivityError(
             f"S + C must be positive; min {np.min(Sp):.6g} at grid index {loc}")
-    sin_sq = norm_sq(cpl.sin, metric, 0, 2)
-    sic_sq = norm_sq(cpl.sic, metric, 0, 2)
+    sin_sq = norm_sq(geo.sin, metric, 0, 2)
+    sic_sq = norm_sq(geo.sic, metric, 0, 2)
     # Xi here carries the beta1 = beta2 = 0 specialization; lambda_bounds
     # accepts the couplings explicitly.
-    tr_xi = np.einsum("ij...,ij...->...", metric.inv, cpl.xi)
-    sic_xi = np.einsum("ij...,ij...->...",
-                       np.einsum("ik...,jl...,kl...->ij...",
-                                 metric.inv, metric.inv, cpl.sic), cpl.xi)
+    tr_xi = np.einsum("ij...,ij...->...", metric.inv, geo.xi)
+    sic_xi = np.einsum("ij...,ij...->...", geo.sic_up, geo.xi)
     lam = (tr_xi * sic_sq - 2.0 * Sp * sic_xi) / Sp ** 2
     return {
         "f_gamma": sin_sq / Sp ** gamma,
@@ -366,7 +361,7 @@ def pinching_quantities(metric: MetricField, u: np.ndarray, alpha1: float,
         "lambda": lam,
         "sin_ratio": np.sqrt(sin_sq) / Sp,
         "S_plus_C": Sp,
-        "bundle": cpl,
+        "bundle": geo,
     }
 
 
@@ -378,19 +373,17 @@ def lambda_bounds(metric: MetricField, u: np.ndarray, alpha1: float, C: float,
     hold pointwise regardless of the sign of alpha1 (the sign only selects
     which one the integral estimates need).
     """
-    from .tensor import coupled
-    cpl = coupled(metric, u, alpha1, beta1, beta2)
-    Sp = cpl.s + C
+    geo = CoupledGeometry(metric, u, alpha1, beta1, beta2)
+    Sp = geo.S + C
     if np.min(Sp) <= 0:
         raise PositivityError("S + C must be positive")
     C0 = float(np.min(Sp))
-    sic_sq = norm_sq(cpl.sic, metric, 0, 2)
+    sic_sq = norm_sq(geo.sic, metric, 0, 2)
     f = sic_sq / Sp
-    hess_n = np.sqrt(norm_sq(cpl.hess, metric, 0, 2))
-    gsq = cpl.grad_sq
-    tr_xi = np.einsum("ij...,ij...->...", metric.inv, cpl.xi)
-    sic_up = np.einsum("ik...,jl...,kl...->ij...", metric.inv, metric.inv, cpl.sic)
-    sic_xi = np.einsum("ij...,ij...->...", sic_up, cpl.xi)
+    hess_n = np.sqrt(geo.hess_sq)
+    gsq = geo.grad_sq
+    tr_xi = np.einsum("ij...,ij...->...", metric.inv, geo.xi)
+    sic_xi = np.einsum("ij...,ij...->...", geo.sic_up, geo.xi)
     lam = (tr_xi * sic_sq - 2.0 * Sp * sic_xi) / Sp ** 2
     b1, b2 = abs(beta1), abs(beta2)
     lower = (-hess_n ** 2 - 2.0 * b2 * gsq * (1.0 + f / C0)
@@ -403,13 +396,13 @@ def lambda_bounds(metric: MetricField, u: np.ndarray, alpha1: float, C: float,
     return {"lambda": lam, "lower": lower, "upper": upper, "C0": C0}
 
 
-def gbc_defect(metric: MetricField, chi: float, curv=None) -> float:
+def gbc_defect(metric: MetricField, chi: float) -> float:
     """int (|Rm|^2 - 4 |Ric|^2 + R^2) dV - 32 pi^2 chi on a 4-torus."""
     if metric.grid.n != 4:
         raise ValueError("the curvature-integral defect is dimension-4 only")
     if metric.grid.kind != "torus":
         raise ValueError("requires a closed (torus) grid")
-    cb = curv if curv is not None else curvature(metric)
+    cb = curvature(metric)
     integrand = (norm_sq(cb.rm4, metric, 0, 4)
                  - 4.0 * norm_sq(cb.ric, metric, 0, 2) + cb.scalar ** 2)
     return integrate(integrand, metric) - 32.0 * np.pi ** 2 * chi
@@ -425,17 +418,10 @@ def gbc_defect_coupled(metric: MetricField, u: np.ndarray, alpha1: float,
     """
     if metric.grid.n != 4:
         raise ValueError("the curvature-integral defect is dimension-4 only")
-    cb = curvature(metric)
-    du = grad_stack(u, metric.grid)
-    gsq = np.einsum("ij...,i...,j...->...", metric.inv, du, du)
-    sic = cb.ric - alpha1 * np.einsum("i...,j...->ij...", du, du)
-    S = cb.scalar - alpha1 * gsq
-    sm = sm_tensor(cb.rm4, du, metric.values, alpha1)
-    lhs = integrate(norm_sq(sm, metric, 0, 4) - 4.0 * norm_sq(sic, metric, 0, 2)
-                    + S * S, metric)
-    sic_du_du = np.einsum("ij...,i...,j...->...", sic,
-                          np.einsum("ij...,j...->i...", metric.inv, du),
-                          np.einsum("ij...,j...->i...", metric.inv, du))
+    geo = CoupledGeometry(metric, u, alpha1)
+    gsq, S = geo.grad_sq, geo.S
+    lhs = integrate(geo.sm_sq - 4.0 * norm_sq(geo.sic, metric, 0, 2) + S * S, metric)
+    sic_du_du = np.einsum("ij...,i...,j...->...", geo.sic, geo.du_up, geo.du_up)
     rhs = (32.0 * np.pi ** 2 * chi
            + 6.5 * alpha1 ** 2 * integrate(gsq * gsq, metric)
            + 9.0 * alpha1 * integrate(sic_du_du, metric)

@@ -23,44 +23,22 @@ between the weighted-connection curvature and the coupled curvature
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .flow import FlowParams, FlowState, Geometry, Trajectory
+from .flow import FlowParams, FlowState, Trajectory
 from .mesh import MetricField, integrate
-from .tensor import (cov_d, lower_rm, max_norm, norm_sq, raise_index, riemann_13,
-                     rough_laplacian, sm_tensor, weighted_christoffel)
+from .tensor import (CoupledGeometry, Geometry, cov_d, max_norm, norm_sq, raise_index,
+                     rough_laplacian, sm_tensor)
 
 
-class Frame(Geometry):
-    """A snapshot's cached geometry plus the quantities that depend on the
-    flow parameters."""
+class Frame(CoupledGeometry):
+    """A snapshot's geometry at the trajectory's flow parameters, with its time."""
 
     def __init__(self, state: FlowState, params: FlowParams):
-        super().__init__(state)
-        self.params = params
-
-    @cached_property
-    def sic(self):
-        return self.ric - self.params.alpha1 * np.einsum("i...,j...->ij...",
-                                                         self.du, self.du)
-
-    @cached_property
-    def sic_mixed(self):
-        return raise_index(self.sic, self.metric, 1)
-
-    @cached_property
-    def sic_up(self):
-        return raise_index(self.sic_mixed, self.metric, 0)
-
-    @cached_property
-    def S(self):
-        return self.scalar - self.params.alpha1 * self.grad_sq
-
-    @cached_property
-    def sm(self):
-        return sm_tensor(self.rm4, self.du, self.g, self.params.alpha1)
+        super().__init__(state.metric, state.u, params.alpha1, params.beta1,
+                         params.beta2)
+        self.t = state.t
 
 
 # --------------------------------------------------------------------------
@@ -73,7 +51,7 @@ def _b_tensor(f: Frame):
 
 
 def rhs_ric(f: Frame):
-    a1 = f.params.alpha1
+    a1 = f.alpha1
     out = -2.0 * np.einsum("ip...,jp...->ij...", f.ric, f.ric_mixed)
     out += 2.0 * np.einsum("pijq...,pq...->ij...", f.rm4, f.ric_up)
     out -= 2.0 * a1 * np.einsum("pijq...,p...,q...->ij...", f.rm4, f.du_up, f.du_up)
@@ -83,7 +61,7 @@ def rhs_ric(f: Frame):
 
 
 def rhs_gamma(f: Frame):
-    a1 = f.params.alpha1
+    a1 = f.alpha1
     D = f.grad_ric
     term = (-D
             - np.moveaxis(D, [0, 1, 2], [1, 0, 2])
@@ -95,14 +73,14 @@ def rhs_gamma(f: Frame):
 def rhs_du(f: Frame):
     # Bochner commutator term is flow-independent; the b-terms come from
     # differentiating the potential equation.
-    b1, b2 = f.params.beta1, f.params.beta2
+    b1, b2 = f.beta1, f.beta2
     out = -np.einsum("ij...,j...->i...", f.ric, f.du_up)
     out += b2 * f.du + 2.0 * b1 * np.einsum("k...,ki...->i...", f.du_up, f.hess)
     return out
 
 
 def rhs_hess(f: Frame):
-    a1, b1, b2 = f.params.alpha1, f.params.beta1, f.params.beta2
+    a1, b1, b2 = f.alpha1, f.beta1, f.beta2
     out = 2.0 * np.einsum("pijq...,pq...->ij...", f.rm4, f.hess_up)
     out += b2 * f.hess
     out -= np.einsum("ip...,jp...->ij...", f.ric, f.hess_mixed)
@@ -115,7 +93,7 @@ def rhs_hess(f: Frame):
 
 
 def rhs_rm4(f: Frame):
-    a1 = f.params.alpha1
+    a1 = f.alpha1
     B = _b_tensor(f)
     # B_{ijkl} - B_{ijlk} - B_{iljk} + B_{ikjl}
     out = 2.0 * (B - np.swapaxes(B, 2, 3)
@@ -132,7 +110,7 @@ def rhs_rm4(f: Frame):
 
 
 def rhs_scalar(f: Frame):
-    a1 = f.params.alpha1
+    a1 = f.alpha1
     return (2.0 * np.einsum("ij...,ij...->...", f.ric, f.ric_up)
             + 2.0 * a1 * f.lap_u ** 2
             - 2.0 * a1 * f.hess_sq
@@ -140,21 +118,21 @@ def rhs_scalar(f: Frame):
 
 
 def rhs_grad_sq(f: Frame):
-    a1, b1, b2 = f.params.alpha1, f.params.beta1, f.params.beta2
+    a1, b1, b2 = f.alpha1, f.beta1, f.beta2
     hess_du_du = np.einsum("ij...,i...,j...->...", f.hess, f.du_up, f.du_up)
     return (2.0 * b2 * f.grad_sq - 2.0 * f.hess_sq
             - 2.0 * a1 * f.grad_sq ** 2 + 4.0 * b1 * hess_du_du)
 
 
 def rhs_S_direct(f: Frame):
-    a1, b1, b2 = f.params.alpha1, f.params.beta1, f.params.beta2
+    a1, b1, b2 = f.alpha1, f.beta1, f.beta2
     hess_du_du = np.einsum("ij...,i...,j...->...", f.hess, f.du_up, f.du_up)
     return (2.0 * norm_sq(f.sic, f.metric, 0, 2) + 2.0 * a1 * f.lap_u ** 2
             - 2.0 * a1 * b2 * f.grad_sq - 4.0 * a1 * b1 * hess_du_du)
 
 
 def rhs_sic(f: Frame):
-    a1, b1, b2 = f.params.alpha1, f.params.beta1, f.params.beta2
+    a1, b1, b2 = f.alpha1, f.beta1, f.beta2
     out = 2.0 * np.einsum("kijl...,kl...->ij...", f.sm, f.sic_up)
     out -= 2.0 * np.einsum("ik...,jk...->ij...", f.sic, f.sic_mixed)
     out += 2.0 * a1 * f.lap_u * f.hess
@@ -165,7 +143,7 @@ def rhs_sic(f: Frame):
 
 
 def rhs_dudu(f: Frame):
-    b1, b2 = f.params.beta1, f.params.beta2
+    b1, b2 = f.beta1, f.beta2
     ric_term = np.einsum("k...,ik...,j...->ij...", f.du_up, f.ric, f.du)
     out = -(ric_term + np.swapaxes(ric_term, 0, 1))
     out -= 2.0 * np.einsum("ik...,jk...->ij...", f.hess, f.hess_mixed)
@@ -183,7 +161,7 @@ def rhs_rm13(f: Frame):
     """d/dt of the (1,3) curvature: Laplacian + raised box-RHS + metric-motion term."""
     lap = rough_laplacian(f.rm13, f.grid, f.gamma, f.metric, 1, 3)
     raised = np.einsum("lm...,ijkm...->lijk...", f.ginv, rhs_rm4(f))
-    a1 = f.params.alpha1
+    a1 = f.alpha1
     dginv = 2.0 * f.ric_up - 2.0 * a1 * np.einsum("l...,m...->lm...", f.du_up, f.du_up)
     motion = np.einsum("lm...,ijkm...->lijk...", dginv, f.rm4)
     return lap + raised + motion
@@ -301,7 +279,7 @@ def residual_field(traj: Trajectory, ident: Identity, t_index: int,
     q = QUANTITIES[ident.quantity]
     Qm, con, cov = q(fm)
     Qp = q(fp)[0]
-    dtq = (Qp - Qm) / (fp.state.t - fm.state.t)
+    dtq = (Qp - Qm) / (fp.t - fm.t)
     rhs = ident.rhs(f0)
     if mutate:
         rhs = -rhs
@@ -310,20 +288,6 @@ def residual_field(traj: Trajectory, ident: Identity, t_index: int,
         Q0 = q(f0)[0]
         res = res - rough_laplacian(Q0, f0.grid, f0.gamma, f0.metric, con, cov)
     return res, con, cov, f0
-
-
-def box_residual(traj: Trajectory, quantity_extractor, rhs_formula,
-                 t_index: int, time_only: bool = False) -> np.ndarray:
-    """General heat-operator residual for a user-supplied quantity/RHS pair."""
-    fm, f0, fp = _frames(traj, t_index)
-    Qm, con, cov = quantity_extractor(fm)
-    Qp = quantity_extractor(fp)[0]
-    dtq = (Qp - Qm) / (fp.state.t - fm.state.t)
-    res = dtq - rhs_formula(f0)
-    if not time_only:
-        Q0 = quantity_extractor(f0)[0]
-        res = res - rough_laplacian(Q0, f0.grid, f0.gamma, f0.metric, con, cov)
-    return res
 
 
 def evaluate_identity(traj: Trajectory, ident_id: str, t_index: int,
@@ -335,7 +299,7 @@ def evaluate_identity(traj: Trajectory, ident_id: str, t_index: int,
             raise ValueError(f"identity {ident_id} requires a (2,0,0,0) trajectory")
     res, con, cov, f0 = residual_field(traj, ident, t_index, frames, mutate)
     mx, l2 = _norms(res, f0.metric, con, cov)
-    return ResidualReport(ident_id, f0.state.t, max(traj.grid.spacing),
+    return ResidualReport(ident_id, f0.t, max(traj.grid.spacing),
                           traj.dt, mx, l2)
 
 
@@ -355,7 +319,7 @@ def verify_appendix_A(traj: Trajectory, t_index: int | None = None,
 def a11_norm_bound(traj: Trajectory, t_index: int, c_id: float):
     """Schematic bound |d/dt Rm| <= C (|nabla^2 Ric| + |Ric||Rm| + |H|^2 + |Rm||du|^2)."""
     fm, f0, fp = _frames(traj, t_index)
-    dtq = (fp.rm13 - fm.rm13) / (fp.state.t - fm.state.t)
+    dtq = (fp.rm13 - fm.rm13) / (fp.t - fm.t)
     lhs = max_norm(dtq, f0.metric, 1, 3)
     dd_ric = cov_d(f0.grad_ric, f0.grid, f0.gamma, 0, 3)
     m = f0.metric
@@ -376,19 +340,6 @@ def a11_norm_bound(traj: Trajectory, t_index: int, c_id: float):
 # weighted curvature so that every residual vanishes to rounding at
 # constant u and measures genuine O(h^2) discretization content otherwise.
 
-def _lemma52_fields(metric: MetricField, u: np.ndarray):
-    f = Geometry(FlowState(metric.grid, metric, u))
-    gamma_u = weighted_christoffel(f.gamma, f.du, f.grid.n)
-    rm_wy = lower_rm(riemann_13(gamma_u, f.grid), metric)
-    rm_ref = lower_rm(riemann_13(f.gamma, f.grid), metric)
-    return f, rm_wy, rm_ref, sm_tensor(rm_ref, f.du, f.g, 2.0)
-
-
-def _pairs(g, a, b):
-    """outer products a_i b_j g_{kl}-style helper: term[i,j,k,l] = a_i b_j g_kl."""
-    return np.einsum("i...,j...,kl...->ijkl...", a, b, g)
-
-
 def lemma52_defects(metric: MetricField, u: np.ndarray,
                     mutate: bool = False) -> dict:
     """Nine pointwise defect fields, keyed '5.7'..'5.15'.
@@ -396,9 +347,10 @@ def lemma52_defects(metric: MetricField, u: np.ndarray,
     ``mutate`` flips the sign of each formula right side (negative control):
     the mutated defects stay O(1) under refinement.
     """
-    grid = metric.grid
     g = metric.values
-    f, wy, ref, rl = _lemma52_fields(metric, u)
+    f = Geometry(metric, u)
+    wy, ref = f.rm_wy, f.rm_ref
+    rl = sm_tensor(ref, f.du, g, 2.0)     # the coupled curvature on the same route
     du, H = f.du, f.hess
     sgn = -1.0 if mutate else 1.0
 
@@ -452,15 +404,10 @@ def lemma52_defects(metric: MetricField, u: np.ndarray,
     out["5.14"] = (0.5 * (wy - T(wy, (1, 0, 2, 3))) + 0.5 * (ref - T(ref, (1, 0, 2, 3)))
                    - (rl - T(rl, (1, 0, 2, 3))) - sgn * rhs14)
     # 5.15: the two traces of the weighted curvature
-    ginv = metric.inv
-    tr_hat = np.einsum("il...,jilk...->jk...", ginv, wy)
-    tr_ric = np.einsum("il...,ijkl...->jk...", ginv, wy)
-    tr_hat_ref = np.einsum("il...,jilk...->jk...", ginv, ref)
-    tr_ric_ref = np.einsum("il...,ijkl...->jk...", ginv, ref)
-    n = grid.n
+    tr_hat_ref = np.einsum("il...,jilk...->jk...", metric.inv, ref)
     rhs15 = ((f.lap_u + f.grad_sq) * g
-             - n * (H + np.einsum("i...,j...->ij...", du, du)))
-    out["5.15"] = (tr_hat - tr_ric) - (tr_hat_ref - tr_ric_ref) - sgn * rhs15
+             - metric.grid.n * (H + np.einsum("i...,j...->ij...", du, du)))
+    out["5.15"] = (f.ric_wy_hat - f.ric_wy) - (tr_hat_ref - f.ric_ref) - sgn * rhs15
     return out
 
 
@@ -489,7 +436,7 @@ def pair_residual(traj1: Trajectory, traj2: Trajectory, ident_id: str,
     p = traj1.params
     f1m, f10, f1p = _frames(traj1, t_index)
     f2m, f20, f2p = _frames(traj2, t_index)
-    dtt = f1p.state.t - f1m.state.t
+    dtt = f1p.t - f1m.t
     m = f10.metric
     if ident_id == "6.50":
         def h_of(fa, fb):
@@ -506,7 +453,7 @@ def pair_residual(traj1: Trajectory, traj2: Trajectory, ident_id: str,
             rhs = -rhs
         res = dth - rhs
         mx, l2 = _norms(res, m, 0, 2)
-        return ResidualReport(ident_id, f10.state.t, max(m.grid.spacing),
+        return ResidualReport(ident_id, f10.t, max(m.grid.spacing),
                               traj1.dt, mx, l2)
     if ident_id == "6.51":
         dtA = ((f1p.gamma - f2p.gamma) - (f1m.gamma - f2m.gamma)) / dtt
@@ -532,7 +479,7 @@ def pair_residual(traj1: Trajectory, traj2: Trajectory, ident_id: str,
             rhs = -rhs
         res = dtA - rhs
         mx, l2 = _norms(res, m, 1, 2)
-        return ResidualReport(ident_id, f10.state.t, max(m.grid.spacing),
+        return ResidualReport(ident_id, f10.t, max(m.grid.spacing),
                               traj1.dt, mx, l2)
     if ident_id == "6.53":
         T13 = {k: fr1.rm13 - fr2.rm13

@@ -18,6 +18,10 @@ The weighted-connection curvature is computed directly from the
 connection coefficients of nabla^u_X Y = nabla_X Y - (Yu)X - (Xu)Y, which
 gives an independent differentiation path against which the algebraic
 relations between the curvature variants are tested.
+
+``Geometry`` and ``CoupledGeometry`` hold every derived field of one pair
+(g, u), each built once on first use; the flow, the identities, the
+comparisons and the functionals all read them.
 """
 
 from __future__ import annotations
@@ -246,62 +250,12 @@ def curvature(metric: MetricField, gamma: np.ndarray | None = None,
     return CurvatureBundle(metric, gamma, rm4, ric, scal)
 
 
-@dataclass(frozen=True)
-class CoupledBundle:
-    du: np.ndarray             # (0,1)
-    hess: np.ndarray           # (0,2)
-    d3u: np.ndarray            # (0,3) = nabla(hess)
-    lap_u: np.ndarray
-    grad_sq: np.ndarray        # |nabla u|^2
-    sic: np.ndarray            # Ric - a1 du x du
-    s: np.ndarray              # tr Sic
-    sin: np.ndarray            # trace-free part of Sic
-    sm: np.ndarray             # S_{ijkl}
-    xi: np.ndarray             # Xi (0,2)
-    z: np.ndarray              # Z_{ijk}
-
-
 def sm_tensor(rm4: np.ndarray, du: np.ndarray, g: np.ndarray,
               alpha1: float) -> np.ndarray:
     """S_{ijkl} = R_{ijkl} - (a1/2)(g_{jl} d_i u d_k u + g_{kl} d_i u d_j u)."""
     corr = (np.einsum("jl...,i...,k...->ijkl...", g, du, du)
             + np.einsum("kl...,i...,j...->ijkl...", g, du, du))
     return rm4 - 0.5 * alpha1 * corr
-
-
-def coupled(metric: MetricField, u: np.ndarray, alpha1: float,
-            beta1: float = 0.0, beta2: float = 0.0, C: float = 0.0,
-            curv: CurvatureBundle | None = None) -> CoupledBundle:
-    grid = metric.grid
-    cb = curv if curv is not None else curvature(metric)
-    du = grad_stack(u, grid)
-    H = hessian(u, grid, cb.gamma)
-    d3u = cov_d(H, grid, cb.gamma, 0, 2)
-    lap = np.einsum("ij...,ij...->...", metric.inv, H)
-    gsq = np.einsum("ij...,i...,j...->...", metric.inv, du, du)
-    sic = cb.ric - alpha1 * np.einsum("i...,j...->ij...", du, du)
-    S = np.einsum("jk...,jk...->...", metric.inv, sic)
-    sin = sic - (S / grid.n) * metric.values
-    sm = sm_tensor(cb.rm4, du, metric.values, alpha1)
-    dgsq = grad_stack(gsq, grid)
-    xi = (lap * H
-          - beta2 * np.einsum("i...,j...->ij...", du, du)
-          - beta1 * np.einsum("i...,j...->ij...", du, dgsq))
-    dsic = cov_d(sic, grid, cb.gamma, 0, 2)
-    dS = grad_stack(S, grid)
-    z = (S + C) * dsic - np.einsum("jk...,i...->ijk...", sic, dS)
-    return CoupledBundle(du, H, d3u, lap, gsq, sic, S, sin, sm, xi, z)
-
-
-@dataclass(frozen=True)
-class WYBundle:
-    rm_wy: np.ndarray          # R^u_{ijkl}, curvature of the weighted connection
-    ric_wy: np.ndarray         # g^{il} R^u_{ijkl}
-    ric_wy_hat: np.ndarray     # g^{il} R^u_{jilk}
-    scalar_wy: np.ndarray
-    ric_l: np.ndarray          # Ric - 2 du x du
-    scalar_l: np.ndarray
-    rm_l: np.ndarray           # S_{ijkl} at a1 = 2
 
 
 def weighted_christoffel(gamma: np.ndarray, du: np.ndarray, n: int) -> np.ndarray:
@@ -311,24 +265,6 @@ def weighted_christoffel(gamma: np.ndarray, du: np.ndarray, n: int) -> np.ndarra
         out[k, k] -= du        # -delta^k_i d_j u
         out[k, :, k] -= du     # -delta^k_j d_i u  (hits (k,k,k) twice, as it must)
     return out
-
-
-def wy_curvature(metric: MetricField, u: np.ndarray,
-                 curv: CurvatureBundle | None = None) -> WYBundle:
-    grid = metric.grid
-    cb = curv if curv is not None else curvature(metric)
-    du = grad_stack(u, grid)
-    gamma_u = weighted_christoffel(cb.gamma, du, grid.n)
-    rm_u13 = riemann_13(gamma_u, grid)
-    rm_wy = lower_rm(rm_u13, metric)
-    ric_wy = np.einsum("il...,ijkl...->jk...", metric.inv, rm_wy)
-    ric_wy_hat = np.einsum("il...,jilk...->jk...", metric.inv, rm_wy)
-    scalar_wy = np.einsum("jk...,jk...->...", metric.inv, ric_wy)
-    gsq = np.einsum("ij...,i...,j...->...", metric.inv, du, du)
-    ric_l = cb.ric - 2.0 * np.einsum("i...,j...->ij...", du, du)
-    scalar_l = cb.scalar - 2.0 * gsq
-    rm_l = sm_tensor(cb.rm4, du, metric.values, 2.0)
-    return WYBundle(rm_wy, ric_wy, ric_wy_hat, scalar_wy, ric_l, scalar_l, rm_l)
 
 
 def weighted_connection_apply(metric: MetricField, u: np.ndarray,
@@ -370,3 +306,191 @@ def divergence(metric: MetricField, X: np.ndarray,
     for a in range(grid.n):
         out += diff1(X[a], grid, a)
     return out + np.einsum("iik...,k...->...", G, X)
+
+
+# --------------------------------------------------------------------------
+# the geometry of one pair (g, u)
+
+class Geometry:
+    """Derived fields of a metric and a potential, each computed on first use.
+
+    The flow right-hand side asks only for Gamma, Ric and the Hessian, so the
+    Riemann tensor is formed only when a diagnostic or an identity needs it.
+    ``rm_ref`` and ``rm_wy`` are the Levi-Civita and weighted-connection
+    curvatures through the same Gamma-form route (``riemann_13``), so that
+    relations between them vanish to rounding at constant u.
+    """
+
+    def __init__(self, metric: MetricField, u: np.ndarray):
+        self.metric = metric
+        self.grid = metric.grid
+        self.g = metric.values
+        self.ginv = metric.inv
+        self.u = u
+
+    @cached_property
+    def gamma(self):
+        return christoffel(self.metric)
+
+    @cached_property
+    def ric(self):
+        return ricci(self.metric, self.gamma)
+
+    @cached_property
+    def cb(self):
+        return curvature(self.metric, self.gamma, self.ric)
+
+    @property
+    def rm4(self):
+        return self.cb.rm4
+
+    @property
+    def rm13(self):
+        return self.cb.rm13
+
+    @cached_property
+    def scalar(self):       # the same trace ``curvature`` takes, without the 4-tensor
+        return np.einsum("jk...,jk...->...", self.ginv, self.ric)
+
+    @cached_property
+    def rm_sq(self):        # |Rm|^2 = R^{ij}_{kl} R^{kl}_{ij}, by pair exchange
+        up = raise_index(raise_index(self.rm4, self.metric, 0), self.metric, 1)
+        return np.einsum("ijkl...,klij...->...", up, up)
+
+    @cached_property
+    def ric_up(self):       # Ric^{pq}
+        return raise_index(raise_index(self.ric, self.metric, 0), self.metric, 1)
+
+    @cached_property
+    def ric_mixed(self):    # Ric_i{}^p
+        return raise_index(self.ric, self.metric, 1)
+
+    @cached_property
+    def du(self):
+        return grad_stack(self.u, self.grid)
+
+    @cached_property
+    def du_up(self):
+        return np.einsum("ij...,j...->i...", self.ginv, self.du)
+
+    @cached_property
+    def hess(self):
+        return hessian(self.u, self.grid, self.gamma)
+
+    @cached_property
+    def hess_mixed(self):   # H_i{}^p
+        return raise_index(self.hess, self.metric, 1)
+
+    @cached_property
+    def hess_up(self):
+        return raise_index(self.hess_mixed, self.metric, 0)
+
+    @cached_property
+    def hess_sq(self):      # |Hess u|^2
+        return norm_sq(self.hess, self.metric, 0, 2)
+
+    @cached_property
+    def d3u(self):          # nabla_a H_{ij}
+        return cov_d(self.hess, self.grid, self.gamma, 0, 2)
+
+    @cached_property
+    def lap_u(self):
+        return np.einsum("ij...,ij...->...", self.ginv, self.hess)
+
+    @cached_property
+    def grad_sq(self):      # |du|^2
+        return np.einsum("ij...,i...,j...->...", self.ginv, self.du, self.du)
+
+    @cached_property
+    def grad_ric(self):     # nabla_a R_{ij}
+        return cov_d(self.ric, self.grid, self.gamma, 0, 2)
+
+    @cached_property
+    def grad_rm13(self):    # nabla_a R^l_{ijk}
+        return cov_d(self.rm13, self.grid, self.gamma, 1, 3)
+
+    @cached_property
+    def ln_sqrt_det(self):
+        return np.log(self.metric.sqrt_det)
+
+    @cached_property
+    def rm_ref(self):       # R_{ijkl} lowered from the Gamma-form R^l_{ijk}
+        return lower_rm(riemann_13(self.gamma, self.grid), self.metric)
+
+    @cached_property
+    def ric_ref(self):      # g^{il} R_{ijkl} of rm_ref
+        return np.einsum("il...,ijkl...->jk...", self.ginv, self.rm_ref)
+
+    @cached_property
+    def rm_wy(self):        # R^u_{ijkl}, curvature of the weighted connection
+        gamma_u = weighted_christoffel(self.gamma, self.du, self.grid.n)
+        return lower_rm(riemann_13(gamma_u, self.grid), self.metric)
+
+    @cached_property
+    def ric_wy(self):       # g^{il} R^u_{ijkl}
+        return np.einsum("il...,ijkl...->jk...", self.ginv, self.rm_wy)
+
+    @cached_property
+    def ric_wy_hat(self):   # g^{il} R^u_{jilk}
+        return np.einsum("il...,jilk...->jk...", self.ginv, self.rm_wy)
+
+    @cached_property
+    def scalar_wy(self):
+        return np.einsum("jk...,jk...->...", self.ginv, self.ric_wy)
+
+
+class CoupledGeometry(Geometry):
+    """``Geometry`` plus the fields that depend on the flow parameters: the
+    coupled curvature Sic = Ric - a1 du x du, its trace S, its trace-free
+    part Sin, S_{ijkl} (``sm_tensor``), and the pinching fields Xi and Z."""
+
+    def __init__(self, metric: MetricField, u: np.ndarray, alpha1: float,
+                 beta1: float = 0.0, beta2: float = 0.0, C: float = 0.0):
+        super().__init__(metric, u)
+        self.alpha1, self.beta1, self.beta2, self.C = alpha1, beta1, beta2, C
+
+    @cached_property
+    def sic(self):
+        return self.ric - self.alpha1 * np.einsum("i...,j...->ij...", self.du, self.du)
+
+    @cached_property
+    def sic_mixed(self):
+        return raise_index(self.sic, self.metric, 1)
+
+    @cached_property
+    def sic_up(self):
+        return raise_index(self.sic_mixed, self.metric, 0)
+
+    @cached_property
+    def S(self):
+        return self.scalar - self.alpha1 * self.grad_sq
+
+    @cached_property
+    def sin(self):
+        return self.sic - (self.S / self.grid.n) * self.g
+
+    @cached_property
+    def sm(self):
+        return sm_tensor(self.rm4, self.du, self.g, self.alpha1)
+
+    @cached_property
+    def sm_sq(self):
+        # |Sm|^2 expanded through the symmetries of Rm, so that no second
+        # 4-tensor is normed
+        a1 = self.alpha1
+        return (self.rm_sq
+                + a1 * np.einsum("ij...,i...,j...->...", self.ric, self.du_up, self.du_up)
+                + 0.5 * (self.grid.n + 1) * a1 * a1 * self.grad_sq ** 2)
+
+    @cached_property
+    def xi(self):           # Xi (0,2)
+        dgsq = grad_stack(self.grad_sq, self.grid)
+        return (self.lap_u * self.hess
+                - self.beta2 * np.einsum("i...,j...->ij...", self.du, self.du)
+                - self.beta1 * np.einsum("i...,j...->ij...", self.du, dgsq))
+
+    @cached_property
+    def z(self):            # Z_{ijk} = (S + C) nabla_i Sic_{jk} - Sic_{jk} d_i S
+        dsic = cov_d(self.sic, self.grid, self.gamma, 0, 2)
+        dS = grad_stack(self.S, self.grid)
+        return (self.S + self.C) * dsic - np.einsum("jk...,i...->ijk...", self.sic, dS)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import Geometry, Trajectory
+from .flow import Trajectory
 from .mesh import Grid, MetricField, integrate
-from .tensor import cov_d, norm_sq
+from .tensor import Geometry, cov_d, norm_sq
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def difference_bundle(traj1: Trajectory, traj2: Trajectory,
     _check_pair(traj1, traj2, t_index)
     s1, s2 = traj1.state(t_index), traj2.state(t_index)
     grid = s1.grid
-    f1, f2 = Geometry(s1), Geometry(s2)
+    f1, f2 = Geometry(s1.metric, s1.u), Geometry(s2.metric, s2.u)
     A = f1.gamma - f2.gamma
     w = f1.du - f2.du
     bundle = DiffBundle(

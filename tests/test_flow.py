@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rlab.flow import (DIAG_COLUMNS, FlowParams, FlowState, Schedule, _diagnose,
-                       cfl_dt, flow_rhs, is_regular, reduce_parameters, rhf_rhs,
-                       ricci_flow_rhs, run, step)
+                       cfl_dt, flow_rhs, is_regular, reduce_parameters, run, step)
 from rlab.instances import (perturbed_flat_metric, random_instance,
                             verification_initial_data)
 from rlab.mesh import build_grid, flat_metric, grad_stack, integrate
@@ -64,17 +63,6 @@ def test_flow_rhs_reduces_to_ricci_flow():
     cb = curvature(st0.metric)
     assert np.array_equal(gdot, -2.0 * cb.ric)
     assert np.all(udot == 0.0)
-
-
-def test_rhs_specialization_gates_bitwise():
-    st = curved_state(16)
-    g1, u1 = flow_rhs(st, FlowParams(2.0, reduced=True))
-    g2, u2 = rhf_rhs(st)
-    assert np.array_equal(g1, g2) and np.array_equal(u1, u2)
-    st0 = FlowState(st.grid, st.metric, np.zeros(st.grid.shape))
-    g3, _ = ricci_flow_rhs(st0)
-    g4, _ = flow_rhs(st0, FlowParams(0.0, reduced=True))
-    assert np.array_equal(g3, g4)
 
 
 def test_flow_rhs_requires_reduced():
@@ -248,10 +236,10 @@ def test_run_shared_geometry_bitwise(params):
 
 
 def test_shared_geometry_saves_one_christoffel_per_state(monkeypatch):
-    import rlab.flow as flow
+    import rlab.tensor as tensor
     calls = []
-    real = flow.christoffel
-    monkeypatch.setattr(flow, "christoffel", lambda m: calls.append(m) or real(m))
+    real = tensor.christoffel
+    monkeypatch.setattr(tensor, "christoffel", lambda m: calls.append(m) or real(m))
     st, p, dt, nsteps = curved_state(16), FlowParams(2.0), 1e-3, 3
     run(st, p, Schedule(t_end=nsteps * dt, dt=dt))
     shared = len(calls)

@@ -4,7 +4,7 @@ import pytest
 from conftest import RHF, eval_index
 from rlab.flow import FlowParams, FlowState, Schedule, run
 from rlab.identities import (APPENDIX_A_IDS, APPENDIX_C_IDS, LEMMA31_IDS,
-                             REGISTRY, a11_norm_bound, box_residual,
+                             REGISTRY, Frame, Identity, a11_norm_bound,
                              evaluate_identity, pair_residual,
                              refinement_order, residual_field,
                              verify_appendix_A, verify_lemma_52, with_order)
@@ -127,19 +127,18 @@ def test_residual_translation_invariance():
         assert abs(a.l2_res - b.l2_res) < 1e-11 * max(a.l2_res, 1e-30)
 
 
-def test_box_residual_public_api(rhf_runs):
-    # a user-supplied quantity/RHS pair: the gradient-squared identity
+def test_residual_field_public_api(rhf_runs):
+    # a user-supplied RHS for a registered quantity: the gradient-squared identity
     traj = rhf_runs[16]
-
-    def q(frame):
-        return frame.grad_sq, 0, 0
+    k = eval_index(traj)
 
     def rhs(frame):
         return (-2.0 * norm_sq(frame.hess, frame.metric, 0, 2)
                 - 4.0 * frame.grad_sq ** 2)
 
-    res = box_residual(traj, q, rhs, eval_index(traj))
-    rep = evaluate_identity(traj, "A.8", eval_index(traj))
+    frames = tuple(Frame(traj.state(k + d), traj.params) for d in (-1, 0, 1))
+    res = residual_field(traj, Identity("user", "grad_sq", rhs), k, frames)[0]
+    rep = evaluate_identity(traj, "A.8", k)
     assert abs(float(np.max(np.abs(res))) - rep.max_res) < 1e-12
 
 

@@ -93,6 +93,33 @@ def test_config_validation():
         validate({"grid": dict(BASE_CFG["grid"], shape=3)})
 
 
+def test_config_schemas_agree_and_reject_unread_keys():
+    from rlab.config import SCHEMA
+    doc = json.loads((Path(__file__).parents[1] / "config.schema.json").read_text())
+
+    def keys(node):
+        if not isinstance(node, dict):
+            return None
+        return {k: keys(v) for k, v in node.items() if not k.startswith("$")}
+
+    assert keys(doc) == keys(SCHEMA)
+    # keys that no stage reads are rejected, naming their dotted path
+    for path, value in (("initial_data.metric.amplitude", 0.1),
+                        ("initial_data.metric.seed", 3),
+                        ("compare.ricci_variants", ["L_vs_Ric"]),
+                        ("compare.weights", ["volume"]),
+                        ("uniqueness.window_frac", 0.5),
+                        ("constants.p", 2.0)):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        *parents, leaf = path.split(".")
+        node = cfg
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+        with pytest.raises(ConfigError, match=f"^{path}: unknown key"):
+            validate(cfg)
+
+
 def test_config_hash_canonical():
     a = {"grid": {"kind": "torus", "n": 2, "resolutions": [16, 16],
                   "extents": [1.0, 1.0]}, "seed": 7}
@@ -299,3 +326,31 @@ def test_entropy_uniqueness_outputs_unchanged_without_diagnostics(tmp_path, monk
     for name in ("entropy.csv", "energy.csv", "manifest.json"):
         assert ((tmp_path / "off" / name).read_bytes()
                 == (tmp_path / "on" / name).read_bytes()), name
+
+
+def test_cli_and_run_share_the_default_step_safety(tmp_path):
+    from rlab.cli import build_from_config, flow_params_from, stage_run
+    from rlab.config import load_config
+    from rlab.flow import cfl_dt, run
+    cfg = load_config(write_cfg(tmp_path, {"schedule": {"t_end": 0.01, "dt": None}}))
+    traj_cli = stage_run(cfg, tmp_path, {}, [])
+    grid, metric, u0 = build_from_config(cfg)
+    state = FlowState(grid, metric, u0)
+    traj = run(state, flow_params_from(cfg), Schedule(t_end=0.01, diagnostics=False))
+    assert traj_cli.dt == traj.dt == cfl_dt(state, 0.5)
+
+
+def test_abort_reason_is_a_manifest_key_not_a_check(tmp_path):
+    from rlab.cli import run_experiment
+    manifest, code = run_experiment(write_cfg(tmp_path), tmp_path / "ok")
+    assert code == 0 and "abort_reason" not in manifest
+    cfg = write_cfg(tmp_path, {
+        "initial_data": {"metric": {"family": "perturbed", "components": {
+            "0,0": [{"amp": 0.8, "wave": [0, 1]}]}}},
+        "schedule": {"t_end": 2.0, "dt": 0.5}}, name="blowup.json")
+    manifest, code = run_experiment(cfg, tmp_path / "blowup")
+    assert code == 1 and manifest["failed_checks"] == ["run.completed"]
+    assert all(isinstance(v, bool) for v in manifest["checks"].values())
+    assert "positive definiteness" in manifest["abort_reason"]
+    on_disk = json.loads((tmp_path / "blowup" / "manifest.json").read_text())
+    assert on_disk["abort_reason"] == manifest["abort_reason"]

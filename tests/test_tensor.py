@@ -6,8 +6,8 @@ from rlab.instances import (conformal_metric, euclidean_chart,
                             radial_potential, random_instance,
                             stereographic_sphere_chart)
 from rlab.mesh import build_grid, flat_metric, interior
-from rlab.tensor import (christoffel, coupled, cov_d, curvature, norm_sq,
-                         weighted_connection_apply, wy_curvature)
+from rlab.tensor import (CoupledGeometry, christoffel, cov_d, curvature, norm_sq,
+                         weighted_connection_apply)
 
 
 def test_christoffel_flat_zero():
@@ -125,18 +125,18 @@ def test_coupled_flat_sin():
     g = build_grid("torus", 2, [64, 64], [2 * np.pi] * 2)
     m = flat_metric(g)
     x = g.coords()[0]
-    cpl = coupled(m, np.sin(x), 2.0)
+    cpl = CoupledGeometry(m, np.sin(x), 2.0)
     h2 = max(g.spacing) ** 2
-    assert np.max(np.abs(cpl.s + 2 * np.cos(x) ** 2)) < 5 * h2
+    assert np.max(np.abs(cpl.S + 2 * np.cos(x) ** 2)) < 5 * h2
     exact_sic = -2.0 * np.einsum("i...,j...->ij...", cpl.du, cpl.du)
     assert np.max(np.abs(cpl.sic - exact_sic)) < 1e-14
 
 
 def test_coupled_trace_identities_rounding():
     _, m, u = random_instance(3, 12, seed=7)
-    cpl = coupled(m, u, 1.3, 0.4, -0.2, C=0.5)
+    cpl = CoupledGeometry(m, u, 1.3, 0.4, -0.2, C=0.5)
     trs = np.einsum("jk...,jk...->...", m.inv, cpl.sic)
-    assert np.max(np.abs(trs - cpl.s)) < 1e-12
+    assert np.max(np.abs(trs - cpl.S)) < 1e-12
     smtr = np.einsum("kl...,iklj...->ij...", m.inv, cpl.sm)
     assert np.max(np.abs(smtr - cpl.sic)) < 1e-12
     trsin = np.einsum("jk...,jk...->...", m.inv, cpl.sin)
@@ -145,7 +145,7 @@ def test_coupled_trace_identities_rounding():
 
 def test_coupled_xi_specialization():
     _, m, u = random_instance(2, 16, seed=8)
-    cpl0 = coupled(m, u, 2.0, 0.0, 0.0)
+    cpl0 = CoupledGeometry(m, u, 2.0, 0.0, 0.0)
     assert np.max(np.abs(cpl0.xi - cpl0.lap_u * cpl0.hess)) < 1e-14
 
 
@@ -157,8 +157,8 @@ def test_z_two_way_consistency():
     for res in (24, 48):
         grid, m, u = random_instance(2, res, seed=9)
         C = 3.0
-        cpl = coupled(m, u, 1.5, C=C)
-        Sp = cpl.s + C
+        cpl = CoupledGeometry(m, u, 1.5, C=C)
+        Sp = cpl.S + C
         gamma = christoffel(m)
         dsic = cov_d(cpl.sic, grid, gamma, 0, 2)
         dS = grad_stack(Sp, grid)
@@ -178,22 +178,22 @@ def test_z_two_way_consistency():
 def test_wy_constant_u_exact():
     _, m, _ = random_instance(2, 16, seed=10)
     cb = curvature(m)
-    wb = wy_curvature(m, np.zeros(m.grid.shape), curv=cb)
+    wb = CoupledGeometry(m, np.zeros(m.grid.shape), 2.0)
     from rlab.tensor import lower_rm, riemann_13
     ref = lower_rm(riemann_13(cb.gamma, m.grid), m)
     assert np.array_equal(wb.rm_wy, ref)
-    assert np.max(np.abs(wb.ric_l - cb.ric)) < 1e-15
+    assert np.max(np.abs(wb.sic - cb.ric)) < 1e-15
     assert np.max(np.abs(wb.ric_wy - np.einsum("il...,ijkl...->jk...", m.inv, ref))) < 1e-15
 
 
 def test_wy_bundle_invariants():
     grid, m, u = random_instance(3, 16, seed=11)
     cb = curvature(m)
-    wb = wy_curvature(m, u, curv=cb)
+    wb = CoupledGeometry(m, u, 2.0)
     du = np.stack([np.gradient(u, axis=a) for a in range(3)]) * 0  # placeholder
     from rlab.mesh import grad_stack
     du = grad_stack(u, grid)
-    assert np.max(np.abs(wb.ric_l - (cb.ric - 2 * np.einsum("i...,j...->ij...", du, du)))) < 1e-14
+    assert np.max(np.abs(wb.sic - (cb.ric - 2 * np.einsum("i...,j...->ij...", du, du)))) < 1e-14
     trw = np.einsum("jk...,jk...->...", m.inv, wb.ric_wy)
     assert np.max(np.abs(trw - wb.scalar_wy)) < 1e-12
     # hat-trace relation holds pointwise at second order
@@ -212,8 +212,7 @@ def test_wy_example_radial_signs():
     grid, m = euclidean_chart(2, 96, 3.0)
     for kind, sign in (("r", 1.0), ("-r", -1.0)):
         u, _ = radial_potential(grid, lambda r, s=sign: s * r)
-        wb = wy_curvature(m, u)
-        cpl = coupled(m, u, 2.0)
+        wb = cpl = CoupledGeometry(m, u, 2.0)
         idx = (60, 70)
         xs = grid.coords()
         T = np.array([xs[0][idx], xs[1][idx]])
@@ -228,7 +227,7 @@ def test_wy_example_radial_signs():
 def test_remark_513_pointwise():
     # Rm_L(X,X,X,X) = -2 <X, grad u>^2 |X|^2 <= 0
     grid, m, u = random_instance(2, 16, seed=12)
-    cpl = coupled(m, u, 2.0)
+    cpl = CoupledGeometry(m, u, 2.0)
     rng = np.random.default_rng(13)
     X = rng.standard_normal((2,) + grid.shape)
     quad = np.einsum("ijkl...,i...,j...,k...,l...->...", cpl.sm, X, X, X, X)
@@ -266,16 +265,16 @@ def test_bundle_invariants_randomized_instances():
     # the first-pair coupled-curvature relation at second order
     for seed in (41, 42, 43, 44, 45):
         grid, m, u = random_instance(3, 10, seed)
-        cpl = coupled(m, u, 1.2, 0.3, -0.1, C=0.4)
+        cpl = CoupledGeometry(m, u, 1.2, 0.3, -0.1, C=0.4)
         assert np.max(np.abs(np.einsum("jk...,jk...->...", m.inv, cpl.sic)
-                             - cpl.s)) < 1e-12
+                             - cpl.S)) < 1e-12
         assert np.max(np.abs(np.einsum("kl...,iklj...->ij...", m.inv, cpl.sm)
                              - cpl.sic)) < 1e-12
         assert np.max(np.abs(np.einsum("jk...,jk...->...", m.inv, cpl.sin))) < 1e-12
-        wb = wy_curvature(m, u)
+        wb = CoupledGeometry(m, u, 2.0)
         trw = np.einsum("jk...,jk...->...", m.inv, wb.ric_wy)
         assert np.max(np.abs(trw - wb.scalar_wy)) < 1e-12
-        assert np.max(np.abs(wb.ric_l - np.swapaxes(wb.ric_l, 0, 1))) < 1e-12
+        assert np.max(np.abs(wb.sic - np.swapaxes(wb.sic, 0, 1))) < 1e-12
         from rlab.identities import lemma52_defects
         d = lemma52_defects(m, u)
         h2 = max(grid.spacing) ** 2
