@@ -208,6 +208,7 @@ def stage_compare(cfg, out: Path, checks, outputs):
     from .comparison import scalar_order
     from .instances import random_instance
     from .snapshots import write_verdicts_csv
+    from .tensor import Geometry
 
     ccfg = cfg.get("compare", {})
     pairs = ccfg.get("scalar_pairs", ["RL_vs_R", "R_vs_RWY", "R_eq_RWY_e^u"])
@@ -219,8 +220,9 @@ def stage_compare(cfg, out: Path, checks, outputs):
     ok = True
     for i in range(ninst):
         grid, m, u = random_instance(n, res, seed + i)
+        geo = Geometry(m, u)        # one curvature evaluation for every pair
         for pair in pairs:
-            v = scalar_order(m, u, pair)
+            v = scalar_order(m, u, pair, geo=geo)
             verdicts.append(v)
             want_eq = pair == "R_eq_RWY_e^u"
             if want_eq:

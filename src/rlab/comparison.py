@@ -146,14 +146,16 @@ SCALAR_PAIRS = ("RL_vs_R", "R_vs_RWY", "R_eq_RWY_e^u")
 
 
 def scalar_order(metric: MetricField, u: np.ndarray, which_pair: str,
-                 weight: str = "volume", tol_scale: float | None = None) -> OrderVerdict:
-    """Weighted integral comparison of the scalar-curvature variants."""
+                 weight: str = "volume", tol_scale: float | None = None,
+                 geo: Geometry | None = None) -> OrderVerdict:
+    """Weighted integral comparison of the scalar-curvature variants.  ``geo``
+    is the cached geometry of (metric, u) when the caller already has one."""
     if metric.grid.kind != "torus":
         raise ValueError("integral orderings require a torus grid")
     # every side is traced from the Gamma-form tensors, the route the weighted
     # curvature requires, so cross-stencil bias cancels and constant-u
     # margins vanish to rounding
-    geo = Geometry(metric, u)
+    geo = geo if geo is not None else Geometry(metric, u)
     R = np.einsum("jk...,jk...->...", metric.inv, geo.ric_ref)
     mu = _weight_values(metric, u, "e^u" if which_pair == "R_eq_RWY_e^u" else weight)
     h2 = max(metric.grid.spacing) ** 2

@@ -9,9 +9,15 @@ Two domain kinds are supported:
   grows by one layer per derivative applied (tracked by ``margin``).
 
 All fields store their components in structure-of-arrays layout: component
-indices first, the n grid axes last.  Derivatives are second-order centered
-stencils; on a torus they wrap periodically, on a chart the collar cells
-contain wrap garbage and must be discarded via ``interior``.
+indices first, the n grid axes last.  ``MetricField`` keeps g, its inverse
+and sqrt(det g) C-contiguous in that order: numpy's einsum runs several
+times slower on a strided operand and gives its output the same strides, so
+one transposed inverse would slow every contraction downstream of it (Gamma,
+Ric, Rm and every raised index).  The inverse and the determinant come in
+closed form from the cofactors of the component arrays.  Derivatives are
+second-order centered stencils; on a torus they wrap periodically, on a
+chart the collar cells contain wrap garbage and must be discarded via
+``interior``.
 """
 
 from __future__ import annotations
@@ -41,10 +47,12 @@ class Grid:
     shape: tuple[int, ...]         # resolution per axis
     extents: tuple[float, ...]
     spacing: tuple[float, ...] = field(init=False)
+    cell_volume: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "spacing",
                            tuple(e / r for e, r in zip(self.extents, self.shape)))
+        object.__setattr__(self, "cell_volume", float(np.prod(self.spacing)))
 
     @property
     def periodic(self) -> bool:
@@ -53,10 +61,6 @@ class Grid:
     @property
     def npoints(self) -> int:
         return int(np.prod(self.shape))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
 
     def axis_coords(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
@@ -207,6 +211,35 @@ def interior(values: np.ndarray, grid: Grid, margin: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # metric
 
+def _minor(g: np.ndarray, rows: tuple, cols: tuple, memo: dict):
+    """Determinant of the ``rows`` x ``cols`` block of a (n, n, *grid) array,
+    by Laplace expansion along its first row; ``memo`` keeps every block
+    already expanded, so cofactors that share a minor compute it once."""
+    if not rows:
+        return 1.0
+    if (rows, cols) not in memo:
+        acc = 0.0
+        for k, c in enumerate(cols):
+            t = g[rows[0], c] * _minor(g, rows[1:], cols[:k] + cols[k + 1:], memo)
+            acc = acc - t if k % 2 else acc + t
+        memo[rows, cols] = acc
+    return memo[rows, cols]
+
+
+def _cofactors(g: np.ndarray) -> np.ndarray:
+    """Cofactors C_ij = (-1)^(i+j) det(g without row i and column j) of a
+    symmetric (n, n, *grid) array."""
+    n = g.shape[0]
+    memo = {}
+    cof = np.empty_like(g)
+    idx = tuple(range(n))
+    for i in range(n):
+        for j in range(i, n):
+            m = _minor(g, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:], memo)
+            cof[i, j] = cof[j, i] = -m if (i + j) % 2 else m
+    return cof
+
+
 class MetricField:
     """Symmetric positive-definite (0,2) field with cached inverse and sqrt(det)."""
 
@@ -215,9 +248,9 @@ class MetricField:
         n = grid.n
         if values.shape != (n, n) + grid.shape:
             raise GridError("metric component array shape mismatch")
-        self.values = 0.5 * (values + np.swapaxes(values, 0, 1))
-        mats = np.moveaxis(self.values.reshape(n, n, -1), -1, 0)   # (P, n, n)
+        self.values = np.ascontiguousarray(0.5 * (values + np.swapaxes(values, 0, 1)))
         if check:
+            mats = np.moveaxis(self.values.reshape(n, n, -1), -1, 0)   # (P, n, n)
             eig = np.linalg.eigvalsh(mats)
             spd_tol = 1e-10 * float(np.max(np.abs(np.einsum("ii...->i...", self.values))))
             self.min_eig = float(eig.min())
@@ -225,11 +258,11 @@ class MetricField:
                 raise SPDError(f"metric not SPD: min eigenvalue {self.min_eig:.3e}")
         else:
             self.min_eig = float("nan")
-        inv = np.linalg.inv(mats)
-        self.inv = np.moveaxis(inv, 0, -1).reshape(n, n, *grid.shape)
-        det = np.linalg.det(mats).reshape(grid.shape)
+        cof = _cofactors(self.values)
+        det = sum(self.values[0, j] * cof[0, j] for j in range(n))
         if np.any(det <= 0):
             raise SPDError("metric determinant non-positive")
+        self.inv = cof / det
         self.sqrt_det = np.sqrt(det)
 
     @property

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -64,30 +65,59 @@ def write_snapshot(path, grid: Grid, fields: dict, extra: dict | None = None):
 
 
 def read_snapshot(path):
-    """Returns (grid, {name: (array, con, cov, symmetry)}, extra)."""
+    """Returns (grid, {name: (array, con, cov, symmetry)}, extra).
+
+    A file that is not a whole version-1 snapshot (truncated, unknown version,
+    malformed record, trailing bytes) raises ``ValueError`` naming the cause."""
     raw = Path(path).read_bytes()
     if raw[:5] != MAGIC:
         raise ValueError("not a snapshot file (bad magic)")
-    off = 5
-    (hlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    off += hlen
-    gd = header["grid"]
-    grid = build_grid(gd["kind"], gd["n"], gd["shape"], gd["extents"])
+    if len(raw) < 9:
+        raise ValueError("snapshot truncated in the header length")
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    off = 9 + hlen
+    if off > len(raw):
+        raise ValueError(f"snapshot truncated in the header: {hlen} bytes "
+                         f"declared, {len(raw) - 9} present")
+    try:
+        header = json.loads(raw[9:off].decode("utf-8"))
+        version = header["version"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"snapshot header is not valid: {exc!r}") from None
+    if type(version) is not int or version != 1:
+        raise ValueError(f"unsupported snapshot version {version!r} (expected 1)")
+    try:
+        gd = header["grid"]
+        grid = build_grid(gd["kind"], gd["n"], gd["shape"], gd["extents"])
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"snapshot header has no valid grid: {exc!r}") from None
     fields = {}
     while off < len(raw):
+        start = off
+        if off + 2 > len(raw):
+            raise ValueError(f"trailing bytes at {start}: too short for a field record")
         (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
+        off += 2 + nlen
+        if off + 7 > len(raw):
+            raise ValueError(f"field record at byte {start} truncated in its head")
+        try:
+            name = raw[start + 2:off].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"field record at byte {start}: name is not UTF-8") from None
         con, cov, sym = struct.unpack_from("<BBB", raw, off)
-        off += 3
-        (count,) = struct.unpack_from("<I", raw, off)
-        off += 4
+        (count,) = struct.unpack_from("<I", raw, off + 3)
+        off += 7
+        shape = (grid.n,) * (con + cov) + grid.shape
+        if sym not in SYMMETRY_NAMES:
+            raise ValueError(f"field {name!r} at byte {start}: unknown symmetry code {sym}")
+        if count != math.prod(shape):
+            raise ValueError(f"field {name!r} at byte {start}: {count} components, "
+                             f"expected {math.prod(shape)} for rank ({con},{cov})")
+        if off + 8 * count > len(raw):
+            raise ValueError(f"field {name!r} truncated: {8 * count} data bytes "
+                             f"declared, {len(raw) - off} present")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).copy()
         off += 8 * count
-        shape = (grid.n,) * (con + cov) + grid.shape
         fields[name] = (arr.reshape(shape), con, cov, SYMMETRY_NAMES[sym])
     return grid, fields, header.get("extra", {})
 
@@ -109,6 +139,9 @@ def write_checkpoint(path, state, params, schedule):
 def read_checkpoint(path):
     from .flow import FlowParams, FlowState, Schedule
     grid, fields, extra = read_snapshot(path)
+    for name in ("g", "u"):
+        if name not in fields:
+            raise ValueError(f"checkpoint has no field {name!r}")
     metric = MetricField(grid, fields["g"][0])
     state = FlowState(grid, metric, fields["u"][0], extra.get("t", 0.0),
                       extra.get("step_count", 0))

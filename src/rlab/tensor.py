@@ -124,7 +124,7 @@ def ricci(metric: MetricField, gamma: np.ndarray) -> np.ndarray:
 
 
 def lower_rm(rm13: np.ndarray, metric: MetricField) -> np.ndarray:
-    return np.einsum("lm...,mijk...->ijkl...", metric.values, rm13)
+    return np.ascontiguousarray(np.einsum("lm...,mijk...->ijkl...", metric.values, rm13))
 
 
 def weyl_tensor(rm4: np.ndarray, ric: np.ndarray, scal: np.ndarray,
@@ -165,7 +165,7 @@ def cov_d(vals: np.ndarray, grid: Grid, gamma: np.ndarray,
     for s in range(con, rank):
         src = idx[:s] + "p" + idx[s + 1:]
         D -= np.einsum(f"pa{idx[s]}...,{src}...->a{idx}...", gamma, vals)
-    return np.moveaxis(D, 0, con)
+    return np.ascontiguousarray(np.moveaxis(D, 0, con))
 
 
 def rough_laplacian(vals: np.ndarray, grid: Grid, gamma: np.ndarray,

@@ -297,3 +297,28 @@ def test_ricci_order_flat_edge_case():
     v = ricci_order(m, u, X, "Ric_vs_WY")
     assert abs(v.margin) <= v.tolerance
     assert v.verdict in ("holds", "within-tolerance")
+
+
+def test_compare_stage_shares_one_geometry_per_instance(tmp_path, monkeypatch):
+    import rlab.tensor as tensor
+    from rlab.cli import stage_compare
+    from rlab.comparison import SCALAR_PAIRS
+    from rlab.snapshots import write_verdicts_csv
+    cfg = {"grid": {"n": 3, "resolutions": [8] * 3}, "compare": {"instances": 2},
+           "seed": 5}
+    calls = {"riemann_13": 0, "christoffel": 0}
+    for name in calls:
+        real = getattr(tensor, name)
+        def counted(*a, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*a)
+        monkeypatch.setattr(tensor, name, counted)
+    stage_compare(cfg, tmp_path, {}, [])
+    assert calls == {"riemann_13": 2 * 2, "christoffel": 2}
+    # the per-pair path (one geometry per pair) writes the same bytes
+    per_pair = [scalar_order(m, u, pair)
+                for _, m, u in (random_instance(3, 8, 5 + i) for i in range(2))
+                for pair in SCALAR_PAIRS]
+    write_verdicts_csv(tmp_path / "per_pair.csv", per_pair)
+    assert ((tmp_path / "verdicts.csv").read_bytes()
+            == (tmp_path / "per_pair.csv").read_bytes())

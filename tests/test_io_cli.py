@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rlab
 from rlab.config import ConfigError, config_hash, validate
@@ -79,6 +81,73 @@ def test_checkpoint_roundtrip(tmp_path):
     assert st2.t == 0.25 and st2.step_count == 5
     assert p2 == p
     assert s2.t_end == 0.5 and s2.method == "euler" and s2.cadence == 2
+
+
+def _checkpoint_bytes(path):
+    g = build_grid("torus", 2, [8, 8], [2 * np.pi] * 2)
+    m, u0 = verification_initial_data(g)
+    write_checkpoint(path, FlowState(g, m, u0, t=0.5, step_count=3),
+                     FlowParams(2.0, reduced=True), Schedule(t_end=1.0, dt=0.1))
+    return path.read_bytes()
+
+
+def test_snapshot_rejects_unknown_version(tmp_path):
+    raw = _checkpoint_bytes(tmp_path / "chk.rlab")
+    assert raw.count(b'"version": 1') == 1
+    p = tmp_path / "v2.rlab"
+    p.write_bytes(raw.replace(b'"version": 1', b'"version": 2'))
+    with pytest.raises(ValueError, match="unsupported snapshot version 2"):
+        read_snapshot(p)
+
+
+def test_snapshot_truncated_at_every_offset(tmp_path):
+    raw = _checkpoint_bytes(tmp_path / "chk.rlab")
+    _, full, _ = read_snapshot(tmp_path / "chk.rlab")
+    # record boundaries: the header, then "g" (rank 2) and "u" (rank 0) on 8x8
+    hend = 9 + int.from_bytes(raw[5:9], "little")
+    gend = hend + 10 + 8 * 4 * 64
+    assert gend + 10 + 8 * 64 == len(raw)
+    p = tmp_path / "cut.rlab"
+    for cut in range(len(raw)):
+        p.write_bytes(raw[:cut])
+        if cut in (hend, gend):     # whole records only: a valid, shorter snapshot
+            _, fields, _ = read_snapshot(p)
+            assert list(fields) == ["g", "u"][:[hend, gend].index(cut)]
+            assert all(np.array_equal(fields[k][0], full[k][0]) for k in fields)
+        else:
+            with pytest.raises(ValueError):
+                read_snapshot(p)
+        with pytest.raises(ValueError):
+            read_checkpoint(p)
+    p.write_bytes(raw[:hend - 1])
+    with pytest.raises(ValueError, match="truncated in the header"):
+        read_snapshot(p)
+    p.write_bytes(raw[:-1])
+    with pytest.raises(ValueError, match="field 'u' truncated"):
+        read_snapshot(p)
+    p.write_bytes(raw + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_snapshot(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut=st.integers(0, 2 ** 16), tail=st.binary(max_size=64))
+def test_snapshot_cut_or_padded_raises_value_error(tmp_path_factory, cut, tail):
+    d = tmp_path_factory.mktemp("snap")
+    raw = _checkpoint_bytes(d / "chk.rlab")
+    cut = cut % len(raw)
+    # a tail that restores the file's length may be valid data in place of
+    # the cut bytes; any other length cannot be a checkpoint on this grid,
+    # whose records need >= 512 data bytes each
+    assume(cut + len(tail) != len(raw))
+    p = d / "bad.rlab"
+    p.write_bytes(raw[:cut] + tail)
+    with pytest.raises(ValueError):
+        read_checkpoint(p)
+    p.write_bytes(raw + tail)
+    if tail:
+        with pytest.raises(ValueError):
+            read_snapshot(p)
 
 
 def test_config_validation():

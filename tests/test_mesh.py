@@ -146,8 +146,10 @@ def test_metric_spd_rejection():
     vals = np.zeros((2, 2) + g.shape)
     vals[0, 0] = 1.0
     vals[1, 1] = -1.0
-    with pytest.raises(SPDError):
+    with pytest.raises(SPDError, match=r"min eigenvalue -1\.000e\+00"):
         MetricField(g, vals)
+    with pytest.raises(SPDError, match="determinant non-positive"):
+        MetricField(g, vals, check=False)
 
 
 def test_scalar_field_rejects_nonfinite():
@@ -164,3 +166,31 @@ def test_chart_margin_tracking():
     d3 = partial_derivative(partial_derivative(partial_derivative(f, 0), 0), 1)
     assert d3.margin == 3
     assert interior(d3.values, g, 3).shape == (10, 10)
+
+
+def _random_spd(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n) + shape)
+    return np.einsum("ik...,jk...->ij...", a, a) + n * np.eye(n).reshape((n, n) + (1,) * len(shape))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_inverse_matches_linalg(n):
+    g = build_grid("torus", n, [8] * n, [2 * np.pi] * n)
+    m = MetricField(g, _random_spd(n, g.shape, seed=40 + n))
+    mats = np.moveaxis(m.values.reshape(n, n, -1), -1, 0)
+    inv = np.moveaxis(np.linalg.inv(mats), 0, -1).reshape(m.inv.shape)
+    det = np.linalg.det(mats).reshape(g.shape)
+    assert np.max(np.abs(m.inv - inv)) <= 1e-13 * np.max(np.abs(inv))
+    assert np.max(np.abs(m.sqrt_det / np.sqrt(det) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_metric_and_geometry_fields_are_c_contiguous(n):
+    # strided operands slow every einsum that reads them several-fold
+    from rlab.instances import random_instance
+    from rlab.tensor import Geometry
+    _, m, u = random_instance(n, 8, seed=11)
+    geo = Geometry(m, u)
+    for arr in (m.values, m.inv, m.sqrt_det, geo.gamma, geo.ric, geo.rm4, geo.hess):
+        assert arr.flags.c_contiguous
