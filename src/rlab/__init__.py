@@ -17,15 +17,15 @@ if _os.environ.get("RLAB_THREADS"):
 from .mesh import (Grid, MetricField, ScalarField, SPDError, TensorField,
                    build_grid, flat_metric, integrate, interior,
                    partial_derivative)
-from .tensor import (CoupledGeometry, CurvatureBundle, Geometry, christoffel,
-                     curvature, weighted_connection_apply)
+from .tensor import (CoupledGeometry, Geometry, christoffel, curvature,
+                     weighted_connection_apply)
 from .flow import (BlowUpError, FlowParams, FlowState, Schedule, Trajectory,
                    cfl_dt, flow_rhs, is_regular, reduce_parameters, run, step)
 
 __all__ = [
     "Grid", "MetricField", "ScalarField", "TensorField", "SPDError",
     "build_grid", "flat_metric", "integrate", "interior", "partial_derivative",
-    "CurvatureBundle", "Geometry", "CoupledGeometry", "christoffel", "curvature",
+    "Geometry", "CoupledGeometry", "christoffel", "curvature",
     "weighted_connection_apply",
     "FlowParams", "FlowState", "Schedule", "Trajectory", "BlowUpError",
     "cfl_dt", "flow_rhs", "is_regular", "reduce_parameters", "run", "step",

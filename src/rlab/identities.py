@@ -1,7 +1,9 @@
 """Residual verification of the evolution and structure identities.
 
 Every identity is registered as Q and RHS callables over a per-snapshot
-``Frame`` cache.  For heat-operator identities the residual is
+``Frame`` cache, or, for the two-trajectory identities, over a
+``uniqueness.DiffBundle`` of two Frames.  For heat-operator identities the
+residual is
 
     (d/dt Q by centered snapshot differencing) - (rough Laplacian of Q) - RHS,
 
@@ -10,14 +12,17 @@ Laplacian/RHS evaluated at the middle snapshot.  Identities marked
 ``time_only`` compare d/dt Q against an RHS that already contains any
 Laplacian.  Each identity also carries a mutation (sign-flipped RHS) used
 as a negative control: the mutated residual must stay O(1) under
-refinement, guarding against vacuously-zero tests.
+refinement, guarding against vacuously-zero tests.  A norm-bound entry has
+no RHS: the max norm of its residual is compared with a bound, which the
+mutation shrinks 1000-fold.
 
 Registry contents: the coupled-flow evolution equations at (2,0,0,0)
-("A.*"), their generalized-parameter versions ("C.*"), the evolution of the
-coupled scalar/Ricci quantities ("3.11"/"3.12"), the nine static relations
-between the weighted-connection curvature and the coupled curvature
-("5.7".."5.15"), and the two-trajectory difference identities
-("6.50"/"6.51"/"6.53").
+("A.*", with the A.11 bound), their generalized-parameter versions
+("C.*"), the evolution of the coupled scalar/Ricci quantities
+("3.11"/"3.12"), and the two-trajectory difference identities
+("6.50"/"6.51", and the 6.53 bound).  The nine static relations between the
+weighted-connection curvature and the coupled curvature ("5.7".."5.15")
+are evaluated by ``lemma52_defects``.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .flow import FlowParams, FlowState, Trajectory
 from .mesh import MetricField, integrate
 from .tensor import (CoupledGeometry, Geometry, cov_d, max_norm, norm_sq, raise_index,
                      rough_laplacian, sm_tensor)
+from .uniqueness import DiffBundle, _check_pair
 
 
 class Frame(CoupledGeometry):
@@ -180,11 +186,51 @@ def rhs_grad_rm13(f: Frame):
     return out
 
 
-def quantity_rm13(f: Frame):
-    return f.rm13, 1, 3
+def rhs_h(b: DiffBundle):
+    """6.50: d/dt h = -2 tr T + 2 a1 (w w + w du~ + du~ w)."""
+    w, du2 = b.w, b.f2.du
+    return (-2.0 * np.einsum("llij...->ij...", b.T)
+            + 2.0 * b.f1.alpha1 * (np.einsum("i...,j...->ij...", w, w)
+                                   + np.einsum("i...,j...->ij...", w, du2)
+                                   + np.einsum("j...,i...->ij...", w, du2)))
 
 
-# quantity extractors: (array, con, cov)
+def rhs_A(b: DiffBundle):
+    """6.51: d/dt A from the difference of the Ricci gradients and of g^{-1}."""
+    f1, f2, a1 = b.f1, b.f2, b.f1.alpha1
+    UC = f1.grad_ric - f2.grad_ric                # nabla_a Ric - tilde version
+    dginv = f2.ginv - f1.ginv                     # tilde g^{-1} - g^{-1}
+    D2 = f2.grad_ric
+    P2 = (D2 + np.moveaxis(D2, [0, 1, 2], [1, 0, 2])
+          - np.moveaxis(D2, [0, 1, 2], [2, 0, 1]))
+    rhs = -np.einsum("mk...,ijm...->kij...",
+                     f1.ginv, UC + np.moveaxis(UC, [0, 1, 2], [1, 0, 2])
+                     - np.moveaxis(UC, [0, 1, 2], [2, 0, 1]))
+    rhs += np.einsum("mk...,ijm...->kij...", dginv, P2)
+    rhs += 2.0 * a1 * np.einsum("mk...,m...,ij...->kij...", f1.ginv, f1.du, b.y)
+    rhs += 2.0 * a1 * np.einsum("mk...,m...,ij...->kij...", f1.ginv, b.w, f2.hess)
+    rhs -= 2.0 * a1 * np.einsum("mk...,m...,ij...->kij...", dginv, f2.du, f2.hess)
+    return rhs
+
+
+def bound_rm13(f: Frame):
+    """A.11: |nabla^2 Ric| + |Ric||Rm| + |H|^2 + |Rm||du|^2, each a max over the grid."""
+    m = f.metric
+    dd_ric = cov_d(f.grad_ric, f.grid, f.gamma, 0, 3)
+    rmn = max_norm(f.rm4, m, 0, 4)
+    return (max_norm(dd_ric, m, 0, 4) + max_norm(f.ric, m, 0, 2) * rmn
+            + float(np.max(norm_sq(f.hess, m, 0, 2)))
+            + rmn * float(np.max(f.grad_sq)))
+
+
+def bound_T(b: DiffBundle):
+    """6.53: |h| + |A| + |nabla A| + |T| + |w| + |y|, each a max over the grid."""
+    m = b.metric
+    return (max_norm(b.h, m, 0, 2) + max_norm(b.A, m, 1, 2) + max_norm(b.B, m, 1, 3)
+            + max_norm(b.T, m, 1, 3) + max_norm(b.w, m, 0, 1) + max_norm(b.y, m, 0, 2))
+
+
+# quantity extractors: (array, con, cov); "h", "A", "T" read a DiffBundle
 QUANTITIES = {
     "ric": lambda f: (f.ric, 0, 2),
     "gamma": lambda f: (f.gamma, 1, 2),
@@ -197,8 +243,11 @@ QUANTITIES = {
     "sic": lambda f: (f.sic, 0, 2),
     "dudu": lambda f: (np.einsum("i...,j...->ij...", f.du, f.du), 0, 2),
     "ln_sqrt_det": lambda f: (f.ln_sqrt_det, 0, 0),
-    "rm13": quantity_rm13,
+    "rm13": lambda f: (f.rm13, 1, 3),
     "grad_rm13": lambda f: (f.grad_rm13, 1, 4),
+    "h": lambda b: (b.h, 0, 2),
+    "A": lambda b: (b.A, 1, 2),
+    "T": lambda b: (b.T, 1, 3),
 }
 
 
@@ -206,9 +255,11 @@ QUANTITIES = {
 class Identity:
     id: str
     quantity: str
-    rhs: callable
+    rhs: callable                # None: d/dt Q (minus its Laplacian) is bounded, not matched
     time_only: bool = False
     family: str = "general"      # "rhf": requires (2,0,0,0)
+    pair: bool = False           # over DiffBundles of two trajectories (``pair_residual``)
+    bound: callable = None       # norm bound on the residual, in units of c_id
 
 
 REGISTRY = {
@@ -231,13 +282,16 @@ REGISTRY = {
     "C.8": Identity("C.8", "dudu", rhs_dudu),
     "3.11": Identity("3.11", "S", rhs_S_direct),
     "3.12": Identity("3.12", "sic", rhs_sic),
+    "A.11": Identity("A.11", "rm13", None, time_only=True, bound=bound_rm13),
+    "6.50": Identity("6.50", "h", rhs_h, time_only=True, pair=True),
+    "6.51": Identity("6.51", "A", rhs_A, time_only=True, pair=True),
+    "6.53": Identity("6.53", "T", None, pair=True, bound=bound_T),
 }
 
 APPENDIX_A_IDS = ("A.2", "A.3", "A.4", "A.5", "A.6", "A.7", "A.8", "A.9", "A.10")
 APPENDIX_C_IDS = ("C.3", "C.4", "C.5", "C.6", "C.7", "C.8")
 LEMMA31_IDS = ("3.11", "3.12")
 LEMMA52_IDS = tuple(f"5.{k}" for k in range(7, 16))
-PAIR_IDS = ("6.50", "6.51", "6.53")
 
 
 @dataclass(frozen=True)
@@ -274,33 +328,50 @@ def _frames(traj: Trajectory, t_index: int):
 
 def residual_field(traj: Trajectory, ident: Identity, t_index: int,
                    frames=None, mutate: bool = False):
-    """The pointwise residual field of one registered identity."""
+    """The pointwise residual field of one registered identity, over a triple
+    of Frames (default: the trajectory's around ``t_index``) or of DiffBundles."""
     fm, f0, fp = frames if frames is not None else _frames(traj, t_index)
     q = QUANTITIES[ident.quantity]
     Qm, con, cov = q(fm)
     Qp = q(fp)[0]
-    dtq = (Qp - Qm) / (fp.t - fm.t)
-    rhs = ident.rhs(f0)
-    if mutate:
-        rhs = -rhs
-    res = dtq - rhs
+    res = (Qp - Qm) / (fp.t - fm.t)
+    if ident.rhs is not None:
+        rhs = ident.rhs(f0)
+        res = res - (-rhs if mutate else rhs)
     if not ident.time_only:
         Q0 = q(f0)[0]
         res = res - rough_laplacian(Q0, f0.grid, f0.gamma, f0.metric, con, cov)
     return res, con, cov, f0
 
 
+def _report(traj, ident, t_index, frames, mutate) -> ResidualReport:
+    res, con, cov, f0 = residual_field(traj, ident, t_index, frames, mutate)
+    mx, l2 = _norms(res, f0.metric, con, cov)
+    return ResidualReport(ident.id, f0.t, max(traj.grid.spacing), traj.dt, mx, l2)
+
+
+def _norm_bound(traj, ident, t_index, frames, c_id, mutate):
+    """(max norm of the residual, c_id times the bound); ``mutate`` shrinks the
+    bound 1000-fold, a negative control the residual must then exceed."""
+    res, con, cov, f0 = residual_field(traj, ident, t_index, frames)
+    lhs = max_norm(res, f0.metric, con, cov)
+    return lhs, (1e-3 if mutate else 1.0) * c_id * ident.bound(f0)
+
+
 def evaluate_identity(traj: Trajectory, ident_id: str, t_index: int,
                       frames=None, mutate: bool = False) -> ResidualReport:
     ident = REGISTRY[ident_id]
+    if ident.pair:
+        raise ValueError(f"identity {ident_id} compares two trajectories; "
+                         "evaluate it with pair_residual")
+    if ident.bound is not None:
+        raise ValueError(f"identity {ident_id} is a norm bound; "
+                         "evaluate it with a11_norm_bound")
     if ident.family == "rhf":
         a = traj.params
         if (a.alpha1, a.alpha2, a.beta1, a.beta2) != (2.0, 0.0, 0.0, 0.0):
             raise ValueError(f"identity {ident_id} requires a (2,0,0,0) trajectory")
-    res, con, cov, f0 = residual_field(traj, ident, t_index, frames, mutate)
-    mx, l2 = _norms(res, f0.metric, con, cov)
-    return ResidualReport(ident_id, f0.t, max(traj.grid.spacing),
-                          traj.dt, mx, l2)
+    return _report(traj, ident, t_index, frames, mutate)
 
 
 def _default_index(traj: Trajectory, t_index):
@@ -317,17 +388,8 @@ def verify_appendix_A(traj: Trajectory, t_index: int | None = None,
 
 
 def a11_norm_bound(traj: Trajectory, t_index: int, c_id: float):
-    """Schematic bound |d/dt Rm| <= C (|nabla^2 Ric| + |Ric||Rm| + |H|^2 + |Rm||du|^2)."""
-    fm, f0, fp = _frames(traj, t_index)
-    dtq = (fp.rm13 - fm.rm13) / (fp.t - fm.t)
-    lhs = max_norm(dtq, f0.metric, 1, 3)
-    dd_ric = cov_d(f0.grad_ric, f0.grid, f0.gamma, 0, 3)
-    m = f0.metric
-    rmn = max_norm(f0.rm4, m, 0, 4)
-    bound = (max_norm(dd_ric, m, 0, 4) + max_norm(f0.ric, m, 0, 2) * rmn
-             + float(np.max(norm_sq(f0.hess, m, 0, 2)))
-             + rmn * float(np.max(f0.grad_sq)))
-    return lhs, c_id * bound
+    """(max |d/dt Rm|, c_id times the A.11 bound) at one snapshot."""
+    return _norm_bound(traj, REGISTRY["A.11"], t_index, None, c_id, False)
 
 
 # --------------------------------------------------------------------------
@@ -428,75 +490,17 @@ def verify_lemma_52(metric: MetricField, u: np.ndarray):
 
 def pair_residual(traj1: Trajectory, traj2: Trajectory, ident_id: str,
                   t_index: int, c_id: float = 1.0, mutate: bool = False):
-    """Residual norms of the difference-tensor evolution identities."""
-    if traj1.grid is not traj2.grid and traj1.grid != traj2.grid:
-        raise ValueError("trajectories must share a grid")
-    if traj1.times[t_index] != traj2.times[t_index]:
-        raise ValueError("trajectories must share snapshot times")
-    p = traj1.params
-    f1m, f10, f1p = _frames(traj1, t_index)
-    f2m, f20, f2p = _frames(traj2, t_index)
-    dtt = f1p.t - f1m.t
-    m = f10.metric
-    if ident_id == "6.50":
-        def h_of(fa, fb):
-            return fa.g - fb.g
-        dth = (h_of(f1p, f2p) - h_of(f1m, f2m)) / dtt
-        T13 = f10.rm13 - f20.rm13
-        trT = np.einsum("llij...->ij...", T13)
-        w = f10.du - f20.du
-        coef = 2.0 * p.alpha1
-        rhs = -2.0 * trT + coef * (np.einsum("i...,j...->ij...", w, w)
-                                   + np.einsum("i...,j...->ij...", w, f20.du)
-                                   + np.einsum("j...,i...->ij...", w, f20.du))
-        if mutate:
-            rhs = -rhs
-        res = dth - rhs
-        mx, l2 = _norms(res, m, 0, 2)
-        return ResidualReport(ident_id, f10.t, max(m.grid.spacing),
-                              traj1.dt, mx, l2)
-    if ident_id == "6.51":
-        dtA = ((f1p.gamma - f2p.gamma) - (f1m.gamma - f2m.gamma)) / dtt
-        UC = f10.grad_ric - f20.grad_ric              # nabla_a Ric - tilde version
-        dginv = f20.metric.inv - f10.metric.inv       # tilde g^{-1} - g^{-1}
-        P2 = (np.einsum("ijm...->ijm...", f20.grad_ric)
-              + np.moveaxis(f20.grad_ric, [0, 1, 2], [1, 0, 2])
-              - np.moveaxis(f20.grad_ric, [0, 1, 2], [2, 0, 1]))
-        y = f10.hess - f20.hess
-        w = f10.du - f20.du
-        rhs = -np.einsum("mk...,ijm...->kij...",
-                         f10.ginv, UC + np.moveaxis(UC, [0, 1, 2], [1, 0, 2])
-                         - np.moveaxis(UC, [0, 1, 2], [2, 0, 1]))
-        rhs += np.einsum("mk...,ijm...->kij...", dginv, P2)
-        a1 = p.alpha1
-        rhs += 2.0 * a1 * np.einsum("mk...,m...,ij...->kij...",
-                                    f10.ginv, f10.du, y)
-        rhs += 2.0 * a1 * np.einsum("mk...,m...,ij...->kij...",
-                                    f10.ginv, w, f20.hess)
-        rhs -= 2.0 * a1 * np.einsum("mk...,m...,ij...->kij...",
-                                    dginv, f20.du, f20.hess)
-        if mutate:
-            rhs = -rhs
-        res = dtA - rhs
-        mx, l2 = _norms(res, m, 1, 2)
-        return ResidualReport(ident_id, f10.t, max(m.grid.spacing),
-                              traj1.dt, mx, l2)
-    if ident_id == "6.53":
-        T13 = {k: fr1.rm13 - fr2.rm13
-               for k, (fr1, fr2) in enumerate(((f1m, f2m), (f10, f20), (f1p, f2p)))}
-        dtT = (T13[2] - T13[0]) / dtt
-        lapT = rough_laplacian(T13[1], m.grid, f10.gamma, m, 1, 3)
-        lhs = max_norm(dtT - lapT, m, 1, 3)
-        bundle = (max_norm(f10.g - f20.g, m, 0, 2)
-                  + max_norm(f10.gamma - f20.gamma, m, 1, 2)
-                  + max_norm(cov_d(f10.gamma - f20.gamma, m.grid, f10.gamma, 1, 2),
-                             m, 1, 3)
-                  + max_norm(T13[1], m, 1, 3)
-                  + max_norm(f10.du - f20.du, m, 0, 1)
-                  + max_norm(f10.hess - f20.hess, m, 0, 2))
-        bound = (1e-3 if mutate else 1.0) * c_id * bundle
-        return lhs, bound
-    raise KeyError(ident_id)
+    """The residual report of 6.50/6.51, or (lhs, bound) of the 6.53 norm bound,
+    from the difference bundles of the two trajectories at three snapshots."""
+    ident = REGISTRY.get(ident_id)
+    if ident is None or not ident.pair:
+        raise KeyError(ident_id)
+    _check_pair(traj1, traj2, t_index)
+    frames = tuple(DiffBundle(f1, f2, f1.t) for f1, f2 in
+                   zip(_frames(traj1, t_index), _frames(traj2, t_index)))
+    if ident.bound is not None:
+        return _norm_bound(traj1, ident, t_index, frames, c_id, mutate)
+    return _report(traj1, ident, t_index, frames, mutate)
 
 
 # --------------------------------------------------------------------------

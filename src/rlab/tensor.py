@@ -26,7 +26,6 @@ comparisons and the functionals all read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -220,35 +219,7 @@ def max_norm(vals: np.ndarray, metric: MetricField, con: int, cov: int) -> float
 
 
 # --------------------------------------------------------------------------
-# bundles
-
-@dataclass(frozen=True)
-class CurvatureBundle:
-    metric: MetricField
-    gamma: np.ndarray          # Gamma^k_{ij}
-    rm4: np.ndarray            # R_{ijkl}; algebraic symmetries exact by construction
-    ric: np.ndarray            # assembled directly (``ricci``), not traced from rm4
-    scalar: np.ndarray
-
-    @cached_property
-    def rm13(self):            # R^l_{ijk}, raised from the lowered tensor
-        return np.einsum("lm...,ijkm...->lijk...", self.metric.inv, self.rm4)
-
-    @cached_property
-    def weyl(self):
-        return weyl_tensor(self.rm4, self.ric, self.scalar, self.metric)
-
-
-def curvature(metric: MetricField, gamma: np.ndarray | None = None,
-              ric: np.ndarray | None = None) -> CurvatureBundle:
-    """Curvature of ``metric``; ``gamma`` and ``ric`` reuse values already
-    computed from the same metric.  ``rm13`` and ``weyl`` are built on first use."""
-    gamma = christoffel(metric) if gamma is None else gamma
-    ric = ricci(metric, gamma) if ric is None else ric
-    rm4 = riemann_lowered(metric, gamma)
-    scal = np.einsum("jk...,jk...->...", metric.inv, ric)
-    return CurvatureBundle(metric, gamma, rm4, ric, scal)
-
+# the coupled curvature and the weighted connection
 
 def sm_tensor(rm4: np.ndarray, du: np.ndarray, g: np.ndarray,
               alpha1: float) -> np.ndarray:
@@ -268,17 +239,14 @@ def weighted_christoffel(gamma: np.ndarray, du: np.ndarray, n: int) -> np.ndarra
 
 
 def weighted_connection_apply(metric: MetricField, u: np.ndarray,
-                              X: np.ndarray, Y: np.ndarray,
-                              gamma: np.ndarray | None = None) -> np.ndarray:
+                              X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """nabla^u_X Y = nabla_X Y - (Yu) X - (Xu) Y for vector fields X, Y."""
-    grid = metric.grid
-    G = gamma if gamma is not None else christoffel(metric)
-    du = grad_stack(u, grid)
-    dY = np.stack([diff1(Y, grid, a) for a in range(grid.n)])   # dY[a,k]
+    f = Geometry(metric, u)
+    dY = np.stack([diff1(Y, f.grid, a) for a in range(f.grid.n)])   # dY[a,k]
     nabla_XY = (np.einsum("a...,ak...->k...", X, dY)
-                + np.einsum("kab...,a...,b...->k...", G, X, Y))
-    Yu = np.einsum("a...,a...->...", Y, du)
-    Xu = np.einsum("a...,a...->...", X, du)
+                + np.einsum("kab...,a...,b...->k...", f.gamma, X, Y))
+    Yu = np.einsum("a...,a...->...", Y, f.du)
+    Xu = np.einsum("a...,a...->...", X, f.du)
     return nabla_XY - Yu * X - Xu * Y
 
 
@@ -297,15 +265,13 @@ def div_form_weighted_laplacian(metric: MetricField, u: np.ndarray) -> np.ndarra
     return out / metric.sqrt_det
 
 
-def divergence(metric: MetricField, X: np.ndarray,
-               gamma: np.ndarray | None = None) -> np.ndarray:
-    """div X = nabla_i X^i."""
+def divergence(metric: MetricField, X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """div X = nabla_i X^i, with gamma the Christoffel symbols of ``metric``."""
     grid = metric.grid
-    G = gamma if gamma is not None else christoffel(metric)
     out = np.zeros(grid.shape)
     for a in range(grid.n):
         out += diff1(X[a], grid, a)
-    return out + np.einsum("iik...,k...->...", G, X)
+    return out + np.einsum("iik...,k...->...", gamma, X)
 
 
 # --------------------------------------------------------------------------
@@ -337,19 +303,19 @@ class Geometry:
         return ricci(self.metric, self.gamma)
 
     @cached_property
-    def cb(self):
-        return curvature(self.metric, self.gamma, self.ric)
-
-    @property
-    def rm4(self):
-        return self.cb.rm4
-
-    @property
-    def rm13(self):
-        return self.cb.rm13
+    def rm4(self):          # R_{ijkl}; algebraic symmetries exact by construction
+        return riemann_lowered(self.metric, self.gamma)
 
     @cached_property
-    def scalar(self):       # the same trace ``curvature`` takes, without the 4-tensor
+    def rm13(self):         # R^l_{ijk}, raised from the lowered tensor
+        return np.einsum("lm...,ijkm...->lijk...", self.ginv, self.rm4)
+
+    @cached_property
+    def weyl(self):
+        return weyl_tensor(self.rm4, self.ric, self.scalar, self.metric)
+
+    @cached_property
+    def scalar(self):       # traced from Ric, without the 4-tensor
         return np.einsum("jk...,jk...->...", self.ginv, self.ric)
 
     @cached_property
@@ -437,6 +403,12 @@ class Geometry:
     @cached_property
     def scalar_wy(self):
         return np.einsum("jk...,jk...->...", self.ginv, self.ric_wy)
+
+
+def curvature(metric: MetricField) -> Geometry:
+    """The geometry of ``metric`` at u = 0: Gamma, Ric, Rm, Weyl and the rest,
+    each built on first use."""
+    return Geometry(metric, np.zeros(metric.grid.shape))
 
 
 class CoupledGeometry(Geometry):

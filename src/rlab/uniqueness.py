@@ -15,6 +15,7 @@ admissibility check d_t eta >= B |grad eta|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,41 +24,51 @@ from .mesh import Grid, MetricField, integrate
 from .tensor import Geometry, cov_d, norm_sq
 
 
-@dataclass(frozen=True)
 class DiffBundle:
-    t: float
-    h: np.ndarray          # g - g~            (0,2)
-    A: np.ndarray          # Gamma - Gamma~    (1,2)
-    B: np.ndarray          # nabla A           (1,3)
-    T: np.ndarray          # Rm - Rm~          (1,3)
-    U: np.ndarray          # nabla Rm - nabla~ Rm~   (1,4)
-    v: np.ndarray          # u - u~
-    w: np.ndarray          # du - du~          (0,1)
-    x: np.ndarray          # nabla w           (0,2)
-    y: np.ndarray          # Hess u - Hess~ u~ (0,2)
-    z: np.ndarray          # nabla^3 u - nabla~^3 u~ (0,3)
-    metric: MetricField    # norms are taken in this metric
+    """Difference tensors of two solutions at time ``t``, each built on first
+    use.  Norms, covariant derivatives and the Laplacian are taken in the
+    first solution's geometry ``f1``."""
+
+    # difference field -> the Geometry field it differences
+    DIFFS = {"h": "g",             # g - g~                     (0,2)
+             "A": "gamma",         # Gamma - Gamma~             (1,2)
+             "T": "rm13",          # Rm - Rm~                   (1,3)
+             "U": "grad_rm13",     # nabla Rm - nabla~ Rm~      (1,4)
+             "v": "u",             # u - u~
+             "w": "du",            # du - du~                   (0,1)
+             "y": "hess",          # Hess u - Hess~ u~          (0,2)
+             "z": "d3u"}           # nabla^3 u - nabla~^3 u~    (0,3)
+
+    def __init__(self, f1: Geometry, f2: Geometry, t: float):
+        self.f1, self.f2, self.t = f1, f2, t
+        self.metric, self.grid, self.gamma = f1.metric, f1.grid, f1.gamma
+
+    def __getattr__(self, name):
+        try:
+            key = DiffBundle.DIFFS[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        val = self.__dict__[name] = getattr(self.f1, key) - getattr(self.f2, key)
+        return val
+
+    @cached_property
+    def B(self):            # nabla A                   (1,3)
+        return cov_d(self.A, self.grid, self.gamma, 1, 2)
+
+    @cached_property
+    def x(self):            # nabla w                   (0,2)
+        return cov_d(self.w, self.grid, self.gamma, 0, 1)
 
     def norms(self) -> dict:
+        """L2 norms of the five differences the energy weighs."""
         m = self.metric
-        return {
-            "h": _l2(self.h, m, 0, 2), "A": _l2(self.A, m, 1, 2),
-            "B": _l2(self.B, m, 1, 3), "T": _l2(self.T, m, 1, 3),
-            "U": _l2(self.U, m, 1, 4), "v": _l2(self.v, m, 0, 0),
-            "w": _l2(self.w, m, 0, 1), "x": _l2(self.x, m, 0, 2),
-            "y": _l2(self.y, m, 0, 2), "z": _l2(self.z, m, 0, 3),
-        }
+        return {"h": _l2(self.h, m, 0, 2), "A": _l2(self.A, m, 1, 2),
+                "T": _l2(self.T, m, 1, 3), "v": _l2(self.v, m, 0, 0),
+                "w": _l2(self.w, m, 0, 1)}
 
     def eq69_residual(self) -> np.ndarray:
         """y - (nabla w - A^k_{ij} d_k u~); vanishes exactly in the continuum."""
-        grid = self.metric.grid
-        from .tensor import christoffel
-        gamma = christoffel(self.metric)
-        du2 = self._du2
-        nab_w = cov_d(self.w, grid, gamma, 0, 1)
-        return self.y - (nab_w - np.einsum("kij...,k...->ij...", self.A, du2))
-
-    _du2: np.ndarray = None
+        return self.y - (self.x - np.einsum("kij...,k...->ij...", self.A, self.f2.du))
 
 
 def _l2(arr, metric, con, cov) -> float:
@@ -75,17 +86,7 @@ def difference_bundle(traj1: Trajectory, traj2: Trajectory,
                       t_index: int) -> DiffBundle:
     _check_pair(traj1, traj2, t_index)
     s1, s2 = traj1.state(t_index), traj2.state(t_index)
-    grid = s1.grid
-    f1, f2 = Geometry(s1.metric, s1.u), Geometry(s2.metric, s2.u)
-    A = f1.gamma - f2.gamma
-    w = f1.du - f2.du
-    bundle = DiffBundle(
-        t=s1.t, h=f1.g - f2.g, A=A, B=cov_d(A, grid, f1.gamma, 1, 2),
-        T=f1.rm13 - f2.rm13, U=f1.grad_rm13 - f2.grad_rm13, v=s1.u - s2.u,
-        w=w, x=cov_d(w, grid, f1.gamma, 0, 1), y=f1.hess - f2.hess,
-        z=f1.d3u - f2.d3u, metric=s1.metric)
-    object.__setattr__(bundle, "_du2", f2.du)
-    return bundle
+    return DiffBundle(Geometry(s1.metric, s1.u), Geometry(s2.metric, s2.u), s1.t)
 
 
 def energy(traj1: Trajectory, traj2: Trajectory, t_index: int,
@@ -122,7 +123,7 @@ class EnergyTrace:
     values: np.ndarray
     beta: float
     eta_descriptor: str
-    norms: list            # per-snapshot norm dicts (h, A, T, v, w at least)
+    norms: list            # per-snapshot norm dicts (h, A, T, v, w)
 
     def rows(self):
         out = []

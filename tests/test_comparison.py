@@ -168,6 +168,11 @@ def test_order_verdict_fields():
     assert v.verdict == "fails" and v.margin == -0.5
     v2 = OrderVerdict("p", "volume", 1.0, 0.95, 0.1)
     assert v2.verdict == "within-tolerance"
+    # the equality pair holds on |margin| <= tolerance, whatever its sign
+    for margin in (-1e-15, 1e-15, -0.05, 0.05):
+        assert OrderVerdict("R_eq_RWY_e^u", "e^u", 1.0, 1.0 + margin, 0.1).verdict == "holds"
+    for margin in (-0.2, 0.2):
+        assert OrderVerdict("R_eq_RWY_e^u", "e^u", 1.0, 1.0 + margin, 0.1).verdict == "fails"
     assert scalar_order.__name__  # keep import honest
 
 

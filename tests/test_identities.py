@@ -211,6 +211,15 @@ def test_pair_identities(trajectory_pair, manifest):
     assert lhs2 > bound2
 
 
+def test_pair_and_bound_ids_name_their_evaluator(trajectory_pair):
+    t1, _ = trajectory_pair
+    for ident in ("6.50", "6.51", "6.53"):
+        with pytest.raises(ValueError, match="pair_residual"):
+            evaluate_identity(t1, ident, 6)
+    with pytest.raises(ValueError, match="a11_norm_bound"):
+        evaluate_identity(t1, "A.11", 6)
+
+
 def test_pair_rejects_mismatch(trajectory_pair):
     t1, _ = trajectory_pair
     g = build_grid("torus", 2, [24, 24], [2 * np.pi] * 2)

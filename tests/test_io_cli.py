@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -297,6 +298,41 @@ def test_cli_config_errors_exit_2(tmp_path):
     bad.write_text("{not json")
     r2 = run_cli(["run", "--config", str(bad), "--out", str(tmp_path / "y")])
     assert r2.returncode == 2
+
+
+def test_cli_rejects_bad_verify_identities_before_any_stage(tmp_path):
+    # unknown ids, tags other than ':negctl', and ids the verify stage cannot
+    # evaluate on one trajectory are config errors that name the entry
+    from rlab.cli import run_experiment
+    for entry in ("A.99", "A.8:negctrl", "A.8:", "6.50", "6.53", "A.11", "5.7"):
+        cfg = write_cfg(tmp_path, {"verify": {"identities": ["A.8", entry]}})
+        with pytest.raises(ConfigError, match=re.escape(repr(entry))):
+            run_experiment(cfg, tmp_path / "o", stages=["run", "verify"])
+        assert not (tmp_path / "o").exists()
+    cfg = write_cfg(tmp_path, {"verify": {"identities": ["A.8:negctrl"]}})
+    r = run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
+    assert r.returncode == 2
+    assert "A.8:negctrl" in r.stderr
+
+
+def test_uniqueness_perturbation_changes_the_curvature(tmp_path):
+    # g_00 varies along x^0 alone and u along x^0: delta sin(x^0) in g_00
+    # would be a reparametrization, with T at rounding level (~1e-22) on every row
+    from rlab.cli import run_experiment
+    cfg = write_cfg(tmp_path, {
+        "initial_data": {
+            "metric": {"family": "perturbed",
+                       "components": {"0,0": [{"amp": 0.10, "wave": [1, 0]}],
+                                      "1,1": [{"amp": 0.08, "wave": [0, 1]}]}},
+            "u_terms": [{"amp": 0.2, "wave": [1, 0]}]},
+        "uniqueness": {"delta": 1e-3, "beta": 0.5}})
+    _, code = run_experiment(cfg, tmp_path / "u", stages=["uniqueness"])
+    assert code == 0
+    with open(tmp_path / "u" / "energy.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(float(r["T_norm"]) > 1e-6 for r in rows)
+    want = 1e-3 * np.sqrt((2 * np.pi) ** 2 / 2)
+    assert abs(float(rows[0]["h_norm"]) - want) <= 0.05 * want
 
 
 def test_cli_resolution_override_changes_hash(tmp_path):

@@ -45,6 +45,26 @@ def test_identical_pair_zero(pairs):
     assert fit["outcome"] == "identically-zero" and fit["N"] is None
 
 
+def test_energy_trace_builds_only_the_energy_differences(pairs, monkeypatch):
+    # the trace writes h, A, T, v, w; U and z (and B, x) are built on first use
+    import rlab.uniqueness
+    from rlab.tensor import Geometry
+    built = []
+    for name in ("grad_rm13", "d3u"):
+        real = Geometry.__dict__[name].func
+        monkeypatch.setattr(Geometry, name, property(
+            lambda self, real=real, name=name: built.append(name) or real(self)))
+    real_cov_d = rlab.uniqueness.cov_d
+    monkeypatch.setattr(rlab.uniqueness, "cov_d",
+                        lambda *a: built.append("cov_d") or real_cov_d(*a))
+    t1, t2, _ = pairs
+    energy_trace(t1, t2, indices=range(1, 4))
+    assert built == []
+    b = difference_bundle(t1, t2, 1)
+    b.U, b.z, b.B, b.x
+    assert sorted(built) == ["cov_d", "cov_d", "d3u", "d3u", "grad_rm13", "grad_rm13"]
+
+
 def test_bundle_initial_structure(pairs):
     t1, t2, _ = pairs
     b0 = difference_bundle(t1, t2, 1)
