@@ -21,8 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from rlab.comparison import yano_oracle_factor
 from rlab.flow import FlowParams, FlowState, Schedule, run
 from rlab.identities import (APPENDIX_A_IDS, APPENDIX_C_IDS, LEMMA31_IDS,
-                             LEMMA52_IDS, evaluate_identity, pair_residual,
-                             verify_lemma_52, a11_norm_bound)
+                             evaluate_identity, verify_lemma_52)
 from rlab.instances import random_instance, verification_initial_data
 from rlab.mesh import MetricField, build_grid, flat_metric
 
@@ -45,8 +44,8 @@ for ident in APPENDIX_A_IDS + ("A.12", "A.13"):
     rep = evaluate_identity(traj_rhf, ident, k)
     c_id[ident] = round(SAFETY * rep.max_res / h2dt2, 6)
 
-lhs, bound_unit = a11_norm_bound(traj_rhf, k, 1.0)
-c_id["A.11"] = round(SAFETY * lhs / bound_unit, 6)
+rep = evaluate_identity(traj_rhf, "A.11", k, c_id=1.0)
+c_id["A.11"] = round(SAFETY * rep.max_res / rep.bound, 6)
 
 traj_gen = run(FlowState(grid, metric, u0), FlowParams(1.0, 0.0, 0.5, -0.3), sched)
 for ident in APPENDIX_C_IDS + LEMMA31_IDS:
@@ -63,10 +62,10 @@ pm = metric.values.copy()
 pm[0, 0] = pm[0, 0] + 1e-3 * np.sin(grid.coords()[1])
 traj_p = run(FlowState(grid, MetricField(grid, pm), u0), FlowParams(2.0), sched)
 for ident in ("6.50", "6.51"):
-    rep = pair_residual(traj_rhf, traj_p, ident, k)
+    rep = evaluate_identity(traj_rhf, ident, k, other=traj_p)
     c_id[ident] = round(SAFETY * rep.max_res / h2dt2, 9)
-lhs, bound_unit = pair_residual(traj_rhf, traj_p, "6.53", k, c_id=1.0)
-c_id["6.53"] = round(SAFETY * lhs / bound_unit, 6)
+rep = evaluate_identity(traj_rhf, "6.53", k, other=traj_p, c_id=1.0)
+c_id["6.53"] = round(SAFETY * rep.max_res / rep.bound, 6)
 
 # Lie-derivative integral-identity normalization, decided on an 8x8 grid
 g8 = build_grid("torus", 2, [8, 8], [2 * np.pi] * 2)

@@ -134,7 +134,7 @@ def verify_entries(cfg):
 
 def stage_verify(cfg, out: Path, checks, outputs):
     from .flow import FlowState, Schedule, run
-    from .identities import ResidualReport, evaluate_identity, refinement_order
+    from .identities import converges, evaluate_identity, with_order
     from .snapshots import write_reports_json
 
     vcfg = cfg.get("verify", {})
@@ -145,37 +145,21 @@ def stage_verify(cfg, out: Path, checks, outputs):
     sched = schedule_from(cfg)
     base_res = cfg["grid"]["resolutions"][0]
     base_dt = sched.dt if sched.dt is not None else 2e-3
-    reports = {entry: [] for entry, _, _ in entries}
+    levels = []
     for res in resolutions:
-        cfg_r = json.loads(json.dumps(cfg))
-        cfg_r["grid"]["resolutions"] = [res] * cfg["grid"]["n"]
-        grid, metric, u0 = build_from_config(cfg_r)
+        grid, metric, u0 = build_from_config(cfg, res)
         dt = base_dt * (base_res / res) ** 2
         sched_r = Schedule(t_end=sched.t_end, dt=dt, cadence=1,
                            method=sched.method, diagnostics=False)
         traj = run(FlowState(grid, metric, u0), params, sched_r)
         k = int(round(frac * (traj.nsnapshots - 1)))
         k = min(max(k, 1), traj.nsnapshots - 2)
-        for entry, base_id, mutate in entries:
-            reports[entry].append(
-                evaluate_identity(traj, base_id, k, mutate=mutate))
-    all_reports = []
-    for ident, seq in reports.items():
-        # a measured order needs >= 3 levels; a 2-level family is gated on
-        # the raw decrease ratio instead and reports no order
-        order = refinement_order(seq) if len(seq) >= 3 else None
-        exact = all(r.max_res <= 1e-11 for r in seq)
-        if order is not None:
-            ok = exact or 1.7 <= order <= 2.3
-        elif len(seq) == 2:
-            want = (seq[0].h / seq[1].h) ** 1.7
-            ok = exact or (seq[0].max_res / max(seq[1].max_res, 1e-300) >= want)
-        else:
-            ok = exact
-        checks[f"verify.{ident}"] = bool(ok)
-        fin = seq[-1]
-        all_reports.append(ResidualReport(ident, fin.t, fin.h, fin.dt,
-                                          fin.max_res, fin.l2_res, order))
+        levels.append([replace(evaluate_identity(traj, base_id, k, mutate=mutate),
+                               identity=entry)
+                       for entry, base_id, mutate in entries])
+    for (entry, _, _), seq in zip(entries, zip(*levels)):
+        checks[f"verify.{entry}"] = converges(seq)
+    all_reports = with_order(levels)
     write_reports_json(out / "residuals.json", all_reports)
     outputs.append("residuals.json")
     return all_reports

@@ -148,19 +148,25 @@ class Trajectory:
     grid: Grid
     params: FlowParams
     dt: float
-    times: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)      # MetricField snapshots
-    potentials: list = field(default_factory=list)   # u snapshots
+    states: list = field(default_factory=list)       # recorded FlowStates, in time order
     diagnostics: dict = field(default_factory=dict)  # column -> list, per step
     aborted: str | None = None
 
+    def record(self, state: FlowState):
+        """Append ``state`` unless it is the last one recorded."""
+        if not self.states or self.states[-1].step_count != state.step_count:
+            self.states.append(state)
+
     def state(self, k: int) -> FlowState:
-        return FlowState(self.grid, self.metrics[k], self.potentials[k],
-                         self.times[k], k)
+        return self.states[k]
+
+    @property
+    def times(self) -> list:
+        return [s.t for s in self.states]
 
     @property
     def nsnapshots(self) -> int:
-        return len(self.times)
+        return len(self.states)
 
     def diag_rows(self):
         cols = [self.diagnostics[c] for c in DIAG_COLUMNS]
@@ -219,13 +225,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
     traj = Trajectory(initial_state.grid, p, dt)
     state = initial_state
     cum_hess = 0.0
-
-    def record(s: FlowState):
-        traj.times.append(s.t)
-        traj.metrics.append(s.metric)
-        traj.potentials.append(s.u)
-
-    record(state)
+    traj.record(state)
     if schedule.diagnostics:
         row = _diagnose(state, p, cum_hess, 0.0, geo)
         cum_hess = row["int_hess_sq_cum"]
@@ -236,11 +236,11 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
             state = step(state, p, dt, schedule.method, geo)
         except BlowUpError as e:
             traj.aborted = str(e)
-            record(e.state)
+            traj.record(e.state)        # the last accepted state, once
             break
         geo = CoupledGeometry(state.metric, state.u, p.alpha1)
         if (k + 1) % schedule.cadence == 0 or k == nsteps - 1:
-            record(state)
+            traj.record(state)
         if schedule.diagnostics:
             row = _diagnose(state, p, cum_hess, dt, geo)
             cum_hess = row["int_hess_sq_cum"]

@@ -23,11 +23,14 @@ Registry contents: the coupled-flow evolution equations at (2,0,0,0)
 ("6.50"/"6.51", and the 6.53 bound).  The nine static relations between the
 weighted-connection curvature and the coupled curvature ("5.7".."5.15")
 are evaluated by ``lemma52_defects``.
+
+``evaluate_identity`` evaluates every registry entry, and ``converges``
+decides whether a refinement family of its reports converges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -258,7 +261,7 @@ class Identity:
     rhs: callable                # None: d/dt Q (minus its Laplacian) is bounded, not matched
     time_only: bool = False
     family: str = "general"      # "rhf": requires (2,0,0,0)
-    pair: bool = False           # over DiffBundles of two trajectories (``pair_residual``)
+    pair: bool = False           # over DiffBundles of ``traj`` and ``other``
     bound: callable = None       # norm bound on the residual, in units of c_id
 
 
@@ -293,6 +296,9 @@ APPENDIX_C_IDS = ("C.3", "C.4", "C.5", "C.6", "C.7", "C.8")
 LEMMA31_IDS = ("3.11", "3.12")
 LEMMA52_IDS = tuple(f"5.{k}" for k in range(7, 16))
 
+ORDER_FLOOR = 1.7           # second order is a floor: an identity may converge faster
+EXACT_RESIDUAL = 1e-11      # a family at or below this on every level is exact
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -303,12 +309,15 @@ class ResidualReport:
     max_res: float
     l2_res: float
     order: float | None = None
+    bound: float | None = None       # c_id times the norm bound of a bound entry
 
     def to_dict(self):
         d = {"identity": self.identity, "t": self.t, "h": self.h,
              "dt": self.dt, "max_res": self.max_res, "l2_res": self.l2_res}
         if self.order is not None:
             d["order"] = self.order
+        if self.bound is not None:
+            d["bound"] = self.bound
         return d
 
 
@@ -344,52 +353,38 @@ def residual_field(traj: Trajectory, ident: Identity, t_index: int,
     return res, con, cov, f0
 
 
-def _report(traj, ident, t_index, frames, mutate) -> ResidualReport:
-    res, con, cov, f0 = residual_field(traj, ident, t_index, frames, mutate)
-    mx, l2 = _norms(res, f0.metric, con, cov)
-    return ResidualReport(ident.id, f0.t, max(traj.grid.spacing), traj.dt, mx, l2)
-
-
-def _norm_bound(traj, ident, t_index, frames, c_id, mutate):
-    """(max norm of the residual, c_id times the bound); ``mutate`` shrinks the
-    bound 1000-fold, a negative control the residual must then exceed."""
-    res, con, cov, f0 = residual_field(traj, ident, t_index, frames)
-    lhs = max_norm(res, f0.metric, con, cov)
-    return lhs, (1e-3 if mutate else 1.0) * c_id * ident.bound(f0)
-
-
 def evaluate_identity(traj: Trajectory, ident_id: str, t_index: int,
-                      frames=None, mutate: bool = False) -> ResidualReport:
+                      other: Trajectory | None = None, c_id: float = 1.0,
+                      mutate: bool = False) -> ResidualReport:
+    """The residual report of one registered identity at snapshot ``t_index``.
+
+    A pair entry reads the second trajectory ``other`` through the
+    DiffBundles of the two trajectories' frames.  A bound entry reports
+    ``bound``, c_id times its norm bound, which ``mutate`` shrinks 1000-fold:
+    a negative control the residual must then exceed.  On any other entry
+    ``mutate`` flips the sign of the right side.
+    """
     ident = REGISTRY[ident_id]
-    if ident.pair:
-        raise ValueError(f"identity {ident_id} compares two trajectories; "
-                         "evaluate it with pair_residual")
-    if ident.bound is not None:
-        raise ValueError(f"identity {ident_id} is a norm bound; "
-                         "evaluate it with a11_norm_bound")
+    if ident.pair != (other is not None):
+        raise ValueError(f"identity {ident_id} " + (
+            "compares two trajectories; pass the second as other"
+            if ident.pair else "reads one trajectory; other must be None"))
     if ident.family == "rhf":
         a = traj.params
         if (a.alpha1, a.alpha2, a.beta1, a.beta2) != (2.0, 0.0, 0.0, 0.0):
             raise ValueError(f"identity {ident_id} requires a (2,0,0,0) trajectory")
-    return _report(traj, ident, t_index, frames, mutate)
-
-
-def _default_index(traj: Trajectory, t_index):
-    if t_index is not None:
-        return t_index
-    return max(1, min(traj.nsnapshots - 2, (traj.nsnapshots - 1) * 3 // 4))
-
-
-def verify_appendix_A(traj: Trajectory, t_index: int | None = None,
-                      ids=APPENDIX_A_IDS):
-    t_index = _default_index(traj, t_index)
-    frames = _frames(traj, t_index)
-    return [evaluate_identity(traj, i, t_index, frames) for i in ids]
-
-
-def a11_norm_bound(traj: Trajectory, t_index: int, c_id: float):
-    """(max |d/dt Rm|, c_id times the A.11 bound) at one snapshot."""
-    return _norm_bound(traj, REGISTRY["A.11"], t_index, None, c_id, False)
+    frames = None
+    if ident.pair:
+        _check_pair(traj, other, t_index)
+        frames = tuple(DiffBundle(f1, f2, f1.t) for f1, f2 in
+                       zip(_frames(traj, t_index), _frames(other, t_index)))
+    res, con, cov, f0 = residual_field(traj, ident, t_index, frames, mutate)
+    mx, l2 = _norms(res, f0.metric, con, cov)
+    bound = None
+    if ident.bound is not None:
+        bound = (1e-3 if mutate else 1.0) * c_id * ident.bound(f0)
+    return ResidualReport(ident.id, f0.t, max(traj.grid.spacing), traj.dt,
+                          mx, l2, bound=bound)
 
 
 # --------------------------------------------------------------------------
@@ -486,24 +481,6 @@ def verify_lemma_52(metric: MetricField, u: np.ndarray):
 
 
 # --------------------------------------------------------------------------
-# two-trajectory difference identities
-
-def pair_residual(traj1: Trajectory, traj2: Trajectory, ident_id: str,
-                  t_index: int, c_id: float = 1.0, mutate: bool = False):
-    """The residual report of 6.50/6.51, or (lhs, bound) of the 6.53 norm bound,
-    from the difference bundles of the two trajectories at three snapshots."""
-    ident = REGISTRY.get(ident_id)
-    if ident is None or not ident.pair:
-        raise KeyError(ident_id)
-    _check_pair(traj1, traj2, t_index)
-    frames = tuple(DiffBundle(f1, f2, f1.t) for f1, f2 in
-                   zip(_frames(traj1, t_index), _frames(traj2, t_index)))
-    if ident.bound is not None:
-        return _norm_bound(traj1, ident, t_index, frames, c_id, mutate)
-    return _report(traj1, ident, t_index, frames, mutate)
-
-
-# --------------------------------------------------------------------------
 # refinement orders and negative controls
 
 def refinement_order(reports) -> float:
@@ -516,14 +493,23 @@ def refinement_order(reports) -> float:
     return float(slope)
 
 
+def converges(seq) -> bool:
+    """Whether a refinement family of reports, coarse to fine, converges:
+    every level exact to rounding; or, over >= 3 levels, a fitted order of
+    at least ``ORDER_FLOOR``; or, over 2 levels, a decrease ratio of at
+    least (h0/h1)^ORDER_FLOOR."""
+    if all(r.max_res <= EXACT_RESIDUAL for r in seq):
+        return True
+    if len(seq) >= 3:
+        return refinement_order(seq) >= ORDER_FLOOR
+    if len(seq) == 2:
+        ratio = seq[0].max_res / max(seq[1].max_res, 1e-300)
+        return ratio >= (seq[0].h / seq[1].h) ** ORDER_FLOOR
+    return False
+
+
 def with_order(reports_by_level):
-    """Attach the measured order to the finest-level report of each identity."""
-    out = []
-    ids = [r.identity for r in reports_by_level[0]]
-    for idx, ident in enumerate(ids):
-        seq = [level[idx] for level in reports_by_level]
-        order = refinement_order(seq)
-        fin = seq[-1]
-        out.append(ResidualReport(fin.identity, fin.t, fin.h, fin.dt,
-                                  fin.max_res, fin.l2_res, order))
-    return out
+    """The finest-level report of each identity, with its measured order
+    (None below 3 levels)."""
+    return [replace(seq[-1], order=refinement_order(seq) if len(seq) >= 3 else None)
+            for seq in zip(*reports_by_level)]

@@ -141,50 +141,8 @@ class ScalarField:
             raise GridError("scalar field contains non-finite values")
 
 
-SYMMETRIES = ("none", "sym2", "riemann-like")
-
-
-@dataclass(frozen=True)
-class TensorField:
-    """Componentwise tensor field; ``con`` upper indices first, then ``cov`` lower."""
-    grid: Grid
-    values: np.ndarray
-    cov: int
-    con: int = 0
-    symmetry: str = "none"
-    margin: int = 0
-
-    def __post_init__(self):
-        n, rank = self.grid.n, self.cov + self.con
-        if self.values.shape != (n,) * rank + self.grid.shape:
-            raise GridError("tensor component array shape mismatch")
-        if self.symmetry not in SYMMETRIES:
-            raise GridError(f"unknown symmetry tag {self.symmetry!r}")
-        scale = max(float(np.max(np.abs(self.values))), 1e-30)
-        if self.symmetry == "sym2":
-            if rank != 2:
-                raise GridError("sym2 requires rank 2")
-            if np.max(np.abs(self.values - np.swapaxes(self.values, 0, 1))) \
-                    > 1e-10 * scale:
-                raise GridError("declared sym2 symmetry violated")
-        elif self.symmetry == "riemann-like":
-            if rank != 4:
-                raise GridError("riemann-like requires rank 4")
-            v = self.values
-            perm = (2, 3, 0, 1) + tuple(range(4, v.ndim))
-            bad = max(np.max(np.abs(v + np.swapaxes(v, 0, 1))),
-                      np.max(np.abs(v + np.swapaxes(v, 2, 3))),
-                      np.max(np.abs(v - np.transpose(v, perm))))
-            if bad > 1e-10 * scale:
-                raise GridError("declared riemann-like symmetry violated")
-
-    @property
-    def rank(self) -> tuple[int, int]:
-        return (self.con, self.cov)
-
-
-def partial_derivative(fld, axis: int, order: int = 1):
-    """Componentwise coordinate derivative of a scalar or tensor field.
+def partial_derivative(fld: ScalarField, axis: int, order: int = 1) -> ScalarField:
+    """Coordinate derivative of a scalar field.
 
     order 1/2 is a first/second centered difference; chart fields lose one
     boundary layer of validity per application.
@@ -192,11 +150,7 @@ def partial_derivative(fld, axis: int, order: int = 1):
     if order not in (1, 2):
         raise GridError("derivative order must be 1 or 2")
     op = diff1 if order == 1 else diff2
-    if isinstance(fld, ScalarField):
-        return ScalarField(fld.grid, op(fld.values, fld.grid, axis),
-                           margin=fld.margin + 1)
-    return TensorField(fld.grid, op(fld.values, fld.grid, axis),
-                       cov=fld.cov, con=fld.con, symmetry="none",
+    return ScalarField(fld.grid, op(fld.values, fld.grid, axis),
                        margin=fld.margin + 1)
 
 

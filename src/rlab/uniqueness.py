@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .flow import Trajectory
-from .mesh import Grid, MetricField, integrate
+from .mesh import Grid, integrate
 from .tensor import Geometry, cov_d, norm_sq
 
 
@@ -29,27 +29,35 @@ class DiffBundle:
     use.  Norms, covariant derivatives and the Laplacian are taken in the
     first solution's geometry ``f1``."""
 
-    # difference field -> the Geometry field it differences
-    DIFFS = {"h": "g",             # g - g~                     (0,2)
-             "A": "gamma",         # Gamma - Gamma~             (1,2)
-             "T": "rm13",          # Rm - Rm~                   (1,3)
-             "U": "grad_rm13",     # nabla Rm - nabla~ Rm~      (1,4)
-             "v": "u",             # u - u~
-             "w": "du",            # du - du~                   (0,1)
-             "y": "hess",          # Hess u - Hess~ u~          (0,2)
-             "z": "d3u"}           # nabla^3 u - nabla~^3 u~    (0,3)
+    # difference field -> (the Geometry field it differences, its rank)
+    DIFFS = {"h": ("g", 0, 2),             # g - g~
+             "A": ("gamma", 1, 2),         # Gamma - Gamma~
+             "T": ("rm13", 1, 3),          # Rm - Rm~
+             "U": ("grad_rm13", 1, 4),     # nabla Rm - nabla~ Rm~
+             "v": ("u", 0, 0),             # u - u~
+             "w": ("du", 0, 1),            # du - du~
+             "y": ("hess", 0, 2),          # Hess u - Hess~ u~
+             "z": ("d3u", 0, 3)}           # nabla^3 u - nabla~^3 u~
 
     def __init__(self, f1: Geometry, f2: Geometry, t: float):
         self.f1, self.f2, self.t = f1, f2, t
         self.metric, self.grid, self.gamma = f1.metric, f1.grid, f1.gamma
+        self._norm_sq = {}
 
     def __getattr__(self, name):
         try:
-            key = DiffBundle.DIFFS[name]
+            key = DiffBundle.DIFFS[name][0]
         except KeyError:
             raise AttributeError(name) from None
         val = self.__dict__[name] = getattr(self.f1, key) - getattr(self.f2, key)
         return val
+
+    def norm_sq(self, name: str) -> np.ndarray:
+        """Pointwise squared norm of the difference ``name``, cached."""
+        if name not in self._norm_sq:
+            _, con, cov = DiffBundle.DIFFS[name]
+            self._norm_sq[name] = norm_sq(getattr(self, name), self.metric, con, cov)
+        return self._norm_sq[name]
 
     @cached_property
     def B(self):            # nabla A                   (1,3)
@@ -61,24 +69,18 @@ class DiffBundle:
 
     def norms(self) -> dict:
         """L2 norms of the five differences the energy weighs."""
-        m = self.metric
-        return {"h": _l2(self.h, m, 0, 2), "A": _l2(self.A, m, 1, 2),
-                "T": _l2(self.T, m, 1, 3), "v": _l2(self.v, m, 0, 0),
-                "w": _l2(self.w, m, 0, 1)}
+        return {k: float(np.sqrt(integrate(self.norm_sq(k), self.metric)))
+                for k in ("h", "A", "T", "v", "w")}
 
     def eq69_residual(self) -> np.ndarray:
         """y - (nabla w - A^k_{ij} d_k u~); vanishes exactly in the continuum."""
         return self.y - (self.x - np.einsum("kij...,k...->ij...", self.A, self.f2.du))
 
 
-def _l2(arr, metric, con, cov) -> float:
-    return float(np.sqrt(integrate(norm_sq(arr, metric, con, cov), metric)))
-
-
 def _check_pair(traj1: Trajectory, traj2: Trajectory, t_index: int):
     if traj1.grid != traj2.grid:
         raise ValueError("trajectories must share a grid")
-    if abs(traj1.times[t_index] - traj2.times[t_index]) > 1e-14:
+    if abs(traj1.state(t_index).t - traj2.state(t_index).t) > 1e-14:
         raise ValueError("trajectories must share snapshot times")
 
 
@@ -101,7 +103,6 @@ def energy(traj1: Trajectory, traj2: Trajectory, t_index: int,
         raise ValueError("beta must lie in (0, 1)")
     _check_pair(traj1, traj2, t_index)
     b = bundle if bundle is not None else difference_bundle(traj1, traj2, t_index)
-    m = b.metric
     t = b.t
     if t == 0.0:
         if not any(np.any(getattr(b, k)) for k in ("h", "A", "T", "v", "w")):
@@ -109,12 +110,12 @@ def energy(traj1: Trajectory, traj2: Trajectory, t_index: int,
         raise ValueError("energy weights are singular at t = 0 for distinct data; "
                          "evaluate at the first positive snapshot")
     wgt = np.exp(-eta) if eta is not None else 1.0
-    dens = (norm_sq(b.h, m, 0, 2) / t
-            + norm_sq(b.A, m, 1, 2) / t ** beta
-            + norm_sq(b.T, m, 1, 3)
-            + b.v * b.v
-            + norm_sq(b.w, m, 0, 1))
-    return integrate(dens * wgt, m)
+    dens = (b.norm_sq("h") / t
+            + b.norm_sq("A") / t ** beta
+            + b.norm_sq("T")
+            + b.norm_sq("v")
+            + b.norm_sq("w"))
+    return integrate(dens * wgt, b.metric)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from rlab.flow import FlowState, Schedule, run
 from rlab.functionals import (OptimizerOpts, gbc_defect, mu_minimize,
                               mu_upper_bound)
 from rlab.identities import (APPENDIX_A_IDS, APPENDIX_C_IDS, LEMMA31_IDS,
-                             LEMMA52_IDS, a11_norm_bound, evaluate_identity,
-                             lemma52_defects, pair_residual, refinement_order,
+                             LEMMA52_IDS, converges, evaluate_identity,
+                             lemma52_defects, refinement_order,
                              verify_lemma_52)
 from rlab.instances import (conformal_metric, euclidean_chart,
                             perturbed_flat_metric, product_metric,
@@ -55,12 +55,12 @@ def test_criterion_1_registry_convergence(manifest):
             continue
         order = refinement_order(seq)
         orders[ident] = order
-        # second-order is the floor; an identity may converge faster (the
-        # volume-form identity is exact in space and rides the dt^2 term)
-        # provided it stays under its frozen residual threshold
+        # second-order is the floor (``converges``); an identity may converge
+        # faster (the volume-form identity is exact in space and rides the
+        # dt^2 term) provided it stays under its frozen residual threshold
         within_thr = all(r.max_res <= manifest["c_id"][ident]
                          * (r.h ** 2 + r.dt ** 2) * 1.01 for r in seq)
-        if not (ORDER_LO <= order <= ORDER_HI or (order > ORDER_HI and within_thr)):
+        if not (converges(seq) and (order <= ORDER_HI or within_thr)):
             bad[ident] = round(order, 2)
     elapsed = time.time() - t0
     ok = not bad and elapsed <= 300.0
@@ -312,17 +312,17 @@ def test_criterion_9_negative_controls(rhf_runs, general_runs, manifest):
     sched = Schedule(t_end=0.016, dt=2e-3, diagnostics=False)
     tp = run(FlowState(g, MetricField(g, pm), u0), RHF, sched)
     for ident in ("6.50", "6.51"):
-        good = pair_residual(rhf_runs[16], tp, ident, 6)
-        bad = pair_residual(rhf_runs[16], tp, ident, 6, mutate=True)
+        good = evaluate_identity(rhf_runs[16], ident, 6, other=tp)
+        bad = evaluate_identity(rhf_runs[16], ident, 6, other=tp, mutate=True)
         if not bad.max_res > 5.0 * max(good.max_res, 1e-30):
             failures.append(ident)
-    lhs, bound = pair_residual(rhf_runs[16], tp, "6.53", 6,
-                               c_id=manifest["c_id"]["6.53"], mutate=True)
-    if not lhs > bound:
+    rep = evaluate_identity(rhf_runs[16], "6.53", 6, other=tp,
+                            c_id=manifest["c_id"]["6.53"], mutate=True)
+    if not rep.max_res > rep.bound:
         failures.append("6.53")
-    lhs, bound = a11_norm_bound(rhf_runs[16], eval_index(rhf_runs[16]),
-                                manifest["c_id"]["A.11"] * 1e-3)
-    if not lhs > bound:
+    rep = evaluate_identity(rhf_runs[16], "A.11", eval_index(rhf_runs[16]),
+                            c_id=manifest["c_id"]["A.11"] * 1e-3)
+    if not rep.max_res > rep.bound:
         failures.append("A.11")
     ok = not failures
     n_controls = 17 + 2 + 9 + 3 + 1

@@ -164,8 +164,8 @@ def test_run_determinism_bitwise():
     t1 = run(curved_state(16), FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3))
     t2 = run(curved_state(16), FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3))
     for k in range(t1.nsnapshots):
-        assert np.array_equal(t1.metrics[k].values, t2.metrics[k].values)
-        assert np.array_equal(t1.potentials[k], t2.potentials[k])
+        assert np.array_equal(t1.state(k).metric.values, t2.state(k).metric.values)
+        assert np.array_equal(t1.state(k).u, t2.state(k).u)
 
 
 def test_blowup_abort_records_snapshot():
@@ -177,6 +177,14 @@ def test_blowup_abort_records_snapshot():
     assert traj.aborted is not None
     assert "positive definiteness" in traj.aborted
     assert traj.nsnapshots >= 1
+
+
+def test_trajectory_states_carry_their_step_counts():
+    traj = run(curved_state(16), FlowParams(2.0),
+               Schedule(t_end=0.007, dt=1e-3, cadence=3, diagnostics=False))
+    # steps 0, 3, 6 on the cadence, and the last step, 7
+    assert [traj.state(k).step_count for k in range(traj.nsnapshots)] == [0, 3, 6, 7]
+    assert traj.times == [traj.state(k).t for k in range(traj.nsnapshots)]
 
 
 def test_nonregular_warns():
@@ -230,8 +238,8 @@ def test_run_shared_geometry_bitwise(params):
             s = step(s, params, dt)
         row = _diagnose(s, p, cum, dt if k else 0.0)
         cum = row["int_hess_sq_cum"]
-        assert np.array_equal(traj.metrics[k].values, s.metric.values)
-        assert np.array_equal(traj.potentials[k], s.u)
+        assert np.array_equal(traj.state(k).metric.values, s.metric.values)
+        assert np.array_equal(traj.state(k).u, s.u)
         assert all(traj.diagnostics[c][k] == row[c] for c in DIAG_COLUMNS)
 
 

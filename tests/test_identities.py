@@ -4,10 +4,9 @@ import pytest
 from conftest import RHF, eval_index
 from rlab.flow import FlowParams, FlowState, Schedule, run
 from rlab.identities import (APPENDIX_A_IDS, APPENDIX_C_IDS, LEMMA31_IDS,
-                             REGISTRY, Frame, Identity, a11_norm_bound,
-                             evaluate_identity, pair_residual,
-                             refinement_order, residual_field,
-                             verify_appendix_A, verify_lemma_52, with_order)
+                             REGISTRY, Frame, Identity, ResidualReport,
+                             converges, evaluate_identity, refinement_order,
+                             residual_field, verify_lemma_52, with_order)
 from rlab.instances import random_instance, verification_initial_data
 from rlab.mesh import MetricField, build_grid, flat_metric
 from rlab.tensor import norm_sq
@@ -17,7 +16,8 @@ def test_flat_stationary_residuals_zero(manifest):
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     st = FlowState(g, flat_metric(g), np.zeros(g.shape))
     traj = run(st, RHF, Schedule(t_end=0.01, dt=2e-3, diagnostics=False))
-    for rep in verify_appendix_A(traj, 2):
+    for ident in APPENDIX_A_IDS:
+        rep = evaluate_identity(traj, ident, 2)
         assert rep.max_res < 1e-12, rep.identity
 
 
@@ -65,11 +65,12 @@ def test_negative_controls_box(rhf_runs, general_runs):
 
 def test_a11_norm_bound(rhf_runs, manifest):
     traj = rhf_runs[16]
-    lhs, bound = a11_norm_bound(traj, eval_index(traj), manifest["c_id"]["A.11"])
-    assert lhs <= bound
-    lhs2, bound2 = a11_norm_bound(traj, eval_index(traj),
-                                  manifest["c_id"]["A.11"] * 1e-3)
-    assert lhs2 > bound2  # negative control
+    rep = evaluate_identity(traj, "A.11", eval_index(traj),
+                            c_id=manifest["c_id"]["A.11"])
+    assert rep.max_res <= rep.bound
+    rep2 = evaluate_identity(traj, "A.11", eval_index(traj),
+                             c_id=manifest["c_id"]["A.11"] * 1e-3)
+    assert rep2.max_res > rep2.bound  # negative control
 
 
 def test_c_identities_coincide_with_a_at_rhf(rhf_runs):
@@ -92,11 +93,11 @@ def test_u_zero_reduces_to_ricci_flow_identities():
     traj = run(st, FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3, diagnostics=False))
     k = 5
     # u-dependent quantities vanish exactly along the run
-    for rep in verify_appendix_A(traj, k, ids=("A.4", "A.8")):
-        assert rep.max_res < 1e-13
+    for ident in ("A.4", "A.8"):
+        assert evaluate_identity(traj, ident, k).max_res < 1e-13
     # remaining identities still close
-    for rep in verify_appendix_A(traj, k, ids=("A.2", "A.6", "A.7")):
-        assert rep.max_res < 0.2
+    for ident in ("A.2", "A.6", "A.7"):
+        assert evaluate_identity(traj, ident, k).max_res < 0.2
 
 
 def test_rejects_wrong_params_for_a_family(general_runs):
@@ -120,8 +121,9 @@ def test_residual_translation_invariance():
         st = FlowState(g, MetricField(g, vals), np.roll(u0, shift, axis=-1))
         return run(st, RHF, Schedule(t_end=0.008, dt=2e-3, diagnostics=False))
 
-    r0 = verify_appendix_A(rolled(0), 2, ids=("A.2", "A.8"))
-    r1 = verify_appendix_A(rolled(5), 2, ids=("A.2", "A.8"))
+    t0, t1 = rolled(0), rolled(5)
+    r0 = [evaluate_identity(t0, i, 2) for i in ("A.2", "A.8")]
+    r1 = [evaluate_identity(t1, i, 2) for i in ("A.2", "A.8")]
     for a, b in zip(r0, r1):
         assert abs(a.max_res - b.max_res) < 1e-11 * max(a.max_res, 1e-30)
         assert abs(a.l2_res - b.l2_res) < 1e-11 * max(a.l2_res, 1e-30)
@@ -200,24 +202,57 @@ def test_pair_identities(trajectory_pair, manifest):
     t1, t2 = trajectory_pair
     h2dt2 = max(t1.grid.spacing) ** 2 + t1.dt ** 2
     for ident in ("6.50", "6.51"):
-        rep = pair_residual(t1, t2, ident, 6)
+        rep = evaluate_identity(t1, ident, 6, other=t2)
         assert rep.max_res <= manifest["c_id"][ident] * h2dt2 * 1.01, ident
-        bad = pair_residual(t1, t2, ident, 6, mutate=True)
+        bad = evaluate_identity(t1, ident, 6, other=t2, mutate=True)
         assert bad.max_res > 5.0 * max(rep.max_res, 1e-30), ident
-    lhs, bound = pair_residual(t1, t2, "6.53", 6, c_id=manifest["c_id"]["6.53"])
-    assert 0 < lhs <= bound
-    lhs2, bound2 = pair_residual(t1, t2, "6.53", 6,
-                                 c_id=manifest["c_id"]["6.53"], mutate=True)
-    assert lhs2 > bound2
+    rep = evaluate_identity(t1, "6.53", 6, other=t2, c_id=manifest["c_id"]["6.53"])
+    assert 0 < rep.max_res <= rep.bound
+    rep2 = evaluate_identity(t1, "6.53", 6, other=t2,
+                             c_id=manifest["c_id"]["6.53"], mutate=True)
+    assert rep2.max_res > rep2.bound
 
 
-def test_pair_and_bound_ids_name_their_evaluator(trajectory_pair):
-    t1, _ = trajectory_pair
+def test_evaluator_dispatches_on_pair_and_bound_entries(trajectory_pair):
+    t1, t2 = trajectory_pair
     for ident in ("6.50", "6.51", "6.53"):
-        with pytest.raises(ValueError, match="pair_residual"):
+        with pytest.raises(ValueError, match="other"):
             evaluate_identity(t1, ident, 6)
-    with pytest.raises(ValueError, match="a11_norm_bound"):
-        evaluate_identity(t1, "A.11", 6)
+    with pytest.raises(ValueError, match="other"):
+        evaluate_identity(t1, "A.8", 6, other=t2)
+    # a bound entry reports c_id times its bound, shrunk 1000-fold by mutate
+    a11 = evaluate_identity(t1, "A.11", 6, c_id=2.0)
+    assert a11.bound > 0 and a11.to_dict()["bound"] == a11.bound
+    shrunk = evaluate_identity(t1, "A.11", 6, c_id=2.0, mutate=True)
+    assert shrunk.bound == pytest.approx(1e-3 * a11.bound, rel=1e-12)
+    assert shrunk.max_res == a11.max_res
+    assert evaluate_identity(t1, "6.53", 6, other=t2).bound > 0
+    # an equality entry carries no bound and writes none
+    a8 = evaluate_identity(t1, "A.8", 6)
+    assert a8.bound is None and "bound" not in a8.to_dict()
+    assert evaluate_identity(t1, "6.50", 6, other=t2).bound is None
+
+
+def test_converges_is_a_floor_with_a_two_level_ratio():
+    def family(hs, res):
+        return [ResidualReport("x", 0.0, h, 0.0, r, r) for h, r in zip(hs, res)]
+
+    hs = (0.4, 0.2, 0.1)
+    assert converges(family(hs, [h ** 2 for h in hs]))
+    assert converges(family(hs, [h ** 3.9 for h in hs]))      # faster is fine
+    assert not converges(family(hs, [h ** 1.5 for h in hs]))
+    assert not converges(family(hs, [0.5, 0.5, 0.5]))          # a negative control
+    assert converges(family(hs, [1e-12, 3e-12, 1e-13]))        # exact to rounding
+    # two levels: the decrease ratio against (h0/h1)^1.7 = 3.25
+    assert converges(family(hs[:2], [4.0, 1.0]))
+    assert not converges(family(hs[:2], [3.0, 1.0]))
+    # one level: only an exact one converges
+    assert not converges(family(hs[:1], [1.0]))
+    assert converges(family(hs[:1], [1e-12]))
+    # with_order attaches an order from three levels and none below
+    three = with_order([[r] for r in family(hs, [h ** 2 for h in hs])])
+    assert abs(three[0].order - 2.0) < 1e-12 and three[0].h == 0.1
+    assert with_order([[r] for r in family(hs[:2], [4.0, 1.0])])[0].order is None
 
 
 def test_pair_rejects_mismatch(trajectory_pair):
@@ -227,7 +262,7 @@ def test_pair_rejects_mismatch(trajectory_pair):
     other = run(FlowState(g, m, u0), RHF,
                 Schedule(t_end=0.004, dt=2e-3, diagnostics=False))
     with pytest.raises(ValueError):
-        pair_residual(t1, other, "6.50", 1)
+        evaluate_identity(t1, "6.50", 1, other=other)
 
 
 def test_a4_a8_magnitudes_comparable(rhf_runs):

@@ -459,3 +459,35 @@ def test_abort_reason_is_a_manifest_key_not_a_check(tmp_path):
     assert "positive definiteness" in manifest["abort_reason"]
     on_disk = json.loads((tmp_path / "blowup" / "manifest.json").read_text())
     assert on_disk["abort_reason"] == manifest["abort_reason"]
+
+
+def test_aborted_run_records_its_last_state_once(tmp_path):
+    # the blow-up config of test_abort_reason_is_a_manifest_key_not_a_check
+    from rlab.cli import stage_run
+    cfg = json.loads(write_cfg(tmp_path, {
+        "initial_data": {"metric": {"family": "perturbed", "components": {
+            "0,0": [{"amp": 0.8, "wave": [0, 1]}]}}},
+        "schedule": {"t_end": 2.0, "dt": 0.5}}, name="blowup.json").read_text())
+    checks = {}
+    traj = stage_run(cfg, tmp_path, checks, [])
+    assert traj.aborted is not None and checks["run.completed"] is False
+    times = traj.times
+    assert len(set(times)) == len(times), times
+    accepted = len(traj.diagnostics["t"]) - 1     # one row per accepted state
+    assert accepted >= 1
+    state, _, _ = read_checkpoint(tmp_path / "checkpoint.rlab")
+    assert state.step_count == accepted
+    assert state.t == times[-1] == traj.diagnostics["t"][-1]
+
+
+def test_cli_verify_accepts_an_identity_faster_than_second_order(tmp_path):
+    # A.10 is exact in space: only the dt^2 term is left, at order ~4
+    from rlab.cli import run_experiment
+    cfg = write_cfg(tmp_path, {"verify": {"identities": ["A.10", "A.8:negctl"],
+                                          "resolutions": [16, 32, 64]},
+                               "schedule": {"t_end": 0.016, "dt": 0.002}})
+    manifest, code = run_experiment(cfg, tmp_path / "v", stages=["verify"])
+    reports = json.loads((tmp_path / "v" / "residuals.json").read_text())
+    assert reports[0]["identity"] == "A.10" and reports[0]["order"] > 2.3
+    assert manifest["checks"]["verify.A.10"] is True
+    assert manifest["failed_checks"] == ["verify.A.8:negctl"] and code == 1

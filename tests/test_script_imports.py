@@ -1,0 +1,46 @@
+"""The demos and scripts import only names that rlab defines.
+
+They are parsed, not run: ``scripts/calibrate_manifest.py`` rewrites
+``tests/manifest.json`` when it runs.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def rlab_imports(path):
+    """(module, name or None) for every rlab import in the file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module \
+                and (node.module == "rlab" or node.module.startswith("rlab.")):
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "rlab" or alias.name.startswith("rlab."):
+                    yield alias.name, None
+
+
+def test_sources_found():
+    assert {p.parent.name for p in SOURCES} == {"demos", "scripts"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_rlab_names_imported_exist(path):
+    imports = list(rlab_imports(path))
+    missing = []
+    for module, name in imports:
+        mod = importlib.import_module(module)
+        if name is not None and not hasattr(mod, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError:
+                missing.append(f"{module}.{name}")
+    assert imports, "no rlab import found"
+    assert not missing, missing

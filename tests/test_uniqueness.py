@@ -65,6 +65,21 @@ def test_energy_trace_builds_only_the_energy_differences(pairs, monkeypatch):
     assert sorted(built) == ["cov_d", "cov_d", "d3u", "d3u", "grad_rm13", "grad_rm13"]
 
 
+def test_energy_trace_norms_each_difference_once(pairs, monkeypatch):
+    # energy and norms read one cached squared norm per difference
+    import rlab.uniqueness
+    calls = []
+    real = rlab.uniqueness.norm_sq
+    monkeypatch.setattr(rlab.uniqueness, "norm_sq",
+                        lambda *a: calls.append(a[2:]) or real(*a))
+    t1, t2, _ = pairs
+    trace = energy_trace(t1, t2, indices=range(1, 4))
+    assert len(calls) == 5 * 3
+    b = difference_bundle(t1, t2, 2)
+    assert trace.values[1] == energy(t1, t2, 2, bundle=b)
+    assert trace.norms[1] == b.norms()
+
+
 def test_bundle_initial_structure(pairs):
     t1, t2, _ = pairs
     b0 = difference_bundle(t1, t2, 1)
