@@ -34,8 +34,9 @@ print(f"max|grad u|^2:  {mg[0]:.6f} -> {mg[-1]:.6f}   "
 print(f"min S:          {ms[0]:.6f} -> {ms[-1]:.6f}   "
       f"(largest decrease along the way: {np.min(np.diff(ms)):+.2e})")
 
-# volume balance by centered differencing of the recorded volumes
-dvol = (vol[2:] - vol[:-2]) / (t[2:] - t[:-2])
+# volume balance by centered differencing of the recorded volumes (second
+# order also where the last, shortened step makes the spacing uneven)
+dvol = np.gradient(vol, t)[1:-1]
 intS = []
 for k in range(traj.nsnapshots):
     s = traj.state(k)

@@ -14,16 +14,16 @@ if _os.environ.get("RLAB_THREADS"):
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["RLAB_THREADS"])
 
-from .mesh import (Grid, MetricField, ScalarField, SPDError, build_grid,
-                   flat_metric, integrate, interior, partial_derivative)
+from .mesh import (Grid, MetricField, SPDError, build_grid, flat_metric,
+                   integrate, interior)
 from .tensor import (CoupledGeometry, Geometry, christoffel, curvature,
                      weighted_connection_apply)
 from .flow import (BlowUpError, FlowParams, FlowState, Schedule, Trajectory,
                    cfl_dt, flow_rhs, is_regular, reduce_parameters, run, step)
 
 __all__ = [
-    "Grid", "MetricField", "ScalarField", "SPDError",
-    "build_grid", "flat_metric", "integrate", "interior", "partial_derivative",
+    "Grid", "MetricField", "SPDError",
+    "build_grid", "flat_metric", "integrate", "interior",
     "Geometry", "CoupledGeometry", "christoffel", "curvature",
     "weighted_connection_apply",
     "FlowParams", "FlowState", "Schedule", "Trajectory", "BlowUpError",

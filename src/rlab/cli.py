@@ -27,7 +27,6 @@ TOOL_VERSION = "0.1.0"
 # config -> domain objects
 
 def build_from_config(cfg, res_override=None):
-    import numpy as np
     from .instances import conformal_metric, perturbed_flat_metric, trig_scalar
     from .mesh import build_grid, flat_metric
 
@@ -51,17 +50,10 @@ def build_from_config(cfg, res_override=None):
     elif family == "product":
         from .instances import product_metric
         diag = mspec.get("diag", [1.0] * grid.n)
-        fns = []
-        for entry in diag:
-            if isinstance(entry, (int, float)):
-                fns.append(float(entry))
-            else:
-                fns.append(lambda xs, terms=entry: 1.0 + sum(
-                    float(t["amp"]) * (np.sin if t.get("kind", "sin") == "sin"
-                                       else np.cos)(
-                        sum(int(k) * x for k, x in zip(t["wave"], xs))
-                        + float(t.get("phase", 0.0))) for t in terms))
-        metric = product_metric(grid, fns)
+        metric = product_metric(grid, [
+            float(entry) if isinstance(entry, (int, float))
+            else lambda xs, terms=entry: 1.0 + trig_scalar(grid, terms)
+            for entry in diag])
     else:
         from .config import ConfigError
         raise ConfigError(f"initial_data.metric.family: unknown family {family!r}")

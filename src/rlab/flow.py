@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .mesh import Grid, MetricField, SPDError, integrate
-from .tensor import CoupledGeometry, Geometry, norm_sq
+from .tensor import CoupledGeometry, Geometry
 
 DIAG_COLUMNS = ("t", "max_rm", "max_grad_u_sq", "min_Sg", "vol",
                 "int_hess_sq_cum", "int_lap_u_sq", "int_sic_sq", "int_sic_p4",
@@ -178,7 +178,7 @@ def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
     geo = (geo if geo is not None
            else CoupledGeometry(state.metric, state.u, params.alpha1))
     m = state.metric
-    sic_sq = norm_sq(geo.sic, m, 0, 2)
+    sic_sq = geo.sic_sq
     row = {
         "t": state.t,
         "max_rm": float(np.sqrt(np.max(geo.rm_sq))),
@@ -211,6 +211,8 @@ def rm_lp_series(traj: Trajectory, p: float):
 
 def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Trajectory:
     """Integrate to t_end, recording snapshots and per-step diagnostics."""
+    if not schedule.t_end > 0:
+        raise ValueError(f"t_end must be positive, got {schedule.t_end!r}")
     p = reduce_parameters(params)
     # one geometry per accepted state, shared by its diagnostics row, the
     # initial step bound and the first stage of the step that leaves it
@@ -221,7 +223,15 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
                       RuntimeWarning)
     dt = (schedule.dt if schedule.dt is not None
           else cfl_dt(initial_state, schedule.safety, geo))
-    nsteps = max(1, int(round(schedule.t_end / dt)))
+    # whole steps of dt, then one shortened step onto t_end, unless t_end/dt
+    # is within 1e-9 (relative) of an integer
+    ratio = schedule.t_end / dt
+    whole = int(round(ratio))
+    short = abs(ratio - whole) > 1e-9 * ratio
+    if short:
+        whole = int(ratio)
+    nsteps = whole + short
+    t_end = initial_state.t + schedule.t_end
     traj = Trajectory(initial_state.grid, p, dt)
     state = initial_state
     cum_hess = 0.0
@@ -232,8 +242,9 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
         for k, v in row.items():
             traj.diagnostics.setdefault(k, []).append(v)
     for k in range(nsteps):
+        h = t_end - state.t if short and k == nsteps - 1 else dt
         try:
-            state = step(state, p, dt, schedule.method, geo)
+            state = step(state, p, h, schedule.method, geo)
         except BlowUpError as e:
             traj.aborted = str(e)
             traj.record(e.state)        # the last accepted state, once
@@ -242,7 +253,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
         if (k + 1) % schedule.cadence == 0 or k == nsteps - 1:
             traj.record(state)
         if schedule.diagnostics:
-            row = _diagnose(state, p, cum_hess, dt, geo)
+            row = _diagnose(state, p, cum_hess, h, geo)
             cum_hess = row["int_hess_sq_cum"]
             for kk, v in row.items():
                 traj.diagnostics.setdefault(kk, []).append(v)

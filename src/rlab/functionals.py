@@ -16,10 +16,12 @@ normalization into int w^2 dV = 1 and the functional into
 
     W = int [ tau (w^2 S + 4 |grad w|^2) - (2 ln w + (n/2) ln(4 pi tau) + n) w^2 ] dV,
 
-which is what the projected-gradient minimizer works on.  Both evaluators
-share the discrete gradient of w, so they agree to rounding on normalized
-inputs.  mu is an upper estimate of the infimum; monotonicity checks carry
-optimizer-tolerance slack.
+which is what the projected-gradient minimizer works on.  ``_w_eval`` is
+the one discrete W (both public evaluators call it, so they agree to
+rounding on normalized inputs); it hands the grad w and ln|w| it formed to
+``_mu_gradient``, the adjoint of its Dirichlet form, so each accepted
+iterate is differenced once.  mu is an upper estimate of the infimum;
+monotonicity checks carry optimizer-tolerance slack.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MetricField, diff1, grad_stack, integrate
+from .mesh import MetricField, flat_divergence, grad_stack, integrate
 from .tensor import CoupledGeometry, curvature, norm_sq
 
 
@@ -44,22 +46,34 @@ def normalize_f(metric: MetricField, f: np.ndarray, tau: float) -> np.ndarray:
     return f + np.log(mass)
 
 
-def _dirichlet(metric: MetricField, w: np.ndarray) -> float:
+def _w_eval(metric: MetricField, S: np.ndarray, w: np.ndarray, tau: float):
+    """W at a normalized w, with the pieces its L^2 gradient reuses:
+    (W, dw, ln|w|, c0), c0 = (n/2) ln(4 pi tau) + n."""
+    n = metric.grid.n
+    c0 = 0.5 * n * np.log(4.0 * np.pi * tau) + n
     dw = grad_stack(w, metric.grid)
-    return integrate(np.einsum("ij...,i...,j...->...", metric.inv, dw, dw), metric)
+    lnw = np.log(np.maximum(np.abs(w), 1e-300))
+    wsq = w * w
+    dirichlet = integrate(np.einsum("ij...,i...,j...->...", metric.inv, dw, dw), metric)
+    W = (tau * integrate(S * wsq, metric) + 4.0 * tau * dirichlet
+         - integrate((2.0 * lnw + c0) * wsq, metric))
+    return W, dw, lnw, c0
+
+
+def _mu_gradient(metric: MetricField, w, tau, S, dw, lnw, c0):
+    """L^2(dV) gradient of W at w, the adjoint of the Dirichlet form in
+    ``_w_eval`` built from the same dw and ln|w|."""
+    flux = np.einsum("ij...,j...->i...", metric.inv, dw) * metric.sqrt_det
+    div = flat_divergence(flux, metric.grid)
+    return (2.0 * tau * S * w - 8.0 * tau * div / metric.sqrt_det
+            - (4.0 * w * lnw + 2.0 * w + 2.0 * c0 * w))
 
 
 def w_entropy_w_form(metric: MetricField, u: np.ndarray, w: np.ndarray,
-                     tau: float, S=None) -> float:
+                     tau: float) -> float:
     if tau <= 0:
         raise ValueError("tau must be positive")
-    n = metric.grid.n
-    Sg = coupled_scalar(metric, u) if S is None else S
-    c0 = 0.5 * n * np.log(4.0 * np.pi * tau) + n
-    wsq = w * w
-    lnw = np.log(np.maximum(np.abs(w), 1e-300))
-    return (tau * integrate(Sg * wsq, metric) + 4.0 * tau * _dirichlet(metric, w)
-            - integrate((2.0 * lnw + c0) * wsq, metric))
+    return _w_eval(metric, coupled_scalar(metric, u), w, tau)[0]
 
 
 def w_entropy(metric: MetricField, u: np.ndarray, f: np.ndarray, tau: float) -> float:
@@ -69,17 +83,21 @@ def w_entropy(metric: MetricField, u: np.ndarray, f: np.ndarray, tau: float) -> 
         raise ValueError("tau must be positive")
     n = metric.grid.n
     w = np.exp(-0.5 * f) * (4.0 * np.pi * tau) ** (-n / 4.0)
-    return w_entropy_w_form(metric, u, w, tau)
+    return _w_eval(metric, coupled_scalar(metric, u), w, tau)[0]
+
+
+def _upper_bound(metric: MetricField, S: np.ndarray, tau: float) -> float:
+    n = metric.grid.n
+    vol = integrate(np.ones(metric.grid.shape), metric)
+    s_avg = integrate(S, metric) / vol
+    return tau * s_avg + np.log(vol) - 0.5 * n * np.log(4.0 * np.pi * tau) - n
 
 
 def mu_upper_bound(metric: MetricField, u: np.ndarray, tau: float) -> float:
     """tau S_avg + ln Vol - (n/2) ln(4 pi tau) - n."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    n = metric.grid.n
-    vol = integrate(np.ones(metric.grid.shape), metric)
-    s_avg = integrate(coupled_scalar(metric, u), metric) / vol
-    return tau * s_avg + np.log(vol) - 0.5 * n * np.log(4.0 * np.pi * tau) - n
+    return _upper_bound(metric, coupled_scalar(metric, u), tau)
 
 
 def log_sobolev_constant(a: float, vol: float, n: int, C_s: float) -> float:
@@ -99,10 +117,8 @@ def mu_lower_bound(metric: MetricField, u: np.ndarray, tau: float,
 
 @dataclass(frozen=True)
 class EntropyReport:
-    value: float                 # W at the returned minimizer
-    mu: float
+    mu: float                    # W at the returned minimizer
     w: np.ndarray                # minimizer in the w parametrization
-    f: np.ndarray
     upper_bound: float
     norm_defect: float
     iterations: int
@@ -116,18 +132,6 @@ class OptimizerOpts:
     nseeds: int = 5              # constant + 4 random
     step0: float = 0.05
     seed: int = 1234
-
-
-def _mu_gradient(metric: MetricField, w, tau, Sg, c0):
-    grid = metric.grid
-    dw = grad_stack(w, grid)
-    flux = np.einsum("ij...,j...->i...", metric.inv, dw) * metric.sqrt_det
-    div = np.zeros(grid.shape)
-    for a in range(grid.n):
-        div += diff1(flux[a], grid, a)
-    lnw = np.log(np.maximum(np.abs(w), 1e-300))
-    return (2.0 * tau * Sg * w - 8.0 * tau * div / metric.sqrt_det
-            - (4.0 * w * lnw + 2.0 * w + 2.0 * c0 * w))
 
 
 def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
@@ -145,8 +149,6 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
     grid = metric.grid
     n = grid.n
     Sg = coupled_scalar(metric, u)
-    c0 = 0.5 * n * np.log(4.0 * np.pi * tau) + n
-    vol = integrate(np.ones(grid.shape), metric)
     rng = np.random.default_rng(opts.seed)
 
     def normalize(w):
@@ -164,8 +166,8 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
     any_converged = False
     for w0 in seeds:
         w = normalize(w0)
-        e = w_entropy_w_form(metric, u, w, tau, S=Sg)
-        grad = _mu_gradient(metric, w, tau, Sg, c0)
+        e, *parts = _w_eval(metric, Sg, w, tau)
+        grad = _mu_gradient(metric, w, tau, Sg, *parts)
         grad -= integrate(grad * w, metric) * w
         step = opts.step0
         converged = False
@@ -185,7 +187,7 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
             improved = False
             for _ in range(40):
                 wt = normalize(np.abs(w - trial_step * grad) + 1e-300)
-                et = w_entropy_w_form(metric, u, wt, tau, S=Sg)
+                et, *trial_parts = _w_eval(metric, Sg, wt, tau)
                 if et < e:
                     improved = True
                     break
@@ -195,8 +197,8 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
                 break
             decrease = e - et
             w_prev, grad_prev = w, grad
-            w, e = wt, et
-            grad = _mu_gradient(metric, w, tau, Sg, c0)
+            w, e, parts = wt, et, trial_parts
+            grad = _mu_gradient(metric, w, tau, Sg, *parts)
             grad -= integrate(grad * w, metric) * w
             if decrease < opts.tol * max(1.0, abs(e)):
                 stall += 1
@@ -213,7 +215,7 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
     f = -2.0 * np.log(np.maximum(w, 1e-300)) - 0.5 * n * np.log(4.0 * np.pi * tau)
     norm_defect = abs(integrate(np.exp(-f), metric)
                       * (4.0 * np.pi * tau) ** (-n / 2.0) - 1.0)
-    return EntropyReport(mu, mu, w, f, mu_upper_bound(metric, u, tau),
+    return EntropyReport(mu, w, _upper_bound(metric, Sg, tau),
                          norm_defect, total_iters, any_converged)
 
 
@@ -331,6 +333,19 @@ class PositivityError(ValueError):
     pass
 
 
+def _lambda(geo: CoupledGeometry, C: float):
+    """S + C, checked positive, and the Lambda combination
+    (tr Xi |Sic|^2 - 2 (S + C) <Sic, Xi>) / (S + C)^2 of ``geo``."""
+    Sp = geo.S + C
+    if np.min(Sp) <= 0:
+        loc = np.unravel_index(int(np.argmin(Sp)), geo.grid.shape)
+        raise PositivityError(f"S + C must be positive; min {np.min(Sp):.6g} "
+                              f"at grid index {tuple(int(i) for i in loc)}")
+    tr_xi = np.einsum("ij...,ij...->...", geo.ginv, geo.xi)
+    sic_xi = np.einsum("ij...,ij...->...", geo.sic_up, geo.xi)
+    return Sp, (tr_xi * geo.sic_sq - 2.0 * Sp * sic_xi) / Sp ** 2
+
+
 def pinching_quantities(metric: MetricField, u: np.ndarray, alpha1: float,
                         C: float, gamma: float) -> dict:
     """Pointwise pinching ratios of the coupled curvature.
@@ -341,23 +356,14 @@ def pinching_quantities(metric: MetricField, u: np.ndarray, alpha1: float,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    grid = metric.grid
-    geo = CoupledGeometry(metric, u, alpha1)
-    Sp = geo.S + C
-    if np.min(Sp) <= 0:
-        loc = np.unravel_index(int(np.argmin(Sp)), grid.shape)
-        raise PositivityError(
-            f"S + C must be positive; min {np.min(Sp):.6g} at grid index {loc}")
-    sin_sq = norm_sq(geo.sin, metric, 0, 2)
-    sic_sq = norm_sq(geo.sic, metric, 0, 2)
     # Xi here carries the beta1 = beta2 = 0 specialization; lambda_bounds
     # accepts the couplings explicitly.
-    tr_xi = np.einsum("ij...,ij...->...", metric.inv, geo.xi)
-    sic_xi = np.einsum("ij...,ij...->...", geo.sic_up, geo.xi)
-    lam = (tr_xi * sic_sq - 2.0 * Sp * sic_xi) / Sp ** 2
+    geo = CoupledGeometry(metric, u, alpha1)
+    Sp, lam = _lambda(geo, C)
+    sin_sq = norm_sq(geo.sin, metric, 0, 2)
     return {
         "f_gamma": sin_sq / Sp ** gamma,
-        "f_ratio": sic_sq / Sp,
+        "f_ratio": geo.sic_sq / Sp,
         "lambda": lam,
         "sin_ratio": np.sqrt(sin_sq) / Sp,
         "S_plus_C": Sp,
@@ -374,17 +380,11 @@ def lambda_bounds(metric: MetricField, u: np.ndarray, alpha1: float, C: float,
     which one the integral estimates need).
     """
     geo = CoupledGeometry(metric, u, alpha1, beta1, beta2)
-    Sp = geo.S + C
-    if np.min(Sp) <= 0:
-        raise PositivityError("S + C must be positive")
+    Sp, lam = _lambda(geo, C)
     C0 = float(np.min(Sp))
-    sic_sq = norm_sq(geo.sic, metric, 0, 2)
-    f = sic_sq / Sp
+    f = geo.sic_sq / Sp
     hess_n = np.sqrt(geo.hess_sq)
     gsq = geo.grad_sq
-    tr_xi = np.einsum("ij...,ij...->...", metric.inv, geo.xi)
-    sic_xi = np.einsum("ij...,ij...->...", geo.sic_up, geo.xi)
-    lam = (tr_xi * sic_sq - 2.0 * Sp * sic_xi) / Sp ** 2
     b1, b2 = abs(beta1), abs(beta2)
     lower = (-hess_n ** 2 - 2.0 * b2 * gsq * (1.0 + f / C0)
              - 2.0 * b1 * (hess_n * gsq / C0) * f
@@ -420,7 +420,7 @@ def gbc_defect_coupled(metric: MetricField, u: np.ndarray, alpha1: float,
         raise ValueError("the curvature-integral defect is dimension-4 only")
     geo = CoupledGeometry(metric, u, alpha1)
     gsq, S = geo.grad_sq, geo.S
-    lhs = integrate(geo.sm_sq - 4.0 * norm_sq(geo.sic, metric, 0, 2) + S * S, metric)
+    lhs = integrate(geo.sm_sq - 4.0 * geo.sic_sq + S * S, metric)
     sic_du_du = np.einsum("ij...,i...,j...->...", geo.sic, geo.du_up, geo.du_up)
     rhs = (32.0 * np.pi ** 2 * chi
            + 6.5 * alpha1 ** 2 * integrate(gsq * gsq, metric)

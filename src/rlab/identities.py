@@ -136,7 +136,7 @@ def rhs_grad_sq(f: Frame):
 def rhs_S_direct(f: Frame):
     a1, b1, b2 = f.alpha1, f.beta1, f.beta2
     hess_du_du = np.einsum("ij...,i...,j...->...", f.hess, f.du_up, f.du_up)
-    return (2.0 * norm_sq(f.sic, f.metric, 0, 2) + 2.0 * a1 * f.lap_u ** 2
+    return (2.0 * f.sic_sq + 2.0 * a1 * f.lap_u ** 2
             - 2.0 * a1 * b2 * f.grad_sq - 4.0 * a1 * b1 * hess_du_du)
 
 

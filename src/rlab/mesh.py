@@ -5,8 +5,6 @@ Two domain kinds are supported:
 * periodic tori T^n (n = 1..4), the only domains on which time evolution
   and integration are performed;
 * open coordinate charts, used for static pointwise curvature tests only.
-  A chart carries a boundary collar of non-evaluable points whose width
-  grows by one layer per derivative applied (tracked by ``margin``).
 
 All fields store their components in structure-of-arrays layout: component
 indices first, the n grid axes last.  ``MetricField`` keeps g, its inverse
@@ -16,8 +14,8 @@ one transposed inverse would slow every contraction downstream of it (Gamma,
 Ric, Rm and every raised index).  The inverse and the determinant come in
 closed form from the cofactors of the component arrays.  Derivatives are
 second-order centered stencils; on a torus they wrap periodically, on a
-chart the collar cells contain wrap garbage and must be discarded via
-``interior``.
+chart each stencil applied leaves one boundary layer of wrap garbage, which
+``interior`` discards.
 """
 
 from __future__ import annotations
@@ -125,33 +123,13 @@ def grad_stack(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.stack([diff1(values, grid, a) for a in range(grid.n)])
 
 
-# --------------------------------------------------------------------------
-# fields
-
-@dataclass(frozen=True)
-class ScalarField:
-    grid: Grid
-    values: np.ndarray
-    margin: int = 0
-
-    def __post_init__(self):
-        if self.values.shape != self.grid.shape:
-            raise GridError("scalar values shape does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise GridError("scalar field contains non-finite values")
-
-
-def partial_derivative(fld: ScalarField, axis: int, order: int = 1) -> ScalarField:
-    """Coordinate derivative of a scalar field.
-
-    order 1/2 is a first/second centered difference; chart fields lose one
-    boundary layer of validity per application.
-    """
-    if order not in (1, 2):
-        raise GridError("derivative order must be 1 or 2")
-    op = diff1 if order == 1 else diff2
-    return ScalarField(fld.grid, op(fld.values, fld.grid, axis),
-                       margin=fld.margin + 1)
+def flat_divergence(stack: np.ndarray, grid: Grid) -> np.ndarray:
+    """sum_a d_a F^a of a stack whose first axis is the derivative axis (the
+    shape ``grad_stack`` returns); summed in axis order."""
+    out = np.zeros(stack.shape[1:])
+    for a in range(grid.n):
+        out += diff1(stack[a], grid, a)
+    return out
 
 
 def interior(values: np.ndarray, grid: Grid, margin: int) -> np.ndarray:
@@ -239,6 +217,5 @@ def integrate(values, metric: MetricField) -> float:
     """Integral over a closed torus: sum of value * sqrt(det g) * cell volume."""
     if metric.grid.kind != "torus":
         raise GridError("integration requires a torus grid (closed manifold)")
-    arr = values.values if isinstance(values, ScalarField) else np.asarray(values)
-    return float(np.sum(arr * metric.sqrt_det) * metric.grid.cell_volume)
+    return float(np.sum(np.asarray(values) * metric.sqrt_det) * metric.grid.cell_volume)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Grid, MetricField, ScalarField, build_grid
+from .mesh import Grid, MetricField, build_grid
 
 MAGIC = b"RLAB1"
 SYMMETRY_CODES = {"none": 0, "sym2": 1, "riemann-like": 2}
@@ -37,7 +37,7 @@ def _field_record(name: str, arr: np.ndarray, con: int, cov: int, sym: str) -> b
 
 def write_snapshot(path, grid: Grid, fields: dict, extra: dict | None = None):
     """Write named fields; values may be ndarrays (covariant rank inferred
-    from the shape), ScalarField, or MetricField."""
+    from the shape) or MetricField."""
     blob = bytearray()
     header = {"version": 1, "grid": grid.descriptor()}
     if extra:
@@ -46,8 +46,6 @@ def write_snapshot(path, grid: Grid, fields: dict, extra: dict | None = None):
     for name, fld in fields.items():
         if isinstance(fld, MetricField):
             records.append(_field_record(name, fld.values, 0, 2, "sym2"))
-        elif isinstance(fld, ScalarField):
-            records.append(_field_record(name, fld.values, 0, 0, "none"))
         else:
             arr = np.asarray(fld)
             rank = arr.ndim - grid.n

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import Grid, MetricField, diff1, diff2, grad_stack
+from .mesh import Grid, MetricField, diff1, diff2, flat_divergence, grad_stack
 
 _LETTERS = "bcdefgh"   # component index letters; 'a' reserved for the derivative
 
@@ -50,7 +50,7 @@ def christoffel(metric: MetricField) -> np.ndarray:
 
 def riemann_13(gamma: np.ndarray, grid: Grid) -> np.ndarray:
     """R^l_{ijk} from the connection coefficients (any connection)."""
-    dG = np.stack([diff1(gamma, grid, a) for a in range(grid.n)])  # [a,l,i,j]->d_a G^l_{ij}
+    dG = grad_stack(gamma, grid)                   # [a,l,i,j] -> d_a G^l_{ij}
     R = (np.moveaxis(dG, [0, 1, 2, 3], [1, 0, 2, 3])   # d_i G^l_{jk} -> [l,i,j,k]
          - np.moveaxis(dG, [0, 1, 2, 3], [2, 0, 1, 3]))
     R += np.einsum("pjk...,lip...->lijk...", gamma, gamma)
@@ -242,7 +242,7 @@ def weighted_connection_apply(metric: MetricField, u: np.ndarray,
                               X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """nabla^u_X Y = nabla_X Y - (Yu) X - (Xu) Y for vector fields X, Y."""
     f = Geometry(metric, u)
-    dY = np.stack([diff1(Y, f.grid, a) for a in range(f.grid.n)])   # dY[a,k]
+    dY = grad_stack(Y, f.grid)                     # dY[a,k]
     nabla_XY = (np.einsum("a...,ak...->k...", X, dY)
                 + np.einsum("kab...,a...,b...->k...", f.gamma, X, Y))
     Yu = np.einsum("a...,a...->...", Y, f.du)
@@ -256,22 +256,14 @@ def div_form_weighted_laplacian(metric: MetricField, u: np.ndarray) -> np.ndarra
     Equals (1/sqrt g) d_i(sqrt g g^{ij} e^u d_j u); its integral against
     dV telescopes to zero exactly on a periodic grid.
     """
-    grid = metric.grid
-    du = grad_stack(u, grid)
+    du = grad_stack(u, metric.grid)
     flux = metric.sqrt_det * np.exp(u) * np.einsum("ij...,j...->i...", metric.inv, du)
-    out = np.zeros(grid.shape)
-    for a in range(grid.n):
-        out += diff1(flux[a], grid, a)
-    return out / metric.sqrt_det
+    return flat_divergence(flux, metric.grid) / metric.sqrt_det
 
 
 def divergence(metric: MetricField, X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """div X = nabla_i X^i, with gamma the Christoffel symbols of ``metric``."""
-    grid = metric.grid
-    out = np.zeros(grid.shape)
-    for a in range(grid.n):
-        out += diff1(X[a], grid, a)
-    return out + np.einsum("iik...,k...->...", gamma, X)
+    return flat_divergence(X, metric.grid) + np.einsum("iik...,k...->...", gamma, X)
 
 
 # --------------------------------------------------------------------------
@@ -432,6 +424,10 @@ class CoupledGeometry(Geometry):
     @cached_property
     def sic_up(self):
         return raise_index(self.sic_mixed, self.metric, 0)
+
+    @cached_property
+    def sic_sq(self):       # |Sic|^2
+        return norm_sq(self.sic, self.metric, 0, 2)
 
     @cached_property
     def S(self):

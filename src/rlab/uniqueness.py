@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .flow import Trajectory
-from .mesh import Grid, integrate
+from .mesh import Grid, grad_stack, integrate
 from .tensor import Geometry, cov_d, norm_sq
 
 
@@ -182,14 +182,13 @@ def cutoff_eta(grid: Grid, B_const: float, T_total: float,
     xs = grid.coords()
     r2 = sum(x * x for x in xs)
     etas, resid = [], np.inf
-    from .mesh import diff1
     for t in ts:
         denom = T_total - cc * t
         if denom <= 0:
             raise ValueError("time window exceeded: T - c t must stay positive")
         eta = B_const * r2 / denom
         detadt = B_const * r2 * cc / denom ** 2
-        grad = np.stack([diff1(eta, grid, a) for a in range(grid.n)])
+        grad = grad_stack(eta, grid)
         gsq = np.einsum("a...,a...->...", grad, grad)
         inner = tuple(slice(1, -1) for _ in range(grid.n))
         resid = min(resid, float(np.min((detadt - B_const * gsq)[inner])))

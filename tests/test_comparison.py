@@ -327,3 +327,29 @@ def test_compare_stage_shares_one_geometry_per_instance(tmp_path, monkeypatch):
     write_verdicts_csv(tmp_path / "per_pair.csv", per_pair)
     assert ((tmp_path / "verdicts.csv").read_bytes()
             == (tmp_path / "per_pair.csv").read_bytes())
+
+
+def test_killing_tooling_builds_gamma_and_nabla_x_once(monkeypatch):
+    # L_X g is formed from the nabla X_flat each function already holds
+    import rlab.comparison as comparison
+    import rlab.tensor as tensor
+    counts = {"christoffel": 0, "cov_d": 0}
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for mod in (comparison, tensor):
+        monkeypatch.setattr(mod, "christoffel", counted("christoffel", tensor.christoffel))
+    monkeypatch.setattr(comparison, "cov_d", counted("cov_d", tensor.cov_d))
+    _, m, X = kc_product_t3(8)
+    u = np.zeros(m.grid.shape)
+    for call, per_call in ((lambda: killing_report(m, X), 1),
+                           (lambda: yano_defect(m, X), 1),
+                           (lambda: yano_oracle_factor(m, X), 2),
+                           (lambda: lemma57_defect(m, u, X), 1)):
+        counts.update(christoffel=0, cov_d=0)
+        call()
+        assert counts == {"christoffel": per_call, "cov_d": per_call}

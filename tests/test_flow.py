@@ -147,7 +147,7 @@ def test_run_monotonicity_and_volume_identity():
     # d/dt Vol = -int S dV at second order
     vol = np.array(traj.diagnostics["vol"])
     t = np.array(traj.diagnostics["t"])
-    dvol = (vol[2:] - vol[:-2]) / (t[2:] - t[:-2])
+    dvol = np.gradient(vol, t)[1:-1]     # second order also at the shortened last step
     intS = []
     for k in range(traj.nsnapshots):
         s = traj.state(k)
@@ -277,3 +277,25 @@ def test_diagnose_curvature_norms_match_tensor_norms():
             assert abs(row["max_rm"] - np.sqrt(np.max(rm_sq))) <= 1e-13 * row["max_rm"]
             assert abs(row["int_rm_sq"] - integrate(rm_sq, m)) <= 1e-13 * row["int_rm_sq"]
             assert abs(row["int_sm_sq"] - sm_sq) <= 1e-12 * sm_sq, (n, a1)
+
+
+@pytest.mark.parametrize("t_end, dt, nsteps", [(0.02, None, 4), (0.0105, 0.002, 6)])
+def test_run_lands_on_t_end(t_end, dt, nsteps):
+    # whole steps of dt, then one shortened step for the remainder
+    grid, m, u = random_instance(3, 16, 1)
+    traj = run(FlowState(grid, m, u), FlowParams(2.0), Schedule(t_end=t_end, dt=dt))
+    assert abs(traj.times[-1] - t_end) <= 1e-12
+    assert traj.state(traj.nsnapshots - 1).step_count == nsteps
+    assert len(traj.diagnostics["t"]) == nsteps + 1
+    # the last row adds int |Hess u|^2 times the step actually taken
+    last = traj.state(traj.nsnapshots - 1)
+    h = t_end - traj.times[-2]
+    row = _diagnose(last, reduce_parameters(FlowParams(2.0)),
+                    traj.diagnostics["int_hess_sq_cum"][-2], h)
+    assert row["int_hess_sq_cum"] == traj.diagnostics["int_hess_sq_cum"][-1]
+
+
+@pytest.mark.parametrize("t_end", [0.0, -0.01])
+def test_run_rejects_a_nonpositive_t_end(t_end):
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        run(flat_state(), FlowParams(2.0), Schedule(t_end=t_end, dt=1e-3))

@@ -118,6 +118,39 @@ def test_mu_lower_bound_with_user_sobolev():
     assert log_sobolev_constant(1.0, 4 * np.pi ** 2, 2, 1.0) > 0
 
 
+def test_one_grad_stack_per_evaluated_iterate(monkeypatch):
+    # the gradient of an accepted iterate reuses the dw of its evaluation
+    import rlab.functionals as fn
+    counts = {"grad_stack": 0, "eval": 0, "gradient": 0}
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fn, "grad_stack", counted("grad_stack", fn.grad_stack))
+    monkeypatch.setattr(fn, "_w_eval", counted("eval", fn._w_eval))
+    monkeypatch.setattr(fn, "_mu_gradient", counted("gradient", fn._mu_gradient))
+    grid, m, u = random_instance(2, 12, seed=321)
+    rep = mu_minimize(m, u, 0.8, OptimizerOpts(max_iter=30, nseeds=2))
+    # one gradient per seed and one per accepted iterate
+    assert counts["grad_stack"] == counts["eval"]
+    assert 2 <= counts["gradient"] <= rep.iterations + 2
+
+
+def test_mu_minimize_builds_one_ricci(monkeypatch):
+    # the upper bound reads the S that the minimizer already holds
+    import rlab.tensor as tensor
+    calls = []
+    real = tensor.ricci
+    monkeypatch.setattr(tensor, "ricci", lambda *a: calls.append(1) or real(*a))
+    grid, m, u = random_instance(2, 12, seed=321)
+    rep = mu_minimize(m, u, 0.8, OptimizerOpts(max_iter=5, nseeds=1))
+    assert len(calls) == 1
+    assert rep.upper_bound == mu_upper_bound(m, u, 0.8)
+
+
 def test_noncollapse_constants():
     out = noncollapse_constants(2, 0.0, 0.0, 1.0)
     assert out["C_n_r_bound"] == 4.0
@@ -203,6 +236,18 @@ def test_pinching_positivity_error_names_location():
     with pytest.raises(PositivityError) as e:
         pinching_quantities(m, np.zeros(g.shape), 2.0, -1.0, 2.0)
     assert "grid index" in str(e.value)
+
+
+def test_lambda_bounds_positivity_error_names_location():
+    g, m = flat2(16)
+    msgs = []
+    for call in (lambda: pinching_quantities(m, np.zeros(g.shape), 2.0, -1.0, 2.0),
+                 lambda: lambda_bounds(m, np.zeros(g.shape), 2.0, -1.0)):
+        with pytest.raises(PositivityError) as e:
+            call()
+        msgs.append(str(e.value))
+    assert "grid index (0, 0)" in msgs[0]
+    assert msgs[1] == msgs[0]
 
 
 def test_lambda_bounds_pointwise(manifest):

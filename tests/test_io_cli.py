@@ -278,6 +278,21 @@ def test_cli_metric_families(tmp_path):
     assert "family" in r.stderr
 
 
+def test_product_family_is_product_metric_of_trig_scalar():
+    from rlab.cli import build_from_config
+    from rlab.instances import product_metric, trig_scalar
+    terms = [{"amp": 0.2, "wave": [1, 0, 1], "kind": "cos"},
+             {"amp": -0.1, "wave": [0, 1, -1], "phase": 0.7}]
+    cfg = {"grid": {"kind": "torus", "n": 3, "resolutions": [8, 8, 8],
+                    "extents": [2 * np.pi] * 3},
+           "initial_data": {"metric": {"family": "product",
+                                       "diag": [1.3, terms, [terms[1]]]}}}
+    grid, metric, _ = build_from_config(validate(cfg))
+    ref = product_metric(grid, [1.3, lambda xs: 1.0 + trig_scalar(grid, terms),
+                                lambda xs: 1.0 + trig_scalar(grid, [terms[1]])])
+    assert np.array_equal(metric.values, ref.values)
+
+
 def test_cli_verify_two_level_family(tmp_path):
     # two resolutions: gated on the decrease ratio, no order in the report
     cfg = write_cfg(tmp_path, {"verify": {"identities": ["A.8"],

@@ -1,17 +1,20 @@
-"""The demos and scripts import only names that rlab defines.
+"""The demos, scripts and benchmark import only names that rlab defines.
 
 They are parsed, not run: ``scripts/calibrate_manifest.py`` rewrites
-``tests/manifest.json`` when it runs.
+``tests/manifest.json`` when it runs.  The benchmark's tracer also names
+private rlab functions, which must exist for its counters to read them.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = [p for d in ("demos", "scripts", "perfbench")
+           for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def rlab_imports(path):
@@ -28,7 +31,7 @@ def rlab_imports(path):
 
 
 def test_sources_found():
-    assert {p.parent.name for p in SOURCES} == {"demos", "scripts"}
+    assert {p.parent.name for p in SOURCES} == {"demos", "scripts", "perfbench"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -42,5 +45,18 @@ def test_rlab_names_imported_exist(path):
                 importlib.import_module(f"{module}.{name}")
             except ModuleNotFoundError:
                 missing.append(f"{module}.{name}")
-    assert imports, "no rlab import found"
+    if path.parent.name != "perfbench":    # run.py and workloads.py import no rlab
+        assert imports, "no rlab import found"
     assert not missing, missing
+
+
+def test_tracer_private_names_are_rlab_functions():
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    private = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["PRIVATE"])
+    assert private
+    for name in private:
+        layer, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"rlab.{layer}"), attr, None)
+        assert inspect.isfunction(fn), name
