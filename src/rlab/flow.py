@@ -5,7 +5,8 @@
 the (a1, 0, b1, b2) family; (2, 0, 0, 0) is the harmonic-map coupled flow
 and u == 0 reduces to Ricci flow.  Integration is ungauged explicit
 (euler or rk4) on near-flat torus data at desk scale; loss of positive
-definiteness aborts the run with a diagnostic snapshot.
+definiteness, or a non-finite potential, aborts the run with a diagnostic
+snapshot.
 """
 
 from __future__ import annotations
@@ -101,14 +102,18 @@ def cfl_dt(state: FlowState, safety: float,
 
 def _advance(state: FlowState, gdot, udot, dt, check=True) -> FlowState:
     m = MetricField(state.grid, state.metric.values + dt * gdot, check=check)
-    return FlowState(state.grid, m, state.u + dt * udot,
-                     state.t + dt, state.step_count + 1)
+    u = state.u + dt * udot
+    if check and not np.all(np.isfinite(u)):
+        raise BlowUpError(f"potential u not finite at t={state.t + dt:.6g}",
+                          state=state)
+    return FlowState(state.grid, m, u, state.t + dt, state.step_count + 1)
 
 
 def step(state: FlowState, params: FlowParams, dt: float,
          method: str = "rk4", geo: Geometry | None = None) -> FlowState:
-    """One explicit step; SPD is re-checked on the accepted state.  The first
-    stage reads ``geo``, the cached geometry of ``state``, when it is given."""
+    """One explicit step; SPD and the finiteness of u are checked on the
+    accepted state.  The first stage reads ``geo``, the cached geometry of
+    ``state``, when it is given."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     p = reduce_parameters(params)

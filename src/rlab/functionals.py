@@ -16,12 +16,27 @@ normalization into int w^2 dV = 1 and the functional into
 
     W = int [ tau (w^2 S + 4 |grad w|^2) - (2 ln w + (n/2) ln(4 pi tau) + n) w^2 ] dV,
 
-which is what the projected-gradient minimizer works on.  ``_w_eval`` is
-the one discrete W (both public evaluators call it, so they agree to
-rounding on normalized inputs); it hands the grad w and ln|w| it formed to
-``_mu_gradient``, the adjoint of its Dirichlet form, so each accepted
-iterate is differenced once.  mu is an upper estimate of the infimum;
-monotonicity checks carry optimizer-tolerance slack.
+which is what the minimizer works on.  ``_w_eval`` is the one discrete W
+(both public evaluators call it, so they agree to rounding on normalized
+inputs).  Its Dirichlet form int g^{ij} D_i w D_j w dV is compact: the
+average, over the 2^n choices of one-sided differences, of each choice's
+form.  Each choice's form is positive semidefinite with only constants in
+its kernel, so no w supported on one parity sublattice has zero energy, as
+it would under central differences.  The average puts the weight
+b_a = (a_aa + a_aa shifted by +e_a)/2, a = g^{-1} sqrt(g), on (D_a^+ w)^2
+and keeps the central product a_ij D_i^c w D_j^c w off the diagonal, since
+the sign choices of the two factors are independent.  ``_w_eval`` hands the
+fluxes it formed, and ln|w|, to ``_mu_gradient``, the form's exact adjoint,
+so each evaluated iterate is differenced once.
+
+``mu_minimize`` descends along the gradient preconditioned by
+P = (sigma mean sqrt(g) - 8 tau sum_a mean(g^{aa} sqrt g) D_a^+ D_a^-)^{-1},
+applied in Fourier space, projected P-orthogonally onto the tangent of the
+constraint, with Barzilai-Borwein steps measured in P^{-1} (Antoine, Levitt
+and Tang, J. Comput. Phys. 343, 2017).  The grid means make the iterates
+invariant under (tau g, tau).  A warm start runs beside the constant seed
+only; random seeds run on cold calls.  mu is an upper estimate of the
+infimum; monotonicity checks carry optimizer-tolerance slack.
 """
 
 from __future__ import annotations
@@ -30,8 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MetricField, flat_divergence, grad_stack, integrate
+from .mesh import MetricField, integrate
 from .tensor import CoupledGeometry, curvature, norm_sq
+
+SIGMA = 1.0     # weight of the mass term in the preconditioner
 
 
 def coupled_scalar(metric: MetricField, u: np.ndarray, alpha1: float = 2.0) -> np.ndarray:
@@ -46,27 +63,56 @@ def normalize_f(metric: MetricField, f: np.ndarray, tau: float) -> np.ndarray:
     return f + np.log(mass)
 
 
-def _w_eval(metric: MetricField, S: np.ndarray, w: np.ndarray, tau: float):
-    """W at a normalized w, with the pieces its L^2 gradient reuses:
-    (W, dw, ln|w|, c0), c0 = (n/2) ln(4 pi tau) + n."""
-    n = metric.grid.n
-    c0 = 0.5 * n * np.log(4.0 * np.pi * tau) + n
-    dw = grad_stack(w, metric.grid)
+def _form_weights(metric: MetricField):
+    """(b, a) of the compact Dirichlet form: b_a on (D_a^+ w)^2, and
+    a = g^{-1} sqrt(g) with its diagonal zeroed on D_i^c w D_j^c w."""
+    a = metric.inv * metric.sqrt_det
+    b = np.stack([0.5 * (a[i, i] + np.roll(a[i, i], -1, axis=i))
+                  for i in range(metric.grid.n)])
+    for i in range(metric.grid.n):
+        a[i, i] = 0.0
+    return b, a
+
+
+def _differences(w: np.ndarray, grid) -> tuple:
+    """The forward differences D_a^+ w and the central ones
+    D_a^c w = (D_a^+ w + D_a^- w)/2, each stacked along a new first axis."""
+    fwd = np.stack([(np.roll(w, -1, axis=a) - w) / h
+                    for a, h in enumerate(grid.spacing)])
+    cen = np.stack([0.5 * (fwd[a] + np.roll(fwd[a], 1, axis=a))
+                    for a in range(grid.n)])
+    return fwd, cen
+
+
+def _w_eval(metric: MetricField, S: np.ndarray, w: np.ndarray, tau: float,
+            form=None):
+    """W at a normalized w, with the pieces its gradient reuses:
+    (W, b D^+ w, a D^c w, ln|w|, c0), c0 = (n/2) ln(4 pi tau) + n.
+    ``form`` is ``_form_weights(metric)`` when the caller holds it."""
+    grid = metric.grid
+    b, a = form if form is not None else _form_weights(metric)
+    c0 = 0.5 * grid.n * np.log(4.0 * np.pi * tau) + grid.n
+    fwd, cen = _differences(w, grid)
+    flux_fwd = b * fwd
+    flux_cen = np.einsum("ij...,j...->i...", a, cen)
+    dirichlet = float(np.sum(flux_fwd * fwd) + np.sum(flux_cen * cen)) * grid.cell_volume
     lnw = np.log(np.maximum(np.abs(w), 1e-300))
-    wsq = w * w
-    dirichlet = integrate(np.einsum("ij...,i...,j...->...", metric.inv, dw, dw), metric)
-    W = (tau * integrate(S * wsq, metric) + 4.0 * tau * dirichlet
-         - integrate((2.0 * lnw + c0) * wsq, metric))
-    return W, dw, lnw, c0
+    W = integrate((tau * S - 2.0 * lnw - c0) * w * w, metric) + 4.0 * tau * dirichlet
+    return W, flux_fwd, flux_cen, lnw, c0
 
 
-def _mu_gradient(metric: MetricField, w, tau, S, dw, lnw, c0):
-    """L^2(dV) gradient of W at w, the adjoint of the Dirichlet form in
-    ``_w_eval`` built from the same dw and ln|w|."""
-    flux = np.einsum("ij...,j...->i...", metric.inv, dw) * metric.sqrt_det
-    div = flat_divergence(flux, metric.grid)
-    return (2.0 * tau * S * w - 8.0 * tau * div / metric.sqrt_det
-            - (4.0 * w * lnw + 2.0 * w + 2.0 * c0 * w))
+def _mu_gradient(metric: MetricField, w, tau, S, flux_fwd, flux_cen, lnw, c0):
+    """Flat gradient sqrt(g) grad W of ``_w_eval``'s W at w (dW/dw per cell
+    volume), from the fluxes and ln|w| it formed: the Dirichlet form's
+    adjoint is -2 D_i^-(b_i D_i^+ w) - 2 sum_{i != j} D_j^c(a_ij D_i^c w)."""
+    grid = metric.grid
+    div = np.zeros(grid.shape)
+    for i, h in enumerate(grid.spacing):
+        div += (flux_fwd[i] - np.roll(flux_fwd[i], 1, axis=i)) / h
+        div += (np.roll(flux_cen[i], -1, axis=i)
+                - np.roll(flux_cen[i], 1, axis=i)) / (2.0 * h)
+    return (metric.sqrt_det * w * (2.0 * tau * S - 4.0 * lnw - 2.0 - 2.0 * c0)
+            - 8.0 * tau * div)
 
 
 def w_entropy_w_form(metric: MetricField, u: np.ndarray, w: np.ndarray,
@@ -129,65 +175,99 @@ class EntropyReport:
 class OptimizerOpts:
     tol: float = 1e-8            # stop when the objective decrease falls below
     max_iter: int = 10_000
-    nseeds: int = 5              # constant + 4 random
+    nseeds: int = 5              # constant + 4 random, on cold calls only
     step0: float = 0.05
     seed: int = 1234
+
+
+def _preconditioner(metric: MetricField, tau: float):
+    """P for ``mu_minimize`` as a function of flat fields: the inverse of
+    the rfftn symbol of sigma mean(sqrt g) - 8 tau sum_a mean(g^{aa} sqrt g)
+    D_a^+ D_a^-, together with the symbol's own action P^{-1}."""
+    grid = metric.grid
+    axes = tuple(range(grid.n))
+    symbol = SIGMA * float(np.mean(metric.sqrt_det))
+    for a, (res, h) in enumerate(zip(grid.shape, grid.spacing)):
+        freq = np.fft.rfftfreq(res) if a == grid.n - 1 else np.fft.fftfreq(res)
+        lam = (2.0 * np.sin(np.pi * freq) / h) ** 2
+        weight = 8.0 * tau * float(np.mean(metric.inv[a, a] * metric.sqrt_det))
+        symbol = symbol + weight * lam.reshape([-1 if b == a else 1 for b in axes])
+
+    def times(factor):
+        return lambda x: np.fft.irfftn(np.fft.rfftn(x, axes=axes) * factor,
+                                       s=grid.shape, axes=axes)
+
+    return times(1.0 / symbol), times(symbol)
 
 
 def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
                 opts: OptimizerOpts = OptimizerOpts(),
                 warm_start: np.ndarray | None = None) -> EntropyReport:
-    """Projected gradient descent on w with int w^2 dV = 1.
+    """Preconditioned projected gradient descent on w with int w^2 dV = 1.
 
-    Runs from the constant seed and ``nseeds - 1`` random positive seeds
-    (plus an optional warm-start seed, used when tracking the minimizer
-    along a flow); keeps the best.  Fixed step with backtracking; iterates
-    are renormalized each step.
+    Runs from the constant seed and, on a cold call, ``nseeds - 1`` random
+    positive seeds; with a ``warm_start`` (the previous minimizer, when
+    tracking it along a flow) only from the constant seed and the warm
+    start.  Keeps the best.  Each step moves along P grad W, projected
+    P-orthogonally onto the constraint's tangent, with a Barzilai-Borwein
+    step <s, P^{-1} s> / <s, y> safeguarded by backtracking; iterates are
+    made positive and renormalized each step.  A seed stops after five
+    steps in a row that lower W by less than ``tol`` (relative), or when
+    backtracking finds no decrease.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     grid = metric.grid
     n = grid.n
     Sg = coupled_scalar(metric, u)
-    rng = np.random.default_rng(opts.seed)
+    form = _form_weights(metric)
+    precondition, unprecondition = _preconditioner(metric, tau)
 
     def normalize(w):
         return w / np.sqrt(integrate(w * w, metric))
 
+    def descent(w, parts):
+        """The projected flat gradient q and the direction P q, with q the
+        flat gradient less the multiple of the constraint's normal
+        sqrt(g) w that makes P q tangent."""
+        r = _mu_gradient(metric, w, tau, Sg, *parts)
+        v = metric.sqrt_det * w
+        pr, pv = precondition(r), precondition(v)
+        alpha = float(np.sum(v * pr)) / float(np.sum(v * pv))
+        return r - alpha * v, pr - alpha * pv
+
     seeds = [np.ones(grid.shape)]
-    for _ in range(opts.nseeds - 1):
-        seeds.append(1.0 + 0.5 * rng.random(grid.shape))
     if warm_start is not None:
         seeds.append(np.abs(warm_start) + 1e-300)
-    cellw = metric.sqrt_det * grid.cell_volume
+    else:
+        rng = np.random.default_rng(opts.seed)
+        seeds += [1.0 + 0.5 * rng.random(grid.shape) for _ in range(opts.nseeds - 1)]
 
     best = None
     total_iters = 0
     any_converged = False
     for w0 in seeds:
         w = normalize(w0)
-        e, *parts = _w_eval(metric, Sg, w, tau)
-        grad = _mu_gradient(metric, w, tau, Sg, *parts)
-        grad -= integrate(grad * w, metric) * w
+        e, *parts = _w_eval(metric, Sg, w, tau, form)
+        q, d = descent(w, parts)
         step = opts.step0
         converged = False
         it = 0
         stall = 0
-        w_prev = grad_prev = None
+        w_prev = q_prev = None
         while it < opts.max_iter:
             it += 1
             if w_prev is not None:
-                # spectral (Barzilai-Borwein) step, safeguarded by backtracking
-                s = (w - w_prev) * cellw
-                sy = float(np.sum(s * (grad - grad_prev)))
-                ss = float(np.sum(s * (w - w_prev)))
+                s = w - w_prev
+                sy = float(np.sum(s * (q - q_prev)))
                 if sy > 1e-30:
+                    ss = float(np.sum(s * unprecondition(s)))
                     step = min(max(ss / sy, 1e-6), 1e3)
             trial_step = step
             improved = False
             for _ in range(40):
-                wt = normalize(np.abs(w - trial_step * grad) + 1e-300)
-                et, *trial_parts = _w_eval(metric, Sg, wt, tau)
+                wt = normalize(np.abs(w - trial_step * d) + 1e-300)
+                et, *trial_parts = _w_eval(metric, Sg, wt, tau, form)
                 if et < e:
                     improved = True
                     break
@@ -196,10 +276,9 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
                 converged = True
                 break
             decrease = e - et
-            w_prev, grad_prev = w, grad
-            w, e, parts = wt, et, trial_parts
-            grad = _mu_gradient(metric, w, tau, Sg, *parts)
-            grad -= integrate(grad * w, metric) * w
+            w_prev, q_prev = w, q
+            w, e = wt, et
+            q, d = descent(w, trial_parts)
             if decrease < opts.tol * max(1.0, abs(e)):
                 stall += 1
                 if stall >= 5:

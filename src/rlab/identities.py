@@ -5,10 +5,12 @@ Every identity is registered as Q and RHS callables over a per-snapshot
 ``uniqueness.DiffBundle`` of two Frames.  For heat-operator identities the
 residual is
 
-    (d/dt Q by centered snapshot differencing) - (rough Laplacian of Q) - RHS,
+    (d/dt Q by snapshot differencing) - (rough Laplacian of Q) - RHS,
 
 with the time derivative taken componentwise at fixed coordinates and the
-Laplacian/RHS evaluated at the middle snapshot.  Identities marked
+Laplacian/RHS evaluated at the middle snapshot.  The difference is
+centered on evenly spaced snapshots and the three-point nonuniform one
+next to a shortened step, second order either way.  Identities marked
 ``time_only`` compare d/dt Q against an RHS that already contains any
 Laplacian.  Each identity also carries a mutation (sign-flipped RHS) used
 as a negative control: the mutated residual must stay O(1) under
@@ -222,7 +224,7 @@ def bound_rm13(f: Frame):
     dd_ric = cov_d(f.grad_ric, f.grid, f.gamma, 0, 3)
     rmn = max_norm(f.rm4, m, 0, 4)
     return (max_norm(dd_ric, m, 0, 4) + max_norm(f.ric, m, 0, 2) * rmn
-            + float(np.max(norm_sq(f.hess, m, 0, 2)))
+            + float(np.max(f.hess_sq))
             + rmn * float(np.max(f.grad_sq)))
 
 
@@ -343,7 +345,12 @@ def residual_field(traj: Trajectory, ident: Identity, t_index: int,
     q = QUANTITIES[ident.quantity]
     Qm, con, cov = q(fm)
     Qp = q(fp)[0]
-    res = (Qp - Qm) / (fp.t - fm.t)
+    hm, hp = f0.t - fm.t, fp.t - f0.t
+    if abs(hp - hm) <= 1e-9 * (hp + hm):        # even spacing: centered
+        res = (Qp - Qm) / (fp.t - fm.t)
+    else:                                        # second order on uneven spacing
+        res = ((hm * hm * Qp - hp * hp * Qm + (hp * hp - hm * hm) * q(f0)[0])
+               / (hm * hp * (hm + hp)))
     if ident.rhs is not None:
         rhs = ident.rhs(f0)
         res = res - (-rhs if mutate else rhs)

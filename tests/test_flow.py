@@ -179,6 +179,26 @@ def test_blowup_abort_records_snapshot():
     assert traj.nsnapshots >= 1
 
 
+def test_non_finite_u_aborts_run(monkeypatch):
+    # a right-hand side whose udot turns infinite from t = 0.0045 on, with a
+    # finite (zero) metric velocity: the step onto t = 0.006 must end the
+    # run with a reason that names u and t
+    import rlab.flow as flow
+
+    def rhs(state, params, geo=None):
+        udot = np.full(state.grid.shape, np.inf if state.t >= 4.5e-3 else 0.0)
+        return np.zeros_like(state.metric.values), udot
+
+    monkeypatch.setattr(flow, "flow_rhs", rhs)
+    for diagnostics in (False, True):
+        traj = run(curved_state(16), FlowParams(2.0),
+                   Schedule(t_end=0.01, dt=2e-3, diagnostics=diagnostics))
+        assert traj.aborted is not None
+        assert "potential u not finite" in traj.aborted and "t=0.006" in traj.aborted
+        assert traj.times == pytest.approx([0.0, 0.002, 0.004])
+        assert all(np.all(np.isfinite(s.u)) for s in traj.states)
+
+
 def test_trajectory_states_carry_their_step_counts():
     traj = run(curved_state(16), FlowParams(2.0),
                Schedule(t_end=0.007, dt=1e-3, cadence=3, diagnostics=False))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,10 +120,119 @@ def test_mu_lower_bound_with_user_sobolev():
     assert log_sobolev_constant(1.0, 4 * np.pi ** 2, 2, 1.0) > 0
 
 
-def test_one_grad_stack_per_evaluated_iterate(monkeypatch):
-    # the gradient of an accepted iterate reuses the dw of its evaluation
+def test_mu_flat_torus_equals_bound():
+    # two-sided: at tau = 1 the flat 16^2 torus has tau lambda_1 >= 1/2, so
+    # the constant is the minimizer and mu equals the bound
+    g, m = flat2(16)
+    u = np.zeros(g.shape)
+    rep = mu_minimize(m, u, 1.0, FAST_OPTS)
+    assert abs(rep.mu - mu_upper_bound(m, u, 1.0)) <= 1e-6
+
+
+def test_mu_refines_with_the_grid():
+    # mu of one instance converges as h -> 0, and stays close below its bound
+    mus = []
+    for res in (8, 16, 32):
+        grid, m, u = random_instance(2, res, 777)
+        rep = mu_minimize(m, u, 0.5, FAST_OPTS)
+        assert rep.mu <= rep.upper_bound
+        mus.append(rep.mu)
+    d1, d2 = abs(mus[1] - mus[0]), abs(mus[2] - mus[1])
+    assert np.log2(d1 / d2) >= 1.5
+    assert d2 < 2e-3
+
+
+def test_mu_gradient_matches_finite_differences():
+    # the flat gradient is the exact adjoint of the compact Dirichlet form
     import rlab.functionals as fn
-    counts = {"grad_stack": 0, "eval": 0, "gradient": 0}
+    rng = np.random.default_rng(3)
+    for n, res in ((2, 12), (3, 8)):
+        grid, m, u = random_instance(n, res, 5)
+        S = fn.coupled_scalar(m, u)
+        w = 1.0 + 0.3 * rng.random(grid.shape)
+        _, *parts = fn._w_eval(m, S, w, 0.7)
+        grad = grid.cell_volume * fn._mu_gradient(m, w, 0.7, S, *parts)
+        eps = 1e-6
+        for _ in range(10):
+            idx = tuple(int(i) for i in rng.integers(0, res, n))
+            wp, wm = w.copy(), w.copy()
+            wp[idx] += eps
+            wm[idx] -= eps
+            fd = (fn._w_eval(m, S, wp, 0.7)[0] - fn._w_eval(m, S, wm, 0.7)[0]) / (2 * eps)
+            assert abs(fd - grad[idx]) <= 1e-6 * np.max(np.abs(grad))
+
+
+def _plain_bb_mu(m, u, tau, opts):
+    """mu by plain projected Barzilai-Borwein descent on the same compact
+    form, from the constant seed: the L^2(dV) gradient, no preconditioner,
+    the same backtracking and stall rule."""
+    import rlab.functionals as fn
+    S = fn.coupled_scalar(m, u)
+    cellw = m.sqrt_det * m.grid.cell_volume
+
+    def normalize(w):
+        return w / np.sqrt(integrate(w * w, m))
+
+    def gradient(w, parts):
+        g = fn._mu_gradient(m, w, tau, S, *parts) / m.sqrt_det
+        return g - integrate(g * w, m) * w
+
+    w = normalize(np.ones(m.grid.shape))
+    e, *parts = fn._w_eval(m, S, w, tau)
+    g = gradient(w, parts)
+    step, stall, w_prev, g_prev = opts.step0, 0, None, None
+    for _ in range(opts.max_iter):
+        if w_prev is not None:
+            s = (w - w_prev) * cellw
+            sy = float(np.sum(s * (g - g_prev)))
+            if sy > 1e-30:
+                step = min(max(float(np.sum(s * (w - w_prev))) / sy, 1e-6), 1e3)
+        trial = step
+        for _ in range(40):
+            wt = normalize(np.abs(w - trial * g) + 1e-300)
+            et, *trial_parts = fn._w_eval(m, S, wt, tau)
+            if et < e:
+                break
+            trial *= 0.5
+        else:
+            break
+        decrease = e - et
+        w_prev, g_prev = w, g
+        w, e = wt, et
+        g = gradient(w, trial_parts)
+        stall = stall + 1 if decrease < opts.tol * max(1.0, abs(e)) else 0
+        if stall >= 5:
+            break
+    return e
+
+
+def test_preconditioned_mu_not_above_plain_bb():
+    # the preconditioner only speeds the descent: on every instance the
+    # returned mu is no higher than plain BB's on the same form and rule
+    for n, res, seed in ((2, 12, 12), (2, 12, 15), (2, 16, 12), (2, 16, 15),
+                         (3, 10, 12), (3, 10, 13)):
+        grid, m, u = random_instance(n, res, seed)
+        tau = 0.5 + 0.25 * (seed % 3)
+        rep = mu_minimize(m, u, tau, replace(FAST_OPTS, nseeds=1))
+        assert rep.mu <= _plain_bb_mu(m, u, tau, FAST_OPTS) + 1e-10, (n, res, seed)
+
+
+def test_warm_start_runs_no_random_seeds():
+    # with a warm start only it and the constant seed run, whatever nseeds
+    grid, m, u = random_instance(2, 12, seed=12)
+    cold = mu_minimize(m, u, 0.75, FAST_OPTS)
+    a = mu_minimize(m, u, 0.75, replace(FAST_OPTS, nseeds=1), warm_start=cold.w)
+    b = mu_minimize(m, u, 0.75, replace(FAST_OPTS, nseeds=7, seed=99),
+                    warm_start=cold.w)
+    assert a.mu == b.mu and a.iterations == b.iterations
+    assert a.mu <= cold.mu + 1e-12
+
+
+def test_one_difference_pass_per_evaluated_iterate(monkeypatch):
+    # the gradient of an accepted iterate reuses the differences of its
+    # evaluation, so w is differenced once per evaluation and never more
+    import rlab.functionals as fn
+    counts = {"diff": 0, "eval": 0, "gradient": 0}
 
     def counted(key, real):
         def wrapper(*args, **kwargs):
@@ -129,13 +240,13 @@ def test_one_grad_stack_per_evaluated_iterate(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fn, "grad_stack", counted("grad_stack", fn.grad_stack))
+    monkeypatch.setattr(fn, "_differences", counted("diff", fn._differences))
     monkeypatch.setattr(fn, "_w_eval", counted("eval", fn._w_eval))
     monkeypatch.setattr(fn, "_mu_gradient", counted("gradient", fn._mu_gradient))
     grid, m, u = random_instance(2, 12, seed=321)
     rep = mu_minimize(m, u, 0.8, OptimizerOpts(max_iter=30, nseeds=2))
     # one gradient per seed and one per accepted iterate
-    assert counts["grad_stack"] == counts["eval"]
+    assert counts["diff"] == counts["eval"]
     assert 2 <= counts["gradient"] <= rep.iterations + 2
 
 

@@ -129,6 +129,22 @@ def test_residual_translation_invariance():
         assert abs(a.l2_res - b.l2_res) < 1e-11 * max(a.l2_res, 1e-30)
 
 
+def test_time_derivative_second_order_next_to_a_shortened_step():
+    # t_end = 5.5 dt ends on a half step; A.10 is exact in space, so its
+    # residual at the snapshot before that step is the d/dt error alone, and
+    # it must fall as dt^2 (a centered difference would fall as dt)
+    g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
+    m, u0 = verification_initial_data(g)
+    res = []
+    for dt in (4e-3, 2e-3, 1e-3):
+        traj = run(FlowState(g, m, u0), RHF,
+                   Schedule(t_end=5.5 * dt, dt=dt, diagnostics=False))
+        k = traj.nsnapshots - 2
+        assert traj.times[k + 1] - traj.times[k] < 0.6 * dt
+        res.append(evaluate_identity(traj, "A.10", k).max_res)
+    assert res[0] / res[1] > 3.0 and res[1] / res[2] > 3.0, res
+
+
 def test_residual_field_public_api(rhf_runs):
     # a user-supplied RHS for a registered quantity: the gradient-squared identity
     traj = rhf_runs[16]
