@@ -19,7 +19,7 @@ from .mesh import (Grid, MetricField, SPDError, build_grid, flat_metric,
 from .tensor import (CoupledGeometry, Geometry, christoffel, curvature,
                      weighted_connection_apply)
 from .flow import (BlowUpError, FlowParams, FlowState, Schedule, Trajectory,
-                   cfl_dt, flow_rhs, is_regular, reduce_parameters, run, step)
+                   cfl_dt, flow_rhs, is_regular, run, step)
 
 __all__ = [
     "Grid", "MetricField", "SPDError",
@@ -27,6 +27,6 @@ __all__ = [
     "Geometry", "CoupledGeometry", "christoffel", "curvature",
     "weighted_connection_apply",
     "FlowParams", "FlowState", "Schedule", "Trajectory", "BlowUpError",
-    "cfl_dt", "flow_rhs", "is_regular", "reduce_parameters", "run", "step",
+    "cfl_dt", "flow_rhs", "is_regular", "run", "step",
     "__version__",
 ]

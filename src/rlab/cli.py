@@ -62,10 +62,10 @@ def build_from_config(cfg, res_override=None):
 
 
 def flow_params_from(cfg):
-    from .flow import FlowParams, reduce_parameters
+    from .flow import FlowParams
     f = cfg.get("flow", {})
-    return reduce_parameters(FlowParams(f.get("alpha1", 2.0), f.get("alpha2", 0.0),
-                                        f.get("beta1", 0.0), f.get("beta2", 0.0)))
+    return FlowParams(f.get("alpha1", 2.0), f.get("alpha2", 0.0),
+                      f.get("beta1", 0.0), f.get("beta2", 0.0))
 
 
 def schedule_from(cfg):
@@ -105,10 +105,14 @@ def stage_run(cfg, out: Path, checks, outputs):
 
 def verify_entries(cfg):
     """(entry, identity id, negative control) for each ``verify.identities``
-    entry; a ConfigError names the first entry the verify stage cannot run."""
+    entry; a ConfigError names the first entry the verify stage cannot run,
+    or ``schedule.dt`` unless it is a number, which each level rescales."""
     from .config import ConfigError
     from .identities import REGISTRY
 
+    if cfg.get("schedule", {}).get("dt") is None:
+        raise ConfigError("schedule.dt: the verify stage needs a number, which it "
+                          "rescales to each level; null or absent is not accepted")
     entries = []
     for entry in cfg.get("verify", {}).get("identities", ["A.8", "A.9"]):
         base, sep, tag = str(entry).partition(":")
@@ -136,11 +140,10 @@ def stage_verify(cfg, out: Path, checks, outputs):
     params = flow_params_from(cfg)
     sched = schedule_from(cfg)
     base_res = cfg["grid"]["resolutions"][0]
-    base_dt = sched.dt if sched.dt is not None else 2e-3
     levels = []
     for res in resolutions:
         grid, metric, u0 = build_from_config(cfg, res)
-        dt = base_dt * (base_res / res) ** 2
+        dt = sched.dt * (base_res / res) ** 2
         sched_r = Schedule(t_end=sched.t_end, dt=dt, cadence=1,
                            method=sched.method, diagnostics=False)
         traj = run(FlowState(grid, metric, u0), params, sched_r)
@@ -267,6 +270,7 @@ def stage_constants(cfg, out: Path, checks, outputs):
                               dimension4_bound_constants)
     c = cfg.get("constants", {})
     n = cfg["grid"]["n"]
+    p = flow_params_from(cfg)
     est = EstimateConstants(K=c.get("K", 0.0), L=c.get("L", 0.0),
                             P=c.get("P", 0.0), rho=c.get("rho", 1.0),
                             D=c.get("D", 0.0), A=c.get("A", 0.0),
@@ -280,11 +284,8 @@ def stage_constants(cfg, out: Path, checks, outputs):
         "delta_u_bound": delta_u_bound(n, est.K, 0.0, est.C_user),
         "log_sobolev_C": log_sobolev_constant(1.0, 1.0, max(n, 2), est.C_s_user),
         "dimension4_bounds": dimension4_bound_constants(
-            cfg.get("flow", {}).get("alpha1", 2.0),
-            cfg.get("flow", {}).get("beta1", 0.0),
-            cfg.get("flow", {}).get("beta2", 0.0),
-            c.get("A1", 1.0), c.get("C", 2.0), c.get("C0", 1.0),
-            1.0, c.get("chi", 0.0)),
+            p.alpha1, p.beta1, p.beta2, c.get("A1", 1.0), c.get("C", 2.0),
+            c.get("C0", 1.0), 1.0, c.get("chi", 0.0)),
     }
     (out / "constants.json").write_text(json.dumps(table, indent=1, sort_keys=True))
     outputs.append("constants.json")
@@ -317,7 +318,7 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
         if not selected:
             selected = ["run"]
     if "verify" in selected:
-        verify_entries(cfg)             # reject a bad entry before any stage runs
+        verify_entries(cfg)             # reject a bad entry or dt before any stage runs
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks, outputs, abort_reason = {}, [], None

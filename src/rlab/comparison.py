@@ -27,6 +27,7 @@ from .tensor import (Geometry, christoffel, cov_d, div_form_weighted_laplacian,
 
 KILLING_TOL = 1e-6
 CONST_NORM_TOL = 1e-8
+C0_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,10 +118,10 @@ def killing_report(metric: MetricField, X: np.ndarray) -> KillingReport:
 # --------------------------------------------------------------------------
 # weights
 
-def solve_c0(tol: float = 1e-12) -> float:
-    """The root of c ln c = 1 on (1, infinity), by bisection."""
+def solve_c0() -> float:
+    """The root of c ln c = 1 on (1, infinity), by bisection to C0_TOL."""
     lo, hi = 1.0, 2.0
-    while hi - lo > tol:
+    while hi - lo > C0_TOL:
         mid = 0.5 * (lo + hi)
         if mid * np.log(mid) < 1.0:
             lo = mid
@@ -153,9 +154,14 @@ def _weight_values(metric: MetricField, u: np.ndarray, weight: str) -> np.ndarra
 SCALAR_PAIRS = ("RL_vs_R", "R_vs_RWY", "R_eq_RWY_e^u")
 
 
+def _tolerance(metric: MetricField) -> float:
+    """10 h^2 Vol, the discretization slack of every ordering verdict."""
+    h2 = max(metric.grid.spacing) ** 2
+    return 10.0 * h2 * integrate(np.ones(metric.grid.shape), metric)
+
+
 def scalar_order(metric: MetricField, u: np.ndarray, which_pair: str,
-                 weight: str = "volume", tol_scale: float | None = None,
-                 geo: Geometry | None = None) -> OrderVerdict:
+                 weight: str = "volume", geo: Geometry | None = None) -> OrderVerdict:
     """Weighted integral comparison of the scalar-curvature variants.  ``geo``
     is the cached geometry of (metric, u) when the caller already has one."""
     if metric.grid.kind != "torus":
@@ -166,9 +172,7 @@ def scalar_order(metric: MetricField, u: np.ndarray, which_pair: str,
     geo = geo if geo is not None else Geometry(metric, u)
     R = np.einsum("jk...,jk...->...", metric.inv, geo.ric_ref)
     mu = _weight_values(metric, u, "e^u" if which_pair == "R_eq_RWY_e^u" else weight)
-    h2 = max(metric.grid.spacing) ** 2
-    vol = integrate(np.ones(metric.grid.shape), metric)
-    tol = tol_scale if tol_scale is not None else 10.0 * h2 * vol
+    tol = _tolerance(metric)
     if which_pair == "RL_vs_R":
         ric_l = geo.ric_ref - 2.0 * np.einsum("i...,j...->ij...", geo.du, geo.du)
         R_l = np.einsum("jk...,jk...->...", metric.inv, ric_l)
@@ -190,8 +194,7 @@ RICCI_VARIANTS = ("L_vs_Ric", "Ric_vs_WY", "Ric_vs_WYhat")
 
 
 def ricci_order(metric: MetricField, u: np.ndarray, X: np.ndarray,
-                variant: str, weight: str = "volume",
-                tol_scale: float | None = None) -> OrderVerdict:
+                variant: str, weight: str = "volume") -> OrderVerdict:
     """Weighted comparison of Ric-variant quadratic forms along X.
 
     The Killing-restricted variants require both flags of killing_report;
@@ -211,9 +214,7 @@ def ricci_order(metric: MetricField, u: np.ndarray, X: np.ndarray,
                              f"(variance = {rep.norm_sq_variance:.3e})")
     geo = Geometry(metric, u)       # Gamma-form traces, as in scalar_order
     mu = _weight_values(metric, u, weight)
-    h2 = max(metric.grid.spacing) ** 2
-    vol = integrate(np.ones(metric.grid.shape), metric)
-    tol = tol_scale if tol_scale is not None else 10.0 * h2 * vol
+    tol = _tolerance(metric)
     def quad(T):
         return integrate(np.einsum("ij...,i...,j...->...", T, X, X) * mu, metric)
     if variant == "L_vs_Ric":

@@ -71,6 +71,10 @@ def validate(config: dict) -> dict:
     for key in ("kind", "n", "resolutions", "extents"):
         if key not in g:
             raise ConfigError(f"grid.{key}: required key missing")
+    sched = config.get("schedule", {})
+    if "safety" in sched and sched.get("dt") is not None:
+        raise ConfigError("schedule.safety: no effect next to a numeric schedule.dt; "
+                          "it scales the step bound only when dt is null")
     return config
 
 

@@ -12,7 +12,7 @@ snapshot.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,24 +24,19 @@ DIAG_COLUMNS = ("t", "max_rm", "max_grad_u_sq", "min_Sg", "vol",
                 "int_rm_sq", "int_sm_sq")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FlowParams:
+    """(a1, a2, b1, b2) of the generalized flow, stored reduced: the a2 term
+    is exactly a shift of b1, so only (a1, b1 - a2, b2) is kept."""
     alpha1: float
-    alpha2: float = 0.0
-    beta1: float = 0.0
-    beta2: float = 0.0
-    reduced: bool = False
+    beta1: float
+    beta2: float
 
-    def astuple(self):
-        return (self.alpha1, self.alpha2, self.beta1, self.beta2)
-
-
-def reduce_parameters(params: FlowParams) -> FlowParams:
-    """(a1, a2, b1, b2) -> (a1, 0, b1 - a2, b2); idempotent."""
-    if params.reduced or params.alpha2 == 0.0:
-        return replace(params, alpha2=0.0, reduced=True)
-    return FlowParams(params.alpha1, 0.0, params.beta1 - params.alpha2,
-                      params.beta2, reduced=True)
+    def __init__(self, alpha1: float, alpha2: float = 0.0, beta1: float = 0.0,
+                 beta2: float = 0.0):
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "beta1", beta1 - alpha2)
+        object.__setattr__(self, "beta2", beta2)
 
 
 def is_regular(params: FlowParams, c0: float) -> bool:
@@ -53,8 +48,7 @@ def is_regular(params: FlowParams, c0: float) -> bool:
     """
     if not c0 > 0:
         raise ValueError("c0 must be positive")
-    p = reduce_parameters(params)
-    a1, b1, b2 = p.alpha1, p.beta1, p.beta2
+    a1, b1, b2 = params.alpha1, params.beta1, params.beta2
     if b2 <= 0:
         return a1 >= b1 * b1
     return (b2 / c0 + b1 * b1 >= a1) and (a1 > b1 * b1)
@@ -76,10 +70,8 @@ class BlowUpError(RuntimeError):
 
 
 def flow_rhs(state: FlowState, params: FlowParams, geo: Geometry | None = None):
-    """Right-hand sides (dg/dt, du/dt); params must be reduced.  ``geo`` is
-    the cached geometry of ``state`` when the caller already has one."""
-    if not params.reduced:
-        raise ValueError("flow_rhs requires reduced parameters")
+    """Right-hand sides (dg/dt, du/dt).  ``geo`` is the cached geometry of
+    ``state`` when the caller already has one."""
     geo = geo if geo is not None else Geometry(state.metric, state.u)
     du = geo.du
     gdot = -2.0 * geo.ric + 2.0 * params.alpha1 * np.einsum("i...,j...->ij...", du, du)
@@ -116,19 +108,18 @@ def step(state: FlowState, params: FlowParams, dt: float,
     ``state``, when it is given."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    p = reduce_parameters(params)
     try:
         if method == "euler":
-            gdot, udot = flow_rhs(state, p, geo)
+            gdot, udot = flow_rhs(state, params, geo)
             return _advance(state, gdot, udot, dt)
         if method == "rk4":
-            k1g, k1u = flow_rhs(state, p, geo)
+            k1g, k1u = flow_rhs(state, params, geo)
             s2 = _advance(state, k1g, k1u, 0.5 * dt, check=False)
-            k2g, k2u = flow_rhs(s2, p)
+            k2g, k2u = flow_rhs(s2, params)
             s3 = _advance(state, k2g, k2u, 0.5 * dt, check=False)
-            k3g, k3u = flow_rhs(s3, p)
+            k3g, k3u = flow_rhs(s3, params)
             s4 = _advance(state, k3g, k3u, dt, check=False)
-            k4g, k4u = flow_rhs(s4, p)
+            k4g, k4u = flow_rhs(s4, params)
             gdot = (k1g + 2 * k2g + 2 * k3g + k4g) / 6.0
             udot = (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
             return _advance(state, gdot, udot, dt)
@@ -218,12 +209,11 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
     """Integrate to t_end, recording snapshots and per-step diagnostics."""
     if not schedule.t_end > 0:
         raise ValueError(f"t_end must be positive, got {schedule.t_end!r}")
-    p = reduce_parameters(params)
     # one geometry per accepted state, shared by its diagnostics row, the
     # initial step bound and the first stage of the step that leaves it
-    geo = CoupledGeometry(initial_state.metric, initial_state.u, p.alpha1)
+    geo = CoupledGeometry(initial_state.metric, initial_state.u, params.alpha1)
     c0 = float(np.max(geo.grad_sq))
-    if c0 > 0 and not is_regular(p, c0):
+    if c0 > 0 and not is_regular(params, c0):
         warnings.warn("flow parameters are not regular; gradient bound not guaranteed",
                       RuntimeWarning)
     dt = (schedule.dt if schedule.dt is not None
@@ -237,28 +227,28 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
         whole = int(ratio)
     nsteps = whole + short
     t_end = initial_state.t + schedule.t_end
-    traj = Trajectory(initial_state.grid, p, dt)
+    traj = Trajectory(initial_state.grid, params, dt)
     state = initial_state
     cum_hess = 0.0
     traj.record(state)
     if schedule.diagnostics:
-        row = _diagnose(state, p, cum_hess, 0.0, geo)
+        row = _diagnose(state, params, cum_hess, 0.0, geo)
         cum_hess = row["int_hess_sq_cum"]
         for k, v in row.items():
             traj.diagnostics.setdefault(k, []).append(v)
     for k in range(nsteps):
         h = t_end - state.t if short and k == nsteps - 1 else dt
         try:
-            state = step(state, p, h, schedule.method, geo)
+            state = step(state, params, h, schedule.method, geo)
         except BlowUpError as e:
             traj.aborted = str(e)
             traj.record(e.state)        # the last accepted state, once
             break
-        geo = CoupledGeometry(state.metric, state.u, p.alpha1)
+        geo = CoupledGeometry(state.metric, state.u, params.alpha1)
         if (k + 1) % schedule.cadence == 0 or k == nsteps - 1:
             traj.record(state)
         if schedule.diagnostics:
-            row = _diagnose(state, p, cum_hess, h, geo)
+            row = _diagnose(state, params, cum_hess, h, geo)
             cum_hess = row["int_hess_sq_cum"]
             for kk, v in row.items():
                 traj.diagnostics.setdefault(kk, []).append(v)

@@ -49,11 +49,13 @@ from .mesh import MetricField, integrate
 from .tensor import CoupledGeometry, curvature, norm_sq
 
 SIGMA = 1.0     # weight of the mass term in the preconditioner
+STEP0 = 0.05    # each seed's first descent step, before Barzilai-Borwein takes over
+CALIBRATION_RANGE = (1e-6, 64.0)    # bisection bracket of calibrate_uniform_constant
 
 
-def coupled_scalar(metric: MetricField, u: np.ndarray, alpha1: float = 2.0) -> np.ndarray:
-    """S = R - alpha1 |grad u|^2."""
-    return CoupledGeometry(metric, u, alpha1).S
+def coupled_scalar(metric: MetricField, u: np.ndarray) -> np.ndarray:
+    """S = R - 2 |grad u|^2."""
+    return CoupledGeometry(metric, u, 2.0).S
 
 
 def normalize_f(metric: MetricField, f: np.ndarray, tau: float) -> np.ndarray:
@@ -176,7 +178,6 @@ class OptimizerOpts:
     tol: float = 1e-8            # stop when the objective decrease falls below
     max_iter: int = 10_000
     nseeds: int = 5              # constant + 4 random, on cold calls only
-    step0: float = 0.05
     seed: int = 1234
 
 
@@ -250,7 +251,7 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
         w = normalize(w0)
         e, *parts = _w_eval(metric, Sg, w, tau, form)
         q, d = descent(w, parts)
-        step = opts.step0
+        step = STEP0
         converged = False
         it = 0
         stall = 0
@@ -323,8 +324,7 @@ class EstimateConstants:
         return self.K + self.L + self.L ** 2 + self.P ** 2 * (1.0 + kinv)
 
 
-def noncollapse_constants(n: int, D: float, A: float, Cn_user: float,
-                          r: float = 1.0) -> dict:
+def noncollapse_constants(n: int, D: float, A: float, Cn_user: float) -> dict:
     """Ball-ratio bound, the volume-ratio constant c, and kappa = c e^{-A}."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -345,13 +345,13 @@ def delta_u_bound(n: int, K: float, T: float, C_user: float) -> float:
             * np.exp(C * (1.0 + T + 1.0 + K * T + np.exp(C * np.sqrt(K)))))
 
 
-def calibrate_uniform_constant(bound_fn, observed: float,
-                               lo: float = 1e-6, hi: float = 64.0) -> float:
-    """Smallest C with bound_fn(C) >= observed, by bisection.
+def calibrate_uniform_constant(bound_fn, observed: float) -> float:
+    """Smallest C in CALIBRATION_RANGE with bound_fn(C) >= observed, by bisection.
 
     This is the documented calibration procedure for the generic
     'uniform constant C' inputs: fit once on a baseline run, then freeze.
     """
+    lo, hi = CALIBRATION_RANGE
     with np.errstate(over="ignore"):
         if bound_fn(hi) < observed:
             raise ValueError("bound cannot cover the observation in the search range")

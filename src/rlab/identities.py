@@ -378,7 +378,7 @@ def evaluate_identity(traj: Trajectory, ident_id: str, t_index: int,
             if ident.pair else "reads one trajectory; other must be None"))
     if ident.family == "rhf":
         a = traj.params
-        if (a.alpha1, a.alpha2, a.beta1, a.beta2) != (2.0, 0.0, 0.0, 0.0):
+        if (a.alpha1, a.beta1, a.beta2) != (2.0, 0.0, 0.0):
             raise ValueError(f"identity {ident_id} requires a (2,0,0,0) trajectory")
     frames = None
     if ident.pair:

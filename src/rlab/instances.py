@@ -65,12 +65,14 @@ def product_metric(grid: Grid, diag_fns) -> MetricField:
     return MetricField(grid, vals)
 
 
-def random_instance(n: int, res: int, seed: int, amp_g: float = 0.12,
-                    amp_u: float = 0.3, extent: float = 2.0 * np.pi,
-                    nmodes: int = 2):
-    """Seeded random smooth (g, u) on T^n: trig polynomial perturbation of flat."""
+# random_instance: metric (half off the diagonal) and potential amplitudes, modes
+RANDOM_AMP_G, RANDOM_AMP_U, RANDOM_NMODES = 0.12, 0.3, 2
+
+
+def random_instance(n: int, res: int, seed: int):
+    """Seeded random smooth (g, u) on the 2 pi torus T^n: trig perturbation of flat."""
     rng = np.random.default_rng(seed)
-    grid = build_grid("torus", n, [res] * n, [extent] * n)
+    grid = build_grid("torus", n, [res] * n, [2.0 * np.pi] * n)
     xs = grid.coords()
     vals = np.zeros((n, n) + grid.shape)
     for i in range(n):
@@ -78,26 +80,26 @@ def random_instance(n: int, res: int, seed: int, amp_g: float = 0.12,
     for i in range(n):
         for j in range(i, n):
             p = np.zeros(grid.shape)
-            for _ in range(nmodes):
+            for _ in range(RANDOM_NMODES):
                 wave = rng.integers(-1, 2, size=n)
                 if not wave.any():
                     wave[rng.integers(0, n)] = 1
                 phase = rng.uniform(0, 2 * np.pi)
                 p += rng.uniform(-1, 1) * np.sin(
                     sum(int(k) * x for k, x in zip(wave, xs)) + phase)
-            scale = amp_g if i == j else 0.5 * amp_g
-            vals[i, j] += scale * p / nmodes
+            scale = RANDOM_AMP_G if i == j else 0.5 * RANDOM_AMP_G
+            vals[i, j] += scale * p / RANDOM_NMODES
             if i != j:
                 vals[j, i] = vals[i, j]
     u = np.zeros(grid.shape)
-    for _ in range(nmodes):
+    for _ in range(RANDOM_NMODES):
         wave = rng.integers(-1, 2, size=n)
         if not wave.any():
             wave[rng.integers(0, n)] = 1
         phase = rng.uniform(0, 2 * np.pi)
         u += rng.uniform(-1, 1) * np.sin(
             sum(int(k) * x for k, x in zip(wave, xs)) + phase)
-    u *= amp_u / nmodes
+    u *= RANDOM_AMP_U / RANDOM_NMODES
     return grid, MetricField(grid, vals), u
 
 

@@ -52,14 +52,6 @@ class Grid:
                            tuple(e / r for e, r in zip(self.extents, self.shape)))
         object.__setattr__(self, "cell_volume", float(np.prod(self.spacing)))
 
-    @property
-    def periodic(self) -> bool:
-        return self.kind == "torus"
-
-    @property
-    def npoints(self) -> int:
-        return int(np.prod(self.shape))
-
     def axis_coords(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
         if self.kind == "torus":

@@ -1,12 +1,13 @@
 """Binary snapshot files, checkpoints, CSV emitters, and report files.
 
-Snapshot format (version 1): the magic string "RLAB1", a little-endian
-uint32 header length, a UTF-8 JSON header with the grid descriptor and an
-optional payload (flow parameters / schedule for checkpoints), then per
-field: uint16 name length, name bytes, uint8 contravariant rank, uint8
-covariant rank, uint8 symmetry code, uint32 component count, and the
-row-major component data as IEEE-754 doubles, little-endian.  Round trips
-are bit exact.
+Snapshot format (version 2): the magic string "RLAB1", a little-endian
+uint32 header length, a UTF-8 JSON header with the grid descriptor, the
+field names in record order and an optional payload (flow parameters /
+schedule for checkpoints), then per field: uint16 name length, name bytes,
+uint8 contravariant rank, uint8 covariant rank, uint8 symmetry code, uint32
+component count, and the row-major component data as IEEE-754 doubles,
+little-endian.  Round trips are bit exact.  The header's names catch a cut
+at a record boundary; version 1, which lacks them, is not read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def write_snapshot(path, grid: Grid, fields: dict, extra: dict | None = None):
     """Write named fields; values may be ndarrays (covariant rank inferred
     from the shape) or MetricField."""
     blob = bytearray()
-    header = {"version": 1, "grid": grid.descriptor()}
+    header = {"version": 2, "grid": grid.descriptor(), "fields": list(fields)}
     if extra:
         header["extra"] = extra
     records = []
@@ -62,8 +63,9 @@ def write_snapshot(path, grid: Grid, fields: dict, extra: dict | None = None):
 def read_snapshot(path):
     """Returns (grid, {name: (array, con, cov, symmetry)}, extra).
 
-    A file that is not a whole version-1 snapshot (truncated, unknown version,
-    malformed record, trailing bytes) raises ``ValueError`` naming the cause."""
+    A file that is not a whole version-2 snapshot (truncated, unknown version,
+    a field of the header missing, malformed record, trailing bytes) raises
+    ``ValueError`` naming the cause."""
     raw = Path(path).read_bytes()
     if raw[:5] != MAGIC:
         raise ValueError("not a snapshot file (bad magic)")
@@ -79,18 +81,22 @@ def read_snapshot(path):
         version = header["version"]
     except (ValueError, TypeError, KeyError) as exc:
         raise ValueError(f"snapshot header is not valid: {exc!r}") from None
-    if type(version) is not int or version != 1:
-        raise ValueError(f"unsupported snapshot version {version!r} (expected 1)")
+    if type(version) is not int or version != 2:
+        raise ValueError(f"unsupported snapshot version {version!r} (expected 2)")
     try:
         gd = header["grid"]
         grid = build_grid(gd["kind"], gd["n"], gd["shape"], gd["extents"])
+        names = [str(name) for name in header["fields"]]
     except (TypeError, KeyError) as exc:
-        raise ValueError(f"snapshot header has no valid grid: {exc!r}") from None
+        raise ValueError("snapshot header has no valid grid or field list: "
+                         f"{exc!r}") from None
     fields = {}
-    while off < len(raw):
+    for expected in names:
         start = off
+        if off == len(raw):
+            raise ValueError(f"snapshot truncated: field {expected!r} missing")
         if off + 2 > len(raw):
-            raise ValueError(f"trailing bytes at {start}: too short for a field record")
+            raise ValueError(f"field record at byte {start} truncated in its length")
         (nlen,) = struct.unpack_from("<H", raw, off)
         off += 2 + nlen
         if off + 7 > len(raw):
@@ -99,6 +105,9 @@ def read_snapshot(path):
             name = raw[start + 2:off].decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"field record at byte {start}: name is not UTF-8") from None
+        if name != expected:
+            raise ValueError(f"field record at byte {start} is {name!r}, "
+                             f"the header lists {expected!r}")
         con, cov, sym = struct.unpack_from("<BBB", raw, off)
         (count,) = struct.unpack_from("<I", raw, off + 3)
         off += 7
@@ -114,6 +123,8 @@ def read_snapshot(path):
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).copy()
         off += 8 * count
         fields[name] = (arr.reshape(shape), con, cov, SYMMETRY_NAMES[sym])
+    if off < len(raw):
+        raise ValueError(f"trailing bytes at {off}: {len(raw) - off} after the last field")
     return grid, fields, header.get("extra", {})
 
 
@@ -121,9 +132,8 @@ def write_checkpoint(path, state, params, schedule):
     extra = {
         "t": state.t,
         "step_count": state.step_count,
-        "params": {"alpha1": params.alpha1, "alpha2": params.alpha2,
-                   "beta1": params.beta1, "beta2": params.beta2,
-                   "reduced": params.reduced},
+        "params": {"alpha1": params.alpha1, "beta1": params.beta1,
+                   "beta2": params.beta2},
         "schedule": {"t_end": schedule.t_end, "dt": schedule.dt,
                      "safety": schedule.safety, "cadence": schedule.cadence,
                      "method": schedule.method},
@@ -141,8 +151,7 @@ def read_checkpoint(path):
     state = FlowState(grid, metric, fields["u"][0], extra.get("t", 0.0),
                       extra.get("step_count", 0))
     p = extra["params"]
-    params = FlowParams(p["alpha1"], p["alpha2"], p["beta1"], p["beta2"],
-                        p["reduced"])
+    params = FlowParams(p["alpha1"], beta1=p["beta1"], beta2=p["beta2"])
     s = extra["schedule"]
     schedule = Schedule(s["t_end"], s["dt"], s["safety"], s["cadence"], s["method"])
     return state, params, schedule

@@ -122,8 +122,6 @@ def energy(traj1: Trajectory, traj2: Trajectory, t_index: int,
 class EnergyTrace:
     times: np.ndarray
     values: np.ndarray
-    beta: float
-    eta_descriptor: str
     norms: list            # per-snapshot norm dicts (h, A, T, v, w)
 
     def rows(self):
@@ -143,8 +141,7 @@ def energy_trace(traj1: Trajectory, traj2: Trajectory, beta: float = 0.5,
         vals.append(energy(traj1, traj2, k, beta, eta, bundle=b))
         ts.append(b.t)
         norms.append(b.norms())
-    return EnergyTrace(np.array(ts), np.array(vals), beta,
-                       "zero" if eta is None else "custom", norms)
+    return EnergyTrace(np.array(ts), np.array(vals), norms)
 
 
 def gronwall_fit(trace: EnergyTrace, window=None) -> dict:

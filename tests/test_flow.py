@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rlab.flow import (DIAG_COLUMNS, FlowParams, FlowState, Schedule, _diagnose,
-                       cfl_dt, flow_rhs, is_regular, reduce_parameters, run, step)
+                       cfl_dt, flow_rhs, is_regular, run, step)
 from rlab.instances import (perturbed_flat_metric, random_instance,
                             verification_initial_data)
 from rlab.mesh import build_grid, flat_metric, grad_stack, integrate
@@ -21,11 +21,13 @@ def curved_state(res=32):
 
 
 def test_reduce_parameters():
-    assert reduce_parameters(FlowParams(2, 0, 0, 0)).astuple() == (2, 0, 0, 0)
-    assert reduce_parameters(FlowParams(1, 1, 1, 0)).astuple() == (1, 0, 0, 0)
-    assert reduce_parameters(FlowParams(0, 2, -1, 3)).astuple() == (0, 0, -3, 3)
-    p = reduce_parameters(FlowParams(1, 1, 1, 0))
-    assert reduce_parameters(p) == p  # idempotent
+    # (a1, a2, b1, b2) is stored as (a1, b1 - a2, b2)
+    p = FlowParams(0, 2, -1, 3)
+    assert (p.alpha1, p.beta1, p.beta2) == (0, -3, 3)
+    assert FlowParams(1, 1, 1, 0) == FlowParams(1, 0, 0, 0)
+    assert FlowParams(2, 0, 0, 0) == FlowParams(2.0)
+    assert not hasattr(p, "alpha2")
+    assert FlowParams(p.alpha1, 0.0, p.beta1, p.beta2) == p  # idempotent
 
 
 def test_is_regular():
@@ -39,7 +41,7 @@ def test_is_regular():
 
 def test_flow_rhs_flat_stationary():
     st = flat_state()
-    gdot, udot = flow_rhs(st, FlowParams(2.0, reduced=True))
+    gdot, udot = flow_rhs(st, FlowParams(2.0))
     assert np.all(gdot == 0.0) and np.all(udot == 0.0)
 
 
@@ -49,7 +51,7 @@ def test_flow_rhs_flat_sin_expansion():
     eps = 0.1
     x = g.coords()[0]
     st = FlowState(g, flat_metric(g), eps * np.sin(x))
-    gdot, udot = flow_rhs(st, FlowParams(2.0, reduced=True))
+    gdot, udot = flow_rhs(st, FlowParams(2.0))
     h2 = max(g.spacing) ** 2
     assert np.max(np.abs(gdot[0, 0] - 4 * eps ** 2 * np.cos(x) ** 2)) < 5 * eps ** 2 * h2
     assert np.max(np.abs(udot + eps * np.sin(x))) < 5 * eps * h2
@@ -59,15 +61,32 @@ def test_flow_rhs_flat_sin_expansion():
 def test_flow_rhs_reduces_to_ricci_flow():
     st = curved_state(16)
     st0 = FlowState(st.grid, st.metric, np.zeros(st.grid.shape))
-    gdot, udot = flow_rhs(st0, FlowParams(2.0, reduced=True))
+    gdot, udot = flow_rhs(st0, FlowParams(2.0))
     cb = curvature(st0.metric)
     assert np.array_equal(gdot, -2.0 * cb.ric)
     assert np.all(udot == 0.0)
 
 
-def test_flow_rhs_requires_reduced():
-    with pytest.raises(ValueError):
-        flow_rhs(flat_state(), FlowParams(2.0, 1.0))
+def test_reduction_exact_through_the_public_path(tmp_path):
+    # b1 - a2 = 0.5 - 0.75 is exact in binary, so the reduced pair is equal
+    from rlab.snapshots import read_checkpoint, write_checkpoint
+    general, reduced = FlowParams(1.0, 0.75, 0.5, -0.3), FlowParams(1.0, 0.0, -0.25, -0.3)
+    assert general == reduced
+    st, dt = curved_state(16), 1e-3
+    for a, b in zip(flow_rhs(st, general), flow_rhs(st, reduced)):
+        assert np.array_equal(a, b)
+    s1, s2 = step(st, general, dt), step(st, reduced, dt)
+    assert np.array_equal(s1.metric.values, s2.metric.values)
+    assert np.array_equal(s1.u, s2.u)
+    sched = Schedule(t_end=3 * dt, dt=dt)
+    t1, t2 = run(st, general, sched), run(st, reduced, sched)
+    assert t1.nsnapshots == t2.nsnapshots == 4 and t1.params == t2.params
+    for k in range(t1.nsnapshots):
+        assert np.array_equal(t1.state(k).metric.values, t2.state(k).metric.values)
+        assert np.array_equal(t1.state(k).u, t2.state(k).u)
+    assert t1.diagnostics == t2.diagnostics
+    write_checkpoint(tmp_path / "chk.rlab", st, general, sched)
+    assert read_checkpoint(tmp_path / "chk.rlab")[1] == reduced
 
 
 def test_cfl_dt():
@@ -251,12 +270,11 @@ def test_run_shared_geometry_bitwise(params):
     # the next step's first stage; bare calls build their own and must agree
     st, dt = curved_state(16), 1e-3
     traj = run(st, params, Schedule(t_end=4 * dt, dt=dt))
-    p = reduce_parameters(params)
     s, cum = st, 0.0
     for k in range(traj.nsnapshots):
         if k:
             s = step(s, params, dt)
-        row = _diagnose(s, p, cum, dt if k else 0.0)
+        row = _diagnose(s, params, cum, dt if k else 0.0)
         cum = row["int_hess_sq_cum"]
         assert np.array_equal(traj.state(k).metric.values, s.metric.values)
         assert np.array_equal(traj.state(k).u, s.u)
@@ -292,7 +310,7 @@ def test_diagnose_curvature_norms_match_tensor_norms():
         du = grad_stack(u, m.grid)
         rm_sq = norm_sq(cb.rm4, m, 0, 4)
         for a1 in (2.0, -0.7):
-            row = _diagnose(FlowState(m.grid, m, u), FlowParams(a1, reduced=True), 0.0, 0.0)
+            row = _diagnose(FlowState(m.grid, m, u), FlowParams(a1), 0.0, 0.0)
             sm_sq = integrate(norm_sq(sm_tensor(cb.rm4, du, m.values, a1), m, 0, 4), m)
             assert abs(row["max_rm"] - np.sqrt(np.max(rm_sq))) <= 1e-13 * row["max_rm"]
             assert abs(row["int_rm_sq"] - integrate(rm_sq, m)) <= 1e-13 * row["int_rm_sq"]
@@ -310,7 +328,7 @@ def test_run_lands_on_t_end(t_end, dt, nsteps):
     # the last row adds int |Hess u|^2 times the step actually taken
     last = traj.state(traj.nsnapshots - 1)
     h = t_end - traj.times[-2]
-    row = _diagnose(last, reduce_parameters(FlowParams(2.0)),
+    row = _diagnose(last, FlowParams(2.0),
                     traj.diagnostics["int_hess_sq_cum"][-2], h)
     assert row["int_hess_sq_cum"] == traj.diagnostics["int_hess_sq_cum"][-1]
 

@@ -180,7 +180,7 @@ def _plain_bb_mu(m, u, tau, opts):
     w = normalize(np.ones(m.grid.shape))
     e, *parts = fn._w_eval(m, S, w, tau)
     g = gradient(w, parts)
-    step, stall, w_prev, g_prev = opts.step0, 0, None, None
+    step, stall, w_prev, g_prev = fn.STEP0, 0, None, None
     for _ in range(opts.max_iter):
         if w_prev is not None:
             s = (w - w_prev) * cellw

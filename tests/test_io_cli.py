@@ -72,7 +72,7 @@ def test_checkpoint_roundtrip(tmp_path):
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     m, u0 = verification_initial_data(g)
     st = FlowState(g, m, u0, t=0.25, step_count=5)
-    p = FlowParams(1.0, 0.0, 0.5, -0.3, reduced=True)
+    p = FlowParams(1.0, 0.0, 0.5, -0.3)
     s = Schedule(t_end=0.5, dt=1e-3, safety=0.4, cadence=2, method="euler")
     path = tmp_path / "chk.rlab"
     write_checkpoint(path, st, p, s)
@@ -88,17 +88,19 @@ def _checkpoint_bytes(path):
     g = build_grid("torus", 2, [8, 8], [2 * np.pi] * 2)
     m, u0 = verification_initial_data(g)
     write_checkpoint(path, FlowState(g, m, u0, t=0.5, step_count=3),
-                     FlowParams(2.0, reduced=True), Schedule(t_end=1.0, dt=0.1))
+                     FlowParams(2.0), Schedule(t_end=1.0, dt=0.1))
     return path.read_bytes()
 
 
 def test_snapshot_rejects_unknown_version(tmp_path):
     raw = _checkpoint_bytes(tmp_path / "chk.rlab")
-    assert raw.count(b'"version": 1') == 1
-    p = tmp_path / "v2.rlab"
-    p.write_bytes(raw.replace(b'"version": 1', b'"version": 2'))
-    with pytest.raises(ValueError, match="unsupported snapshot version 2"):
-        read_snapshot(p)
+    assert raw.count(b'"version": 2') == 1
+    p = tmp_path / "other.rlab"
+    for version in (b"1", b"3"):        # version 1 has no field list
+        p.write_bytes(raw.replace(b'"version": 2', b'"version": ' + version))
+        with pytest.raises(ValueError,
+                           match=f"unsupported snapshot version {version.decode()}"):
+            read_snapshot(p)
 
 
 def test_snapshot_truncated_at_every_offset(tmp_path):
@@ -108,18 +110,19 @@ def test_snapshot_truncated_at_every_offset(tmp_path):
     hend = 9 + int.from_bytes(raw[5:9], "little")
     gend = hend + 10 + 8 * 4 * 64
     assert gend + 10 + 8 * 64 == len(raw)
+    assert list(full) == ["g", "u"]
     p = tmp_path / "cut.rlab"
     for cut in range(len(raw)):
         p.write_bytes(raw[:cut])
-        if cut in (hend, gend):     # whole records only: a valid, shorter snapshot
-            _, fields, _ = read_snapshot(p)
-            assert list(fields) == ["g", "u"][:[hend, gend].index(cut)]
-            assert all(np.array_equal(fields[k][0], full[k][0]) for k in fields)
-        else:
-            with pytest.raises(ValueError):
-                read_snapshot(p)
+        with pytest.raises(ValueError):
+            read_snapshot(p)
         with pytest.raises(ValueError):
             read_checkpoint(p)
+    # whole records only: the header's field list names the first one missing
+    for cut, missing in ((hend, "g"), (gend, "u")):
+        p.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=f"field '{missing}' missing"):
+            read_snapshot(p)
     p.write_bytes(raw[:hend - 1])
     with pytest.raises(ValueError, match="truncated in the header"):
         read_snapshot(p)
@@ -328,6 +331,36 @@ def test_cli_rejects_bad_verify_identities_before_any_stage(tmp_path):
     r = run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
     assert r.returncode == 2
     assert "A.8:negctrl" in r.stderr
+
+
+@pytest.mark.parametrize("key, extra", [
+    ("schedule.safety", {"schedule": {"t_end": 0.008, "dt": 0.002, "safety": 0.4}}),
+    ("schedule.dt", {"schedule": {"t_end": 0.008, "dt": None},
+                     "verify": {"identities": ["A.8"]}}),
+    ("schedule.dt", {"schedule": {"t_end": 0.008}, "verify": {"identities": ["A.8"]}}),
+], ids=["safety-next-to-dt", "verify-null-dt", "verify-absent-dt"])
+def test_config_keys_that_cannot_change_the_run_are_rejected(tmp_path, key, extra):
+    # safety scales only the step bound that a null dt asks for; the verify
+    # stage scales a numeric dt per level and has no step bound to fall back on
+    from rlab.cli import run_experiment
+    cfg = write_cfg(tmp_path, extra)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        run_experiment(cfg, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+    r = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "c")])
+    assert r.returncode == 2 and key in r.stderr
+
+
+def test_constants_stage_reads_the_reduced_flow(tmp_path):
+    # alpha2 = 1 is the same flow as beta1 lowered by 1, so the same constants
+    from rlab.cli import run_experiment
+    tables = []
+    for flow in ({"alpha1": 2.0, "alpha2": 1.0}, {"alpha1": 2.0, "beta1": -1.0}):
+        out = tmp_path / str(len(tables))
+        run_experiment(write_cfg(tmp_path, {"flow": flow, "constants": {}}), out,
+                       stages=["constants"])
+        tables.append((out / "constants.json").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_uniqueness_perturbation_changes_the_curvature(tmp_path):

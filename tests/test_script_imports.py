@@ -1,4 +1,5 @@
-"""The demos, scripts and benchmark import only names that rlab defines.
+"""The demos, scripts and benchmark import only names that rlab defines,
+and pass rlab callables only keywords those callables take.
 
 They are parsed, not run: ``scripts/calibrate_manifest.py`` rewrites
 ``tests/manifest.json`` when it runs.  The benchmark's tracer also names
@@ -48,6 +49,67 @@ def test_rlab_names_imported_exist(path):
     if path.parent.name != "perfbench":    # run.py and workloads.py import no rlab
         assert imports, "no rlab import found"
     assert not missing, missing
+
+
+def rlab_bindings(tree):
+    """{name: rlab module or object} for the names a file binds by importing
+    from rlab, or by assigning an attribute of such a name to a plain name."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module \
+                and (node.module == "rlab" or node.module.startswith("rlab.")):
+            mod = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(mod, alias.name, None)
+                if obj is None:
+                    obj = importlib.import_module(f"{node.module}.{alias.name}")
+                names[alias.asname or alias.name] = obj
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "rlab" or alias.name.startswith("rlab."):
+                    importlib.import_module(alias.name)
+                    bound = alias.name if alias.asname else "rlab"
+                    names[alias.asname or bound] = importlib.import_module(bound)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            obj = resolve(node.value, names)
+            if obj is not None:
+                names[node.targets[0].id] = obj
+    return names
+
+
+def resolve(expr, names):
+    """The rlab object that a name or a dotted attribute chain refers to."""
+    if isinstance(expr, ast.Name):
+        return names.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        base = resolve(expr.value, names)
+        return None if base is None else getattr(base, expr.attr, None)
+    return None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_rlab_keywords_are_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = rlab_bindings(tree)
+    unknown = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.keywords):
+            continue
+        fn = resolve(node.func, names)
+        if fn is None or not callable(fn):
+            continue
+        try:
+            params = inspect.signature(fn).parameters
+        except ValueError:          # a builtin without a signature
+            continue
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        unknown += [f"line {node.lineno}: {ast.unparse(node.func)}({kw.arg}=...)"
+                    for kw in node.keywords
+                    if kw.arg is not None and kw.arg not in params]
+    assert not unknown, unknown
 
 
 def test_tracer_private_names_are_rlab_functions():
