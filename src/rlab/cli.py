@@ -129,7 +129,7 @@ def verify_entries(cfg):
 
 
 def stage_verify(cfg, out: Path, checks, outputs):
-    from .flow import FlowState, Schedule, run
+    from .flow import BlowUpError, FlowState, Schedule, run, step_plan
     from .identities import converges, evaluate_identity, with_order
     from .snapshots import write_reports_json
 
@@ -144,11 +144,15 @@ def stage_verify(cfg, out: Path, checks, outputs):
     for res in resolutions:
         grid, metric, u0 = build_from_config(cfg, res)
         dt = sched.dt * (base_res / res) ** 2
-        sched_r = Schedule(t_end=sched.t_end, dt=dt, cadence=1,
-                           method=sched.method, diagnostics=False)
+        # the residuals read snapshots k - 1, k and k + 1: integrate to k + 1
+        nsteps, _ = step_plan(sched.t_end, dt)
+        k = min(max(int(round(frac * nsteps)), 1), nsteps - 1)
+        t_stop = sched.t_end if k + 1 == nsteps else (k + 1) * dt
+        sched_r = Schedule(t_end=t_stop, dt=dt, cadence=1, method=sched.method,
+                           diagnostics=False)
         traj = run(FlowState(grid, metric, u0), params, sched_r)
-        k = int(round(frac * (traj.nsnapshots - 1)))
-        k = min(max(k, 1), traj.nsnapshots - 2)
+        if traj.aborted:
+            raise BlowUpError(f"verify at resolution {res}: {traj.aborted}")
         levels.append([replace(evaluate_identity(traj, base_id, k, mutate=mutate),
                                identity=entry)
                        for entry, base_id, mutate in entries])
@@ -272,8 +276,7 @@ def stage_constants(cfg, out: Path, checks, outputs):
     n = cfg["grid"]["n"]
     p = flow_params_from(cfg)
     est = EstimateConstants(K=c.get("K", 0.0), L=c.get("L", 0.0),
-                            P=c.get("P", 0.0), rho=c.get("rho", 1.0),
-                            D=c.get("D", 0.0), A=c.get("A", 0.0),
+                            P=c.get("P", 0.0), D=c.get("D", 0.0), A=c.get("A", 0.0),
                             C_user=c.get("C_user", 1.0),
                             C_s_user=c.get("C_s", 1.0))
     table = {

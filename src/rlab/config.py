@@ -35,9 +35,9 @@ SCHEMA = {
                 "nseeds": int},
     "compare": {"scalar_pairs": list, "instances": int},
     "uniqueness": {"delta": float, "beta": float},
-    "constants": {"K": float, "L": float, "P": float, "rho": float, "D": float,
-                  "A": float, "C_user": float, "C_s": float, "Cn_user": float,
-                  "A1": float, "C": float, "C0": float, "chi": float},
+    "constants": {"K": float, "L": float, "P": float, "D": float, "A": float,
+                  "C_user": float, "C_s": float, "Cn_user": float, "A1": float,
+                  "C": float, "C0": float, "chi": float},
     "seed": int,
 }
 

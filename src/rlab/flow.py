@@ -139,6 +139,27 @@ class Schedule:
     diagnostics: bool = True
 
 
+def step_plan(t_end: float, dt: float) -> tuple[int, bool]:
+    """(number of steps, whether the last is shortened) from 0 to ``t_end``:
+    whole steps of dt, then one shortened step onto t_end, unless t_end/dt
+    is within 1e-9 (relative) of an integer."""
+    ratio = t_end / dt
+    whole = int(round(ratio))
+    short = abs(ratio - whole) > 1e-9 * ratio
+    if short:
+        whole = int(ratio)
+    return whole + short, short
+
+
+class Frame(CoupledGeometry):
+    """A snapshot's geometry at the trajectory's flow parameters, with its time."""
+
+    def __init__(self, state: FlowState, params: FlowParams):
+        super().__init__(state.metric, state.u, params.alpha1, params.beta1,
+                         params.beta2)
+        self.t = state.t
+
+
 @dataclass
 class Trajectory:
     grid: Grid
@@ -155,6 +176,10 @@ class Trajectory:
 
     def state(self, k: int) -> FlowState:
         return self.states[k]
+
+    def frame(self, k: int) -> Frame:
+        """The geometry of snapshot ``k`` at the trajectory's parameters."""
+        return Frame(self.states[k], self.params)
 
     @property
     def times(self) -> list:
@@ -199,9 +224,8 @@ def rm_lp_series(traj: Trajectory, p: float):
     """
     out = []
     for k in range(traj.nsnapshots):
-        s = traj.state(k)
-        rm_sq = Geometry(s.metric, s.u).rm_sq
-        out.append((s.t, integrate(rm_sq ** (p / 2.0), s.metric)))
+        f = traj.frame(k)
+        out.append((f.t, integrate(f.rm_sq ** (p / 2.0), f.metric)))
     return out
 
 
@@ -218,38 +242,25 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
                       RuntimeWarning)
     dt = (schedule.dt if schedule.dt is not None
           else cfl_dt(initial_state, schedule.safety, geo))
-    # whole steps of dt, then one shortened step onto t_end, unless t_end/dt
-    # is within 1e-9 (relative) of an integer
-    ratio = schedule.t_end / dt
-    whole = int(round(ratio))
-    short = abs(ratio - whole) > 1e-9 * ratio
-    if short:
-        whole = int(ratio)
-    nsteps = whole + short
+    nsteps, short = step_plan(schedule.t_end, dt)
     t_end = initial_state.t + schedule.t_end
     traj = Trajectory(initial_state.grid, params, dt)
-    state = initial_state
-    cum_hess = 0.0
-    traj.record(state)
-    if schedule.diagnostics:
-        row = _diagnose(state, params, cum_hess, 0.0, geo)
-        cum_hess = row["int_hess_sq_cum"]
-        for k, v in row.items():
-            traj.diagnostics.setdefault(k, []).append(v)
-    for k in range(nsteps):
-        h = t_end - state.t if short and k == nsteps - 1 else dt
-        try:
-            state = step(state, params, h, schedule.method, geo)
-        except BlowUpError as e:
-            traj.aborted = str(e)
-            traj.record(e.state)        # the last accepted state, once
-            break
-        geo = CoupledGeometry(state.metric, state.u, params.alpha1)
-        if (k + 1) % schedule.cadence == 0 or k == nsteps - 1:
+    state, h, cum_hess = initial_state, 0.0, 0.0
+    for k in range(nsteps + 1):         # k = 0 is the initial state
+        if k:
+            h = t_end - state.t if short and k == nsteps else dt
+            try:
+                state = step(state, params, h, schedule.method, geo)
+            except BlowUpError as e:
+                traj.aborted = str(e)
+                traj.record(e.state)    # the last accepted state, once
+                break
+            geo = CoupledGeometry(state.metric, state.u, params.alpha1)
+        if k % schedule.cadence == 0 or k == nsteps:
             traj.record(state)
         if schedule.diagnostics:
             row = _diagnose(state, params, cum_hess, h, geo)
             cum_hess = row["int_hess_sq_cum"]
-            for kk, v in row.items():
-                traj.diagnostics.setdefault(kk, []).append(v)
+            for key, v in row.items():
+                traj.diagnostics.setdefault(key, []).append(v)
     return traj

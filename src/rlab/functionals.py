@@ -482,8 +482,7 @@ def gbc_defect(metric: MetricField, chi: float) -> float:
     if metric.grid.kind != "torus":
         raise ValueError("requires a closed (torus) grid")
     cb = curvature(metric)
-    integrand = (norm_sq(cb.rm4, metric, 0, 4)
-                 - 4.0 * norm_sq(cb.ric, metric, 0, 2) + cb.scalar ** 2)
+    integrand = cb.rm_sq - 4.0 * norm_sq(cb.ric, metric, 0, 2) + cb.scalar ** 2
     return integrate(integrand, metric) - 32.0 * np.pi ** 2 * chi
 
 

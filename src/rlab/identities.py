@@ -1,7 +1,7 @@
 """Residual verification of the evolution and structure identities.
 
 Every identity is registered as Q and RHS callables over a per-snapshot
-``Frame`` cache, or, for the two-trajectory identities, over a
+``flow.Frame`` cache, or, for the two-trajectory identities, over a
 ``uniqueness.DiffBundle`` of two Frames.  For heat-operator identities the
 residual is
 
@@ -36,20 +36,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import FlowParams, FlowState, Trajectory
+from .flow import Frame, Trajectory
 from .mesh import MetricField, integrate
-from .tensor import (CoupledGeometry, Geometry, cov_d, max_norm, norm_sq, raise_index,
-                     rough_laplacian, sm_tensor)
-from .uniqueness import DiffBundle, _check_pair
-
-
-class Frame(CoupledGeometry):
-    """A snapshot's geometry at the trajectory's flow parameters, with its time."""
-
-    def __init__(self, state: FlowState, params: FlowParams):
-        super().__init__(state.metric, state.u, params.alpha1, params.beta1,
-                         params.beta2)
-        self.t = state.t
+from .tensor import (Geometry, cov_d, max_norm, norm_sq, raise_index, rough_laplacian,
+                     sm_tensor)
+from .uniqueness import DiffBundle, difference_bundle
 
 
 # --------------------------------------------------------------------------
@@ -328,13 +319,15 @@ def _norms(res: np.ndarray, metric: MetricField, con: int, cov: int):
     return float(np.sqrt(np.max(nsq))), float(np.sqrt(integrate(nsq, metric)))
 
 
-def _frames(traj: Trajectory, t_index: int):
+def _frames(traj: Trajectory, t_index: int, other: Trajectory | None = None):
+    """The Frames of snapshots t_index - 1, t_index and t_index + 1, or, with
+    ``other``, the DiffBundles of the two trajectories' snapshots."""
     if not 0 < t_index < traj.nsnapshots - 1:
         raise IndexError("t_index must have both time neighbors")
-    p = traj.params
-    return (Frame(traj.state(t_index - 1), p),
-            Frame(traj.state(t_index), p),
-            Frame(traj.state(t_index + 1), p))
+    ks = (t_index - 1, t_index, t_index + 1)
+    if other is None:
+        return tuple(traj.frame(k) for k in ks)
+    return tuple(difference_bundle(traj, other, k) for k in ks)
 
 
 def residual_field(traj: Trajectory, ident: Identity, t_index: int,
@@ -365,11 +358,11 @@ def evaluate_identity(traj: Trajectory, ident_id: str, t_index: int,
                       mutate: bool = False) -> ResidualReport:
     """The residual report of one registered identity at snapshot ``t_index``.
 
-    A pair entry reads the second trajectory ``other`` through the
-    DiffBundles of the two trajectories' frames.  A bound entry reports
-    ``bound``, c_id times its norm bound, which ``mutate`` shrinks 1000-fold:
-    a negative control the residual must then exceed.  On any other entry
-    ``mutate`` flips the sign of the right side.
+    A pair entry reads the second trajectory ``other`` through
+    ``uniqueness.difference_bundle``, which checks each snapshot's time.  A
+    bound entry reports ``bound``, c_id times its norm bound, which
+    ``mutate`` shrinks 1000-fold: a negative control the residual must then
+    exceed.  On any other entry ``mutate`` flips the sign of the right side.
     """
     ident = REGISTRY[ident_id]
     if ident.pair != (other is not None):
@@ -380,12 +373,8 @@ def evaluate_identity(traj: Trajectory, ident_id: str, t_index: int,
         a = traj.params
         if (a.alpha1, a.beta1, a.beta2) != (2.0, 0.0, 0.0):
             raise ValueError(f"identity {ident_id} requires a (2,0,0,0) trajectory")
-    frames = None
-    if ident.pair:
-        _check_pair(traj, other, t_index)
-        frames = tuple(DiffBundle(f1, f2, f1.t) for f1, f2 in
-                       zip(_frames(traj, t_index), _frames(other, t_index)))
-    res, con, cov, f0 = residual_field(traj, ident, t_index, frames, mutate)
+    res, con, cov, f0 = residual_field(traj, ident, t_index,
+                                       _frames(traj, t_index, other), mutate)
     mx, l2 = _norms(res, f0.metric, con, cov)
     bound = None
     if ident.bound is not None:

@@ -19,15 +19,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .flow import Trajectory
+from .flow import Frame, Trajectory
 from .mesh import Grid, grad_stack, integrate
-from .tensor import Geometry, cov_d, norm_sq
+from .tensor import cov_d, norm_sq
 
 
 class DiffBundle:
-    """Difference tensors of two solutions at time ``t``, each built on first
+    """Difference tensors of two snapshots at one time, each built on first
     use.  Norms, covariant derivatives and the Laplacian are taken in the
-    first solution's geometry ``f1``."""
+    first snapshot's geometry ``f1``, which also gives the time ``t``."""
 
     # difference field -> (the Geometry field it differences, its rank)
     DIFFS = {"h": ("g", 0, 2),             # g - g~
@@ -39,8 +39,8 @@ class DiffBundle:
              "y": ("hess", 0, 2),          # Hess u - Hess~ u~
              "z": ("d3u", 0, 3)}           # nabla^3 u - nabla~^3 u~
 
-    def __init__(self, f1: Geometry, f2: Geometry, t: float):
-        self.f1, self.f2, self.t = f1, f2, t
+    def __init__(self, f1: Frame, f2: Frame):
+        self.f1, self.f2, self.t = f1, f2, f1.t
         self.metric, self.grid, self.gamma = f1.metric, f1.grid, f1.gamma
         self._norm_sq = {}
 
@@ -77,45 +77,40 @@ class DiffBundle:
         return self.y - (self.x - np.einsum("kij...,k...->ij...", self.A, self.f2.du))
 
 
-def _check_pair(traj1: Trajectory, traj2: Trajectory, t_index: int):
-    if traj1.grid != traj2.grid:
-        raise ValueError("trajectories must share a grid")
-    if abs(traj1.state(t_index).t - traj2.state(t_index).t) > 1e-14:
-        raise ValueError("trajectories must share snapshot times")
-
-
 def difference_bundle(traj1: Trajectory, traj2: Trajectory,
                       t_index: int) -> DiffBundle:
-    _check_pair(traj1, traj2, t_index)
-    s1, s2 = traj1.state(t_index), traj2.state(t_index)
-    return DiffBundle(Geometry(s1.metric, s1.u), Geometry(s2.metric, s2.u), s1.t)
+    """The differences of the two trajectories' snapshots ``t_index``, which
+    must share a grid and a time."""
+    if traj1.grid != traj2.grid:
+        raise ValueError("trajectories must share a grid")
+    f1, f2 = traj1.frame(t_index), traj2.frame(t_index)
+    if abs(f1.t - f2.t) > 1e-14:
+        raise ValueError(f"trajectories must share snapshot times (snapshot {t_index})")
+    return DiffBundle(f1, f2)
 
 
-def energy(traj1: Trajectory, traj2: Trajectory, t_index: int,
-           beta: float = 0.5, eta: np.ndarray | None = None,
-           bundle: DiffBundle | None = None) -> float:
-    """The weighted difference energy at one snapshot.
+def energy(bundle: DiffBundle, *, beta: float = 0.5,
+           eta: np.ndarray | None = None) -> float:
+    """The weighted difference energy of one pair of snapshots.
 
     At t = 0 the value is defined as 0 when the data coincide; otherwise the
     caller should evaluate at the first positive snapshot.
     """
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-    _check_pair(traj1, traj2, t_index)
-    b = bundle if bundle is not None else difference_bundle(traj1, traj2, t_index)
-    t = b.t
+    t = bundle.t
     if t == 0.0:
-        if not any(np.any(getattr(b, k)) for k in ("h", "A", "T", "v", "w")):
+        if not any(np.any(getattr(bundle, k)) for k in ("h", "A", "T", "v", "w")):
             return 0.0
         raise ValueError("energy weights are singular at t = 0 for distinct data; "
                          "evaluate at the first positive snapshot")
     wgt = np.exp(-eta) if eta is not None else 1.0
-    dens = (b.norm_sq("h") / t
-            + b.norm_sq("A") / t ** beta
-            + b.norm_sq("T")
-            + b.norm_sq("v")
-            + b.norm_sq("w"))
-    return integrate(dens * wgt, b.metric)
+    dens = (bundle.norm_sq("h") / t
+            + bundle.norm_sq("A") / t ** beta
+            + bundle.norm_sq("T")
+            + bundle.norm_sq("v")
+            + bundle.norm_sq("w"))
+    return integrate(dens * wgt, bundle.metric)
 
 
 @dataclass(frozen=True)
@@ -134,11 +129,13 @@ class EnergyTrace:
 def energy_trace(traj1: Trajectory, traj2: Trajectory, beta: float = 0.5,
                  eta: np.ndarray | None = None,
                  indices=None) -> EnergyTrace:
-    idx = indices if indices is not None else range(1, traj1.nsnapshots - 1)
+    """The energy and the difference norms at snapshots ``indices``
+    (default: every snapshot after the first, through t_end)."""
+    idx = indices if indices is not None else range(1, traj1.nsnapshots)
     ts, vals, norms = [], [], []
     for k in idx:
         b = difference_bundle(traj1, traj2, k)
-        vals.append(energy(traj1, traj2, k, beta, eta, bundle=b))
+        vals.append(energy(b, beta=beta, eta=eta))
         ts.append(b.t)
         norms.append(b.norms())
     return EnergyTrace(np.array(ts), np.array(vals), norms)

@@ -265,7 +265,7 @@ def test_criterion_8_uniqueness():
     b = difference_bundle(t1, t1b, 5)
     zero_ok = (not any(np.any(getattr(b, k)) for k in
                        ("h", "A", "B", "T", "U", "v", "w", "x", "y", "z"))
-               and energy(t1, t1b, 5) == 0.0)
+               and energy(difference_bundle(t1, t1b, 5)) == 0.0)
     t2, t3 = perturbed(1e-3), perturbed(5e-4)
     tr2, tr3 = energy_trace(t1, t2), energy_trace(t1, t3)
     half = len(tr2.times) // 2

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import RHF, eval_index
+from conftest import RHF, eval_index, make_verification_run
 from rlab.flow import FlowParams, FlowState, Schedule, run
 from rlab.identities import (APPENDIX_A_IDS, APPENDIX_C_IDS, LEMMA31_IDS,
-                             REGISTRY, Frame, Identity, ResidualReport,
+                             REGISTRY, Identity, ResidualReport,
                              converges, evaluate_identity, refinement_order,
                              residual_field, verify_lemma_52, with_order)
 from rlab.instances import random_instance, verification_initial_data
@@ -112,6 +112,16 @@ def test_rejects_boundary_snapshot(rhf_runs):
         evaluate_identity(rhf_runs[16], "A.8", rhf_runs[16].nsnapshots - 1)
 
 
+def test_pair_identity_rejects_times_that_differ_next_to_k():
+    # whole steps of 2e-3 agree through snapshot 5; snapshot 6 is the shortened
+    # step onto 0.0105 in one trajectory and onto 0.011 in the other
+    t1 = make_verification_run(16, 2e-3, RHF, t_end=0.0105)
+    t2 = make_verification_run(16, 2e-3, RHF, t_end=0.011)
+    assert t1.times[5] == t2.times[5] and t1.times[6] != t2.times[6]
+    with pytest.raises(ValueError, match="snapshot times"):
+        evaluate_identity(t1, "6.50", 5, other=t2)
+
+
 def test_residual_translation_invariance():
     # rolling the initial data along the torus leaves residual norms unchanged
     def rolled(shift):
@@ -154,7 +164,7 @@ def test_residual_field_public_api(rhf_runs):
         return (-2.0 * norm_sq(frame.hess, frame.metric, 0, 2)
                 - 4.0 * frame.grad_sq ** 2)
 
-    frames = tuple(Frame(traj.state(k + d), traj.params) for d in (-1, 0, 1))
+    frames = tuple(traj.frame(k + d) for d in (-1, 0, 1))
     res = residual_field(traj, Identity("user", "grad_sq", rhs), k, frames)[0]
     rep = evaluate_identity(traj, "A.8", k)
     assert abs(float(np.max(np.abs(res))) - rep.max_res) < 1e-12

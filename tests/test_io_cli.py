@@ -12,9 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rlab
+from conftest import RHF, make_verification_run
 from rlab.config import ConfigError, config_hash, validate
 from rlab.flow import FlowParams, FlowState, Schedule
-from rlab.instances import random_instance, verification_initial_data
+from rlab.identities import evaluate_identity
+from rlab.instances import (VERIFICATION_METRIC_TERMS, VERIFICATION_U_TERMS,
+                            random_instance, verification_initial_data)
 from rlab.mesh import build_grid
 from rlab.snapshots import (read_checkpoint, read_snapshot, write_checkpoint,
                             write_snapshot)
@@ -182,7 +185,8 @@ def test_config_schemas_agree_and_reject_unread_keys():
                         ("compare.ricci_variants", ["L_vs_Ric"]),
                         ("compare.weights", ["volume"]),
                         ("uniqueness.window_frac", 0.5),
-                        ("constants.p", 2.0)):
+                        ("constants.p", 2.0),
+                        ("constants.rho", 1.0)):
         cfg = json.loads(json.dumps(BASE_CFG))
         *parents, leaf = path.split(".")
         node = cfg
@@ -304,6 +308,94 @@ def test_cli_verify_two_level_family(tmp_path):
     assert r.returncode == 0, r.stderr
     reports = json.loads((tmp_path / "v2" / "residuals.json").read_text())
     assert "order" not in reports[0]
+
+
+# the canonical verification instance as config sections
+VERIFICATION_DATA = {"metric": {"family": "perturbed",
+                                "components": {f"{i},{j}": terms for (i, j), terms
+                                               in VERIFICATION_METRIC_TERMS.items()}},
+                     "u_terms": VERIFICATION_U_TERMS}
+
+
+def spy_verify(tmp_path, monkeypatch, schedule, verify):
+    """Run the verify stage on the canonical instance; return the rk4 steps it
+    takes per resolution, and (trajectory, identity, k, options, report) for
+    each report it evaluates."""
+    import rlab.flow
+    import rlab.identities
+    from rlab.cli import run_experiment
+    steps, evals = {}, []
+
+    def step(state, *args, **kwargs):
+        res = state.grid.shape[0]
+        steps[res] = steps.get(res, 0) + 1
+        return real_step(state, *args, **kwargs)
+
+    def evaluate(traj, ident_id, k, **kwargs):
+        rep = evaluate_identity(traj, ident_id, k, **kwargs)
+        evals.append((traj, ident_id, k, kwargs, rep))
+        return rep
+
+    real_step = rlab.flow.step
+    monkeypatch.setattr(rlab.flow, "step", step)
+    monkeypatch.setattr(rlab.identities, "evaluate_identity", evaluate)
+    cfg = write_cfg(tmp_path, {"initial_data": VERIFICATION_DATA,
+                               "schedule": schedule, "verify": verify})
+    run_experiment(cfg, tmp_path / "v", stages=["verify"])
+    return steps, evals
+
+
+def test_verify_stops_at_the_last_snapshot_it_reads(tmp_path, monkeypatch, rhf_runs):
+    # k = round(0.75 steps) reads snapshots k - 1, k and k + 1: 7/25/97 of the
+    # 8/32/128 steps to t_end; the reports equal those of full-length runs
+    steps, evals = spy_verify(
+        tmp_path, monkeypatch, {"t_end": 0.016, "dt": 2e-3},
+        {"identities": ["A.2", "A.8", "A.10", "A.8:negctl"],
+         "resolutions": [16, 32, 64], "t_eval_frac": 0.75})
+    assert steps == {16: 7, 32: 25, 64: 97}
+    assert len(evals) == 12
+    for traj, ident_id, k, kwargs, rep in evals:
+        full = rhf_runs[traj.grid.shape[0]]
+        assert full.dt == traj.dt and full.nsnapshots > traj.nsnapshots
+        assert rep == evaluate_identity(full, ident_id, k, **kwargs)
+
+
+def test_verify_runs_the_shortened_last_step_it_reads(tmp_path, monkeypatch):
+    # t_end 0.0101: 5 whole steps and a shortened one at 16 (k + 1 = 6 is the
+    # shortened step), 20 and a shortened one at 32 (k + 1 = 20 stops before it)
+    steps, evals = spy_verify(
+        tmp_path, monkeypatch, {"t_end": 0.0101, "dt": 2e-3},
+        {"identities": ["A.8", "A.10"], "resolutions": [16, 32],
+         "t_eval_frac": 0.9})
+    assert steps == {16: 6, 32: 20}
+    full = {res: make_verification_run(res, 2e-3 * (16 / res) ** 2, RHF, t_end=0.0101)
+            for res in (16, 32)}
+    for traj, ident_id, k, kwargs, rep in evals:
+        assert full[traj.grid.shape[0]].dt == traj.dt
+        assert rep == evaluate_identity(full[traj.grid.shape[0]], ident_id, k, **kwargs)
+
+
+def test_verify_names_a_level_that_blows_up(tmp_path):
+    # a level that aborts before snapshot k + 1 has no residual to report
+    from rlab.cli import run_experiment
+    from rlab.flow import BlowUpError
+    cfg = write_cfg(tmp_path, {"schedule": {"t_end": 8.0, "dt": 0.2},
+                               "verify": {"identities": ["A.8"], "resolutions": [16, 32]}})
+    with pytest.raises(BlowUpError, match="^verify at resolution 16: metric lost"):
+        run_experiment(cfg, tmp_path / "v", stages=["verify"])
+
+
+@pytest.mark.parametrize("t_end, rows", [(0.008, 4), (0.0105, 6)])
+def test_energy_csv_ends_at_t_end(tmp_path, t_end, rows):
+    # one row per snapshot after t = 0, through the last one both flows reach
+    from rlab.cli import run_experiment
+    cfg = write_cfg(tmp_path, {"schedule": {"t_end": t_end, "dt": 0.002},
+                               "uniqueness": {"delta": 1e-3, "beta": 0.5}})
+    _, code = run_experiment(cfg, tmp_path / "u", stages=["uniqueness"])
+    assert code == 0
+    with open(tmp_path / "u" / "energy.csv", newline="") as fh:
+        ts = [float(r["t"]) for r in csv.DictReader(fh)]
+    assert len(ts) == rows and ts[-1] == t_end
 
 
 def test_cli_config_errors_exit_2(tmp_path):

@@ -1,5 +1,5 @@
 """The demos, scripts and benchmark import only names that rlab defines,
-and pass rlab callables only keywords those callables take.
+and call rlab callables only with arguments that bind to their signatures.
 
 They are parsed, not run: ``scripts/calibrate_manifest.py`` rewrites
 ``tests/manifest.json`` when it runs.  The benchmark's tracer also names
@@ -91,25 +91,32 @@ def resolve(expr, names):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_rlab_keywords_are_parameters(path):
+    # every call of an rlab callable binds to its signature: no unknown
+    # keyword, no missing argument, no positional argument too many
     tree = ast.parse(path.read_text(), filename=str(path))
     names = rlab_bindings(tree)
-    unknown = []
+    unbound = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and node.keywords):
+        if not isinstance(node, ast.Call):
             continue
         fn = resolve(node.func, names)
         if fn is None or not callable(fn):
             continue
         try:
-            params = inspect.signature(fn).parameters
+            sig = inspect.signature(fn)
         except ValueError:          # a builtin without a signature
             continue
-        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-            continue
-        unknown += [f"line {node.lineno}: {ast.unparse(node.func)}({kw.arg}=...)"
-                    for kw in node.keywords
-                    if kw.arg is not None and kw.arg not in params]
-    assert not unknown, unknown
+        args = [a for a in node.args if not isinstance(a, ast.Starred)]
+        kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg is not None}
+        unpacked = len(args) < len(node.args) or len(kwargs) < len(node.keywords)
+        try:
+            if unpacked:            # *args or **kwargs: check the named keywords
+                sig.bind_partial(**kwargs)
+            else:
+                sig.bind(*args, **kwargs)
+        except TypeError as e:
+            unbound.append(f"line {node.lineno}: {ast.unparse(node)}: {e}")
+    assert not unbound, unbound
 
 
 def test_tracer_private_names_are_rlab_functions():

@@ -38,8 +38,8 @@ def test_identical_pair_zero(pairs):
     b = difference_bundle(t1, t1b, 5)
     for name in ("h", "A", "B", "T", "U", "v", "w", "x", "y", "z"):
         assert not np.any(getattr(b, name)), name
-    assert energy(t1, t1b, 5) == 0.0
-    assert energy(t1, t1b, 0) == 0.0   # defined limit at t = 0
+    assert energy(difference_bundle(t1, t1b, 5)) == 0.0
+    assert energy(difference_bundle(t1, t1b, 0)) == 0.0   # defined limit at t = 0
     trace = energy_trace(t1, t1b)
     fit = gronwall_fit(trace)
     assert fit["outcome"] == "identically-zero" and fit["N"] is None
@@ -76,7 +76,7 @@ def test_energy_trace_norms_each_difference_once(pairs, monkeypatch):
     trace = energy_trace(t1, t2, indices=range(1, 4))
     assert len(calls) == 5 * 3
     b = difference_bundle(t1, t2, 2)
-    assert trace.values[1] == energy(t1, t2, 2, bundle=b)
+    assert trace.values[1] == energy(b)
     assert trace.norms[1] == b.norms()
 
 
@@ -101,11 +101,11 @@ def test_eq69_consistency_refines():
 
 def test_energy_weight_and_beta_validation(pairs):
     t1, t2, _ = pairs
-    e0 = energy(t1, t2, 10)
-    e1 = energy(t1, t2, 10, eta=np.ones(t1.grid.shape))
+    e0 = energy(difference_bundle(t1, t2, 10))
+    e1 = energy(difference_bundle(t1, t2, 10), eta=np.ones(t1.grid.shape))
     assert abs(e1 / e0 - np.exp(-1.0)) < 1e-12
     with pytest.raises(ValueError):
-        energy(t1, t2, 10, beta=1.5)
+        energy(difference_bundle(t1, t2, 10), beta=1.5)
 
 
 def test_energy_amplitude_scaling(pairs):
