@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import MetricField, grad_stack, integrate
-from .tensor import (Geometry, christoffel, cov_d, div_form_weighted_laplacian,
-                     divergence, norm_sq, raise_index, ricci, rough_laplacian)
+from .tensor import (Geometry, christoffel, cov_d, curvature,
+                     div_form_weighted_laplacian, divergence, norm_sq, raise_index,
+                     rough_laplacian)
 
 KILLING_TOL = 1e-6
 CONST_NORM_TOL = 1e-8
@@ -237,10 +238,10 @@ def yano_defect(metric: MetricField, X: np.ndarray,
     oracle on a tiny grid decides the factor (0.5) under which the defect
     converges to zero, and that decision lives in the test manifest.
     """
-    gamma = christoffel(metric)
-    dX = _nabla_x_flat(metric, X, gamma)
-    div = divergence(metric, X, gamma)
-    ric_xx = np.einsum("ij...,i...,j...->...", ricci(metric, gamma), X, X)
+    geo = curvature(metric)
+    dX = _nabla_x_flat(metric, X, geo.gamma)
+    div = divergence(metric, X, geo.gamma)
+    ric_xx = np.einsum("ij...,i...,j...->...", geo.ric, X, X)
     lhs = lhs_factor * integrate(norm_sq(_lie(dX), metric, 0, 2), metric)
     rhs = integrate(norm_sq(dX, metric, 0, 2) + div * div - ric_xx, metric)
     return lhs - rhs

@@ -213,7 +213,7 @@ def bound_rm13(f: Frame):
     """A.11: |nabla^2 Ric| + |Ric||Rm| + |H|^2 + |Rm||du|^2, each a max over the grid."""
     m = f.metric
     dd_ric = cov_d(f.grad_ric, f.grid, f.gamma, 0, 3)
-    rmn = max_norm(f.rm4, m, 0, 4)
+    rmn = float(np.sqrt(np.max(f.rm_sq)))
     return (max_norm(dd_ric, m, 0, 4) + max_norm(f.ric, m, 0, 2) * rmn
             + float(np.max(f.hess_sq))
             + rmn * float(np.max(f.grad_sq)))

@@ -8,11 +8,11 @@ Curvature convention.  The (1,3) curvature is
 lowered on the last slot, R_{ijkl} = g_{lm} R^m_{ijk}, and traced as
 Ric_{jk} = g^{il} R_{ijkl}.  The sign is pinned by the requirement that the
 round sphere has positive scalar curvature (the stereographic oracle in the
-tests).  The lowered Levi-Civita tensor is assembled from compact second
-derivatives of g plus Christoffel products (``riemann_lowered``), a
-composition under which the pair antisymmetries, pair-exchange symmetry,
-and first Bianchi identity hold to rounding.  Ricci is that trace taken term
-by term (``ricci``), so the flow never forms the 4-tensor.
+tests).  The Levi-Civita curvature is built once, as the symmetric matrix
+R_AB on bivectors A = (i<j) (``riemann_bivector``; Hamilton, J. Differential
+Geom. 24 (1986)), from compact second derivatives of g and Christoffel
+products: pair exchange and both pair antisymmetries are exact, first Bianchi
+holds to rounding, and Ric and |Rm|^2 are read off R_AB without a 4-tensor.
 
 The weighted-connection curvature is computed directly from the
 connection coefficients of nabla^u_X Y = nabla_X Y - (Yu)X - (Xu)Y, which
@@ -26,7 +26,8 @@ comparisons and the functionals all read them.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,68 +59,94 @@ def riemann_13(gamma: np.ndarray, grid: Grid) -> np.ndarray:
     return R
 
 
-def second_derivatives(vals: np.ndarray, grid: Grid) -> np.ndarray:
-    """All d_i d_j of a componentwise array; compact 3-point stencils on i = j.
+@lru_cache(maxsize=None)
+def _bivectors(n: int) -> SimpleNamespace:
+    """Index tables of R_AB in dimension n, built once: symmetric pairs P =
+    (a<=b) (``pa, pb``, numbered by ``sym``), bivectors A = (i<j) (``bi, bj``),
+    the pairs of F in R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)} per entry A <= B
+    (``terms``, mirrored by ``upper``), and per Ric_jk, j <= k, its nonzero
+    terms g^{il} R_{ijkl} as (sign, i, l, A, B) (``trace``)."""
+    sym = np.empty((n, n), dtype=np.intp)
+    pa, pb = np.triu_indices(n)
+    sym[pa, pb] = sym[pb, pa] = np.arange(len(pa))
+    bi, bj = np.triu_indices(n, 1)
+    A, B = np.triu_indices(len(bi))
+    i, j, k, l = bi[A], bj[A], bi[B], bj[B]
+    upper = np.empty((len(bi),) * 2, dtype=np.intp)
+    upper[A, B] = upper[B, A] = np.arange(len(A))
+    biv = np.zeros((n, n), dtype=np.intp)
+    biv[bi, bj] = biv[bj, bi] = np.arange(len(bi))
+    others = (np.arange(n)[:, None] + np.arange(1, n)) % n     # the c != a
+    ti, tl = np.repeat(others[pa], n - 1, axis=1), np.tile(others[pb], n - 1)
+    tj, tk = pa[:, None], pb[:, None]
+    trace = np.sign(tj - ti) * np.sign(tl - tk), ti, tl, biv[ti, tj], biv[tk, tl]
+    return SimpleNamespace(
+        sym=sym, pa=pa, pb=pb, bi=bi, bj=bj, upper=upper,
+        terms=np.array([[sym[i, k], sym[j, l]], [sym[i, l], sym[j, k]]]
+                       ).transpose(2, 0, 1).tolist(),
+        trace=[list(zip(*row)) for row in zip(*(x.tolist() for x in trace))])
 
-    Output axes: (i, j) first, then the input's axes.
+
+def riemann_bivector(metric: MetricField, gamma: np.ndarray) -> np.ndarray:
+    """R_AB = R_{ijkl} on bivectors A = (i<j), B = (k<l), composed from compact
+    stencils as R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)}, where
+
+        F_{(ab)(cd)} = (1/2)(d_a d_b g_{cd} + d_c d_d g_{ab})
+                       + g_{pq} Gamma^p_{ab} Gamma^q_{cd}.
+
+    d_P g_Q runs over the n(n+1)/2 symmetric pairs P and components Q only;
+    the entries A <= B are formed and mirrored, so pair exchange is exact.
     """
-    n = grid.n
-    out = np.empty((n, n) + vals.shape)
-    for i in range(n):
-        out[i, i] = diff2(vals, grid, i)
-        for j in range(i + 1, n):
-            m = diff1(diff1(vals, grid, j), grid, i)
-            out[i, j] = m
-            out[j, i] = m
-    return out
+    grid, t = metric.grid, _bivectors(metric.n)
+    g = metric.values[t.pa, t.pb]                          # g_Q, Q = (c<=d)
+    dg = [diff1(g, grid, a) for a in range(grid.n)]
+    ddg = np.empty((len(g),) + g.shape)                    # ddg[P, Q] = d_P g_Q
+    for p, (a, b) in enumerate(zip(t.pa, t.pb)):
+        ddg[p] = diff2(g, grid, a) if a == b else diff1(dg[b], grid, a)
+    gam = gamma[:, t.pa, t.pb]                             # Gamma^p_P
+    gG = np.einsum("pq...,qm...->pm...", metric.values, gam)   # Gamma_{p,Q}
+    R = np.empty((len(t.terms),) + grid.shape)
+    F = np.empty((2,) + grid.shape)     # one entry at a time, to stay in cache
+    for r, pairs in zip(R, t.terms):
+        for f, (P, Q) in zip(F, pairs):
+            np.add(ddg[P, Q], ddg[Q, P], out=f)
+            f *= 0.5
+            for p in range(grid.n):
+                f += gam[p, P] * gG[p, Q]
+        np.subtract(F[0], F[1], out=r)
+    return R[t.upper]
 
 
-def riemann_lowered(metric: MetricField, gamma: np.ndarray) -> np.ndarray:
-    """R_{ijkl} for the Levi-Civita connection, composed from compact stencils:
-
-        R_{ijkl} = (1/2)(d_i d_k g_{jl} + d_j d_l g_{ik}
-                         - d_i d_l g_{jk} - d_j d_k g_{il})
-                   + g_{pq}(Gamma^p_{ik} Gamma^q_{jl} - Gamma^p_{jk} Gamma^q_{il})
-
-    Equivalent to lowering the Gamma-form curvature; this composition keeps
-    the pair antisymmetries, pair exchange, and first Bianchi exact to
-    rounding and has a smaller truncation constant.
-    """
-    grid = metric.grid
-    ddg = second_derivatives(metric.values, grid)        # ddg[a,b,i,j] = d_a d_b g_{ij}
-    R = 0.5 * (np.einsum("ikjl...->ijkl...", ddg)
-               + np.einsum("jlik...->ijkl...", ddg)
-               - np.einsum("iljk...->ijkl...", ddg)
-               - np.einsum("jkil...->ijkl...", ddg))
-    gG = np.einsum("pq...,qjl...->pjl...", metric.values, gamma)   # Gamma 1st kind
-    R += np.einsum("pik...,pjl...->ijkl...", gamma, gG)
-    R -= np.einsum("pjk...,pil...->ijkl...", gamma, gG)
-    return R
+def ricci(rab: np.ndarray, metric: MetricField) -> np.ndarray:
+    """Ric_{jk} = g^{il} R_{ijkl}, traced off R_AB over the (n-1)^2 nonzero
+    terms of each j <= k; symmetric by construction."""
+    t, shape = _bivectors(metric.n), metric.grid.shape
+    ric, term = np.zeros((len(t.pa),) + shape), np.empty(shape)
+    for r, terms in zip(ric, t.trace):
+        for sign, i, l, a, b in terms:
+            np.multiply(metric.inv[i, l], rab[a, b], out=term)
+            (np.add if sign > 0 else np.subtract)(r, term, out=r)
+    return ric[t.sym]
 
 
-def ricci(metric: MetricField, gamma: np.ndarray) -> np.ndarray:
-    """Ric_{jk} = g^{il} R_{ijkl} of ``riemann_lowered``, contracted term by term
-    so that no 4-tensor is formed:
+def riemann_norm_sq(rab: np.ndarray, metric: MetricField) -> np.ndarray:
+    """|Rm|^2 = 4 tr(G R G R), with G^{AB} = g^{ik} g^{jl} - g^{il} g^{jk} the
+    inverse metric on bivectors."""
+    t, gi = _bivectors(metric.n), metric.inv
+    i, j = t.bi[:, None], t.bj[:, None]
+    G = gi[i, t.bi] * gi[j, t.bj] - gi[i, t.bj] * gi[j, t.bi]
+    X = np.einsum("ab...,bc...->ac...", G, rab)
+    return 4.0 * np.einsum("ab...,ba...->...", X, X)
 
-        Ric_{jk} = (1/2)(A_{jk} + A_{kj} - g^{il} d_i d_l g_{jk} - g^{il} d_j d_k g_{il})
-                   + Gamma_{p,jl} g^{li} Gamma^p_{ik} - Gamma^p_{jk} g^{il} Gamma_{p,il},
 
-    with A_{jk} = g^{il} d_i d_k g_{jl} and Gamma_{p,jl} = g_{pq} Gamma^q_{jl}.
-    """
-    if metric.n == 1:       # no intrinsic curvature; keep the rounding out of it
-        return np.zeros((1, 1) + metric.grid.shape)
-    ginv = metric.inv
-    ddg = second_derivatives(metric.values, metric.grid)
-    A = np.einsum("il...,ikjl...->jk...", ginv, ddg)
-    ric = 0.5 * (A + np.swapaxes(A, 0, 1)
-                 - np.einsum("il...,iljk...->jk...", ginv, ddg)
-                 - np.einsum("il...,jkil...->jk...", ginv, ddg))
-    gG = np.einsum("pq...,qjl...->pjl...", metric.values, gamma)
-    up = np.einsum("li...,pik...->plk...", ginv, gamma)
-    ric += np.einsum("pjl...,plk...->jk...", gG, up)
-    ric -= np.einsum("pjk...,p...->jk...", gamma,
-                     np.einsum("il...,pil...->p...", ginv, gG))
-    return ric
+def unpack_riemann(rab: np.ndarray, n: int) -> np.ndarray:
+    """R_{ijkl} from R_AB; the pair antisymmetries are exact (sign flips)."""
+    t = _bivectors(n)
+    half = np.zeros(rab.shape[:1] + (n, n) + rab.shape[2:])   # R_{A,kl}
+    half[:, t.bi, t.bj], half[:, t.bj, t.bi] = rab, -rab
+    rm4 = np.zeros((n, n) + half.shape[1:])
+    rm4[t.bi, t.bj], rm4[t.bj, t.bi] = half, -half
+    return rm4
 
 
 def lower_rm(rm13: np.ndarray, metric: MetricField) -> np.ndarray:
@@ -272,8 +299,8 @@ def divergence(metric: MetricField, X: np.ndarray, gamma: np.ndarray) -> np.ndar
 class Geometry:
     """Derived fields of a metric and a potential, each computed on first use.
 
-    The flow right-hand side asks only for Gamma, Ric and the Hessian, so the
-    Riemann tensor is formed only when a diagnostic or an identity needs it.
+    ``rm_ab`` is the one curvature build; Ric and |Rm|^2 read it, and ``rm4``
+    unpacks it only for Weyl, Sm, nabla Rm and the identities, never the flow.
     ``rm_ref`` and ``rm_wy`` are the Levi-Civita and weighted-connection
     curvatures through the same Gamma-form route (``riemann_13``), so that
     relations between them vanish to rounding at constant u.
@@ -291,12 +318,16 @@ class Geometry:
         return christoffel(self.metric)
 
     @cached_property
-    def ric(self):
-        return ricci(self.metric, self.gamma)
+    def rm_ab(self):        # R_AB on bivectors: the one curvature build
+        return riemann_bivector(self.metric, self.gamma)
 
     @cached_property
-    def rm4(self):          # R_{ijkl}; algebraic symmetries exact by construction
-        return riemann_lowered(self.metric, self.gamma)
+    def ric(self):
+        return ricci(self.rm_ab, self.metric)
+
+    @cached_property
+    def rm4(self):          # R_{ijkl}, unpacked for the callers with four indices
+        return unpack_riemann(self.rm_ab, self.grid.n)
 
     @cached_property
     def rm13(self):         # R^l_{ijk}, raised from the lowered tensor
@@ -311,9 +342,8 @@ class Geometry:
         return np.einsum("jk...,jk...->...", self.ginv, self.ric)
 
     @cached_property
-    def rm_sq(self):        # |Rm|^2 = R^{ij}_{kl} R^{kl}_{ij}, by pair exchange
-        up = raise_index(raise_index(self.rm4, self.metric, 0), self.metric, 1)
-        return np.einsum("ijkl...,klij...->...", up, up)
+    def rm_sq(self):        # |Rm|^2, on bivectors
+        return riemann_norm_sq(self.rm_ab, self.metric)
 
     @cached_property
     def ric_up(self):       # Ric^{pq}
@@ -443,8 +473,8 @@ class CoupledGeometry(Geometry):
 
     @cached_property
     def sm_sq(self):
-        # |Sm|^2 expanded through the symmetries of Rm, so that no second
-        # 4-tensor is normed
+        # |Sm|^2 expanded through the symmetries of Rm, so that it reads
+        # |Rm|^2 off R_AB and no 4-tensor is formed
         a1 = self.alpha1
         return (self.rm_sq
                 + a1 * np.einsum("ij...,i...,j...->...", self.ric, self.du_up, self.du_up)

@@ -302,8 +302,8 @@ def test_shared_geometry_saves_one_christoffel_per_state(monkeypatch):
 
 
 def test_diagnose_curvature_norms_match_tensor_norms():
-    # max_rm, int_rm_sq and int_sm_sq come from pair-exchange and expanded
-    # forms; they must agree with norming the 4-tensors directly
+    # max_rm, int_rm_sq and int_sm_sq come from the bivector trace and the
+    # expanded form; they must agree with norming the 4-tensors directly
     for n, res in ((2, 16), (3, 10), (4, 8)):
         _, m, u = random_instance(n, res, seed=21)
         cb = curvature(m)

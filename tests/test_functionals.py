@@ -251,11 +251,12 @@ def test_one_difference_pass_per_evaluated_iterate(monkeypatch):
 
 
 def test_mu_minimize_builds_one_ricci(monkeypatch):
-    # the upper bound reads the S that the minimizer already holds
+    # the upper bound reads the S that the minimizer already holds; Ric is a
+    # trace of R_AB, so counting the one curvature build counts Ricci builds
     import rlab.tensor as tensor
     calls = []
-    real = tensor.ricci
-    monkeypatch.setattr(tensor, "ricci", lambda *a: calls.append(1) or real(*a))
+    real = tensor.riemann_bivector
+    monkeypatch.setattr(tensor, "riemann_bivector", lambda *a: calls.append(1) or real(*a))
     grid, m, u = random_instance(2, 12, seed=321)
     rep = mu_minimize(m, u, 0.8, OptimizerOpts(max_iter=5, nseeds=1))
     assert len(calls) == 1

@@ -282,14 +282,61 @@ def test_bundle_invariants_randomized_instances():
             assert np.max(np.abs(field)) < 5.0 * h2, (seed, key)
 
 
+def _riemann_four_index(m, G):
+    """Independent reference: R_{ijkl} from the four-index compact formula
+    R_{ijkl} = (1/2)(d_i d_k g_{jl} + d_j d_l g_{ik} - d_i d_l g_{jk} - d_j d_k g_{il})
+               + g_{pq}(Gamma^p_{ik} Gamma^q_{jl} - Gamma^p_{jk} Gamma^q_{il})."""
+    from rlab.mesh import diff1, diff2
+    grid, n = m.grid, m.n
+    ddg = np.empty((n, n) + m.values.shape)
+    for i in range(n):
+        ddg[i, i] = diff2(m.values, grid, i)
+        for j in range(i + 1, n):
+            ddg[i, j] = ddg[j, i] = diff1(diff1(m.values, grid, j), grid, i)
+    R = 0.5 * (np.einsum("ikjl...->ijkl...", ddg) + np.einsum("jlik...->ijkl...", ddg)
+               - np.einsum("iljk...->ijkl...", ddg) - np.einsum("jkil...->ijkl...", ddg))
+    gG = np.einsum("pq...,qjl...->pjl...", m.values, G)
+    R += np.einsum("pik...,pjl...->ijkl...", G, gG)
+    R -= np.einsum("pjk...,pil...->ijkl...", G, gG)
+    return R
+
+
 def test_direct_ricci_matches_contraction():
-    from rlab.tensor import ricci, riemann_lowered
     for n, res in ((2, 16), (3, 10), (4, 8)):
         _, m, _ = random_instance(n, res, seed=11)
-        G = christoffel(m)
-        ric = ricci(m, G)
-        traced = np.einsum("il...,ijkl...->jk...", m.inv, riemann_lowered(m, G))
-        assert np.max(np.abs(ric - traced)) <= 1e-13 * np.max(np.abs(ric)), n
+        cb = curvature(m)
+        R, ref = cb.rm4, _riemann_four_index(m, christoffel(m))
+        assert np.max(np.abs(R - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+        traced = np.einsum("il...,ijkl...->jk...", m.inv, R)
+        assert np.max(np.abs(cb.ric - traced)) <= 1e-13 * np.max(np.abs(cb.ric)), n
+        # both pair antisymmetries and pair exchange hold bitwise
+        rest = tuple(range(4, R.ndim))
+        assert np.array_equal(R, -np.swapaxes(R, 0, 1)), n
+        assert np.array_equal(R, -np.swapaxes(R, 2, 3)), n
+        assert np.array_equal(R, np.transpose(R, (2, 3, 0, 1) + rest)), n
+
+
+def test_curvature_n1_norms_zero():
+    g = build_grid("torus", 1, [16], [2 * np.pi])
+    vals = np.ones((1, 1) + g.shape) * (1.0 + 0.2 * np.sin(g.coords()[0]))
+    from rlab.mesh import MetricField
+    cb = curvature(MetricField(g, vals))
+    assert cb.rm_ab.shape == (0, 0) + g.shape
+    assert np.all(cb.rm_sq == 0.0) and np.all(cb.weyl == 0.0)
+
+
+def test_flow_and_diagnostics_never_unpack_rm4():
+    from rlab.flow import FlowParams, FlowState, _diagnose, cfl_dt, flow_rhs
+    from rlab.tensor import Geometry
+    grid, m, u = random_instance(4, 8, seed=13)
+    state, params = FlowState(grid, m, u), FlowParams(alpha1=2.0)
+    geo = Geometry(m, u)
+    flow_rhs(state, params, geo)
+    cfl_dt(state, 1.0, geo)
+    assert "rm_ab" in vars(geo) and "rm4" not in vars(geo)
+    cpl = CoupledGeometry(m, u, params.alpha1)
+    _diagnose(state, params, 0.0, 1e-3, cpl)
+    assert "rm_sq" in vars(cpl) and "rm4" not in vars(cpl)
 
 
 def test_lazy_curvature_parts_match_eager_formulas():
