@@ -15,6 +15,7 @@ to the BLAS/OpenMP environment before numpy loads).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -26,15 +27,27 @@ TOOL_VERSION = "0.1.0"
 # --------------------------------------------------------------------------
 # config -> domain objects
 
-def build_from_config(cfg, res_override=None):
-    from .instances import conformal_metric, perturbed_flat_metric, trig_scalar
-    from .mesh import build_grid, flat_metric
+def grid_from(cfg, res=None):
+    """The config's grid, or a verify level's at ``res`` points per axis; a
+    grid that ``build_grid`` rejects is a ConfigError naming the key."""
+    from .config import ConfigError
+    from .mesh import GridError, build_grid
 
     g = cfg["grid"]
-    res = g["resolutions"]
-    if res_override:
-        res = [res_override] * g["n"]
-    grid = build_grid(g["kind"], g["n"], res, g["extents"])
+    try:
+        return build_grid(g["kind"], g["n"], [res] * g["n"] if res else g["resolutions"],
+                          g["extents"])
+    except GridError as e:
+        key, _, why = str(e).partition(": ")
+        raise ConfigError(f"verify.resolutions: level {res}: {why}" if res
+                          else f"grid.{key}: {why}") from e
+
+
+def build_from_config(cfg, res_override=None):
+    from .instances import conformal_metric, perturbed_flat_metric, trig_scalar
+    from .mesh import flat_metric
+
+    grid = grid_from(cfg, res_override)
     idata = cfg.get("initial_data", {})
     mspec = idata.get("metric", {"family": "flat"})
     family = mspec.get("family", "flat")
@@ -63,33 +76,47 @@ def build_from_config(cfg, res_override=None):
 
 def flow_params_from(cfg):
     from .flow import FlowParams
-    f = cfg.get("flow", {})
-    return FlowParams(f.get("alpha1", 2.0), f.get("alpha2", 0.0),
-                      f.get("beta1", 0.0), f.get("beta2", 0.0))
+    return FlowParams(**{"alpha1": 2.0, **cfg.get("flow", {})})
 
 
 def schedule_from(cfg):
+    """The config's Schedule; a field it rejects is a ConfigError naming the key."""
+    from .config import ConfigError
     from .flow import Schedule
     # the schema admits exactly Schedule's fields; absent ones take its defaults
-    return Schedule(**{"t_end": 0.02, **cfg.get("schedule", {})})
+    try:
+        return Schedule(**{"t_end": 0.02, **cfg.get("schedule", {})})
+    except ValueError as e:
+        raise ConfigError(f"schedule.{e}") from e
+
+
+def seed_of(cfg):
+    """The config's root seed; without one, the optimizer's default."""
+    from .functionals import OptimizerOpts
+    return cfg.get("seed", OptimizerOpts.seed)
+
+
+def base_flow(cfg, diagnostics):
+    """The config's flow from its initial data: what run, entropy and uniqueness read."""
+    from .flow import FlowState, run
+    grid, metric, u0 = build_from_config(cfg)
+    sched = replace(schedule_from(cfg), diagnostics=diagnostics)
+    return run(FlowState(grid, metric, u0), flow_params_from(cfg), sched)
 
 
 # --------------------------------------------------------------------------
 # stages
 
-def stage_run(cfg, out: Path, checks, outputs):
+def stage_run(cfg, out: Path, checks, outputs, base):
     import numpy as np
-    from .flow import FlowState, run
     from .snapshots import write_checkpoint, write_diagnostics_csv
 
-    grid, metric, u0 = build_from_config(cfg)
-    params = flow_params_from(cfg)
-    sched = schedule_from(cfg)
-    traj = run(FlowState(grid, metric, u0), params, sched)
+    traj = base()
+    params = traj.params
     write_diagnostics_csv(out / "diagnostics.csv", traj)
     outputs.append("diagnostics.csv")
     final = traj.state(traj.nsnapshots - 1)
-    write_checkpoint(out / "checkpoint.rlab", final, params, sched)
+    write_checkpoint(out / "checkpoint.rlab", final, params, schedule_from(cfg))
     outputs.append("checkpoint.rlab")
     checks["run.completed"] = traj.aborted is None
     if (params.alpha1 >= 0 and params.beta1 == 0 and params.beta2 == 0
@@ -103,18 +130,23 @@ def stage_run(cfg, out: Path, checks, outputs):
     return traj
 
 
-def verify_entries(cfg):
-    """(entry, identity id, negative control) for each ``verify.identities``
-    entry; a ConfigError names the first entry the verify stage cannot run,
-    or ``schedule.dt`` unless it is a number, which each level rescales."""
+def verify_plan(cfg):
+    """(entries, levels) of the verify stage: (entry, identity id, negative
+    control) per ``verify.identities`` entry and (resolution, evaluated
+    snapshot k, schedule) per ``verify.resolutions`` level.  A ConfigError
+    names the first entry or level the stage cannot run, or ``schedule.dt``
+    unless it is a number, which each level rescales."""
     from .config import ConfigError
+    from .flow import Schedule, step_plan
     from .identities import REGISTRY
 
-    if cfg.get("schedule", {}).get("dt") is None:
+    sched = schedule_from(cfg)
+    if sched.dt is None:
         raise ConfigError("schedule.dt: the verify stage needs a number, which it "
                           "rescales to each level; null or absent is not accepted")
+    vcfg = cfg.get("verify", {})
     entries = []
-    for entry in cfg.get("verify", {}).get("identities", ["A.8", "A.9"]):
+    for entry in vcfg.get("identities", ["A.8", "A.9"]):
         base, sep, tag = str(entry).partition(":")
         ident = REGISTRY.get(base) if isinstance(entry, str) else None
         if ident is None or ident.pair or ident.bound is not None:
@@ -125,62 +157,57 @@ def verify_entries(cfg):
             entries.append((entry, base, bool(sep)))
             continue
         raise ConfigError(f"verify.identities: {entry!r}: {why}")
-    return entries
-
-
-def stage_verify(cfg, out: Path, checks, outputs):
-    from .flow import BlowUpError, FlowState, Schedule, run, step_plan
-    from .identities import converges, evaluate_identity, with_order
-    from .snapshots import write_reports_json
-
-    vcfg = cfg.get("verify", {})
-    entries = verify_entries(cfg)
-    resolutions = vcfg.get("resolutions", [16, 32])
     frac = vcfg.get("t_eval_frac", 0.75)
-    params = flow_params_from(cfg)
-    sched = schedule_from(cfg)
     base_res = cfg["grid"]["resolutions"][0]
     levels = []
-    for res in resolutions:
-        grid, metric, u0 = build_from_config(cfg, res)
+    for res in vcfg.get("resolutions", [16, 32]):
+        grid_from(cfg, res)
         dt = sched.dt * (base_res / res) ** 2
         # the residuals read snapshots k - 1, k and k + 1: integrate to k + 1
         nsteps, _ = step_plan(sched.t_end, dt)
+        if nsteps < 2:
+            raise ConfigError(f"verify.resolutions: level {res}: {nsteps} step of "
+                              f"dt {dt!r} to t_end; the residuals need at least 2")
         k = min(max(int(round(frac * nsteps)), 1), nsteps - 1)
         t_stop = sched.t_end if k + 1 == nsteps else (k + 1) * dt
-        sched_r = Schedule(t_end=t_stop, dt=dt, cadence=1, method=sched.method,
-                           diagnostics=False)
-        traj = run(FlowState(grid, metric, u0), params, sched_r)
+        levels.append((res, k, Schedule(t_end=t_stop, dt=dt, method=sched.method,
+                                        diagnostics=False)))
+    return entries, levels
+
+
+def stage_verify(cfg, out: Path, checks, outputs, _base=None):
+    from .flow import BlowUpError, FlowState, run
+    from .identities import converges, evaluate_identity, with_order
+    from .snapshots import write_reports_json
+
+    entries, levels = verify_plan(cfg)
+    params = flow_params_from(cfg)
+    reports = []
+    for res, k, sched in levels:
+        grid, metric, u0 = build_from_config(cfg, res)
+        traj = run(FlowState(grid, metric, u0), params, sched)
         if traj.aborted:
             raise BlowUpError(f"verify at resolution {res}: {traj.aborted}")
-        levels.append([replace(evaluate_identity(traj, base_id, k, mutate=mutate),
-                               identity=entry)
-                       for entry, base_id, mutate in entries])
-    for (entry, _, _), seq in zip(entries, zip(*levels)):
+        reports.append([replace(evaluate_identity(traj, base_id, k, mutate=mutate),
+                                identity=entry)
+                        for entry, base_id, mutate in entries])
+    for (entry, _, _), seq in zip(entries, zip(*reports)):
         checks[f"verify.{entry}"] = converges(seq)
-    all_reports = with_order(levels)
-    write_reports_json(out / "residuals.json", all_reports)
+    write_reports_json(out / "residuals.json", with_order(reports))
     outputs.append("residuals.json")
-    return all_reports
 
 
-def stage_entropy(cfg, out: Path, checks, outputs):
+def stage_entropy(cfg, out: Path, checks, outputs, base):
     import numpy as np
-    from .flow import FlowState, run
     from .functionals import OptimizerOpts, mu_minimize
     from .snapshots import write_entropy_csv
 
     ecfg = cfg.get("entropy", {})
     tau0 = ecfg.get("tau0", 1.0)
     samples = ecfg.get("samples", 10)
-    opts = OptimizerOpts(tol=ecfg.get("tol", 1e-8),
-                         max_iter=ecfg.get("max_iter", 10_000),
-                         nseeds=ecfg.get("nseeds", 5),
-                         seed=cfg.get("seed", 1234))
-    grid, metric, u0 = build_from_config(cfg)
-    params = flow_params_from(cfg)
-    sched = replace(schedule_from(cfg), diagnostics=False)
-    traj = run(FlowState(grid, metric, u0), params, sched)
+    opts = OptimizerOpts(seed=seed_of(cfg), **{
+        k: ecfg[k] for k in ("tol", "max_iter", "nseeds") if k in ecfg})
+    traj = base()
     idxs = np.linspace(0, traj.nsnapshots - 1, samples).astype(int)
     rows, mus = [], []
     prev = None
@@ -200,19 +227,18 @@ def stage_entropy(cfg, out: Path, checks, outputs):
     checks["entropy.mu_below_bound"] = bool(
         all(r[2] <= r[3] + 1e-6 for r in rows))
     checks["entropy.normalized"] = bool(all(r[4] <= 1e-8 for r in rows))
-    return rows
 
 
-def stage_compare(cfg, out: Path, checks, outputs):
-    from .comparison import scalar_order
+def stage_compare(cfg, out: Path, checks, outputs, _base=None):
+    from .comparison import SCALAR_PAIRS, scalar_order
     from .instances import random_instance
     from .snapshots import write_verdicts_csv
     from .tensor import Geometry
 
     ccfg = cfg.get("compare", {})
-    pairs = ccfg.get("scalar_pairs", ["RL_vs_R", "R_vs_RWY", "R_eq_RWY_e^u"])
+    pairs = ccfg.get("scalar_pairs", SCALAR_PAIRS)
     ninst = ccfg.get("instances", 5)
-    seed = cfg.get("seed", 1234)
+    seed = seed_of(cfg)
     n = cfg["grid"]["n"]
     res = cfg["grid"]["resolutions"][0]
     verdicts = []
@@ -227,32 +253,27 @@ def stage_compare(cfg, out: Path, checks, outputs):
     write_verdicts_csv(out / "verdicts.csv", verdicts)
     outputs.append("verdicts.csv")
     checks["compare.orderings"] = bool(ok)
-    return verdicts
 
 
-def stage_uniqueness(cfg, out: Path, checks, outputs):
+def stage_uniqueness(cfg, out: Path, checks, outputs, base):
     import numpy as np
     from .flow import FlowState, run
-    from .instances import trig_scalar
     from .mesh import MetricField
     from .snapshots import write_energy_csv
     from .uniqueness import energy_trace, gronwall_fit
 
     ucfg = cfg.get("uniqueness", {})
     delta = ucfg.get("delta", 1e-3)
-    beta = ucfg.get("beta", 0.5)
-    grid, metric, u0 = build_from_config(cfg)
-    params = flow_params_from(cfg)
-    sched = replace(schedule_from(cfg), diagnostics=False)
+    tr1 = base()
+    st0 = tr1.state(0)
     # along x^1: on a g_00 that varies along x^0 alone, delta sin(x^0) is a
     # reparametrization and leaves the curvature unchanged
-    x = grid.coords()[1 if grid.n >= 2 else 0]
-    pert = metric.values.copy()
+    x = st0.grid.coords()[1 if st0.grid.n >= 2 else 0]
+    pert = st0.metric.values.copy()
     pert[(0, 0)] = pert[(0, 0)] + delta * np.sin(x)
-    m2 = MetricField(grid, pert)
-    tr1 = run(FlowState(grid, metric, u0), params, sched)
-    tr2 = run(FlowState(grid, m2, u0), params, sched)
-    trace = energy_trace(tr1, tr2, beta=beta)
+    tr2 = run(FlowState(st0.grid, MetricField(st0.grid, pert), st0.u), tr1.params,
+              replace(schedule_from(cfg), diagnostics=False))
+    trace = energy_trace(tr1, tr2, **{k: ucfg[k] for k in ("beta",) if k in ucfg})
     write_energy_csv(out / "energy.csv", trace)
     outputs.append("energy.csv")
     half = len(trace.times) // 2
@@ -265,27 +286,24 @@ def stage_uniqueness(cfg, out: Path, checks, outputs):
         grow = all(trace.values[k] <= e0 * np.exp(2 * N * (trace.times[k] - t0)) + 1e-30
                    for k in range(half, len(trace.times)))
         checks["uniqueness.growth_bound"] = bool(grow)
-    return trace
 
 
-def stage_constants(cfg, out: Path, checks, outputs):
+def stage_constants(cfg, out: Path, checks, outputs, _base=None):
     from .functionals import (EstimateConstants, delta_u_bound,
                               log_sobolev_constant, noncollapse_constants,
                               dimension4_bound_constants)
     c = cfg.get("constants", {})
     n = cfg["grid"]["n"]
     p = flow_params_from(cfg)
-    est = EstimateConstants(K=c.get("K", 0.0), L=c.get("L", 0.0),
-                            P=c.get("P", 0.0), D=c.get("D", 0.0), A=c.get("A", 0.0),
-                            C_user=c.get("C_user", 1.0),
-                            C_s_user=c.get("C_s", 1.0))
+    est = EstimateConstants(**{
+        k: c[k] for k in ("K", "L", "P", "D", "A", "C_user", "C_s") if k in c})
     table = {
         "lambda1": est.lambda1,
         "lambda2": est.lambda2 if est.K > 0 else None,
         "noncollapse": noncollapse_constants(max(n, 2), est.D, est.A,
                                              c.get("Cn_user", 1.0)),
         "delta_u_bound": delta_u_bound(n, est.K, 0.0, est.C_user),
-        "log_sobolev_C": log_sobolev_constant(1.0, 1.0, max(n, 2), est.C_s_user),
+        "log_sobolev_C": log_sobolev_constant(1.0, 1.0, max(n, 2), est.C_s),
         "dimension4_bounds": dimension4_bound_constants(
             p.alpha1, p.beta1, p.beta2, c.get("A1", 1.0), c.get("C", 2.0),
             c.get("C0", 1.0), 1.0, c.get("chi", 0.0)),
@@ -294,9 +312,10 @@ def stage_constants(cfg, out: Path, checks, outputs):
     outputs.append("constants.json")
     print(json.dumps(table, indent=1, sort_keys=True))
     checks["constants.evaluated"] = True
-    return table
 
 
+# each stage is called as stage(cfg, out, checks, outputs, base), positionally:
+# base() returns the config's base flow, integrated on its first call
 STAGES = {"run": stage_run, "verify": stage_verify, "entropy": stage_entropy,
           "compare": stage_compare, "uniqueness": stage_uniqueness,
           "constants": stage_constants}
@@ -308,7 +327,8 @@ STAGE_SECTIONS = {"run": "schedule", "verify": "verify", "entropy": "entropy",
 
 def run_experiment(config_path, out_dir, stages=None, res_override=None,
                    seed_override=None):
-    """Execute the selected stages; returns (manifest dict, exit code)."""
+    """Execute the selected stages; returns (manifest dict, exit code).  The
+    base flow is integrated at most once, inside the first stage that reads it."""
     from .config import config_hash, load_config
     cfg = load_config(config_path)
     if seed_override is not None:
@@ -320,27 +340,30 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
         selected = [s for s in STAGES if STAGE_SECTIONS[s] in cfg]
         if not selected:
             selected = ["run"]
+    # reject a bad schedule, grid or verify plan before any stage runs
+    schedule_from(cfg)
+    grid_from(cfg)
     if "verify" in selected:
-        verify_entries(cfg)             # reject a bad entry or dt before any stage runs
+        verify_plan(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checks, outputs, abort_reason = {}, [], None
+    checks, outputs = {}, []
+    # diagnostics rows leave every state bitwise unchanged; only run writes them
+    base = functools.cache(lambda: base_flow(cfg, "run" in selected))
     for name in selected:
-        result = STAGES[name](cfg, out, checks, outputs)
-        if name == "run":
-            abort_reason = result.aborted
+        STAGES[name](cfg, out, checks, outputs, base)
     failed = sorted(k for k, v in checks.items() if v is False)
     manifest = {
         "config_hash": config_hash(cfg),
         "tool_version": TOOL_VERSION,
-        "seeds": {"seed": cfg.get("seed", 1234)},
+        "seeds": {"seed": seed_of(cfg)},
         "outputs": sorted(outputs),
         "checks": {k: checks[k] for k in sorted(checks)},
         "passed": not failed,
         "failed_checks": failed,
     }
-    if abort_reason:
-        manifest["abort_reason"] = abort_reason
+    if "run" in selected and base().aborted:
+        manifest["abort_reason"] = base().aborted
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1,
                                                   sort_keys=True))
     return manifest, (0 if not failed else 1)

@@ -61,6 +61,10 @@ def _check(node, schema, path):
 
 REQUIRED = ("grid",)
 
+# a count below 1 or an empty list leaves its stage nothing to check
+COUNTS = ("entropy.samples", "entropy.nseeds", "entropy.max_iter", "compare.instances")
+LISTS = ("verify.identities", "verify.resolutions", "compare.scalar_pairs")
+
 
 def validate(config: dict) -> dict:
     _check(config, SCHEMA, "")
@@ -71,6 +75,12 @@ def validate(config: dict) -> dict:
     for key in ("kind", "n", "resolutions", "extents"):
         if key not in g:
             raise ConfigError(f"grid.{key}: required key missing")
+    for path in COUNTS + LISTS:
+        section, key = path.split(".")
+        val = config.get(section, {}).get(key)
+        if val is not None and (len(val) if path in LISTS else val) < 1:
+            raise ConfigError(f"{path}: must not be empty" if path in LISTS
+                              else f"{path}: must be at least 1, got {val!r}")
     sched = config.get("schedule", {})
     if "safety" in sched and sched.get("dt") is not None:
         raise ConfigError("schedule.safety: no effect next to a numeric schedule.dt; "

@@ -138,6 +138,19 @@ class Schedule:
     method: str = "rk4"
     diagnostics: bool = True
 
+    def __post_init__(self):
+        # each message starts with the field it rejects
+        if not self.t_end > 0:
+            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError(f"dt must be positive or None, got {self.dt!r}")
+        if not 0 < self.safety <= 1:
+            raise ValueError(f"safety must lie in (0, 1], got {self.safety!r}")
+        if not self.cadence >= 1:
+            raise ValueError(f"cadence must be at least 1, got {self.cadence!r}")
+        if self.method not in ("euler", "rk4"):
+            raise ValueError(f"method must be 'euler' or 'rk4', got {self.method!r}")
+
 
 def step_plan(t_end: float, dt: float) -> tuple[int, bool]:
     """(number of steps, whether the last is shortened) from 0 to ``t_end``:
@@ -231,8 +244,6 @@ def rm_lp_series(traj: Trajectory, p: float):
 
 def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Trajectory:
     """Integrate to t_end, recording snapshots and per-step diagnostics."""
-    if not schedule.t_end > 0:
-        raise ValueError(f"t_end must be positive, got {schedule.t_end!r}")
     # one geometry per accepted state, shared by its diagnostics row, the
     # initial step bound and the first stage of the step that leaves it
     geo = CoupledGeometry(initial_state.metric, initial_state.u, params.alpha1)

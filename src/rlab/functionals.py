@@ -312,7 +312,7 @@ class EstimateConstants:
     D: float = 0.0
     A: float = 0.0
     C_user: float = 1.0
-    C_s_user: float = 1.0
+    C_s: float = 1.0
 
     @property
     def lambda1(self) -> float:

@@ -71,19 +71,21 @@ class Grid:
 
 def build_grid(kind: str, n: int, resolutions: Sequence[int],
                extents: Sequence[float]) -> Grid:
+    # each message starts with the argument it rejects
     if kind not in ("torus", "chart"):
-        raise GridError(f"unknown grid kind {kind!r}")
+        raise GridError(f"kind: unknown grid kind {kind!r}")
     if not 1 <= n <= 4:
-        raise GridError(f"dimension n={n} outside 1..4")
-    if len(resolutions) != n or len(extents) != n:
-        raise GridError("resolutions/extents length must equal n")
+        raise GridError(f"n: dimension {n} outside 1..4")
+    for name, values in (("resolutions", resolutions), ("extents", extents)):
+        if len(values) != n:
+            raise GridError(f"{name}: {len(values)} entries for n={n}")
     min_res = TORUS_MIN_RES if kind == "torus" else CHART_MIN_RES
     for r in resolutions:
         if r < min_res:
-            raise GridError(f"resolution {r} below stencil minimum {min_res} for {kind}")
+            raise GridError(f"resolutions: {r} below stencil minimum {min_res} for {kind}")
     for e in extents:
         if not e > 0:
-            raise GridError("extents must be positive")
+            raise GridError("extents: must be positive")
     return Grid(kind, n, tuple(int(r) for r in resolutions),
                 tuple(float(e) for e in extents))
 

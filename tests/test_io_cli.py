@@ -564,7 +564,7 @@ def test_entropy_uniqueness_outputs_unchanged_without_diagnostics(tmp_path, monk
 
     monkeypatch.setattr(rlab.flow, "run", spy)
     run_experiment(cfg, tmp_path / "off", stages=["entropy", "uniqueness"])
-    assert flags == [False, False, False]
+    assert flags == [False, False]
     monkeypatch.setattr(rlab.flow, "run",
                         lambda st, p, s: spy(st, p, s, force=True))
     run_experiment(cfg, tmp_path / "on", stages=["entropy", "uniqueness"])
@@ -573,12 +573,97 @@ def test_entropy_uniqueness_outputs_unchanged_without_diagnostics(tmp_path, monk
                 == (tmp_path / "on" / name).read_bytes()), name
 
 
+@pytest.mark.parametrize("stages", [["run", "entropy", "uniqueness"],
+                                    ["entropy", "uniqueness"]])
+def test_stages_share_one_base_flow(tmp_path, monkeypatch, stages):
+    # the stages read one integration of the base flow; the uniqueness
+    # stage's perturbed twin is the only other one
+    import rlab.flow
+    from rlab.cli import run_experiment
+    cfg = write_cfg(tmp_path, STAGE_CFG)
+    real_run, calls = rlab.flow.run, []
+    monkeypatch.setattr(rlab.flow, "run", lambda *a: calls.append(1) or real_run(*a))
+    run_experiment(cfg, tmp_path / "all", stages=stages)
+    assert len(calls) == 2
+    # the same bytes as one experiment per stage
+    parts = [run_experiment(cfg, tmp_path / name, stages=[name])[0] for name in stages]
+    for name, part in zip(stages, parts):
+        for f in part["outputs"]:
+            assert ((tmp_path / "all" / f).read_bytes()
+                    == (tmp_path / name / f).read_bytes()), f
+    checks = {k: v for part in parts for k, v in part["checks"].items()}
+    assert all(checks.values())
+    merged = dict(parts[0], checks=checks,
+                  outputs=sorted(f for part in parts for f in part["outputs"]))
+    assert ((tmp_path / "all" / "manifest.json").read_text()
+            == json.dumps(merged, indent=1, sort_keys=True))
+
+
+def config_error(tmp_path, capsys, extra, flags=()):
+    """stderr of ``rlab run`` on BASE_CFG updated by ``extra``, which must
+    exit 2 before any stage runs (no output directory)."""
+    from rlab.cli import main
+    code = main(["run", "--config", str(write_cfg(tmp_path, extra)),
+                 "--out", str(tmp_path / "o"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2 and not (tmp_path / "o").exists(), err
+    return err
+
+
+def with_schedule(**fields):
+    return {"schedule": {"t_end": 0.008, "dt": 0.002, **fields}}
+
+
+@pytest.mark.parametrize("key, extra, flags", [
+    ("schedule.cadence", with_schedule(cadence=0), []),
+    ("schedule.cadence", with_schedule(cadence=-1), []),
+    ("schedule.method", with_schedule(method="rk5"), []),
+    ("schedule.t_end", with_schedule(t_end=0), []),
+    ("schedule.dt", with_schedule(dt=0), []),
+    ("schedule.dt", with_schedule(dt=-0.001), []),
+    ("schedule.safety", {"schedule": {"t_end": 0.008, "safety": 0}}, []),
+    ("grid.kind", {"grid": dict(BASE_CFG["grid"], kind="sphere")}, []),
+    ("grid.resolutions", {"grid": dict(BASE_CFG["grid"], resolutions=[4, 4])}, []),
+    ("grid.resolutions", None, ["--resolution-override", "4"]),
+], ids=["cadence-0", "cadence-negative", "method-rk5", "t_end-0", "dt-0",
+        "dt-negative", "safety-0", "grid-sphere", "grid-res-4", "override-res-4"])
+def test_bad_schedule_and_grid_values_exit_2_before_any_stage(tmp_path, capsys, key,
+                                                                extra, flags):
+    err = config_error(tmp_path, capsys, extra, flags)
+    assert err.startswith(f"config error: {key}"), err
+
+
+@pytest.mark.parametrize("resolutions, why", [
+    ([8, 16, 32], "level 8: 1 step of dt 0.008 to t_end"),
+    ([4, 16, 32], "level 4: 4 below stencil minimum 8"),
+], ids=["one-step", "below-torus-minimum"])
+def test_verify_levels_that_cannot_be_evaluated_are_config_errors(tmp_path, capsys,
+                                                                   resolutions, why):
+    # the residuals read snapshots k - 1, k and k + 1 of every level
+    err = config_error(tmp_path, capsys, {
+        **with_schedule(t_end=0.004),
+        "verify": {"identities": ["A.8"], "resolutions": resolutions}})
+    assert err.startswith(f"config error: verify.resolutions: {why}"), err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("entropy.samples", 0), ("entropy.nseeds", 0), ("entropy.max_iter", 0),
+    ("compare.instances", 0), ("compare.scalar_pairs", []),
+    ("verify.identities", []), ("verify.resolutions", []),
+])
+def test_stages_with_nothing_to_check_are_config_errors(tmp_path, capsys, key, value):
+    # each value would let its stage pass with no check evaluated
+    section, name = key.split(".")
+    err = config_error(tmp_path, capsys, {section: {name: value}})
+    assert err.startswith(f"config error: {key}: "), err
+
+
 def test_cli_and_run_share_the_default_step_safety(tmp_path):
-    from rlab.cli import build_from_config, flow_params_from, stage_run
+    from rlab.cli import base_flow, build_from_config, flow_params_from, stage_run
     from rlab.config import load_config
     from rlab.flow import cfl_dt, run
     cfg = load_config(write_cfg(tmp_path, {"schedule": {"t_end": 0.01, "dt": None}}))
-    traj_cli = stage_run(cfg, tmp_path, {}, [])
+    traj_cli = stage_run(cfg, tmp_path, {}, [], lambda: base_flow(cfg, True))
     grid, metric, u0 = build_from_config(cfg)
     state = FlowState(grid, metric, u0)
     traj = run(state, flow_params_from(cfg), Schedule(t_end=0.01, diagnostics=False))
@@ -603,13 +688,13 @@ def test_abort_reason_is_a_manifest_key_not_a_check(tmp_path):
 
 def test_aborted_run_records_its_last_state_once(tmp_path):
     # the blow-up config of test_abort_reason_is_a_manifest_key_not_a_check
-    from rlab.cli import stage_run
+    from rlab.cli import base_flow, stage_run
     cfg = json.loads(write_cfg(tmp_path, {
         "initial_data": {"metric": {"family": "perturbed", "components": {
             "0,0": [{"amp": 0.8, "wave": [0, 1]}]}}},
         "schedule": {"t_end": 2.0, "dt": 0.5}}, name="blowup.json").read_text())
     checks = {}
-    traj = stage_run(cfg, tmp_path, checks, [])
+    traj = stage_run(cfg, tmp_path, checks, [], lambda: base_flow(cfg, True))
     assert traj.aborted is not None and checks["run.completed"] is False
     times = traj.times
     assert len(set(times)) == len(times), times
