@@ -158,6 +158,8 @@ def verify_plan(cfg):
             continue
         raise ConfigError(f"verify.identities: {entry!r}: {why}")
     frac = vcfg.get("t_eval_frac", 0.75)
+    if not 0 < frac < 1:
+        raise ConfigError(f"verify.t_eval_frac: {frac!r} outside (0, 1)")
     base_res = cfg["grid"]["resolutions"][0]
     levels = []
     for res in vcfg.get("resolutions", [16, 32]):
@@ -329,7 +331,7 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
                    seed_override=None):
     """Execute the selected stages; returns (manifest dict, exit code).  The
     base flow is integrated at most once, inside the first stage that reads it."""
-    from .config import config_hash, load_config
+    from .config import ConfigError, config_hash, load_config
     cfg = load_config(config_path)
     if seed_override is not None:
         cfg["seed"] = seed_override
@@ -340,11 +342,18 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
         selected = [s for s in STAGES if STAGE_SECTIONS[s] in cfg]
         if not selected:
             selected = ["run"]
-    # reject a bad schedule, grid or verify plan before any stage runs
+    # reject a bad schedule, grid, verify plan or compare pair before any stage runs
     schedule_from(cfg)
-    grid_from(cfg)
+    flows = [s for s in selected if s in ("run", "verify", "entropy", "uniqueness")]
+    if grid_from(cfg).kind != "torus" and flows:
+        raise ConfigError(f"grid.kind: the {flows[0]} stage integrates a flow: torus only")
     if "verify" in selected:
         verify_plan(cfg)
+    if "compare" in selected:
+        from .comparison import SCALAR_PAIRS
+        for pair in cfg.get("compare", {}).get("scalar_pairs", ()):
+            if pair not in SCALAR_PAIRS:
+                raise ConfigError(f"compare.scalar_pairs: unknown pair {pair!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks, outputs = {}, []
@@ -379,7 +388,7 @@ def emit_plots(manifest_path):
     manifest = json.loads(mpath.read_text())
     written = []
 
-    def columns(csv_name, xcol, ycols, figure, logscale=False, note=""):
+    def columns(csv_name, xcol, ycols, figure):
         src = out / csv_name
         if not src.exists():
             print(f"warning: series {csv_name} missing, skipping {figure}",
@@ -397,9 +406,7 @@ def emit_plots(manifest_path):
             for r in body:
                 fh.write(" ".join([r[xi]] + [r[i] for i in yis]) + "\n")
         gp = out / f"{figure}.gp"
-        lines = [f"set title '{figure}{note}'", f"set xlabel '{xcol}'"]
-        if logscale:
-            lines.append("set logscale xy")
+        lines = [f"set title '{figure}'", f"set xlabel '{xcol}'"]
         plots = ", ".join(f"'{dat.name}' using 1:{k + 2} with linespoints "
                           f"title '{c}'" for k, c in enumerate(ycols))
         lines.append(f"plot {plots}")

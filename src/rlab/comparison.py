@@ -180,12 +180,8 @@ def scalar_order(metric: MetricField, u: np.ndarray, which_pair: str,
         return OrderVerdict(which_pair, weight,
                             integrate(R_l * mu, metric),
                             integrate(R * mu, metric), tol)
-    if which_pair == "R_vs_RWY":
-        return OrderVerdict(which_pair, weight,
-                            integrate(R * mu, metric),
-                            integrate(geo.scalar_wy * mu, metric), tol)
-    if which_pair == "R_eq_RWY_e^u":
-        return OrderVerdict(which_pair, "e^u",
+    if which_pair in ("R_vs_RWY", "R_eq_RWY_e^u"):
+        return OrderVerdict(which_pair, weight if which_pair == "R_vs_RWY" else "e^u",
                             integrate(R * mu, metric),
                             integrate(geo.scalar_wy * mu, metric), tol)
     raise ValueError(f"unknown pair {which_pair!r}")

@@ -81,6 +81,24 @@ def validate(config: dict) -> dict:
         if val is not None and (len(val) if path in LISTS else val) < 1:
             raise ConfigError(f"{path}: must not be empty" if path in LISTS
                               else f"{path}: must be at least 1, got {val!r}")
+    n, idata = g["n"], config.get("initial_data", {})
+    mspec = idata.get("metric", {})
+    for key in (comps := mspec.get("components", {})):
+        ij = key.split(",")
+        if len(ij) != 2 or not all(s.strip().isdigit() and int(s) < n for s in ij):
+            raise ConfigError(f"initial_data.metric.components: key {key!r} is not "
+                              f"'i,j' with i, j in 0..{n - 1}")
+    for path, terms in [("initial_data.u_terms", idata.get("u_terms", [])),
+                        ("initial_data.metric.phi_terms", mspec.get("phi_terms", [])),
+                        *((f"initial_data.metric.components.{key}", terms)
+                          for key, terms in comps.items())]:
+        _check(terms, list, path)       # each term of ``instances.trig_scalar``
+        for k, term in enumerate(terms):
+            _check(term, _TERM, where := f"{path}[{k}]")
+            if "amp" not in term or len(term.get("wave", [])) != n:
+                raise ConfigError(f"{where}: needs an amp and a wave of n={n} entries")
+            if term.get("kind", "sin") not in ("sin", "cos"):
+                raise ConfigError(f"{where}.kind: {term['kind']!r} is not 'sin' or 'cos'")
     sched = config.get("schedule", {})
     if "safety" in sched and sched.get("dt") is not None:
         raise ConfigError("schedule.safety: no effect next to a numeric schedule.dt; "

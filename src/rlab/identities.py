@@ -32,7 +32,7 @@ decides whether a refinement family of its reports converges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -304,14 +304,8 @@ class ResidualReport:
     order: float | None = None
     bound: float | None = None       # c_id times the norm bound of a bound entry
 
-    def to_dict(self):
-        d = {"identity": self.identity, "t": self.t, "h": self.h,
-             "dt": self.dt, "max_res": self.max_res, "l2_res": self.l2_res}
-        if self.order is not None:
-            d["order"] = self.order
-        if self.bound is not None:
-            d["bound"] = self.bound
-        return d
+    def to_dict(self):      # order and bound only when set
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _norms(res: np.ndarray, metric: MetricField, con: int, cov: int):

@@ -23,7 +23,7 @@ def trig_scalar(grid: Grid, terms) -> np.ndarray:
     for t in terms:
         wave = t["wave"]
         arg = sum(int(k) * x for k, x in zip(wave, xs)) + float(t.get("phase", 0.0))
-        fn = np.sin if t.get("kind", "sin") == "sin" else np.cos
+        fn = {"sin": np.sin, "cos": np.cos}[t.get("kind", "sin")]
         out += float(t["amp"]) * fn(arg)
     return out
 

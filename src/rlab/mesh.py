@@ -12,10 +12,11 @@ and sqrt(det g) C-contiguous in that order: numpy's einsum runs several
 times slower on a strided operand and gives its output the same strides, so
 one transposed inverse would slow every contraction downstream of it (Gamma,
 Ric, Rm and every raised index).  The inverse and the determinant come in
-closed form from the cofactors of the component arrays.  Derivatives are
-second-order centered stencils; on a torus they wrap periodically, on a
-chart each stencil applied leaves one boundary layer of wrap garbage, which
-``interior`` discards.
+closed form from the cofactors of the component arrays.  A checked metric is
+finite and SPD with a margin: g - 1e-10 max|g_ii| I has a Cholesky factor
+at every point.  Derivatives are second-order centered stencils; on a torus
+they wrap periodically, on a chart each stencil applied leaves one boundary
+layer of wrap garbage, which ``interior`` discards.
 """
 
 from __future__ import annotations
@@ -176,14 +177,16 @@ class MetricField:
             raise GridError("metric component array shape mismatch")
         self.values = np.ascontiguousarray(0.5 * (values + np.swapaxes(values, 0, 1)))
         if check:
+            if bad := np.count_nonzero(~np.all(np.isfinite(self.values), axis=(0, 1))):
+                raise SPDError(f"metric not SPD: non-finite entries at {bad} grid points")
             mats = np.moveaxis(self.values.reshape(n, n, -1), -1, 0)   # (P, n, n)
-            eig = np.linalg.eigvalsh(mats)
             spd_tol = 1e-10 * float(np.max(np.abs(np.einsum("ii...->i...", self.values))))
-            self.min_eig = float(eig.min())
-            if not self.min_eig > spd_tol:
-                raise SPDError(f"metric not SPD: min eigenvalue {self.min_eig:.3e}")
-        else:
-            self.min_eig = float("nan")
+            try:    # in batches of points, so that the factors stay small
+                for k in range(0, len(mats), 4096):
+                    np.linalg.cholesky(mats[k:k + 4096] - spd_tol * np.eye(n))
+            except np.linalg.LinAlgError:
+                raise SPDError("metric not SPD: min eigenvalue "
+                               f"{np.linalg.eigvalsh(mats).min():.3e}") from None
         cof = _cofactors(self.values)
         det = sum(self.values[0, j] * cof[0, j] for j in range(n))
         if np.any(det <= 0):

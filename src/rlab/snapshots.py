@@ -168,38 +168,31 @@ def _cell(v):
     return repr(v) if isinstance(v, float) else v
 
 
-def write_diagnostics_csv(path, trajectory):
-    from .flow import DIAG_COLUMNS
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(DIAG_COLUMNS)
-        for row in trajectory.diag_rows():
-            w.writerow([_cell(v) for v in row])
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
+
+
+def write_diagnostics_csv(path, trajectory):
+    from .flow import DIAG_COLUMNS
+    _write_csv(path, DIAG_COLUMNS, trajectory.diag_rows())
 
 
 def write_energy_csv(path, trace):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("t", "E", "h_norm", "A_norm", "T_norm", "v_norm", "w_norm"))
-        for row in trace.rows():
-            w.writerow([_cell(v) for v in row])
+    _write_csv(path, ("t", "E", "h_norm", "A_norm", "T_norm", "v_norm", "w_norm"),
+               trace.rows())
 
 
 def write_entropy_csv(path, rows):
     """rows: iterable of (t, tau, mu, mu_upper, norm_defect, iters)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("t", "tau", "mu", "mu_upper", "norm_defect", "iters"))
-        for row in rows:
-            w.writerow([_cell(v) for v in row])
+    _write_csv(path, ("t", "tau", "mu", "mu_upper", "norm_defect", "iters"), rows)
 
 
 def write_verdicts_csv(path, verdicts):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("pair", "weight", "left", "right", "margin", "verdict"))
-        for v in verdicts:
-            w.writerow([_cell(x) for x in v.row()])
+    _write_csv(path, ("pair", "weight", "left", "right", "margin", "verdict"),
+               (v.row() for v in verdicts))
 
 
 def write_reports_json(path, reports):

@@ -8,11 +8,11 @@ Curvature convention.  The (1,3) curvature is
 lowered on the last slot, R_{ijkl} = g_{lm} R^m_{ijk}, and traced as
 Ric_{jk} = g^{il} R_{ijkl}.  The sign is pinned by the requirement that the
 round sphere has positive scalar curvature (the stereographic oracle in the
-tests).  The Levi-Civita curvature is built once, as the symmetric matrix
-R_AB on bivectors A = (i<j) (``riemann_bivector``; Hamilton, J. Differential
-Geom. 24 (1986)), from compact second derivatives of g and Christoffel
-products: pair exchange and both pair antisymmetries are exact, first Bianchi
-holds to rounding, and Ric and |Rm|^2 are read off R_AB without a 4-tensor.
+tests).  Gamma and R_AB, Rm as a symmetric matrix on bivectors A = (i<j)
+(Hamilton, J. Differential Geom. 24 (1986)), come from one pass over the
+n(n+1)/2 first derivatives of g, through the first-kind Christoffel symbols.
+Pair exchange and both pair antisymmetries are exact, first Bianchi holds to
+rounding, and Ric and |Rm|^2 are read off R_AB without a 4-tensor.
 
 The weighted-connection curvature is computed directly from the
 connection coefficients of nabla^u_X Y = nabla_X Y - (Yu)X - (Xu)Y, which
@@ -38,16 +38,6 @@ _LETTERS = "bcdefgh"   # component index letters; 'a' reserved for the derivativ
 
 # --------------------------------------------------------------------------
 # connection and curvature
-
-def christoffel(metric: MetricField) -> np.ndarray:
-    """Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
-    grid = metric.grid
-    dg = grad_stack(metric.values, grid)                   # dg[a,i,j] = d_a g_{ij}
-    term = (dg                                             # d_i g_{jl} -> [i,j,l]
-            + np.moveaxis(dg, [0, 1, 2], [1, 0, 2])        # d_j g_{il}
-            - np.moveaxis(dg, [0, 1, 2], [2, 0, 1]))       # d_l g_{ij}
-    return 0.5 * np.einsum("kl...,ijl...->kij...", metric.inv, term)
-
 
 def riemann_13(gamma: np.ndarray, grid: Grid) -> np.ndarray:
     """R^l_{ijk} from the connection coefficients (any connection)."""
@@ -87,24 +77,40 @@ def _bivectors(n: int) -> SimpleNamespace:
         trace=[list(zip(*row)) for row in zip(*(x.tolist() for x in trace))])
 
 
-def riemann_bivector(metric: MetricField, gamma: np.ndarray) -> np.ndarray:
+def _connection(metric: MetricField):
+    """(dg, Gamma_{l,P}, Gamma^k_P, Gamma): dg[c, Q] = d_c g_Q over the n(n+1)/2
+    components Q, the first kind Gamma_{l,ab} = (d_a g_bl + d_b g_al - d_l g_ab)/2
+    and the second kind over the symmetric pairs P = (a<=b), and the full,
+    C-contiguous Gamma^k_{ij}."""
+    t = _bivectors(metric.n)
+    dg = grad_stack(metric.values[t.pa, t.pb], metric.grid)
+    l = np.arange(metric.n)[:, None]
+    gl = 0.5 * (dg[t.pa, t.sym[t.pb, l]] + dg[t.pb, t.sym[t.pa, l]] - dg)
+    gam = np.einsum("kl...,lp...->kp...", metric.inv, gl)
+    return dg, gl, gam, np.take(gam, t.sym, axis=1)
+
+
+def christoffel(metric: MetricField) -> np.ndarray:
+    """Gamma^k_{ij}, for the callers that need no curvature."""
+    return _connection(metric)[3]
+
+
+def riemann_bivector(metric: MetricField, dg, gl, gam) -> np.ndarray:
     """R_AB = R_{ijkl} on bivectors A = (i<j), B = (k<l), composed from compact
     stencils as R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)}, where
 
         F_{(ab)(cd)} = (1/2)(d_a d_b g_{cd} + d_c d_d g_{ab})
-                       + g_{pq} Gamma^p_{ab} Gamma^q_{cd}.
+                       + Gamma^p_{ab} Gamma_{p,cd}.
 
-    d_P g_Q runs over the n(n+1)/2 symmetric pairs P and components Q only;
-    the entries A <= B are formed and mirrored, so pair exchange is exact.
+    d_P g_Q runs over the symmetric pairs P and components Q only (``dg``, ``gl``
+    and ``gam`` are ``_connection``'s); the entries A <= B are mirrored, so
+    pair exchange is exact.
     """
     grid, t = metric.grid, _bivectors(metric.n)
     g = metric.values[t.pa, t.pb]                          # g_Q, Q = (c<=d)
-    dg = [diff1(g, grid, a) for a in range(grid.n)]
     ddg = np.empty((len(g),) + g.shape)                    # ddg[P, Q] = d_P g_Q
     for p, (a, b) in enumerate(zip(t.pa, t.pb)):
         ddg[p] = diff2(g, grid, a) if a == b else diff1(dg[b], grid, a)
-    gam = gamma[:, t.pa, t.pb]                             # Gamma^p_P
-    gG = np.einsum("pq...,qm...->pm...", metric.values, gam)   # Gamma_{p,Q}
     R = np.empty((len(t.terms),) + grid.shape)
     F = np.empty((2,) + grid.shape)     # one entry at a time, to stay in cache
     for r, pairs in zip(R, t.terms):
@@ -112,7 +118,7 @@ def riemann_bivector(metric: MetricField, gamma: np.ndarray) -> np.ndarray:
             np.add(ddg[P, Q], ddg[Q, P], out=f)
             f *= 0.5
             for p in range(grid.n):
-                f += gam[p, P] * gG[p, Q]
+                f += gam[p, P] * gl[p, Q]
         np.subtract(F[0], F[1], out=r)
     return R[t.upper]
 
@@ -299,8 +305,9 @@ def divergence(metric: MetricField, X: np.ndarray, gamma: np.ndarray) -> np.ndar
 class Geometry:
     """Derived fields of a metric and a potential, each computed on first use.
 
-    ``rm_ab`` is the one curvature build; Ric and |Rm|^2 read it, and ``rm4``
-    unpacks it only for Weyl, Sm, nabla Rm and the identities, never the flow.
+    ``rm_ab`` is the one curvature build (with ``gamma``, from one pass); Ric
+    and |Rm|^2 read it, and ``rm4`` unpacks it only for Weyl, Sm, nabla Rm
+    and the identities, never the flow.
     ``rm_ref`` and ``rm_wy`` are the Levi-Civita and weighted-connection
     curvatures through the same Gamma-form route (``riemann_13``), so that
     relations between them vanish to rounding at constant u.
@@ -314,12 +321,14 @@ class Geometry:
         self.u = u
 
     @cached_property
-    def gamma(self):
+    def gamma(self):        # alone; rm_ab sets it too, from its own pass
         return christoffel(self.metric)
 
     @cached_property
     def rm_ab(self):        # R_AB on bivectors: the one curvature build
-        return riemann_bivector(self.metric, self.gamma)
+        dg, gl, gam, gamma = _connection(self.metric)    # dropped but for Gamma
+        self.__dict__.setdefault("gamma", gamma)
+        return riemann_bivector(self.metric, dg, gl, gam)
 
     @cached_property
     def ric(self):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rlab.flow import (DIAG_COLUMNS, FlowParams, FlowState, Schedule, _diagnose,
-                       cfl_dt, flow_rhs, is_regular, run, step)
+from rlab.flow import (DIAG_COLUMNS, BlowUpError, FlowParams, FlowState, Schedule,
+                       _diagnose, cfl_dt, flow_rhs, is_regular, run, step)
 from rlab.instances import (perturbed_flat_metric, random_instance,
                             verification_initial_data)
 from rlab.mesh import build_grid, flat_metric, grad_stack, integrate
@@ -218,6 +218,24 @@ def test_non_finite_u_aborts_run(monkeypatch):
         assert all(np.all(np.isfinite(s.u)) for s in traj.states)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_metric_step_raises_blowup(monkeypatch, bad):
+    # the accepted state's SPD check names the non-finite entries
+    import rlab.flow as flow
+
+    def rhs(state, params, geo=None):
+        gdot = np.zeros_like(state.metric.values)
+        gdot[0, 0, 2, 3] = bad
+        return gdot, np.zeros(state.grid.shape)
+
+    monkeypatch.setattr(flow, "flow_rhs", rhs)
+    st = curved_state(16)
+    for method in ("euler", "rk4"):
+        with pytest.raises(BlowUpError, match="non-finite entries at 1 grid points") as e:
+            step(st, FlowParams(2.0), 1e-3, method)
+        assert e.value.state is st
+
+
 def test_trajectory_states_carry_their_step_counts():
     traj = run(curved_state(16), FlowParams(2.0),
                Schedule(t_end=0.007, dt=1e-3, cadence=3, diagnostics=False))
@@ -282,10 +300,13 @@ def test_run_shared_geometry_bitwise(params):
 
 
 def test_shared_geometry_saves_one_christoffel_per_state(monkeypatch):
+    # Gamma and R_AB come from one pass over the first derivatives of g per
+    # state (tensor._connection); the flow never builds Gamma alone
     import rlab.tensor as tensor
     calls = []
-    real = tensor.christoffel
-    monkeypatch.setattr(tensor, "christoffel", lambda m: calls.append(m) or real(m))
+    real = tensor._connection
+    monkeypatch.setattr(tensor, "_connection", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(tensor, "christoffel", lambda m: pytest.fail("christoffel"))
     st, p, dt, nsteps = curved_state(16), FlowParams(2.0), 1e-3, 3
     run(st, p, Schedule(t_end=nsteps * dt, dt=dt))
     shared = len(calls)

@@ -658,6 +658,50 @@ def test_stages_with_nothing_to_check_are_config_errors(tmp_path, capsys, key, v
     assert err.startswith(f"config error: {key}: "), err
 
 
+def with_initial_data(metric=None, u_terms=None):
+    idata = json.loads(json.dumps(BASE_CFG["initial_data"]))
+    return {"initial_data": {"metric": metric or idata["metric"],
+                             "u_terms": u_terms or idata["u_terms"]}}
+
+
+@pytest.mark.parametrize("key, extra", [
+    ("verify.t_eval_frac: 7.0 outside (0, 1)",
+     {"verify": {"identities": ["A.8"], "resolutions": [16, 32], "t_eval_frac": 7.0}}),
+    ("verify.t_eval_frac: 0.0 outside (0, 1)",
+     {"verify": {"identities": ["A.8"], "resolutions": [16, 32], "t_eval_frac": 0.0}}),
+    ("initial_data.u_terms[0]: needs an amp and a wave of n=2 entries",
+     with_initial_data(u_terms=[{"amp": 0.2, "wave": [1]}])),
+    ("initial_data.metric.phi_terms[1]: needs an amp and a wave of n=2 entries",
+     with_initial_data(metric={"family": "conformal", "phi_terms": [
+         {"amp": 0.1, "wave": [1, 0]}, {"amp": 0.1, "wave": [1, 0, 1]}]})),
+    ("initial_data.u_terms[0].kind: 'tan' is not 'sin' or 'cos'",
+     with_initial_data(u_terms=[{"amp": 0.2, "wave": [1, 0], "kind": "tan"}])),
+    ("initial_data.metric.components.1,1[0].kind: 'Sin' is not",
+     with_initial_data(metric={"family": "perturbed", "components": {
+         "1,1": [{"amp": 0.1, "wave": [0, 1], "kind": "Sin"}]}})),
+    ("initial_data.metric.components: key '0,5' is not 'i,j' with i, j in 0..1",
+     with_initial_data(metric={"family": "perturbed", "components": {
+         "0,5": [{"amp": 0.1, "wave": [0, 1]}]}})),
+    ("compare.scalar_pairs: unknown pair 'R_vs_X'",
+     {"compare": {"scalar_pairs": ["R_vs_X"], "instances": 1}}),
+    ("grid.kind: the run stage integrates a flow",
+     {"grid": dict(BASE_CFG["grid"], kind="chart")}),
+], ids=["t_eval_frac-7", "t_eval_frac-0", "u_terms-wave", "phi_terms-wave", "u_terms-kind",
+        "components-kind", "components-key", "scalar-pair",
+        "chart-flow"])
+def test_values_that_failed_mid_run_exit_2_before_any_stage(tmp_path, capsys, key, extra):
+    # each was clamped, cut, read as cos or raised only once its stage ran
+    err = config_error(tmp_path, capsys, extra)
+    assert err.startswith(f"config error: {key}"), err
+
+
+def test_chart_grid_is_accepted_without_a_flow_stage(tmp_path):
+    from rlab.cli import run_experiment
+    cfg = write_cfg(tmp_path, {"grid": dict(BASE_CFG["grid"], kind="chart")})
+    manifest, code = run_experiment(cfg, tmp_path / "o", stages=["constants"])
+    assert code == 0 and manifest["checks"] == {"constants.evaluated": True}
+
+
 def test_cli_and_run_share_the_default_step_safety(tmp_path):
     from rlab.cli import base_flow, build_from_config, flow_params_from, stage_run
     from rlab.config import load_config

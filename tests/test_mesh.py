@@ -151,6 +151,17 @@ def test_metric_spd_rejection():
         MetricField(g, vals, check=False)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_metric_non_finite_rejected(bad):
+    # a batched Cholesky factor of NaN is NaN, not an error: the check names them
+    g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
+    vals = np.zeros((2, 2) + g.shape)
+    vals[0, 0] = vals[1, 1] = 1.0
+    vals[0, 1, 3, 4] = bad
+    with pytest.raises(SPDError, match="non-finite entries at 1 grid points"):
+        MetricField(g, vals)
+
+
 def test_chart_margin_tracking():
     # three stencils applied leave three collar layers to drop
     g = build_grid("chart", 2, [16, 16], [2.0, 2.0])

@@ -301,6 +301,41 @@ def _riemann_four_index(m, G):
     return R
 
 
+def _christoffel_n2(m):
+    """Reference: the n^2-component formula, differentiating every g_{ij} and
+    contracting the full n^4 product in one einsum."""
+    from rlab.mesh import grad_stack
+    dg = grad_stack(m.values, m.grid)                      # dg[a,i,j] = d_a g_{ij}
+    term = (dg + np.moveaxis(dg, [0, 1, 2], [1, 0, 2])
+            - np.moveaxis(dg, [0, 1, 2], [2, 0, 1]))
+    return 0.5 * np.einsum("kl...,ijl...->kij...", m.inv, term)
+
+
+def _chart_metric(n, res):
+    from rlab.mesh import MetricField
+    grid = build_grid("chart", n, [res] * n, [1.5] * n)
+    x = grid.coords()
+    vals = np.zeros((n, n) + grid.shape)
+    for i in range(n):
+        vals[i, i] = 1.0 + 0.2 * np.sin(x[i] + 0.3) + 0.1 * x[0] ** 2
+        for j in range(i):
+            vals[i, j] = vals[j, i] = 0.05 * np.cos(x[i] * x[j])
+    return MetricField(grid, vals)
+
+
+def test_christoffel_bitwise_matches_full_formula():
+    # Gamma comes from the n(n+1)/2 first derivatives of g through the
+    # first-kind symbols; alone or with R_AB it equals the n^2 formula bitwise
+    for n, res in ((1, 16), (2, 16), (3, 10), (4, 8)):
+        for m in (random_instance(n, res, seed=3)[1], _chart_metric(n, 7)):
+            ref = _christoffel_n2(m)
+            G = christoffel(m)
+            assert G.flags.c_contiguous and np.array_equal(G, ref), (n, m.grid.kind)
+            geo = curvature(m)
+            geo.rm_ab
+            assert "gamma" in vars(geo) and np.array_equal(geo.gamma, ref), n
+
+
 def test_direct_ricci_matches_contraction():
     for n, res in ((2, 16), (3, 10), (4, 8)):
         _, m, _ = random_instance(n, res, seed=11)
