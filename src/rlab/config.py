@@ -88,10 +88,16 @@ def validate(config: dict) -> dict:
         if len(ij) != 2 or not all(s.strip().isdigit() and int(s) < n for s in ij):
             raise ConfigError(f"initial_data.metric.components: key {key!r} is not "
                               f"'i,j' with i, j in 0..{n - 1}")
+    diag = mspec.get("diag", [1.0] * n)
+    if len(diag) != n:
+        raise ConfigError(f"initial_data.metric.diag: {len(diag)} entries for n={n}")
     for path, terms in [("initial_data.u_terms", idata.get("u_terms", [])),
                         ("initial_data.metric.phi_terms", mspec.get("phi_terms", [])),
                         *((f"initial_data.metric.components.{key}", terms)
-                          for key, terms in comps.items())]:
+                          for key, terms in comps.items()),
+                        *((f"initial_data.metric.diag[{k}]", entry)
+                          for k, entry in enumerate(diag)
+                          if not isinstance(entry, (int, float)))]:
         _check(terms, list, path)       # each term of ``instances.trig_scalar``
         for k, term in enumerate(terms):
             _check(term, _TERM, where := f"{path}[{k}]")
@@ -99,6 +105,9 @@ def validate(config: dict) -> dict:
                 raise ConfigError(f"{where}: needs an amp and a wave of n={n} entries")
             if term.get("kind", "sin") not in ("sin", "cos"):
                 raise ConfigError(f"{where}.kind: {term['kind']!r} is not 'sin' or 'cos'")
+    beta = config.get("uniqueness", {}).get("beta", 0.5)
+    if not 0 < beta < 1:
+        raise ConfigError(f"uniqueness.beta: {beta!r} outside (0, 1)")
     sched = config.get("schedule", {})
     if "safety" in sched and sched.get("dt") is not None:
         raise ConfigError("schedule.safety: no effect next to a numeric schedule.dt; "

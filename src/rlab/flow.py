@@ -4,9 +4,9 @@
 
 the (a1, 0, b1, b2) family; (2, 0, 0, 0) is the harmonic-map coupled flow
 and u == 0 reduces to Ricci flow.  Integration is ungauged explicit
-(euler or rk4) on near-flat torus data at desk scale; loss of positive
-definiteness, or a non-finite potential, aborts the run with a diagnostic
-snapshot.
+(euler or rk4) on near-flat torus data at desk scale.  Every stage metric
+passes the one SPD rule of ``MetricField``; its failure, or a non-finite
+potential on the accepted state, aborts the run with a diagnostic snapshot.
 """
 
 from __future__ import annotations
@@ -92,41 +92,38 @@ def cfl_dt(state: FlowState, safety: float,
     return safety * hmin * hmin / (4.0 * grid.n * max(1.0, mrm, mh))
 
 
-def _advance(state: FlowState, gdot, udot, dt, check=True) -> FlowState:
-    m = MetricField(state.grid, state.metric.values + dt * gdot, check=check)
-    u = state.u + dt * udot
-    if check and not np.all(np.isfinite(u)):
-        raise BlowUpError(f"potential u not finite at t={state.t + dt:.6g}",
-                          state=state)
-    return FlowState(state.grid, m, u, state.t + dt, state.step_count + 1)
+def _advance(state: FlowState, gdot, udot, dt) -> FlowState:
+    return FlowState(state.grid, MetricField(state.grid, state.metric.values + dt * gdot),
+                     state.u + dt * udot, state.t + dt, state.step_count + 1)
 
 
 def step(state: FlowState, params: FlowParams, dt: float,
          method: str = "rk4", geo: Geometry | None = None) -> FlowState:
-    """One explicit step; SPD and the finiteness of u are checked on the
-    accepted state.  The first stage reads ``geo``, the cached geometry of
-    ``state``, when it is given."""
+    """One explicit step; every stage metric passes ``MetricField``'s SPD rule
+    and u is checked finite on the accepted state.  The first stage reads
+    ``geo``, the cached geometry of ``state``, when it is given."""
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if method not in ("euler", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
     try:
-        if method == "euler":
-            gdot, udot = flow_rhs(state, params, geo)
-            return _advance(state, gdot, udot, dt)
+        gdot, udot = flow_rhs(state, params, geo)
         if method == "rk4":
-            k1g, k1u = flow_rhs(state, params, geo)
-            s2 = _advance(state, k1g, k1u, 0.5 * dt, check=False)
+            s2 = _advance(state, gdot, udot, 0.5 * dt)
             k2g, k2u = flow_rhs(s2, params)
-            s3 = _advance(state, k2g, k2u, 0.5 * dt, check=False)
+            s3 = _advance(state, k2g, k2u, 0.5 * dt)
             k3g, k3u = flow_rhs(s3, params)
-            s4 = _advance(state, k3g, k3u, dt, check=False)
+            s4 = _advance(state, k3g, k3u, dt)
             k4g, k4u = flow_rhs(s4, params)
-            gdot = (k1g + 2 * k2g + 2 * k3g + k4g) / 6.0
-            udot = (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
-            return _advance(state, gdot, udot, dt)
+            gdot = (gdot + 2 * k2g + 2 * k3g + k4g) / 6.0
+            udot = (udot + 2 * k2u + 2 * k3u + k4u) / 6.0
+        new = _advance(state, gdot, udot, dt)
     except SPDError as e:
         raise BlowUpError(f"metric lost positive definiteness at t={state.t + dt:.6g}: {e}",
                           state=state) from e
-    raise ValueError(f"unknown method {method!r}")
+    if not np.all(np.isfinite(new.u)):
+        raise BlowUpError(f"potential u not finite at t={new.t:.6g}", state=state)
+    return new
 
 
 @dataclass(frozen=True)
@@ -203,8 +200,7 @@ class Trajectory:
         return len(self.states)
 
     def diag_rows(self):
-        cols = [self.diagnostics[c] for c in DIAG_COLUMNS]
-        return list(zip(*cols))
+        return list(zip(*(self.diagnostics[c] for c in DIAG_COLUMNS)))
 
 
 def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
@@ -213,7 +209,7 @@ def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
            else CoupledGeometry(state.metric, state.u, params.alpha1))
     m = state.metric
     sic_sq = geo.sic_sq
-    row = {
+    return {
         "t": state.t,
         "max_rm": float(np.sqrt(np.max(geo.rm_sq))),
         "max_grad_u_sq": float(np.max(geo.grad_sq)),
@@ -226,7 +222,6 @@ def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
         "int_rm_sq": integrate(geo.rm_sq, m),
         "int_sm_sq": integrate(geo.sm_sq, m),
     }
-    return row
 
 
 def rm_lp_series(traj: Trajectory, p: float):

@@ -39,25 +39,14 @@ def _field_record(name: str, arr: np.ndarray, con: int, cov: int, sym: str) -> b
 def write_snapshot(path, grid: Grid, fields: dict, extra: dict | None = None):
     """Write named fields; values may be ndarrays (covariant rank inferred
     from the shape) or MetricField."""
-    blob = bytearray()
     header = {"version": 2, "grid": grid.descriptor(), "fields": list(fields)}
     if extra:
         header["extra"] = extra
-    records = []
-    for name, fld in fields.items():
-        if isinstance(fld, MetricField):
-            records.append(_field_record(name, fld.values, 0, 2, "sym2"))
-        else:
-            arr = np.asarray(fld)
-            rank = arr.ndim - grid.n
-            records.append(_field_record(name, arr, 0, rank, "none"))
+    records = [_field_record(name, fld.values, 0, 2, "sym2") if isinstance(fld, MetricField)
+               else _field_record(name, np.asarray(fld), 0, np.ndim(fld) - grid.n, "none")
+               for name, fld in fields.items()]
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob += MAGIC
-    blob += struct.pack("<I", len(hjson))
-    blob += hjson
-    for r in records:
-        blob += r
-    Path(path).write_bytes(bytes(blob))
+    Path(path).write_bytes(MAGIC + struct.pack("<I", len(hjson)) + hjson + b"".join(records))
 
 
 def read_snapshot(path):

@@ -305,9 +305,9 @@ def divergence(metric: MetricField, X: np.ndarray, gamma: np.ndarray) -> np.ndar
 class Geometry:
     """Derived fields of a metric and a potential, each computed on first use.
 
-    ``rm_ab`` is the one curvature build (with ``gamma``, from one pass); Ric
-    and |Rm|^2 read it, and ``rm4`` unpacks it only for Weyl, Sm, nabla Rm
-    and the identities, never the flow.
+    ``gamma`` and ``rm_ab`` (the one curvature build) share one Levi-Civita pass,
+    whichever is read first.  Ric and |Rm|^2 read R_AB, and ``rm4`` unpacks it
+    only for Weyl, Sm, nabla Rm and the identities, never the flow.
     ``rm_ref`` and ``rm_wy`` are the Levi-Civita and weighted-connection
     curvatures through the same Gamma-form route (``riemann_13``), so that
     relations between them vanish to rounding at constant u.
@@ -321,13 +321,17 @@ class Geometry:
         self.u = u
 
     @cached_property
-    def gamma(self):        # alone; rm_ab sets it too, from its own pass
-        return christoffel(self.metric)
+    def _conn(self):        # the one Levi-Civita pass, whichever reads it first
+        return _connection(self.metric)
+
+    @cached_property
+    def gamma(self):
+        return self._conn[3]
 
     @cached_property
     def rm_ab(self):        # R_AB on bivectors: the one curvature build
-        dg, gl, gam, gamma = _connection(self.metric)    # dropped but for Gamma
-        self.__dict__.setdefault("gamma", gamma)
+        dg, gl, gam, self.gamma = self._conn
+        del self._conn      # only Gamma outlives the build
         return riemann_bivector(self.metric, dg, gl, gam)
 
     @cached_property

@@ -311,7 +311,7 @@ def test_compare_stage_shares_one_geometry_per_instance(tmp_path, monkeypatch):
     from rlab.snapshots import write_verdicts_csv
     cfg = {"grid": {"n": 3, "resolutions": [8] * 3}, "compare": {"instances": 2},
            "seed": 5}
-    calls = {"riemann_13": 0, "christoffel": 0}
+    calls = {"riemann_13": 0, "_connection": 0}
     for name in calls:
         real = getattr(tensor, name)
         def counted(*a, _real=real, _name=name):
@@ -319,7 +319,7 @@ def test_compare_stage_shares_one_geometry_per_instance(tmp_path, monkeypatch):
             return _real(*a)
         monkeypatch.setattr(tensor, name, counted)
     stage_compare(cfg, tmp_path, {}, [])
-    assert calls == {"riemann_13": 2 * 2, "christoffel": 2}
+    assert calls == {"riemann_13": 2 * 2, "_connection": 2}
     # the per-pair path (one geometry per pair) writes the same bytes
     per_pair = [scalar_order(m, u, pair)
                 for _, m, u in (random_instance(3, 8, 5 + i) for i in range(2))
@@ -330,10 +330,11 @@ def test_compare_stage_shares_one_geometry_per_instance(tmp_path, monkeypatch):
 
 
 def test_killing_tooling_builds_gamma_and_nabla_x_once(monkeypatch):
-    # L_X g is formed from the nabla X_flat each function already holds
+    # L_X g is formed from the nabla X_flat each function already holds, and
+    # each Geometry makes one Levi-Civita pass whether Gamma or Rm is read first
     import rlab.comparison as comparison
     import rlab.tensor as tensor
-    counts = {"christoffel": 0, "cov_d": 0}
+    counts = {"_connection": 0, "cov_d": 0}
 
     def counted(key, real):
         def wrapper(*args, **kwargs):
@@ -341,8 +342,7 @@ def test_killing_tooling_builds_gamma_and_nabla_x_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for mod in (comparison, tensor):
-        monkeypatch.setattr(mod, "christoffel", counted("christoffel", tensor.christoffel))
+    monkeypatch.setattr(tensor, "_connection", counted("_connection", tensor._connection))
     monkeypatch.setattr(comparison, "cov_d", counted("cov_d", tensor.cov_d))
     _, m, X = kc_product_t3(8)
     u = np.zeros(m.grid.shape)
@@ -350,6 +350,6 @@ def test_killing_tooling_builds_gamma_and_nabla_x_once(monkeypatch):
                            (lambda: yano_defect(m, X), 1),
                            (lambda: yano_oracle_factor(m, X), 2),
                            (lambda: lemma57_defect(m, u, X), 1)):
-        counts.update(christoffel=0, cov_d=0)
+        counts.update(_connection=0, cov_d=0)
         call()
-        assert counts == {"christoffel": per_call, "cov_d": per_call}
+        assert counts == {"_connection": per_call, "cov_d": per_call}

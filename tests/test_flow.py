@@ -218,14 +218,16 @@ def test_non_finite_u_aborts_run(monkeypatch):
         assert all(np.all(np.isfinite(s.u)) for s in traj.states)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_metric_step_raises_blowup(monkeypatch, bad):
-    # the accepted state's SPD check names the non-finite entries
+@pytest.mark.parametrize("bad, entry", [(np.nan, (0, 0)), (np.inf, (0, 0)), (np.inf, (0, 1))],
+                         ids=["nan", "inf", "inf-g01"])
+def test_non_finite_metric_step_raises_blowup(monkeypatch, bad, entry):
+    # every stage metric passes the one SPD rule, which names the non-finite
+    # entries: an off-diagonal inf makes det -inf, not a "non-positive" det
     import rlab.flow as flow
 
     def rhs(state, params, geo=None):
         gdot = np.zeros_like(state.metric.values)
-        gdot[0, 0, 2, 3] = bad
+        gdot[entry + (2, 3)] = bad
         return gdot, np.zeros(state.grid.shape)
 
     monkeypatch.setattr(flow, "flow_rhs", rhs)

@@ -686,9 +686,23 @@ def with_initial_data(metric=None, u_terms=None):
      {"compare": {"scalar_pairs": ["R_vs_X"], "instances": 1}}),
     ("grid.kind: the run stage integrates a flow",
      {"grid": dict(BASE_CFG["grid"], kind="chart")}),
+    ("uniqueness.beta: 1.5 outside (0, 1)", {"uniqueness": {"beta": 1.5}}),
+    ("uniqueness.beta: 0 outside (0, 1)", {"uniqueness": {"beta": 0}}),
+    ("entropy.tau0: 0.008 not above schedule.t_end 0.008", {"entropy": {"tau0": 0.008}}),
+    ("initial_data.metric.diag: 1 entries for n=2",
+     with_initial_data(metric={"family": "product", "diag": [1.0]})),
+    ("initial_data.metric.diag: 3 entries for n=2",
+     with_initial_data(metric={"family": "product", "diag": [1.0, 1.0, 1.0]})),
+    ("initial_data.metric.diag[1][0]: needs an amp and a wave of n=2 entries",
+     with_initial_data(metric={"family": "product", "diag": [
+         1.0, [{"amp": 0.1, "wave": [0, 1, 1]}]]})),
+    ("initial_data.metric: metric not SPD: min eigenvalue",
+     with_initial_data(metric={"family": "perturbed", "components": {
+         "0,0": [{"amp": 2.0, "wave": [1, 0]}]}})),
 ], ids=["t_eval_frac-7", "t_eval_frac-0", "u_terms-wave", "phi_terms-wave", "u_terms-kind",
         "components-kind", "components-key", "scalar-pair",
-        "chart-flow"])
+        "chart-flow", "beta-1.5", "beta-0", "tau0-at-t_end", "diag-short", "diag-long",
+        "diag-wave", "metric-not-spd"])
 def test_values_that_failed_mid_run_exit_2_before_any_stage(tmp_path, capsys, key, extra):
     # each was clamped, cut, read as cos or raised only once its stage ran
     err = config_error(tmp_path, capsys, extra)

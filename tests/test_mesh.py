@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,13 +149,11 @@ def test_metric_spd_rejection():
     vals[1, 1] = -1.0
     with pytest.raises(SPDError, match=r"min eigenvalue -1\.000e\+00"):
         MetricField(g, vals)
-    with pytest.raises(SPDError, match="determinant non-positive"):
-        MetricField(g, vals, check=False)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_metric_non_finite_rejected(bad):
-    # a batched Cholesky factor of NaN is NaN, not an error: the check names them
+    # a non-finite entry makes det inf or NaN: the failing rule names the points
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     vals = np.zeros((2, 2) + g.shape)
     vals[0, 0] = vals[1, 1] = 1.0
@@ -184,6 +184,59 @@ def test_closed_form_inverse_matches_linalg(n):
     det = np.linalg.det(mats).reshape(g.shape)
     assert np.max(np.abs(m.inv - inv)) <= 1e-13 * np.max(np.abs(inv))
     assert np.max(np.abs(m.sqrt_det / np.sqrt(det) - 1.0)) <= 1e-13
+
+
+def _field_with_spectrum(rng, grid, lam):
+    """Symmetric (n, n, *grid) field with eigenvalues lam[p] at point p, in random frames."""
+    n = grid.n
+    q, _ = np.linalg.qr(rng.normal(size=(len(lam), n, n)))
+    mats = np.einsum("pik,pk,pjk->pij", q, lam, q)
+    return np.moveaxis(mats, 0, -1).reshape((n, n) + grid.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spd_rule_is_two_sided_against_eigvalsh(n):
+    # every field with a point where lambda_min <= tol = 1e-10 max|g_ii| is rejected
+    # (Cholesky of g - tol I rejects exactly these), and every field whose eigenvalues
+    # all lie in [0.1, 10] is accepted with the inverse np.linalg.inv gives
+    g = build_grid("torus", n, [8] * n, [2 * np.pi] * n)
+    rng = np.random.default_rng(70 + n)
+    npts = int(np.prod(g.shape))
+    seen = {"rejected": 0, "accepted": 0}
+    for k in range(24):
+        lam = rng.uniform(0.1, 10.0, size=(npts, n))
+        if k % 2:       # one point whose least eigenvalue is at or below any tol here
+            lam[rng.integers(npts), 0] = (-1.0, -1e-3, 0.0, 1e-12, 9e-12)[k // 2 % 5]
+        vals = _field_with_spectrum(rng, g, lam)
+        mats = np.moveaxis(vals.reshape(n, n, -1), -1, 0)
+        eigs = np.linalg.eigvalsh(mats)
+        tol = 1e-10 * np.max(np.abs(np.einsum("ii...->i...", vals)))
+        if eigs.min() <= tol:
+            with pytest.raises(SPDError, match="min eigenvalue"):
+                MetricField(g, vals)
+            seen["rejected"] += 1
+        else:
+            assert 0.1 - 1e-12 <= eigs.min() and eigs.max() <= 10.0 + 1e-12
+            m = MetricField(g, vals)
+            np.linalg.cholesky(mats - tol * np.eye(n))     # the Cholesky rule accepts it too
+            inv = np.moveaxis(np.linalg.inv(mats), 0, -1).reshape(m.inv.shape)
+            assert np.max(np.abs(m.inv - inv)) <= 1e-12 * np.max(np.abs(inv))
+            seen["accepted"] += 1
+    assert seen == {"rejected": 12, "accepted": 12}
+
+
+@pytest.mark.parametrize("diag, lam_min", [
+    ((-1.0, -1.0), "-1.000e+00"), ((-1.0, -1.0, 1.0, 1.0), "-1.000e+00"),
+    ((-1e12, 1.0), "-1.000e+12"), ((1.0, 0.0, 1.0), "0.000e+00")])
+def test_spd_rule_rejects_fields_a_determinant_test_misses(diag, lam_min):
+    # det g > 0 at every point, a negative trace, or a zero eigenvalue
+    n = len(diag)
+    g = build_grid("torus", n, [8] * n, [2 * np.pi] * n)
+    vals = np.zeros((n, n) + g.shape)
+    for i, d in enumerate(diag):
+        vals[i, i] = d
+    with pytest.raises(SPDError, match=f"min eigenvalue {re.escape(lam_min)}"):
+        MetricField(g, vals)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

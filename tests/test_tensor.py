@@ -1,5 +1,5 @@
 import numpy as np
-
+import pytest
 
 from rlab.instances import (conformal_metric, euclidean_chart,
                             perturbed_flat_metric, product_metric,
@@ -372,6 +372,21 @@ def test_flow_and_diagnostics_never_unpack_rm4():
     cpl = CoupledGeometry(m, u, params.alpha1)
     _diagnose(state, params, 0.0, 1e-3, cpl)
     assert "rm_sq" in vars(cpl) and "rm4" not in vars(cpl)
+
+
+@pytest.mark.parametrize("first", ["gamma", "rm_ab"])
+def test_geometry_drops_its_connection_pass_after_rm_ab(first):
+    # gamma and rm_ab read one Levi-Civita pass; none of its arrays but Gamma
+    # outlive the curvature build, whichever field is read first
+    from rlab.tensor import Geometry, _connection, riemann_bivector
+    _, m, u = random_instance(3, 8, seed=14)
+    geo = Geometry(m, u)
+    getattr(geo, first)
+    assert ("_conn" in vars(geo)) == (first == "gamma")
+    geo.rm_ab
+    assert "_conn" not in vars(geo)
+    assert np.array_equal(geo.gamma, christoffel(m))
+    assert np.array_equal(geo.rm_ab, riemann_bivector(m, *_connection(m)[:3]))
 
 
 def test_lazy_curvature_parts_match_eager_formulas():
