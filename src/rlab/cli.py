@@ -46,8 +46,7 @@ def grid_from(cfg, res=None):
 def build_from_config(cfg, res_override=None):
     """(grid, metric, u0); a metric that fails the SPD rule is a ConfigError."""
     from .config import ConfigError
-    from .instances import (conformal_metric, perturbed_flat_metric, product_metric,
-                            trig_scalar)
+    from .instances import conformal_metric, perturbed_flat_metric, trig_scalar
     from .mesh import SPDError, flat_metric
 
     grid = grid_from(cfg, res_override)
@@ -58,16 +57,19 @@ def build_from_config(cfg, res_override=None):
         if family == "flat":
             metric = flat_metric(grid)
         elif family == "conformal":
-            metric = conformal_metric(grid, trig_scalar(grid, mspec.get("phi_terms", [])))
+            phi = trig_scalar(grid, mspec.get("phi_terms", []))
+            metric = conformal_metric(grid, phi)
         elif family == "perturbed":
             comps = {tuple(int(s) for s in key.split(",")): terms
                      for key, terms in mspec.get("components", {}).items()}
             metric = perturbed_flat_metric(grid, comps)
         elif family == "product":
+            from .instances import product_metric
+            diag = mspec.get("diag", [1.0] * grid.n)
             metric = product_metric(grid, [
                 float(entry) if isinstance(entry, (int, float))
                 else lambda xs, terms=entry: 1.0 + trig_scalar(grid, terms)
-                for entry in mspec.get("diag", [1.0] * grid.n)])
+                for entry in diag])
         else:
             raise ConfigError(f"initial_data.metric.family: unknown family {family!r}")
     except SPDError as e:
@@ -98,12 +100,11 @@ def seed_of(cfg):
     return cfg.get("seed", OptimizerOpts.seed)
 
 
-def base_flow(cfg, diagnostics, initial=None):
-    """The base flow run, entropy and uniqueness read, from ``initial`` if given."""
+def base_flow(cfg, diagnostics, initial):
+    """The flow run, entropy and uniqueness read, from ``initial`` = (grid, metric, u0)."""
     from .flow import FlowState, run
-    grid, metric, u0 = initial or build_from_config(cfg)
     sched = replace(schedule_from(cfg), diagnostics=diagnostics)
-    return run(FlowState(grid, metric, u0), flow_params_from(cfg), sched)
+    return run(FlowState(*initial), flow_params_from(cfg), sched)
 
 
 # --------------------------------------------------------------------------
@@ -201,39 +202,35 @@ def stage_verify(cfg, out: Path, checks, outputs, _base=None):
     outputs.append("residuals.json")
 
 
-def entropy_tau0(cfg):
-    """``entropy.tau0``; a ConfigError unless it lies above ``schedule.t_end``."""
-    from .config import ConfigError
-    tau0, t_end = cfg.get("entropy", {}).get("tau0", 1.0), schedule_from(cfg).t_end
-    if not tau0 > t_end:    # tau = tau0 - t must stay positive at every sample
-        raise ConfigError(f"entropy.tau0: {tau0!r} not above schedule.t_end {t_end!r}")
-    return tau0
-
-
 def stage_entropy(cfg, out: Path, checks, outputs, base):
     import numpy as np
     from .functionals import OptimizerOpts, mu_minimize
     from .snapshots import write_entropy_csv
 
     ecfg = cfg.get("entropy", {})
-    tau0 = entropy_tau0(cfg)
+    tau0 = ecfg.get("tau0", 1.0)
     samples = ecfg.get("samples", 10)
     opts = OptimizerOpts(seed=seed_of(cfg), **{
         k: ecfg[k] for k in ("tol", "max_iter", "nseeds") if k in ecfg})
     traj = base()
     idxs = np.linspace(0, traj.nsnapshots - 1, samples).astype(int)
-    rows, prev = [], None
+    rows, mus = [], []
+    prev = None
     for k in idxs:
         st = traj.state(int(k))
         tau = tau0 - st.t
         rep = mu_minimize(st.metric, st.u, tau, opts, warm_start=prev)
         prev = rep.w
-        rows.append((st.t, tau, rep.mu, rep.upper_bound, rep.norm_defect, rep.iterations))
+        rows.append((st.t, tau, rep.mu, rep.upper_bound, rep.norm_defect,
+                     rep.iterations))
+        mus.append(rep.mu)
     write_entropy_csv(out / "entropy.csv", rows)
     outputs.append("entropy.csv")
     tol = 3.0 * 1e-6
-    checks["entropy.mu_nondecreasing"] = bool(np.all(np.diff([r[2] for r in rows]) >= -tol))
-    checks["entropy.mu_below_bound"] = all(r[2] <= r[3] + 1e-6 for r in rows)
+    checks["entropy.mu_nondecreasing"] = bool(
+        np.all(np.diff(np.array(mus)) >= -tol))
+    checks["entropy.mu_below_bound"] = bool(
+        all(r[2] <= r[3] + 1e-6 for r in rows))
     checks["entropy.normalized"] = bool(all(r[4] <= 1e-8 for r in rows))
 
 
@@ -250,13 +247,17 @@ def stage_compare(cfg, out: Path, checks, outputs, _base=None):
     n = cfg["grid"]["n"]
     res = cfg["grid"]["resolutions"][0]
     verdicts = []
+    ok = True
     for i in range(ninst):
-        _, m, u = random_instance(n, res, seed + i)
+        grid, m, u = random_instance(n, res, seed + i)
         geo = Geometry(m, u)        # one curvature evaluation for every pair
-        verdicts += [scalar_order(m, u, pair, geo=geo) for pair in pairs]
+        for pair in pairs:
+            v = scalar_order(m, u, pair, geo=geo)
+            verdicts.append(v)
+            ok = ok and v.verdict != "fails"
     write_verdicts_csv(out / "verdicts.csv", verdicts)
     outputs.append("verdicts.csv")
-    checks["compare.orderings"] = all(v.verdict != "fails" for v in verdicts)
+    checks["compare.orderings"] = bool(ok)
 
 
 def stage_uniqueness(cfg, out: Path, checks, outputs, base):
@@ -345,20 +346,21 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
         if not selected:
             selected = ["run"]
     # reject bad input before any stage runs; the base flow starts from ``initial``
-    schedule_from(cfg)
+    t_end = schedule_from(cfg).t_end
     flows = [s for s in selected if s in ("run", "verify", "entropy", "uniqueness")]
     if grid_from(cfg).kind != "torus" and flows:
         raise ConfigError(f"grid.kind: the {flows[0]} stage integrates a flow: torus only")
-    initial = build_from_config(cfg) if flows else None
     if "verify" in selected:
         verify_plan(cfg)
-    if "entropy" in selected:
-        entropy_tau0(cfg)
+    if "entropy" in selected and not (tau0 := cfg.get("entropy", {}).get("tau0", 1.0)) > t_end:
+        raise ConfigError(f"entropy.tau0: {tau0!r} not above schedule.t_end {t_end!r}")
     if "compare" in selected:
         from .comparison import SCALAR_PAIRS
         for pair in cfg.get("compare", {}).get("scalar_pairs", ()):
             if pair not in SCALAR_PAIRS:
                 raise ConfigError(f"compare.scalar_pairs: unknown pair {pair!r}")
+    reads_base = {"run", "entropy", "uniqueness"} & set(selected)
+    initial = build_from_config(cfg) if reads_base else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks, outputs = {}, []

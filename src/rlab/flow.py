@@ -200,7 +200,8 @@ class Trajectory:
         return len(self.states)
 
     def diag_rows(self):
-        return list(zip(*(self.diagnostics[c] for c in DIAG_COLUMNS)))
+        cols = [self.diagnostics[c] for c in DIAG_COLUMNS]
+        return list(zip(*cols))
 
 
 def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
@@ -209,7 +210,7 @@ def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
            else CoupledGeometry(state.metric, state.u, params.alpha1))
     m = state.metric
     sic_sq = geo.sic_sq
-    return {
+    row = {
         "t": state.t,
         "max_rm": float(np.sqrt(np.max(geo.rm_sq))),
         "max_grad_u_sq": float(np.max(geo.grad_sq)),
@@ -222,6 +223,7 @@ def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
         "int_rm_sq": integrate(geo.rm_sq, m),
         "int_sm_sq": integrate(geo.sm_sq, m),
     }
+    return row
 
 
 def rm_lp_series(traj: Trajectory, p: float):

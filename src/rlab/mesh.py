@@ -12,13 +12,13 @@ and sqrt(det g) C-contiguous in that order: numpy's einsum runs several
 times slower on a strided operand and gives its output the same strides, so
 one transposed inverse would slow every contraction downstream of it (Gamma,
 Ric, Rm and every raised index).  The inverse and the determinant come in
-closed form from the cofactors of the component arrays, whose expansion
-also gives the one SPD rule every metric passes: det g is finite, every
-trailing principal minor det g[k:, k:] is positive (Sylvester), and det g >
-tol (sum_i |g_ii|/(n-1))^(n-1), tol = 1e-10 max|g_ii|, so the least
-eigenvalue is above tol.  Derivatives are second-order centered stencils;
-on a torus they wrap periodically, on a chart each stencil applied leaves
-one boundary layer of wrap garbage, which ``interior`` discards.
+closed form from the cofactors of the component arrays.  Every metric
+passes one SPD rule: det g is finite and every trailing principal minor
+of g - tol I, tol = 1e-10 max|g_ii|, is positive, which by Sylvester's
+criterion says the least eigenvalue of g is above tol.  Derivatives are
+second-order centered stencils; on a torus they wrap periodically, on a
+chart each stencil applied leaves one boundary layer of wrap garbage,
+which ``interior`` discards.
 """
 
 from __future__ import annotations
@@ -155,9 +155,9 @@ def _minor(g: np.ndarray, rows: tuple, cols: tuple, memo: dict):
     return memo[rows, cols]
 
 
-def _cofactors(g: np.ndarray):
+def _cofactors(g: np.ndarray) -> np.ndarray:
     """Cofactors C_ij = (-1)^(i+j) det(g without row i and column j) of a
-    symmetric (n, n, *grid) array, and the minors det g[k:, k:], 0 < k < n."""
+    symmetric (n, n, *grid) array."""
     n = g.shape[0]
     memo = {}
     cof = np.empty_like(g)
@@ -166,7 +166,7 @@ def _cofactors(g: np.ndarray):
         for j in range(i, n):
             m = _minor(g, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:], memo)
             cof[i, j] = cof[j, i] = -m if (i + j) % 2 else m
-    return cof, [memo[idx[k:], idx[k:]] for k in range(1, n)]
+    return cof
 
 
 class MetricField:
@@ -179,17 +179,19 @@ class MetricField:
             raise GridError("metric component array shape mismatch")
         self.values = np.ascontiguousarray(0.5 * (values + np.swapaxes(values, 0, 1)))
         with np.errstate(invalid="ignore", over="ignore"):  # a failing field is named below
-            cof, minors = _cofactors(self.values)
+            cof = _cofactors(self.values)
             det = sum(self.values[0, j] * cof[0, j] for j in range(n))
-            diag = np.abs(np.einsum("ii...->i...", self.values))    # the bound >= 0: det > 0
-            tol, mean = 1e-10 * np.max(diag), np.sum(diag, 0) / max(n - 1, 1)
-            # by AM-GM on the other eigenvalues, lambda_min >= det / mean^(n-1) > tol
-            ok = np.all(np.isfinite(det) & (det > tol * mean ** (n - 1)))
-            ok = ok and all(np.all(m > 0) for m in minors)
+            shifted = self.values.copy()        # g - tol I > 0 iff lambda_min(g) > tol
+            diag = np.einsum("ii...->i...", shifted)
+            diag -= 1e-10 * np.max(np.abs(diag))
+            idx, memo = tuple(range(n)), {}     # expanding det along the first row
+            _minor(shifted, idx, idx, memo)     # passes through every det[k:, k:]
+            ok = np.all(np.isfinite(det)) and all(np.all(memo[idx[k:], idx[k:]] > 0)
+                                                  for k in range(n))
         if not ok:              # a non-finite entry makes det inf or NaN
             if bad := np.count_nonzero(~np.all(np.isfinite(self.values), axis=(0, 1))):
                 raise SPDError(f"metric not SPD: non-finite entries at {bad} grid points")
-            mats = np.moveaxis(self.values.reshape(n, n, -1), -1, 0)
+            mats = np.moveaxis(self.values.reshape(n, n, -1), -1, 0)   # (P, n, n)
             raise SPDError("metric not SPD: min eigenvalue "
                            f"{np.linalg.eigvalsh(mats).min():.3e}")
         self.inv = cof / det
@@ -204,8 +206,11 @@ class MetricField:
 
 
 def flat_metric(grid: Grid) -> MetricField:
-    eye = np.eye(grid.n).reshape((grid.n,) * 2 + (1,) * grid.n)
-    return MetricField(grid, np.broadcast_to(eye, eye.shape[:2] + grid.shape))
+    n = grid.n
+    vals = np.zeros((n, n) + grid.shape)
+    for i in range(n):
+        vals[i, i] = 1.0
+    return MetricField(grid, vals)
 
 
 def integrate(values, metric: MetricField) -> float:

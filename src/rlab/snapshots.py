@@ -39,14 +39,25 @@ def _field_record(name: str, arr: np.ndarray, con: int, cov: int, sym: str) -> b
 def write_snapshot(path, grid: Grid, fields: dict, extra: dict | None = None):
     """Write named fields; values may be ndarrays (covariant rank inferred
     from the shape) or MetricField."""
+    blob = bytearray()
     header = {"version": 2, "grid": grid.descriptor(), "fields": list(fields)}
     if extra:
         header["extra"] = extra
-    records = [_field_record(name, fld.values, 0, 2, "sym2") if isinstance(fld, MetricField)
-               else _field_record(name, np.asarray(fld), 0, np.ndim(fld) - grid.n, "none")
-               for name, fld in fields.items()]
+    records = []
+    for name, fld in fields.items():
+        if isinstance(fld, MetricField):
+            records.append(_field_record(name, fld.values, 0, 2, "sym2"))
+        else:
+            arr = np.asarray(fld)
+            rank = arr.ndim - grid.n
+            records.append(_field_record(name, arr, 0, rank, "none"))
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
-    Path(path).write_bytes(MAGIC + struct.pack("<I", len(hjson)) + hjson + b"".join(records))
+    blob += MAGIC
+    blob += struct.pack("<I", len(hjson))
+    blob += hjson
+    for r in records:
+        blob += r
+    Path(path).write_bytes(bytes(blob))
 
 
 def read_snapshot(path):

@@ -721,7 +721,8 @@ def test_cli_and_run_share_the_default_step_safety(tmp_path):
     from rlab.config import load_config
     from rlab.flow import cfl_dt, run
     cfg = load_config(write_cfg(tmp_path, {"schedule": {"t_end": 0.01, "dt": None}}))
-    traj_cli = stage_run(cfg, tmp_path, {}, [], lambda: base_flow(cfg, True))
+    traj_cli = stage_run(cfg, tmp_path, {}, [],
+                         lambda: base_flow(cfg, True, build_from_config(cfg)))
     grid, metric, u0 = build_from_config(cfg)
     state = FlowState(grid, metric, u0)
     traj = run(state, flow_params_from(cfg), Schedule(t_end=0.01, diagnostics=False))
@@ -746,13 +747,14 @@ def test_abort_reason_is_a_manifest_key_not_a_check(tmp_path):
 
 def test_aborted_run_records_its_last_state_once(tmp_path):
     # the blow-up config of test_abort_reason_is_a_manifest_key_not_a_check
-    from rlab.cli import base_flow, stage_run
+    from rlab.cli import base_flow, build_from_config, stage_run
     cfg = json.loads(write_cfg(tmp_path, {
         "initial_data": {"metric": {"family": "perturbed", "components": {
             "0,0": [{"amp": 0.8, "wave": [0, 1]}]}}},
         "schedule": {"t_end": 2.0, "dt": 0.5}}, name="blowup.json").read_text())
     checks = {}
-    traj = stage_run(cfg, tmp_path, checks, [], lambda: base_flow(cfg, True))
+    traj = stage_run(cfg, tmp_path, checks, [],
+                     lambda: base_flow(cfg, True, build_from_config(cfg)))
     assert traj.aborted is not None and checks["run.completed"] is False
     times = traj.times
     assert len(set(times)) == len(times), times

@@ -198,7 +198,7 @@ def _field_with_spectrum(rng, grid, lam):
 def test_spd_rule_is_two_sided_against_eigvalsh(n):
     # every field with a point where lambda_min <= tol = 1e-10 max|g_ii| is rejected
     # (Cholesky of g - tol I rejects exactly these), and every field whose eigenvalues
-    # all lie in [0.1, 10] is accepted with the inverse np.linalg.inv gives
+    # all lie in [0.1, 10], or whose lambda_min is far above tol, is accepted
     g = build_grid("torus", n, [8] * n, [2 * np.pi] * n)
     rng = np.random.default_rng(70 + n)
     npts = int(np.prod(g.shape))
@@ -223,6 +223,10 @@ def test_spd_rule_is_two_sided_against_eigvalsh(n):
             assert np.max(np.abs(m.inv - inv)) <= 1e-12 * np.max(np.abs(inv))
             seen["accepted"] += 1
     assert seen == {"rejected": 12, "accepted": 12}
+    # anisotropic, condition number 1e4 or 1e6, lambda_min still far above tol
+    for c in (1e4, 1e6):
+        for lam in ([1.0] * (n - 1) + [c], [1.0 / c] * (n - 1) + [1.0]):
+            MetricField(g, _field_with_spectrum(rng, g, np.tile(lam, (npts, 1))))
 
 
 @pytest.mark.parametrize("diag, lam_min", [
