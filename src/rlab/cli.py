@@ -4,6 +4,12 @@ Subcommands: run (execute every stage the config selects), verify, entropy,
 compare, uniqueness, constants.  Exit status: 0 all selected checks passed,
 1 at least one check failed (the manifest names it), 2 configuration error.
 
+Every stage's flow is built by ``flow_from``.  A flow stage (run, verify,
+entropy, uniqueness) whose flow stops before t_end raises BlowUpError once
+it has written what it can (run: its diagnostics and last accepted state;
+the others: nothing); the runner records ``<stage>.completed: false``, the
+first message as ``abort_reason``, and runs the remaining stages.
+
 The manifest is deterministic: it contains the config hash, tool version,
 seeds, relative output paths, and the pass/fail summary - no timestamps -
 so identical configs produce byte-identical manifests.
@@ -20,6 +26,8 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+from .flow import BlowUpError
 
 TOOL_VERSION = "0.1.0"
 
@@ -100,11 +108,19 @@ def seed_of(cfg):
     return cfg.get("seed", OptimizerOpts.seed)
 
 
-def base_flow(cfg, diagnostics, initial):
-    """The flow run, entropy and uniqueness read, from ``initial`` = (grid, metric, u0)."""
+def flow_from(cfg, initial, **schedule):
+    """Every stage's flow: the config's, from ``initial`` = (grid, metric, u0),
+    with ``schedule`` replacing fields of the config's schedule."""
     from .flow import FlowState, run
-    sched = replace(schedule_from(cfg), diagnostics=diagnostics)
+    sched = replace(schedule_from(cfg), **schedule)
     return run(FlowState(*initial), flow_params_from(cfg), sched)
+
+
+def completed(traj, where=""):
+    """``traj`` if it reached t_end, else BlowUpError: ``where`` + its reason."""
+    if traj.aborted:
+        raise BlowUpError(where + traj.aborted)
+    return traj
 
 
 # --------------------------------------------------------------------------
@@ -121,26 +137,24 @@ def stage_run(cfg, out: Path, checks, outputs, base):
     final = traj.state(traj.nsnapshots - 1)
     write_checkpoint(out / "checkpoint.rlab", final, params, schedule_from(cfg))
     outputs.append("checkpoint.rlab")
-    checks["run.completed"] = traj.aborted is None
-    if (params.alpha1 >= 0 and params.beta1 == 0 and params.beta2 == 0
-            and traj.aborted is None):
+    completed(traj)
+    if params.alpha1 >= 0 and params.beta1 == 0 and params.beta2 == 0:
         mg = np.array(traj.diagnostics["max_grad_u_sq"])
         ms = np.array(traj.diagnostics["min_Sg"])
         slack = 1e-8 * max(1.0, float(mg[0]))
         checks["run.max_grad_u_sq_nonincreasing"] = bool(
             np.all(np.diff(mg) <= slack))
         checks["run.min_S_nondecreasing"] = bool(np.all(np.diff(ms) >= -slack))
-    return traj
 
 
 def verify_plan(cfg):
     """(entries, levels) of the verify stage: (entry, identity id, negative
     control) per ``verify.identities`` entry and (resolution, evaluated
-    snapshot k, schedule) per ``verify.resolutions`` level.  A ConfigError
+    snapshot k, schedule fields) per ``verify.resolutions`` level.  A ConfigError
     names the first entry or level the stage cannot run, or ``schedule.dt``
     unless it is a number, which each level rescales."""
     from .config import ConfigError
-    from .flow import Schedule, step_plan
+    from .flow import step_plan
     from .identities import REGISTRY
 
     sched = schedule_from(cfg)
@@ -175,24 +189,20 @@ def verify_plan(cfg):
                               f"dt {dt!r} to t_end; the residuals need at least 2")
         k = min(max(int(round(frac * nsteps)), 1), nsteps - 1)
         t_stop = sched.t_end if k + 1 == nsteps else (k + 1) * dt
-        levels.append((res, k, Schedule(t_end=t_stop, dt=dt, method=sched.method,
-                                        diagnostics=False)))
+        levels.append((res, k, {"t_end": t_stop, "dt": dt, "cadence": 1,
+                                "diagnostics": False}))
     return entries, levels
 
 
 def stage_verify(cfg, out: Path, checks, outputs, _base=None):
-    from .flow import BlowUpError, FlowState, run
     from .identities import converges, evaluate_identity, with_order
     from .snapshots import write_reports_json
 
     entries, levels = verify_plan(cfg)
-    params = flow_params_from(cfg)
     reports = []
     for res, k, sched in levels:
-        grid, metric, u0 = build_from_config(cfg, res)
-        traj = run(FlowState(grid, metric, u0), params, sched)
-        if traj.aborted:
-            raise BlowUpError(f"verify at resolution {res}: {traj.aborted}")
+        traj = completed(flow_from(cfg, build_from_config(cfg, res), **sched),
+                         f"verify at resolution {res}: ")
         reports.append([replace(evaluate_identity(traj, base_id, k, mutate=mutate),
                                 identity=entry)
                         for entry, base_id, mutate in entries])
@@ -212,8 +222,8 @@ def stage_entropy(cfg, out: Path, checks, outputs, base):
     samples = ecfg.get("samples", 10)
     opts = OptimizerOpts(seed=seed_of(cfg), **{
         k: ecfg[k] for k in ("tol", "max_iter", "nseeds") if k in ecfg})
-    traj = base()
-    idxs = np.linspace(0, traj.nsnapshots - 1, samples).astype(int)
+    traj = completed(base())
+    idxs = np.unique(np.linspace(0, traj.nsnapshots - 1, samples).astype(int))
     rows, mus = [], []
     prev = None
     for k in idxs:
@@ -262,22 +272,22 @@ def stage_compare(cfg, out: Path, checks, outputs, _base=None):
 
 def stage_uniqueness(cfg, out: Path, checks, outputs, base):
     import numpy as np
-    from .flow import FlowState, run
     from .mesh import MetricField
     from .snapshots import write_energy_csv
     from .uniqueness import energy_trace, gronwall_fit
 
     ucfg = cfg.get("uniqueness", {})
     delta = ucfg.get("delta", 1e-3)
-    tr1 = base()
+    tr1 = completed(base())
     st0 = tr1.state(0)
     # along x^1: on a g_00 that varies along x^0 alone, delta sin(x^0) is a
     # reparametrization and leaves the curvature unchanged
     x = st0.grid.coords()[1 if st0.grid.n >= 2 else 0]
     pert = st0.metric.values.copy()
     pert[(0, 0)] = pert[(0, 0)] + delta * np.sin(x)
-    tr2 = run(FlowState(st0.grid, MetricField(st0.grid, pert), st0.u), tr1.params,
-              replace(schedule_from(cfg), diagnostics=False))
+    # the twin steps at the base flow's dt, so the two share snapshot times
+    tr2 = completed(flow_from(cfg, (st0.grid, MetricField(st0.grid, pert), st0.u),
+                              dt=tr1.dt, diagnostics=False), "perturbed twin: ")
     trace = energy_trace(tr1, tr2, **{k: ucfg[k] for k in ("beta",) if k in ucfg})
     write_energy_csv(out / "energy.csv", trace)
     outputs.append("energy.csv")
@@ -363,11 +373,15 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
     initial = build_from_config(cfg) if reads_base else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checks, outputs = {}, []
+    checks, outputs, aborts = {}, [], {}
     # diagnostics rows leave every state bitwise unchanged; only run writes them
-    base = functools.cache(lambda: base_flow(cfg, "run" in selected, initial))
+    base = functools.cache(lambda: flow_from(cfg, initial, diagnostics="run" in selected))
     for name in selected:
-        STAGES[name](cfg, out, checks, outputs, base)
+        try:
+            STAGES[name](cfg, out, checks, outputs, base)
+        except BlowUpError as e:
+            aborts[name] = str(e)
+    checks.update({f"{name}.completed": name not in aborts for name in flows})
     failed = sorted(k for k, v in checks.items() if v is False)
     manifest = {
         "config_hash": config_hash(cfg),
@@ -378,8 +392,8 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
         "passed": not failed,
         "failed_checks": failed,
     }
-    if "run" in selected and base().aborted:
-        manifest["abort_reason"] = base().aborted
+    if aborts:
+        manifest["abort_reason"] = next(iter(aborts.values()))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1,
                                                   sort_keys=True))
     return manifest, (0 if not failed else 1)

@@ -143,10 +143,13 @@ def energy_trace(traj1: Trajectory, traj2: Trajectory, beta: float = 0.5,
 
 def gronwall_fit(trace: EnergyTrace, window=None) -> dict:
     """Least-squares slope of ln E over the window; identically-zero energy
-    is reported as the distinguished forward-uniqueness outcome."""
+    is reported as the distinguished forward-uniqueness outcome, and a
+    window of fewer than 2 points, which fixes no slope, as its own."""
     sel = slice(None) if window is None else window
     t = trace.times[sel]
     e = trace.values[sel]
+    if len(t) < 2:
+        return {"outcome": "too-few-points", "N": None, "residual": None}
     if np.all(e == 0.0):
         return {"outcome": "identically-zero", "N": None, "residual": 0.0}
     if np.any(e <= 0.0):

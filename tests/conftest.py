@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rlab
 from rlab.flow import FlowParams, FlowState, Schedule, run
 from rlab.instances import verification_initial_data
 from rlab.mesh import build_grid
 
 MANIFEST_PATH = Path(__file__).parent / "manifest.json"
+SRC = str(Path(rlab.__file__).resolve().parents[1])
 
 RHF = FlowParams(2.0)
 GENERAL = FlowParams(1.0, 0.0, 0.5, -0.3)
@@ -48,3 +53,12 @@ def general_runs():
 @pytest.fixture(scope="session")
 def rhf_run_16(rhf_runs):
     return rhf_runs[16]
+
+
+def run_cli(args):
+    """``python -m rlab.cli *args`` in a child that imports rlab from this
+    checkout, installed or not."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "rlab.cli", *args],
+                          capture_output=True, text=True, env=env)

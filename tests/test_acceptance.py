@@ -6,14 +6,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from conftest import LEVELS, RHF, eval_index, make_verification_run
+from conftest import LEVELS, RHF, eval_index, make_verification_run, run_cli
 from rlab.comparison import (killing_report, ricci_order, scalar_order,
                              weighted_divergence_integral)
 from rlab.flow import FlowState, Schedule, run
@@ -356,9 +354,7 @@ def test_criterion_10_determinism_roundtrip(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     outs = []
     for sub in ("o1", "o2"):
-        r = subprocess.run([sys.executable, "-m", "rlab.cli", "run", "--config",
-                            str(cfg_path), "--out", str(tmp_path / sub)],
-                           capture_output=True, text=True)
+        r = run_cli(["run", "--config", str(cfg_path), "--out", str(tmp_path / sub)])
         assert r.returncode == 0, r.stderr
         outs.append((tmp_path / sub / "manifest.json").read_bytes())
     det_ok = outs[0] == outs[1]

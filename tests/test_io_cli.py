@@ -11,8 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import rlab
-from conftest import RHF, make_verification_run
+from conftest import RHF, SRC, make_verification_run, run_cli
 from rlab.config import ConfigError, config_hash, validate
 from rlab.flow import FlowParams, FlowState, Schedule
 from rlab.identities import evaluate_identity
@@ -137,6 +136,61 @@ def test_snapshot_truncated_at_every_offset(tmp_path):
         read_snapshot(p)
 
 
+def _header(edit):
+    """The corruption that replaces a file's JSON header by ``edit(header
+    dict)``, or by ``edit``'s bytes when it returns bytes."""
+    def corrupt(raw):
+        hend = 9 + int.from_bytes(raw[5:9], "little")
+        header = edit(json.loads(raw[9:hend]))
+        if not isinstance(header, bytes):
+            header = json.dumps(header).encode()
+        return raw[:5] + len(header).to_bytes(4, "little") + header + raw[hend:]
+    return corrupt
+
+
+def _edit_g_record(raw, at, value):
+    """``raw`` with ``value`` written ``at`` bytes into the "g" record's head."""
+    pos = 9 + int.from_bytes(raw[5:9], "little") + at
+    return raw[:pos] + value + raw[pos + len(value):]
+
+
+def _without(key):
+    return _header(lambda h: {k: v for k, v in h.items() if k != key})
+
+
+# each corruption of a valid checkpoint (records g, then u, on 8x8), the
+# reader it is given to, and the message that must name it
+CORRUPTIONS = {
+    "header-not-json": (_header(lambda h: b"{" + json.dumps(h).encode()), read_snapshot,
+                        r"header is not valid: JSONDecodeError"),
+    "no-version": (_without("version"), read_snapshot,
+                   r"header is not valid: KeyError\('version'\)"),
+    "no-grid": (_without("grid"), read_snapshot,
+                r"no valid grid or field list: KeyError\('grid'\)"),
+    "fields-not-a-list": (_header(lambda h: dict(h, fields=2)), read_snapshot,
+                          r"no valid grid or field list: TypeError"),
+    "record-name": (_header(lambda h: dict(h, fields=["u", "g"])), read_snapshot,
+                    r"is 'g', the header lists 'u'"),
+    "symmetry-code": (lambda raw: _edit_g_record(raw, 5, b"\x09"), read_snapshot,
+                      r"field 'g' at byte \d+: unknown symmetry code 9"),
+    "component-count": (lambda raw: _edit_g_record(raw, 6, (5).to_bytes(4, "little")),
+                        read_snapshot, r"field 'g' at byte \d+: 5 components, expected 256"),
+    "checkpoint-without-u": (lambda raw: _header(lambda h: dict(h, fields=["g"]))(raw)
+                             [:-(10 + 8 * 64)],
+                             read_checkpoint, r"^checkpoint has no field 'u'$"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_snapshot_corruption_is_named(tmp_path, case):
+    corrupt, reader, message = CORRUPTIONS[case]
+    raw = _checkpoint_bytes(tmp_path / "chk.rlab")
+    p = tmp_path / "bad.rlab"
+    p.write_bytes(corrupt(raw))
+    with pytest.raises(ValueError, match=message):
+        reader(p)
+
+
 @settings(max_examples=150, deadline=None)
 @given(cut=st.integers(0, 2 ** 16), tail=st.binary(max_size=64))
 def test_snapshot_cut_or_padded_raises_value_error(tmp_path_factory, cut, tail):
@@ -205,11 +259,6 @@ def test_config_hash_canonical():
     assert config_hash(a) == config_hash(b)
     c = dict(a, seed=8)
     assert config_hash(c) != config_hash(a)
-
-
-def run_cli(args):
-    return subprocess.run([sys.executable, "-m", "rlab.cli", *args],
-                          capture_output=True, text=True)
 
 
 def test_cli_run_and_determinism(tmp_path):
@@ -378,11 +427,12 @@ def test_verify_runs_the_shortened_last_step_it_reads(tmp_path, monkeypatch):
 def test_verify_names_a_level_that_blows_up(tmp_path):
     # a level that aborts before snapshot k + 1 has no residual to report
     from rlab.cli import run_experiment
-    from rlab.flow import BlowUpError
     cfg = write_cfg(tmp_path, {"schedule": {"t_end": 8.0, "dt": 0.2},
                                "verify": {"identities": ["A.8"], "resolutions": [16, 32]}})
-    with pytest.raises(BlowUpError, match="^verify at resolution 16: metric lost"):
-        run_experiment(cfg, tmp_path / "v", stages=["verify"])
+    manifest, code = run_experiment(cfg, tmp_path / "v", stages=["verify"])
+    assert code == 1 and manifest["checks"] == {"verify.completed": False}
+    assert manifest["abort_reason"].startswith("verify at resolution 16: metric lost")
+    assert manifest["outputs"] == [] and not (tmp_path / "v" / "residuals.json").exists()
 
 
 @pytest.mark.parametrize("t_end, rows", [(0.008, 4), (0.0105, 6)])
@@ -516,12 +566,11 @@ def test_rlab_threads_env(tmp_path):
              "code = main(sys.argv[1:])\n"
              "print('OMP_NUM_THREADS at numpy import:', seen)\n"
              "sys.exit(code)\n")
-    src = str(Path(rlab.__file__).resolve().parents[1])
     r = subprocess.run([sys.executable, "-c", probe, "run", "--config",
                         str(cfg), "--out", str(tmp_path / "thr")],
                        capture_output=True, text=True,
                        env={"PATH": "/usr/bin:/bin", "RLAB_THREADS": "1",
-                            "PYTHONPATH": src})
+                            "PYTHONPATH": SRC})
     assert r.returncode == 0, r.stderr
     assert "OMP_NUM_THREADS at numpy import: ['1']" in r.stdout, r.stdout
 
@@ -717,12 +766,11 @@ def test_chart_grid_is_accepted_without_a_flow_stage(tmp_path):
 
 
 def test_cli_and_run_share_the_default_step_safety(tmp_path):
-    from rlab.cli import base_flow, build_from_config, flow_params_from, stage_run
+    from rlab.cli import build_from_config, flow_from, flow_params_from
     from rlab.config import load_config
     from rlab.flow import cfl_dt, run
     cfg = load_config(write_cfg(tmp_path, {"schedule": {"t_end": 0.01, "dt": None}}))
-    traj_cli = stage_run(cfg, tmp_path, {}, [],
-                         lambda: base_flow(cfg, True, build_from_config(cfg)))
+    traj_cli = flow_from(cfg, build_from_config(cfg))
     grid, metric, u0 = build_from_config(cfg)
     state = FlowState(grid, metric, u0)
     traj = run(state, flow_params_from(cfg), Schedule(t_end=0.01, diagnostics=False))
@@ -746,16 +794,20 @@ def test_abort_reason_is_a_manifest_key_not_a_check(tmp_path):
 
 
 def test_aborted_run_records_its_last_state_once(tmp_path):
-    # the blow-up config of test_abort_reason_is_a_manifest_key_not_a_check
-    from rlab.cli import base_flow, build_from_config, stage_run
+    # the blow-up config of test_abort_reason_is_a_manifest_key_not_a_check:
+    # the stage writes what it can, then raises, with no property check
+    from rlab.cli import build_from_config, flow_from, stage_run
+    from rlab.flow import BlowUpError
     cfg = json.loads(write_cfg(tmp_path, {
         "initial_data": {"metric": {"family": "perturbed", "components": {
             "0,0": [{"amp": 0.8, "wave": [0, 1]}]}}},
         "schedule": {"t_end": 2.0, "dt": 0.5}}, name="blowup.json").read_text())
-    checks = {}
-    traj = stage_run(cfg, tmp_path, checks, [],
-                     lambda: base_flow(cfg, True, build_from_config(cfg)))
-    assert traj.aborted is not None and checks["run.completed"] is False
+    checks, outputs = {}, []
+    traj = flow_from(cfg, build_from_config(cfg))
+    with pytest.raises(BlowUpError, match="^metric lost positive definiteness"):
+        stage_run(cfg, tmp_path, checks, outputs, lambda: traj)
+    assert traj.aborted is not None and checks == {}
+    assert outputs == ["diagnostics.csv", "checkpoint.rlab"]
     times = traj.times
     assert len(set(times)) == len(times), times
     accepted = len(traj.diagnostics["t"]) - 1     # one row per accepted state
@@ -763,6 +815,82 @@ def test_aborted_run_records_its_last_state_once(tmp_path):
     state, _, _ = read_checkpoint(tmp_path / "checkpoint.rlab")
     assert state.step_count == accepted
     assert state.t == times[-1] == traj.diagnostics["t"][-1]
+
+
+BLOWUP = {"initial_data": {"metric": {"family": "perturbed", "components": {
+              "0,0": [{"amp": 0.8, "wave": [0, 1]}]}}},
+          "schedule": {"t_end": 2.0, "dt": 0.5},
+          "verify": {"identities": ["A.8"]}, "entropy": {"tau0": 3.0},
+          "uniqueness": {}}
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "entropy", "uniqueness"])
+def test_every_flow_stage_records_an_abort(tmp_path, capsys, command):
+    # the blow-up config of test_abort_reason_is_a_manifest_key_not_a_check:
+    # each stage aborts into the manifest, with no property check, and
+    # ``rlab run`` still runs the stages after the first abort
+    from rlab.cli import main
+    code = main([command, "--config", str(write_cfg(tmp_path, BLOWUP)),
+                 "--out", str(tmp_path / "o")])
+    stages = ["run", "verify", "entropy", "uniqueness"] if command == "run" else [command]
+    assert code == 1
+    assert "failed checks:" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["checks"] == {f"{s}.completed": False for s in stages}
+    assert manifest["failed_checks"] == sorted(f"{s}.completed" for s in stages)
+    assert "positive definiteness" in manifest["abort_reason"]
+    assert manifest["abort_reason"].startswith(
+        "verify at resolution 16: " if command == "verify" else "metric lost")
+    assert manifest["outputs"] == (["checkpoint.rlab", "diagnostics.csv"]
+                                   if command == "run" else [])
+
+
+def test_uniqueness_twin_steps_at_the_base_flow_dt(tmp_path):
+    # with dt null, the twin's own CFL bound would differ from the base flow's
+    # (3.7972e-3 against 3.8060e-3 here) and the snapshot times with it
+    from rlab.cli import run_experiment
+    cfg = write_cfg(tmp_path, {
+        "initial_data": {
+            "metric": {"family": "perturbed",
+                       "components": {"0,0": [{"amp": 0.4, "wave": [2, 2]}]}},
+            "u_terms": [{"amp": 0.1, "wave": [1, 0]}]},
+        "schedule": {"t_end": 0.01, "dt": None}, "uniqueness": {}})
+    manifest, code = run_experiment(cfg, tmp_path / "u", stages=["uniqueness"])
+    assert code == 0, manifest["failed_checks"]
+    with open(tmp_path / "u" / "energy.csv", newline="") as fh:
+        ts = [float(r["t"]) for r in csv.DictReader(fh)]
+    assert len(ts) == 3 and ts[-1] == 0.01 and abs(ts[0] - 3.806e-3) < 1e-6
+
+
+def test_entropy_solves_each_sampled_snapshot_once(tmp_path, monkeypatch):
+    # 10 samples of a 4-step flow are its 5 snapshots, each minimized once
+    import rlab.functionals
+    from rlab.cli import run_experiment
+    real, taus = rlab.functionals.mu_minimize, []
+
+    def spy(metric, u, tau, *args, **kwargs):
+        taus.append(tau)
+        return real(metric, u, tau, *args, **kwargs)
+
+    monkeypatch.setattr(rlab.functionals, "mu_minimize", spy)
+    cfg = write_cfg(tmp_path, {"entropy": {"tau0": 0.5, "nseeds": 1}})
+    _, code = run_experiment(cfg, tmp_path / "e", stages=["entropy"])
+    assert code == 0
+    with open(tmp_path / "e" / "entropy.csv", newline="") as fh:
+        ts = [float(r["t"]) for r in csv.DictReader(fh)]
+    assert ts == [0.0, 0.002, 0.004, 0.006, 0.008]
+    assert len(taus) == len(set(taus)) == 5
+
+
+@pytest.mark.parametrize("t_end", [0.002, 0.004])
+def test_uniqueness_fits_no_rate_to_one_point(tmp_path, t_end):
+    # one or two steps leave one point in the second half of the trace
+    from rlab.cli import run_experiment
+    cfg = write_cfg(tmp_path, {"schedule": {"t_end": t_end, "dt": 0.002},
+                               "uniqueness": {}})
+    manifest, code = run_experiment(cfg, tmp_path / "u", stages=["uniqueness"])
+    assert code == 1 and manifest["failed_checks"] == ["uniqueness.finite_rate"]
+    assert "uniqueness.growth_bound" not in manifest["checks"]
 
 
 def test_cli_verify_accepts_an_identity_faster_than_second_order(tmp_path):

@@ -45,6 +45,15 @@ def test_identical_pair_zero(pairs):
     assert fit["outcome"] == "identically-zero" and fit["N"] is None
 
 
+def test_gronwall_fit_needs_two_points(pairs):
+    t1, t2, _ = pairs
+    trace = energy_trace(t1, t2, indices=[1, 2])
+    assert gronwall_fit(trace)["outcome"] == "fit"
+    for window in (slice(1, None), slice(2, None)):
+        assert gronwall_fit(trace, window=window) == {
+            "outcome": "too-few-points", "N": None, "residual": None}
+
+
 def test_energy_trace_builds_only_the_energy_differences(pairs, monkeypatch):
     # the trace writes h, A, T, v, w; U and z (and B, x) are built on first use
     import rlab.uniqueness
