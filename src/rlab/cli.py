@@ -4,11 +4,13 @@ Subcommands: run (execute every stage the config selects), verify, entropy,
 compare, uniqueness, constants.  Exit status: 0 all selected checks passed,
 1 at least one check failed (the manifest names it), 2 configuration error.
 
-Every stage's flow is built by ``flow_from``.  A flow stage (run, verify,
-entropy, uniqueness) whose flow stops before t_end raises BlowUpError once
-it has written what it can (run: its diagnostics and last accepted state;
-the others: nothing); the runner records ``<stage>.completed: false``, the
-first message as ``abort_reason``, and runs the remaining stages.
+Every stage's flow is built by ``flow_from`` and holds its last state and the
+snapshots its stages read (verify: k - 1, k, k + 1; entropy: its samples;
+uniqueness: all); a verify level equal to the base flow through k + 1 reads
+it.  A flow stage (run, verify, entropy, uniqueness) whose flow stops before
+t_end raises BlowUpError once it has written what it can (run: diagnostics
+and last state; others: nothing); the runner records ``<stage>.completed``
+false, the first message as ``abort_reason``, and runs the other stages.
 
 The manifest is deterministic: it contains the config hash, tool version,
 seeds, relative output paths, and the pass/fail summary - no timestamps -
@@ -26,6 +28,8 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .flow import BlowUpError
 
@@ -108,12 +112,12 @@ def seed_of(cfg):
     return cfg.get("seed", OptimizerOpts.seed)
 
 
-def flow_from(cfg, initial, **schedule):
+def flow_from(cfg, initial, keep=None, **schedule):
     """Every stage's flow: the config's, from ``initial`` = (grid, metric, u0),
-    with ``schedule`` replacing fields of the config's schedule."""
+    with ``schedule`` replacing fields of the config's schedule, kept by ``keep``."""
     from .flow import FlowState, run
     sched = replace(schedule_from(cfg), **schedule)
-    return run(FlowState(*initial), flow_params_from(cfg), sched)
+    return run(FlowState(*initial), flow_params_from(cfg), sched, keep)
 
 
 def completed(traj, where=""):
@@ -127,7 +131,6 @@ def completed(traj, where=""):
 # stages
 
 def stage_run(cfg, out: Path, checks, outputs, base):
-    import numpy as np
     from .snapshots import write_checkpoint, write_diagnostics_csv
 
     traj = base()
@@ -150,9 +153,10 @@ def stage_run(cfg, out: Path, checks, outputs, base):
 def verify_plan(cfg):
     """(entries, levels) of the verify stage: (entry, identity id, negative
     control) per ``verify.identities`` entry and (resolution, evaluated
-    snapshot k, schedule fields) per ``verify.resolutions`` level.  A ConfigError
-    names the first entry or level the stage cannot run, or ``schedule.dt``
-    unless it is a number, which each level rescales."""
+    snapshot k, shared: its flow is the base flow through k + 1, schedule
+    fields) per ``verify.resolutions`` level.  A ConfigError names the first
+    entry or level the stage cannot run, or ``schedule.dt`` unless it is a
+    number, which each level rescales."""
     from .config import ConfigError
     from .flow import step_plan
     from .identities import REGISTRY
@@ -177,11 +181,11 @@ def verify_plan(cfg):
     frac = vcfg.get("t_eval_frac", 0.75)
     if not 0 < frac < 1:
         raise ConfigError(f"verify.t_eval_frac: {frac!r} outside (0, 1)")
-    base_res = cfg["grid"]["resolutions"][0]
+    base_grid = cfg["grid"]["resolutions"]
     levels = []
     for res in vcfg.get("resolutions", [16, 32]):
         grid_from(cfg, res)
-        dt = sched.dt * (base_res / res) ** 2
+        dt = sched.dt * (base_grid[0] / res) ** 2
         # the residuals read snapshots k - 1, k and k + 1: integrate to k + 1
         nsteps, _ = step_plan(sched.t_end, dt)
         if nsteps < 2:
@@ -189,20 +193,23 @@ def verify_plan(cfg):
                               f"dt {dt!r} to t_end; the residuals need at least 2")
         k = min(max(int(round(frac * nsteps)), 1), nsteps - 1)
         t_stop = sched.t_end if k + 1 == nsteps else (k + 1) * dt
-        levels.append((res, k, {"t_end": t_stop, "dt": dt, "cadence": 1,
-                                "diagnostics": False}))
+        shared = [res] * len(base_grid) == base_grid and sched.cadence == 1
+        levels.append((res, k, shared, {"t_end": t_stop, "dt": dt, "cadence": 1,
+                                        "diagnostics": False}))
     return entries, levels
 
 
-def stage_verify(cfg, out: Path, checks, outputs, _base=None):
+def stage_verify(cfg, out: Path, checks, outputs, base):
     from .identities import converges, evaluate_identity, with_order
     from .snapshots import write_reports_json
 
     entries, levels = verify_plan(cfg)
     reports = []
-    for res, k, sched in levels:
-        traj = completed(flow_from(cfg, build_from_config(cfg, res), **sched),
-                         f"verify at resolution {res}: ")
+    for res, k, shared, sched in levels:
+        traj = base() if shared and base else flow_from(
+            cfg, build_from_config(cfg, res), lambda n, k=k: (k - 1, k, k + 1), **sched)
+        if traj.nsnapshots < k + 2:         # it stopped before snapshot k + 1
+            completed(traj, f"verify at resolution {res}: ")
         reports.append([replace(evaluate_identity(traj, base_id, k, mutate=mutate),
                                 identity=entry)
                         for entry, base_id, mutate in entries])
@@ -212,21 +219,25 @@ def stage_verify(cfg, out: Path, checks, outputs, _base=None):
     outputs.append("residuals.json")
 
 
+def entropy_samples(cfg, nsnap):
+    """The snapshots the entropy stage reads out of ``nsnap``: the distinct
+    ones of ``entropy.samples`` evenly spaced indices."""
+    samples = cfg.get("entropy", {}).get("samples", 10)
+    return np.unique(np.linspace(0, nsnap - 1, samples).astype(int))
+
+
 def stage_entropy(cfg, out: Path, checks, outputs, base):
-    import numpy as np
     from .functionals import OptimizerOpts, mu_minimize
     from .snapshots import write_entropy_csv
 
     ecfg = cfg.get("entropy", {})
     tau0 = ecfg.get("tau0", 1.0)
-    samples = ecfg.get("samples", 10)
     opts = OptimizerOpts(seed=seed_of(cfg), **{
         k: ecfg[k] for k in ("tol", "max_iter", "nseeds") if k in ecfg})
     traj = completed(base())
-    idxs = np.unique(np.linspace(0, traj.nsnapshots - 1, samples).astype(int))
     rows, mus = [], []
     prev = None
-    for k in idxs:
+    for k in entropy_samples(cfg, traj.nsnapshots):
         st = traj.state(int(k))
         tau = tau0 - st.t
         rep = mu_minimize(st.metric, st.u, tau, opts, warm_start=prev)
@@ -271,7 +282,6 @@ def stage_compare(cfg, out: Path, checks, outputs, _base=None):
 
 
 def stage_uniqueness(cfg, out: Path, checks, outputs, base):
-    import numpy as np
     from .mesh import MetricField
     from .snapshots import write_energy_csv
     from .uniqueness import energy_trace, gronwall_fit
@@ -330,7 +340,7 @@ def stage_constants(cfg, out: Path, checks, outputs, _base=None):
 
 
 # each stage is called as stage(cfg, out, checks, outputs, base), positionally:
-# base() returns the config's base flow, integrated on its first call
+# base() returns the base flow, integrated on its first call (None if only verify reads it)
 STAGES = {"run": stage_run, "verify": stage_verify, "entropy": stage_entropy,
           "compare": stage_compare, "uniqueness": stage_uniqueness,
           "constants": stage_constants}
@@ -360,8 +370,7 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
     flows = [s for s in selected if s in ("run", "verify", "entropy", "uniqueness")]
     if grid_from(cfg).kind != "torus" and flows:
         raise ConfigError(f"grid.kind: the {flows[0]} stage integrates a flow: torus only")
-    if "verify" in selected:
-        verify_plan(cfg)
+    levels = verify_plan(cfg)[1] if "verify" in selected else ()
     if "entropy" in selected and not (tau0 := cfg.get("entropy", {}).get("tau0", 1.0)) > t_end:
         raise ConfigError(f"entropy.tau0: {tau0!r} not above schedule.t_end {t_end!r}")
     if "compare" in selected:
@@ -374,8 +383,12 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks, outputs, aborts = {}, [], {}
+    reads = {i for _, k, shared, _ in levels if shared for i in (k - 1, k, k + 1)}
+    keep = None if "uniqueness" in selected else lambda n: reads.union(
+        entropy_samples(cfg, n) if "entropy" in selected else ())
     # diagnostics rows leave every state bitwise unchanged; only run writes them
-    base = functools.cache(lambda: flow_from(cfg, initial, diagnostics="run" in selected))
+    base = functools.cache(lambda: flow_from(
+        cfg, initial, keep, diagnostics="run" in selected)) if reads_base else None
     for name in selected:
         try:
             STAGES[name](cfg, out, checks, outputs, base)
@@ -489,6 +502,8 @@ def main(argv=None):
     if code != 0:
         print("failed checks: " + ", ".join(manifest["failed_checks"]),
               file=sys.stderr)
+        if "abort_reason" in manifest:
+            print("abort reason: " + manifest["abort_reason"], file=sys.stderr)
     return code
 
 

@@ -7,6 +7,7 @@ and u == 0 reduces to Ricci flow.  Integration is ungauged explicit
 (euler or rk4) on near-flat torus data at desk scale.  Every stage metric
 passes the one SPD rule of ``MetricField``; its failure, or a non-finite
 potential on the accepted state, aborts the run with a diagnostic snapshot.
+``run``'s keep rule releases each recorded snapshot its caller will not read.
 """
 
 from __future__ import annotations
@@ -175,25 +176,31 @@ class Trajectory:
     grid: Grid
     params: FlowParams
     dt: float
-    states: list = field(default_factory=list)       # recorded FlowStates, in time order
+    keep: frozenset                                  # snapshot indices held besides the last
+    states: list = field(default_factory=list)       # recorded FlowStates, None once released
+    times: list = field(default_factory=list)        # every recorded snapshot's time
     diagnostics: dict = field(default_factory=dict)  # column -> list, per step
     aborted: str | None = None
 
     def record(self, state: FlowState):
-        """Append ``state`` unless it is the last one recorded."""
-        if not self.states or self.states[-1].step_count != state.step_count:
-            self.states.append(state)
+        """Append ``state`` unless it is the last one recorded, and release
+        the one before it unless ``keep`` holds it."""
+        if self.states and self.states[-1].step_count == state.step_count:
+            return
+        if self.states and len(self.states) - 1 not in self.keep:
+            self.states[-1] = None
+        self.states.append(state)
+        self.times.append(state.t)
 
     def state(self, k: int) -> FlowState:
+        if self.states[k] is None:
+            held = [i for i, s in enumerate(self.states) if s is not None]
+            raise IndexError(f"snapshot {k} was not kept (held: {held})")
         return self.states[k]
 
     def frame(self, k: int) -> Frame:
         """The geometry of snapshot ``k`` at the trajectory's parameters."""
-        return Frame(self.states[k], self.params)
-
-    @property
-    def times(self) -> list:
-        return [s.t for s in self.states]
+        return Frame(self.state(k), self.params)
 
     @property
     def nsnapshots(self) -> int:
@@ -239,8 +246,10 @@ def rm_lp_series(traj: Trajectory, p: float):
     return out
 
 
-def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Trajectory:
-    """Integrate to t_end, recording snapshots and per-step diagnostics."""
+def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
+        keep=None) -> Trajectory:
+    """Integrate to t_end, recording snapshots and per-step diagnostics; of
+    nsnap planned snapshots, hold the last and ``keep(nsnap)`` (None: all)."""
     # one geometry per accepted state, shared by its diagnostics row, the
     # initial step bound and the first stage of the step that leaves it
     geo = CoupledGeometry(initial_state.metric, initial_state.u, params.alpha1)
@@ -252,7 +261,8 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule) -> Tra
           else cfl_dt(initial_state, schedule.safety, geo))
     nsteps, short = step_plan(schedule.t_end, dt)
     t_end = initial_state.t + schedule.t_end
-    traj = Trajectory(initial_state.grid, params, dt)
+    nsnap = -(-nsteps // schedule.cadence) + 1     # planned; keep None holds all
+    traj = Trajectory(initial_state.grid, params, dt, frozenset((keep or range)(nsnap)))
     state, h, cum_hess = initial_state, 0.0, 0.0
     for k in range(nsteps + 1):         # k = 0 is the initial state
         if k:

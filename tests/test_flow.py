@@ -360,3 +360,50 @@ def test_run_lands_on_t_end(t_end, dt, nsteps):
 def test_run_rejects_a_nonpositive_t_end(t_end):
     with pytest.raises(ValueError, match="t_end must be positive"):
         run(flat_state(), FlowParams(2.0), Schedule(t_end=t_end, dt=1e-3))
+
+
+def held(traj):
+    return [k for k, s in enumerate(traj.states) if s is not None]
+
+
+@pytest.mark.parametrize("cadence, t_end, nsnap", [(1, 0.007, 8), (3, 0.007, 4),
+                                                   (2, 0.0065, 5)])
+def test_keep_rule_holds_the_kept_snapshots_bitwise(cadence, t_end, nsnap):
+    # the rule sees the planned snapshot count; the trajectory holds its
+    # indices and the last, each bitwise the keep-all run's, and still counts
+    # and times every recorded snapshot
+    sched = Schedule(t_end=t_end, dt=1e-3, cadence=cadence)
+    full = run(curved_state(16), FlowParams(2.0), sched)
+    seen = []
+    part = run(curved_state(16), FlowParams(2.0), sched,
+               lambda n: seen.append(n) or {0, n - 3})
+    assert seen == [nsnap] == [full.nsnapshots] and part.nsnapshots == nsnap
+    assert held(full) == list(range(nsnap)) and held(part) == [0, nsnap - 3, nsnap - 1]
+    assert part.times == full.times and part.diagnostics == full.diagnostics
+    for k in held(part):
+        assert part.state(k).step_count == full.state(k).step_count
+        assert np.array_equal(part.state(k).metric.values, full.state(k).metric.values)
+        assert np.array_equal(part.state(k).u, full.state(k).u)
+
+
+def test_reading_a_dropped_snapshot_is_named():
+    traj = run(curved_state(16), FlowParams(2.0),
+               Schedule(t_end=4e-3, dt=1e-3, diagnostics=False), lambda n: [1])
+    assert held(traj) == [1, 4]
+    for read in (traj.state, traj.frame):
+        with pytest.raises(IndexError, match=r"^snapshot 2 was not kept \(held: \[1, 4\]\)$"):
+            read(2)
+    assert traj.frame(1).t == traj.times[1]
+
+
+def test_keep_rule_holds_the_last_accepted_state_of_an_abort():
+    g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
+    m = perturbed_flat_metric(g, {(0, 0): [{"amp": 0.8, "wave": [0, 1]}]})
+    st = FlowState(g, m, np.zeros(g.shape))
+    sched = Schedule(t_end=2.0, dt=0.5, diagnostics=False)
+    full = run(st, FlowParams(2.0), sched)
+    last = run(st, FlowParams(2.0), sched, lambda n: ())
+    assert full.aborted and last.aborted == full.aborted
+    assert last.nsnapshots == full.nsnapshots and held(last) == [full.nsnapshots - 1]
+    assert np.array_equal(last.state(last.nsnapshots - 1).metric.values,
+                          full.state(full.nsnapshots - 1).metric.values)

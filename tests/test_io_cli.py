@@ -605,17 +605,17 @@ def test_entropy_uniqueness_outputs_unchanged_without_diagnostics(tmp_path, monk
     cfg = write_cfg(tmp_path, STAGE_CFG)
     real_run, flags = rlab.flow.run, []
 
-    def spy(state, params, schedule, force=None):
+    def spy(state, params, schedule, keep=None, force=None):
         flags.append(schedule.diagnostics)
         if force is not None:
             schedule = replace(schedule, diagnostics=force)
-        return real_run(state, params, schedule)
+        return real_run(state, params, schedule, keep)
 
     monkeypatch.setattr(rlab.flow, "run", spy)
     run_experiment(cfg, tmp_path / "off", stages=["entropy", "uniqueness"])
     assert flags == [False, False]
     monkeypatch.setattr(rlab.flow, "run",
-                        lambda st, p, s: spy(st, p, s, force=True))
+                        lambda st, p, s, keep=None: spy(st, p, s, keep, force=True))
     run_experiment(cfg, tmp_path / "on", stages=["entropy", "uniqueness"])
     for name in ("entropy.csv", "energy.csv", "manifest.json"):
         assert ((tmp_path / "off" / name).read_bytes()
@@ -904,3 +904,95 @@ def test_cli_verify_accepts_an_identity_faster_than_second_order(tmp_path):
     assert reports[0]["identity"] == "A.10" and reports[0]["order"] > 2.3
     assert manifest["checks"]["verify.A.10"] is True
     assert manifest["failed_checks"] == ["verify.A.8:negctl"] and code == 1
+
+
+def _spy_flows(monkeypatch):
+    # every trajectory flow.run returns, in call order
+    import rlab.flow
+    real_run, trajs = rlab.flow.run, []
+    monkeypatch.setattr(rlab.flow, "run",
+                        lambda *a: trajs.append(real_run(*a)) or trajs[-1])
+    return trajs
+
+
+def _held(traj):
+    return [k for k, s in enumerate(traj.states) if s is not None]
+
+
+@pytest.mark.parametrize("stages, reads", [
+    (["run"], lambda n: []),
+    (["entropy"], lambda n: [0, n - 1]),           # STAGE_CFG's 2 samples
+    (["uniqueness"], lambda n: list(range(n)))])
+def test_base_flow_holds_what_its_stages_read(tmp_path, monkeypatch, stages, reads):
+    from rlab.cli import run_experiment
+    trajs = _spy_flows(monkeypatch)
+    _, code = run_experiment(write_cfg(tmp_path, STAGE_CFG), tmp_path / "o", stages=stages)
+    base = trajs[0]
+    assert code == 0 and base.nsnapshots == 5
+    # a run-only base flow holds its last state alone
+    assert _held(base) == sorted(set(reads(5)) | {4})
+
+
+def test_verify_level_holds_at_most_four_states(tmp_path, monkeypatch):
+    from rlab.cli import run_experiment
+    trajs = _spy_flows(monkeypatch)
+    cfg = write_cfg(tmp_path, {"verify": {"identities": ["A.8"],
+                                          "resolutions": [16, 24, 32]}})
+    _, code = run_experiment(cfg, tmp_path / "o", stages=["verify"])
+    assert code == 0 and len(trajs) == 3
+    for traj in trajs:
+        k = traj.nsnapshots - 2
+        assert _held(traj) == [k - 1, k, k + 1] and len(_held(traj)) <= 4
+
+
+def test_verify_level_reads_the_base_flow_it_equals(tmp_path, monkeypatch):
+    # 16^2, t_end 0.008, dt 0.002: the level at the base resolution is the
+    # base flow through its snapshot k + 1 = 4, so ``rlab run`` integrates the
+    # base flow and the 32^2 level only, and the residuals do not move
+    from rlab.cli import main
+    cfg = write_cfg(tmp_path, {"verify": {"identities": ["A.8", "A.9"],
+                                          "resolutions": [16, 32]}})
+    trajs = _spy_flows(monkeypatch)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "all")]) == 0
+    assert [t.grid.shape for t in trajs] == [(16, 16), (32, 32)]
+    assert _held(trajs[0]) == [2, 3, 4]
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+    assert len(trajs) == 4
+    assert ((tmp_path / "all" / "residuals.json").read_bytes()
+            == (tmp_path / "v" / "residuals.json").read_bytes())
+
+
+def test_verify_level_past_a_later_base_abort_completes(tmp_path, monkeypatch):
+    # the base flow aborts after the shared level's snapshot k + 1, which the
+    # level's own flow never reaches: verify still completes
+    import rlab.flow
+    from rlab.cli import run_experiment
+    real_step, steps = rlab.flow.step, []
+
+    def step(state, *a, **kw):
+        if len(steps) == 5 and state.grid.shape == (16, 16):
+            raise rlab.flow.BlowUpError("planted", state=state)
+        steps.append(1)
+        return real_step(state, *a, **kw)
+
+    monkeypatch.setattr(rlab.flow, "step", step)
+    cfg = write_cfg(tmp_path, {"schedule": {"t_end": 0.012, "dt": 0.002},
+                               "verify": {"identities": ["A.8"], "resolutions": [16, 32],
+                                          "t_eval_frac": 0.5}})
+    manifest, code = run_experiment(cfg, tmp_path / "o", stages=["run", "verify"])
+    assert code == 1 and manifest["abort_reason"] == "planted"
+    assert manifest["checks"]["run.completed"] is False
+    assert manifest["checks"]["verify.completed"] is True
+
+
+def test_terminal_names_the_abort_reason(tmp_path, capsys):
+    # the blow-up config of test_abort_reason_is_a_manifest_key_not_a_check
+    from rlab.cli import main
+    cfg = write_cfg(tmp_path, {
+        "initial_data": {"metric": {"family": "perturbed", "components": {
+            "0,0": [{"amp": 0.8, "wave": [0, 1]}]}}},
+        "schedule": {"t_end": 2.0, "dt": 0.5}}, name="blowup.json")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "failed checks: run.completed" in err
+    assert "abort reason: metric lost positive definiteness" in err
