@@ -14,8 +14,7 @@ from rlab.flow import FlowParams, FlowState, Schedule, run
 from rlab.instances import verification_initial_data
 from rlab.mesh import MetricField, build_grid
 from rlab.snapshots import write_energy_csv
-from rlab.uniqueness import (cutoff_eta, difference_bundle, energy_trace,
-                             gronwall_fit)
+from rlab.uniqueness import difference_bundle, energy_trace, gronwall_fit
 
 grid = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
 metric, u0 = verification_initial_data(grid)
@@ -51,9 +50,3 @@ print(f"difference-tensor consistency (y vs nabla w - A * du): "
 
 write_energy_csv("energy.csv", tr1)
 print("wrote energy.csv")
-
-# the chart-domain cutoff construction with its admissibility check
-gch = build_grid("chart", 2, [32, 32], [4.0, 4.0])
-rep = cutoff_eta(gch, B_const=1.0, T_total=1.0, times=[0.0, 0.05, 0.1])
-print(f"\nchart cutoff eta = B r^2/(T - c t): c = {rep['c']}, window {rep['window']}, "
-      f"admissibility residual {rep['admissibility']:+.1e} (>= 0)")

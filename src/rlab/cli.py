@@ -255,7 +255,7 @@ def stage_entropy(cfg, out: Path, checks, outputs, base):
     checks["entropy.normalized"] = bool(all(r[4] <= 1e-8 for r in rows))
 
 
-def stage_compare(cfg, out: Path, checks, outputs, _base=None):
+def stage_compare(cfg, out: Path, checks, outputs, _base):
     from .comparison import SCALAR_PAIRS, scalar_order
     from .instances import random_instance
     from .snapshots import write_verdicts_csv
@@ -281,22 +281,30 @@ def stage_compare(cfg, out: Path, checks, outputs, _base=None):
     checks["compare.orderings"] = bool(ok)
 
 
+def twin_from(cfg, grid, metric, u):
+    """The uniqueness stage's perturbed initial data, delta sin(x^1) added to
+    g_00 (on a g_00 that varies along x^0 alone, delta sin(x^0) would be a
+    reparametrization); a delta that breaks the SPD rule is a ConfigError."""
+    from .config import ConfigError
+    from .mesh import MetricField, SPDError
+    x = grid.coords()[1 if grid.n >= 2 else 0]
+    pert = metric.values.copy()
+    pert[(0, 0)] = pert[(0, 0)] + cfg.get("uniqueness", {}).get("delta", 1e-3) * np.sin(x)
+    try:
+        return grid, MetricField(grid, pert), u
+    except SPDError as e:
+        raise ConfigError(f"uniqueness.delta: {e}") from e
+
+
 def stage_uniqueness(cfg, out: Path, checks, outputs, base):
-    from .mesh import MetricField
     from .snapshots import write_energy_csv
     from .uniqueness import energy_trace, gronwall_fit
 
     ucfg = cfg.get("uniqueness", {})
-    delta = ucfg.get("delta", 1e-3)
     tr1 = completed(base())
     st0 = tr1.state(0)
-    # along x^1: on a g_00 that varies along x^0 alone, delta sin(x^0) is a
-    # reparametrization and leaves the curvature unchanged
-    x = st0.grid.coords()[1 if st0.grid.n >= 2 else 0]
-    pert = st0.metric.values.copy()
-    pert[(0, 0)] = pert[(0, 0)] + delta * np.sin(x)
     # the twin steps at the base flow's dt, so the two share snapshot times
-    tr2 = completed(flow_from(cfg, (st0.grid, MetricField(st0.grid, pert), st0.u),
+    tr2 = completed(flow_from(cfg, twin_from(cfg, st0.grid, st0.metric, st0.u),
                               dt=tr1.dt, diagnostics=False), "perturbed twin: ")
     trace = energy_trace(tr1, tr2, **{k: ucfg[k] for k in ("beta",) if k in ucfg})
     write_energy_csv(out / "energy.csv", trace)
@@ -313,7 +321,7 @@ def stage_uniqueness(cfg, out: Path, checks, outputs, base):
         checks["uniqueness.growth_bound"] = bool(grow)
 
 
-def stage_constants(cfg, out: Path, checks, outputs, _base=None):
+def stage_constants(cfg, out: Path, checks, outputs, _base):
     from .functionals import (EstimateConstants, delta_u_bound,
                               log_sobolev_constant, noncollapse_constants,
                               dimension4_bound_constants)
@@ -345,10 +353,6 @@ STAGES = {"run": stage_run, "verify": stage_verify, "entropy": stage_entropy,
           "compare": stage_compare, "uniqueness": stage_uniqueness,
           "constants": stage_constants}
 
-STAGE_SECTIONS = {"run": "schedule", "verify": "verify", "entropy": "entropy",
-                  "compare": "compare", "uniqueness": "uniqueness",
-                  "constants": "constants"}
-
 
 def run_experiment(config_path, out_dir, stages=None, res_override=None,
                    seed_override=None):
@@ -362,7 +366,8 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
         cfg["grid"]["resolutions"] = [res_override] * cfg["grid"]["n"]
     selected = stages
     if selected is None:
-        selected = [s for s in STAGES if STAGE_SECTIONS[s] in cfg]
+        # a config section selects its stage; run's section is schedule
+        selected = [s for s in STAGES if ("schedule" if s == "run" else s) in cfg]
         if not selected:
             selected = ["run"]
     # reject bad input before any stage runs; the base flow starts from ``initial``
@@ -380,6 +385,8 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
                 raise ConfigError(f"compare.scalar_pairs: unknown pair {pair!r}")
     reads_base = {"run", "entropy", "uniqueness"} & set(selected)
     initial = build_from_config(cfg) if reads_base else None
+    if "uniqueness" in selected:
+        twin_from(cfg, *initial)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks, outputs, aborts = {}, [], {}

@@ -18,10 +18,10 @@ class ConfigError(ValueError):
     pass
 
 
-_TERM = {"amp": float, "wave": list, "kind": str, "phase": float}
+_TERM = {"amp": float, "wave": [int], "kind": str, "phase": float}
 
 SCHEMA = {
-    "grid": {"kind": str, "n": int, "resolutions": list, "extents": list},
+    "grid": {"kind": str, "n": int, "resolutions": [int], "extents": [float]},
     "initial_data": {
         "metric": {"family": str, "components": dict, "phi_terms": list,
                    "diag": list},
@@ -30,7 +30,7 @@ SCHEMA = {
     "flow": {"alpha1": float, "alpha2": float, "beta1": float, "beta2": float},
     "schedule": {"t_end": float, "dt": (float, type(None)), "safety": float,
                  "cadence": int, "method": str},
-    "verify": {"identities": list, "resolutions": list, "t_eval_frac": float},
+    "verify": {"identities": list, "resolutions": [int], "t_eval_frac": float},
     "entropy": {"tau0": float, "samples": int, "tol": float, "max_iter": int,
                 "nseeds": int},
     "compare": {"scalar_pairs": list, "instances": int},
@@ -51,10 +51,14 @@ def _check(node, schema, path):
                 raise ConfigError(f"{path + '.' if path else ''}{key}: unknown key")
             _check(val, schema[key], f"{path + '.' if path else ''}{key}")
         return
-    types = schema if isinstance(schema, tuple) else (schema,)
-    if float in types and isinstance(node, int) and not isinstance(node, bool):
+    if isinstance(schema, list):        # [t]: a list whose every entry is a t
+        _check(node, list, path)
+        for k, entry in enumerate(node):
+            _check(entry, schema[0], f"{path}[{k}]")
         return
-    if not isinstance(node, types):
+    types = schema if isinstance(schema, tuple) else (schema,)
+    numbers = types + (int,) if float in types else types   # 2 is a float; true is no number
+    if isinstance(node, bool) or not isinstance(node, numbers):
         names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {type(node).__name__}")
 
@@ -97,10 +101,10 @@ def validate(config: dict) -> dict:
                           for key, terms in comps.items()),
                         *((f"initial_data.metric.diag[{k}]", entry)
                           for k, entry in enumerate(diag)
-                          if not isinstance(entry, (int, float)))]:
-        _check(terms, list, path)       # each term of ``instances.trig_scalar``
+                          if isinstance(entry, bool) or not isinstance(entry, (int, float)))]:
+        _check(terms, [_TERM], path)    # each term of ``instances.trig_scalar``
         for k, term in enumerate(terms):
-            _check(term, _TERM, where := f"{path}[{k}]")
+            where = f"{path}[{k}]"
             if "amp" not in term or len(term.get("wave", [])) != n:
                 raise ConfigError(f"{where}: needs an amp and a wave of n={n} entries")
             if term.get("kind", "sin") not in ("sin", "cos"):

@@ -16,9 +16,8 @@ normalization into int w^2 dV = 1 and the functional into
 
     W = int [ tau (w^2 S + 4 |grad w|^2) - (2 ln w + (n/2) ln(4 pi tau) + n) w^2 ] dV,
 
-which is what the minimizer works on.  ``_w_eval`` is the one discrete W
-(both public evaluators call it, so they agree to rounding on normalized
-inputs).  Its Dirichlet form int g^{ij} D_i w D_j w dV is compact: the
+which is what the minimizer works on.  ``_w_eval`` is the one discrete W.
+Its Dirichlet form int g^{ij} D_i w D_j w dV is compact: the
 average, over the 2^n choices of one-sided differences, of each choice's
 form.  Each choice's form is positive semidefinite with only constants in
 its kernel, so no w supported on one parity sublattice has zero energy, as
@@ -117,16 +116,9 @@ def _mu_gradient(metric: MetricField, w, tau, S, flux_fwd, flux_cen, lnw, c0):
             - 8.0 * tau * div)
 
 
-def w_entropy_w_form(metric: MetricField, u: np.ndarray, w: np.ndarray,
-                     tau: float) -> float:
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return _w_eval(metric, coupled_scalar(metric, u), w, tau)[0]
-
-
 def w_entropy(metric: MetricField, u: np.ndarray, f: np.ndarray, tau: float) -> float:
-    """Entropy of a normalized test function f (the |grad f|^2 term is taken
-    through the w substitution so the two forms agree to rounding)."""
+    """Entropy of a normalized test function f, evaluated through the w
+    substitution (the |grad f|^2 term becomes 4 |grad w|^2)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     n = metric.grid.n

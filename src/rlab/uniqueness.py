@@ -1,15 +1,13 @@
 """Forward-uniqueness diagnostics for pairs of flow trajectories.
 
 Difference tensors between two solutions sharing a grid and snapshot times,
-the weighted energy
+the energy
 
-    E(t) = int [ t^{-1} |h|^2 + t^{-beta} |A|^2 + |T|^2 + |v|^2 + |w|^2 ] e^{-eta} dV,
+    E(t) = int [ t^{-1} |h|^2 + t^{-beta} |A|^2 + |T|^2 + |v|^2 + |w|^2 ] dV,
 
 (all norms in the first trajectory's metric), and least-squares estimation
-of the exponential growth rate N with E' <= N E.  On a closed torus the
-cutoff weight is identically zero; the chart construction
-eta = B r^2 / (T - c t) is exposed for experiments together with its
-admissibility check d_t eta >= B |grad eta|^2.
+of the exponential growth rate N with E' <= N E.  Every flow runs on a
+closed torus, where the energy needs no cutoff weight.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .flow import Frame, Trajectory
-from .mesh import Grid, grad_stack, integrate
+from .mesh import integrate
 from .tensor import cov_d, norm_sq
 
 
@@ -89,9 +87,8 @@ def difference_bundle(traj1: Trajectory, traj2: Trajectory,
     return DiffBundle(f1, f2)
 
 
-def energy(bundle: DiffBundle, *, beta: float = 0.5,
-           eta: np.ndarray | None = None) -> float:
-    """The weighted difference energy of one pair of snapshots.
+def energy(bundle: DiffBundle, *, beta: float = 0.5) -> float:
+    """The difference energy of one pair of snapshots.
 
     At t = 0 the value is defined as 0 when the data coincide; otherwise the
     caller should evaluate at the first positive snapshot.
@@ -104,13 +101,12 @@ def energy(bundle: DiffBundle, *, beta: float = 0.5,
             return 0.0
         raise ValueError("energy weights are singular at t = 0 for distinct data; "
                          "evaluate at the first positive snapshot")
-    wgt = np.exp(-eta) if eta is not None else 1.0
     dens = (bundle.norm_sq("h") / t
             + bundle.norm_sq("A") / t ** beta
             + bundle.norm_sq("T")
             + bundle.norm_sq("v")
             + bundle.norm_sq("w"))
-    return integrate(dens * wgt, bundle.metric)
+    return integrate(dens, bundle.metric)
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,6 @@ class EnergyTrace:
 
 
 def energy_trace(traj1: Trajectory, traj2: Trajectory, beta: float = 0.5,
-                 eta: np.ndarray | None = None,
                  indices=None) -> EnergyTrace:
     """The energy and the difference norms at snapshots ``indices``
     (default: every snapshot after the first, through t_end)."""
@@ -135,7 +130,7 @@ def energy_trace(traj1: Trajectory, traj2: Trajectory, beta: float = 0.5,
     ts, vals, norms = [], [], []
     for k in idx:
         b = difference_bundle(traj1, traj2, k)
-        vals.append(energy(b, beta=beta, eta=eta))
+        vals.append(energy(b, beta=beta))
         ts.append(b.t)
         norms.append(b.norms())
     return EnergyTrace(np.array(ts), np.array(vals), norms)
@@ -158,37 +153,3 @@ def gronwall_fit(trace: EnergyTrace, window=None) -> dict:
     N = float(coef[0])
     resid = float(np.sqrt(res[0] / len(t))) if len(res) else 0.0
     return {"outcome": "fit", "N": N, "residual": resid}
-
-
-def cutoff_eta(grid: Grid, B_const: float, T_total: float,
-               c: float | None = None, times=None) -> dict:
-    """Cutoff weights for the energy.
-
-    On a torus the cutoff is unnecessary: eta = 0 (returned once per time).
-    On a chart: eta(x, t) = B r^2 / (T - c t) with c defaulting to 4 B^2
-    (the admissibility condition d_t eta >= B |grad eta|^2 then holds with
-    equality margin zero in the continuum); the report carries the measured
-    admissibility residual, which is never silently accepted.
-    """
-    ts = np.asarray(times if times is not None else [0.0])
-    if grid.kind == "torus":
-        etas = [np.zeros(grid.shape) for _ in ts]
-        return {"etas": etas, "times": ts, "admissibility": np.inf,
-                "c": 0.0, "window": (0.0, T_total)}
-    cc = 4.0 * B_const ** 2 if c is None else c
-    xs = grid.coords()
-    r2 = sum(x * x for x in xs)
-    etas, resid = [], np.inf
-    for t in ts:
-        denom = T_total - cc * t
-        if denom <= 0:
-            raise ValueError("time window exceeded: T - c t must stay positive")
-        eta = B_const * r2 / denom
-        detadt = B_const * r2 * cc / denom ** 2
-        grad = grad_stack(eta, grid)
-        gsq = np.einsum("a...,a...->...", grad, grad)
-        inner = tuple(slice(1, -1) for _ in range(grid.n))
-        resid = min(resid, float(np.min((detadt - B_const * gsq)[inner])))
-        etas.append(eta)
-    return {"etas": etas, "times": ts, "admissibility": resid,
-            "c": cc, "window": (0.0, T_total / cc)}

@@ -318,7 +318,7 @@ def test_compare_stage_shares_one_geometry_per_instance(tmp_path, monkeypatch):
             calls[_name] += 1
             return _real(*a)
         monkeypatch.setattr(tensor, name, counted)
-    stage_compare(cfg, tmp_path, {}, [])
+    stage_compare(cfg, tmp_path, {}, [], None)
     assert calls == {"riemann_13": 2 * 2, "_connection": 2}
     # the per-pair path (one geometry per pair) writes the same bytes
     per_pair = [scalar_order(m, u, pair)

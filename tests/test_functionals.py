@@ -10,7 +10,7 @@ from rlab.functionals import (EstimateConstants, OptimizerOpts, PositivityError,
                               mu_lower_bound, mu_minimize, mu_upper_bound,
                               noncollapse_constants, normalize_f,
                               pinching_quantities, dimension4_bound_constants,
-                              w_entropy, w_entropy_w_form)
+                              w_entropy)
 from rlab.instances import (perturbed_flat_metric, random_instance,
                             trig_scalar, verification_initial_data)
 from rlab.mesh import build_grid, flat_metric, integrate
@@ -39,17 +39,6 @@ def test_w_entropy_rejects_bad_tau():
         mu_minimize(m, np.zeros(g.shape), -1.0)
 
 
-def test_two_entropy_forms_agree():
-    grid, m, u = random_instance(2, 16, seed=301)
-    rng = np.random.default_rng(1)
-    tau = 0.7
-    f = normalize_f(m, rng.random(grid.shape), tau)
-    w = np.exp(-0.5 * f) * (4 * np.pi * tau) ** (-grid.n / 4.0)
-    a = w_entropy(m, u, f, tau)
-    b = w_entropy_w_form(m, u, w, tau)
-    assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
-
-
 def test_tau_shift_bijection():
     grid, m, u = random_instance(2, 16, seed=302)
     rng = np.random.default_rng(2)
@@ -73,8 +62,8 @@ def test_mu_flat_constant_seed_saturates_bound():
     rep = mu_minimize(m, u, 1.0, FAST_OPTS)
     bound = mu_upper_bound(m, u, 1.0)
     # the constant test function attains the bound...
-    wconst = np.ones(g.shape) / np.sqrt(integrate(np.ones(g.shape), m))
-    assert abs(w_entropy_w_form(m, u, wconst, 1.0) - bound) < 1e-6
+    fconst = normalize_f(m, np.zeros(g.shape), 1.0)
+    assert abs(w_entropy(m, u, fconst, 1.0) - bound) < 1e-6
     # ... and the minimizer never exceeds it
     assert rep.mu <= bound + 1e-6
     assert rep.norm_defect <= 1e-8

@@ -748,12 +748,35 @@ def with_initial_data(metric=None, u_terms=None):
     ("initial_data.metric: metric not SPD: min eigenvalue",
      with_initial_data(metric={"family": "perturbed", "components": {
          "0,0": [{"amp": 2.0, "wave": [1, 0]}]}})),
+    ("grid.resolutions[0]: expected int, got str",
+     {"grid": dict(BASE_CFG["grid"], resolutions=["16", "16"])}),
+    ("grid.resolutions[0]: expected int, got float",
+     {"grid": dict(BASE_CFG["grid"], resolutions=[16.5, 16.5])}),
+    ("grid.extents[0]: expected float, got str",
+     {"grid": dict(BASE_CFG["grid"], extents=["a", "b"])}),
+    ("verify.resolutions[0]: expected int, got str",
+     {"verify": {"identities": ["A.8"], "resolutions": ["16", 32]}}),
+    ("verify.resolutions[0]: expected int, got float",
+     {"verify": {"identities": ["A.8"], "resolutions": [16.5, 32]}}),
+    ("initial_data.u_terms[0].wave[0]: expected int, got float",
+     with_initial_data(u_terms=[{"amp": 0.2, "wave": [1.5, 0]}])),
+    ("initial_data.u_terms[0].wave[0]: expected int, got str",
+     with_initial_data(u_terms=[{"amp": 0.2, "wave": ["a", 0]}])),
+    ("initial_data.metric.diag[0]: expected list, got bool",
+     with_initial_data(metric={"family": "product", "diag": [True, 1.0]})),
+    ("grid.n: expected int, got bool", {"grid": dict(BASE_CFG["grid"], n=True)}),
+    ("entropy.samples: expected int, got bool", {"entropy": {"samples": True}}),
+    ("uniqueness.delta: metric not SPD: min eigenvalue", {"uniqueness": {"delta": 5.0}}),
 ], ids=["t_eval_frac-7", "t_eval_frac-0", "u_terms-wave", "phi_terms-wave", "u_terms-kind",
         "components-kind", "components-key", "scalar-pair",
         "chart-flow", "beta-1.5", "beta-0", "tau0-at-t_end", "diag-short", "diag-long",
-        "diag-wave", "metric-not-spd"])
+        "diag-wave", "metric-not-spd", "resolutions-str", "resolutions-float",
+        "extents-str", "verify-resolutions-str", "verify-resolutions-float",
+        "wave-float", "wave-str", "diag-bool", "n-bool", "samples-bool",
+        "delta-not-spd"])
 def test_values_that_failed_mid_run_exit_2_before_any_stage(tmp_path, capsys, key, extra):
-    # each was clamped, cut, read as cos or raised only once its stage ran
+    # each was clamped, cut, truncated to an int, read as cos or as 1, or
+    # raised only once its stage ran
     err = config_error(tmp_path, capsys, extra)
     assert err.startswith(f"config error: {key}"), err
 
