@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 
@@ -61,6 +62,8 @@ def _check(node, schema, path):
     if isinstance(node, bool) or not isinstance(node, numbers):
         names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {type(node).__name__}")
+    if isinstance(node, float) and not math.isfinite(node):    # JSON's NaN, Infinity
+        raise ConfigError(f"{path}: must be finite, got {node!r}")
 
 
 REQUIRED = ("grid",)

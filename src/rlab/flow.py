@@ -8,6 +8,8 @@ and u == 0 reduces to Ricci flow.  Integration is ungauged explicit
 passes the one SPD rule of ``MetricField``; its failure, or a non-finite
 potential on the accepted state, aborts the run with a diagnostic snapshot.
 ``run``'s keep rule releases each recorded snapshot its caller will not read.
+A step holds one rk4 stage state and one stage slope at a time, and ``run``
+releases each accepted state's geometry once the step's first slope is read.
 """
 
 from __future__ import annotations
@@ -99,25 +101,22 @@ def _advance(state: FlowState, gdot, udot, dt) -> FlowState:
 
 
 def step(state: FlowState, params: FlowParams, dt: float,
-         method: str = "rk4", geo: Geometry | None = None) -> FlowState:
+         method: str = "rk4", k1=None) -> FlowState:
     """One explicit step; every stage metric passes ``MetricField``'s SPD rule
-    and u is checked finite on the accepted state.  The first stage reads
-    ``geo``, the cached geometry of ``state``, when it is given."""
+    and u is checked finite on the accepted state.  ``k1`` is the slope
+    (dg/dt, du/dt) at ``state`` when the caller already has it."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     try:
-        gdot, udot = flow_rhs(state, params, geo)
-        if method == "rk4":
-            s2 = _advance(state, gdot, udot, 0.5 * dt)
-            k2g, k2u = flow_rhs(s2, params)
-            s3 = _advance(state, k2g, k2u, 0.5 * dt)
-            k3g, k3u = flow_rhs(s3, params)
-            s4 = _advance(state, k3g, k3u, dt)
-            k4g, k4u = flow_rhs(s4, params)
-            gdot = (gdot + 2 * k2g + 2 * k3g + k4g) / 6.0
-            udot = (udot + 2 * k2u + 2 * k3u + k4u) / 6.0
+        gdot, udot = k1 if k1 is not None else flow_rhs(state, params)
+        if method == "rk4":     # (k1 + 2 k2 + 2 k3 + k4) / 6, summed in that order
+            kg, ku = gdot, udot
+            for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
+                kg, ku = flow_rhs(_advance(state, kg, ku, c * dt), params)
+                gdot, udot = gdot + w * kg, udot + w * ku
+            gdot, udot = gdot / 6.0, udot / 6.0
         new = _advance(state, gdot, udot, dt)
     except SPDError as e:
         raise BlowUpError(f"metric lost positive definiteness at t={state.t + dt:.6g}: {e}",
@@ -251,7 +250,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
     """Integrate to t_end, recording snapshots and per-step diagnostics; of
     nsnap planned snapshots, hold the last and ``keep(nsnap)`` (None: all)."""
     # one geometry per accepted state, shared by its diagnostics row, the
-    # initial step bound and the first stage of the step that leaves it
+    # initial step bound and the first slope of the step that leaves it
     geo = CoupledGeometry(initial_state.metric, initial_state.u, params.alpha1)
     c0 = float(np.max(geo.grad_sq))
     if c0 > 0 and not is_regular(params, c0):
@@ -267,8 +266,9 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
     for k in range(nsteps + 1):         # k = 0 is the initial state
         if k:
             h = t_end - state.t if short and k == nsteps else dt
+            k1, geo = flow_rhs(state, params, geo), None    # geo is not read again
             try:
-                state = step(state, params, h, schedule.method, geo)
+                state = step(state, params, h, schedule.method, k1)
             except BlowUpError as e:
                 traj.aborted = str(e)
                 traj.record(e.state)    # the last accepted state, once

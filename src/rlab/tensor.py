@@ -11,6 +11,8 @@ round sphere has positive scalar curvature (the stereographic oracle in the
 tests).  Gamma and R_AB, Rm as a symmetric matrix on bivectors A = (i<j)
 (Hamilton, J. Differential Geom. 24 (1986)), come from one pass over the
 n(n+1)/2 first derivatives of g, through the first-kind Christoffel symbols.
+The pass keeps Gamma^k_P on the symmetric pairs P; the full Gamma^k_ij is
+unpacked from it only for the callers that index it, never for the flow.
 Pair exchange and both pair antisymmetries are exact, first Bianchi holds to
 rounding, and Ric and |Rm|^2 are read off R_AB without a 4-tensor.
 
@@ -53,46 +55,52 @@ def riemann_13(gamma: np.ndarray, grid: Grid) -> np.ndarray:
 def _bivectors(n: int) -> SimpleNamespace:
     """Index tables of R_AB in dimension n, built once: symmetric pairs P =
     (a<=b) (``pa, pb``, numbered by ``sym``), bivectors A = (i<j) (``bi, bj``),
-    the pairs of F in R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)} per entry A <= B
-    (``terms``, mirrored by ``upper``), and per Ric_jk, j <= k, its nonzero
-    terms g^{il} R_{ijkl} as (sign, i, l, A, B) (``trace``)."""
+    per entry A <= B the pairs of F in R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)}
+    as (A, B, ((P, Q, s), ...)) (``terms``), with s the sum d_P g_Q + d_Q g_P
+    it reads, per P the (Q, s, add) that d_P g_Q stores into or adds to a sum
+    (``dd``), and per Ric_jk, j <= k, its nonzero terms g^{il} R_{ijkl} as
+    (sign, i, l, A, B) (``trace``)."""
     sym = np.empty((n, n), dtype=np.intp)
     pa, pb = np.triu_indices(n)
     sym[pa, pb] = sym[pb, pa] = np.arange(len(pa))
     bi, bj = np.triu_indices(n, 1)
     A, B = np.triu_indices(len(bi))
     i, j, k, l = bi[A], bj[A], bi[B], bj[B]
-    upper = np.empty((len(bi),) * 2, dtype=np.intp)
-    upper[A, B] = upper[B, A] = np.arange(len(A))
+    PQ = np.array([[sym[i, k], sym[j, l]], [sym[i, l], sym[j, k]]]).transpose(2, 0, 1)
+    sums, which = np.unique(np.sort(PQ, axis=2).reshape(-1, 2), axis=0,
+                            return_inverse=True)
+    dd = [[] for _ in pa]
+    for s, (P, Q) in enumerate(sums.tolist()):      # P <= Q: stored, then added
+        dd[P].append((Q, s, False))
+        dd[Q].append((P, s, True))
     biv = np.zeros((n, n), dtype=np.intp)
     biv[bi, bj] = biv[bj, bi] = np.arange(len(bi))
     others = (np.arange(n)[:, None] + np.arange(1, n)) % n     # the c != a
     ti, tl = np.repeat(others[pa], n - 1, axis=1), np.tile(others[pb], n - 1)
     tj, tk = pa[:, None], pb[:, None]
     trace = np.sign(tj - ti) * np.sign(tl - tk), ti, tl, biv[ti, tj], biv[tk, tl]
+    terms = np.concatenate([PQ, which.reshape(-1, 2, 1)], axis=2).tolist()
     return SimpleNamespace(
-        sym=sym, pa=pa, pb=pb, bi=bi, bj=bj, upper=upper,
-        terms=np.array([[sym[i, k], sym[j, l]], [sym[i, l], sym[j, k]]]
-                       ).transpose(2, 0, 1).tolist(),
+        sym=sym, pa=pa, pb=pb, bi=bi, bj=bj, nsums=len(sums), dd=dd,
+        terms=list(zip(A.tolist(), B.tolist(), terms)),
         trace=[list(zip(*row)) for row in zip(*(x.tolist() for x in trace))])
 
 
 def _connection(metric: MetricField):
-    """(dg, Gamma_{l,P}, Gamma^k_P, Gamma): dg[c, Q] = d_c g_Q over the n(n+1)/2
-    components Q, the first kind Gamma_{l,ab} = (d_a g_bl + d_b g_al - d_l g_ab)/2
-    and the second kind over the symmetric pairs P = (a<=b), and the full,
-    C-contiguous Gamma^k_{ij}."""
+    """(dg, Gamma_{l,P}, Gamma^k_P): dg[c, Q] = d_c g_Q over the n(n+1)/2
+    components Q, and the first kind Gamma_{l,ab} = (d_a g_bl + d_b g_al -
+    d_l g_ab)/2 and the second kind over the symmetric pairs P = (a<=b)."""
     t = _bivectors(metric.n)
     dg = grad_stack(metric.values[t.pa, t.pb], metric.grid)
     l = np.arange(metric.n)[:, None]
     gl = 0.5 * (dg[t.pa, t.sym[t.pb, l]] + dg[t.pb, t.sym[t.pa, l]] - dg)
-    gam = np.einsum("kl...,lp...->kp...", metric.inv, gl)
-    return dg, gl, gam, np.take(gam, t.sym, axis=1)
+    return dg, gl, np.einsum("kl...,lp...->kp...", metric.inv, gl)
 
 
 def christoffel(metric: MetricField) -> np.ndarray:
-    """Gamma^k_{ij}, for the callers that need no curvature."""
-    return _connection(metric)[3]
+    """Gamma^k_{ij}, unpacked from the pairs, for the callers that need no
+    curvature."""
+    return np.take(_connection(metric)[2], _bivectors(metric.n).sym, axis=1)
 
 
 def riemann_bivector(metric: MetricField, dg, gl, gam) -> np.ndarray:
@@ -103,24 +111,28 @@ def riemann_bivector(metric: MetricField, dg, gl, gam) -> np.ndarray:
                        + Gamma^p_{ab} Gamma_{p,cd}.
 
     d_P g_Q runs over the symmetric pairs P and components Q only (``dg``, ``gl``
-    and ``gam`` are ``_connection``'s); the entries A <= B are mirrored, so
-    pair exchange is exact.
+    and ``gam`` are ``_connection``'s), and only its sums d_P g_Q + d_Q g_P that
+    F reads are kept; the entries A <= B are mirrored, so pair exchange is exact.
     """
     grid, t = metric.grid, _bivectors(metric.n)
     g = metric.values[t.pa, t.pb]                          # g_Q, Q = (c<=d)
-    ddg = np.empty((len(g),) + g.shape)                    # ddg[P, Q] = d_P g_Q
-    for p, (a, b) in enumerate(zip(t.pa, t.pb)):
-        ddg[p] = diff2(g, grid, a) if a == b else diff1(dg[b], grid, a)
-    R = np.empty((len(t.terms),) + grid.shape)
+    dd = np.empty((t.nsums,) + grid.shape)                 # d_P g_Q + d_Q g_P
+    for P, (a, b) in enumerate(zip(t.pa, t.pb)):
+        d = diff2(g, grid, a) if a == b else diff1(dg[b], grid, a)   # d_P g_Q
+        for Q, s, add in t.dd[P]:
+            dd[s] = dd[s] + d[Q] if add else d[Q]
+    del d                               # the last stack is not read again
+    R = np.empty((len(t.bi),) * 2 + grid.shape)
     F = np.empty((2,) + grid.shape)     # one entry at a time, to stay in cache
-    for r, pairs in zip(R, t.terms):
-        for f, (P, Q) in zip(F, pairs):
-            np.add(ddg[P, Q], ddg[Q, P], out=f)
-            f *= 0.5
+    for A, B, pairs in t.terms:
+        for f, (P, Q, s) in zip(F, pairs):
+            np.multiply(dd[s], 0.5, out=f)
             for p in range(grid.n):
                 f += gam[p, P] * gl[p, Q]
-        np.subtract(F[0], F[1], out=r)
-    return R[t.upper]
+        np.subtract(F[0], F[1], out=R[A, B])
+        if A != B:
+            R[B, A] = R[A, B]
+    return R
 
 
 def ricci(rab: np.ndarray, metric: MetricField) -> np.ndarray:
@@ -210,18 +222,15 @@ def rough_laplacian(vals: np.ndarray, grid: Grid, gamma: np.ndarray,
     return np.einsum("ab...,ab...->...", metric.inv, D2)
 
 
-def hessian(u: np.ndarray, grid: Grid, gamma: np.ndarray) -> np.ndarray:
-    """nabla^2 u with compact 3-point stencils on the diagonal."""
-    n = grid.n
+def hessian(u: np.ndarray, grid: Grid, gam: np.ndarray) -> np.ndarray:
+    """nabla^2 u with compact 3-point stencils on the diagonal, from Gamma^k_P
+    on the symmetric pairs P = (a<=b) (``_connection``'s ``gam``)."""
+    t = _bivectors(grid.n)
     du = grad_stack(u, grid)
-    H = np.empty((n, n) + grid.shape)
-    for i in range(n):
-        for j in range(i, n):
-            dd = diff2(u, grid, i) if i == j else diff1(du[j], grid, i)
-            H[i, j] = dd
-            H[j, i] = dd
-    H -= np.einsum("kij...,k...->ij...", gamma, du)
-    return H
+    H = np.stack([diff2(u, grid, a) if a == b else diff1(du[b], grid, a)
+                  for a, b in zip(t.pa, t.pb)])
+    H -= np.einsum("kp...,k...->p...", gam, du)
+    return H[t.sym]
 
 
 def raise_index(vals: np.ndarray, metric: MetricField, axis: int) -> np.ndarray:
@@ -305,9 +314,12 @@ def divergence(metric: MetricField, X: np.ndarray, gamma: np.ndarray) -> np.ndar
 class Geometry:
     """Derived fields of a metric and a potential, each computed on first use.
 
-    ``gamma`` and ``rm_ab`` (the one curvature build) share one Levi-Civita pass,
-    whichever is read first.  Ric and |Rm|^2 read R_AB, and ``rm4`` unpacks it
-    only for Weyl, Sm, nabla Rm and the identities, never the flow.
+    ``gamma_p`` (Gamma^k_P on the symmetric pairs, which the Hessian reads) and
+    ``rm_ab`` (the one curvature build) share one Levi-Civita pass, whichever
+    is read first; ``gamma``, the full Gamma^k_ij, is unpacked from ``gamma_p``
+    only for cov_d and the other callers that index it.  Ric and |Rm|^2 read
+    R_AB, and ``rm4`` unpacks it only for Weyl, Sm, nabla Rm and the
+    identities, never the flow.
     ``rm_ref`` and ``rm_wy`` are the Levi-Civita and weighted-connection
     curvatures through the same Gamma-form route (``riemann_13``), so that
     relations between them vanish to rounding at constant u.
@@ -325,14 +337,18 @@ class Geometry:
         return _connection(self.metric)
 
     @cached_property
-    def gamma(self):
-        return self._conn[3]
+    def gamma_p(self):      # Gamma^k_P on the symmetric pairs P = (a<=b)
+        return self._conn[2]
+
+    @cached_property
+    def gamma(self):        # Gamma^k_{ij}, unpacked for the callers that index it
+        return np.take(self.gamma_p, _bivectors(self.grid.n).sym, axis=1)
 
     @cached_property
     def rm_ab(self):        # R_AB on bivectors: the one curvature build
-        dg, gl, gam, self.gamma = self._conn
-        del self._conn      # only Gamma outlives the build
-        return riemann_bivector(self.metric, dg, gl, gam)
+        dg, gl, self.gamma_p = self._conn
+        del self._conn      # only Gamma^k_P outlives the build
+        return riemann_bivector(self.metric, dg, gl, self.gamma_p)
 
     @cached_property
     def ric(self):
@@ -376,7 +392,7 @@ class Geometry:
 
     @cached_property
     def hess(self):
-        return hessian(self.u, self.grid, self.gamma)
+        return hessian(self.u, self.grid, self.gamma_p)
 
     @cached_property
     def hess_mixed(self):   # H_i{}^p

@@ -5,7 +5,7 @@ from rlab.flow import (DIAG_COLUMNS, BlowUpError, FlowParams, FlowState, Schedul
                        _diagnose, cfl_dt, flow_rhs, is_regular, run, step)
 from rlab.instances import (perturbed_flat_metric, random_instance,
                             verification_initial_data)
-from rlab.mesh import build_grid, flat_metric, grad_stack, integrate
+from rlab.mesh import MetricField, build_grid, flat_metric, grad_stack, integrate
 from rlab.tensor import curvature, norm_sq, sm_tensor
 
 
@@ -143,6 +143,47 @@ def test_rk4_beats_euler():
     err_e = np.max(np.abs(e_euler.metric.values - ref.metric.values))
     err_r = np.max(np.abs(e_rk4.metric.values - ref.metric.values))
     assert err_e > 10.0 * err_r
+
+
+def test_rk4_step_is_the_textbook_sum_bitwise():
+    # step adds each stage's slope into the sum as it finishes, in the order
+    # of (k1 + 2 k2 + 2 k3 + k4) / 6; a given k1 is the slope at the state
+    st, p, dt = curved_state(16), FlowParams(1.0, 0.3, 0.5, -0.3), 1e-3
+
+    def stage(k, h):
+        return flow_rhs(FlowState(st.grid, MetricField(st.grid, st.metric.values + h * k[0]),
+                                  st.u + h * k[1], st.t + h, st.step_count + 1), p)
+
+    k1 = flow_rhs(st, p)
+    k2 = stage(k1, 0.5 * dt)
+    k3 = stage(k2, 0.5 * dt)
+    k4 = stage(k3, dt)
+    g, u = ((k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) / 6.0 for i in range(2))
+    for new in (step(st, p, dt), step(st, p, dt, k1=k1)):
+        assert np.array_equal(new.metric.values,
+                              MetricField(st.grid, st.metric.values + dt * g).values)
+        assert np.array_equal(new.u, st.u + dt * u)
+
+
+def test_rk4_run_working_set_stays_within_twelve_states():
+    # one stage state and one stage slope are alive at a time, the accepted
+    # state's geometry is released after its first slope, and R_AB is built
+    # without the full Gamma or a stack of every d_P g_Q: the traced peak of
+    # a 2-step run with diagnostics stays within 12 states (g, g^-1,
+    # sqrt det g, u); the ratio does not depend on the resolution
+    import tracemalloc
+    grid, m, u = random_instance(4, 8, seed=1)
+    st = FlowState(grid, m, u)
+    dt = cfl_dt(st, 0.5)
+    state_bytes = m.values.nbytes + m.inv.nbytes + m.sqrt_det.nbytes + u.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(st, FlowParams(2.0), Schedule(t_end=2 * dt, dt=dt))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / state_bytes <= 12.0
 
 
 def test_run_flat_constant_diagnostics():

@@ -285,7 +285,7 @@ def test_delta_u_bound_calibration_on_run():
         s = traj.state(k)
         cb = curvature(s.metric)
         K = max(K, float(np.sqrt(np.max(norm_sq(cb.ric, s.metric, 0, 2)))))
-        H = hessian(s.u, g, cb.gamma)
+        H = hessian(s.u, g, cb.gamma_p)
         lap = np.einsum("ij...,ij...->...", s.metric.inv, H)
         obs = max(obs, float(np.max(np.abs(lap))))
     T = traj.times[-1]

@@ -183,7 +183,7 @@ def test_lemma52_negative_controls():
     # a deliberate sign flip of one formula term produces an O(1) defect
     from rlab.tensor import christoffel, hessian
     gamma = christoffel(m)
-    H = hessian(u, grid, gamma)
+    H = hessian(u, grid, gamma[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]])
     g = m.values
     wrong = defects["5.7"] + 2.0 * np.einsum("jk...,il...->ijkl...", H, g)
     good_norm = np.max(np.abs(defects["5.7"]))

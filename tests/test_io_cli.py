@@ -767,13 +767,22 @@ def with_initial_data(metric=None, u_terms=None):
     ("grid.n: expected int, got bool", {"grid": dict(BASE_CFG["grid"], n=True)}),
     ("entropy.samples: expected int, got bool", {"entropy": {"samples": True}}),
     ("uniqueness.delta: metric not SPD: min eigenvalue", {"uniqueness": {"delta": 5.0}}),
+    ("schedule.t_end: must be finite, got inf", with_schedule(t_end=float("inf"))),
+    ("grid.extents[0]: must be finite, got inf",
+     {"grid": dict(BASE_CFG["grid"], extents=[float("inf"), 2 * np.pi])}),
+    ("initial_data.u_terms[0].amp: must be finite, got nan",
+     with_initial_data(u_terms=[{"amp": float("nan"), "wave": [1, 0]}])),
+    ("initial_data.u_terms[0].phase: must be finite, got inf",
+     with_initial_data(u_terms=[{"amp": 0.2, "wave": [1, 0], "phase": float("inf")}])),
+    ("flow.alpha1: must be finite, got nan", {"flow": {"alpha1": float("nan")}}),
 ], ids=["t_eval_frac-7", "t_eval_frac-0", "u_terms-wave", "phi_terms-wave", "u_terms-kind",
         "components-kind", "components-key", "scalar-pair",
         "chart-flow", "beta-1.5", "beta-0", "tau0-at-t_end", "diag-short", "diag-long",
         "diag-wave", "metric-not-spd", "resolutions-str", "resolutions-float",
         "extents-str", "verify-resolutions-str", "verify-resolutions-float",
         "wave-float", "wave-str", "diag-bool", "n-bool", "samples-bool",
-        "delta-not-spd"])
+        "delta-not-spd", "t_end-inf", "extents-inf", "amp-nan", "phase-inf",
+        "alpha1-nan"])
 def test_values_that_failed_mid_run_exit_2_before_any_stage(tmp_path, capsys, key, extra):
     # each was clamped, cut, truncated to an int, read as cos or as 1, or
     # raised only once its stage ran

@@ -198,7 +198,7 @@ def test_wy_bundle_invariants():
     assert np.max(np.abs(trw - wb.scalar_wy)) < 1e-12
     # hat-trace relation holds pointwise at second order
     from rlab.tensor import hessian
-    H = hessian(u, grid, cb.gamma)
+    H = hessian(u, grid, cb.gamma_p)
     lap = np.einsum("ij...,ij...->...", m.inv, H)
     gsq = np.einsum("ij...,i...,j...->...", m.inv, du, du)
     rhs = ((lap + gsq) * m.values
@@ -333,7 +333,7 @@ def test_christoffel_bitwise_matches_full_formula():
             assert G.flags.c_contiguous and np.array_equal(G, ref), (n, m.grid.kind)
             geo = curvature(m)
             geo.rm_ab
-            assert "gamma" in vars(geo) and np.array_equal(geo.gamma, ref), n
+            assert "gamma" not in vars(geo) and np.array_equal(geo.gamma, ref), n
 
 
 def test_direct_ricci_matches_contraction():
@@ -374,10 +374,24 @@ def test_flow_and_diagnostics_never_unpack_rm4():
     assert "rm_sq" in vars(cpl) and "rm4" not in vars(cpl)
 
 
+def test_flow_and_diagnostics_never_unpack_gamma():
+    # the flow reads Gamma^k_P on the symmetric pairs; the full Gamma^k_ij is
+    # unpacked only for the callers that index it
+    from rlab.flow import FlowParams, FlowState, _diagnose, cfl_dt, flow_rhs
+    grid, m, u = random_instance(4, 8, seed=13)
+    state, params = FlowState(grid, m, u), FlowParams(alpha1=2.0)
+    geo = CoupledGeometry(m, u, params.alpha1)
+    flow_rhs(state, params, geo)
+    cfl_dt(state, 1.0, geo)
+    _diagnose(state, params, 0.0, 1e-3, geo)
+    assert "gamma_p" in vars(geo) and "gamma" not in vars(geo)
+
+
 @pytest.mark.parametrize("first", ["gamma", "rm_ab"])
 def test_geometry_drops_its_connection_pass_after_rm_ab(first):
-    # gamma and rm_ab read one Levi-Civita pass; none of its arrays but Gamma
-    # outlive the curvature build, whichever field is read first
+    # gamma and rm_ab read one Levi-Civita pass; none of its arrays but
+    # Gamma^k_P on the symmetric pairs outlive the curvature build, whichever
+    # field is read first
     from rlab.tensor import Geometry, _connection, riemann_bivector
     _, m, u = random_instance(3, 8, seed=14)
     geo = Geometry(m, u)
