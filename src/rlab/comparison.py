@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import MetricField, grad_stack, integrate
-from .tensor import (Geometry, christoffel, cov_d, curvature,
+from .tensor import (Geometry, cov_d, curvature,
                      div_form_weighted_laplacian, divergence, norm_sq, raise_index,
                      rough_laplacian)
 
@@ -85,12 +85,12 @@ def _lie(dX: np.ndarray) -> np.ndarray:
 
 def lie_derivative_metric(metric: MetricField, X: np.ndarray) -> np.ndarray:
     """(L_X g)_{ij} = nabla_i X_j + nabla_j X_i."""
-    return _lie(_nabla_x_flat(metric, X, christoffel(metric)))
+    return _lie(_nabla_x_flat(metric, X, curvature(metric).gamma))
 
 
 def killing_report(metric: MetricField, X: np.ndarray) -> KillingReport:
     grid = metric.grid
-    gamma = christoffel(metric)
+    gamma = curvature(metric).gamma
     dX = _nabla_x_flat(metric, X, gamma)
     lie_sq = norm_sq(_lie(dX), metric, 0, 2)
     div = divergence(metric, X, gamma)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Grid, MetricField, SPDError, integrate
-from .tensor import CoupledGeometry, Geometry
+from .tensor import Geometry
 
 DIAG_COLUMNS = ("t", "max_rm", "max_grad_u_sq", "min_Sg", "vol",
                 "int_hess_sq_cum", "int_lap_u_sq", "int_sic_sq", "int_sic_p4",
@@ -72,10 +72,16 @@ class BlowUpError(RuntimeError):
         self.state = state
 
 
+def _geometry(state: FlowState, params: FlowParams) -> Geometry:
+    """The geometry of ``state`` at the flow parameters, with its time."""
+    return Geometry(state.metric, state.u, params.alpha1, params.beta1,
+                    params.beta2, t=state.t)
+
+
 def flow_rhs(state: FlowState, params: FlowParams, geo: Geometry | None = None):
     """Right-hand sides (dg/dt, du/dt).  ``geo`` is the cached geometry of
     ``state`` when the caller already has one."""
-    geo = geo if geo is not None else Geometry(state.metric, state.u)
+    geo = geo if geo is not None else _geometry(state, params)
     du = geo.du
     gdot = -2.0 * geo.ric + 2.0 * params.alpha1 * np.einsum("i...,j...->ij...", du, du)
     udot = geo.lap_u + params.beta1 * geo.grad_sq + params.beta2 * state.u
@@ -161,15 +167,6 @@ def step_plan(t_end: float, dt: float) -> tuple[int, bool]:
     return whole + short, short
 
 
-class Frame(CoupledGeometry):
-    """A snapshot's geometry at the trajectory's flow parameters, with its time."""
-
-    def __init__(self, state: FlowState, params: FlowParams):
-        super().__init__(state.metric, state.u, params.alpha1, params.beta1,
-                         params.beta2)
-        self.t = state.t
-
-
 @dataclass
 class Trajectory:
     grid: Grid
@@ -197,9 +194,9 @@ class Trajectory:
             raise IndexError(f"snapshot {k} was not kept (held: {held})")
         return self.states[k]
 
-    def frame(self, k: int) -> Frame:
+    def frame(self, k: int) -> Geometry:
         """The geometry of snapshot ``k`` at the trajectory's parameters."""
-        return Frame(self.state(k), self.params)
+        return _geometry(self.state(k), self.params)
 
     @property
     def nsnapshots(self) -> int:
@@ -211,9 +208,8 @@ class Trajectory:
 
 
 def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
-              geo: CoupledGeometry | None = None):
-    geo = (geo if geo is not None
-           else CoupledGeometry(state.metric, state.u, params.alpha1))
+              geo: Geometry | None = None):
+    geo = geo if geo is not None else _geometry(state, params)
     m = state.metric
     sic_sq = geo.sic_sq
     row = {
@@ -251,7 +247,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
     nsnap planned snapshots, hold the last and ``keep(nsnap)`` (None: all)."""
     # one geometry per accepted state, shared by its diagnostics row, the
     # initial step bound and the first slope of the step that leaves it
-    geo = CoupledGeometry(initial_state.metric, initial_state.u, params.alpha1)
+    geo = _geometry(initial_state, params)
     c0 = float(np.max(geo.grad_sq))
     if c0 > 0 and not is_regular(params, c0):
         warnings.warn("flow parameters are not regular; gradient bound not guaranteed",
@@ -273,7 +269,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
                 traj.aborted = str(e)
                 traj.record(e.state)    # the last accepted state, once
                 break
-            geo = CoupledGeometry(state.metric, state.u, params.alpha1)
+            geo = _geometry(state, params)
         if k % schedule.cadence == 0 or k == nsteps:
             traj.record(state)
         if schedule.diagnostics:

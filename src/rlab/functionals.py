@@ -45,16 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import MetricField, integrate
-from .tensor import CoupledGeometry, curvature, norm_sq
+from .tensor import Geometry, curvature, norm_sq
 
 SIGMA = 1.0     # weight of the mass term in the preconditioner
 STEP0 = 0.05    # each seed's first descent step, before Barzilai-Borwein takes over
 CALIBRATION_RANGE = (1e-6, 64.0)    # bisection bracket of calibrate_uniform_constant
-
-
-def coupled_scalar(metric: MetricField, u: np.ndarray) -> np.ndarray:
-    """S = R - 2 |grad u|^2."""
-    return CoupledGeometry(metric, u, 2.0).S
 
 
 def normalize_f(metric: MetricField, f: np.ndarray, tau: float) -> np.ndarray:
@@ -123,7 +118,7 @@ def w_entropy(metric: MetricField, u: np.ndarray, f: np.ndarray, tau: float) -> 
         raise ValueError("tau must be positive")
     n = metric.grid.n
     w = np.exp(-0.5 * f) * (4.0 * np.pi * tau) ** (-n / 4.0)
-    return _w_eval(metric, coupled_scalar(metric, u), w, tau)[0]
+    return _w_eval(metric, Geometry(metric, u, 2.0).S, w, tau)[0]
 
 
 def _upper_bound(metric: MetricField, S: np.ndarray, tau: float) -> float:
@@ -137,7 +132,7 @@ def mu_upper_bound(metric: MetricField, u: np.ndarray, tau: float) -> float:
     """tau S_avg + ln Vol - (n/2) ln(4 pi tau) - n."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return _upper_bound(metric, coupled_scalar(metric, u), tau)
+    return _upper_bound(metric, Geometry(metric, u, 2.0).S, tau)
 
 
 def log_sobolev_constant(a: float, vol: float, n: int, C_s: float) -> float:
@@ -150,7 +145,7 @@ def mu_lower_bound(metric: MetricField, u: np.ndarray, tau: float,
     """tau S_min - 2 C(2 tau, g) - (n/2) ln(4 pi tau) - n."""
     n = metric.grid.n
     vol = integrate(np.ones(metric.grid.shape), metric)
-    s_min = float(np.min(coupled_scalar(metric, u)))
+    s_min = float(np.min(Geometry(metric, u, 2.0).S))
     return (tau * s_min - 2.0 * log_sobolev_constant(2.0 * tau, vol, n, C_s)
             - 0.5 * n * np.log(4.0 * np.pi * tau) - n)
 
@@ -212,7 +207,7 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
         raise ValueError("tau must be positive")
     grid = metric.grid
     n = grid.n
-    Sg = coupled_scalar(metric, u)
+    Sg = Geometry(metric, u, 2.0).S
     form = _form_weights(metric)
     precondition, unprecondition = _preconditioner(metric, tau)
 
@@ -404,7 +399,7 @@ class PositivityError(ValueError):
     pass
 
 
-def _lambda(geo: CoupledGeometry, C: float):
+def _lambda(geo: Geometry, C: float):
     """S + C, checked positive, and the Lambda combination
     (tr Xi |Sic|^2 - 2 (S + C) <Sic, Xi>) / (S + C)^2 of ``geo``."""
     Sp = geo.S + C
@@ -429,7 +424,7 @@ def pinching_quantities(metric: MetricField, u: np.ndarray, alpha1: float,
         raise ValueError("gamma must be positive")
     # Xi here carries the beta1 = beta2 = 0 specialization; lambda_bounds
     # accepts the couplings explicitly.
-    geo = CoupledGeometry(metric, u, alpha1)
+    geo = Geometry(metric, u, alpha1)
     Sp, lam = _lambda(geo, C)
     sin_sq = norm_sq(geo.sin, metric, 0, 2)
     return {
@@ -450,7 +445,7 @@ def lambda_bounds(metric: MetricField, u: np.ndarray, alpha1: float, C: float,
     hold pointwise regardless of the sign of alpha1 (the sign only selects
     which one the integral estimates need).
     """
-    geo = CoupledGeometry(metric, u, alpha1, beta1, beta2)
+    geo = Geometry(metric, u, alpha1, beta1, beta2)
     Sp, lam = _lambda(geo, C)
     C0 = float(np.min(Sp))
     f = geo.sic_sq / Sp
@@ -488,7 +483,7 @@ def gbc_defect_coupled(metric: MetricField, u: np.ndarray, alpha1: float,
     """
     if metric.grid.n != 4:
         raise ValueError("the curvature-integral defect is dimension-4 only")
-    geo = CoupledGeometry(metric, u, alpha1)
+    geo = Geometry(metric, u, alpha1)
     gsq, S = geo.grad_sq, geo.S
     lhs = integrate(geo.sm_sq - 4.0 * geo.sic_sq + S * S, metric)
     sic_du_du = np.einsum("ij...,i...,j...->...", geo.sic, geo.du_up, geo.du_up)

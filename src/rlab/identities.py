@@ -1,9 +1,9 @@
 """Residual verification of the evolution and structure identities.
 
-Every identity is registered as Q and RHS callables over a per-snapshot
-``flow.Frame`` cache, or, for the two-trajectory identities, over a
-``uniqueness.DiffBundle`` of two Frames.  For heat-operator identities the
-residual is
+Every identity is registered as Q and RHS callables over a snapshot's
+``tensor.Geometry`` (``Trajectory.frame``), or, for the two-trajectory
+identities, over a ``uniqueness.DiffBundle`` of two snapshots' Geometries.
+For heat-operator identities the residual is
 
     (d/dt Q by snapshot differencing) - (rough Laplacian of Q) - RHS,
 
@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .flow import Frame, Trajectory
+from .flow import Trajectory
 from .mesh import MetricField, integrate
 from .tensor import (Geometry, cov_d, max_norm, norm_sq, raise_index, rough_laplacian,
                      sm_tensor)
@@ -46,13 +46,13 @@ from .uniqueness import DiffBundle, difference_bundle
 # --------------------------------------------------------------------------
 # right-hand sides
 
-def _b_tensor(f: Frame):
+def _b_tensor(f: Geometry):
     """B_{ijkl} = -g^{pr} g^{qs} R_{ipjq} R_{krls}."""
     up = raise_index(raise_index(f.rm4, f.metric, 1), f.metric, 3)  # R_i{}^r{}_j{}^s
     return -np.einsum("irjs...,krls...->ijkl...", up, f.rm4)
 
 
-def rhs_ric(f: Frame):
+def rhs_ric(f: Geometry):
     a1 = f.alpha1
     out = -2.0 * np.einsum("ip...,jp...->ij...", f.ric, f.ric_mixed)
     out += 2.0 * np.einsum("pijq...,pq...->ij...", f.rm4, f.ric_up)
@@ -62,7 +62,7 @@ def rhs_ric(f: Frame):
     return out
 
 
-def rhs_gamma(f: Frame):
+def rhs_gamma(f: Geometry):
     a1 = f.alpha1
     D = f.grad_ric
     term = (-D
@@ -72,7 +72,7 @@ def rhs_gamma(f: Frame):
     return np.einsum("kl...,ijl...->kij...", f.ginv, term)
 
 
-def rhs_du(f: Frame):
+def rhs_du(f: Geometry):
     # Bochner commutator term is flow-independent; the b-terms come from
     # differentiating the potential equation.
     b1, b2 = f.beta1, f.beta2
@@ -81,7 +81,7 @@ def rhs_du(f: Frame):
     return out
 
 
-def rhs_hess(f: Frame):
+def rhs_hess(f: Geometry):
     a1, b1, b2 = f.alpha1, f.beta1, f.beta2
     out = 2.0 * np.einsum("pijq...,pq...->ij...", f.rm4, f.hess_up)
     out += b2 * f.hess
@@ -94,7 +94,7 @@ def rhs_hess(f: Frame):
     return out
 
 
-def rhs_rm4(f: Frame):
+def rhs_rm4(f: Geometry):
     a1 = f.alpha1
     B = _b_tensor(f)
     # B_{ijkl} - B_{ijlk} - B_{iljk} + B_{ikjl}
@@ -111,7 +111,7 @@ def rhs_rm4(f: Frame):
     return out
 
 
-def rhs_scalar(f: Frame):
+def rhs_scalar(f: Geometry):
     a1 = f.alpha1
     return (2.0 * np.einsum("ij...,ij...->...", f.ric, f.ric_up)
             + 2.0 * a1 * f.lap_u ** 2
@@ -119,21 +119,21 @@ def rhs_scalar(f: Frame):
             - 4.0 * a1 * np.einsum("ij...,i...,j...->...", f.ric, f.du_up, f.du_up))
 
 
-def rhs_grad_sq(f: Frame):
+def rhs_grad_sq(f: Geometry):
     a1, b1, b2 = f.alpha1, f.beta1, f.beta2
     hess_du_du = np.einsum("ij...,i...,j...->...", f.hess, f.du_up, f.du_up)
     return (2.0 * b2 * f.grad_sq - 2.0 * f.hess_sq
             - 2.0 * a1 * f.grad_sq ** 2 + 4.0 * b1 * hess_du_du)
 
 
-def rhs_S_direct(f: Frame):
+def rhs_S_direct(f: Geometry):
     a1, b1, b2 = f.alpha1, f.beta1, f.beta2
     hess_du_du = np.einsum("ij...,i...,j...->...", f.hess, f.du_up, f.du_up)
     return (2.0 * f.sic_sq + 2.0 * a1 * f.lap_u ** 2
             - 2.0 * a1 * b2 * f.grad_sq - 4.0 * a1 * b1 * hess_du_du)
 
 
-def rhs_sic(f: Frame):
+def rhs_sic(f: Geometry):
     a1, b1, b2 = f.alpha1, f.beta1, f.beta2
     out = 2.0 * np.einsum("kijl...,kl...->ij...", f.sm, f.sic_up)
     out -= 2.0 * np.einsum("ik...,jk...->ij...", f.sic, f.sic_mixed)
@@ -144,7 +144,7 @@ def rhs_sic(f: Frame):
     return out
 
 
-def rhs_dudu(f: Frame):
+def rhs_dudu(f: Geometry):
     b1, b2 = f.beta1, f.beta2
     ric_term = np.einsum("k...,ik...,j...->ij...", f.du_up, f.ric, f.du)
     out = -(ric_term + np.swapaxes(ric_term, 0, 1))
@@ -155,11 +155,11 @@ def rhs_dudu(f: Frame):
     return out
 
 
-def rhs_lnvol(f: Frame):
+def rhs_lnvol(f: Geometry):
     return -f.S
 
 
-def rhs_rm13(f: Frame):
+def rhs_rm13(f: Geometry):
     """d/dt of the (1,3) curvature: Laplacian + raised box-RHS + metric-motion term."""
     lap = rough_laplacian(f.rm13, f.grid, f.gamma, f.metric, 1, 3)
     raised = np.einsum("lm...,ijkm...->lijk...", f.ginv, rhs_rm4(f))
@@ -169,7 +169,7 @@ def rhs_rm13(f: Frame):
     return lap + raised + motion
 
 
-def rhs_grad_rm13(f: Frame):
+def rhs_grad_rm13(f: Geometry):
     """d/dt of nabla Rm: nabla of the d/dt identity plus connection-motion terms."""
     dA12 = cov_d(rhs_rm13(f), f.grid, f.gamma, 1, 3)     # [l,a,i,j,k]
     dtG = rhs_gamma(f)                                   # d/dt Gamma^k_{ij}
@@ -209,7 +209,7 @@ def rhs_A(b: DiffBundle):
     return rhs
 
 
-def bound_rm13(f: Frame):
+def bound_rm13(f: Geometry):
     """A.11: |nabla^2 Ric| + |Ric||Rm| + |H|^2 + |Rm||du|^2, each a max over the grid."""
     m = f.metric
     dd_ric = cov_d(f.grad_ric, f.grid, f.gamma, 0, 3)
@@ -314,7 +314,7 @@ def _norms(res: np.ndarray, metric: MetricField, con: int, cov: int):
 
 
 def _frames(traj: Trajectory, t_index: int, other: Trajectory | None = None):
-    """The Frames of snapshots t_index - 1, t_index and t_index + 1, or, with
+    """The Geometries of snapshots t_index - 1, t_index and t_index + 1, or, with
     ``other``, the DiffBundles of the two trajectories' snapshots."""
     if not 0 < t_index < traj.nsnapshots - 1:
         raise IndexError("t_index must have both time neighbors")
@@ -327,7 +327,7 @@ def _frames(traj: Trajectory, t_index: int, other: Trajectory | None = None):
 def residual_field(traj: Trajectory, ident: Identity, t_index: int,
                    frames=None, mutate: bool = False):
     """The pointwise residual field of one registered identity, over a triple
-    of Frames (default: the trajectory's around ``t_index``) or of DiffBundles."""
+    of Geometries (default: the trajectory's around ``t_index``) or of DiffBundles."""
     fm, f0, fp = frames if frames is not None else _frames(traj, t_index)
     q = QUANTITIES[ident.quantity]
     Qm, con, cov = q(fm)

@@ -69,37 +69,33 @@ def product_metric(grid: Grid, diag_fns) -> MetricField:
 RANDOM_AMP_G, RANDOM_AMP_U, RANDOM_NMODES = 0.12, 0.3, 2
 
 
+def _random_terms(rng, n: int) -> list:
+    """RANDOM_NMODES sine terms, each drawn as wave (fixed up if 0), phase, amp."""
+    terms = []
+    for _ in range(RANDOM_NMODES):
+        wave = rng.integers(-1, 2, size=n)
+        if not wave.any():
+            wave[rng.integers(0, n)] = 1
+        terms.append({"wave": wave, "phase": rng.uniform(0, 2 * np.pi),
+                      "amp": rng.uniform(-1, 1)})
+    return terms
+
+
 def random_instance(n: int, res: int, seed: int):
     """Seeded random smooth (g, u) on the 2 pi torus T^n: trig perturbation of flat."""
     rng = np.random.default_rng(seed)
     grid = build_grid("torus", n, [res] * n, [2.0 * np.pi] * n)
-    xs = grid.coords()
     vals = np.zeros((n, n) + grid.shape)
     for i in range(n):
         vals[i, i] = 1.0
     for i in range(n):
         for j in range(i, n):
-            p = np.zeros(grid.shape)
-            for _ in range(RANDOM_NMODES):
-                wave = rng.integers(-1, 2, size=n)
-                if not wave.any():
-                    wave[rng.integers(0, n)] = 1
-                phase = rng.uniform(0, 2 * np.pi)
-                p += rng.uniform(-1, 1) * np.sin(
-                    sum(int(k) * x for k, x in zip(wave, xs)) + phase)
+            p = trig_scalar(grid, _random_terms(rng, n))
             scale = RANDOM_AMP_G if i == j else 0.5 * RANDOM_AMP_G
             vals[i, j] += scale * p / RANDOM_NMODES
             if i != j:
                 vals[j, i] = vals[i, j]
-    u = np.zeros(grid.shape)
-    for _ in range(RANDOM_NMODES):
-        wave = rng.integers(-1, 2, size=n)
-        if not wave.any():
-            wave[rng.integers(0, n)] = 1
-        phase = rng.uniform(0, 2 * np.pi)
-        u += rng.uniform(-1, 1) * np.sin(
-            sum(int(k) * x for k, x in zip(wave, xs)) + phase)
-    u *= RANDOM_AMP_U / RANDOM_NMODES
+    u = trig_scalar(grid, _random_terms(rng, n)) * (RANDOM_AMP_U / RANDOM_NMODES)
     return grid, MetricField(grid, vals), u
 
 

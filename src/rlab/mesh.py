@@ -177,8 +177,8 @@ class MetricField:
         n = grid.n
         if values.shape != (n, n) + grid.shape:
             raise GridError("metric component array shape mismatch")
-        self.values = np.ascontiguousarray(0.5 * (values + np.swapaxes(values, 0, 1)))
         with np.errstate(invalid="ignore", over="ignore"):  # a failing field is named below
+            self.values = np.ascontiguousarray(0.5 * (values + np.swapaxes(values, 0, 1)))
             cof = _cofactors(self.values)
             det = sum(self.values[0, j] * cof[0, j] for j in range(n))
             shifted = self.values.copy()        # g - tol I > 0 iff lambda_min(g) > tol

@@ -21,9 +21,9 @@ connection coefficients of nabla^u_X Y = nabla_X Y - (Yu)X - (Xu)Y, which
 gives an independent differentiation path against which the algebraic
 relations between the curvature variants are tested.
 
-``Geometry`` and ``CoupledGeometry`` hold every derived field of one pair
-(g, u), each built once on first use; the flow, the identities, the
-comparisons and the functionals all read them.
+``Geometry`` holds every derived field of one pair (g, u) at the flow
+parameters (a1, b1, b2) and a time t, each built once on first use; the
+flow, the identities, the comparisons and the functionals all read it.
 """
 
 from __future__ import annotations
@@ -95,12 +95,6 @@ def _connection(metric: MetricField):
     l = np.arange(metric.n)[:, None]
     gl = 0.5 * (dg[t.pa, t.sym[t.pb, l]] + dg[t.pb, t.sym[t.pa, l]] - dg)
     return dg, gl, np.einsum("kl...,lp...->kp...", metric.inv, gl)
-
-
-def christoffel(metric: MetricField) -> np.ndarray:
-    """Gamma^k_{ij}, unpacked from the pairs, for the callers that need no
-    curvature."""
-    return np.take(_connection(metric)[2], _bivectors(metric.n).sym, axis=1)
 
 
 def riemann_bivector(metric: MetricField, dg, gl, gam) -> np.ndarray:
@@ -323,14 +317,20 @@ class Geometry:
     ``rm_ref`` and ``rm_wy`` are the Levi-Civita and weighted-connection
     curvatures through the same Gamma-form route (``riemann_13``), so that
     relations between them vanish to rounding at constant u.
+    The flow parameters enter the coupled curvature Sic = Ric - a1 du x du,
+    its trace S, its trace-free part Sin, S_{ijkl} (``sm_tensor``) and the
+    pinching fields Xi and Z; a1 = 2 is the harmonic-map coupled flow.
     """
 
-    def __init__(self, metric: MetricField, u: np.ndarray):
+    def __init__(self, metric: MetricField, u: np.ndarray, alpha1: float = 2.0,
+                 beta1: float = 0.0, beta2: float = 0.0, C: float = 0.0,
+                 t: float = 0.0):
         self.metric = metric
         self.grid = metric.grid
         self.g = metric.values
         self.ginv = metric.inv
         self.u = u
+        self.alpha1, self.beta1, self.beta2, self.C, self.t = alpha1, beta1, beta2, C, t
 
     @cached_property
     def _conn(self):        # the one Levi-Civita pass, whichever reads it first
@@ -455,23 +455,6 @@ class Geometry:
     def scalar_wy(self):
         return np.einsum("jk...,jk...->...", self.ginv, self.ric_wy)
 
-
-def curvature(metric: MetricField) -> Geometry:
-    """The geometry of ``metric`` at u = 0: Gamma, Ric, Rm, Weyl and the rest,
-    each built on first use."""
-    return Geometry(metric, np.zeros(metric.grid.shape))
-
-
-class CoupledGeometry(Geometry):
-    """``Geometry`` plus the fields that depend on the flow parameters: the
-    coupled curvature Sic = Ric - a1 du x du, its trace S, its trace-free
-    part Sin, S_{ijkl} (``sm_tensor``), and the pinching fields Xi and Z."""
-
-    def __init__(self, metric: MetricField, u: np.ndarray, alpha1: float,
-                 beta1: float = 0.0, beta2: float = 0.0, C: float = 0.0):
-        super().__init__(metric, u)
-        self.alpha1, self.beta1, self.beta2, self.C = alpha1, beta1, beta2, C
-
     @cached_property
     def sic(self):
         return self.ric - self.alpha1 * np.einsum("i...,j...->ij...", self.du, self.du)
@@ -521,3 +504,9 @@ class CoupledGeometry(Geometry):
         dsic = cov_d(self.sic, self.grid, self.gamma, 0, 2)
         dS = grad_stack(self.S, self.grid)
         return (self.S + self.C) * dsic - np.einsum("jk...,i...->ijk...", self.sic, dS)
+
+
+def curvature(metric: MetricField) -> Geometry:
+    """The geometry of ``metric`` at u = 0: Gamma, Ric, Rm, Weyl and the rest,
+    each built on first use."""
+    return Geometry(metric, np.zeros(metric.grid.shape))

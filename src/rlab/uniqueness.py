@@ -17,15 +17,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .flow import Frame, Trajectory
+from .flow import Trajectory
 from .mesh import integrate
-from .tensor import cov_d, norm_sq
+from .tensor import Geometry, cov_d, norm_sq
 
 
 class DiffBundle:
-    """Difference tensors of two snapshots at one time, each built on first
-    use.  Norms, covariant derivatives and the Laplacian are taken in the
-    first snapshot's geometry ``f1``, which also gives the time ``t``."""
+    """Difference tensors of two snapshots' Geometries at one time, each built
+    on first use.  Norms, covariant derivatives and the Laplacian are taken in
+    the first Geometry, ``f1``, which also gives the time ``t``."""
 
     # difference field -> (the Geometry field it differences, its rank)
     DIFFS = {"h": ("g", 0, 2),             # g - g~
@@ -37,7 +37,7 @@ class DiffBundle:
              "y": ("hess", 0, 2),          # Hess u - Hess~ u~
              "z": ("d3u", 0, 3)}           # nabla^3 u - nabla~^3 u~
 
-    def __init__(self, f1: Frame, f2: Frame):
+    def __init__(self, f1: Geometry, f2: Geometry):
         self.f1, self.f2, self.t = f1, f2, f1.t
         self.metric, self.grid, self.gamma = f1.metric, f1.grid, f1.gamma
         self._norm_sq = {}

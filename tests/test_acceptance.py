@@ -27,7 +27,7 @@ from rlab.instances import (conformal_metric, euclidean_chart,
                             stereographic_sphere_chart,
                             verification_initial_data)
 from rlab.mesh import MetricField, build_grid, flat_metric, grad_stack, integrate, interior
-from rlab.tensor import CoupledGeometry, curvature, norm_sq
+from rlab.tensor import Geometry, curvature, norm_sq
 from rlab.uniqueness import difference_bundle, energy, energy_trace, gronwall_fit
 
 ORDER_LO, ORDER_HI = 1.7, 2.3
@@ -171,7 +171,7 @@ def test_criterion_5_curvature_oracles():
     err_weyl = float(np.sqrt(np.max(norm_sq(curvature(mc).weyl, mc, 0, 4))))
     gch, mch = euclidean_chart(2, 192, 3.0)   # h = 1/64, matching the sphere
     u, _ = radial_potential(gch, lambda r: 0.2 * r + 0.05 * r ** 2)
-    wb = cpl = CoupledGeometry(mch, u, 2.0)
+    wb = cpl = Geometry(mch, u, 2.0)
     from rlab.comparison import example512
     xs = gch.coords()
     rng = np.random.default_rng(1)

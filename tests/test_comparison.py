@@ -10,7 +10,7 @@ from rlab.comparison import (OrderVerdict, example512,
 from rlab.instances import (euclidean_chart, product_metric, radial_potential,
                             random_instance)
 from rlab.mesh import build_grid, flat_metric, integrate
-from rlab.tensor import CoupledGeometry, curvature
+from rlab.tensor import Geometry, curvature
 
 
 def kc_product_t3(res=16):
@@ -228,7 +228,7 @@ def test_remark_513_2_pointwise():
     # Rm_L(grad u, Y, Y, grad u) <= Rm(grad u, Y, Y, grad u) everywhere
     grid, m, u = random_instance(2, 16, seed=205)
     cb = curvature(m)
-    cpl = CoupledGeometry(m, u, 2.0)
+    cpl = Geometry(m, u, 2.0)
     du_up = np.einsum("ij...,j...->i...", m.inv, cpl.du)
     rng = np.random.default_rng(6)
     Y = rng.standard_normal((2,) + grid.shape)
@@ -265,7 +265,7 @@ def test_example512_closed_forms():
 def test_example512_cross_module():
     grid, m = euclidean_chart(2, 96, 3.0)
     u, _ = radial_potential(grid, lambda r: 0.2 * r + 0.05 * r ** 2)
-    wb = cpl = CoupledGeometry(m, u, 2.0)
+    wb = cpl = Geometry(m, u, 2.0)
     xs = grid.coords()
     rng = np.random.default_rng(7)
     for _ in range(4):

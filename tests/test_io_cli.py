@@ -775,6 +775,8 @@ def with_initial_data(metric=None, u_terms=None):
     ("initial_data.u_terms[0].phase: must be finite, got inf",
      with_initial_data(u_terms=[{"amp": 0.2, "wave": [1, 0], "phase": float("inf")}])),
     ("flow.alpha1: must be finite, got nan", {"flow": {"alpha1": float("nan")}}),
+    ("initial_data.metric: metric not SPD: non-finite entries at 256 grid points",
+     with_initial_data(metric={"family": "product", "diag": [1e308, 1e308]})),
 ], ids=["t_eval_frac-7", "t_eval_frac-0", "u_terms-wave", "phi_terms-wave", "u_terms-kind",
         "components-kind", "components-key", "scalar-pair",
         "chart-flow", "beta-1.5", "beta-0", "tau0-at-t_end", "diag-short", "diag-long",
@@ -782,7 +784,7 @@ def with_initial_data(metric=None, u_terms=None):
         "extents-str", "verify-resolutions-str", "verify-resolutions-float",
         "wave-float", "wave-str", "diag-bool", "n-bool", "samples-bool",
         "delta-not-spd", "t_end-inf", "extents-inf", "amp-nan", "phase-inf",
-        "alpha1-nan"])
+        "alpha1-nan", "diag-huge"])
 def test_values_that_failed_mid_run_exit_2_before_any_stage(tmp_path, capsys, key, extra):
     # each was clamped, cut, truncated to an int, read as cos or as 1, or
     # raised only once its stage ran

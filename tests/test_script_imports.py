@@ -129,3 +129,14 @@ def test_tracer_private_names_are_rlab_functions():
         layer, attr = name.split(".")
         fn = getattr(importlib.import_module(f"rlab.{layer}"), attr, None)
         assert inspect.isfunction(fn), name
+
+
+def test_package_exports_resolve_and_name_one_geometry():
+    # every exported name resolves, and of rlab.tensor the package exports
+    # the one geometry class of a pair (g, u), its u = 0 constructor and
+    # the weighted connection, nothing besides
+    import rlab
+    assert all(hasattr(rlab, name) for name in rlab.__all__)
+    tensor = {name for name in rlab.__all__
+              if getattr(getattr(rlab, name), "__module__", None) == "rlab.tensor"}
+    assert tensor == {"Geometry", "curvature", "weighted_connection_apply"}

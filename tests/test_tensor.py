@@ -6,13 +6,13 @@ from rlab.instances import (conformal_metric, euclidean_chart,
                             radial_potential, random_instance,
                             stereographic_sphere_chart)
 from rlab.mesh import build_grid, flat_metric, interior
-from rlab.tensor import (CoupledGeometry, christoffel, cov_d, curvature, norm_sq,
+from rlab.tensor import (Geometry, cov_d, curvature, norm_sq,
                          weighted_connection_apply)
 
 
 def test_christoffel_flat_zero():
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
-    assert np.all(christoffel(flat_metric(g)) == 0.0)
+    assert np.all(curvature(flat_metric(g)).gamma == 0.0)
 
 
 def test_christoffel_conformal_oracle():
@@ -21,7 +21,7 @@ def test_christoffel_conformal_oracle():
     X, Y = g.coords()
     phi = 0.2 * X + 0.1 * X * Y
     m = conformal_metric(g, phi)
-    G = christoffel(m)
+    G = curvature(m).gamma
     from rlab.mesh import grad_stack
     dphi = grad_stack(phi, g)
     n = 2
@@ -43,7 +43,7 @@ def test_christoffel_diagonal_pattern():
     # diagonal g11(x2) on T^2: only (1,12), (1,21), (2,11) components nonzero
     g = build_grid("torus", 2, [24, 24], [2 * np.pi] * 2)
     m = product_metric(g, [lambda xs: 1.0 + 0.3 * np.sin(xs[1]), 1.0])
-    G = christoffel(m)
+    G = curvature(m).gamma
     nonzero = {(k, i, j) for k in range(2) for i in range(2) for j in range(2)
                if np.max(np.abs(G[k, i, j])) > 1e-12}
     assert nonzero == {(0, 0, 1), (0, 1, 0), (1, 0, 0)}
@@ -125,16 +125,24 @@ def test_coupled_flat_sin():
     g = build_grid("torus", 2, [64, 64], [2 * np.pi] * 2)
     m = flat_metric(g)
     x = g.coords()[0]
-    cpl = CoupledGeometry(m, np.sin(x), 2.0)
+    cpl = Geometry(m, np.sin(x), 2.0)
     h2 = max(g.spacing) ** 2
     assert np.max(np.abs(cpl.S + 2 * np.cos(x) ** 2)) < 5 * h2
     exact_sic = -2.0 * np.einsum("i...,j...->ij...", cpl.du, cpl.du)
     assert np.max(np.abs(cpl.sic - exact_sic)) < 1e-14
 
 
+def test_default_geometry_is_the_harmonic_map_coupled_flow():
+    # a1 = 2 by default: S = R - 2 |du|^2, bitwise
+    _, m, u = random_instance(3, 8, seed=6)
+    geo = Geometry(m, u)
+    assert (geo.alpha1, geo.beta1, geo.beta2, geo.C, geo.t) == (2.0, 0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(geo.S, geo.scalar - 2.0 * geo.grad_sq)
+
+
 def test_coupled_trace_identities_rounding():
     _, m, u = random_instance(3, 12, seed=7)
-    cpl = CoupledGeometry(m, u, 1.3, 0.4, -0.2, C=0.5)
+    cpl = Geometry(m, u, 1.3, 0.4, -0.2, C=0.5)
     trs = np.einsum("jk...,jk...->...", m.inv, cpl.sic)
     assert np.max(np.abs(trs - cpl.S)) < 1e-12
     smtr = np.einsum("kl...,iklj...->ij...", m.inv, cpl.sm)
@@ -145,7 +153,7 @@ def test_coupled_trace_identities_rounding():
 
 def test_coupled_xi_specialization():
     _, m, u = random_instance(2, 16, seed=8)
-    cpl0 = CoupledGeometry(m, u, 2.0, 0.0, 0.0)
+    cpl0 = Geometry(m, u, 2.0, 0.0, 0.0)
     assert np.max(np.abs(cpl0.xi - cpl0.lap_u * cpl0.hess)) < 1e-14
 
 
@@ -157,9 +165,9 @@ def test_z_two_way_consistency():
     for res in (24, 48):
         grid, m, u = random_instance(2, res, seed=9)
         C = 3.0
-        cpl = CoupledGeometry(m, u, 1.5, C=C)
+        cpl = Geometry(m, u, 1.5, C=C)
         Sp = cpl.S + C
-        gamma = christoffel(m)
+        gamma = curvature(m).gamma
         dsic = cov_d(cpl.sic, grid, gamma, 0, 2)
         dS = grad_stack(Sp, grid)
         dS_up = np.einsum("ij...,j...->i...", m.inv, dS)
@@ -178,7 +186,7 @@ def test_z_two_way_consistency():
 def test_wy_constant_u_exact():
     _, m, _ = random_instance(2, 16, seed=10)
     cb = curvature(m)
-    wb = CoupledGeometry(m, np.zeros(m.grid.shape), 2.0)
+    wb = Geometry(m, np.zeros(m.grid.shape), 2.0)
     from rlab.tensor import lower_rm, riemann_13
     ref = lower_rm(riemann_13(cb.gamma, m.grid), m)
     assert np.array_equal(wb.rm_wy, ref)
@@ -189,7 +197,7 @@ def test_wy_constant_u_exact():
 def test_wy_bundle_invariants():
     grid, m, u = random_instance(3, 16, seed=11)
     cb = curvature(m)
-    wb = CoupledGeometry(m, u, 2.0)
+    wb = Geometry(m, u, 2.0)
     du = np.stack([np.gradient(u, axis=a) for a in range(3)]) * 0  # placeholder
     from rlab.mesh import grad_stack
     du = grad_stack(u, grid)
@@ -212,7 +220,7 @@ def test_wy_example_radial_signs():
     grid, m = euclidean_chart(2, 96, 3.0)
     for kind, sign in (("r", 1.0), ("-r", -1.0)):
         u, _ = radial_potential(grid, lambda r, s=sign: s * r)
-        wb = cpl = CoupledGeometry(m, u, 2.0)
+        wb = cpl = Geometry(m, u, 2.0)
         idx = (60, 70)
         xs = grid.coords()
         T = np.array([xs[0][idx], xs[1][idx]])
@@ -227,7 +235,7 @@ def test_wy_example_radial_signs():
 def test_remark_513_pointwise():
     # Rm_L(X,X,X,X) = -2 <X, grad u>^2 |X|^2 <= 0
     grid, m, u = random_instance(2, 16, seed=12)
-    cpl = CoupledGeometry(m, u, 2.0)
+    cpl = Geometry(m, u, 2.0)
     rng = np.random.default_rng(13)
     X = rng.standard_normal((2,) + grid.shape)
     quad = np.einsum("ijkl...,i...,j...,k...,l...->...", cpl.sm, X, X, X, X)
@@ -265,13 +273,13 @@ def test_bundle_invariants_randomized_instances():
     # the first-pair coupled-curvature relation at second order
     for seed in (41, 42, 43, 44, 45):
         grid, m, u = random_instance(3, 10, seed)
-        cpl = CoupledGeometry(m, u, 1.2, 0.3, -0.1, C=0.4)
+        cpl = Geometry(m, u, 1.2, 0.3, -0.1, C=0.4)
         assert np.max(np.abs(np.einsum("jk...,jk...->...", m.inv, cpl.sic)
                              - cpl.S)) < 1e-12
         assert np.max(np.abs(np.einsum("kl...,iklj...->ij...", m.inv, cpl.sm)
                              - cpl.sic)) < 1e-12
         assert np.max(np.abs(np.einsum("jk...,jk...->...", m.inv, cpl.sin))) < 1e-12
-        wb = CoupledGeometry(m, u, 2.0)
+        wb = Geometry(m, u, 2.0)
         trw = np.einsum("jk...,jk...->...", m.inv, wb.ric_wy)
         assert np.max(np.abs(trw - wb.scalar_wy)) < 1e-12
         assert np.max(np.abs(wb.sic - np.swapaxes(wb.sic, 0, 1))) < 1e-12
@@ -329,7 +337,7 @@ def test_christoffel_bitwise_matches_full_formula():
     for n, res in ((1, 16), (2, 16), (3, 10), (4, 8)):
         for m in (random_instance(n, res, seed=3)[1], _chart_metric(n, 7)):
             ref = _christoffel_n2(m)
-            G = christoffel(m)
+            G = curvature(m).gamma
             assert G.flags.c_contiguous and np.array_equal(G, ref), (n, m.grid.kind)
             geo = curvature(m)
             geo.rm_ab
@@ -340,7 +348,7 @@ def test_direct_ricci_matches_contraction():
     for n, res in ((2, 16), (3, 10), (4, 8)):
         _, m, _ = random_instance(n, res, seed=11)
         cb = curvature(m)
-        R, ref = cb.rm4, _riemann_four_index(m, christoffel(m))
+        R, ref = cb.rm4, _riemann_four_index(m, curvature(m).gamma)
         assert np.max(np.abs(R - ref)) <= 1e-13 * np.max(np.abs(ref)), n
         traced = np.einsum("il...,ijkl...->jk...", m.inv, R)
         assert np.max(np.abs(cb.ric - traced)) <= 1e-13 * np.max(np.abs(cb.ric)), n
@@ -369,7 +377,7 @@ def test_flow_and_diagnostics_never_unpack_rm4():
     flow_rhs(state, params, geo)
     cfl_dt(state, 1.0, geo)
     assert "rm_ab" in vars(geo) and "rm4" not in vars(geo)
-    cpl = CoupledGeometry(m, u, params.alpha1)
+    cpl = Geometry(m, u, params.alpha1)
     _diagnose(state, params, 0.0, 1e-3, cpl)
     assert "rm_sq" in vars(cpl) and "rm4" not in vars(cpl)
 
@@ -380,7 +388,7 @@ def test_flow_and_diagnostics_never_unpack_gamma():
     from rlab.flow import FlowParams, FlowState, _diagnose, cfl_dt, flow_rhs
     grid, m, u = random_instance(4, 8, seed=13)
     state, params = FlowState(grid, m, u), FlowParams(alpha1=2.0)
-    geo = CoupledGeometry(m, u, params.alpha1)
+    geo = Geometry(m, u, params.alpha1)
     flow_rhs(state, params, geo)
     cfl_dt(state, 1.0, geo)
     _diagnose(state, params, 0.0, 1e-3, geo)
@@ -399,7 +407,7 @@ def test_geometry_drops_its_connection_pass_after_rm_ab(first):
     assert ("_conn" in vars(geo)) == (first == "gamma")
     geo.rm_ab
     assert "_conn" not in vars(geo)
-    assert np.array_equal(geo.gamma, christoffel(m))
+    assert np.array_equal(geo.gamma, curvature(m).gamma)
     assert np.array_equal(geo.rm_ab, riemann_bivector(m, *_connection(m)[:3]))
 
 
