@@ -16,14 +16,14 @@ if _os.environ.get("RLAB_THREADS"):
 
 from .mesh import (Grid, MetricField, SPDError, build_grid, flat_metric,
                    integrate, interior)
-from .tensor import Geometry, curvature, weighted_connection_apply
+from .tensor import Geometry, curvature
 from .flow import (BlowUpError, FlowParams, FlowState, Schedule, Trajectory,
                    cfl_dt, flow_rhs, is_regular, run, step)
 
 __all__ = [
     "Grid", "MetricField", "SPDError",
     "build_grid", "flat_metric", "integrate", "interior",
-    "Geometry", "curvature", "weighted_connection_apply",
+    "Geometry", "curvature",
     "FlowParams", "FlowState", "Schedule", "Trajectory", "BlowUpError",
     "cfl_dt", "flow_rhs", "is_regular", "run", "step",
     "__version__",

@@ -266,7 +266,7 @@ def stage_compare(cfg, out: Path, checks, outputs, _base):
     ninst = ccfg.get("instances", 5)
     seed = seed_of(cfg)
     n = cfg["grid"]["n"]
-    res = cfg["grid"]["resolutions"][0]
+    res = cfg["grid"]["resolutions"][0]     # run_experiment admits 2π tori of one resolution
     verdicts = []
     ok = True
     for i in range(ninst):
@@ -380,6 +380,14 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
         raise ConfigError(f"entropy.tau0: {tau0!r} not above schedule.t_end {t_end!r}")
     if "compare" in selected:
         from .comparison import SCALAR_PAIRS
+        g = cfg["grid"]         # the stage draws random_instance(n, res, seed) grids
+        for key, ok, why in (
+                ("kind", g["kind"] == "torus", "torus only"),
+                ("resolutions", len(set(g["resolutions"])) == 1, "one per axis"),
+                ("extents", all(e == 2 * np.pi for e in g["extents"]), "2π only")):
+            if not ok:
+                raise ConfigError(f"grid.{key}: {g[key]!r}: the compare stage "
+                                  f"draws its instances on the 2π torus, {why}")
         for pair in cfg.get("compare", {}).get("scalar_pairs", ()):
             if pair not in SCALAR_PAIRS:
                 raise ConfigError(f"compare.scalar_pairs: unknown pair {pair!r}")

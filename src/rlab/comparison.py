@@ -83,11 +83,6 @@ def _lie(dX: np.ndarray) -> np.ndarray:
     return dX + np.swapaxes(dX, 0, 1)
 
 
-def lie_derivative_metric(metric: MetricField, X: np.ndarray) -> np.ndarray:
-    """(L_X g)_{ij} = nabla_i X_j + nabla_j X_i."""
-    return _lie(_nabla_x_flat(metric, X, curvature(metric).gamma))
-
-
 def killing_report(metric: MetricField, X: np.ndarray) -> KillingReport:
     grid = metric.grid
     gamma = curvature(metric).gamma
@@ -313,21 +308,6 @@ def weighted_divergence_integral(metric: MetricField, u: np.ndarray) -> float:
     """int (Delta u + |grad u|^2) e^u dV in discrete divergence form (exactly
     telescoping on a periodic grid)."""
     return integrate(div_form_weighted_laplacian(metric, u), metric)
-
-
-def j_pairing(metric: MetricField, u: np.ndarray, X: np.ndarray,
-              Y: np.ndarray) -> float:
-    """J(X, Y) = int <X, grad u> <Y, grad u> <X, Y> dV by direct quadrature.
-
-    The expanded constant-norm-Killing identities for this pairing mix
-    scalar and vector expressions as printed and stay out of the registry;
-    only the quadrature definition (symmetric in X and Y) is exposed.
-    """
-    du = grad_stack(u, metric.grid)
-    xd = np.einsum("i...,i...->...", X, du)
-    yd = np.einsum("i...,i...->...", Y, du)
-    xy = np.einsum("ij...,i...,j...->...", metric.values, X, Y)
-    return integrate(xd * yd * xy, metric)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Entropy functional, its constrained minimization, and the closed-form
-constant evaluators, plus the pinching quantities and the dimension-4
-curvature-integral defect.
+constant evaluators, the Lambda bounds and the dimension-4 curvature-integral
+defect.
 
 The entropy of (g, u, f, tau) is
 
@@ -50,13 +50,6 @@ from .tensor import Geometry, curvature, norm_sq
 SIGMA = 1.0     # weight of the mass term in the preconditioner
 STEP0 = 0.05    # each seed's first descent step, before Barzilai-Borwein takes over
 CALIBRATION_RANGE = (1e-6, 64.0)    # bisection bracket of calibrate_uniform_constant
-
-
-def normalize_f(metric: MetricField, f: np.ndarray, tau: float) -> np.ndarray:
-    """Shift f so that int (4 pi tau)^{-n/2} e^{-f} dV = 1 exactly."""
-    n = metric.grid.n
-    mass = integrate(np.exp(-f), metric) * (4.0 * np.pi * tau) ** (-n / 2.0)
-    return f + np.log(mass)
 
 
 def _form_weights(metric: MetricField):
@@ -393,61 +386,31 @@ def dimension4_bound_constants(alpha1: float, beta1: float, beta2: float, A1: fl
 
 
 # --------------------------------------------------------------------------
-# pinching quantities and the dimension-4 integral defect
+# the Lambda bounds and the dimension-4 integral defect
 
 class PositivityError(ValueError):
     pass
 
 
-def _lambda(geo: Geometry, C: float):
-    """S + C, checked positive, and the Lambda combination
-    (tr Xi |Sic|^2 - 2 (S + C) <Sic, Xi>) / (S + C)^2 of ``geo``."""
-    Sp = geo.S + C
-    if np.min(Sp) <= 0:
-        loc = np.unravel_index(int(np.argmin(Sp)), geo.grid.shape)
-        raise PositivityError(f"S + C must be positive; min {np.min(Sp):.6g} "
-                              f"at grid index {tuple(int(i) for i in loc)}")
-    tr_xi = np.einsum("ij...,ij...->...", geo.ginv, geo.xi)
-    sic_xi = np.einsum("ij...,ij...->...", geo.sic_up, geo.xi)
-    return Sp, (tr_xi * geo.sic_sq - 2.0 * Sp * sic_xi) / Sp ** 2
-
-
-def pinching_quantities(metric: MetricField, u: np.ndarray, alpha1: float,
-                        C: float, gamma: float) -> dict:
-    """Pointwise pinching ratios of the coupled curvature.
-
-    Returns the gamma-weighted trace-free ratio |Sin|^2/(S+C)^gamma, the
-    quadratic ratio |Sic|^2/(S+C), the Lambda combination built from Xi,
-    and |Sin|/(S+C).  Requires S + C > 0 everywhere.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    # Xi here carries the beta1 = beta2 = 0 specialization; lambda_bounds
-    # accepts the couplings explicitly.
-    geo = Geometry(metric, u, alpha1)
-    Sp, lam = _lambda(geo, C)
-    sin_sq = norm_sq(geo.sin, metric, 0, 2)
-    return {
-        "f_gamma": sin_sq / Sp ** gamma,
-        "f_ratio": geo.sic_sq / Sp,
-        "lambda": lam,
-        "sin_ratio": np.sqrt(sin_sq) / Sp,
-        "S_plus_C": Sp,
-        "bundle": geo,
-    }
-
-
 def lambda_bounds(metric: MetricField, u: np.ndarray, alpha1: float, C: float,
                   beta1: float = 0.0, beta2: float = 0.0) -> dict:
-    """Pointwise two-sided bounds for the Lambda combination.
+    """Pointwise two-sided bounds for the Lambda combination
+    (tr Xi |Sic|^2 - 2 (S + C) <Sic, Xi>) / (S + C)^2, which needs S + C > 0.
 
     C0 is taken as min(S + C); both the lower and the upper displayed bound
     hold pointwise regardless of the sign of alpha1 (the sign only selects
     which one the integral estimates need).
     """
     geo = Geometry(metric, u, alpha1, beta1, beta2)
-    Sp, lam = _lambda(geo, C)
+    Sp = geo.S + C
     C0 = float(np.min(Sp))
+    if C0 <= 0:
+        loc = np.unravel_index(int(np.argmin(Sp)), geo.grid.shape)
+        raise PositivityError(f"S + C must be positive; min {C0:.6g} "
+                              f"at grid index {tuple(int(i) for i in loc)}")
+    tr_xi = np.einsum("ij...,ij...->...", geo.ginv, geo.xi)
+    sic_xi = np.einsum("ij...,ij...->...", geo.sic_up, geo.xi)
+    lam = (tr_xi * geo.sic_sq - 2.0 * Sp * sic_xi) / Sp ** 2
     f = geo.sic_sq / Sp
     hess_n = np.sqrt(geo.hess_sq)
     gsq = geo.grad_sq

@@ -142,18 +142,31 @@ def write_checkpoint(path, state, params, schedule):
 
 
 def read_checkpoint(path):
+    """(FlowState, FlowParams, Schedule) of a checkpoint; a snapshot that is not
+    one (no g of rank (0,2) or u of rank (0,0), a payload key missing) raises
+    ``ValueError`` naming it."""
     from .flow import FlowParams, FlowState, Schedule
     grid, fields, extra = read_snapshot(path)
-    for name in ("g", "u"):
+    for name, rank in (("g", (0, 2)), ("u", (0, 0))):
         if name not in fields:
             raise ValueError(f"checkpoint has no field {name!r}")
+        if fields[name][1:3] != rank:
+            raise ValueError(f"checkpoint field {name!r} has rank {fields[name][1:3]}, "
+                             f"expected {rank}")
+    def payload(section, *keys):
+        entry = extra.get(section) if isinstance(extra, dict) else None
+        if not isinstance(entry, dict):
+            raise ValueError(f"checkpoint has no {section!r} payload")
+        missing = [key for key in keys if key not in entry]
+        if missing:
+            raise ValueError(f"checkpoint payload {section!r} has no key {missing[0]!r}")
+        return [entry[key] for key in keys]
+    alpha1, beta1, beta2 = payload("params", "alpha1", "beta1", "beta2")
+    params = FlowParams(alpha1, beta1=beta1, beta2=beta2)
+    schedule = Schedule(*payload("schedule", "t_end", "dt", "safety", "cadence", "method"))
     metric = MetricField(grid, fields["g"][0])
     state = FlowState(grid, metric, fields["u"][0], extra.get("t", 0.0),
                       extra.get("step_count", 0))
-    p = extra["params"]
-    params = FlowParams(p["alpha1"], beta1=p["beta1"], beta2=p["beta2"])
-    s = extra["schedule"]
-    schedule = Schedule(s["t_end"], s["dt"], s["safety"], s["cadence"], s["method"])
     return state, params, schedule
 
 

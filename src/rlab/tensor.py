@@ -274,18 +274,6 @@ def weighted_christoffel(gamma: np.ndarray, du: np.ndarray, n: int) -> np.ndarra
     return out
 
 
-def weighted_connection_apply(metric: MetricField, u: np.ndarray,
-                              X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """nabla^u_X Y = nabla_X Y - (Yu) X - (Xu) Y for vector fields X, Y."""
-    f = Geometry(metric, u)
-    dY = grad_stack(Y, f.grid)                     # dY[a,k]
-    nabla_XY = (np.einsum("a...,ak...->k...", X, dY)
-                + np.einsum("kab...,a...,b...->k...", f.gamma, X, Y))
-    Yu = np.einsum("a...,a...->...", Y, f.du)
-    Xu = np.einsum("a...,a...->...", X, f.du)
-    return nabla_XY - Yu * X - Xu * Y
-
-
 def div_form_weighted_laplacian(metric: MetricField, u: np.ndarray) -> np.ndarray:
     """(Delta u + |nabla u|^2) e^u evaluated in discrete divergence form.
 
@@ -319,18 +307,17 @@ class Geometry:
     relations between them vanish to rounding at constant u.
     The flow parameters enter the coupled curvature Sic = Ric - a1 du x du,
     its trace S, its trace-free part Sin, S_{ijkl} (``sm_tensor``) and the
-    pinching fields Xi and Z; a1 = 2 is the harmonic-map coupled flow.
+    field Xi; a1 = 2 is the harmonic-map coupled flow.
     """
 
     def __init__(self, metric: MetricField, u: np.ndarray, alpha1: float = 2.0,
-                 beta1: float = 0.0, beta2: float = 0.0, C: float = 0.0,
-                 t: float = 0.0):
+                 beta1: float = 0.0, beta2: float = 0.0, t: float = 0.0):
         self.metric = metric
         self.grid = metric.grid
         self.g = metric.values
         self.ginv = metric.inv
         self.u = u
-        self.alpha1, self.beta1, self.beta2, self.C, self.t = alpha1, beta1, beta2, C, t
+        self.alpha1, self.beta1, self.beta2, self.t = alpha1, beta1, beta2, t
 
     @cached_property
     def _conn(self):        # the one Levi-Civita pass, whichever reads it first
@@ -498,12 +485,6 @@ class Geometry:
         return (self.lap_u * self.hess
                 - self.beta2 * np.einsum("i...,j...->ij...", self.du, self.du)
                 - self.beta1 * np.einsum("i...,j...->ij...", self.du, dgsq))
-
-    @cached_property
-    def z(self):            # Z_{ijk} = (S + C) nabla_i Sic_{jk} - Sic_{jk} d_i S
-        dsic = cov_d(self.sic, self.grid, self.gamma, 0, 2)
-        dS = grad_stack(self.S, self.grid)
-        return (self.S + self.C) * dsic - np.einsum("jk...,i...->ijk...", self.sic, dS)
 
 
 def curvature(metric: MetricField) -> Geometry:

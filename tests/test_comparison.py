@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from rlab.comparison import (OrderVerdict, example512,
-                             killing_report, lemma57_defect,
-                             lie_derivative_metric, ricci_order, scalar_order,
+from rlab.comparison import (OrderVerdict, _lie, _nabla_x_flat, example512,
+                             killing_report, lemma57_defect, ricci_order, scalar_order,
                              solve_c0, tilde_weight, weighted_divergence_integral,
                              wy_hat_margin_identity, yano_defect,
                              yano_oracle_factor)
@@ -49,7 +48,7 @@ def test_killing_report_oscillating_field():
     x1 = g.coords()[0]
     X = np.zeros((2,) + g.shape)
     X[0] = np.sin(x1)
-    lie = lie_derivative_metric(m, X)
+    lie = _lie(_nabla_x_flat(m, X, curvature(m).gamma))
     # (L_X g)_11 = 2 cos(x1) up to the discrete-derivative factor
     factor = np.sin(g.spacing[0]) / g.spacing[0]
     assert np.max(np.abs(lie[0, 0] - 2 * np.cos(x1) * factor)) < 1e-12
@@ -235,18 +234,6 @@ def test_remark_513_2_pointwise():
     quad_l = np.einsum("ijkl...,i...,j...,k...,l...->...", cpl.sm, du_up, Y, Y, du_up)
     quad = np.einsum("ijkl...,i...,j...,k...,l...->...", cb.rm4, du_up, Y, Y, du_up)
     assert np.all(quad_l <= quad + 1e-12)
-
-
-def test_j_pairing_symmetric():
-    from rlab.comparison import j_pairing
-    grid, m, u = random_instance(2, 16, seed=206)
-    rng = np.random.default_rng(8)
-    X = rng.standard_normal((2,) + grid.shape)
-    Y = rng.standard_normal((2,) + grid.shape)
-    a, b = j_pairing(m, u, X, Y), j_pairing(m, u, Y, X)
-    assert abs(a - b) < 1e-12 * max(1.0, abs(a))
-    # quartic homogeneity in (X, Y) jointly: doubling both scales by 16
-    assert abs(j_pairing(m, u, 2 * X, 2 * Y) - 16.0 * a) < 1e-9 * max(1.0, abs(a))
 
 
 def test_example512_closed_forms():

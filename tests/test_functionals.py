@@ -8,8 +8,7 @@ from rlab.functionals import (EstimateConstants, OptimizerOpts, PositivityError,
                               gbc_defect, gbc_defect_coupled, lambda_bounds,
                               log_sobolev_constant, lp_curvature_bound,
                               mu_lower_bound, mu_minimize, mu_upper_bound,
-                              noncollapse_constants, normalize_f,
-                              pinching_quantities, dimension4_bound_constants,
+                              noncollapse_constants, dimension4_bound_constants,
                               w_entropy)
 from rlab.instances import (perturbed_flat_metric, random_instance,
                             trig_scalar, verification_initial_data)
@@ -17,6 +16,12 @@ from rlab.mesh import build_grid, flat_metric, integrate
 from rlab.tensor import Geometry, norm_sq
 
 FAST_OPTS = OptimizerOpts(tol=1e-9, max_iter=4000, nseeds=3)
+
+
+def normalized(metric, f, tau):
+    """f shifted so that int (4 pi tau)^{-n/2} e^{-f} dV = 1."""
+    mass = integrate(np.exp(-f), metric) * (4.0 * np.pi * tau) ** (-metric.grid.n / 2.0)
+    return f + np.log(mass)
 
 
 def flat2(res=24):
@@ -44,13 +49,13 @@ def test_tau_shift_bijection():
     rng = np.random.default_rng(2)
     # the constant shift f -> f + (n/2) ln(tau2/tau1) maps the tau2
     # normalization class onto the tau1 class (and is invertible)
-    f2 = normalize_f(m, rng.random(grid.shape), 2.0)
+    f2 = normalized(m, rng.random(grid.shape), 2.0)
     f1 = f2 + (grid.n / 2.0) * np.log(2.0 / 1.0)
     mass = integrate(np.exp(-f1), m) * (4 * np.pi * 1.0) ** (-grid.n / 2.0)
     assert abs(mass - 1.0) < 1e-12
     # and the simultaneous scaling (tau g, tau) leaves the entropy of a
     # normalized test function unchanged
-    f = normalize_f(m, rng.random(grid.shape), 1.0)
+    f = normalized(m, rng.random(grid.shape), 1.0)
     w1 = w_entropy(m, u, f, 1.0)
     w2 = w_entropy(m.scaled(2.0), u, f, 2.0)
     assert abs(w1 - w2) < 1e-9 * max(1.0, abs(w1))
@@ -62,7 +67,7 @@ def test_mu_flat_constant_seed_saturates_bound():
     rep = mu_minimize(m, u, 1.0, FAST_OPTS)
     bound = mu_upper_bound(m, u, 1.0)
     # the constant test function attains the bound...
-    fconst = normalize_f(m, np.zeros(g.shape), 1.0)
+    fconst = normalized(m, np.zeros(g.shape), 1.0)
     assert abs(w_entropy(m, u, fconst, 1.0) - bound) < 1e-6
     # ... and the minimizer never exceeds it
     assert rep.mu <= bound + 1e-6
@@ -315,39 +320,19 @@ def test_pinching_gamma2_consistency():
     # |Sin|^2 = |Sic'|^2 - S'^2/n as stored tensors, to rounding
     grid, m, u = random_instance(2, 16, seed=331)
     C = 5.0
-    q = pinching_quantities(m, u, 1.5, C, 2.0)
-    cpl = q["bundle"]
-    Sp = q["S_plus_C"]
+    cpl = Geometry(m, u, 1.5)
+    Sp = cpl.S + C
     sic_p = cpl.sic + (C / grid.n) * m.values
     lhs = norm_sq(cpl.sin, m, 0, 2)
     rhs = norm_sq(sic_p, m, 0, 2) - Sp ** 2 / grid.n
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-    assert np.max(np.abs(q["f_gamma"] - lhs / Sp ** 2)) < 1e-14
-
-
-def test_pinching_flat_trivial():
-    g, m = flat2(16)
-    q = pinching_quantities(m, np.zeros(g.shape), 2.0, 1.0, 2.0)
-    assert np.max(q["sin_ratio"]) < 1e-14
-
-
-def test_pinching_positivity_error_names_location():
-    g, m = flat2(16)
-    with pytest.raises(PositivityError) as e:
-        pinching_quantities(m, np.zeros(g.shape), 2.0, -1.0, 2.0)
-    assert "grid index" in str(e.value)
 
 
 def test_lambda_bounds_positivity_error_names_location():
     g, m = flat2(16)
-    msgs = []
-    for call in (lambda: pinching_quantities(m, np.zeros(g.shape), 2.0, -1.0, 2.0),
-                 lambda: lambda_bounds(m, np.zeros(g.shape), 2.0, -1.0)):
-        with pytest.raises(PositivityError) as e:
-            call()
-        msgs.append(str(e.value))
-    assert "grid index (0, 0)" in msgs[0]
-    assert msgs[1] == msgs[0]
+    with pytest.raises(PositivityError) as e:
+        lambda_bounds(m, np.zeros(g.shape), 2.0, -1.0)
+    assert "grid index (0, 0)" in str(e.value)
 
 
 def test_lambda_bounds_pointwise(manifest):

@@ -136,6 +136,18 @@ def test_snapshot_truncated_at_every_offset(tmp_path):
         read_snapshot(p)
 
 
+@pytest.mark.parametrize("name", ["g", "u"])
+def test_checkpoint_names_a_field_of_the_wrong_rank(tmp_path, name):
+    grid, m, u = random_instance(2, 8, seed=1)
+    fields = {"g": m, "u": u, name: np.stack([u, u])}     # rank (0, 1)
+    p = tmp_path / "chk.rlab"
+    write_snapshot(p, grid, fields)
+    rank = (0, 2) if name == "g" else (0, 0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"checkpoint field '{name}' has rank (0, 1), expected {rank}")):
+        read_checkpoint(p)
+
+
 def _header(edit):
     """The corruption that replaces a file's JSON header by ``edit(header
     dict)``, or by ``edit``'s bytes when it returns bytes."""
@@ -158,6 +170,16 @@ def _without(key):
     return _header(lambda h: {k: v for k, v in h.items() if k != key})
 
 
+def _without_payload(section, key=None):
+    """A whole snapshot whose checkpoint payload lacks ``section``, or the
+    ``key`` of ``section``."""
+    def edit(h):
+        entry = h["extra"] if key is None else h["extra"][section]
+        del entry[section if key is None else key]
+        return h
+    return _header(edit)
+
+
 # each corruption of a valid checkpoint (records g, then u, on 8x8), the
 # reader it is given to, and the message that must name it
 CORRUPTIONS = {
@@ -178,6 +200,16 @@ CORRUPTIONS = {
     "checkpoint-without-u": (lambda raw: _header(lambda h: dict(h, fields=["g"]))(raw)
                              [:-(10 + 8 * 64)],
                              read_checkpoint, r"^checkpoint has no field 'u'$"),
+    "checkpoint-no-payload": (_without("extra"), read_checkpoint,
+                              r"^checkpoint has no 'params' payload$"),
+    "checkpoint-payload-not-a-mapping": (_header(lambda h: dict(h, extra=5)), read_checkpoint,
+                                         r"^checkpoint has no 'params' payload$"),
+    "checkpoint-no-schedule": (_without_payload("schedule"), read_checkpoint,
+                               r"^checkpoint has no 'schedule' payload$"),
+    "checkpoint-no-beta1": (_without_payload("params", "beta1"), read_checkpoint,
+                            r"^checkpoint payload 'params' has no key 'beta1'$"),
+    "checkpoint-no-method": (_without_payload("schedule", "method"), read_checkpoint,
+                             r"^checkpoint payload 'schedule' has no key 'method'$"),
 }
 
 
@@ -648,11 +680,11 @@ def test_stages_share_one_base_flow(tmp_path, monkeypatch, stages):
             == json.dumps(merged, indent=1, sort_keys=True))
 
 
-def config_error(tmp_path, capsys, extra, flags=()):
-    """stderr of ``rlab run`` on BASE_CFG updated by ``extra``, which must
-    exit 2 before any stage runs (no output directory)."""
+def config_error(tmp_path, capsys, extra, flags=(), command="run"):
+    """stderr of ``rlab <command>`` on BASE_CFG updated by ``extra``, which
+    must exit 2 before any stage runs (no output directory)."""
     from rlab.cli import main
-    code = main(["run", "--config", str(write_cfg(tmp_path, extra)),
+    code = main([command, "--config", str(write_cfg(tmp_path, extra)),
                  "--out", str(tmp_path / "o"), *flags])
     err = capsys.readouterr().err
     assert code == 2 and not (tmp_path / "o").exists(), err
@@ -790,6 +822,19 @@ def test_values_that_failed_mid_run_exit_2_before_any_stage(tmp_path, capsys, ke
     # raised only once its stage ran
     err = config_error(tmp_path, capsys, extra)
     assert err.startswith(f"config error: {key}"), err
+
+
+@pytest.mark.parametrize("key, grid", [
+    ("grid.kind", {"kind": "chart"}),
+    ("grid.resolutions", {"resolutions": [16, 24]}),
+    ("grid.extents", {"extents": [2 * np.pi, 3.0]}),
+], ids=["chart", "unequal-resolutions", "extent-3"])
+def test_compare_rejects_a_grid_it_does_not_draw_on(tmp_path, capsys, key, grid):
+    # the stage draws its instances on the 2π torus at the first resolution;
+    # it used to write those verdicts whatever the grid said
+    err = config_error(tmp_path, capsys, {"grid": dict(BASE_CFG["grid"], **grid)},
+                       command="compare")
+    assert err.startswith(f"config error: {key}: "), err
 
 
 def test_chart_grid_is_accepted_without_a_flow_stage(tmp_path):

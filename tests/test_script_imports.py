@@ -133,10 +133,69 @@ def test_tracer_private_names_are_rlab_functions():
 
 def test_package_exports_resolve_and_name_one_geometry():
     # every exported name resolves, and of rlab.tensor the package exports
-    # the one geometry class of a pair (g, u), its u = 0 constructor and
-    # the weighted connection, nothing besides
+    # the one geometry class of a pair (g, u) and its u = 0 constructor,
+    # nothing besides
     import rlab
     assert all(hasattr(rlab, name) for name in rlab.__all__)
     tensor = {name for name in rlab.__all__
               if getattr(getattr(rlab, name), "__module__", None) == "rlab.tensor"}
-    assert tensor == {"Geometry", "curvature", "weighted_connection_apply"}
+    assert tensor == {"Geometry", "curvature"}
+
+
+# public rlab names that no stage, demo, script or benchmark reaches, each
+# kept for a reason; every other public name needs a reference in code
+ONLY_TESTS_REACH = {
+    "wy_hat_margin_identity": "a Killing-field margin the paper bounds; no output holds it yet",
+    "mu_lower_bound": "the lower bound of mu; wiring it in would change entropy.csv",
+    "rm_lp_series": "the L^p curvature norms, to stand against lp_curvature_bound",
+    "lp_curvature_bound": "the paper's L^p curvature bound; no output holds it yet",
+    "lambda_bounds": "the paper's two-sided Lambda bounds; no output holds them yet",
+    "example512": "the closed form that the weighted-curvature tests check against",
+    "mu_upper_bound": "the oracle that the entropy tests hold mu_minimize against",
+    "euclidean_chart": "a chart instance that the curvature tests use as an oracle",
+    "radial_potential": "the radial potential of the closed-form chart tests",
+    "stereographic_sphere_chart": "the round-sphere chart of the constant-curvature tests",
+    "interior": "drops a chart's boundary collar, where the chart tests' oracles do not hold",
+}
+
+
+def _defined(stmt):
+    """The names a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _referenced(stmt):
+    """The names a statement reads, as a name, an attribute or an import."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rpartition(".")[2] for alias in node.names)
+
+
+def test_every_public_rlab_name_is_reached_outside_the_tests():
+    # a name counts as reached when a top-level statement other than its own
+    # definition reads it in src/rlab (not the package's re-exports), demos/,
+    # scripts/ or perfbench/; docstrings and tests do not count
+    modules = sorted(p for p in (ROOT / "src" / "rlab").glob("*.py")
+                     if p.name != "__init__.py")
+    public, reached = {}, set()
+    for path in modules + SOURCES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = _defined(stmt)
+            if path in modules:
+                public.update((name, path.stem) for name in names
+                              if not name.startswith("_"))
+            reached |= set(_referenced(stmt)) - names
+    assert set(ONLY_TESTS_REACH) <= set(public)
+    assert set(ONLY_TESTS_REACH).isdisjoint(reached), "reached now: drop it from the list"
+    unreached = sorted(f"{public[name]}.{name}" for name in public
+                       if name not in reached and name not in ONLY_TESTS_REACH)
+    assert not unreached, unreached

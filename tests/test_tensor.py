@@ -6,8 +6,7 @@ from rlab.instances import (conformal_metric, euclidean_chart,
                             radial_potential, random_instance,
                             stereographic_sphere_chart)
 from rlab.mesh import build_grid, flat_metric, interior
-from rlab.tensor import (Geometry, cov_d, curvature, norm_sq,
-                         weighted_connection_apply)
+from rlab.tensor import Geometry, curvature, norm_sq
 
 
 def test_christoffel_flat_zero():
@@ -136,13 +135,13 @@ def test_default_geometry_is_the_harmonic_map_coupled_flow():
     # a1 = 2 by default: S = R - 2 |du|^2, bitwise
     _, m, u = random_instance(3, 8, seed=6)
     geo = Geometry(m, u)
-    assert (geo.alpha1, geo.beta1, geo.beta2, geo.C, geo.t) == (2.0, 0.0, 0.0, 0.0, 0.0)
+    assert (geo.alpha1, geo.beta1, geo.beta2, geo.t) == (2.0, 0.0, 0.0, 0.0)
     assert np.array_equal(geo.S, geo.scalar - 2.0 * geo.grad_sq)
 
 
 def test_coupled_trace_identities_rounding():
     _, m, u = random_instance(3, 12, seed=7)
-    cpl = Geometry(m, u, 1.3, 0.4, -0.2, C=0.5)
+    cpl = Geometry(m, u, 1.3, 0.4, -0.2)
     trs = np.einsum("jk...,jk...->...", m.inv, cpl.sic)
     assert np.max(np.abs(trs - cpl.S)) < 1e-12
     smtr = np.einsum("kl...,iklj...->ij...", m.inv, cpl.sm)
@@ -155,29 +154,6 @@ def test_coupled_xi_specialization():
     _, m, u = random_instance(2, 16, seed=8)
     cpl0 = Geometry(m, u, 2.0, 0.0, 0.0)
     assert np.max(np.abs(cpl0.xi - cpl0.lap_u * cpl0.hess)) < 1e-14
-
-
-def test_z_two_way_consistency():
-    # |S' nabla Sic'|^2 = |Z'|^2 - |Sic'|^2 |nabla S'|^2 + S' <nabla|Sic'|^2, nabla S'>
-    # with <nabla |Sic'|^2, .> recomputed from the scalar field directly.
-    from rlab.mesh import grad_stack
-    errs = []
-    for res in (24, 48):
-        grid, m, u = random_instance(2, res, seed=9)
-        C = 3.0
-        cpl = Geometry(m, u, 1.5, C=C)
-        Sp = cpl.S + C
-        gamma = curvature(m).gamma
-        dsic = cov_d(cpl.sic, grid, gamma, 0, 2)
-        dS = grad_stack(Sp, grid)
-        dS_up = np.einsum("ij...,j...->i...", m.inv, dS)
-        lhs = Sp ** 2 * norm_sq(dsic, m, 0, 3)
-        sic_sq = norm_sq(cpl.sic, m, 0, 2)
-        d_sic_sq = grad_stack(sic_sq, grid)         # independent path
-        inner = np.einsum("i...,i...->...", d_sic_sq, dS_up)
-        rhs = norm_sq(cpl.z, m, 0, 3) - sic_sq * norm_sq(dS, m, 0, 1) + Sp * inner
-        errs.append(np.max(np.abs(lhs - rhs)))
-    assert errs[1] < errs[0] / 2.5
 
 
 # --------------------------------------------------------------------------
@@ -245,35 +221,13 @@ def test_remark_513_pointwise():
     assert np.all(quad <= 1e-11)
 
 
-def test_weighted_connection_apply():
-    grid, m, u = random_instance(2, 16, seed=14)
-    rng = np.random.default_rng(15)
-    X = rng.standard_normal((2,) + grid.shape)
-    Y = rng.standard_normal((2,) + grid.shape)
-    # u constant reduces to the plain connection
-    out0 = weighted_connection_apply(m, np.zeros(grid.shape), X, Y)
-    outc = weighted_connection_apply(m, np.full(grid.shape, 2.3), X, Y)
-    assert np.array_equal(out0, outc)
-    # X = 0 gives 0
-    assert np.all(weighted_connection_apply(m, u, np.zeros_like(X), Y) == 0.0)
-    # flat chart, X = d1, Y = d2, u = x1 + x2: result is -d1 - d2
-    gch, mch = euclidean_chart(2, 32, 4.0)
-    xs = gch.coords()
-    uch = xs[0] + xs[1]
-    Xc = np.zeros((2,) + gch.shape); Xc[0] = 1.0
-    Yc = np.zeros((2,) + gch.shape); Yc[1] = 1.0
-    out = weighted_connection_apply(mch, uch, Xc, Yc)
-    expect = -(Xc + Yc)
-    assert np.max(np.abs(interior(out - expect, gch, 1))) < 1e-12
-
-
 def test_bundle_invariants_randomized_instances():
     # quantified over seeded smooth instances: the stored-bundle trace and
     # symmetry relations hold at rounding, the weighted-trace relation and
     # the first-pair coupled-curvature relation at second order
     for seed in (41, 42, 43, 44, 45):
         grid, m, u = random_instance(3, 10, seed)
-        cpl = Geometry(m, u, 1.2, 0.3, -0.1, C=0.4)
+        cpl = Geometry(m, u, 1.2, 0.3, -0.1)
         assert np.max(np.abs(np.einsum("jk...,jk...->...", m.inv, cpl.sic)
                              - cpl.S)) < 1e-12
         assert np.max(np.abs(np.einsum("kl...,iklj...->ij...", m.inv, cpl.sm)
