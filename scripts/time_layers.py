@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Time rlab's layers in process and print one JSON line of milliseconds.
+
+    python3 scripts/time_layers.py
+
+Each figure is the best of 5 calls, on seeded random tori at 64^2, 16^3
+and 12^4: the stencils ``diff1``, ``diff2`` and ``grad_stack`` on a
+10-component stack, the Levi-Civita pass and R_AB on a fresh ``Geometry``,
+``flow_rhs`` and one rk4 ``step``; and one ``mu_minimize`` at 16^3.  rlab is
+imported from ``src/``; nothing is written.  Pin the numerical thread pools
+(``OMP_NUM_THREADS=1`` and the like) to compare two checkouts.
+"""
+
+import json
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rlab.flow import FlowParams, FlowState, flow_rhs, step
+from rlab.functionals import mu_minimize
+from rlab.instances import random_instance
+from rlab.mesh import diff1, diff2, grad_stack
+from rlab.tensor import Geometry
+
+REPEATS = 5
+GRIDS = ((2, 64), (3, 16), (4, 12))
+COMPONENTS = 10
+DT = 1e-4
+
+
+def best_ms(fn):
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return round(1e3 * min(times), 3)
+
+
+def main():
+    ms = {}
+    params = FlowParams(2.0)
+    for n, res in GRIDS:
+        grid, metric, u = random_instance(n, res, seed=7)
+        stack = np.random.default_rng(7).standard_normal((COMPONENTS,) + grid.shape)
+        state = FlowState(grid, metric, u)
+        label = f"{res}^{n}"
+        ms[f"diff1 {label}"] = best_ms(lambda: diff1(stack, grid, n - 1))
+        ms[f"diff2 {label}"] = best_ms(lambda: diff2(stack, grid, n - 1))
+        ms[f"grad_stack {label}"] = best_ms(lambda: grad_stack(stack, grid))
+        ms[f"gamma+rm_ab {label}"] = best_ms(lambda: Geometry(metric, u).rm_ab)
+        ms[f"flow_rhs {label}"] = best_ms(lambda: flow_rhs(state, params))
+        ms[f"rk4 step {label}"] = best_ms(lambda: step(state, params, DT))
+        if n == 3:
+            ms[f"mu_minimize {label}"] = best_ms(lambda: mu_minimize(metric, u, 1.0))
+    print(json.dumps({"unit": "ms", "best_of": REPEATS, "python": platform.python_version(),
+                      "numpy": np.__version__, "times": ms}))
+
+
+if __name__ == "__main__":
+    main()

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MetricField, integrate
+from .mesh import MetricField, _stencil, integrate
 from .tensor import Geometry, curvature, norm_sq
 
 SIGMA = 1.0     # weight of the mass term in the preconditioner
@@ -55,21 +55,28 @@ CALIBRATION_RANGE = (1e-6, 64.0)    # bisection bracket of calibrate_uniform_con
 def _form_weights(metric: MetricField):
     """(b, a) of the compact Dirichlet form: b_a on (D_a^+ w)^2, and
     a = g^{-1} sqrt(g) with its diagonal zeroed on D_i^c w D_j^c w."""
+    grid = metric.grid
     a = metric.inv * metric.sqrt_det
-    b = np.stack([0.5 * (a[i, i] + np.roll(a[i, i], -1, axis=i))
-                  for i in range(metric.grid.n)])
-    for i in range(metric.grid.n):
+    b = np.empty((grid.n,) + grid.shape)
+    for i in range(grid.n):
+        _stencil(lambda o, v: np.add(v(0), v(1), out=o), a[i, i], grid, i, b[i])
         a[i, i] = 0.0
+    b *= 0.5
     return b, a
 
 
 def _differences(w: np.ndarray, grid) -> tuple:
-    """The forward differences D_a^+ w and the central ones
-    D_a^c w = (D_a^+ w + D_a^- w)/2, each stacked along a new first axis."""
-    fwd = np.stack([(np.roll(w, -1, axis=a) - w) / h
-                    for a, h in enumerate(grid.spacing)])
-    cen = np.stack([0.5 * (fwd[a] + np.roll(fwd[a], 1, axis=a))
-                    for a in range(grid.n)])
+    """The forward differences D_a^+ w = (w[i+1] - w[i]) / h and the central
+    ones D_a^c w = (D_a^+ w[i] + D_a^+ w[i-1]) / 2, each stacked along a new
+    first axis; each difference is written by ``mesh._stencil`` into its slot
+    of the stack."""
+    fwd = np.empty((grid.n,) + w.shape)
+    cen = np.empty_like(fwd)
+    for a, (f, c, h) in enumerate(zip(fwd, cen, grid.spacing)):
+        _stencil(lambda o, v: np.subtract(v(1), v(0), out=o), w, grid, a, f)
+        f /= h
+        _stencil(lambda o, v: np.add(v(0), v(-1), out=o), f, grid, a, c)
+    cen *= 0.5
     return fwd, cen
 
 
@@ -95,11 +102,14 @@ def _mu_gradient(metric: MetricField, w, tau, S, flux_fwd, flux_cen, lnw, c0):
     volume), from the fluxes and ln|w| it formed: the Dirichlet form's
     adjoint is -2 D_i^-(b_i D_i^+ w) - 2 sum_{i != j} D_j^c(a_ij D_i^c w)."""
     grid = metric.grid
-    div = np.zeros(grid.shape)
-    for i, h in enumerate(grid.spacing):
-        div += (flux_fwd[i] - np.roll(flux_fwd[i], 1, axis=i)) / h
-        div += (np.roll(flux_cen[i], -1, axis=i)
-                - np.roll(flux_cen[i], 1, axis=i)) / (2.0 * h)
+    div, term = np.zeros(grid.shape), np.empty(grid.shape)
+    for i, (ff, fc, h) in enumerate(zip(flux_fwd, flux_cen, grid.spacing)):
+        _stencil(lambda o, v: np.subtract(v(0), v(-1), out=o), ff, grid, i, term)
+        term /= h
+        div += term
+        _stencil(lambda o, v: np.subtract(v(1), v(-1), out=o), fc, grid, i, term)
+        term /= 2.0 * h
+        div += term
     return (metric.sqrt_det * w * (2.0 * tau * S - 4.0 * lnw - 2.0 - 2.0 * c0)
             - 8.0 * tau * div)
 

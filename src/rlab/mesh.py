@@ -18,12 +18,17 @@ of g - tol I, tol = 1e-10 max|g_ii|, is positive, which by Sylvester's
 criterion says the least eigenvalue of g is above tol.  Derivatives are
 second-order centered stencils; on a torus they wrap periodically, on a
 chart each stencil applied leaves one boundary layer of wrap garbage,
-which ``interior`` discards.
+which ``interior`` discards.  Every periodic difference goes through
+``_stencil``: it writes the interior and the two wrapped edge layers through
+slices into one preallocated output, with no rolled copy of its input, and
+keeps the roll form's float operations in their order, so each result
+equals ``np.roll``'s bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -96,36 +101,83 @@ def build_grid(kind: str, n: int, resolutions: Sequence[int],
 # --------------------------------------------------------------------------
 # raw stencils on component-first arrays (grid axes are the last grid.n axes)
 
-def _grid_axis(values: np.ndarray, grid: Grid, axis: int) -> int:
-    return values.ndim - grid.n + axis
+@lru_cache(maxsize=None)
+def _edges(lead: int, size: int) -> tuple:
+    """Per edge layer i = 0, size - 1 of an axis preceded by ``lead`` axes,
+    the index of v[i + s] for s = -1, 0, 1 (at s + 1), wrapped periodically."""
+    pre = (slice(None),) * lead
+    return tuple(tuple(pre + (slice((i + s) % size, (i + s) % size + 1),)
+                       for s in (-1, 0, 1))
+                 for i in (0, size - 1))
 
 
-def diff1(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Centered first derivative along grid axis ``axis``; periodic wrap."""
-    ax = _grid_axis(values, grid, axis)
+def _stencil(apply, values: np.ndarray, grid: Grid, axis: int, out=None) -> np.ndarray:
+    """A periodic stencil along grid axis ``axis``, written into one
+    C-contiguous output with no shifted copy of ``values`` (a strided input
+    is made contiguous first): ``apply(o, v)`` fills the output piece ``o``
+    from v(s), the input piece v[i + s], s in {-1, 0, 1}, by the same float
+    operations, in the same order, as the np.roll form, which it equals bit
+    for bit.  It runs once on the flat run between the two edge layers,
+    which also covers the edge layers of the inner blocks, and then on each
+    edge layer, whose wrapped values overwrite those; so ``out`` must not
+    overlap ``values``.  Private, so that a traced run counts its time in
+    the stencil or the optimizer step that calls it."""
+    values = np.ascontiguousarray(values)
+    out = np.empty(values.shape) if out is None else out
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    ax = values.ndim - grid.n + axis
+    k, end = values.strides[ax] // values.itemsize, values.size
+    flat = values.reshape(-1)
+    apply(out.reshape(-1)[k:end - k], lambda s: flat[(1 + s) * k:end + (s - 1) * k])
+    for edge in _edges(ax, values.shape[ax]):
+        apply(out[edge[1]], lambda s: values[edge[s + 1]])
+    return out
+
+
+def _centered(o, v):
+    np.subtract(v(1), v(-1), out=o)
+
+
+def _second(o, v):
+    np.multiply(v(0), 2.0, out=o)
+    np.subtract(v(1), o, out=o)
+    np.add(o, v(-1), out=o)
+
+
+def diff1(values: np.ndarray, grid: Grid, axis: int, out=None) -> np.ndarray:
+    """Centered first derivative (v[i+1] - v[i-1]) / (2h) along grid axis
+    ``axis``; periodic wrap.  ``out``, when given, receives it and must not
+    overlap ``values``."""
+    out = _stencil(_centered, values, grid, axis, out)
+    out /= 2.0 * grid.spacing[axis]
+    return out
+
+
+def diff2(values: np.ndarray, grid: Grid, axis: int, out=None) -> np.ndarray:
+    """Centered second derivative ((v[i+1] - 2 v[i]) + v[i-1]) / h^2 along
+    grid axis ``axis``; periodic wrap.  ``out``, when given, receives it and
+    must not overlap ``values``."""
     h = grid.spacing[axis]
-    return (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * h)
-
-
-def diff2(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Centered second derivative along grid axis ``axis``."""
-    ax = _grid_axis(values, grid, axis)
-    h = grid.spacing[axis]
-    return (np.roll(values, -1, axis=ax) - 2.0 * values
-            + np.roll(values, 1, axis=ax)) / (h * h)
+    out = _stencil(_second, values, grid, axis, out)
+    out /= h * h
+    return out
 
 
 def grad_stack(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Stack of first derivatives; new derivative axis comes first."""
-    return np.stack([diff1(values, grid, a) for a in range(grid.n)])
+    out = np.empty((grid.n,) + values.shape)
+    for a in range(grid.n):
+        diff1(values, grid, a, out[a])
+    return out
 
 
 def flat_divergence(stack: np.ndarray, grid: Grid) -> np.ndarray:
     """sum_a d_a F^a of a stack whose first axis is the derivative axis (the
     shape ``grad_stack`` returns); summed in axis order."""
-    out = np.zeros(stack.shape[1:])
+    out, term = np.zeros(stack.shape[1:]), np.empty(stack.shape[1:])
     for a in range(grid.n):
-        out += diff1(stack[a], grid, a)
+        out += diff1(stack[a], grid, a, term)
     return out
 
 

@@ -54,7 +54,8 @@ def riemann_13(gamma: np.ndarray, grid: Grid) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _bivectors(n: int) -> SimpleNamespace:
     """Index tables of R_AB in dimension n, built once: symmetric pairs P =
-    (a<=b) (``pa, pb``, numbered by ``sym``), bivectors A = (i<j) (``bi, bj``),
+    (a<=b) (``pa, pb``, numbered by ``sym``), the pairs (a, l) and (b, l) of
+    each P and index l (``pal, pbl``, [l, P]), bivectors A = (i<j) (``bi, bj``),
     per entry A <= B the pairs of F in R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)}
     as (A, B, ((P, Q, s), ...)) (``terms``), with s the sum d_P g_Q + d_Q g_P
     it reads, per P the (Q, s, add) that d_P g_Q stores into or adds to a sum
@@ -80,8 +81,10 @@ def _bivectors(n: int) -> SimpleNamespace:
     tj, tk = pa[:, None], pb[:, None]
     trace = np.sign(tj - ti) * np.sign(tl - tk), ti, tl, biv[ti, tj], biv[tk, tl]
     terms = np.concatenate([PQ, which.reshape(-1, 2, 1)], axis=2).tolist()
+    ls = np.arange(n)[:, None]
     return SimpleNamespace(
-        sym=sym, pa=pa, pb=pb, bi=bi, bj=bj, nsums=len(sums), dd=dd,
+        sym=sym, pa=pa, pb=pb, pal=sym[pa, ls], pbl=sym[pb, ls],
+        bi=bi, bj=bj, nsums=len(sums), dd=dd,
         terms=list(zip(A.tolist(), B.tolist(), terms)),
         trace=[list(zip(*row)) for row in zip(*(x.tolist() for x in trace))])
 
@@ -92,8 +95,7 @@ def _connection(metric: MetricField):
     d_l g_ab)/2 and the second kind over the symmetric pairs P = (a<=b)."""
     t = _bivectors(metric.n)
     dg = grad_stack(metric.values[t.pa, t.pb], metric.grid)
-    l = np.arange(metric.n)[:, None]
-    gl = 0.5 * (dg[t.pa, t.sym[t.pb, l]] + dg[t.pb, t.sym[t.pa, l]] - dg)
+    gl = 0.5 * (dg[t.pa, t.pbl] + dg[t.pb, t.pal] - dg)
     return dg, gl, np.einsum("kl...,lp...->kp...", metric.inv, gl)
 
 
@@ -109,20 +111,24 @@ def riemann_bivector(metric: MetricField, dg, gl, gam) -> np.ndarray:
     F reads are kept; the entries A <= B are mirrored, so pair exchange is exact.
     """
     grid, t = metric.grid, _bivectors(metric.n)
-    g = metric.values[t.pa, t.pb]                          # g_Q, Q = (c<=d)
     dd = np.empty((t.nsums,) + grid.shape)                 # d_P g_Q + d_Q g_P
+    tmp = np.empty(grid.shape)
     for P, (a, b) in enumerate(zip(t.pa, t.pb)):
-        d = diff2(g, grid, a) if a == b else diff1(dg[b], grid, a)   # d_P g_Q
-        for Q, s, add in t.dd[P]:
-            dd[s] = dd[s] + d[Q] if add else d[Q]
-    del d                               # the last stack is not read again
+        for Q, s, add in t.dd[P]:       # d_P g_Q, stored or added to its sum
+            d = tmp if add else dd[s]
+            if a == b:
+                diff2(metric.values[t.pa[Q], t.pb[Q]], grid, a, d)
+            else:
+                diff1(dg[b, Q], grid, a, d)
+            if add:
+                np.add(dd[s], tmp, out=dd[s])
     R = np.empty((len(t.bi),) * 2 + grid.shape)
     F = np.empty((2,) + grid.shape)     # one entry at a time, to stay in cache
     for A, B, pairs in t.terms:
         for f, (P, Q, s) in zip(F, pairs):
             np.multiply(dd[s], 0.5, out=f)
             for p in range(grid.n):
-                f += gam[p, P] * gl[p, Q]
+                f += np.multiply(gam[p, P], gl[p, Q], out=tmp)
         np.subtract(F[0], F[1], out=R[A, B])
         if A != B:
             R[B, A] = R[A, B]
@@ -216,13 +222,18 @@ def rough_laplacian(vals: np.ndarray, grid: Grid, gamma: np.ndarray,
     return np.einsum("ab...,ab...->...", metric.inv, D2)
 
 
-def hessian(u: np.ndarray, grid: Grid, gam: np.ndarray) -> np.ndarray:
+def hessian(u: np.ndarray, grid: Grid, gam: np.ndarray,
+            du: np.ndarray) -> np.ndarray:
     """nabla^2 u with compact 3-point stencils on the diagonal, from Gamma^k_P
-    on the symmetric pairs P = (a<=b) (``_connection``'s ``gam``)."""
+    on the symmetric pairs P = (a<=b) (``_connection``'s ``gam``) and
+    du = ``grad_stack(u, grid)``."""
     t = _bivectors(grid.n)
-    du = grad_stack(u, grid)
-    H = np.stack([diff2(u, grid, a) if a == b else diff1(du[b], grid, a)
-                  for a, b in zip(t.pa, t.pb)])
+    H = np.empty((len(t.pa),) + u.shape)
+    for h, a, b in zip(H, t.pa, t.pb):
+        if a == b:
+            diff2(u, grid, a, h)
+        else:
+            diff1(du[b], grid, a, h)
     H -= np.einsum("kp...,k...->p...", gam, du)
     return H[t.sym]
 
@@ -379,7 +390,7 @@ class Geometry:
 
     @cached_property
     def hess(self):
-        return hessian(self.u, self.grid, self.gamma_p)
+        return hessian(self.u, self.grid, self.gamma_p, self.du)
 
     @cached_property
     def hess_mixed(self):   # H_i{}^p

@@ -12,7 +12,7 @@ from rlab.functionals import (EstimateConstants, OptimizerOpts, PositivityError,
                               w_entropy)
 from rlab.instances import (perturbed_flat_metric, random_instance,
                             trig_scalar, verification_initial_data)
-from rlab.mesh import build_grid, flat_metric, integrate
+from rlab.mesh import MetricField, build_grid, flat_metric, grad_stack, integrate
 from rlab.tensor import Geometry, norm_sq
 
 FAST_OPTS = OptimizerOpts(tol=1e-9, max_iter=4000, nseeds=3)
@@ -155,6 +155,42 @@ def test_mu_gradient_matches_finite_differences():
             assert abs(fd - grad[idx]) <= 1e-6 * np.max(np.abs(grad))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_optimizer_differences_equal_their_roll_form_bitwise(n):
+    # the form weights, the differences and the adjoint written through
+    # mesh._stencil, against their np.roll forms on a torus with a distinct
+    # resolution per axis, from a contiguous and a strided w
+    import rlab.functionals as fn
+    g = build_grid("torus", n, [8, 9, 10, 11][:n], [1.0 + 0.5 * a for a in range(n)])
+    rng = np.random.default_rng(30 + n)
+    vals = np.eye(n).reshape((n, n) + (1,) * n) + 0.05 * rng.uniform(-1, 1, (n, n) + g.shape)
+    m = MetricField(g, vals)
+    S, tau = rng.standard_normal(g.shape), 0.7
+    b, a = fn._form_weights(m)
+    a_ref = m.inv * m.sqrt_det
+    assert np.array_equal(b, np.stack([0.5 * (a_ref[i, i] + np.roll(a_ref[i, i], -1, axis=i))
+                                       for i in range(n)]))
+    strided = (np.swapaxes(rng.random(g.shape[:-2] + g.shape[:-3:-1]), -1, -2)
+               if n > 1 else rng.random(2 * g.shape[0])[::2])
+    for w in (1.0 + 0.3 * rng.random(g.shape), 1.0 + 0.3 * strided):
+        fwd, cen = fn._differences(w, g)
+        fwd_ref = np.stack([(np.roll(w, -1, axis=i) - w) / h for i, h in enumerate(g.spacing)])
+        cen_ref = np.stack([0.5 * (fwd_ref[i] + np.roll(fwd_ref[i], 1, axis=i))
+                            for i in range(n)])
+        assert np.array_equal(fwd, fwd_ref) and np.array_equal(cen, cen_ref)
+        _, flux_fwd, flux_cen, lnw, c0 = fn._w_eval(m, S, w, tau)
+        div = np.zeros(g.shape)
+        for i, h in enumerate(g.spacing):
+            div += (flux_fwd[i] - np.roll(flux_fwd[i], 1, axis=i)) / h
+            div += (np.roll(flux_cen[i], -1, axis=i) - np.roll(flux_cen[i], 1, axis=i)) / (2.0 * h)
+        grad_ref = (m.sqrt_det * w * (2.0 * tau * S - 4.0 * lnw - 2.0 - 2.0 * c0)
+                    - 8.0 * tau * div)
+        grad = fn._mu_gradient(m, w, tau, S, flux_fwd, flux_cen, lnw, c0)
+        assert np.array_equal(grad, grad_ref)
+        for out in (b, fwd, cen, grad):
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+
+
 def _plain_bb_mu(m, u, tau, opts):
     """mu by plain projected Barzilai-Borwein descent on the same compact
     form, from the constant seed: the L^2(dV) gradient, no preconditioner,
@@ -289,7 +325,7 @@ def test_delta_u_bound_calibration_on_run():
         s = traj.state(k)
         cb = curvature(s.metric)
         K = max(K, float(np.sqrt(np.max(norm_sq(cb.ric, s.metric, 0, 2)))))
-        H = hessian(s.u, g, cb.gamma_p)
+        H = hessian(s.u, g, cb.gamma_p, grad_stack(s.u, g))
         lap = np.einsum("ij...,ij...->...", s.metric.inv, H)
         obs = max(obs, float(np.max(np.abs(lap))))
     T = traj.times[-1]

@@ -8,7 +8,7 @@ from rlab.identities import (APPENDIX_A_IDS, APPENDIX_C_IDS, LEMMA31_IDS,
                              converges, evaluate_identity, refinement_order,
                              residual_field, verify_lemma_52, with_order)
 from rlab.instances import random_instance, verification_initial_data
-from rlab.mesh import MetricField, build_grid, flat_metric
+from rlab.mesh import MetricField, build_grid, flat_metric, grad_stack
 from rlab.tensor import norm_sq
 
 
@@ -183,7 +183,8 @@ def test_lemma52_negative_controls():
     # a deliberate sign flip of one formula term produces an O(1) defect
     from rlab.tensor import curvature, hessian
     gamma = curvature(m).gamma
-    H = hessian(u, grid, gamma[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]])
+    H = hessian(u, grid, gamma[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]],
+                grad_stack(u, grid))
     g = m.values
     wrong = defects["5.7"] + 2.0 * np.einsum("jk...,il...->ijkl...", H, g)
     good_norm = np.max(np.abs(defects["5.7"]))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rlab.mesh import (GridError, MetricField, SPDError, build_grid, diff1,
-                       diff2, flat_divergence, flat_metric, integrate,
-                       interior)
+                       diff2, flat_divergence, flat_metric, grad_stack,
+                       integrate, interior)
 
 
 def test_build_grid_basic():
@@ -92,6 +92,60 @@ def test_flat_divergence_sums_the_diagonal_of_grad_stack():
     for a in range(3):
         loop += diff1(F[a], g, a)
     assert np.array_equal(flat_divergence(F, g), loop)
+
+
+def roll_diff1(v, grid, axis):
+    ax = v.ndim - grid.n + axis
+    return (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) / (2.0 * grid.spacing[axis])
+
+
+def roll_diff2(v, grid, axis):
+    ax, h = v.ndim - grid.n + axis, grid.spacing[axis]
+    return (np.roll(v, -1, axis=ax) - 2.0 * v + np.roll(v, 1, axis=ax)) / (h * h)
+
+
+def contiguous_and_strided(rng, shape):
+    """A C-contiguous array of ``shape`` and a non-contiguous one: a swapaxes
+    view of its last two axes, or a strided view on one axis."""
+    if len(shape) == 1:
+        return rng.standard_normal(shape), rng.standard_normal(2 * shape[0])[::2]
+    swapped = np.swapaxes(rng.standard_normal(shape[:-2] + shape[:-3:-1]), -1, -2)
+    return rng.standard_normal(shape), swapped
+
+
+STENCIL_GRIDS = [(kind, n) for kind in ("torus", "chart") for n in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("kind, n", STENCIL_GRIDS)
+def test_stencils_equal_their_roll_form_bitwise(kind, n):
+    # the slice-wrapped kernels against np.roll: every axis, 0-3 leading
+    # component axes, contiguous and strided inputs, the least chart
+    # resolution (a one-layer interior piece) included
+    res = [8, 9, 10, 11] if kind == "torus" else [3, 4, 5, 6]
+    g = build_grid(kind, n, res[:n], [1.0 + 0.5 * a for a in range(n)])
+    rng = np.random.default_rng(20 + n)
+    for lead in range(4):
+        for v in contiguous_and_strided(rng, (2, 3, 2)[:lead] + g.shape):
+            assert v.flags.c_contiguous == (v.base is None)
+            outs = [grad_stack(v, g)]
+            assert np.array_equal(outs[0], np.stack([roll_diff1(v, g, a) for a in range(n)]))
+            for a in range(n):
+                for op, ref in ((diff1, roll_diff1), (diff2, roll_diff2)):
+                    buf = np.empty(v.shape)
+                    outs += [op(v, g, a), op(v, g, a, buf)]
+                    assert outs[-1] is buf
+                    assert np.array_equal(outs[-2], ref(v, g, a))
+                    assert np.array_equal(buf, outs[-2])
+            for out in outs:
+                assert out.dtype == np.float64 and out.flags.c_contiguous
+        if lead < 3:
+            for F in contiguous_and_strided(rng, (n,) + (2, 3)[:lead] + g.shape):
+                ref = np.zeros(F.shape[1:])
+                for a in range(n):
+                    ref += roll_diff1(F[a], g, a)
+                div = flat_divergence(F, g)
+                assert np.array_equal(div, ref)
+                assert div.dtype == np.float64 and div.flags.c_contiguous
 
 
 def test_integrate_flat_torus():

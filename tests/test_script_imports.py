@@ -199,3 +199,17 @@ def test_every_public_rlab_name_is_reached_outside_the_tests():
     unreached = sorted(f"{public[name]}.{name}" for name in public
                        if name not in reached and name not in ONLY_TESTS_REACH)
     assert not unreached, unreached
+
+
+def test_no_np_roll_in_rlab():
+    # periodic stencils write through mesh._stencil into one output;
+    # np.roll copies the whole array once per shift, so no src/rlab module
+    # calls it or imports it from numpy
+    found = []
+    for path in sorted((ROOT / "src" / "rlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "roll" \
+                    or isinstance(node, ast.ImportFrom) and node.module == "numpy" \
+                    and any(alias.name == "roll" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

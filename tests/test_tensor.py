@@ -5,7 +5,7 @@ from rlab.instances import (conformal_metric, euclidean_chart,
                             perturbed_flat_metric, product_metric,
                             radial_potential, random_instance,
                             stereographic_sphere_chart)
-from rlab.mesh import build_grid, flat_metric, interior
+from rlab.mesh import build_grid, flat_metric, grad_stack, interior
 from rlab.tensor import Geometry, curvature, norm_sq
 
 
@@ -182,13 +182,22 @@ def test_wy_bundle_invariants():
     assert np.max(np.abs(trw - wb.scalar_wy)) < 1e-12
     # hat-trace relation holds pointwise at second order
     from rlab.tensor import hessian
-    H = hessian(u, grid, cb.gamma_p)
+    H = hessian(u, grid, cb.gamma_p, du)
     lap = np.einsum("ij...,ij...->...", m.inv, H)
     gsq = np.einsum("ij...,i...,j...->...", m.inv, du, du)
     rhs = ((lap + gsq) * m.values
            - 3 * (H + np.einsum("i...,j...->ij...", du, du)))
     defect = wb.ric_wy_hat - wb.ric_wy - rhs
     assert np.max(np.abs(defect)) < 10 * max(grid.spacing) ** 2
+
+
+def test_geometry_hessian_equals_hessian_of_a_fresh_gradient():
+    # Geometry.hess reads Geometry.du and equals the Hessian of a freshly
+    # formed gradient bitwise
+    from rlab.tensor import hessian
+    grid, m, u = random_instance(3, 8, seed=4)
+    geo = Geometry(m, u)
+    assert np.array_equal(geo.hess, hessian(u, grid, geo.gamma_p, grad_stack(u, grid)))
 
 
 def test_wy_example_radial_signs():
