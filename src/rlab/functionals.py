@@ -59,7 +59,7 @@ def _form_weights(metric: MetricField):
     a = metric.inv * metric.sqrt_det
     b = np.empty((grid.n,) + grid.shape)
     for i in range(grid.n):
-        _stencil(lambda o, v: np.add(v(0), v(1), out=o), a[i, i], grid, i, b[i])
+        _stencil(lambda o, vm, v0, vp: np.add(v0, vp, out=o), a[i, i], grid, i, b[i])
         a[i, i] = 0.0
     b *= 0.5
     return b, a
@@ -68,14 +68,14 @@ def _form_weights(metric: MetricField):
 def _differences(w: np.ndarray, grid) -> tuple:
     """The forward differences D_a^+ w = (w[i+1] - w[i]) / h and the central
     ones D_a^c w = (D_a^+ w[i] + D_a^+ w[i-1]) / 2, each stacked along a new
-    first axis; each difference is written by ``mesh._stencil`` into its slot
-    of the stack."""
+    first axis; each is written into its slot of the stack by ``mesh._stencil``,
+    whose ``apply(o, vm, v0, vp)`` reads two of the views v[i - 1], v[i], v[i + 1]."""
     fwd = np.empty((grid.n,) + w.shape)
     cen = np.empty_like(fwd)
     for a, (f, c, h) in enumerate(zip(fwd, cen, grid.spacing)):
-        _stencil(lambda o, v: np.subtract(v(1), v(0), out=o), w, grid, a, f)
+        _stencil(lambda o, vm, v0, vp: np.subtract(vp, v0, out=o), w, grid, a, f)
         f /= h
-        _stencil(lambda o, v: np.add(v(0), v(-1), out=o), f, grid, a, c)
+        _stencil(lambda o, vm, v0, vp: np.add(v0, vm, out=o), f, grid, a, c)
     cen *= 0.5
     return fwd, cen
 
@@ -104,10 +104,10 @@ def _mu_gradient(metric: MetricField, w, tau, S, flux_fwd, flux_cen, lnw, c0):
     grid = metric.grid
     div, term = np.zeros(grid.shape), np.empty(grid.shape)
     for i, (ff, fc, h) in enumerate(zip(flux_fwd, flux_cen, grid.spacing)):
-        _stencil(lambda o, v: np.subtract(v(0), v(-1), out=o), ff, grid, i, term)
+        _stencil(lambda o, vm, v0, vp: np.subtract(v0, vm, out=o), ff, grid, i, term)
         term /= h
         div += term
-        _stencil(lambda o, v: np.subtract(v(1), v(-1), out=o), fc, grid, i, term)
+        _stencil(lambda o, vm, v0, vp: np.subtract(vp, vm, out=o), fc, grid, i, term)
         term /= 2.0 * h
         div += term
     return (metric.sqrt_det * w * (2.0 * tau * S - 4.0 * lnw - 2.0 - 2.0 * c0)

@@ -333,16 +333,17 @@ def residual_field(traj: Trajectory, ident: Identity, t_index: int,
     Qm, con, cov = q(fm)
     Qp = q(fp)[0]
     hm, hp = f0.t - fm.t, fp.t - f0.t
-    if abs(hp - hm) <= 1e-9 * (hp + hm):        # even spacing: centered
+    even = abs(hp - hm) <= 1e-9 * (hp + hm)
+    Q0 = None if even and ident.time_only else q(f0)[0]     # formed once
+    if even:                                     # centered
         res = (Qp - Qm) / (fp.t - fm.t)
     else:                                        # second order on uneven spacing
-        res = ((hm * hm * Qp - hp * hp * Qm + (hp * hp - hm * hm) * q(f0)[0])
+        res = ((hm * hm * Qp - hp * hp * Qm + (hp * hp - hm * hm) * Q0)
                / (hm * hp * (hm + hp)))
     if ident.rhs is not None:
         rhs = ident.rhs(f0)
         res = res - (-rhs if mutate else rhs)
     if not ident.time_only:
-        Q0 = q(f0)[0]
         res = res - rough_laplacian(Q0, f0.grid, f0.gamma, f0.metric, con, cov)
     return res, con, cov, f0
 

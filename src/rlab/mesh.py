@@ -12,17 +12,18 @@ and sqrt(det g) C-contiguous in that order: numpy's einsum runs several
 times slower on a strided operand and gives its output the same strides, so
 one transposed inverse would slow every contraction downstream of it (Gamma,
 Ric, Rm and every raised index).  The inverse and the determinant come in
-closed form from the cofactors of the component arrays.  Every metric
+closed form from one Laplace expansion, the cofactors of g.  Every metric
 passes one SPD rule: det g is finite and every trailing principal minor
 of g - tol I, tol = 1e-10 max|g_ii|, is positive, which by Sylvester's
-criterion says the least eigenvalue of g is above tol.  Derivatives are
+criterion says the least eigenvalue of g is above tol; the rule reads the
+minors' ratios, the LDL^T pivots of g - tol I.  Derivatives are
 second-order centered stencils; on a torus they wrap periodically, on a
 chart each stencil applied leaves one boundary layer of wrap garbage,
 which ``interior`` discards.  Every periodic difference goes through
 ``_stencil``: it writes the interior and the two wrapped edge layers through
-slices into one preallocated output, with no rolled copy of its input, and
-keeps the roll form's float operations in their order, so each result
-equals ``np.roll``'s bit for bit.
+views that a plan cached per shape and axis indexes into one preallocated
+output, with no rolled copy of its input, and keeps the roll form's float
+operations in their order, so each result equals ``np.roll``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -102,47 +103,48 @@ def build_grid(kind: str, n: int, resolutions: Sequence[int],
 # raw stencils on component-first arrays (grid axes are the last grid.n axes)
 
 @lru_cache(maxsize=None)
-def _edges(lead: int, size: int) -> tuple:
-    """Per edge layer i = 0, size - 1 of an axis preceded by ``lead`` axes,
-    the index of v[i + s] for s = -1, 0, 1 (at s + 1), wrapped periodically."""
-    pre = (slice(None),) * lead
-    return tuple(tuple(pre + (slice((i + s) % size, (i + s) % size + 1),)
-                       for s in (-1, 0, 1))
-                 for i in (0, size - 1))
+def _plan(shape: tuple, ax: int) -> tuple:
+    """Per piece of a periodic stencil along axis ``ax`` of a C-contiguous array
+    of ``shape``, the index (o, vm, v0, vp) of the output piece and of v[i - 1],
+    v[i], v[i + 1]: the flat run between the edge layers, then each edge layer."""
+    k, end, size = int(np.prod(shape[ax + 1:])), int(np.prod(shape)), shape[ax]
+    pre = (slice(None),) * ax
+    return (tuple(slice((1 + s) * k, end + (s - 1) * k) for s in (0, -1, 0, 1)),
+            tuple(tuple(pre + (slice(j % size, j % size + 1),) for j in (i, i - 1, i, i + 1))
+                  for i in (0, size - 1)))
 
 
 def _stencil(apply, values: np.ndarray, grid: Grid, axis: int, out=None) -> np.ndarray:
     """A periodic stencil along grid axis ``axis``, written into one
     C-contiguous output with no shifted copy of ``values`` (a strided input
-    is made contiguous first): ``apply(o, v)`` fills the output piece ``o``
-    from v(s), the input piece v[i + s], s in {-1, 0, 1}, by the same float
-    operations, in the same order, as the np.roll form, which it equals bit
-    for bit.  It runs once on the flat run between the two edge layers,
-    which also covers the edge layers of the inner blocks, and then on each
-    edge layer, whose wrapped values overwrite those; so ``out`` must not
-    overlap ``values``.  Private, so that a traced run counts its time in
-    the stencil or the optimizer step that calls it."""
+    is made contiguous first): ``apply(o, vm, v0, vp)`` fills the output
+    piece ``o`` from the views v[i - 1], v[i], v[i + 1] that ``_plan`` indexes,
+    by the same float operations, in the same order, as the np.roll form,
+    which it equals bit for bit.  It runs once on the flat run between the
+    two edge layers, which also covers the edge layers of the inner blocks,
+    and then on each edge layer, whose wrapped values overwrite those; so
+    ``out`` must not overlap ``values``.  Private, so that a traced run counts
+    its time in the stencil or the optimizer step that calls it."""
     values = np.ascontiguousarray(values)
     out = np.empty(values.shape) if out is None else out
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    ax = values.ndim - grid.n + axis
-    k, end = values.strides[ax] // values.itemsize, values.size
+    (o, m, z, p), edges = _plan(values.shape, values.ndim - grid.n + axis)
     flat = values.reshape(-1)
-    apply(out.reshape(-1)[k:end - k], lambda s: flat[(1 + s) * k:end + (s - 1) * k])
-    for edge in _edges(ax, values.shape[ax]):
-        apply(out[edge[1]], lambda s: values[edge[s + 1]])
+    apply(out.reshape(-1)[o], flat[m], flat[z], flat[p])
+    for o, m, z, p in edges:
+        apply(out[o], values[m], values[z], values[p])
     return out
 
 
-def _centered(o, v):
-    np.subtract(v(1), v(-1), out=o)
+def _centered(o, vm, v0, vp):
+    np.subtract(vp, vm, out=o)
 
 
-def _second(o, v):
-    np.multiply(v(0), 2.0, out=o)
-    np.subtract(v(1), o, out=o)
-    np.add(o, v(-1), out=o)
+def _second(o, vm, v0, vp):
+    np.multiply(v0, 2.0, out=o)
+    np.subtract(vp, o, out=o)
+    np.add(o, vm, out=o)
 
 
 def diff1(values: np.ndarray, grid: Grid, axis: int, out=None) -> np.ndarray:
@@ -194,10 +196,11 @@ def interior(values: np.ndarray, grid: Grid, margin: int) -> np.ndarray:
 
 def _minor(g: np.ndarray, rows: tuple, cols: tuple, memo: dict):
     """Determinant of the ``rows`` x ``cols`` block of a (n, n, *grid) array,
-    by Laplace expansion along its first row; ``memo`` keeps every block
-    already expanded, so cofactors that share a minor compute it once."""
-    if not rows:
-        return 1.0
+    by Laplace expansion along its first row; a 1 x 1 block is a view of g,
+    and ``memo`` keeps every larger block already expanded, so cofactors
+    that share a minor compute it once."""
+    if len(rows) < 2:
+        return g[rows[0], cols[0]] if rows else 1.0
     if (rows, cols) not in memo:
         acc = 0.0
         for k, c in enumerate(cols):
@@ -221,6 +224,23 @@ def _cofactors(g: np.ndarray) -> np.ndarray:
     return cof
 
 
+def _pivots_positive(g: np.ndarray) -> bool:
+    """Whether every LDL^T pivot of g - tol I, tol = 1e-10 max|g_ii|, from the
+    last row up, is positive: the pivot of row k is det(g - tol I)[k:, k:] over
+    det(g - tol I)[k + 1:, k + 1:].  It stops at the first that fails (or is NaN)."""
+    n = g.shape[0]
+    tol = 1e-10 * np.abs(np.einsum("ii...->i...", g)).max()
+    a = {(i, j): g[i, j] - tol if i == j else g[i, j] for i in range(n) for j in range(i, n)}
+    for k in reversed(range(n)):
+        if not a[k, k].min() > 0:
+            return False
+        for i in range(k):
+            r = a[i, k] / a[k, k]
+            for j in range(i, k):
+                a[i, j] = a[i, j] - a[j, k] * r
+    return True
+
+
 class MetricField:
     """SPD (0,2) field with cached inverse and sqrt(det); SPDError otherwise."""
 
@@ -230,20 +250,19 @@ class MetricField:
         if values.shape != (n, n) + grid.shape:
             raise GridError("metric component array shape mismatch")
         with np.errstate(invalid="ignore", over="ignore"):  # a failing field is named below
-            self.values = np.ascontiguousarray(0.5 * (values + np.swapaxes(values, 0, 1)))
-            cof = _cofactors(self.values)
-            det = sum(self.values[0, j] * cof[0, j] for j in range(n))
-            shifted = self.values.copy()        # g - tol I > 0 iff lambda_min(g) > tol
-            diag = np.einsum("ii...->i...", shifted)
-            diag -= 1e-10 * np.max(np.abs(diag))
-            idx, memo = tuple(range(n)), {}     # expanding det along the first row
-            _minor(shifted, idx, idx, memo)     # passes through every det[k:, k:]
-            ok = np.all(np.isfinite(det)) and all(np.all(memo[idx[k:], idx[k:]] > 0)
-                                                  for k in range(n))
+            g = self.values = np.empty(values.shape)
+            for i in range(n):              # 0.5 (v + v^T), each pair written once
+                for j in range(i, n):
+                    o = np.add(values[i, j], values[j, i], out=g[i, j])
+                    np.multiply(o, 0.5, out=o)
+                g[i + 1:, i] = g[i, i + 1:]
+            cof = _cofactors(g)
+            det = sum((g[0, j] * cof[0, j] for j in range(1, n)), g[0, 0] * cof[0, 0])
+            ok = np.isfinite(det).all() and _pivots_positive(g)
         if not ok:              # a non-finite entry makes det inf or NaN
-            if bad := np.count_nonzero(~np.all(np.isfinite(self.values), axis=(0, 1))):
+            if bad := np.count_nonzero(~np.all(np.isfinite(g), axis=(0, 1))):
                 raise SPDError(f"metric not SPD: non-finite entries at {bad} grid points")
-            mats = np.moveaxis(self.values.reshape(n, n, -1), -1, 0)   # (P, n, n)
+            mats = np.moveaxis(g.reshape(n, n, -1), -1, 0)   # (P, n, n)
             raise SPDError("metric not SPD: min eigenvalue "
                            f"{np.linalg.eigvalsh(mats).min():.3e}")
         self.inv = cof / det

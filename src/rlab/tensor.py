@@ -54,13 +54,14 @@ def riemann_13(gamma: np.ndarray, grid: Grid) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _bivectors(n: int) -> SimpleNamespace:
     """Index tables of R_AB in dimension n, built once: symmetric pairs P =
-    (a<=b) (``pa, pb``, numbered by ``sym``), the pairs (a, l) and (b, l) of
-    each P and index l (``pal, pbl``, [l, P]), bivectors A = (i<j) (``bi, bj``),
-    per entry A <= B the pairs of F in R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)}
-    as (A, B, ((P, Q, s), ...)) (``terms``), with s the sum d_P g_Q + d_Q g_P
-    it reads, per P the (Q, s, add) that d_P g_Q stores into or adds to a sum
-    (``dd``), and per Ric_jk, j <= k, its nonzero terms g^{il} R_{ijkl} as
-    (sign, i, l, A, B) (``trace``)."""
+    (a<=b) (``pa, pb``, numbered by ``sym``), per [l, P] of Gamma_{l,P} the
+    entries (a, (b, l)) and (b, (a, l)) of d_c g_Q it adds (``first``),
+    bivectors A = (i<j) (``bi, bj``), per entry A <= B the pairs of F in
+    R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)} as (A, B, ((P, Q, s), ...))
+    (``terms``), with s the sum d_P g_Q + d_Q g_P it reads, per P the
+    (Q, s, add) that d_P g_Q stores into or adds to a sum (``dd``), and per
+    Ric_jk, j <= k, its nonzero terms g^{il} R_{ijkl} as (sign, i, l, A, B)
+    (``trace``)."""
     sym = np.empty((n, n), dtype=np.intp)
     pa, pb = np.triu_indices(n)
     sym[pa, pb] = sym[pb, pa] = np.arange(len(pa))
@@ -81,9 +82,10 @@ def _bivectors(n: int) -> SimpleNamespace:
     tj, tk = pa[:, None], pb[:, None]
     trace = np.sign(tj - ti) * np.sign(tl - tk), ti, tl, biv[ti, tj], biv[tk, tl]
     terms = np.concatenate([PQ, which.reshape(-1, 2, 1)], axis=2).tolist()
-    ls = np.arange(n)[:, None]
+    first = [((l, P), (a, sym[b, l]), (b, sym[a, l]))
+             for l in range(n) for P, (a, b) in enumerate(zip(pa.tolist(), pb.tolist()))]
     return SimpleNamespace(
-        sym=sym, pa=pa, pb=pb, pal=sym[pa, ls], pbl=sym[pb, ls],
+        sym=sym, pa=pa, pb=pb, first=first,
         bi=bi, bj=bj, nsums=len(sums), dd=dd,
         terms=list(zip(A.tolist(), B.tolist(), terms)),
         trace=[list(zip(*row)) for row in zip(*(x.tolist() for x in trace))])
@@ -95,7 +97,10 @@ def _connection(metric: MetricField):
     d_l g_ab)/2 and the second kind over the symmetric pairs P = (a<=b)."""
     t = _bivectors(metric.n)
     dg = grad_stack(metric.values[t.pa, t.pb], metric.grid)
-    gl = 0.5 * (dg[t.pa, t.pbl] + dg[t.pb, t.pal] - dg)
+    gl = np.empty_like(dg)              # written pair by pair, with no gathers
+    for lP, bl, al in t.first:
+        o = np.add(dg[bl], dg[al], out=gl[lP])
+        np.multiply(np.subtract(o, dg[lP], out=o), 0.5, out=o)
     return dg, gl, np.einsum("kl...,lp...->kp...", metric.inv, gl)
 
 
@@ -151,8 +156,12 @@ def riemann_norm_sq(rab: np.ndarray, metric: MetricField) -> np.ndarray:
     """|Rm|^2 = 4 tr(G R G R), with G^{AB} = g^{ik} g^{jl} - g^{il} g^{jk} the
     inverse metric on bivectors."""
     t, gi = _bivectors(metric.n), metric.inv
-    i, j = t.bi[:, None], t.bj[:, None]
-    G = gi[i, t.bi] * gi[j, t.bj] - gi[i, t.bj] * gi[j, t.bi]
+    G, tmp = np.empty_like(rab), np.empty(rab.shape[2:])  # entry by entry, no gathers
+    for A, B, _ in t.terms:
+        (i, j), (k, l) = (t.bi[A], t.bj[A]), (t.bi[B], t.bj[B])
+        np.multiply(gi[i, k], gi[j, l], out=G[A, B])
+        G[A, B] -= np.multiply(gi[i, l], gi[j, k], out=tmp)
+        G[B, A] = G[A, B]
     X = np.einsum("ab...,bc...->ac...", G, rab)
     return 4.0 * np.einsum("ab...,ba...->...", X, X)
 

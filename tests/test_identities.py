@@ -155,6 +155,32 @@ def test_time_derivative_second_order_next_to_a_shortened_step():
     assert res[0] / res[1] > 3.0 and res[1] / res[2] > 3.0, res
 
 
+def test_uneven_spacing_forms_the_middle_quantity_once(monkeypatch):
+    # next to a shortened step, an identity with a Laplacian reads its quantity
+    # once per snapshot, and its residual is the second-order difference, less
+    # the right side and the rough Laplacian of that one middle value
+    import rlab.identities as ids
+    from rlab.tensor import rough_laplacian
+    g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
+    m, u0 = verification_initial_data(g)
+    traj = run(FlowState(g, m, u0), RHF, Schedule(t_end=0.011, dt=2e-3, diagnostics=False))
+    k = traj.nsnapshots - 2
+    fm, f0, fp = frames = tuple(traj.frame(k + d) for d in (-1, 0, 1))
+    hm, hp = f0.t - fm.t, fp.t - f0.t
+    assert hp < 0.6 * hm
+    calls = []
+    dudu = ids.QUANTITIES["dudu"]
+    monkeypatch.setitem(ids.QUANTITIES, "counted", lambda f: calls.append(f) or dudu(f))
+    c8 = REGISTRY["C.8"]
+    res = residual_field(traj, Identity("counted", "counted", c8.rhs), k, frames)[0]
+    assert [id(f) for f in calls] == [id(fm), id(fp), id(f0)]
+    q = [dudu(f)[0] for f in frames]
+    ref = ((hm * hm * q[2] - hp * hp * q[0] + (hp * hp - hm * hm) * q[1])
+           / (hm * hp * (hm + hp))) - c8.rhs(f0)
+    ref = ref - rough_laplacian(q[1], g, f0.gamma, f0.metric, 0, 2)
+    assert np.array_equal(res, ref)
+
+
 def test_residual_field_public_api(rhf_runs):
     # a user-supplied RHS for a registered quantity: the gradient-squared identity
     traj = rhf_runs[16]

@@ -297,6 +297,96 @@ def test_spd_rule_rejects_fields_a_determinant_test_misses(diag, lam_min):
         MetricField(g, vals)
 
 
+def _laplace_minor(g, rows, cols, memo):
+    """det of a block of g by Laplace expansion along its first row, every
+    block from 1 x 1 up formed as a sum starting from 0.0."""
+    if not rows:
+        return 1.0
+    if (rows, cols) not in memo:
+        acc = 0.0
+        for k, c in enumerate(cols):
+            t = g[rows[0], c] * _laplace_minor(g, rows[1:], cols[:k] + cols[k + 1:], memo)
+            acc = acc - t if k % 2 else acc + t
+        memo[rows, cols] = acc
+    return memo[rows, cols]
+
+
+def _laplace_metric(vals):
+    """(g, g^-1, sqrt det g, verdict) by the earlier formulas: 0.5 (v + v^T),
+    the Laplace cofactors of g, and as the SPD rule every trailing minor of
+    g - tol I positive, from a second expansion of that shifted array."""
+    n = vals.shape[0]
+    g = np.ascontiguousarray(0.5 * (vals + np.swapaxes(vals, 0, 1)))
+    idx, memo = tuple(range(n)), {}
+    cof = np.empty_like(g)
+    for i in range(n):
+        for j in range(i, n):
+            m = _laplace_minor(g, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:], memo)
+            cof[i, j] = cof[j, i] = -m if (i + j) % 2 else m
+    det = sum(g[0, j] * cof[0, j] for j in range(n))
+    shifted = g.copy()
+    diag = np.einsum("ii...->i...", shifted)
+    diag -= 1e-10 * np.max(np.abs(diag))
+    memo = {}
+    _laplace_minor(shifted, idx, idx, memo)
+    ok = bool(np.all(np.isfinite(det))) and all(np.all(memo[idx[k:], idx[k:]] > 0)
+                                                for k in range(n))
+    return g, cof / det, np.sqrt(det), ok
+
+
+def _accepted(grid, vals):
+    try:
+        MetricField(grid, vals)
+    except SPDError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_metric_fields_equal_the_laplace_formulas_bitwise(n):
+    # one cofactor expansion with 1 x 1 minors read as views of g gives the
+    # same g, g^-1 and sqrt det g, bit for bit, as the expansion that formed
+    # every minor as a sum
+    from rlab.instances import random_instance
+    g = build_grid("torus", n, [8] * n, [2 * np.pi] * n)
+    rng = np.random.default_rng(90 + n)
+    asym = _random_spd(n, g.shape, seed=80 + n) + 1e-3 * rng.standard_normal((n, n) + g.shape)
+    for vals in (_random_spd(n, g.shape, seed=60 + n), asym,
+                 random_instance(n, 8, seed=5)[1].values):
+        m = MetricField(g, vals)
+        values, inv, sqrt_det, ok = _laplace_metric(vals)
+        assert ok
+        for got, ref in ((m.values, values), (m.inv, inv), (m.sqrt_det, sqrt_det)):
+            assert got.flags.c_contiguous and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spd_pivots_give_the_trailing_minor_verdict(n):
+    # the LDL^T pivots of g - tol I accept and reject the same fields as the
+    # trailing minors of g - tol I: one point with lambda_min at 0.1, 0.9, 1.1
+    # or 10 tol in a random frame, the other points' spectra in [1, 10] (so
+    # they fix tol), or a NaN entry at one point
+    g = build_grid("torus", n, [8] * n, [2 * np.pi] * n)
+    rng = np.random.default_rng(110 + n)
+    npts = int(np.prod(g.shape))
+    verdicts = []
+    for trial in range(8):
+        vals = _field_with_spectrum(rng, g, rng.uniform(1.0, 10.0, size=(npts, n)))
+        flat = vals.reshape(n, n, -1)
+        p = int(rng.integers(npts))
+        tol = 1e-10 * np.max(np.abs(np.einsum("ii...->i...", vals)))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        for c in (0.1, 0.9, 1.1, 10.0):
+            lam = np.array([c * tol] + [1.0] * (n - 1))
+            flat[:, :, p] = (q * lam) @ q.T     # its diagonal stays below 1: tol holds
+            ref = _laplace_metric(vals)[3]
+            assert _accepted(g, vals) == ref, (trial, c)
+            verdicts.append((c, ref))
+        flat[int(rng.integers(n)), int(rng.integers(n)), p] = np.nan
+        assert not _accepted(g, vals) and not _laplace_metric(vals)[3]
+    assert set(verdicts) == {(0.1, False), (0.9, False), (1.1, True), (10.0, True)}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_metric_and_geometry_fields_are_c_contiguous(n):
     # strided operands slow every einsum that reads them several-fold

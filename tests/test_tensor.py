@@ -307,6 +307,41 @@ def test_christoffel_bitwise_matches_full_formula():
             assert "gamma" not in vars(geo) and np.array_equal(geo.gamma, ref), n
 
 
+def _gathered_connection(m):
+    """(dg, Gamma_{l,P}, Gamma^k_P) with Gamma_{l,P} gathered from dg by
+    fancy indexing in one expression."""
+    n = m.n
+    pa, pb = np.triu_indices(n)
+    sym = np.empty((n, n), dtype=np.intp)
+    sym[pa, pb] = sym[pb, pa] = np.arange(len(pa))
+    ls = np.arange(n)[:, None]
+    dg = grad_stack(m.values[pa, pb], m.grid)
+    gl = 0.5 * (dg[pa, sym[pb, ls]] + dg[pb, sym[pa, ls]] - dg)
+    return dg, gl, np.einsum("kl...,lp...->kp...", m.inv, gl)
+
+
+def _gathered_norm_sq(rab, m):
+    """|Rm|^2 = 4 tr(G R G R) with G^{AB} gathered from g^-1 in one expression."""
+    bi, bj = np.triu_indices(m.n, 1)
+    i, j, gi = bi[:, None], bj[:, None], m.inv
+    G = gi[i, bi] * gi[j, bj] - gi[i, bj] * gi[j, bi]
+    X = np.einsum("ab...,bc...->ac...", G, rab)
+    return 4.0 * np.einsum("ab...,ba...->...", X, X)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_connection_and_norm_sq_equal_their_gather_forms_bitwise(n):
+    # Gamma_{l,P} written pair by pair and G^{AB} entry by entry keep the
+    # float operations of the gathers, in their order
+    from rlab.tensor import _connection, riemann_norm_sq
+    for seed in (1, 2):
+        _, m, u = random_instance(n, 8 if n > 2 else 12, seed)
+        for got, ref in zip(_connection(m), _gathered_connection(m)):
+            assert np.array_equal(got, ref)
+        rab = Geometry(m, u).rm_ab
+        assert np.array_equal(riemann_norm_sq(rab, m), _gathered_norm_sq(rab, m))
+
+
 def test_direct_ricci_matches_contraction():
     for n, res in ((2, 16), (3, 10), (4, 8)):
         _, m, _ = random_instance(n, res, seed=11)
