@@ -10,9 +10,10 @@ rule), the Levi-Civita pass alone (``tensor._connection``), the Levi-Civita
 pass and R_AB on a fresh ``Geometry``, ``riemann_norm_sq``, ``flow_rhs`` and
 one rk4 ``step``; and one ``mu_minimize`` at 16^3.  One more figure,
 ``minflt per rk4 step``, is the mean count of minor page faults of this
-process (``resource.getrusage``) over 20 rk4 steps at 64^2, after one
+process (``resource.getrusage``) over 20 rk4 steps at each grid, after one
 warm-up step: the allocations of a step that the allocator returns to the
-system show up there.  rlab is imported from ``src/``; nothing is written.
+system show up there.  ``ru_maxrss_mb`` is the process's peak resident set
+at the end.  rlab is imported from ``src/``; nothing is written.
 Pin the numerical thread pools (``OMP_NUM_THREADS=1`` and the like) to
 compare two checkouts.
 """
@@ -60,7 +61,7 @@ def minflt_per_step(state, params):
 
 
 def main():
-    ms = {}
+    ms, faults = {}, {}
     params = FlowParams(2.0)
     for n, res in GRIDS:
         grid, metric, u = random_instance(n, res, seed=7)
@@ -77,12 +78,12 @@ def main():
         ms[f"riemann_norm_sq {label}"] = best_ms(lambda: riemann_norm_sq(rab, metric))
         ms[f"flow_rhs {label}"] = best_ms(lambda: flow_rhs(state, params))
         ms[f"rk4 step {label}"] = best_ms(lambda: step(state, params, DT))
-        if n == 2:
-            faults = {f"minflt per rk4 step {label}": minflt_per_step(state, params)}
+        faults[f"minflt per rk4 step {label}"] = minflt_per_step(state, params)
         if n == 3:
             ms[f"mu_minimize {label}"] = best_ms(lambda: mu_minimize(metric, u, 1.0))
     print(json.dumps({"unit": "ms", "best_of": REPEATS, "python": platform.python_version(),
-                      "numpy": np.__version__, "times": ms, **faults}))
+                      "numpy": np.__version__, "times": ms, **faults,
+                      "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 
 
 if __name__ == "__main__":

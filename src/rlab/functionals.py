@@ -174,15 +174,16 @@ class OptimizerOpts:
 def _preconditioner(metric: MetricField, tau: float):
     """P for ``mu_minimize`` as a function of flat fields: the inverse of
     the rfftn symbol of sigma mean(sqrt g) - 8 tau sum_a mean(g^{aa} sqrt g)
-    D_a^+ D_a^-, together with the symbol's own action P^{-1}."""
+    D_a^+ D_a^-, together with the symbol's own action P^{-1}; both act on the
+    last n axes, so one call transforms a stack of fields."""
     grid = metric.grid
-    axes = tuple(range(grid.n))
+    axes = tuple(range(-grid.n, 0))
     symbol = SIGMA * float(np.mean(metric.sqrt_det))
     for a, (res, h) in enumerate(zip(grid.shape, grid.spacing)):
         freq = np.fft.rfftfreq(res) if a == grid.n - 1 else np.fft.fftfreq(res)
         lam = (2.0 * np.sin(np.pi * freq) / h) ** 2
         weight = 8.0 * tau * float(np.mean(metric.inv[a, a] * metric.sqrt_det))
-        symbol = symbol + weight * lam.reshape([-1 if b == a else 1 for b in axes])
+        symbol = symbol + weight * lam.reshape([-1 if b == a else 1 for b in range(grid.n)])
 
     def times(factor):
         return lambda x: np.fft.irfftn(np.fft.rfftn(x, axes=axes) * factor,
@@ -223,7 +224,7 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
         sqrt(g) w that makes P q tangent."""
         r = _mu_gradient(metric, w, tau, Sg, *parts)
         v = metric.sqrt_det * w
-        pr, pv = precondition(r), precondition(v)
+        pr, pv = precondition(np.stack((r, v)))
         alpha = float(np.sum(v * pr)) / float(np.sum(v * pv))
         return r - alpha * v, pr - alpha * pv
 

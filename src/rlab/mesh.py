@@ -106,12 +106,13 @@ def build_grid(kind: str, n: int, resolutions: Sequence[int],
 def _plan(shape: tuple, ax: int) -> tuple:
     """Per piece of a periodic stencil along axis ``ax`` of a C-contiguous array
     of ``shape``, the index (o, vm, v0, vp) of the output piece and of v[i - 1],
-    v[i], v[i + 1]: the flat run between the edge layers, then each edge layer."""
+    v[i], v[i + 1]: the flat run between the edge layers, then the edge layers
+    i = 0, size - 1 in one piece of basic slices (size >= 3)."""
     k, end, size = int(np.prod(shape[ax + 1:])), int(np.prod(shape)), shape[ax]
     pre = (slice(None),) * ax
-    return (tuple(slice((1 + s) * k, end + (s - 1) * k) for s in (0, -1, 0, 1)),
-            tuple(tuple(pre + (slice(j % size, j % size + 1),) for j in (i, i - 1, i, i + 1))
-                  for i in (0, size - 1)))
+    both = slice(None, None, size - 1)
+    edges = tuple(pre + (s,) for s in (both, slice(size - 1, size - 3, -1), both, slice(1, None, -1)))
+    return tuple(slice((1 + s) * k, end + (s - 1) * k) for s in (0, -1, 0, 1)), edges
 
 
 def _stencil(apply, values: np.ndarray, grid: Grid, axis: int, out=None) -> np.ndarray:
@@ -122,7 +123,7 @@ def _stencil(apply, values: np.ndarray, grid: Grid, axis: int, out=None) -> np.n
     by the same float operations, in the same order, as the np.roll form,
     which it equals bit for bit.  It runs once on the flat run between the
     two edge layers, which also covers the edge layers of the inner blocks,
-    and then on each edge layer, whose wrapped values overwrite those; so
+    and then on the edge layers, whose wrapped values overwrite those; so
     ``out`` must not overlap ``values``.  Private, so that a traced run counts
     its time in the stencil or the optimizer step that calls it."""
     values = np.ascontiguousarray(values)
@@ -132,8 +133,8 @@ def _stencil(apply, values: np.ndarray, grid: Grid, axis: int, out=None) -> np.n
     (o, m, z, p), edges = _plan(values.shape, values.ndim - grid.n + axis)
     flat = values.reshape(-1)
     apply(out.reshape(-1)[o], flat[m], flat[z], flat[p])
-    for o, m, z, p in edges:
-        apply(out[o], values[m], values[z], values[p])
+    o, m, z, p = edges
+    apply(out[o], values[m], values[z], values[p])
     return out
 
 

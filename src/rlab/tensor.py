@@ -57,11 +57,9 @@ def _bivectors(n: int) -> SimpleNamespace:
     (a<=b) (``pa, pb``, numbered by ``sym``), per [l, P] of Gamma_{l,P} the
     entries (a, (b, l)) and (b, (a, l)) of d_c g_Q it adds (``first``),
     bivectors A = (i<j) (``bi, bj``), per entry A <= B the pairs of F in
-    R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)} as (A, B, ((P, Q, s), ...))
-    (``terms``), with s the sum d_P g_Q + d_Q g_P it reads, per P the
-    (Q, s, add) that d_P g_Q stores into or adds to a sum (``dd``), and per
-    Ric_jk, j <= k, its nonzero terms g^{il} R_{ijkl} as (sign, i, l, A, B)
-    (``trace``)."""
+    R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)} as (A, B, ((P, Q), (P, Q)))
+    (``terms``), and per Ric_jk, j <= k, its nonzero terms g^{il} R_{ijkl}
+    as (sign, i, l, A, B) (``trace``)."""
     sym = np.empty((n, n), dtype=np.intp)
     pa, pb = np.triu_indices(n)
     sym[pa, pb] = sym[pb, pa] = np.arange(len(pa))
@@ -69,25 +67,17 @@ def _bivectors(n: int) -> SimpleNamespace:
     A, B = np.triu_indices(len(bi))
     i, j, k, l = bi[A], bj[A], bi[B], bj[B]
     PQ = np.array([[sym[i, k], sym[j, l]], [sym[i, l], sym[j, k]]]).transpose(2, 0, 1)
-    sums, which = np.unique(np.sort(PQ, axis=2).reshape(-1, 2), axis=0,
-                            return_inverse=True)
-    dd = [[] for _ in pa]
-    for s, (P, Q) in enumerate(sums.tolist()):      # P <= Q: stored, then added
-        dd[P].append((Q, s, False))
-        dd[Q].append((P, s, True))
     biv = np.zeros((n, n), dtype=np.intp)
     biv[bi, bj] = biv[bj, bi] = np.arange(len(bi))
     others = (np.arange(n)[:, None] + np.arange(1, n)) % n     # the c != a
     ti, tl = np.repeat(others[pa], n - 1, axis=1), np.tile(others[pb], n - 1)
     tj, tk = pa[:, None], pb[:, None]
     trace = np.sign(tj - ti) * np.sign(tl - tk), ti, tl, biv[ti, tj], biv[tk, tl]
-    terms = np.concatenate([PQ, which.reshape(-1, 2, 1)], axis=2).tolist()
     first = [((l, P), (a, sym[b, l]), (b, sym[a, l]))
              for l in range(n) for P, (a, b) in enumerate(zip(pa.tolist(), pb.tolist()))]
     return SimpleNamespace(
-        sym=sym, pa=pa, pb=pb, first=first,
-        bi=bi, bj=bj, nsums=len(sums), dd=dd,
-        terms=list(zip(A.tolist(), B.tolist(), terms)),
+        sym=sym, pa=pa, pb=pb, first=first, bi=bi, bj=bj,
+        terms=list(zip(A.tolist(), B.tolist(), PQ.tolist())),
         trace=[list(zip(*row)) for row in zip(*(x.tolist() for x in trace))])
 
 
@@ -112,26 +102,26 @@ def riemann_bivector(metric: MetricField, dg, gl, gam) -> np.ndarray:
                        + Gamma^p_{ab} Gamma_{p,cd}.
 
     d_P g_Q runs over the symmetric pairs P and components Q only (``dg``, ``gl``
-    and ``gam`` are ``_connection``'s), and only its sums d_P g_Q + d_Q g_P that
-    F reads are kept; the entries A <= B are mirrored, so pair exchange is exact.
+    and ``gam`` are ``_connection``'s); each sum d_P g_Q + d_Q g_P is formed in
+    F as F reads it, P <= Q first, and no stack of them is kept.  The entries
+    A <= B are mirrored, so pair exchange is exact.
     """
     grid, t = metric.grid, _bivectors(metric.n)
-    dd = np.empty((t.nsums,) + grid.shape)                 # d_P g_Q + d_Q g_P
-    tmp = np.empty(grid.shape)
-    for P, (a, b) in enumerate(zip(t.pa, t.pb)):
-        for Q, s, add in t.dd[P]:       # d_P g_Q, stored or added to its sum
-            d = tmp if add else dd[s]
-            if a == b:
-                diff2(metric.values[t.pa[Q], t.pb[Q]], grid, a, d)
-            else:
-                diff1(dg[b, Q], grid, a, d)
-            if add:
-                np.add(dd[s], tmp, out=dd[s])
+
+    def d(P, Q, out):                   # d_P g_Q
+        a, b = t.pa[P], t.pb[P]
+        if a == b:
+            return diff2(metric.values[t.pa[Q], t.pb[Q]], grid, a, out)
+        return diff1(dg[b, Q], grid, a, out)
+
     R = np.empty((len(t.bi),) * 2 + grid.shape)
     F = np.empty((2,) + grid.shape)     # one entry at a time, to stay in cache
+    tmp = np.empty(grid.shape)
     for A, B, pairs in t.terms:
-        for f, (P, Q, s) in zip(F, pairs):
-            np.multiply(dd[s], 0.5, out=f)
+        for f, (P, Q) in zip(F, pairs):
+            lo, hi = min(P, Q), max(P, Q)
+            np.add(d(lo, hi, f), f if lo == hi else d(hi, lo, tmp), out=f)  # f + f: P = Q
+            f *= 0.5
             for p in range(grid.n):
                 f += np.multiply(gam[p, P], gl[p, Q], out=tmp)
         np.subtract(F[0], F[1], out=R[A, B])

@@ -1,6 +1,13 @@
+import functools
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from conftest import SRC
 from rlab.flow import (DIAG_COLUMNS, BlowUpError, FlowParams, FlowState, Schedule,
                        _diagnose, cfl_dt, flow_rhs, is_regular, run, step)
 from rlab.instances import (perturbed_flat_metric, random_instance,
@@ -201,6 +208,57 @@ def test_rk4_run_working_set_stays_within_twelve_states():
     finally:
         tracemalloc.stop()
     assert (peak - base) / state_bytes <= 12.0
+
+
+FAULT_PROBE = """
+import resource
+from rlab.flow import FlowParams, FlowState, step
+from rlab.instances import random_instance
+grid, metric, u = random_instance(3, 16, seed=7)
+state, params = FlowState(grid, metric, u), FlowParams(2.0)
+state = step(state, params, 1e-4)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    state = step(state, params, 1e-4)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+              "GLIBC_TUNABLES")
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="rlab sets a malloc policy on glibc only")
+
+
+@functools.lru_cache(maxsize=None)
+def rk4_faults_per_step(**env):
+    """Minor page faults per rk4 step at 16^3, after a warm-up step, in a
+    fresh process whose environment sets no malloc policy but ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in MALLOC_ENV}
+    r = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True,
+                       env={**base, "PYTHONPATH": SRC, "RLAB_THREADS": "1", **env})
+    assert r.returncode == 0, r.stderr
+    return float(r.stdout)
+
+
+# glibc's own policy, as the environment asks for it (131072 is glibc's
+# initial value of each threshold and of the top pad)
+GLIBC_POLICY = [{"MALLOC_TRIM_THRESHOLD_": "131072"}, {"MALLOC_MMAP_THRESHOLD_": "131072"},
+                {"MALLOC_TOP_PAD_": "131072"},
+                {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}]
+
+
+@glibc_only
+def test_rk4_steps_reuse_the_memory_the_last_step_freed():
+    # rlab fixes glibc's mmap and trim thresholds, so a step's transients
+    # stay in the heap; under glibc's own policy each step hands them back
+    # and faults them in again.  A ratio, not a count: larger pages or
+    # another glibc build scale both sides
+    assert 10 * rk4_faults_per_step() < rk4_faults_per_step(**GLIBC_POLICY[0])
+
+
+@glibc_only
+@pytest.mark.parametrize("env", GLIBC_POLICY, ids=lambda env: next(iter(env)))
+def test_a_malloc_policy_in_the_environment_is_left_alone(env):
+    assert rk4_faults_per_step(**env) > 10 * rk4_faults_per_step()
 
 
 def test_run_flat_constant_diagnostics():

@@ -246,6 +246,20 @@ def test_preconditioned_mu_not_above_plain_bb():
         assert rep.mu <= _plain_bb_mu(m, u, tau, FAST_OPTS) + 1e-10, (n, res, seed)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_preconditioning_equals_two_calls_bitwise(n):
+    # mu_minimize preconditions r and v in one transform of their stack
+    from rlab.functionals import _preconditioner
+    rng = np.random.default_rng(n)
+    for res in (8, 9):
+        _, m, u = random_instance(n, res, seed=n)
+        precondition, _ = _preconditioner(m, 0.75)
+        r, v = rng.standard_normal((2,) + m.grid.shape)
+        both = precondition(np.stack((r, v)))
+        assert np.array_equal(both[0], precondition(r))
+        assert np.array_equal(both[1], precondition(v))
+
+
 def test_warm_start_runs_no_random_seeds():
     # with a warm start only it and the constant seed run, whatever nseeds
     grid, m, u = random_instance(2, 12, seed=12)

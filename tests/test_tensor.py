@@ -342,6 +342,64 @@ def test_connection_and_norm_sq_equal_their_gather_forms_bitwise(n):
         assert np.array_equal(riemann_norm_sq(rab, m), _gathered_norm_sq(rab, m))
 
 
+def _stacked_sum_rab(m):
+    """R_AB with every sum d_P g_Q + d_Q g_P, P <= Q, built into one stack
+    first (the stored d_P g_Q, then the added d_Q g_P), then read by F."""
+    from rlab.mesh import diff1, diff2
+    from rlab.tensor import _connection
+    n, grid = m.n, m.grid
+    dg, gl, gam = _connection(m)
+    pa, pb = np.triu_indices(n)
+    sym = np.empty((n, n), dtype=np.intp)
+    sym[pa, pb] = sym[pb, pa] = np.arange(len(pa))
+
+    def d(P, Q):
+        a, b = pa[P], pb[P]
+        return (diff2(m.values[pa[Q], pb[Q]], grid, a) if a == b
+                else diff1(dg[b, Q], grid, a))
+
+    sums = {(P, Q): d(P, Q) + d(Q, P) for P in range(len(pa)) for Q in range(P, len(pa))}
+    stack = np.stack(list(sums.values()))
+    at = {PQ: s for s, PQ in enumerate(sums)}
+
+    def F(P, Q):
+        f = stack[at[min(P, Q), max(P, Q)]] * 0.5
+        for p in range(n):
+            f += gam[p, P] * gl[p, Q]
+        return f
+
+    bi, bj = np.triu_indices(n, 1)
+    R = np.empty((len(bi),) * 2 + grid.shape)
+    for A in range(len(bi)):
+        for B in range(A, len(bi)):
+            i, j, k, l = bi[A], bj[A], bi[B], bj[B]
+            R[A, B] = R[B, A] = F(sym[i, k], sym[j, l]) - F(sym[i, l], sym[j, k])
+    return R
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rab_streams_its_sums_bitwise_within_three_grid_arrays(n):
+    # each sum d_P g_Q + d_Q g_P is formed in F as F reads it: R_AB equals the
+    # stacked-sum form bit for bit, and the build allocates R_AB and at most
+    # three grid arrays besides (the two F entries and one term), with 32 KiB
+    # for the buffers numpy's iterator takes on a strided edge-layer stencil
+    import tracemalloc
+    from rlab.tensor import _connection, riemann_bivector
+    for seed in (1, 2):
+        _, m, u = random_instance(n, 8 if n > 2 else 12, seed)
+        conn = _connection(m)
+        riemann_bivector(m, *conn)      # fills the stencil plan caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rab = riemann_bivector(m, *conn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= rab.nbytes + 3 * u.nbytes + 32768, n
+        assert np.array_equal(rab, _stacked_sum_rab(m))
+
+
 def test_direct_ricci_matches_contraction():
     for n, res in ((2, 16), (3, 10), (4, 8)):
         _, m, _ = random_instance(n, res, seed=11)
