@@ -8,11 +8,12 @@ and 12^4: the stencils ``diff1``, ``diff2`` and ``grad_stack`` on a
 10-component stack, ``MetricField`` (symmetrization, cofactors and the SPD
 rule), the Levi-Civita pass alone (``tensor._connection``), the Levi-Civita
 pass and R_AB on a fresh ``Geometry``, ``riemann_norm_sq``, ``flow_rhs`` and
-one rk4 ``step``; and one ``mu_minimize`` at 16^3.  One more figure,
-``minflt per rk4 step``, is the mean count of minor page faults of this
-process (``resource.getrusage``) over 20 rk4 steps at each grid, after one
-warm-up step: the allocations of a step that the allocator returns to the
-system show up there.  ``ru_maxrss_mb`` is the process's peak resident set
+one rk4 ``step``; and one cold ``mu_minimize`` at 16^3, which ``mu
+iteration`` divides by its iteration count (one entropy-optimizer
+iteration).  One more figure, ``minflt per rk4 step``, is the mean count of
+minor page faults of this process (``resource.getrusage``) over 20 rk4 steps
+at each grid, after one warm-up step: the allocations of a step that the
+allocator returns to the system show up there.  ``ru_maxrss_mb`` is the process's peak resident set
 at the end.  rlab is imported from ``src/``; nothing is written.
 Pin the numerical thread pools (``OMP_NUM_THREADS=1`` and the like) to
 compare two checkouts.
@@ -81,6 +82,8 @@ def main():
         faults[f"minflt per rk4 step {label}"] = minflt_per_step(state, params)
         if n == 3:
             ms[f"mu_minimize {label}"] = best_ms(lambda: mu_minimize(metric, u, 1.0))
+            iterations = mu_minimize(metric, u, 1.0).iterations
+            ms[f"mu iteration {label}"] = round(ms[f"mu_minimize {label}"] / iterations, 4)
     print(json.dumps({"unit": "ms", "best_of": REPEATS, "python": platform.python_version(),
                       "numpy": np.__version__, "times": ms, **faults,
                       "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))

@@ -5,12 +5,13 @@ compare, uniqueness, constants.  Exit status: 0 all selected checks passed,
 1 at least one check failed (the manifest names it), 2 configuration error.
 
 Every stage's flow is built by ``flow_from`` and holds its last state and the
-snapshots its stages read (verify: k - 1, k, k + 1; entropy: its samples;
-uniqueness: all); a verify level equal to the base flow through k + 1 reads
-it.  A flow stage (run, verify, entropy, uniqueness) whose flow stops before
-t_end raises BlowUpError once it has written what it can (run: diagnostics
-and last state; others: nothing); the runner records ``<stage>.completed``
-false, the first message as ``abort_reason``, and runs the other stages.
+snapshots its stages read (verify: k - 1, k, k + 1; entropy: none, as
+``entropy_reader`` reads its samples while the base flow runs; uniqueness:
+all); a verify level equal to the base flow through k + 1 reads it.  A flow
+stage (run, verify, entropy, uniqueness) whose flow stops before t_end raises
+BlowUpError once it has written what it can (run: diagnostics and last state;
+others: nothing); the runner records ``<stage>.completed`` false, the first
+message as ``abort_reason``, and runs the other stages.
 
 The manifest is deterministic: it contains the config hash, tool version,
 seeds, relative output paths, and the pass/fail summary - no timestamps -
@@ -108,16 +109,17 @@ def schedule_from(cfg):
 
 def seed_of(cfg):
     """The config's root seed; without one, the optimizer's default."""
-    from .functionals import OptimizerOpts
-    return cfg.get("seed", OptimizerOpts.seed)
+    from .config import DEFAULT_SEED
+    return cfg.get("seed", DEFAULT_SEED)
 
 
-def flow_from(cfg, initial, keep=None, **schedule):
+def flow_from(cfg, initial, keep=None, reader=None, **schedule):
     """Every stage's flow: the config's, from ``initial`` = (grid, metric, u0),
-    with ``schedule`` replacing fields of the config's schedule, kept by ``keep``."""
+    with ``schedule`` replacing fields of the config's schedule, and ``flow.run``'s
+    ``keep`` and ``reader``."""
     from .flow import FlowState, run
     sched = replace(schedule_from(cfg), **schedule)
-    return run(FlowState(*initial), flow_params_from(cfg), sched, keep)
+    return run(FlowState(*initial), flow_params_from(cfg), sched, keep, reader)
 
 
 def completed(traj, where=""):
@@ -221,35 +223,42 @@ def stage_verify(cfg, out: Path, checks, outputs, base):
 
 def entropy_samples(cfg, nsnap):
     """The snapshots the entropy stage reads out of ``nsnap``: the distinct
-    ones of ``entropy.samples`` evenly spaced indices."""
+    ones of ``entropy.samples`` evenly spaced indices, in order."""
     samples = cfg.get("entropy", {}).get("samples", 10)
-    return np.unique(np.linspace(0, nsnap - 1, samples).astype(int))
+    return list(dict.fromkeys(np.linspace(0, nsnap - 1, samples).astype(int).tolist()))
 
 
-def stage_entropy(cfg, out: Path, checks, outputs, base):
+def entropy_reader(cfg):
+    """The entropy stage's reader of the base flow (``flow.run``'s): at each
+    sampled snapshot, mu on the geometry the flow built, warm-started from
+    the sample before, as an entropy.csv row."""
     from .functionals import OptimizerOpts, mu_minimize
-    from .snapshots import write_entropy_csv
-
     ecfg = cfg.get("entropy", {})
     tau0 = ecfg.get("tau0", 1.0)
     opts = OptimizerOpts(seed=seed_of(cfg), **{
         k: ecfg[k] for k in ("tol", "max_iter", "nseeds") if k in ecfg})
-    traj = completed(base())
-    rows, mus = [], []
     prev = None
-    for k in entropy_samples(cfg, traj.nsnapshots):
-        st = traj.state(int(k))
-        tau = tau0 - st.t
-        rep = mu_minimize(st.metric, st.u, tau, opts, warm_start=prev)
-        prev = rep.w
-        rows.append((st.t, tau, rep.mu, rep.upper_bound, rep.norm_defect,
-                     rep.iterations))
-        mus.append(rep.mu)
+
+    def read(k, nsnap, state, geo):
+        nonlocal prev
+        if k in entropy_samples(cfg, nsnap):
+            tau = tau0 - state.t
+            rep = mu_minimize(state.metric, state.u, tau, opts, prev, geo)
+            prev = rep.w
+            return state.t, tau, rep.mu, rep.upper_bound, rep.norm_defect, rep.iterations
+
+    return read
+
+
+def stage_entropy(cfg, out: Path, checks, outputs, base):
+    from .snapshots import write_entropy_csv
+
+    rows = completed(base()).read       # entropy_reader's, one per sample
     write_entropy_csv(out / "entropy.csv", rows)
     outputs.append("entropy.csv")
     tol = 3.0 * 1e-6
     checks["entropy.mu_nondecreasing"] = bool(
-        np.all(np.diff(np.array(mus)) >= -tol))
+        np.all(np.diff([r[2] for r in rows]) >= -tol))
     checks["entropy.mu_below_bound"] = bool(
         all(r[2] <= r[3] + 1e-6 for r in rows))
     checks["entropy.normalized"] = bool(all(r[4] <= 1e-8 for r in rows))
@@ -399,11 +408,11 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
     out.mkdir(parents=True, exist_ok=True)
     checks, outputs, aborts = {}, [], {}
     reads = {i for _, k, shared, _ in levels if shared for i in (k - 1, k, k + 1)}
-    keep = None if "uniqueness" in selected else lambda n: reads.union(
-        entropy_samples(cfg, n) if "entropy" in selected else ())
+    keep = None if "uniqueness" in selected else lambda n: reads
     # diagnostics rows leave every state bitwise unchanged; only run writes them
     base = functools.cache(lambda: flow_from(
-        cfg, initial, keep, diagnostics="run" in selected)) if reads_base else None
+        cfg, initial, keep, entropy_reader(cfg) if "entropy" in selected else None,
+        diagnostics="run" in selected)) if reads_base else None
     for name in selected:
         try:
             STAGES[name](cfg, out, checks, outputs, base)

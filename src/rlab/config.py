@@ -19,6 +19,7 @@ class ConfigError(ValueError):
     pass
 
 
+DEFAULT_SEED = 1234     # the root seed of a config that names none, and the optimizer's
 _TERM = {"amp": float, "wave": [int], "kind": str, "phase": float}
 
 SCHEMA = {

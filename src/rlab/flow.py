@@ -7,9 +7,10 @@ and u == 0 reduces to Ricci flow.  Integration is ungauged explicit
 (euler or rk4) on near-flat torus data at desk scale.  Every stage metric
 passes the one SPD rule of ``MetricField``; its failure, or a non-finite
 potential on the accepted state, aborts the run with a diagnostic snapshot.
-``run``'s keep rule releases each recorded snapshot its caller will not read.
-A step holds one rk4 stage state and one stage slope at a time, and ``run``
-releases each accepted state's geometry once the step's first slope is read.
+``run``'s keep rule releases each recorded snapshot its caller will not read,
+once ``run``'s reader has read it on its geometry.  A step holds one rk4 stage
+state and one stage slope at a time, and ``run`` releases each accepted state's
+geometry once the step's first slope is read.
 """
 
 from __future__ import annotations
@@ -176,6 +177,7 @@ class Trajectory:
     states: list = field(default_factory=list)       # recorded FlowStates, None once released
     times: list = field(default_factory=list)        # every recorded snapshot's time
     diagnostics: dict = field(default_factory=dict)  # column -> list, per step
+    read: list = field(default_factory=list)         # the reader's results but None
     aborted: str | None = None
 
     def record(self, state: FlowState):
@@ -242,9 +244,11 @@ def rm_lp_series(traj: Trajectory, p: float):
 
 
 def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
-        keep=None) -> Trajectory:
+        keep=None, reader=None) -> Trajectory:
     """Integrate to t_end, recording snapshots and per-step diagnostics; of
-    nsnap planned snapshots, hold the last and ``keep(nsnap)`` (None: all)."""
+    nsnap planned snapshots, hold the last and ``keep(nsnap)`` (None: all).
+    ``reader(k, nsnap, state, geo)`` reads each snapshot k on its geometry as it
+    is recorded (not an aborted run's last state); ``read`` holds its non-None results."""
     # one geometry per accepted state, shared by its diagnostics row, the
     # initial step bound and the first slope of the step that leaves it
     geo = _geometry(initial_state, params)
@@ -272,6 +276,8 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
             geo = _geometry(state, params)
         if k % schedule.cadence == 0 or k == nsteps:
             traj.record(state)
+            if reader and (got := reader(traj.nsnapshots - 1, nsnap, state, geo)) is not None:
+                traj.read.append(got)
         if schedule.diagnostics:
             row = _diagnose(state, params, cum_hess, h, geo)
             cum_hess = row["int_hess_sq_cum"]

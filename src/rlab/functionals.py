@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_SEED
 from .mesh import MetricField, _stencil, integrate
 from .tensor import Geometry, curvature, norm_sq
 
@@ -168,14 +169,15 @@ class OptimizerOpts:
     tol: float = 1e-8            # stop when the objective decrease falls below
     max_iter: int = 10_000
     nseeds: int = 5              # constant + 4 random, on cold calls only
-    seed: int = 1234
+    seed: int = DEFAULT_SEED
 
 
 def _preconditioner(metric: MetricField, tau: float):
-    """P for ``mu_minimize`` as a function of flat fields: the inverse of
-    the rfftn symbol of sigma mean(sqrt g) - 8 tau sum_a mean(g^{aa} sqrt g)
-    D_a^+ D_a^-, together with the symbol's own action P^{-1}; both act on the
-    last n axes, so one call transforms a stack of fields."""
+    """(times, (P, P, P^{-1})) for ``mu_minimize``: P^{-1} is the rfftn symbol
+    of sigma mean(sqrt g) - 8 tau sum_a mean(g^{aa} sqrt g) D_a^+ D_a^-, and
+    ``times(x, factor)`` multiplies the transform of x over its last n axes
+    by ``factor``, so one call takes a stack of fields, each by its factor
+    when ``factor`` is stacked alike."""
     grid = metric.grid
     axes = tuple(range(-grid.n, 0))
     symbol = SIGMA * float(np.mean(metric.sqrt_det))
@@ -185,16 +187,16 @@ def _preconditioner(metric: MetricField, tau: float):
         weight = 8.0 * tau * float(np.mean(metric.inv[a, a] * metric.sqrt_det))
         symbol = symbol + weight * lam.reshape([-1 if b == a else 1 for b in range(grid.n)])
 
-    def times(factor):
-        return lambda x: np.fft.irfftn(np.fft.rfftn(x, axes=axes) * factor,
-                                       s=grid.shape, axes=axes)
+    def times(x, factor):
+        return np.fft.irfftn(np.fft.rfftn(x, axes=axes) * factor, s=grid.shape, axes=axes)
 
-    return times(1.0 / symbol), times(symbol)
+    return times, np.stack((1.0 / symbol,) * 2 + (symbol,))
 
 
 def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
                 opts: OptimizerOpts = OptimizerOpts(),
-                warm_start: np.ndarray | None = None) -> EntropyReport:
+                warm_start: np.ndarray | None = None,
+                geo: Geometry | None = None) -> EntropyReport:
     """Preconditioned projected gradient descent on w with int w^2 dV = 1.
 
     Runs from the constant seed and, on a cold call, ``nseeds - 1`` random
@@ -205,28 +207,31 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
     step <s, P^{-1} s> / <s, y> safeguarded by backtracking; iterates are
     made positive and renormalized each step.  A seed stops after five
     steps in a row that lower W by less than ``tol`` (relative), or when
-    backtracking finds no decrease.
+    backtracking finds no decrease.  ``geo`` is the cached geometry of
+    (metric, u) when the caller holds one; S = R - 2 |du|^2 whatever its a1.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     grid = metric.grid
     n = grid.n
-    Sg = Geometry(metric, u, 2.0).S
+    geo = geo if geo is not None else Geometry(metric, u)
+    Sg = geo.scalar - 2.0 * geo.grad_sq
     form = _form_weights(metric)
-    precondition, unprecondition = _preconditioner(metric, tau)
+    times, factors = _preconditioner(metric, tau)
 
     def normalize(w):
         return w / np.sqrt(integrate(w * w, metric))
 
-    def descent(w, parts):
-        """The projected flat gradient q and the direction P q, with q the
-        flat gradient less the multiple of the constraint's normal
-        sqrt(g) w that makes P q tangent."""
+    def descent(w, parts, s=None):
+        """q, the flat gradient less the multiple of the constraint's normal
+        sqrt(g) w that makes P q tangent, P q and [P^{-1} s] ([] with no step
+        s into w), from one transform."""
         r = _mu_gradient(metric, w, tau, Sg, *parts)
         v = metric.sqrt_det * w
-        pr, pv = precondition(np.stack((r, v)))
+        fields = (r, v) if s is None else (r, v, s)
+        pr, pv, *ps = times(np.stack(fields), factors[:len(fields)])
         alpha = float(np.sum(v * pr)) / float(np.sum(v * pv))
-        return r - alpha * v, pr - alpha * pv
+        return r - alpha * v, pr - alpha * pv, ps
 
     seeds = [np.ones(grid.shape)]
     if warm_start is not None:
@@ -241,19 +246,18 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
     for w0 in seeds:
         w = normalize(w0)
         e, *parts = _w_eval(metric, Sg, w, tau, form)
-        q, d = descent(w, parts)
+        q, d, _ = descent(w, parts)
         step = STEP0
         converged = False
         it = 0
         stall = 0
-        w_prev = q_prev = None
+        q_prev = None
         while it < opts.max_iter:
             it += 1
-            if w_prev is not None:
-                s = w - w_prev
+            if q_prev is not None:
                 sy = float(np.sum(s * (q - q_prev)))
                 if sy > 1e-30:
-                    ss = float(np.sum(s * unprecondition(s)))
+                    ss = float(np.sum(s * ps))
                     step = min(max(ss / sy, 1e-6), 1e3)
             trial_step = step
             improved = False
@@ -268,9 +272,9 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
                 converged = True
                 break
             decrease = e - et
-            w_prev, q_prev = w, q
+            s, q_prev = wt - w, q
             w, e = wt, et
-            q, d = descent(w, trial_parts)
+            q, d, (ps,) = descent(w, trial_parts, s)
             if decrease < opts.tol * max(1.0, abs(e)):
                 stall += 1
                 if stall >= 5:

@@ -248,16 +248,22 @@ def test_preconditioned_mu_not_above_plain_bb():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stacked_preconditioning_equals_two_calls_bitwise(n):
-    # mu_minimize preconditions r and v in one transform of their stack
+    # mu_minimize preconditions r and v in one transform of their stack, and
+    # applies the symbol P^{-1} to the step s in that same transform
     from rlab.functionals import _preconditioner
     rng = np.random.default_rng(n)
     for res in (8, 9):
         _, m, u = random_instance(n, res, seed=n)
-        precondition, _ = _preconditioner(m, 0.75)
-        r, v = rng.standard_normal((2,) + m.grid.shape)
-        both = precondition(np.stack((r, v)))
-        assert np.array_equal(both[0], precondition(r))
-        assert np.array_equal(both[1], precondition(v))
+        times, factors = _preconditioner(m, 0.75)
+        P, symbol = factors[0], factors[2]
+        assert np.array_equal(factors[1], P) and np.array_equal(P, 1.0 / symbol)
+        r, v, s = rng.standard_normal((3,) + m.grid.shape)
+        both = times(np.stack((r, v)), P)
+        assert np.array_equal(both[0], times(r, P))
+        assert np.array_equal(both[1], times(v, P))
+        three = times(np.stack((r, v, s)), factors)
+        assert np.array_equal(three[:2], both)
+        assert np.array_equal(three[2], times(s, symbol))
 
 
 def test_warm_start_runs_no_random_seeds():

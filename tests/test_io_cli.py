@@ -637,17 +637,18 @@ def test_entropy_uniqueness_outputs_unchanged_without_diagnostics(tmp_path, monk
     cfg = write_cfg(tmp_path, STAGE_CFG)
     real_run, flags = rlab.flow.run, []
 
-    def spy(state, params, schedule, keep=None, force=None):
+    def spy(state, params, schedule, keep=None, reader=None, force=None):
         flags.append(schedule.diagnostics)
         if force is not None:
             schedule = replace(schedule, diagnostics=force)
-        return real_run(state, params, schedule, keep)
+        return real_run(state, params, schedule, keep, reader)
 
     monkeypatch.setattr(rlab.flow, "run", spy)
     run_experiment(cfg, tmp_path / "off", stages=["entropy", "uniqueness"])
     assert flags == [False, False]
     monkeypatch.setattr(rlab.flow, "run",
-                        lambda st, p, s, keep=None: spy(st, p, s, keep, force=True))
+                        lambda st, p, s, keep=None, reader=None:
+                        spy(st, p, s, keep, reader, force=True))
     run_experiment(cfg, tmp_path / "on", stages=["entropy", "uniqueness"])
     for name in ("entropy.csv", "energy.csv", "manifest.json"):
         assert ((tmp_path / "off" / name).read_bytes()
@@ -961,6 +962,60 @@ def test_entropy_solves_each_sampled_snapshot_once(tmp_path, monkeypatch):
     assert len(taus) == len(set(taus)) == 5
 
 
+@pytest.mark.parametrize("extra", [
+    {"schedule": {"t_end": 0.01, "dt": 0.002, "cadence": 2}},      # last step off cadence
+    {"schedule": {"t_end": 0.007, "dt": 0.002}, "flow": {"alpha1": 1.0}},   # shortened
+    {"schedule": {"t_end": 0.01, "dt": None}}])                      # the CFL plan's count
+def test_entropy_rows_read_along_the_flow_match_kept_states_bitwise(tmp_path, extra):
+    # the stage minimizes mu while the base flow runs, on the geometry each
+    # step built; the same rows come from every state kept and a fresh
+    # S = R - 2 |du|^2 per sample, whatever the flow's a1
+    from rlab.cli import build_from_config, flow_from, run_experiment
+    from rlab.config import load_config
+    from rlab.functionals import OptimizerOpts, mu_minimize
+    from rlab.snapshots import write_entropy_csv
+    from rlab.tensor import Geometry
+    ecfg = {"tau0": 0.5, "samples": 3, "nseeds": 1}
+    path = write_cfg(tmp_path, {**extra, "entropy": ecfg})
+    _, code = run_experiment(path, tmp_path / "e", stages=["entropy"])
+    assert code == 0
+    cfg = load_config(path)
+    traj = flow_from(cfg, build_from_config(cfg), diagnostics=False)
+    assert all(s is not None for s in traj.states)
+    rows, prev = [], None
+    for k in np.unique(np.linspace(0, traj.nsnapshots - 1, 3).astype(int)):
+        st = traj.state(int(k))
+        geo = Geometry(st.metric, st.u, 2.0)
+        assert np.array_equal(geo.scalar - 2.0 * geo.grad_sq, geo.S)
+        rep = mu_minimize(st.metric, st.u, 0.5 - st.t, OptimizerOpts(seed=7, nseeds=1),
+                          warm_start=prev, geo=geo)
+        prev = rep.w
+        rows.append((st.t, 0.5 - st.t, rep.mu, rep.upper_bound, rep.norm_defect,
+                     rep.iterations))
+    assert len(rows) == 3
+    write_entropy_csv(tmp_path / "kept.csv", rows)
+    assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "e" / "entropy.csv").read_bytes()
+
+
+@pytest.mark.parametrize("stages, absent", [(["entropy"], "numpy.ma"),
+                                            (["run"], "rlab.functionals"),
+                                            (["verify"], "rlab.functionals")])
+def test_stages_leave_unused_modules_unloaded(tmp_path, stages, absent):
+    # in a process of its own, since this one may hold the module already:
+    # the entropy samples de-duplicate without np.unique, which loads
+    # numpy.ma, and the default seed is read without the optimizer's module
+    probe = ("import sys\n"
+             "from rlab.cli import run_experiment\n"
+             f"_, code = run_experiment({str(write_cfg(tmp_path, STAGE_CFG))!r}, "
+             f"{str(tmp_path / 'o')!r}, stages={stages!r})\n"
+             f"print(code, {absent!r} in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                       env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC,
+                            "PYTHONDONTWRITEBYTECODE": "1"})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "False"]
+
+
 @pytest.mark.parametrize("t_end", [0.002, 0.004])
 def test_uniqueness_fits_no_rate_to_one_point(tmp_path, t_end):
     # one or two steps leave one point in the second half of the trace
@@ -1000,7 +1055,7 @@ def _held(traj):
 
 @pytest.mark.parametrize("stages, reads", [
     (["run"], lambda n: []),
-    (["entropy"], lambda n: [0, n - 1]),           # STAGE_CFG's 2 samples
+    (["entropy"], lambda n: []),                   # its samples are read as they come
     (["uniqueness"], lambda n: list(range(n)))])
 def test_base_flow_holds_what_its_stages_read(tmp_path, monkeypatch, stages, reads):
     from rlab.cli import run_experiment
