@@ -7,16 +7,21 @@ Each figure is the best of 5 calls, on seeded random tori at 64^2, 16^3
 and 12^4: the stencils ``diff1``, ``diff2`` and ``grad_stack`` on a
 10-component stack, ``MetricField`` (symmetrization, cofactors and the SPD
 rule), the Levi-Civita pass alone (``tensor._connection``), the Levi-Civita
-pass and R_AB on a fresh ``Geometry``, ``riemann_norm_sq``, ``flow_rhs`` and
-one rk4 ``step``; and one cold ``mu_minimize`` at 16^3, which ``mu
+pass and R_AB on a fresh ``Geometry``, ``ricci`` and ``riemann_norm_sq`` of
+that R_AB, ``hessian`` from its Gamma, ``flow_rhs``, one rk4 ``step`` and
+one ``_diagnose`` row on a geometry that ``flow_rhs`` has already read, as
+in ``flow.run``.  At 16^3 come one cold ``mu_minimize``, which ``mu
 iteration`` divides by its iteration count (one entropy-optimizer
-iteration).  One more figure, ``minflt per rk4 step``, is the mean count of
-minor page faults of this process (``resource.getrusage``) over 20 rk4 steps
-at each grid, after one warm-up step: the allocations of a step that the
-allocator returns to the system show up there.  ``ru_maxrss_mb`` is the process's peak resident set
-at the end.  rlab is imported from ``src/``; nothing is written.
-Pin the numerical thread pools (``OMP_NUM_THREADS=1`` and the like) to
-compare two checkouts.
+iteration), and the parts of an iteration: one ``_w_eval``, one
+``_mu_gradient``, and one descent's transforms (the forward rfftn of the
+stack (r, v, s) and the irfftn of P q).  One more figure, ``minflt per rk4
+step``, is the mean count of minor page faults of this process
+(``resource.getrusage``) over 20 rk4 steps at each grid, after one warm-up
+step: the allocations of a step that the allocator returns to the system
+show up there.  ``ru_maxrss_mb`` is the process's peak resident set at the
+end.  rlab is imported from ``src/``; nothing is written.  Pin the
+numerical thread pools (``OMP_NUM_THREADS=1`` and the like) to compare two
+checkouts.
 """
 
 import json
@@ -30,11 +35,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rlab.flow import FlowParams, FlowState, flow_rhs, step
-from rlab.functionals import mu_minimize
+from rlab.flow import FlowParams, FlowState, _diagnose, _geometry, flow_rhs, step
+from rlab.functionals import (_form_weights, _mu_gradient, _preconditioner, _w_eval,
+                              mu_minimize)
 from rlab.instances import random_instance
-from rlab.mesh import MetricField, diff1, diff2, grad_stack
-from rlab.tensor import Geometry, _connection, riemann_norm_sq
+from rlab.mesh import MetricField, diff1, diff2, grad_stack, integrate
+from rlab.tensor import Geometry, _connection, hessian, ricci, riemann_norm_sq
 
 REPEATS = 5
 GRIDS = ((2, 64), (3, 16), (4, 12))
@@ -43,13 +49,36 @@ DT = 1e-4
 FAULT_STEPS = 20
 
 
-def best_ms(fn):
+def best_ms(fn, setup=None):
+    """Best wall time of ``fn()``, or of ``fn(setup())`` with the set-up untimed."""
     times = []
     for _ in range(REPEATS):
+        args = () if setup is None else (setup(),)
         t0 = time.perf_counter()
-        fn()
+        fn(*args)
         times.append(time.perf_counter() - t0)
     return round(1e3 * min(times), 3)
+
+
+def step_geometry(state, params):
+    """The geometry of ``state`` with what ``flow_rhs`` reads already built."""
+    geo = _geometry(state, params)
+    flow_rhs(state, params, geo)
+    return geo
+
+
+def mu_parts_ms(metric, u, tau=1.0):
+    """One ``_w_eval``, one ``_mu_gradient`` and one descent's transforms."""
+    S = Geometry(metric, u).S
+    form = _form_weights(metric)
+    w = 1.0 + 0.1 * np.random.default_rng(7).random(metric.grid.shape)
+    w /= np.sqrt(integrate(w * w, metric))
+    _, *parts = _w_eval(metric, S, w, tau, form)
+    forward, inverse, P, _, _ = _preconditioner(metric, tau)
+    stack = np.stack((_mu_gradient(metric, w, tau, S, *parts), metric.sqrt_det * w, w))
+    return {"_w_eval": best_ms(lambda: _w_eval(metric, S, w, tau, form)),
+            "_mu_gradient": best_ms(lambda: _mu_gradient(metric, w, tau, S, *parts)),
+            "descent transforms": best_ms(lambda: inverse(P * forward(stack)[0]))}
 
 
 def minflt_per_step(state, params):
@@ -75,15 +104,21 @@ def main():
         ms[f"MetricField {label}"] = best_ms(lambda: MetricField(grid, metric.values))
         ms[f"_connection {label}"] = best_ms(lambda: _connection(metric))
         ms[f"gamma+rm_ab {label}"] = best_ms(lambda: Geometry(metric, u).rm_ab)
-        rab = Geometry(metric, u).rm_ab
+        geo = Geometry(metric, u)
+        rab = geo.rm_ab
+        ms[f"ricci {label}"] = best_ms(lambda: ricci(rab, metric))
         ms[f"riemann_norm_sq {label}"] = best_ms(lambda: riemann_norm_sq(rab, metric))
+        ms[f"hessian {label}"] = best_ms(lambda: hessian(u, grid, geo.gamma_p, geo.du))
         ms[f"flow_rhs {label}"] = best_ms(lambda: flow_rhs(state, params))
         ms[f"rk4 step {label}"] = best_ms(lambda: step(state, params, DT))
+        ms[f"_diagnose {label}"] = best_ms(lambda g: _diagnose(state, params, 0.0, DT, g),
+                                           lambda: step_geometry(state, params))
         faults[f"minflt per rk4 step {label}"] = minflt_per_step(state, params)
         if n == 3:
             ms[f"mu_minimize {label}"] = best_ms(lambda: mu_minimize(metric, u, 1.0))
             iterations = mu_minimize(metric, u, 1.0).iterations
             ms[f"mu iteration {label}"] = round(ms[f"mu_minimize {label}"] / iterations, 4)
+            ms.update({f"{k} {label}": v for k, v in mu_parts_ms(metric, u).items()})
     print(json.dumps({"unit": "ms", "best_of": REPEATS, "python": platform.python_version(),
                       "numpy": np.__version__, "times": ms, **faults,
                       "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))

@@ -30,17 +30,21 @@ so each evaluated iterate is differenced once.
 
 ``mu_minimize`` descends along the gradient preconditioned by
 P = (sigma mean sqrt(g) - 8 tau sum_a mean(g^{aa} sqrt g) D_a^+ D_a^-)^{-1},
-applied in Fourier space, projected P-orthogonally onto the tangent of the
-constraint, with Barzilai-Borwein steps measured in P^{-1} (Antoine, Levitt
-and Tang, J. Comput. Phys. 343, 2017).  The grid means make the iterates
-invariant under (tau g, tau).  A warm start runs beside the constant seed
-only; random seeds run on cold calls.  mu is an upper estimate of the
-infimum; monotonicity checks carry optimizer-tolerance slack.
+a multiplier on the rfftn half spectrum, projected P-orthogonally onto the
+tangent of the constraint, with Barzilai-Borwein steps measured in P^{-1}
+(Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).  The inner
+products in P and P^{-1} are weighted sums over that half spectrum
+(Parseval), so only the direction P q is transformed back to the grid.
+The grid means make the iterates invariant under (tau g, tau).  A warm
+start runs beside the constant seed only; random seeds run on cold calls.
+mu is an upper estimate of the infimum; monotonicity checks carry
+optimizer-tolerance slack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -173,11 +177,12 @@ class OptimizerOpts:
 
 
 def _preconditioner(metric: MetricField, tau: float):
-    """(times, (P, P, P^{-1})) for ``mu_minimize``: P^{-1} is the rfftn symbol
-    of sigma mean(sqrt g) - 8 tau sum_a mean(g^{aa} sqrt g) D_a^+ D_a^-, and
-    ``times(x, factor)`` multiplies the transform of x over its last n axes
-    by ``factor``, so one call takes a stack of fields, each by its factor
-    when ``factor`` is stacked alike."""
+    """(forward, inverse, P, P^{-1}, weights) for ``mu_minimize``: rfftn and
+    irfftn over the last n axes; the symbol P^{-1} of sigma mean(sqrt g) -
+    8 tau sum_a mean(g^{aa} sqrt g) D_a^+ D_a^- on their half spectrum; and
+    the weights that make sum x y = Re sum weights conj(x^) y^ (Parseval):
+    1 on the last axis's zero bin, and on its Nyquist bin at an even
+    resolution, 2 elsewhere, all over the number of grid points."""
     grid = metric.grid
     axes = tuple(range(-grid.n, 0))
     symbol = SIGMA * float(np.mean(metric.sqrt_det))
@@ -186,11 +191,10 @@ def _preconditioner(metric: MetricField, tau: float):
         lam = (2.0 * np.sin(np.pi * freq) / h) ** 2
         weight = 8.0 * tau * float(np.mean(metric.inv[a, a] * metric.sqrt_det))
         symbol = symbol + weight * lam.reshape([-1 if b == a else 1 for b in range(grid.n)])
-
-    def times(x, factor):
-        return np.fft.irfftn(np.fft.rfftn(x, axes=axes) * factor, s=grid.shape, axes=axes)
-
-    return times, np.stack((1.0 / symbol,) * 2 + (symbol,))
+    k = np.arange(grid.shape[-1] // 2 + 1)
+    weights = np.where((k == 0) | (2 * k == grid.shape[-1]), 1.0, 2.0)
+    return (partial(np.fft.rfftn, axes=axes), partial(np.fft.irfftn, s=grid.shape, axes=axes),
+            1.0 / symbol, symbol, weights / np.prod(grid.shape))
 
 
 def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
@@ -202,13 +206,15 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
     Runs from the constant seed and, on a cold call, ``nseeds - 1`` random
     positive seeds; with a ``warm_start`` (the previous minimizer, when
     tracking it along a flow) only from the constant seed and the warm
-    start.  Keeps the best.  Each step moves along P grad W, projected
-    P-orthogonally onto the constraint's tangent, with a Barzilai-Borwein
-    step <s, P^{-1} s> / <s, y> safeguarded by backtracking; iterates are
-    made positive and renormalized each step.  A seed stops after five
-    steps in a row that lower W by less than ``tol`` (relative), or when
-    backtracking finds no decrease.  ``geo`` is the cached geometry of
-    (metric, u) when the caller holds one; S = R - 2 |du|^2 whatever its a1.
+    start.  Keeps the best, and reports whether that seed converged.  Each
+    step moves along P grad W, projected P-orthogonally onto the
+    constraint's tangent, with a Barzilai-Borwein step <s, P^{-1} s> /
+    <s, y> safeguarded by backtracking, both products taken by Parseval on
+    the half spectrum; iterates are made positive and renormalized each
+    step.  A seed stops after five steps in a row that lower W by less than
+    ``tol`` (relative), or when backtracking finds no decrease.  ``geo`` is
+    the cached geometry of (metric, u) when the caller holds one; S = R -
+    2 |du|^2 whatever its a1.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -217,21 +223,28 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
     geo = geo if geo is not None else Geometry(metric, u)
     Sg = geo.scalar - 2.0 * geo.grad_sq
     form = _form_weights(metric)
-    times, factors = _preconditioner(metric, tau)
+    forward, inverse, P, Pinv, weights = _preconditioner(metric, tau)
+    # weighted P, P^{-1} on a float64 view's (re, im) pairs, for einsum (not BLAS)
+    wP, wPinv = (np.repeat(weights * F, 2, axis=-1).ravel() for F in (P, Pinv))
 
     def normalize(w):
         return w / np.sqrt(integrate(w * w, metric))
 
     def descent(w, parts, s=None):
         """q, the flat gradient less the multiple of the constraint's normal
-        sqrt(g) w that makes P q tangent, P q and [P^{-1} s] ([] with no step
-        s into w), from one transform."""
+        sqrt(g) w that makes P q tangent, P q and <s, P^{-1} s> (None with no
+        step s into w), from one forward and one inverse transform."""
         r = _mu_gradient(metric, w, tau, Sg, *parts)
         v = metric.sqrt_det * w
-        fields = (r, v) if s is None else (r, v, s)
-        pr, pv, *ps = times(np.stack(fields), factors[:len(fields)])
-        alpha = float(np.sum(v * pr)) / float(np.sum(v * pv))
-        return r - alpha * v, pr - alpha * pv, ps
+        hat = forward(np.stack((r, v) if s is None else (r, v, s)))
+        reim = hat.view(np.float64).reshape(len(hat), -1)
+        rv, vv = np.einsum("i,ki,i->k", wP, reim[:2], reim[1])
+        alpha = rv / vv
+        ss = None if s is None else np.einsum("i,i,i->", wPinv, reim[2], reim[2])
+        d = hat[0]                  # P (r^ - alpha v^), in place
+        d -= alpha * hat[1]
+        d *= P
+        return r - alpha * v, inverse(d), ss
 
     seeds = [np.ones(grid.shape)]
     if warm_start is not None:
@@ -242,7 +255,6 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
 
     best = None
     total_iters = 0
-    any_converged = False
     for w0 in seeds:
         w = normalize(w0)
         e, *parts = _w_eval(metric, Sg, w, tau, form)
@@ -257,7 +269,6 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
             if q_prev is not None:
                 sy = float(np.sum(s * (q - q_prev)))
                 if sy > 1e-30:
-                    ss = float(np.sum(s * ps))
                     step = min(max(ss / sy, 1e-6), 1e3)
             trial_step = step
             improved = False
@@ -274,7 +285,7 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
             decrease = e - et
             s, q_prev = wt - w, q
             w, e = wt, et
-            q, d, (ps,) = descent(w, trial_parts, s)
+            q, d, ss = descent(w, trial_parts, s)
             if decrease < opts.tol * max(1.0, abs(e)):
                 stall += 1
                 if stall >= 5:
@@ -283,15 +294,14 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
             else:
                 stall = 0
         total_iters += it
-        any_converged = any_converged or converged
         if best is None or e < best[0]:
-            best = (e, w)
-    mu, w = best
+            best = (e, w, converged)
+    mu, w, converged = best
     f = -2.0 * np.log(np.maximum(w, 1e-300)) - 0.5 * n * np.log(4.0 * np.pi * tau)
     norm_defect = abs(integrate(np.exp(-f), metric)
                       * (4.0 * np.pi * tau) ** (-n / 2.0) - 1.0)
     return EntropyReport(mu, w, _upper_bound(metric, Sg, tau),
-                         norm_defect, total_iters, any_converged)
+                         norm_defect, total_iters, converged)
 
 
 # --------------------------------------------------------------------------

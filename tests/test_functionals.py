@@ -247,23 +247,69 @@ def test_preconditioned_mu_not_above_plain_bb():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_stacked_preconditioning_equals_two_calls_bitwise(n):
-    # mu_minimize preconditions r and v in one transform of their stack, and
-    # applies the symbol P^{-1} to the step s in that same transform
+def test_parseval_products_equal_real_space_sums(n):
+    # mu_minimize takes <x, P y> and <x, P^{-1} x> on the rfftn half spectrum,
+    # as weighted sums over its float64 view; they match grid sums over
+    # explicit inverse transforms, at an even last resolution (a Nyquist bin
+    # of weight 1) and an odd one (none)
     from rlab.functionals import _preconditioner
     rng = np.random.default_rng(n)
     for res in (8, 9):
         _, m, u = random_instance(n, res, seed=n)
-        times, factors = _preconditioner(m, 0.75)
-        P, symbol = factors[0], factors[2]
-        assert np.array_equal(factors[1], P) and np.array_equal(P, 1.0 / symbol)
-        r, v, s = rng.standard_normal((3,) + m.grid.shape)
-        both = times(np.stack((r, v)), P)
-        assert np.array_equal(both[0], times(r, P))
-        assert np.array_equal(both[1], times(v, P))
-        three = times(np.stack((r, v, s)), factors)
-        assert np.array_equal(three[:2], both)
-        assert np.array_equal(three[2], times(s, symbol))
+        forward, inverse, P, Pinv, weights = _preconditioner(m, 0.75)
+        assert np.allclose(P * Pinv, 1.0)
+        x = 0.5 + rng.random(m.grid.shape)
+        y = 1.0 + rng.standard_normal(m.grid.shape)
+        fx, fy = forward(x), forward(y)
+        assert np.allclose(inverse(fx), x, rtol=0, atol=1e-14)
+        vx, vy = fx.view(np.float64), fy.view(np.float64)
+        wP, wPinv = (np.repeat(weights * F, 2, axis=-1) for F in (P, Pinv))
+        for parseval, direct in ((np.vdot(fx, weights * P * fy).real,
+                                  np.sum(x * inverse(P * fy))),
+                                 (np.sum(wP * vx * vy), np.sum(x * inverse(P * fy))),
+                                 (np.vdot(fx, weights * Pinv * fx).real,
+                                  np.sum(x * inverse(Pinv * fx))),
+                                 (np.sum(wPinv * vx * vx), np.sum(x * inverse(Pinv * fx)))):
+            assert abs(parseval - direct) <= 1e-13 * abs(direct), (res, parseval, direct)
+
+
+def test_one_transform_each_way_per_descent(monkeypatch):
+    # each descent direction is one forward rfftn of the stacked fields and
+    # one irfftn of the one field P q; descent differentiates W once, so
+    # gradients count descents
+    import rlab.functionals as fn
+    counts = {"rfftn": 0, "irfftn": 0, "gradient": 0}
+    inverted = []
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            if key == "irfftn":
+                inverted.append(args[0].ndim)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fn.np.fft, "rfftn", counted("rfftn", np.fft.rfftn))
+    monkeypatch.setattr(fn.np.fft, "irfftn", counted("irfftn", np.fft.irfftn))
+    monkeypatch.setattr(fn, "_mu_gradient", counted("gradient", fn._mu_gradient))
+    grid, m, u = random_instance(3, 8, seed=321)
+    rep = mu_minimize(m, u, 0.8, OptimizerOpts(max_iter=30, nseeds=2))
+    assert rep.iterations >= 2 and counts["gradient"] >= 2
+    assert counts["rfftn"] == counts["irfftn"] == counts["gradient"]
+    assert inverted == [grid.n] * counts["irfftn"]
+
+
+def test_converged_describes_the_kept_seed():
+    # below tau = 1/2 the constant w on a flat torus is a critical point but
+    # not a minimum: its seed stops at once, converged, while a random seed
+    # descends below it and is cut off by max_iter
+    g, m = flat2(8)
+    u = np.zeros(g.shape)
+    const = mu_minimize(m, u, 0.3, OptimizerOpts(max_iter=10, nseeds=1))
+    assert const.converged and const.iterations == 1
+    rep = mu_minimize(m, u, 0.3, OptimizerOpts(max_iter=10, nseeds=2))
+    assert rep.mu < const.mu and rep.iterations == 1 + 10
+    assert not rep.converged
 
 
 def test_warm_start_runs_no_random_seeds():

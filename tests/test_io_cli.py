@@ -602,7 +602,7 @@ def test_rlab_threads_env(tmp_path):
                         str(cfg), "--out", str(tmp_path / "thr")],
                        capture_output=True, text=True,
                        env={"PATH": "/usr/bin:/bin", "RLAB_THREADS": "1",
-                            "PYTHONPATH": SRC})
+                            "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"})
     assert r.returncode == 0, r.stderr
     assert "OMP_NUM_THREADS at numpy import: ['1']" in r.stdout, r.stdout
 
