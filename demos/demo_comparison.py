@@ -19,10 +19,12 @@ from rlab.comparison import (killing_report, lemma57_defect, ricci_order,
 from rlab.instances import product_metric, random_instance
 from rlab.mesh import build_grid, flat_metric
 from rlab.snapshots import write_verdicts_csv
+from rlab.tensor import Geometry
 
 # scalar orderings on a random instance
 grid, m, u = random_instance(2, 24, seed=201)
-verdicts = [scalar_order(m, u, p) for p in ("RL_vs_R", "R_vs_RWY", "R_eq_RWY_e^u")]
+geo = Geometry(m, u)    # one curvature evaluation for the three pairs
+verdicts = [scalar_order(geo, p) for p in ("RL_vs_R", "R_vs_RWY", "R_eq_RWY_e^u")]
 print("scalar orderings (left <= right after integration):")
 for v in verdicts:
     print(f"  {v.pair:14s} weight={v.weight:6s} margin={v.margin:+.4e}  -> {v.verdict}")

@@ -14,6 +14,7 @@ from rlab.functionals import OptimizerOpts, mu_minimize, w_entropy
 from rlab.instances import verification_initial_data
 from rlab.mesh import build_grid, flat_metric
 from rlab.snapshots import write_entropy_csv
+from rlab.tensor import Geometry
 
 grid = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
 
@@ -33,20 +34,20 @@ tau0 = 1.0
 rows, prev = [], None
 print(f"\n{'t':>6s} {'tau':>6s} {'mu':>12s} {'bound':>12s} {'iters':>7s}")
 for k in np.linspace(0, traj.nsnapshots - 1, 11).astype(int):
-    s = traj.state(int(k))
-    rep = mu_minimize(s.metric, s.u, tau0 - s.t, opts, warm_start=prev)
+    f = traj.frame(int(k))      # the snapshot's geometry
+    rep = mu_minimize(f, tau0 - f.t, opts, warm_start=prev)
     prev = rep.w
-    rows.append((s.t, tau0 - s.t, rep.mu, rep.upper_bound, rep.norm_defect,
+    rows.append((f.t, tau0 - f.t, rep.mu, rep.upper_bound, rep.norm_defect,
                  rep.iterations))
-    print(f"{s.t:6.3f} {tau0 - s.t:6.3f} {rep.mu:12.8f} {rep.upper_bound:12.8f} "
+    print(f"{f.t:6.3f} {tau0 - f.t:6.3f} {rep.mu:12.8f} {rep.upper_bound:12.8f} "
           f"{rep.iterations:7d}")
 
 mus = [r[2] for r in rows]
 print(f"\nsmallest forward step of mu: {np.min(np.diff(mus)):+.3e}  (nonnegative = monotone)")
 
 c = 1.7
-r1 = mu_minimize(metric, u0, 1.0, opts)
-r2 = mu_minimize(metric.scaled(c), u0, c, opts)
+r1 = mu_minimize(Geometry(metric, u0), 1.0, opts)
+r2 = mu_minimize(Geometry(metric.scaled(c), u0), c, opts)
 print(f"scaling invariance: |mu(c g, c) - mu(g, 1)| = {abs(r1.mu - r2.mu):.2e}")
 
 write_entropy_csv("entropy.csv", rows)

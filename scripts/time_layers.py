@@ -8,9 +8,13 @@ and 12^4: the stencils ``diff1``, ``diff2`` and ``grad_stack`` on a
 10-component stack, ``MetricField`` (symmetrization, cofactors and the SPD
 rule), the Levi-Civita pass alone (``tensor._connection``), the Levi-Civita
 pass and R_AB on a fresh ``Geometry``, ``ricci`` and ``riemann_norm_sq`` of
-that R_AB, ``hessian`` from its Gamma, ``flow_rhs``, one rk4 ``step`` and
-one ``_diagnose`` row on a geometry that ``flow_rhs`` has already read, as
-in ``flow.run``.  At 16^3 come one cold ``mu_minimize``, which ``mu
+that R_AB, ``hessian`` from its Gamma, ``flow_rhs`` on a fresh geometry
+(``flow._geometry``), one rk4 ``step``, one ``_diagnose`` row on a geometry
+that ``flow_rhs`` has already read, as in ``flow.run``, and one uniqueness
+energy snapshot (``difference_bundle`` of a state and its perturbed twin,
+``energy`` and ``norms``, as in the uniqueness stage).  At 64^2 and 16^3
+comes ``lemma52_defects``, whose n^4 einsums do not fit a quick 12^4 row.
+At 16^3 come one cold ``mu_minimize`` on a fresh geometry, which ``mu
 iteration`` divides by its iteration count (one entropy-optimizer
 iteration), and the parts of an iteration: one ``_w_eval``, one
 ``_mu_gradient``, and one descent's transforms (the forward rfftn of the
@@ -35,12 +39,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rlab.flow import FlowParams, FlowState, _diagnose, _geometry, flow_rhs, step
+from rlab.cli import twin_from
+from rlab.flow import (FlowParams, FlowState, Trajectory, _diagnose, _geometry, flow_rhs,
+                       step)
 from rlab.functionals import (_form_weights, _mu_gradient, _preconditioner, _w_eval,
                               mu_minimize)
+from rlab.identities import lemma52_defects
 from rlab.instances import random_instance
 from rlab.mesh import MetricField, diff1, diff2, grad_stack, integrate
 from rlab.tensor import Geometry, _connection, hessian, ricci, riemann_norm_sq
+from rlab.uniqueness import difference_bundle, energy
 
 REPEATS = 5
 GRIDS = ((2, 64), (3, 16), (4, 12))
@@ -63,8 +71,23 @@ def best_ms(fn, setup=None):
 def step_geometry(state, params):
     """The geometry of ``state`` with what ``flow_rhs`` reads already built."""
     geo = _geometry(state, params)
-    flow_rhs(state, params, geo)
+    flow_rhs(geo)
     return geo
+
+
+def energy_snapshot(state, params):
+    """One snapshot of the uniqueness stage's energy: the differences of
+    ``state`` and its twin (``cli.twin_from``) at t = DT, their energy and norms."""
+    trajs = []
+    for grid, metric, u in ((state.grid, state.metric, state.u),
+                            twin_from({}, state.grid, state.metric, state.u)):
+        trajs.append(Trajectory(grid, params, DT, frozenset()))
+        trajs[-1].record(FlowState(grid, metric, u, DT, 1))
+
+    def snapshot():
+        bundle = difference_bundle(*trajs, 0)
+        return energy(bundle), bundle.norms()
+    return snapshot
 
 
 def mu_parts_ms(metric, u, tau=1.0):
@@ -109,14 +132,17 @@ def main():
         ms[f"ricci {label}"] = best_ms(lambda: ricci(rab, metric))
         ms[f"riemann_norm_sq {label}"] = best_ms(lambda: riemann_norm_sq(rab, metric))
         ms[f"hessian {label}"] = best_ms(lambda: hessian(u, grid, geo.gamma_p, geo.du))
-        ms[f"flow_rhs {label}"] = best_ms(lambda: flow_rhs(state, params))
+        ms[f"flow_rhs {label}"] = best_ms(lambda: flow_rhs(_geometry(state, params)))
         ms[f"rk4 step {label}"] = best_ms(lambda: step(state, params, DT))
-        ms[f"_diagnose {label}"] = best_ms(lambda g: _diagnose(state, params, 0.0, DT, g),
+        ms[f"_diagnose {label}"] = best_ms(lambda g: _diagnose(g, 0.0, DT),
                                            lambda: step_geometry(state, params))
         faults[f"minflt per rk4 step {label}"] = minflt_per_step(state, params)
+        ms[f"energy snapshot {label}"] = best_ms(energy_snapshot(state, params))
+        if n < 4:
+            ms[f"lemma52_defects {label}"] = best_ms(lambda: lemma52_defects(metric, u))
         if n == 3:
-            ms[f"mu_minimize {label}"] = best_ms(lambda: mu_minimize(metric, u, 1.0))
-            iterations = mu_minimize(metric, u, 1.0).iterations
+            ms[f"mu_minimize {label}"] = best_ms(lambda: mu_minimize(Geometry(metric, u), 1.0))
+            iterations = mu_minimize(Geometry(metric, u), 1.0).iterations
             ms[f"mu iteration {label}"] = round(ms[f"mu_minimize {label}"] / iterations, 4)
             ms.update({f"{k} {label}": v for k, v in mu_parts_ms(metric, u).items()})
     print(json.dumps({"unit": "ms", "best_of": REPEATS, "python": platform.python_version(),

@@ -243,7 +243,7 @@ def entropy_reader(cfg):
         nonlocal prev
         if k in entropy_samples(cfg, nsnap):
             tau = tau0 - state.t
-            rep = mu_minimize(state.metric, state.u, tau, opts, prev, geo)
+            rep = mu_minimize(geo, tau, opts, prev)
             prev = rep.w
             return state.t, tau, rep.mu, rep.upper_bound, rep.norm_defect, rep.iterations
 
@@ -282,7 +282,7 @@ def stage_compare(cfg, out: Path, checks, outputs, _base):
         grid, m, u = random_instance(n, res, seed + i)
         geo = Geometry(m, u)        # one curvature evaluation for every pair
         for pair in pairs:
-            v = scalar_order(m, u, pair, geo=geo)
+            v = scalar_order(geo, pair)
             verdicts.append(v)
             ok = ok and v.verdict != "fails"
     write_verdicts_csv(out / "verdicts.csv", verdicts)

@@ -156,16 +156,15 @@ def _tolerance(metric: MetricField) -> float:
     return 10.0 * h2 * integrate(np.ones(metric.grid.shape), metric)
 
 
-def scalar_order(metric: MetricField, u: np.ndarray, which_pair: str,
-                 weight: str = "volume", geo: Geometry | None = None) -> OrderVerdict:
-    """Weighted integral comparison of the scalar-curvature variants.  ``geo``
-    is the cached geometry of (metric, u) when the caller already has one."""
+def scalar_order(geo: Geometry, which_pair: str, weight: str = "volume") -> OrderVerdict:
+    """Weighted integral comparison of the scalar-curvature variants of the
+    geometry of a pair (metric, u)."""
+    metric, u = geo.metric, geo.u
     if metric.grid.kind != "torus":
         raise ValueError("integral orderings require a torus grid")
     # every side is traced from the Gamma-form tensors, the route the weighted
     # curvature requires, so cross-stencil bias cancels and constant-u
     # margins vanish to rounding
-    geo = geo if geo is not None else Geometry(metric, u)
     R = np.einsum("jk...,jk...->...", metric.inv, geo.ric_ref)
     mu = _weight_values(metric, u, "e^u" if which_pair == "R_eq_RWY_e^u" else weight)
     tol = _tolerance(metric)

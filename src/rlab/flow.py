@@ -79,23 +79,21 @@ def _geometry(state: FlowState, params: FlowParams) -> Geometry:
                     params.beta2, t=state.t)
 
 
-def flow_rhs(state: FlowState, params: FlowParams, geo: Geometry | None = None):
-    """Right-hand sides (dg/dt, du/dt).  ``geo`` is the cached geometry of
-    ``state`` when the caller already has one."""
-    geo = geo if geo is not None else _geometry(state, params)
+def flow_rhs(geo: Geometry):
+    """Right-hand sides (dg/dt, du/dt) at a state's geometry (``_geometry``),
+    which holds the flow parameters."""
     du = geo.du
-    gdot = -2.0 * geo.ric + 2.0 * params.alpha1 * np.einsum("i...,j...->ij...", du, du)
-    udot = geo.lap_u + params.beta1 * geo.grad_sq + params.beta2 * state.u
+    gdot = -2.0 * geo.ric + 2.0 * geo.alpha1 * np.einsum("i...,j...->ij...", du, du)
+    udot = geo.lap_u + geo.beta1 * geo.grad_sq + geo.beta2 * geo.u
     return gdot, udot
 
 
-def cfl_dt(state: FlowState, safety: float,
-           geo: Geometry | None = None) -> float:
-    """Parabolic step bound dt = safety * min h^2 / (4 n max(1, |Rm|, |Hess u|))."""
+def cfl_dt(geo: Geometry, safety: float) -> float:
+    """Parabolic step bound dt = safety * min h^2 / (4 n max(1, |Rm|, |Hess u|))
+    at a state's geometry."""
     if not 0 < safety <= 1:
         raise ValueError("safety must lie in (0, 1]")
-    grid = state.grid
-    geo = geo if geo is not None else Geometry(state.metric, state.u)
+    grid = geo.grid
     mrm = float(np.sqrt(np.max(geo.rm_sq)))
     mh = float(np.sqrt(np.max(geo.hess_sq)))
     hmin = min(grid.spacing)
@@ -117,11 +115,11 @@ def step(state: FlowState, params: FlowParams, dt: float,
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     try:
-        gdot, udot = k1 if k1 is not None else flow_rhs(state, params)
+        gdot, udot = k1 if k1 is not None else flow_rhs(_geometry(state, params))
         if method == "rk4":     # (k1 + 2 k2 + 2 k3 + k4) / 6, summed in that order
             kg, ku = gdot, udot
             for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
-                kg, ku = flow_rhs(_advance(state, kg, ku, c * dt), params)
+                kg, ku = flow_rhs(_geometry(_advance(state, kg, ku, c * dt), params))
                 gdot, udot = gdot + w * kg, udot + w * ku
             gdot, udot = gdot / 6.0, udot / 6.0
         new = _advance(state, gdot, udot, dt)
@@ -209,17 +207,16 @@ class Trajectory:
         return list(zip(*cols))
 
 
-def _diagnose(state: FlowState, params: FlowParams, cum_hess: float, dt: float,
-              geo: Geometry | None = None):
-    geo = geo if geo is not None else _geometry(state, params)
-    m = state.metric
+def _diagnose(geo: Geometry, cum_hess: float, dt: float):
+    """The diagnostics row of a state's geometry, reached by a step ``dt``."""
+    m = geo.metric
     sic_sq = geo.sic_sq
     row = {
-        "t": state.t,
+        "t": geo.t,
         "max_rm": float(np.sqrt(np.max(geo.rm_sq))),
         "max_grad_u_sq": float(np.max(geo.grad_sq)),
         "min_Sg": float(np.min(geo.S)),
-        "vol": integrate(np.ones(state.grid.shape), m),
+        "vol": integrate(np.ones(geo.grid.shape), m),
         "int_hess_sq_cum": cum_hess + dt * integrate(geo.hess_sq, m),
         "int_lap_u_sq": integrate(geo.lap_u * geo.lap_u, m),
         "int_sic_sq": integrate(sic_sq, m),
@@ -257,7 +254,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
         warnings.warn("flow parameters are not regular; gradient bound not guaranteed",
                       RuntimeWarning)
     dt = (schedule.dt if schedule.dt is not None
-          else cfl_dt(initial_state, schedule.safety, geo))
+          else cfl_dt(geo, schedule.safety))
     nsteps, short = step_plan(schedule.t_end, dt)
     t_end = initial_state.t + schedule.t_end
     nsnap = -(-nsteps // schedule.cadence) + 1     # planned; keep None holds all
@@ -266,7 +263,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
     for k in range(nsteps + 1):         # k = 0 is the initial state
         if k:
             h = t_end - state.t if short and k == nsteps else dt
-            k1, geo = flow_rhs(state, params, geo), None    # geo is not read again
+            k1, geo = flow_rhs(geo), None    # geo is not read again
             try:
                 state = step(state, params, h, schedule.method, k1)
             except BlowUpError as e:
@@ -279,7 +276,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
             if reader and (got := reader(traj.nsnapshots - 1, nsnap, state, geo)) is not None:
                 traj.read.append(got)
         if schedule.diagnostics:
-            row = _diagnose(state, params, cum_hess, h, geo)
+            row = _diagnose(geo, cum_hess, h)
             cum_hess = row["int_hess_sq_cum"]
             for key, v in row.items():
                 traj.diagnostics.setdefault(key, []).append(v)

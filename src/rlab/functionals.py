@@ -85,13 +85,12 @@ def _differences(w: np.ndarray, grid) -> tuple:
     return fwd, cen
 
 
-def _w_eval(metric: MetricField, S: np.ndarray, w: np.ndarray, tau: float,
-            form=None):
+def _w_eval(metric: MetricField, S: np.ndarray, w: np.ndarray, tau: float, form):
     """W at a normalized w, with the pieces its gradient reuses:
-    (W, b D^+ w, a D^c w, ln|w|, c0), c0 = (n/2) ln(4 pi tau) + n.
-    ``form`` is ``_form_weights(metric)`` when the caller holds it."""
+    (W, b D^+ w, a D^c w, ln|w|, c0), c0 = (n/2) ln(4 pi tau) + n;
+    ``form`` is ``_form_weights(metric)``."""
     grid = metric.grid
-    b, a = form if form is not None else _form_weights(metric)
+    b, a = form
     c0 = 0.5 * grid.n * np.log(4.0 * np.pi * tau) + grid.n
     fwd, cen = _differences(w, grid)
     flux_fwd = b * fwd
@@ -126,7 +125,7 @@ def w_entropy(metric: MetricField, u: np.ndarray, f: np.ndarray, tau: float) -> 
         raise ValueError("tau must be positive")
     n = metric.grid.n
     w = np.exp(-0.5 * f) * (4.0 * np.pi * tau) ** (-n / 4.0)
-    return _w_eval(metric, Geometry(metric, u, 2.0).S, w, tau)[0]
+    return _w_eval(metric, Geometry(metric, u, 2.0).S, w, tau, _form_weights(metric))[0]
 
 
 def _upper_bound(metric: MetricField, S: np.ndarray, tau: float) -> float:
@@ -197,10 +196,8 @@ def _preconditioner(metric: MetricField, tau: float):
             1.0 / symbol, symbol, weights / np.prod(grid.shape))
 
 
-def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
-                opts: OptimizerOpts = OptimizerOpts(),
-                warm_start: np.ndarray | None = None,
-                geo: Geometry | None = None) -> EntropyReport:
+def mu_minimize(geo: Geometry, tau: float, opts: OptimizerOpts = OptimizerOpts(),
+                warm_start: np.ndarray | None = None) -> EntropyReport:
     """Preconditioned projected gradient descent on w with int w^2 dV = 1.
 
     Runs from the constant seed and, on a cold call, ``nseeds - 1`` random
@@ -212,15 +209,14 @@ def mu_minimize(metric: MetricField, u: np.ndarray, tau: float,
     <s, y> safeguarded by backtracking, both products taken by Parseval on
     the half spectrum; iterates are made positive and renormalized each
     step.  A seed stops after five steps in a row that lower W by less than
-    ``tol`` (relative), or when backtracking finds no decrease.  ``geo`` is
-    the cached geometry of (metric, u) when the caller holds one; S = R -
-    2 |du|^2 whatever its a1.
+    ``tol`` (relative), or when backtracking finds no decrease.  The metric
+    and u are ``geo``'s, and S = R - 2 |du|^2 whatever its a1.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    metric = geo.metric
     grid = metric.grid
     n = grid.n
-    geo = geo if geo is not None else Geometry(metric, u)
     Sg = geo.scalar - 2.0 * geo.grad_sq
     form = _form_weights(metric)
     forward, inverse, P, Pinv, weights = _preconditioner(metric, tau)

@@ -324,11 +324,10 @@ def _frames(traj: Trajectory, t_index: int, other: Trajectory | None = None):
     return tuple(difference_bundle(traj, other, k) for k in ks)
 
 
-def residual_field(traj: Trajectory, ident: Identity, t_index: int,
-                   frames=None, mutate: bool = False):
-    """The pointwise residual field of one registered identity, over a triple
-    of Geometries (default: the trajectory's around ``t_index``) or of DiffBundles."""
-    fm, f0, fp = frames if frames is not None else _frames(traj, t_index)
+def residual_field(ident: Identity, frames, mutate: bool = False):
+    """The pointwise residual field of one identity over ``frames``, a triple
+    of Geometries or of DiffBundles (``_frames``)."""
+    fm, f0, fp = frames
     q = QUANTITIES[ident.quantity]
     Qm, con, cov = q(fm)
     Qp = q(fp)[0]
@@ -368,8 +367,7 @@ def evaluate_identity(traj: Trajectory, ident_id: str, t_index: int,
         a = traj.params
         if (a.alpha1, a.beta1, a.beta2) != (2.0, 0.0, 0.0):
             raise ValueError(f"identity {ident_id} requires a (2,0,0,0) trajectory")
-    res, con, cov, f0 = residual_field(traj, ident, t_index,
-                                       _frames(traj, t_index, other), mutate)
+    res, con, cov, f0 = residual_field(ident, _frames(traj, t_index, other), mutate)
     mx, l2 = _norms(res, f0.metric, con, cov)
     bound = None
     if ident.bound is not None:

@@ -143,8 +143,9 @@ def write_checkpoint(path, state, params, schedule):
 
 def read_checkpoint(path):
     """(FlowState, FlowParams, Schedule) of a checkpoint; a snapshot that is not
-    one (no g of rank (0,2) or u of rank (0,0), a payload key missing) raises
-    ``ValueError`` naming it."""
+    one (no g of rank (0,2) or u of rank (0,0); a payload key missing; t not a
+    finite number or step_count not a non-negative int) raises ``ValueError``
+    naming it."""
     from .flow import FlowParams, FlowState, Schedule
     grid, fields, extra = read_snapshot(path)
     for name, rank in (("g", (0, 2)), ("u", (0, 0))):
@@ -164,9 +165,15 @@ def read_checkpoint(path):
     alpha1, beta1, beta2 = payload("params", "alpha1", "beta1", "beta2")
     params = FlowParams(alpha1, beta1=beta1, beta2=beta2)
     schedule = Schedule(*payload("schedule", "t_end", "dt", "safety", "cadence", "method"))
+    for key, ok, what in (
+            ("t", lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+            ("step_count", lambda v: type(v) is int and v >= 0, "a non-negative int")):
+        if key not in extra:
+            raise ValueError(f"checkpoint payload has no key {key!r}")
+        if not ok(extra[key]):
+            raise ValueError(f"checkpoint payload {key!r} is {extra[key]!r}, not {what}")
     metric = MetricField(grid, fields["g"][0])
-    state = FlowState(grid, metric, fields["u"][0], extra.get("t", 0.0),
-                      extra.get("step_count", 0))
+    state = FlowState(grid, metric, fields["u"][0], extra["t"], extra["step_count"])
     return state, params, schedule
 
 

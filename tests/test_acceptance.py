@@ -138,20 +138,21 @@ def test_criterion_4_entropy(manifest):
     mus, prev = [], None
     for k in idxs:
         s = traj.state(int(k))
-        rep = mu_minimize(s.metric, s.u, tau0 - s.t, opts, warm_start=prev)
+        rep = mu_minimize(Geometry(s.metric, s.u), tau0 - s.t, opts, warm_start=prev)
         mus.append(rep.mu)
         prev = rep.w
     mono = bool(np.all(np.diff(np.array(mus)) >= -3e-6))
     grid, mm, uu = random_instance(2, 16, seed=manifest["seeds"]["entropy"][0])
     tau = 1.4
-    r1 = mu_minimize(mm, uu, 1.0, opts)
-    r2 = mu_minimize(mm.scaled(tau), uu, tau, opts)
+    r1 = mu_minimize(Geometry(mm, uu), 1.0, opts)
+    r2 = mu_minimize(Geometry(mm.scaled(tau), uu), tau, opts)
     scaling = abs(r1.mu - r2.mu) <= 2e-6
     violations = 0
     for seed in manifest["seeds"]["entropy"]:
         grid, mi, ui = random_instance(2, 12, seed)
         ti = 0.8 + (seed % 7) * 0.2
-        rep = mu_minimize(mi, ui, ti, OptimizerOpts(tol=1e-9, max_iter=4000, nseeds=3))
+        rep = mu_minimize(Geometry(mi, ui), ti,
+                          OptimizerOpts(tol=1e-9, max_iter=4000, nseeds=3))
         if rep.mu > mu_upper_bound(mi, ui, ti) + 1e-6:
             violations += 1
     ok = mono and scaling and violations == 0
@@ -197,9 +198,10 @@ def test_criterion_6_comparison_suite(manifest):
     div_ok = True
     for seed in manifest["seeds"]["comparison"]:
         grid, m, u = random_instance(2, 12, seed)
-        v1 = scalar_order(m, u, "RL_vs_R")
-        v2 = scalar_order(m, u, "R_vs_RWY")
-        v3 = scalar_order(m, u, "R_eq_RWY_e^u")
+        geo = Geometry(m, u)
+        v1 = scalar_order(geo, "RL_vs_R")
+        v2 = scalar_order(geo, "R_vs_RWY")
+        v3 = scalar_order(geo, "R_eq_RWY_e^u")
         margins_ok &= v1.margin >= 0 and v2.margin >= -v2.tolerance
         margins_ok &= abs(v3.margin) <= v3.tolerance
         div_ok &= abs(weighted_divergence_integral(m, u)) <= 1e-10

@@ -148,16 +148,17 @@ def test_lemma57_general_refines():
 def test_scalar_orders(manifest):
     for seed in manifest["seeds"]["comparison"]:
         grid, m, u = random_instance(2, 12, seed)
-        v1 = scalar_order(m, u, "RL_vs_R")
+        geo = Geometry(m, u)
+        v1 = scalar_order(geo, "RL_vs_R")
         assert v1.verdict == "holds"
         # the margin is exactly twice the gradient energy
         from rlab.mesh import grad_stack
         du = grad_stack(u, grid)
         gsq = np.einsum("ij...,i...,j...->...", m.inv, du, du)
         assert abs(v1.margin - 2.0 * integrate(gsq, m)) < 1e-10
-        v2 = scalar_order(m, u, "R_vs_RWY")
+        v2 = scalar_order(geo, "R_vs_RWY")
         assert v2.verdict in ("holds", "within-tolerance")
-        v3 = scalar_order(m, u, "R_eq_RWY_e^u")
+        v3 = scalar_order(geo, "R_eq_RWY_e^u")
         assert abs(v3.margin) <= v3.tolerance
         assert abs(weighted_divergence_integral(m, u)) < 1e-10
 
@@ -273,7 +274,7 @@ def test_scalar_orders_constant_u_exact():
     grid, m, _ = random_instance(2, 16, seed=207)
     u0 = np.full(grid.shape, 1.3)
     for pair in ("RL_vs_R", "R_vs_RWY", "R_eq_RWY_e^u"):
-        v = scalar_order(m, u0, pair)
+        v = scalar_order(Geometry(m, u0), pair)
         assert v.margin == 0.0, pair
 
 
@@ -308,7 +309,7 @@ def test_compare_stage_shares_one_geometry_per_instance(tmp_path, monkeypatch):
     stage_compare(cfg, tmp_path, {}, [], None)
     assert calls == {"riemann_13": 2 * 2, "_connection": 2}
     # the per-pair path (one geometry per pair) writes the same bytes
-    per_pair = [scalar_order(m, u, pair)
+    per_pair = [scalar_order(Geometry(m, u), pair)
                 for _, m, u in (random_instance(3, 8, 5 + i) for i in range(2))
                 for pair in SCALAR_PAIRS]
     write_verdicts_csv(tmp_path / "per_pair.csv", per_pair)

@@ -9,11 +9,11 @@ import pytest
 
 from conftest import SRC
 from rlab.flow import (DIAG_COLUMNS, BlowUpError, FlowParams, FlowState, Schedule,
-                       _diagnose, cfl_dt, flow_rhs, is_regular, run, step)
+                       _diagnose, _geometry, cfl_dt, flow_rhs, is_regular, run, step)
 from rlab.instances import (perturbed_flat_metric, random_instance,
                             verification_initial_data)
 from rlab.mesh import MetricField, build_grid, flat_metric, grad_stack, integrate
-from rlab.tensor import curvature, norm_sq, sm_tensor
+from rlab.tensor import Geometry, curvature, norm_sq, sm_tensor
 
 
 def flat_state(res=16):
@@ -48,7 +48,7 @@ def test_is_regular():
 
 def test_flow_rhs_flat_stationary():
     st = flat_state()
-    gdot, udot = flow_rhs(st, FlowParams(2.0))
+    gdot, udot = flow_rhs(_geometry(st, FlowParams(2.0)))
     assert np.all(gdot == 0.0) and np.all(udot == 0.0)
 
 
@@ -58,7 +58,7 @@ def test_flow_rhs_flat_sin_expansion():
     eps = 0.1
     x = g.coords()[0]
     st = FlowState(g, flat_metric(g), eps * np.sin(x))
-    gdot, udot = flow_rhs(st, FlowParams(2.0))
+    gdot, udot = flow_rhs(_geometry(st, FlowParams(2.0)))
     h2 = max(g.spacing) ** 2
     assert np.max(np.abs(gdot[0, 0] - 4 * eps ** 2 * np.cos(x) ** 2)) < 5 * eps ** 2 * h2
     assert np.max(np.abs(udot + eps * np.sin(x))) < 5 * eps * h2
@@ -68,7 +68,7 @@ def test_flow_rhs_flat_sin_expansion():
 def test_flow_rhs_reduces_to_ricci_flow():
     st = curved_state(16)
     st0 = FlowState(st.grid, st.metric, np.zeros(st.grid.shape))
-    gdot, udot = flow_rhs(st0, FlowParams(2.0))
+    gdot, udot = flow_rhs(_geometry(st0, FlowParams(2.0)))
     cb = curvature(st0.metric)
     assert np.array_equal(gdot, -2.0 * cb.ric)
     assert np.all(udot == 0.0)
@@ -80,7 +80,7 @@ def test_reduction_exact_through_the_public_path(tmp_path):
     general, reduced = FlowParams(1.0, 0.75, 0.5, -0.3), FlowParams(1.0, 0.0, -0.25, -0.3)
     assert general == reduced
     st, dt = curved_state(16), 1e-3
-    for a, b in zip(flow_rhs(st, general), flow_rhs(st, reduced)):
+    for a, b in zip(flow_rhs(_geometry(st, general)), flow_rhs(_geometry(st, reduced))):
         assert np.array_equal(a, b)
     s1, s2 = step(st, general, dt), step(st, reduced, dt)
     assert np.array_equal(s1.metric.values, s2.metric.values)
@@ -99,11 +99,12 @@ def test_reduction_exact_through_the_public_path(tmp_path):
 def test_cfl_dt():
     st = flat_state()
     h = st.grid.spacing[0]
-    assert abs(cfl_dt(st, 1.0) - h * h / 8.0) < 1e-15
+    geo = Geometry(st.metric, st.u)
+    assert abs(cfl_dt(geo, 1.0) - h * h / 8.0) < 1e-15
     st2 = flat_state(res=32)
-    assert abs(cfl_dt(st2, 1.0) - cfl_dt(st, 1.0) / 4.0) < 1e-15
+    assert abs(cfl_dt(Geometry(st2.metric, st2.u), 1.0) - cfl_dt(geo, 1.0) / 4.0) < 1e-15
     with pytest.raises(ValueError):
-        cfl_dt(st, 0.0)
+        cfl_dt(geo, 0.0)
 
 
 def test_cfl_dt_curvature_scaling():
@@ -121,7 +122,7 @@ def test_cfl_dt_curvature_scaling():
     m5 = np.sqrt(np.max(norm_sq(curvature(st5.metric).rm4, st5.metric, 0, 4)))
     m10 = np.sqrt(np.max(norm_sq(curvature(st10.metric).rm4, st10.metric, 0, 4)))
     assert m5 > 1 and m10 > 1
-    r = cfl_dt(st5, 1.0) / cfl_dt(st10, 1.0)
+    r = cfl_dt(Geometry(st5.metric, st5.u), 1.0) / cfl_dt(Geometry(st10.metric, st10.u), 1.0)
     assert abs(r - m10 / m5) < 1e-12
 
 
@@ -141,7 +142,7 @@ def test_step_stationary_and_errors():
 def test_rk4_beats_euler():
     st = curved_state(16)
     p = FlowParams(2.0)
-    dt = cfl_dt(st, 0.8)
+    dt = cfl_dt(Geometry(st.metric, st.u), 0.8)
     ref = st
     for _ in range(40):
         ref = step(ref, p, dt / 40.0, "rk4")
@@ -175,10 +176,11 @@ def test_rk4_step_is_the_textbook_sum_bitwise():
     st, p, dt = curved_state(16), FlowParams(1.0, 0.3, 0.5, -0.3), 1e-3
 
     def stage(k, h):
-        return flow_rhs(FlowState(st.grid, MetricField(st.grid, st.metric.values + h * k[0]),
-                                  st.u + h * k[1], st.t + h, st.step_count + 1), p)
+        return flow_rhs(_geometry(FlowState(
+            st.grid, MetricField(st.grid, st.metric.values + h * k[0]),
+            st.u + h * k[1], st.t + h, st.step_count + 1), p))
 
-    k1 = flow_rhs(st, p)
+    k1 = flow_rhs(_geometry(st, p))
     k2 = stage(k1, 0.5 * dt)
     k3 = stage(k2, 0.5 * dt)
     k4 = stage(k3, dt)
@@ -198,7 +200,7 @@ def test_rk4_run_working_set_stays_within_twelve_states():
     import tracemalloc
     grid, m, u = random_instance(4, 8, seed=1)
     st = FlowState(grid, m, u)
-    dt = cfl_dt(st, 0.5)
+    dt = cfl_dt(Geometry(st.metric, st.u), 0.5)
     state_bytes = m.values.nbytes + m.inv.nbytes + m.sqrt_det.nbytes + u.nbytes
     tracemalloc.start()
     try:
@@ -320,9 +322,9 @@ def test_non_finite_u_aborts_run(monkeypatch):
     # run with a reason that names u and t
     import rlab.flow as flow
 
-    def rhs(state, params, geo=None):
-        udot = np.full(state.grid.shape, np.inf if state.t >= 4.5e-3 else 0.0)
-        return np.zeros_like(state.metric.values), udot
+    def rhs(geo):
+        udot = np.full(geo.grid.shape, np.inf if geo.t >= 4.5e-3 else 0.0)
+        return np.zeros_like(geo.g), udot
 
     monkeypatch.setattr(flow, "flow_rhs", rhs)
     for diagnostics in (False, True):
@@ -341,10 +343,10 @@ def test_non_finite_metric_step_raises_blowup(monkeypatch, bad, entry):
     # entries: an off-diagonal inf makes det -inf, not a "non-positive" det
     import rlab.flow as flow
 
-    def rhs(state, params, geo=None):
-        gdot = np.zeros_like(state.metric.values)
+    def rhs(geo):
+        gdot = np.zeros_like(geo.g)
         gdot[entry + (2, 3)] = bad
-        return gdot, np.zeros(state.grid.shape)
+        return gdot, np.zeros(geo.grid.shape)
 
     monkeypatch.setattr(flow, "flow_rhs", rhs)
     st = curved_state(16)
@@ -410,7 +412,7 @@ def test_run_shared_geometry_bitwise(params):
     for k in range(traj.nsnapshots):
         if k:
             s = step(s, params, dt)
-        row = _diagnose(s, params, cum, dt if k else 0.0)
+        row = _diagnose(_geometry(s, params), cum, dt if k else 0.0)
         cum = row["int_hess_sq_cum"]
         assert np.array_equal(traj.state(k).metric.values, s.metric.values)
         assert np.array_equal(traj.state(k).u, s.u)
@@ -418,7 +420,6 @@ def test_run_shared_geometry_bitwise(params):
 
 
 def test_trajectory_frame_is_the_snapshot_geometry_at_the_flow_parameters():
-    from rlab.tensor import Geometry
     st, p = curved_state(16), FlowParams(1.0, 0.3, 0.5, -0.3)
     traj = run(st, p, Schedule(t_end=2e-3, dt=1e-3, diagnostics=False))
     for k in range(traj.nsnapshots):
@@ -440,10 +441,10 @@ def test_shared_geometry_saves_one_christoffel_per_state(monkeypatch):
     shared = len(calls)
     calls.clear()
     s = st
-    _diagnose(s, p, 0.0, 0.0)
+    _diagnose(_geometry(s, p), 0.0, 0.0)
     for _ in range(nsteps):
         s = step(s, p, dt)
-        _diagnose(s, p, 0.0, dt)
+        _diagnose(_geometry(s, p), 0.0, dt)
     # rk4 stages 2-4 plus one per accepted state, whose row and the first
     # stage of the step leaving it share a single evaluation
     assert shared == 4 * nsteps + 1
@@ -459,7 +460,7 @@ def test_diagnose_curvature_norms_match_tensor_norms():
         du = grad_stack(u, m.grid)
         rm_sq = norm_sq(cb.rm4, m, 0, 4)
         for a1 in (2.0, -0.7):
-            row = _diagnose(FlowState(m.grid, m, u), FlowParams(a1), 0.0, 0.0)
+            row = _diagnose(_geometry(FlowState(m.grid, m, u), FlowParams(a1)), 0.0, 0.0)
             sm_sq = integrate(norm_sq(sm_tensor(cb.rm4, du, m.values, a1), m, 0, 4), m)
             assert abs(row["max_rm"] - np.sqrt(np.max(rm_sq))) <= 1e-13 * row["max_rm"]
             assert abs(row["int_rm_sq"] - integrate(rm_sq, m)) <= 1e-13 * row["int_rm_sq"]
@@ -477,7 +478,7 @@ def test_run_lands_on_t_end(t_end, dt, nsteps):
     # the last row adds int |Hess u|^2 times the step actually taken
     last = traj.state(traj.nsnapshots - 1)
     h = t_end - traj.times[-2]
-    row = _diagnose(last, FlowParams(2.0),
+    row = _diagnose(_geometry(last, FlowParams(2.0)),
                     traj.diagnostics["int_hess_sq_cum"][-2], h)
     assert row["int_hess_sq_cum"] == traj.diagnostics["int_hess_sq_cum"][-1]
 

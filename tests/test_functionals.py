@@ -41,7 +41,7 @@ def test_w_entropy_rejects_bad_tau():
     with pytest.raises(ValueError):
         w_entropy(m, np.zeros(g.shape), np.zeros(g.shape), 0.0)
     with pytest.raises(ValueError):
-        mu_minimize(m, np.zeros(g.shape), -1.0)
+        mu_minimize(Geometry(m, np.zeros(g.shape)), -1.0)
 
 
 def test_tau_shift_bijection():
@@ -64,7 +64,7 @@ def test_tau_shift_bijection():
 def test_mu_flat_constant_seed_saturates_bound():
     g, m = flat2(16)
     u = np.zeros(g.shape)
-    rep = mu_minimize(m, u, 1.0, FAST_OPTS)
+    rep = mu_minimize(Geometry(m, u), 1.0, FAST_OPTS)
     bound = mu_upper_bound(m, u, 1.0)
     # the constant test function attains the bound...
     fconst = normalized(m, np.zeros(g.shape), 1.0)
@@ -77,8 +77,8 @@ def test_mu_flat_constant_seed_saturates_bound():
 def test_mu_scaling_identity():
     grid, m, u = random_instance(2, 16, seed=303)
     tau = 1.6
-    r1 = mu_minimize(m, u, 1.0, FAST_OPTS)
-    r2 = mu_minimize(m.scaled(tau), u, tau, FAST_OPTS)
+    r1 = mu_minimize(Geometry(m, u), 1.0, FAST_OPTS)
+    r2 = mu_minimize(Geometry(m.scaled(tau), u), tau, FAST_OPTS)
     assert abs(r1.mu - r2.mu) <= 2e-6 * max(1.0, abs(r1.mu))
 
 
@@ -87,7 +87,7 @@ def test_mu_below_bound_random_instances(manifest):
     for seed in manifest["seeds"]["entropy"]:
         grid, m, u = random_instance(2, 12, seed)
         tau = 0.5 + (seed % 5) * 0.2
-        rep = mu_minimize(m, u, tau, FAST_OPTS)
+        rep = mu_minimize(Geometry(m, u), tau, FAST_OPTS)
         if rep.mu > rep.upper_bound + 1e-6:
             violations += 1
     assert violations == 0
@@ -98,8 +98,8 @@ def test_mu_tau_comparison_inequality():
     for seed in (311, 312, 313):
         grid, m, u = random_instance(2, 12, seed)
         t1, t2 = 1.0, 0.6
-        m1 = mu_minimize(m, u, t1, FAST_OPTS).mu
-        m2 = mu_minimize(m, u, t2, FAST_OPTS).mu
+        m1 = mu_minimize(Geometry(m, u), t1, FAST_OPTS).mu
+        m2 = mu_minimize(Geometry(m, u), t2, FAST_OPTS).mu
         smin = float(np.min(Geometry(m, u).S))
         rhs = m1 - (grid.n / 2.0) * np.log(t2 / t1) + (t2 - t1) * smin
         assert m2 <= rhs + 1e-5
@@ -108,7 +108,7 @@ def test_mu_tau_comparison_inequality():
 def test_mu_lower_bound_with_user_sobolev():
     grid, m, u = random_instance(2, 12, seed=321)
     lb = mu_lower_bound(m, u, 0.8, C_s=1.0)
-    rep = mu_minimize(m, u, 0.8, FAST_OPTS)
+    rep = mu_minimize(Geometry(m, u), 0.8, FAST_OPTS)
     assert lb <= rep.mu + 1e-9
     assert log_sobolev_constant(1.0, 4 * np.pi ** 2, 2, 1.0) > 0
 
@@ -118,7 +118,7 @@ def test_mu_flat_torus_equals_bound():
     # the constant is the minimizer and mu equals the bound
     g, m = flat2(16)
     u = np.zeros(g.shape)
-    rep = mu_minimize(m, u, 1.0, FAST_OPTS)
+    rep = mu_minimize(Geometry(m, u), 1.0, FAST_OPTS)
     assert abs(rep.mu - mu_upper_bound(m, u, 1.0)) <= 1e-6
 
 
@@ -127,7 +127,7 @@ def test_mu_refines_with_the_grid():
     mus = []
     for res in (8, 16, 32):
         grid, m, u = random_instance(2, res, 777)
-        rep = mu_minimize(m, u, 0.5, FAST_OPTS)
+        rep = mu_minimize(Geometry(m, u), 0.5, FAST_OPTS)
         assert rep.mu <= rep.upper_bound
         mus.append(rep.mu)
     d1, d2 = abs(mus[1] - mus[0]), abs(mus[2] - mus[1])
@@ -141,9 +141,9 @@ def test_mu_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     for n, res in ((2, 12), (3, 8)):
         grid, m, u = random_instance(n, res, 5)
-        S = Geometry(m, u).S
+        S, form = Geometry(m, u).S, fn._form_weights(m)
         w = 1.0 + 0.3 * rng.random(grid.shape)
-        _, *parts = fn._w_eval(m, S, w, 0.7)
+        _, *parts = fn._w_eval(m, S, w, 0.7, form)
         grad = grid.cell_volume * fn._mu_gradient(m, w, 0.7, S, *parts)
         eps = 1e-6
         for _ in range(10):
@@ -151,7 +151,8 @@ def test_mu_gradient_matches_finite_differences():
             wp, wm = w.copy(), w.copy()
             wp[idx] += eps
             wm[idx] -= eps
-            fd = (fn._w_eval(m, S, wp, 0.7)[0] - fn._w_eval(m, S, wm, 0.7)[0]) / (2 * eps)
+            fd = (fn._w_eval(m, S, wp, 0.7, form)[0]
+                  - fn._w_eval(m, S, wm, 0.7, form)[0]) / (2 * eps)
             assert abs(fd - grad[idx]) <= 1e-6 * np.max(np.abs(grad))
 
 
@@ -178,7 +179,7 @@ def test_optimizer_differences_equal_their_roll_form_bitwise(n):
         cen_ref = np.stack([0.5 * (fwd_ref[i] + np.roll(fwd_ref[i], 1, axis=i))
                             for i in range(n)])
         assert np.array_equal(fwd, fwd_ref) and np.array_equal(cen, cen_ref)
-        _, flux_fwd, flux_cen, lnw, c0 = fn._w_eval(m, S, w, tau)
+        _, flux_fwd, flux_cen, lnw, c0 = fn._w_eval(m, S, w, tau, (b, a))
         div = np.zeros(g.shape)
         for i, h in enumerate(g.spacing):
             div += (flux_fwd[i] - np.roll(flux_fwd[i], 1, axis=i)) / h
@@ -196,7 +197,7 @@ def _plain_bb_mu(m, u, tau, opts):
     form, from the constant seed: the L^2(dV) gradient, no preconditioner,
     the same backtracking and stall rule."""
     import rlab.functionals as fn
-    S = Geometry(m, u).S
+    S, form = Geometry(m, u).S, fn._form_weights(m)
     cellw = m.sqrt_det * m.grid.cell_volume
 
     def normalize(w):
@@ -207,7 +208,7 @@ def _plain_bb_mu(m, u, tau, opts):
         return g - integrate(g * w, m) * w
 
     w = normalize(np.ones(m.grid.shape))
-    e, *parts = fn._w_eval(m, S, w, tau)
+    e, *parts = fn._w_eval(m, S, w, tau, form)
     g = gradient(w, parts)
     step, stall, w_prev, g_prev = fn.STEP0, 0, None, None
     for _ in range(opts.max_iter):
@@ -219,7 +220,7 @@ def _plain_bb_mu(m, u, tau, opts):
         trial = step
         for _ in range(40):
             wt = normalize(np.abs(w - trial * g) + 1e-300)
-            et, *trial_parts = fn._w_eval(m, S, wt, tau)
+            et, *trial_parts = fn._w_eval(m, S, wt, tau, form)
             if et < e:
                 break
             trial *= 0.5
@@ -242,7 +243,7 @@ def test_preconditioned_mu_not_above_plain_bb():
                          (3, 10, 12), (3, 10, 13)):
         grid, m, u = random_instance(n, res, seed)
         tau = 0.5 + 0.25 * (seed % 3)
-        rep = mu_minimize(m, u, tau, replace(FAST_OPTS, nseeds=1))
+        rep = mu_minimize(Geometry(m, u), tau, replace(FAST_OPTS, nseeds=1))
         assert rep.mu <= _plain_bb_mu(m, u, tau, FAST_OPTS) + 1e-10, (n, res, seed)
 
 
@@ -293,7 +294,7 @@ def test_one_transform_each_way_per_descent(monkeypatch):
     monkeypatch.setattr(fn.np.fft, "irfftn", counted("irfftn", np.fft.irfftn))
     monkeypatch.setattr(fn, "_mu_gradient", counted("gradient", fn._mu_gradient))
     grid, m, u = random_instance(3, 8, seed=321)
-    rep = mu_minimize(m, u, 0.8, OptimizerOpts(max_iter=30, nseeds=2))
+    rep = mu_minimize(Geometry(m, u), 0.8, OptimizerOpts(max_iter=30, nseeds=2))
     assert rep.iterations >= 2 and counts["gradient"] >= 2
     assert counts["rfftn"] == counts["irfftn"] == counts["gradient"]
     assert inverted == [grid.n] * counts["irfftn"]
@@ -305,9 +306,9 @@ def test_converged_describes_the_kept_seed():
     # descends below it and is cut off by max_iter
     g, m = flat2(8)
     u = np.zeros(g.shape)
-    const = mu_minimize(m, u, 0.3, OptimizerOpts(max_iter=10, nseeds=1))
+    const = mu_minimize(Geometry(m, u), 0.3, OptimizerOpts(max_iter=10, nseeds=1))
     assert const.converged and const.iterations == 1
-    rep = mu_minimize(m, u, 0.3, OptimizerOpts(max_iter=10, nseeds=2))
+    rep = mu_minimize(Geometry(m, u), 0.3, OptimizerOpts(max_iter=10, nseeds=2))
     assert rep.mu < const.mu and rep.iterations == 1 + 10
     assert not rep.converged
 
@@ -315,9 +316,9 @@ def test_converged_describes_the_kept_seed():
 def test_warm_start_runs_no_random_seeds():
     # with a warm start only it and the constant seed run, whatever nseeds
     grid, m, u = random_instance(2, 12, seed=12)
-    cold = mu_minimize(m, u, 0.75, FAST_OPTS)
-    a = mu_minimize(m, u, 0.75, replace(FAST_OPTS, nseeds=1), warm_start=cold.w)
-    b = mu_minimize(m, u, 0.75, replace(FAST_OPTS, nseeds=7, seed=99),
+    cold = mu_minimize(Geometry(m, u), 0.75, FAST_OPTS)
+    a = mu_minimize(Geometry(m, u), 0.75, replace(FAST_OPTS, nseeds=1), warm_start=cold.w)
+    b = mu_minimize(Geometry(m, u), 0.75, replace(FAST_OPTS, nseeds=7, seed=99),
                     warm_start=cold.w)
     assert a.mu == b.mu and a.iterations == b.iterations
     assert a.mu <= cold.mu + 1e-12
@@ -339,7 +340,7 @@ def test_one_difference_pass_per_evaluated_iterate(monkeypatch):
     monkeypatch.setattr(fn, "_w_eval", counted("eval", fn._w_eval))
     monkeypatch.setattr(fn, "_mu_gradient", counted("gradient", fn._mu_gradient))
     grid, m, u = random_instance(2, 12, seed=321)
-    rep = mu_minimize(m, u, 0.8, OptimizerOpts(max_iter=30, nseeds=2))
+    rep = mu_minimize(Geometry(m, u), 0.8, OptimizerOpts(max_iter=30, nseeds=2))
     # one gradient per seed and one per accepted iterate
     assert counts["diff"] == counts["eval"]
     assert 2 <= counts["gradient"] <= rep.iterations + 2
@@ -353,7 +354,7 @@ def test_mu_minimize_builds_one_ricci(monkeypatch):
     real = tensor.riemann_bivector
     monkeypatch.setattr(tensor, "riemann_bivector", lambda *a: calls.append(1) or real(*a))
     grid, m, u = random_instance(2, 12, seed=321)
-    rep = mu_minimize(m, u, 0.8, OptimizerOpts(max_iter=5, nseeds=1))
+    rep = mu_minimize(Geometry(m, u), 0.8, OptimizerOpts(max_iter=5, nseeds=1))
     assert len(calls) == 1
     assert rep.upper_bound == mu_upper_bound(m, u, 0.8)
 

@@ -77,12 +77,12 @@ def test_c_identities_coincide_with_a_at_rhf(rhf_runs):
     # C.6 is A.8 and 3.11 is A.9 at (2,0,0,0): identical residuals bitwise
     traj = rhf_runs[16]
     k = eval_index(traj)
-    frames = None
-    a8, _, _, f0 = residual_field(traj, REGISTRY["A.8"], k)
-    c6, _, _, _ = residual_field(traj, REGISTRY["C.6"], k)
+    frames = tuple(traj.frame(k + d) for d in (-1, 0, 1))
+    a8, _, _, f0 = residual_field(REGISTRY["A.8"], frames)
+    c6, _, _, _ = residual_field(REGISTRY["C.6"], frames)
     assert np.array_equal(a8, c6)
-    a9 = residual_field(traj, REGISTRY["A.9"], k)[0]
-    l311 = residual_field(traj, REGISTRY["3.11"], k)[0]
+    a9 = residual_field(REGISTRY["A.9"], frames)[0]
+    l311 = residual_field(REGISTRY["3.11"], frames)[0]
     assert np.array_equal(a9, l311)
 
 
@@ -172,7 +172,7 @@ def test_uneven_spacing_forms_the_middle_quantity_once(monkeypatch):
     dudu = ids.QUANTITIES["dudu"]
     monkeypatch.setitem(ids.QUANTITIES, "counted", lambda f: calls.append(f) or dudu(f))
     c8 = REGISTRY["C.8"]
-    res = residual_field(traj, Identity("counted", "counted", c8.rhs), k, frames)[0]
+    res = residual_field(Identity("counted", "counted", c8.rhs), frames)[0]
     assert [id(f) for f in calls] == [id(fm), id(fp), id(f0)]
     q = [dudu(f)[0] for f in frames]
     ref = ((hm * hm * q[2] - hp * hp * q[0] + (hp * hp - hm * hm) * q[1])
@@ -191,7 +191,7 @@ def test_residual_field_public_api(rhf_runs):
                 - 4.0 * frame.grad_sq ** 2)
 
     frames = tuple(traj.frame(k + d) for d in (-1, 0, 1))
-    res = residual_field(traj, Identity("user", "grad_sq", rhs), k, frames)[0]
+    res = residual_field(Identity("user", "grad_sq", rhs), frames)[0]
     rep = evaluate_identity(traj, "A.8", k)
     assert abs(float(np.max(np.abs(res))) - rep.max_res) < 1e-12
 

@@ -180,6 +180,11 @@ def _without_payload(section, key=None):
     return _header(edit)
 
 
+def _with_payload(key, value):
+    """A whole snapshot whose checkpoint payload holds ``value`` at ``key``."""
+    return _header(lambda h: dict(h, extra=dict(h["extra"], **{key: value})))
+
+
 # each corruption of a valid checkpoint (records g, then u, on 8x8), the
 # reader it is given to, and the message that must name it
 CORRUPTIONS = {
@@ -210,6 +215,20 @@ CORRUPTIONS = {
                             r"^checkpoint payload 'params' has no key 'beta1'$"),
     "checkpoint-no-method": (_without_payload("schedule", "method"), read_checkpoint,
                              r"^checkpoint payload 'schedule' has no key 'method'$"),
+    "checkpoint-no-t": (_without_payload("t"), read_checkpoint,
+                        r"^checkpoint payload has no key 't'$"),
+    "checkpoint-no-step_count": (_without_payload("step_count"), read_checkpoint,
+                                 r"^checkpoint payload has no key 'step_count'$"),
+    "checkpoint-t-not-a-number": (_with_payload("t", "soon"), read_checkpoint,
+                                  r"^checkpoint payload 't' is 'soon', not a finite number$"),
+    "checkpoint-t-not-finite": (_with_payload("t", float("inf")), read_checkpoint,
+                                r"^checkpoint payload 't' is inf, not a finite number$"),
+    "checkpoint-step_count-negative": (
+        _with_payload("step_count", -1), read_checkpoint,
+        r"^checkpoint payload 'step_count' is -1, not a non-negative int$"),
+    "checkpoint-step_count-not-an-int": (
+        _with_payload("step_count", 2.5), read_checkpoint,
+        r"^checkpoint payload 'step_count' is 2.5, not a non-negative int$"),
 }
 
 
@@ -849,12 +868,13 @@ def test_cli_and_run_share_the_default_step_safety(tmp_path):
     from rlab.cli import build_from_config, flow_from, flow_params_from
     from rlab.config import load_config
     from rlab.flow import cfl_dt, run
+    from rlab.tensor import Geometry
     cfg = load_config(write_cfg(tmp_path, {"schedule": {"t_end": 0.01, "dt": None}}))
     traj_cli = flow_from(cfg, build_from_config(cfg))
     grid, metric, u0 = build_from_config(cfg)
     state = FlowState(grid, metric, u0)
     traj = run(state, flow_params_from(cfg), Schedule(t_end=0.01, diagnostics=False))
-    assert traj_cli.dt == traj.dt == cfl_dt(state, 0.5)
+    assert traj_cli.dt == traj.dt == cfl_dt(Geometry(metric, u0), 0.5)
 
 
 def test_abort_reason_is_a_manifest_key_not_a_check(tmp_path):
@@ -948,9 +968,9 @@ def test_entropy_solves_each_sampled_snapshot_once(tmp_path, monkeypatch):
     from rlab.cli import run_experiment
     real, taus = rlab.functionals.mu_minimize, []
 
-    def spy(metric, u, tau, *args, **kwargs):
+    def spy(geo, tau, *args, **kwargs):
         taus.append(tau)
-        return real(metric, u, tau, *args, **kwargs)
+        return real(geo, tau, *args, **kwargs)
 
     monkeypatch.setattr(rlab.functionals, "mu_minimize", spy)
     cfg = write_cfg(tmp_path, {"entropy": {"tau0": 0.5, "nseeds": 1}})
@@ -987,8 +1007,8 @@ def test_entropy_rows_read_along_the_flow_match_kept_states_bitwise(tmp_path, ex
         st = traj.state(int(k))
         geo = Geometry(st.metric, st.u, 2.0)
         assert np.array_equal(geo.scalar - 2.0 * geo.grad_sq, geo.S)
-        rep = mu_minimize(st.metric, st.u, 0.5 - st.t, OptimizerOpts(seed=7, nseeds=1),
-                          warm_start=prev, geo=geo)
+        rep = mu_minimize(geo, 0.5 - st.t, OptimizerOpts(seed=7, nseeds=1),
+                          warm_start=prev)
         prev = rep.w
         rows.append((st.t, 0.5 - st.t, rep.mu, rep.upper_bound, rep.norm_defect,
                      rep.iterations))

@@ -7,8 +7,10 @@ private rlab functions, which must exist for its counters to read them.
 """
 
 import ast
+import functools
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -199,6 +201,57 @@ def test_every_public_rlab_name_is_reached_outside_the_tests():
     unreached = sorted(f"{public[name]}.{name}" for name in public
                        if name not in reached and name not in ONLY_TESTS_REACH)
     assert not unreached, unreached
+
+
+# cached fields of tensor.Geometry that no stage, demo, script or benchmark
+# reads, each kept for a reason; every other field needs a read in code
+ONLY_TESTS_READ = {
+    "weyl": "the n = 4 conformal-flatness oracle of tests/test_acceptance.py",
+}
+
+
+def test_every_geometry_field_is_read_outside_the_tests():
+    # a cached field counts as read when src/rlab, demos/, scripts/ or
+    # perfbench/ loads it as an attribute or names it by a string key, as
+    # uniqueness.DiffBundle.DIFFS and identities.QUANTITIES do
+    from rlab.tensor import Geometry
+    fields = {name for name, v in vars(Geometry).items()
+              if isinstance(v, functools.cached_property)}
+    read = set()
+    for path in sorted((ROOT / "src" / "rlab").glob("*.py")) + SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert set(ONLY_TESTS_READ) <= fields
+    assert set(ONLY_TESTS_READ).isdisjoint(read), "read now: drop it from the list"
+    unread = sorted(fields - read - set(ONLY_TESTS_READ))
+    assert not unread, unread
+
+
+def test_geometry_parameters_have_no_default():
+    # a function that reads a Geometry takes it in one form, required: a
+    # default would bring back a branch that rebuilds the geometry when the
+    # caller leaves it out
+    found, optional = [], []
+    for path in sorted((ROOT / "src" / "rlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+            pairs = (*zip(positional, defaults), *zip(a.kwonlyargs, a.kw_defaults))
+            for arg, default in pairs:
+                if arg.annotation is not None \
+                        and re.search(r"\bGeometry\b", ast.unparse(arg.annotation)):
+                    where = f"{path.name}:{node.name}({arg.arg})"
+                    found.append(where)
+                    if default is not None:
+                        optional.append(where)
+    assert len(found) >= 5, found       # the guard has parameters to check
+    assert not optional, optional
 
 
 def test_no_np_roll_in_rlab():

@@ -425,29 +425,29 @@ def test_curvature_n1_norms_zero():
 
 
 def test_flow_and_diagnostics_never_unpack_rm4():
-    from rlab.flow import FlowParams, FlowState, _diagnose, cfl_dt, flow_rhs
+    from rlab.flow import FlowParams, _diagnose, cfl_dt, flow_rhs
     from rlab.tensor import Geometry
     grid, m, u = random_instance(4, 8, seed=13)
-    state, params = FlowState(grid, m, u), FlowParams(alpha1=2.0)
+    params = FlowParams(alpha1=2.0)
     geo = Geometry(m, u)
-    flow_rhs(state, params, geo)
-    cfl_dt(state, 1.0, geo)
+    flow_rhs(geo)
+    cfl_dt(geo, 1.0)
     assert "rm_ab" in vars(geo) and "rm4" not in vars(geo)
     cpl = Geometry(m, u, params.alpha1)
-    _diagnose(state, params, 0.0, 1e-3, cpl)
+    _diagnose(cpl, 0.0, 1e-3)
     assert "rm_sq" in vars(cpl) and "rm4" not in vars(cpl)
 
 
 def test_flow_and_diagnostics_never_unpack_gamma():
     # the flow reads Gamma^k_P on the symmetric pairs; the full Gamma^k_ij is
     # unpacked only for the callers that index it
-    from rlab.flow import FlowParams, FlowState, _diagnose, cfl_dt, flow_rhs
+    from rlab.flow import FlowParams, _diagnose, cfl_dt, flow_rhs
     grid, m, u = random_instance(4, 8, seed=13)
-    state, params = FlowState(grid, m, u), FlowParams(alpha1=2.0)
+    params = FlowParams(alpha1=2.0)
     geo = Geometry(m, u, params.alpha1)
-    flow_rhs(state, params, geo)
-    cfl_dt(state, 1.0, geo)
-    _diagnose(state, params, 0.0, 1e-3, geo)
+    flow_rhs(geo)
+    cfl_dt(geo, 1.0)
+    _diagnose(geo, 0.0, 1e-3)
     assert "gamma_p" in vars(geo) and "gamma" not in vars(geo)
 
 
