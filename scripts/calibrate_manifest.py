@@ -24,6 +24,7 @@ from rlab.identities import (APPENDIX_A_IDS, APPENDIX_C_IDS, LEMMA31_IDS,
                              evaluate_identity, verify_lemma_52)
 from rlab.instances import random_instance, verification_initial_data
 from rlab.mesh import MetricField, build_grid, flat_metric
+from rlab.uniqueness import difference_bundle
 
 BASE_RES = 16
 BASE_DT = 2e-3
@@ -39,17 +40,31 @@ h2dt2 = max(grid.spacing) ** 2 + BASE_DT ** 2
 
 c_id = {}
 
-traj_rhf = run(FlowState(grid, metric, u0), FlowParams(2.0), sched)
+
+def window(m, params):
+    """The geometries the flow's steps built for snapshots k - 1, k and k + 1,
+    read while it runs."""
+    held = []
+
+    def read(traj, geo):
+        if k - 1 <= traj.nsnapshots - 1 <= k + 1:
+            held.append(geo)
+            return tuple(held) if len(held) == 3 else None
+
+    return run(FlowState(grid, m, u0), params, sched, {"window": read}).read["window"][0]
+
+
+frames_rhf = window(metric, FlowParams(2.0))
 for ident in APPENDIX_A_IDS + ("A.12", "A.13"):
-    rep = evaluate_identity(traj_rhf, ident, k)
+    rep = evaluate_identity(frames_rhf, ident, BASE_DT)
     c_id[ident] = round(SAFETY * rep.max_res / h2dt2, 6)
 
-rep = evaluate_identity(traj_rhf, "A.11", k, c_id=1.0)
+rep = evaluate_identity(frames_rhf, "A.11", BASE_DT, c_id=1.0)
 c_id["A.11"] = round(SAFETY * rep.max_res / rep.bound, 6)
 
-traj_gen = run(FlowState(grid, metric, u0), FlowParams(1.0, 0.0, 0.5, -0.3), sched)
+frames_gen = window(metric, FlowParams(1.0, 0.0, 0.5, -0.3))
 for ident in APPENDIX_C_IDS + LEMMA31_IDS:
-    rep = evaluate_identity(traj_gen, ident, k)
+    rep = evaluate_identity(frames_gen, ident, BASE_DT)
     c_id[ident] = round(SAFETY * rep.max_res / h2dt2, 6)
 
 g52, m52, u52 = random_instance(3, 8, seed=101)
@@ -60,11 +75,12 @@ for rep in verify_lemma_52(m52, u52):
 # difference-tensor identities on a curved perturbed pair
 pm = metric.values.copy()
 pm[0, 0] = pm[0, 0] + 1e-3 * np.sin(grid.coords()[1])
-traj_p = run(FlowState(grid, MetricField(grid, pm), u0), FlowParams(2.0), sched)
+bundles = tuple(map(difference_bundle, frames_rhf,
+                    window(MetricField(grid, pm), FlowParams(2.0))))
 for ident in ("6.50", "6.51"):
-    rep = evaluate_identity(traj_rhf, ident, k, other=traj_p)
+    rep = evaluate_identity(bundles, ident, BASE_DT)
     c_id[ident] = round(SAFETY * rep.max_res / h2dt2, 9)
-rep = evaluate_identity(traj_rhf, "6.53", k, other=traj_p, c_id=1.0)
+rep = evaluate_identity(bundles, "6.53", BASE_DT, c_id=1.0)
 c_id["6.53"] = round(SAFETY * rep.max_res / rep.bound, 6)
 
 # Lie-derivative integral-identity normalization, decided on an 8x8 grid

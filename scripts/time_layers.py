@@ -11,28 +11,38 @@ pass and R_AB on a fresh ``Geometry``, ``ricci`` and ``riemann_norm_sq`` of
 that R_AB, ``hessian`` from its Gamma, ``flow_rhs`` on a fresh geometry
 (``flow._geometry``), one rk4 ``step``, one ``_diagnose`` row on a geometry
 that ``flow_rhs`` has already read, as in ``flow.run``, and one uniqueness
-energy snapshot (``difference_bundle`` of a state and its perturbed twin,
-``energy`` and ``norms``, as in the uniqueness stage).  At 64^2 and 16^3
-comes ``lemma52_defects``, whose n^4 einsums do not fit a quick 12^4 row.
+energy snapshot on fresh geometries (``difference_bundle`` of a state and
+its perturbed twin, ``energy`` and ``norms``).  At 64^2 and 16^3 comes
+``lemma52_defects``, whose n^4 einsums do not fit a quick 12^4 row.  The
+uniqueness stage's own row, the energy on the two geometries the steps
+built (which ``flow_rhs`` has read), is timed at 10^3 and 16^3; the verify
+stage's window, all ten entries of the benchmark's verify workload (A.2 to
+A.10 and A.8 mutated) on the step-built geometries of three consecutive
+snapshots of the canonical instance, at 16^2, 32^2 and 64^2; and
+``rough_laplacian`` of Rm (rank (0,4)) at 24^3, with its tracemalloc peak
+above the inputs in MB.
 At 16^3 come one cold ``mu_minimize`` on a fresh geometry, which ``mu
 iteration`` divides by its iteration count (one entropy-optimizer
 iteration), and the parts of an iteration: one ``_w_eval``, one
 ``_mu_gradient``, and one descent's transforms (the forward rfftn of the
 stack (r, v, s) and the irfftn of P q).  One more figure, ``minflt per rk4
-step``, is the mean count of minor page faults of this process
-(``resource.getrusage``) over 20 rk4 steps at each grid, after one warm-up
-step: the allocations of a step that the allocator returns to the system
-show up there.  ``ru_maxrss_mb`` is the process's peak resident set at the
-end.  rlab is imported from ``src/``; nothing is written.  Pin the
-numerical thread pools (``OMP_NUM_THREADS=1`` and the like) to compare two
-checkouts.
+step``, is the mean count of minor page faults (``resource.getrusage``)
+over 20 rk4 steps at each grid, after one warm-up step, each grid in a
+fresh process of its own (``time_layers.py minflt n res``), so that the
+heap the other rows grew does not hide them: the allocations of a step
+that the allocator returns to the system show up there.  ``ru_maxrss_mb``
+is this process's peak resident set at the end.  rlab is imported from
+``src/``; nothing is written.  Pin the numerical thread pools
+(``OMP_NUM_THREADS=1`` and the like) to compare two checkouts.
 """
 
 import json
 import platform
 import resource
+import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +50,14 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rlab.cli import twin_from
-from rlab.flow import (FlowParams, FlowState, Trajectory, _diagnose, _geometry, flow_rhs,
-                       step)
+from rlab.flow import FlowParams, FlowState, _diagnose, _geometry, flow_rhs, step
 from rlab.functionals import (_form_weights, _mu_gradient, _preconditioner, _w_eval,
                               mu_minimize)
-from rlab.identities import lemma52_defects
-from rlab.instances import random_instance
-from rlab.mesh import MetricField, diff1, diff2, grad_stack, integrate
-from rlab.tensor import Geometry, _connection, hessian, ricci, riemann_norm_sq
+from rlab.identities import APPENDIX_A_IDS, evaluate_identity, lemma52_defects
+from rlab.instances import random_instance, verification_initial_data
+from rlab.mesh import MetricField, build_grid, diff1, diff2, grad_stack, integrate
+from rlab.tensor import (Geometry, _connection, hessian, ricci, riemann_norm_sq,
+                         rough_laplacian)
 from rlab.uniqueness import difference_bundle, energy
 
 REPEATS = 5
@@ -75,19 +85,50 @@ def step_geometry(state, params):
     return geo
 
 
-def energy_snapshot(state, params):
-    """One snapshot of the uniqueness stage's energy: the differences of
-    ``state`` and its twin (``cli.twin_from``) at t = DT, their energy and norms."""
-    trajs = []
-    for grid, metric, u in ((state.grid, state.metric, state.u),
-                            twin_from({}, state.grid, state.metric, state.u)):
-        trajs.append(Trajectory(grid, params, DT, frozenset()))
-        trajs[-1].record(FlowState(grid, metric, u, DT, 1))
+def twin_states(state):
+    """``state`` and its perturbed twin (``cli.twin_from``), both at t = DT."""
+    return [FlowState(grid, metric, u, DT, 1) for grid, metric, u in (
+        (state.grid, state.metric, state.u),
+        twin_from({}, state.grid, state.metric, state.u))]
 
-    def snapshot():
-        bundle = difference_bundle(*trajs, 0)
-        return energy(bundle), bundle.norms()
-    return snapshot
+
+def energy_row(geos):
+    """The differences of two geometries, their energy and norms."""
+    bundle = difference_bundle(*geos)
+    return energy(bundle), bundle.norms()
+
+
+def verify_window(res):
+    """The step-built geometries of snapshots 0, 1 and 2 of the canonical
+    instance at res^2, at the verify workload's dt (2e-3 at 16^2, times h^2)."""
+    grid = build_grid("torus", 2, [res, res], [2 * np.pi] * 2)
+    state, params = FlowState(grid, *verification_initial_data(grid)), FlowParams(2.0)
+    frames = [step_geometry(state, params)]
+    for _ in range(2):
+        state = step(state, params, 2e-3 * (16 / res) ** 2)
+        frames.append(step_geometry(state, params))
+    return frames
+
+
+def window_reports(frames):
+    """The verify workload's ten entries on one window."""
+    return [evaluate_identity(frames, ident, 2e-3, mutate=mutate)
+            for ident, mutate in [(i, False) for i in APPENDIX_A_IDS] + [("A.8", True)]]
+
+
+def rough_laplacian_rm(n=3, res=24):
+    """(ms, tracemalloc MB above the inputs) of ``rough_laplacian`` of Rm."""
+    grid, metric, u = random_instance(n, res, seed=7)
+    geo = Geometry(metric, u)
+    args = (geo.rm4, grid, geo.gamma, metric, 0, 4)
+    ms = best_ms(lambda: rough_laplacian(*args))
+    tracemalloc.start()
+    try:
+        rough_laplacian(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ms, round(peak / 2 ** 20, 1)
 
 
 def mu_parts_ms(metric, u, tau=1.0):
@@ -104,8 +145,10 @@ def mu_parts_ms(metric, u, tau=1.0):
             "descent transforms": best_ms(lambda: inverse(P * forward(stack)[0]))}
 
 
-def minflt_per_step(state, params):
+def minflt_per_step(n, res):
     """Mean minor page faults of this process per rk4 step, after a warm-up step."""
+    grid, metric, u = random_instance(n, res, seed=7)
+    state, params = FlowState(grid, metric, u), FlowParams(2.0)
     state = step(state, params, DT)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(FAULT_STEPS):
@@ -136,8 +179,12 @@ def main():
         ms[f"rk4 step {label}"] = best_ms(lambda: step(state, params, DT))
         ms[f"_diagnose {label}"] = best_ms(lambda g: _diagnose(g, 0.0, DT),
                                            lambda: step_geometry(state, params))
-        faults[f"minflt per rk4 step {label}"] = minflt_per_step(state, params)
-        ms[f"energy snapshot {label}"] = best_ms(energy_snapshot(state, params))
+        faults[f"minflt per rk4 step {label}"] = float(subprocess.run(
+            [sys.executable, "-B", __file__, "minflt", str(n), str(res)],
+            capture_output=True, text=True, check=True).stdout)
+        twins = twin_states(state)
+        ms[f"energy snapshot {label}"] = best_ms(
+            lambda: energy_row([_geometry(s, params) for s in twins]))
         if n < 4:
             ms[f"lemma52_defects {label}"] = best_ms(lambda: lemma52_defects(metric, u))
         if n == 3:
@@ -145,10 +192,21 @@ def main():
             iterations = mu_minimize(Geometry(metric, u), 1.0).iterations
             ms[f"mu iteration {label}"] = round(ms[f"mu_minimize {label}"] / iterations, 4)
             ms.update({f"{k} {label}": v for k, v in mu_parts_ms(metric, u).items()})
+    for res in (10, 16):
+        twins = twin_states(FlowState(*random_instance(3, res, seed=7)))
+        ms[f"energy row on step-built geometries {res}^3"] = best_ms(
+            energy_row, lambda: [step_geometry(s, params) for s in twins])
+    for res in (16, 32, 64):
+        ms[f"verify window {res}^2"] = best_ms(window_reports, lambda: verify_window(res))
+    ms["rough_laplacian rm4 24^3"], peak_mb = rough_laplacian_rm()
     print(json.dumps({"unit": "ms", "best_of": REPEATS, "python": platform.python_version(),
                       "numpy": np.__version__, "times": ms, **faults,
+                      "rough_laplacian rm4 24^3 tracemalloc_mb": peak_mb,
                       "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:2] == ["minflt"]:
+        print(minflt_per_step(int(sys.argv[2]), int(sys.argv[3])))
+    else:
+        main()

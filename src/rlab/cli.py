@@ -4,10 +4,10 @@ Subcommands: run (execute every stage the config selects), verify, entropy,
 compare, uniqueness, constants.  Exit status: 0 all selected checks passed,
 1 at least one check failed (the manifest names it), 2 configuration error.
 
-Every stage's flow is built by ``flow_from`` and holds its last state and the
-snapshots its stages read (verify: k - 1, k, k + 1; entropy: none, as
-``entropy_reader`` reads its samples while the base flow runs; uniqueness:
-all); a verify level equal to the base flow through k + 1 reads it.  A flow
+Every stage's flow is built by ``flow_from`` and holds its last state alone:
+the stages read it as it runs, on the geometry each step built, through
+``verify_reader``, ``entropy_reader`` and ``uniqueness_reader``.  A verify
+level equal to the base flow through k + 1 reads the base flow.  A flow
 stage (run, verify, entropy, uniqueness) whose flow stops before t_end raises
 BlowUpError once it has written what it can (run: diagnostics and last state;
 others: nothing); the runner records ``<stage>.completed`` false, the first
@@ -113,13 +113,13 @@ def seed_of(cfg):
     return cfg.get("seed", DEFAULT_SEED)
 
 
-def flow_from(cfg, initial, keep=None, reader=None, **schedule):
+def flow_from(cfg, initial, readers=None, **schedule):
     """Every stage's flow: the config's, from ``initial`` = (grid, metric, u0),
     with ``schedule`` replacing fields of the config's schedule, and ``flow.run``'s
-    ``keep`` and ``reader``."""
+    ``readers``."""
     from .flow import FlowState, run
     sched = replace(schedule_from(cfg), **schedule)
-    return run(FlowState(*initial), flow_params_from(cfg), sched, keep, reader)
+    return run(FlowState(*initial), flow_params_from(cfg), sched, readers)
 
 
 def completed(traj, where=""):
@@ -139,8 +139,7 @@ def stage_run(cfg, out: Path, checks, outputs, base):
     params = traj.params
     write_diagnostics_csv(out / "diagnostics.csv", traj)
     outputs.append("diagnostics.csv")
-    final = traj.state(traj.nsnapshots - 1)
-    write_checkpoint(out / "checkpoint.rlab", final, params, schedule_from(cfg))
+    write_checkpoint(out / "checkpoint.rlab", traj.last, params, schedule_from(cfg))
     outputs.append("checkpoint.rlab")
     completed(traj)
     if params.alpha1 >= 0 and params.beta1 == 0 and params.beta2 == 0:
@@ -201,51 +200,59 @@ def verify_plan(cfg):
     return entries, levels
 
 
+def verify_reader(entries, k):
+    """A verify level's reader (``flow.run``'s): it holds the geometries of
+    snapshots k - 1, k and k + 1, and at k + 1 returns every entry's report."""
+    from .identities import evaluate_identity
+    window = []
+
+    def read(traj, geo):
+        if k - 1 <= traj.nsnapshots - 1 <= k + 1:
+            window.append(geo)
+        if len(window) == 3:
+            frames, window[:] = tuple(window), ()
+            return [replace(evaluate_identity(frames, base_id, traj.dt, mutate=mutate),
+                            identity=entry) for entry, base_id, mutate in entries]
+
+    return read
+
+
 def stage_verify(cfg, out: Path, checks, outputs, base):
-    from .identities import converges, evaluate_identity, with_order
+    from .identities import converges, with_order
     from .snapshots import write_reports_json
 
     entries, levels = verify_plan(cfg)
     reports = []
-    for res, k, shared, sched in levels:
+    for res, k, shared, sched in levels:    # shared levels, at one k, read the base flow
         traj = base() if shared and base else flow_from(
-            cfg, build_from_config(cfg, res), lambda n, k=k: (k - 1, k, k + 1), **sched)
-        if traj.nsnapshots < k + 2:         # it stopped before snapshot k + 1
+            cfg, build_from_config(cfg, res), {"verify": verify_reader(entries, k)}, **sched)
+        if "verify" not in traj.read:       # it stopped before snapshot k + 1
             completed(traj, f"verify at resolution {res}: ")
-        reports.append([replace(evaluate_identity(traj, base_id, k, mutate=mutate),
-                                identity=entry)
-                        for entry, base_id, mutate in entries])
+        reports.append(traj.read["verify"][0])
     for (entry, _, _), seq in zip(entries, zip(*reports)):
         checks[f"verify.{entry}"] = converges(seq)
     write_reports_json(out / "residuals.json", with_order(reports))
     outputs.append("residuals.json")
 
 
-def entropy_samples(cfg, nsnap):
-    """The snapshots the entropy stage reads out of ``nsnap``: the distinct
-    ones of ``entropy.samples`` evenly spaced indices, in order."""
-    samples = cfg.get("entropy", {}).get("samples", 10)
-    return list(dict.fromkeys(np.linspace(0, nsnap - 1, samples).astype(int).tolist()))
-
-
 def entropy_reader(cfg):
-    """The entropy stage's reader of the base flow (``flow.run``'s): at each
-    sampled snapshot, mu on the geometry the flow built, warm-started from
-    the sample before, as an entropy.csv row."""
+    """The entropy stage's reader of the base flow (``flow.run``'s): at each of
+    ``entropy.samples`` evenly spaced planned snapshots, mu on the geometry the
+    flow built, warm-started from the sample before, as an entropy.csv row."""
     from .functionals import OptimizerOpts, mu_minimize
     ecfg = cfg.get("entropy", {})
-    tau0 = ecfg.get("tau0", 1.0)
+    tau0, samples = ecfg.get("tau0", 1.0), ecfg.get("samples", 10)
     opts = OptimizerOpts(seed=seed_of(cfg), **{
         k: ecfg[k] for k in ("tol", "max_iter", "nseeds") if k in ecfg})
     prev = None
 
-    def read(k, nsnap, state, geo):
+    def read(traj, geo):
         nonlocal prev
-        if k in entropy_samples(cfg, nsnap):
-            tau = tau0 - state.t
+        if traj.nsnapshots - 1 in np.linspace(0, traj.nsnap - 1, samples).astype(int):
+            tau = tau0 - geo.t
             rep = mu_minimize(geo, tau, opts, prev)
             prev = rep.w
-            return state.t, tau, rep.mu, rep.upper_bound, rep.norm_defect, rep.iterations
+            return geo.t, tau, rep.mu, rep.upper_bound, rep.norm_defect, rep.iterations
 
     return read
 
@@ -253,7 +260,7 @@ def entropy_reader(cfg):
 def stage_entropy(cfg, out: Path, checks, outputs, base):
     from .snapshots import write_entropy_csv
 
-    rows = completed(base()).read       # entropy_reader's, one per sample
+    rows = completed(base()).read["entropy"]    # entropy_reader's, one per sample
     write_entropy_csv(out / "entropy.csv", rows)
     outputs.append("entropy.csv")
     tol = 3.0 * 1e-6
@@ -305,17 +312,40 @@ def twin_from(cfg, grid, metric, u):
         raise ConfigError(f"uniqueness.delta: {e}") from e
 
 
+def uniqueness_reader(cfg, twin):
+    """The uniqueness stage's reader (``flow.run``'s): the twin (``twin_from``)
+    steps in lockstep at the base flow's dt.  It returns the twin's trajectory
+    at snapshot 0, then (t, E, norms) on the geometries the two steps built."""
+    from .flow import FlowState, snapshots
+    from .uniqueness import difference_bundle, energy
+    beta, twin_flow, ahead = cfg.get("uniqueness", {}).get("beta", 0.5), None, None
+
+    def read(traj, geo):
+        nonlocal twin_flow, ahead
+        if twin_flow is None:
+            twin_flow = snapshots(FlowState(*twin), traj.params, replace(
+                schedule_from(cfg), dt=traj.dt, diagnostics=False))
+            ahead = next(twin_flow)
+        if ahead is None:               # the twin aborted
+            return None
+        got, twin_geo = ahead
+        if traj.nsnapshots > 1:
+            b = difference_bundle(geo, twin_geo)
+            got = b.t, energy(b, beta=beta), b.norms()
+        ahead = twin_geo = b = None     # the twin steps on now, freeing this row's fields
+        ahead = next(twin_flow, None)
+        return got
+
+    return read
+
+
 def stage_uniqueness(cfg, out: Path, checks, outputs, base):
     from .snapshots import write_energy_csv
-    from .uniqueness import energy_trace, gronwall_fit
+    from .uniqueness import EnergyTrace, gronwall_fit
 
-    ucfg = cfg.get("uniqueness", {})
-    tr1 = completed(base())
-    st0 = tr1.state(0)
-    # the twin steps at the base flow's dt, so the two share snapshot times
-    tr2 = completed(flow_from(cfg, twin_from(cfg, st0.grid, st0.metric, st0.u),
-                              dt=tr1.dt, diagnostics=False), "perturbed twin: ")
-    trace = energy_trace(tr1, tr2, **{k: ucfg[k] for k in ("beta",) if k in ucfg})
+    twin, *rows = completed(base()).read["uniqueness"]      # uniqueness_reader's
+    completed(twin, "perturbed twin: ")
+    trace = EnergyTrace(rows)
     write_energy_csv(out / "energy.csv", trace)
     outputs.append("energy.csv")
     half = len(trace.times) // 2
@@ -384,7 +414,7 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
     flows = [s for s in selected if s in ("run", "verify", "entropy", "uniqueness")]
     if grid_from(cfg).kind != "torus" and flows:
         raise ConfigError(f"grid.kind: the {flows[0]} stage integrates a flow: torus only")
-    levels = verify_plan(cfg)[1] if "verify" in selected else ()
+    entries, levels = verify_plan(cfg) if "verify" in selected else ((), ())
     if "entropy" in selected and not (tau0 := cfg.get("entropy", {}).get("tau0", 1.0)) > t_end:
         raise ConfigError(f"entropy.tau0: {tau0!r} not above schedule.t_end {t_end!r}")
     if "compare" in selected:
@@ -402,17 +432,21 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
                 raise ConfigError(f"compare.scalar_pairs: unknown pair {pair!r}")
     reads_base = {"run", "entropy", "uniqueness"} & set(selected)
     initial = build_from_config(cfg) if reads_base else None
-    if "uniqueness" in selected:
-        twin_from(cfg, *initial)
+    twin = twin_from(cfg, *initial) if "uniqueness" in selected else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks, outputs, aborts = {}, [], {}
-    reads = {i for _, k, shared, _ in levels if shared for i in (k - 1, k, k + 1)}
-    keep = None if "uniqueness" in selected else lambda n: reads
-    # diagnostics rows leave every state bitwise unchanged; only run writes them
-    base = functools.cache(lambda: flow_from(
-        cfg, initial, keep, entropy_reader(cfg) if "entropy" in selected else None,
-        diagnostics="run" in selected)) if reads_base else None
+
+    def base_flow():        # its readers load in the first stage that reads it
+        readers = {"verify": verify_reader(entries, k) for _, k, shared, _ in levels if shared}
+        if "entropy" in selected:
+            readers["entropy"] = entropy_reader(cfg)
+        if "uniqueness" in selected:
+            readers["uniqueness"] = uniqueness_reader(cfg, twin)
+        # diagnostics rows leave every state bitwise unchanged; only run writes them
+        return flow_from(cfg, initial, readers, diagnostics="run" in selected)
+
+    base = functools.cache(base_flow) if reads_base else None
     for name in selected:
         try:
             STAGES[name](cfg, out, checks, outputs, base)

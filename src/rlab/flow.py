@@ -7,10 +7,10 @@ and u == 0 reduces to Ricci flow.  Integration is ungauged explicit
 (euler or rk4) on near-flat torus data at desk scale.  Every stage metric
 passes the one SPD rule of ``MetricField``; its failure, or a non-finite
 potential on the accepted state, aborts the run with a diagnostic snapshot.
-``run``'s keep rule releases each recorded snapshot its caller will not read,
-once ``run``'s reader has read it on its geometry.  A step holds one rk4 stage
-state and one stage slope at a time, and ``run`` releases each accepted state's
-geometry once the step's first slope is read.
+A run holds its last state alone; each snapshot is read as it is recorded,
+on the geometry its step built (``snapshots``, ``run``'s readers).  A step
+holds one rk4 stage state and one stage slope at a time, and each accepted
+state's geometry is released once the step's first slope is read.
 """
 
 from __future__ import annotations
@@ -168,43 +168,24 @@ def step_plan(t_end: float, dt: float) -> tuple[int, bool]:
 
 @dataclass
 class Trajectory:
-    grid: Grid
     params: FlowParams
     dt: float
-    keep: frozenset                                  # snapshot indices held besides the last
-    states: list = field(default_factory=list)       # recorded FlowStates, None once released
+    nsnap: int                                       # snapshots planned to t_end
+    last: FlowState | None = None                    # the last recorded snapshot
     times: list = field(default_factory=list)        # every recorded snapshot's time
     diagnostics: dict = field(default_factory=dict)  # column -> list, per step
-    read: list = field(default_factory=list)         # the reader's results but None
+    read: dict = field(default_factory=dict)         # reader name -> its results but None
     aborted: str | None = None
 
     def record(self, state: FlowState):
-        """Append ``state`` unless it is the last one recorded, and release
-        the one before it unless ``keep`` holds it."""
-        if self.states and self.states[-1].step_count == state.step_count:
-            return
-        if self.states and len(self.states) - 1 not in self.keep:
-            self.states[-1] = None
-        self.states.append(state)
-        self.times.append(state.t)
-
-    def state(self, k: int) -> FlowState:
-        if self.states[k] is None:
-            held = [i for i, s in enumerate(self.states) if s is not None]
-            raise IndexError(f"snapshot {k} was not kept (held: {held})")
-        return self.states[k]
-
-    def frame(self, k: int) -> Geometry:
-        """The geometry of snapshot ``k`` at the trajectory's parameters."""
-        return _geometry(self.state(k), self.params)
+        """Hold ``state`` as the last snapshot unless it is the one held."""
+        if self.last is None or self.last.step_count != state.step_count:
+            self.last = state
+            self.times.append(state.t)
 
     @property
     def nsnapshots(self) -> int:
-        return len(self.states)
-
-    def diag_rows(self):
-        cols = [self.diagnostics[c] for c in DIAG_COLUMNS]
-        return list(zip(*cols))
+        return len(self.times)
 
 
 def _diagnose(geo: Geometry, cum_hess: float, dt: float):
@@ -227,27 +208,21 @@ def _diagnose(geo: Geometry, cum_hess: float, dt: float):
     return row
 
 
-def rm_lp_series(traj: Trajectory, p: float):
-    """Time series of int |Rm|^p dV from the recorded snapshots.
+def rm_lp_series(frames, p: float):
+    """Time series of int |Rm|^p dV over ``frames``, snapshot geometries in time order.
 
     Monitored against the local L^p bound shape (functionals.lp_curvature_bound)
     with user-supplied constants; never asserted.
     """
-    out = []
-    for k in range(traj.nsnapshots):
-        f = traj.frame(k)
-        out.append((f.t, integrate(f.rm_sq ** (p / 2.0), f.metric)))
-    return out
+    return [(f.t, integrate(f.rm_sq ** (p / 2.0), f.metric)) for f in frames]
 
 
-def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
-        keep=None, reader=None) -> Trajectory:
-    """Integrate to t_end, recording snapshots and per-step diagnostics; of
-    nsnap planned snapshots, hold the last and ``keep(nsnap)`` (None: all).
-    ``reader(k, nsnap, state, geo)`` reads each snapshot k on its geometry as it
-    is recorded (not an aborted run's last state); ``read`` holds its non-None results."""
+def snapshots(initial_state: FlowState, params: FlowParams, schedule: Schedule):
+    """Integrate to t_end, yielding (traj, geo) as each snapshot is recorded as
+    ``traj.last``, with the geometry its step built; ``traj`` gathers per-step
+    diagnostics, and an aborted run records its last accepted state unyielded."""
     # one geometry per accepted state, shared by its diagnostics row, the
-    # initial step bound and the first slope of the step that leaves it
+    # initial step bound, the consumer and the first slope of the step leaving it
     geo = _geometry(initial_state, params)
     c0 = float(np.max(geo.grad_sq))
     if c0 > 0 and not is_regular(params, c0):
@@ -257,8 +232,7 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
           else cfl_dt(geo, schedule.safety))
     nsteps, short = step_plan(schedule.t_end, dt)
     t_end = initial_state.t + schedule.t_end
-    nsnap = -(-nsteps // schedule.cadence) + 1     # planned; keep None holds all
-    traj = Trajectory(initial_state.grid, params, dt, frozenset((keep or range)(nsnap)))
+    traj = Trajectory(params, dt, -(-nsteps // schedule.cadence) + 1)
     state, h, cum_hess = initial_state, 0.0, 0.0
     for k in range(nsteps + 1):         # k = 0 is the initial state
         if k:
@@ -269,15 +243,26 @@ def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
             except BlowUpError as e:
                 traj.aborted = str(e)
                 traj.record(e.state)    # the last accepted state, once
-                break
+                return
             geo = _geometry(state, params)
         if k % schedule.cadence == 0 or k == nsteps:
             traj.record(state)
-            if reader and (got := reader(traj.nsnapshots - 1, nsnap, state, geo)) is not None:
-                traj.read.append(got)
+            yield traj, geo
         if schedule.diagnostics:
             row = _diagnose(geo, cum_hess, h)
             cum_hess = row["int_hess_sq_cum"]
             for key, v in row.items():
                 traj.diagnostics.setdefault(key, []).append(v)
+
+
+def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
+        readers=None) -> Trajectory:
+    """Integrate to t_end (``snapshots``).  ``readers`` maps names to callables
+    reader(traj, geo), called on each snapshot yielded (``traj.last``, of
+    ``traj.nsnap`` planned); ``read[name]`` lists its results but None."""
+    for traj, geo in snapshots(initial_state, params, schedule):
+        for name, reader in (readers or {}).items():
+            if (got := reader(traj, geo)) is not None:
+                traj.read.setdefault(name, []).append(got)
+        del geo         # not held through the next step
     return traj

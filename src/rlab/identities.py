@@ -1,8 +1,8 @@
 """Residual verification of the evolution and structure identities.
 
 Every identity is registered as Q and RHS callables over a snapshot's
-``tensor.Geometry`` (``Trajectory.frame``), or, for the two-trajectory
-identities, over a ``uniqueness.DiffBundle`` of two snapshots' Geometries.
+``tensor.Geometry`` (a flow's readers get the one its step built), or, for the
+two-trajectory identities, over a ``uniqueness.DiffBundle`` of two Geometries.
 For heat-operator identities the residual is
 
     (d/dt Q by snapshot differencing) - (rough Laplacian of Q) - RHS,
@@ -26,8 +26,8 @@ Registry contents: the coupled-flow evolution equations at (2,0,0,0)
 weighted-connection curvature and the coupled curvature ("5.7".."5.15")
 are evaluated by ``lemma52_defects``.
 
-``evaluate_identity`` evaluates every registry entry, and ``converges``
-decides whether a refinement family of its reports converges.
+``evaluate_identity`` evaluates every registry entry on three snapshots, and
+``converges`` decides whether a refinement family of its reports converges.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .flow import Trajectory
 from .mesh import MetricField, integrate
 from .tensor import (Geometry, cov_d, max_norm, norm_sq, raise_index, rough_laplacian,
                      sm_tensor)
-from .uniqueness import DiffBundle, difference_bundle
+from .uniqueness import DiffBundle
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +253,7 @@ class Identity:
     rhs: callable                # None: d/dt Q (minus its Laplacian) is bounded, not matched
     time_only: bool = False
     family: str = "general"      # "rhf": requires (2,0,0,0)
-    pair: bool = False           # over DiffBundles of ``traj`` and ``other``
+    pair: bool = False           # over DiffBundles of two trajectories
     bound: callable = None       # norm bound on the residual, in units of c_id
 
 
@@ -313,20 +312,9 @@ def _norms(res: np.ndarray, metric: MetricField, con: int, cov: int):
     return float(np.sqrt(np.max(nsq))), float(np.sqrt(integrate(nsq, metric)))
 
 
-def _frames(traj: Trajectory, t_index: int, other: Trajectory | None = None):
-    """The Geometries of snapshots t_index - 1, t_index and t_index + 1, or, with
-    ``other``, the DiffBundles of the two trajectories' snapshots."""
-    if not 0 < t_index < traj.nsnapshots - 1:
-        raise IndexError("t_index must have both time neighbors")
-    ks = (t_index - 1, t_index, t_index + 1)
-    if other is None:
-        return tuple(traj.frame(k) for k in ks)
-    return tuple(difference_bundle(traj, other, k) for k in ks)
-
-
 def residual_field(ident: Identity, frames, mutate: bool = False):
-    """The pointwise residual field of one identity over ``frames``, a triple
-    of Geometries or of DiffBundles (``_frames``)."""
+    """The pointwise residual field of one identity over ``frames``, the
+    Geometries or the DiffBundles of three consecutive snapshots."""
     fm, f0, fp = frames
     q = QUANTITIES[ident.quantity]
     Qm, con, cov = q(fm)
@@ -339,41 +327,35 @@ def residual_field(ident: Identity, frames, mutate: bool = False):
     else:                                        # second order on uneven spacing
         res = ((hm * hm * Qp - hp * hp * Qm + (hp * hp - hm * hm) * Q0)
                / (hm * hp * (hm + hp)))
-    if ident.rhs is not None:
-        rhs = ident.rhs(f0)
-        res = res - (-rhs if mutate else rhs)
+    if ident.rhs is not None:       # in place, so no right side outlives its use
+        res -= -ident.rhs(f0) if mutate else ident.rhs(f0)
     if not ident.time_only:
-        res = res - rough_laplacian(Q0, f0.grid, f0.gamma, f0.metric, con, cov)
+        res -= rough_laplacian(Q0, f0.grid, f0.gamma, f0.metric, con, cov)
     return res, con, cov, f0
 
 
-def evaluate_identity(traj: Trajectory, ident_id: str, t_index: int,
-                      other: Trajectory | None = None, c_id: float = 1.0,
+def evaluate_identity(frames, ident_id: str, dt: float, c_id: float = 1.0,
                       mutate: bool = False) -> ResidualReport:
-    """The residual report of one registered identity at snapshot ``t_index``.
+    """The residual report of one registered identity on ``frames``, the
+    Geometries of snapshots k - 1, k and k + 1 of a flow of step ``dt``, or,
+    for a pair entry, their DiffBundles (``uniqueness.difference_bundle``).
 
-    A pair entry reads the second trajectory ``other`` through
-    ``uniqueness.difference_bundle``, which checks each snapshot's time.  A
-    bound entry reports ``bound``, c_id times its norm bound, which
+    A bound entry reports ``bound``, c_id times its norm bound, which
     ``mutate`` shrinks 1000-fold: a negative control the residual must then
     exceed.  On any other entry ``mutate`` flips the sign of the right side.
     """
-    ident = REGISTRY[ident_id]
-    if ident.pair != (other is not None):
-        raise ValueError(f"identity {ident_id} " + (
-            "compares two trajectories; pass the second as other"
-            if ident.pair else "reads one trajectory; other must be None"))
-    if ident.family == "rhf":
-        a = traj.params
-        if (a.alpha1, a.beta1, a.beta2) != (2.0, 0.0, 0.0):
-            raise ValueError(f"identity {ident_id} requires a (2,0,0,0) trajectory")
-    res, con, cov, f0 = residual_field(ident, _frames(traj, t_index, other), mutate)
+    ident, f0 = REGISTRY[ident_id], frames[1]
+    if ident.pair != isinstance(f0, DiffBundle):
+        raise ValueError(f"identity {ident_id} reads the "
+                         f"{'DiffBundles' if ident.pair else 'Geometries'} of three snapshots")
+    if ident.family == "rhf" and (f0.alpha1, f0.beta1, f0.beta2) != (2.0, 0.0, 0.0):
+        raise ValueError(f"identity {ident_id} requires a (2,0,0,0) trajectory")
+    res, con, cov, f0 = residual_field(ident, frames, mutate)
     mx, l2 = _norms(res, f0.metric, con, cov)
     bound = None
     if ident.bound is not None:
         bound = (1e-3 if mutate else 1.0) * c_id * ident.bound(f0)
-    return ResidualReport(ident.id, f0.t, max(traj.grid.spacing), traj.dt,
-                          mx, l2, bound=bound)
+    return ResidualReport(ident.id, f0.t, max(f0.grid.spacing), dt, mx, l2, bound=bound)
 
 
 # --------------------------------------------------------------------------

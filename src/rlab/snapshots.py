@@ -197,7 +197,8 @@ def _write_csv(path, header, rows):
 
 def write_diagnostics_csv(path, trajectory):
     from .flow import DIAG_COLUMNS
-    _write_csv(path, DIAG_COLUMNS, trajectory.diag_rows())
+    _write_csv(path, DIAG_COLUMNS, zip(*(trajectory.diagnostics[c]
+                                         for c in DIAG_COLUMNS)))
 
 
 def write_energy_csv(path, trace):

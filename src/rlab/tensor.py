@@ -213,12 +213,21 @@ def cov_d(vals: np.ndarray, grid: Grid, gamma: np.ndarray,
 
 def rough_laplacian(vals: np.ndarray, grid: Grid, gamma: np.ndarray,
                     metric: MetricField, con: int, cov: int) -> np.ndarray:
-    """Delta T = g^{ab} nabla_a nabla_b T (connection Laplacian)."""
-    D1 = cov_d(vals, grid, gamma, con, cov)
-    D2 = cov_d(D1, grid, gamma, con, cov + 1)
-    # the two derivative indices sit at axes (con, con+1)
-    D2 = np.moveaxis(D2, (con, con + 1), (0, 1))
-    return np.einsum("ab...,ab...->...", metric.inv, D2)
+    """Delta T = g^{ab} nabla_a nabla_b T, summed a-major, b-minor one slice d_a
+    (nabla T)_b + ``cov_d``'s Gamma terms (its order) at a time; no nabla nabla T."""
+    V = np.moveaxis(cov_d(vals, grid, gamma, con, cov), con, 0)    # V[b] = (nabla T)_b
+    idx = _LETTERS[:con + cov]
+    subs = [f"{idx[s]}p...,{idx[:s]}p{idx[s + 1:]}...->{idx}..." for s in range(con)]
+    subs += [f"p...,p{idx}...->{idx}..."] + [
+        f"p{idx[s]}...,{idx[:s]}p{idx[s + 1:]}...->{idx}..." for s in range(con, con + cov)]
+    out, S = np.zeros(vals.shape), np.empty(vals.shape)
+    for a, b in np.ndindex(grid.n, grid.n):
+        diff1(V[b], grid, a, S)
+        for s, sub in enumerate(subs):
+            term = np.einsum(sub, *((gamma[:, a, b], V) if s == con else (gamma[:, a], V[b])))
+            (np.add if s < con else np.subtract)(S, term, out=S)
+        out += np.multiply(S, metric.inv[a, b], out=S)
+    return out
 
 
 def hessian(u: np.ndarray, grid: Grid, gam: np.ndarray,

@@ -12,12 +12,10 @@ closed torus, where the energy needs no cutoff weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .flow import Trajectory
 from .mesh import integrate
 from .tensor import Geometry, cov_d, norm_sq
 
@@ -75,15 +73,13 @@ class DiffBundle:
         return self.y - (self.x - np.einsum("kij...,k...->ij...", self.A, self.f2.du))
 
 
-def difference_bundle(traj1: Trajectory, traj2: Trajectory,
-                      t_index: int) -> DiffBundle:
-    """The differences of the two trajectories' snapshots ``t_index``, which
-    must share a grid and a time."""
-    if traj1.grid != traj2.grid:
+def difference_bundle(f1: Geometry, f2: Geometry) -> DiffBundle:
+    """The differences of two snapshots' Geometries, which must share a grid
+    and a time."""
+    if f1.grid != f2.grid:
         raise ValueError("trajectories must share a grid")
-    f1, f2 = traj1.frame(t_index), traj2.frame(t_index)
     if abs(f1.t - f2.t) > 1e-14:
-        raise ValueError(f"trajectories must share snapshot times (snapshot {t_index})")
+        raise ValueError(f"trajectories must share snapshot times ({f1.t!r}, {f2.t!r})")
     return DiffBundle(f1, f2)
 
 
@@ -109,31 +105,24 @@ def energy(bundle: DiffBundle, *, beta: float = 0.5) -> float:
     return integrate(dens, bundle.metric)
 
 
-@dataclass(frozen=True)
 class EnergyTrace:
-    times: np.ndarray
-    values: np.ndarray
-    norms: list            # per-snapshot norm dicts (h, A, T, v, w)
+    """Per snapshot, in time order, the time, the energy and the dict of the
+    five difference norms (h, A, T, v, w), from rows (t, E, norms)."""
+
+    def __init__(self, rows):
+        self.times = np.array([t for t, _, _ in rows])
+        self.values = np.array([e for _, e, _ in rows])
+        self.norms = [nm for _, _, nm in rows]
 
     def rows(self):
-        out = []
-        for t, e, nm in zip(self.times, self.values, self.norms):
-            out.append((t, e, nm["h"], nm["A"], nm["T"], nm["v"], nm["w"]))
-        return out
+        return [(t, e, nm["h"], nm["A"], nm["T"], nm["v"], nm["w"])
+                for t, e, nm in zip(self.times, self.values, self.norms)]
 
 
-def energy_trace(traj1: Trajectory, traj2: Trajectory, beta: float = 0.5,
-                 indices=None) -> EnergyTrace:
-    """The energy and the difference norms at snapshots ``indices``
-    (default: every snapshot after the first, through t_end)."""
-    idx = indices if indices is not None else range(1, traj1.nsnapshots)
-    ts, vals, norms = [], [], []
-    for k in idx:
-        b = difference_bundle(traj1, traj2, k)
-        vals.append(energy(b, beta=beta))
-        ts.append(b.t)
-        norms.append(b.norms())
-    return EnergyTrace(np.array(ts), np.array(vals), norms)
+def energy_trace(bundles, beta: float = 0.5) -> EnergyTrace:
+    """The energy and the difference norms of each DiffBundle of ``bundles``,
+    in order; an iterable is read one bundle at a time."""
+    return EnergyTrace([(b.t, energy(b, beta=beta), b.norms()) for b in bundles])
 
 
 def gronwall_fit(trace: EnergyTrace, window=None) -> dict:

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import rlab
-from rlab.flow import FlowParams, FlowState, Schedule, run
+from rlab.flow import FlowParams, FlowState, Schedule, _geometry, run
+from rlab.identities import evaluate_identity
 from rlab.instances import verification_initial_data
 from rlab.mesh import build_grid
+from rlab.uniqueness import difference_bundle
 
 MANIFEST_PATH = Path(__file__).parent / "manifest.json"
 SRC = str(Path(rlab.__file__).resolve().parents[1])
@@ -29,11 +31,43 @@ def manifest():
     return json.loads(MANIFEST_PATH.read_text())
 
 
+# run's reader that returns every snapshot's state: run(..., HOLD).read["states"]
+HOLD = {"states": lambda traj, geo: traj.last}
+
+
+def geometry(traj, k):
+    """A fresh Geometry of snapshot k of a run made with ``HOLD``."""
+    return _geometry(traj.read["states"][k], traj.params)
+
+
+def bundle(t1, t2, k):
+    return difference_bundle(geometry(t1, k), geometry(t2, k))
+
+
+def bundles(t1, t2, indices=None):
+    """The DiffBundles of two runs made with ``HOLD``, one at a time, at
+    ``indices`` (default: every snapshot after the first)."""
+    return (bundle(t1, t2, k) for k in (range(1, t1.nsnapshots) if indices is None
+                                        else indices))
+
+
+def frames(traj, k, other=None):
+    """Fresh Geometries of snapshots k - 1, k and k + 1 of a run made with
+    ``HOLD``, or, with ``other``, the DiffBundles of the two runs' snapshots."""
+    return tuple(geometry(traj, j) if other is None else bundle(traj, other, j)
+                 for j in (k - 1, k, k + 1))
+
+
+def evaluate(traj, ident_id, k, other=None, **kwargs):
+    """``evaluate_identity`` at snapshot k of a run made with ``HOLD``."""
+    return evaluate_identity(frames(traj, k, other), ident_id, traj.dt, **kwargs)
+
+
 def make_verification_run(res, dt, params, t_end=T_END, diagnostics=False):
     grid = build_grid("torus", 2, [res, res], [2 * np.pi] * 2)
     metric, u0 = verification_initial_data(grid)
     sched = Schedule(t_end=t_end, dt=dt, cadence=1, diagnostics=diagnostics)
-    return run(FlowState(grid, metric, u0), params, sched)
+    return run(FlowState(grid, metric, u0), params, sched, HOLD)
 
 
 def eval_index(traj):

@@ -11,14 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import LEVELS, RHF, eval_index, make_verification_run, run_cli
+from conftest import (HOLD, LEVELS, RHF, bundle, bundles, eval_index, evaluate,
+                      make_verification_run, run_cli)
 from rlab.comparison import (killing_report, ricci_order, scalar_order,
                              weighted_divergence_integral)
 from rlab.flow import FlowState, Schedule, run
 from rlab.functionals import (OptimizerOpts, gbc_defect, mu_minimize,
                               mu_upper_bound)
 from rlab.identities import (APPENDIX_A_IDS, APPENDIX_C_IDS, LEMMA31_IDS,
-                             LEMMA52_IDS, converges, evaluate_identity,
+                             LEMMA52_IDS, converges,
                              lemma52_defects, refinement_order,
                              verify_lemma_52)
 from rlab.instances import (conformal_metric, euclidean_chart,
@@ -28,7 +29,7 @@ from rlab.instances import (conformal_metric, euclidean_chart,
                             verification_initial_data)
 from rlab.mesh import MetricField, build_grid, flat_metric, grad_stack, integrate, interior
 from rlab.tensor import Geometry, curvature, norm_sq
-from rlab.uniqueness import difference_bundle, energy, energy_trace, gronwall_fit
+from rlab.uniqueness import energy, energy_trace, gronwall_fit
 
 ORDER_LO, ORDER_HI = 1.7, 2.3
 EXACT_LEVEL = 1e-12
@@ -46,7 +47,7 @@ def test_criterion_1_registry_convergence(manifest):
     ids = APPENDIX_A_IDS + APPENDIX_C_IDS + LEMMA31_IDS
     orders, bad = {}, {}
     for ident in ids:
-        seq = [evaluate_identity(runs[r], ident, eval_index(runs[r]))
+        seq = [evaluate(runs[r], ident, eval_index(runs[r]))
                for r, _ in LEVELS]
         if all(r.max_res <= EXACT_LEVEL for r in seq):
             orders[ident] = "exact"
@@ -101,7 +102,7 @@ def test_criterion_2_static_identity_suite(manifest):
 def test_criterion_3_monotonicity_and_volume():
     g = build_grid("torus", 2, [32, 32], [2 * np.pi] * 2)
     m, u0 = verification_initial_data(g)
-    traj = run(FlowState(g, m, u0), RHF, Schedule(t_end=0.05, dt=None, safety=0.5))
+    traj = run(FlowState(g, m, u0), RHF, Schedule(t_end=0.05, dt=None, safety=0.5), HOLD)
     mg = np.array(traj.diagnostics["max_grad_u_sq"])
     ms = np.array(traj.diagnostics["min_Sg"])
     slack = 1e-8 * max(1.0, mg[0])
@@ -111,8 +112,7 @@ def test_criterion_3_monotonicity_and_volume():
     t = np.array(traj.diagnostics["t"])
     dvol = np.gradient(vol, t)[1:-1]     # second order also at the shortened last step
     intS = []
-    for k in range(traj.nsnapshots):
-        s = traj.state(k)
+    for s in traj.read["states"]:
         cb = curvature(s.metric)
         du = grad_stack(s.u, g)
         gsq = np.einsum("ij...,i...,j...->...", s.metric.inv, du, du)
@@ -133,11 +133,11 @@ def test_criterion_4_entropy(manifest):
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     m, u0 = verification_initial_data(g)
     traj = run(FlowState(g, m, u0), RHF,
-               Schedule(t_end=0.2, dt=2e-3, diagnostics=False))
+               Schedule(t_end=0.2, dt=2e-3, diagnostics=False), HOLD)
     idxs = np.linspace(0, traj.nsnapshots - 1, 11).astype(int)
     mus, prev = [], None
     for k in idxs:
-        s = traj.state(int(k))
+        s = traj.read["states"][k]
         rep = mu_minimize(Geometry(s.metric, s.u), tau0 - s.t, opts, warm_start=prev)
         mus.append(rep.mu)
         prev = rep.w
@@ -258,16 +258,16 @@ def test_criterion_8_uniqueness():
     def perturbed(delta):
         pm = m.values.copy()
         pm[0, 0] = pm[0, 0] + delta * np.sin(g.coords()[1])
-        return run(FlowState(g, MetricField(g, pm), u0), RHF, sched)
+        return run(FlowState(g, MetricField(g, pm), u0), RHF, sched, HOLD)
 
-    t1 = run(FlowState(g, m, u0), RHF, sched)
-    t1b = run(FlowState(g, m, u0), RHF, sched)
-    b = difference_bundle(t1, t1b, 5)
+    t1 = run(FlowState(g, m, u0), RHF, sched, HOLD)
+    t1b = run(FlowState(g, m, u0), RHF, sched, HOLD)
+    b = bundle(t1, t1b, 5)
     zero_ok = (not any(np.any(getattr(b, k)) for k in
                        ("h", "A", "B", "T", "U", "v", "w", "x", "y", "z"))
-               and energy(difference_bundle(t1, t1b, 5)) == 0.0)
+               and energy(bundle(t1, t1b, 5)) == 0.0)
     t2, t3 = perturbed(1e-3), perturbed(5e-4)
-    tr2, tr3 = energy_trace(t1, t2), energy_trace(t1, t3)
+    tr2, tr3 = energy_trace(bundles(t1, t2)), energy_trace(bundles(t1, t3))
     half = len(tr2.times) // 2
     fit = gronwall_fit(tr2, window=slice(half, None))
     N = abs(fit["N"])
@@ -288,9 +288,9 @@ def test_criterion_9_negative_controls(rhf_runs, general_runs, manifest):
     for runs, ids in ((rhf_runs, APPENDIX_A_IDS + ("A.12", "A.13")),
                       (general_runs, APPENDIX_C_IDS + LEMMA31_IDS)):
         for ident in ids:
-            good = [evaluate_identity(runs[r], ident, eval_index(runs[r]))
+            good = [evaluate(runs[r], ident, eval_index(runs[r]))
                     for r in (16, 32)]
-            bad = [evaluate_identity(runs[r], ident, eval_index(runs[r]),
+            bad = [evaluate(runs[r], ident, eval_index(runs[r]),
                                      mutate=True) for r in (16, 32)]
             if not (bad[1].max_res > 5.0 * good[1].max_res
                     and bad[0].max_res / bad[1].max_res < 2.0):
@@ -305,22 +305,22 @@ def test_criterion_9_negative_controls(rhf_runs, general_runs, manifest):
         if not (b > 1e-3 and a / b < 2.0):
             failures.append(ident)
     # pair identities
-    g = rhf_runs[16].grid
+    g = rhf_runs[16].last.grid
     m, u0 = verification_initial_data(g)
     pm = m.values.copy()
     pm[0, 0] = pm[0, 0] + 1e-3 * np.sin(g.coords()[1])
     sched = Schedule(t_end=0.016, dt=2e-3, diagnostics=False)
-    tp = run(FlowState(g, MetricField(g, pm), u0), RHF, sched)
+    tp = run(FlowState(g, MetricField(g, pm), u0), RHF, sched, HOLD)
     for ident in ("6.50", "6.51"):
-        good = evaluate_identity(rhf_runs[16], ident, 6, other=tp)
-        bad = evaluate_identity(rhf_runs[16], ident, 6, other=tp, mutate=True)
+        good = evaluate(rhf_runs[16], ident, 6, other=tp)
+        bad = evaluate(rhf_runs[16], ident, 6, other=tp, mutate=True)
         if not bad.max_res > 5.0 * max(good.max_res, 1e-30):
             failures.append(ident)
-    rep = evaluate_identity(rhf_runs[16], "6.53", 6, other=tp,
+    rep = evaluate(rhf_runs[16], "6.53", 6, other=tp,
                             c_id=manifest["c_id"]["6.53"], mutate=True)
     if not rep.max_res > rep.bound:
         failures.append("6.53")
-    rep = evaluate_identity(rhf_runs[16], "A.11", eval_index(rhf_runs[16]),
+    rep = evaluate(rhf_runs[16], "A.11", eval_index(rhf_runs[16]),
                             c_id=manifest["c_id"]["A.11"] * 1e-3)
     if not rep.max_res > rep.bound:
         failures.append("A.11")

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import SRC
+from conftest import HOLD, SRC
 from rlab.flow import (DIAG_COLUMNS, BlowUpError, FlowParams, FlowState, Schedule,
                        _diagnose, _geometry, cfl_dt, flow_rhs, is_regular, run, step)
 from rlab.instances import (perturbed_flat_metric, random_instance,
@@ -86,11 +86,11 @@ def test_reduction_exact_through_the_public_path(tmp_path):
     assert np.array_equal(s1.metric.values, s2.metric.values)
     assert np.array_equal(s1.u, s2.u)
     sched = Schedule(t_end=3 * dt, dt=dt)
-    t1, t2 = run(st, general, sched), run(st, reduced, sched)
+    t1, t2 = run(st, general, sched, HOLD), run(st, reduced, sched, HOLD)
     assert t1.nsnapshots == t2.nsnapshots == 4 and t1.params == t2.params
-    for k in range(t1.nsnapshots):
-        assert np.array_equal(t1.state(k).metric.values, t2.state(k).metric.values)
-        assert np.array_equal(t1.state(k).u, t2.state(k).u)
+    for s1, s2 in zip(t1.read["states"], t2.read["states"], strict=True):
+        assert np.array_equal(s1.metric.values, s2.metric.values)
+        assert np.array_equal(s1.u, s2.u)
     assert t1.diagnostics == t2.diagnostics
     write_checkpoint(tmp_path / "chk.rlab", st, general, sched)
     assert read_checkpoint(tmp_path / "chk.rlab")[1] == reduced
@@ -275,7 +275,7 @@ def test_run_flat_constant_diagnostics():
 
 def test_run_monotonicity_and_volume_identity():
     st = curved_state(32)
-    traj = run(st, FlowParams(2.0), Schedule(t_end=0.05, dt=None, safety=0.5))
+    traj = run(st, FlowParams(2.0), Schedule(t_end=0.05, dt=None, safety=0.5), HOLD)
     mg = np.array(traj.diagnostics["max_grad_u_sq"])
     ms = np.array(traj.diagnostics["min_Sg"])
     slack = 1e-8 * mg[0]
@@ -286,8 +286,7 @@ def test_run_monotonicity_and_volume_identity():
     t = np.array(traj.diagnostics["t"])
     dvol = np.gradient(vol, t)[1:-1]     # second order also at the shortened last step
     intS = []
-    for k in range(traj.nsnapshots):
-        s = traj.state(k)
+    for s in traj.read["states"]:
         cb = curvature(s.metric)
         du = grad_stack(s.u, s.grid)
         gsq = np.einsum("ij...,i...,j...->...", s.metric.inv, du, du)
@@ -298,11 +297,12 @@ def test_run_monotonicity_and_volume_identity():
 
 
 def test_run_determinism_bitwise():
-    t1 = run(curved_state(16), FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3))
-    t2 = run(curved_state(16), FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3))
-    for k in range(t1.nsnapshots):
-        assert np.array_equal(t1.state(k).metric.values, t2.state(k).metric.values)
-        assert np.array_equal(t1.state(k).u, t2.state(k).u)
+    t1 = run(curved_state(16), FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3), HOLD)
+    t2 = run(curved_state(16), FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3), HOLD)
+    assert t1.nsnapshots == len(t1.read["states"]) == 11
+    for s1, s2 in zip(t1.read["states"], t2.read["states"], strict=True):
+        assert np.array_equal(s1.metric.values, s2.metric.values)
+        assert np.array_equal(s1.u, s2.u)
 
 
 def test_blowup_abort_records_snapshot():
@@ -329,11 +329,12 @@ def test_non_finite_u_aborts_run(monkeypatch):
     monkeypatch.setattr(flow, "flow_rhs", rhs)
     for diagnostics in (False, True):
         traj = run(curved_state(16), FlowParams(2.0),
-                   Schedule(t_end=0.01, dt=2e-3, diagnostics=diagnostics))
+                   Schedule(t_end=0.01, dt=2e-3, diagnostics=diagnostics), HOLD)
         assert traj.aborted is not None
         assert "potential u not finite" in traj.aborted and "t=0.006" in traj.aborted
         assert traj.times == pytest.approx([0.0, 0.002, 0.004])
-        assert all(np.all(np.isfinite(s.u)) for s in traj.states)
+        assert traj.last is traj.read["states"][-1]
+        assert all(np.all(np.isfinite(s.u)) for s in traj.read["states"])
 
 
 @pytest.mark.parametrize("bad, entry", [(np.nan, (0, 0)), (np.inf, (0, 0)), (np.inf, (0, 1))],
@@ -358,10 +359,10 @@ def test_non_finite_metric_step_raises_blowup(monkeypatch, bad, entry):
 
 def test_trajectory_states_carry_their_step_counts():
     traj = run(curved_state(16), FlowParams(2.0),
-               Schedule(t_end=0.007, dt=1e-3, cadence=3, diagnostics=False))
+               Schedule(t_end=0.007, dt=1e-3, cadence=3, diagnostics=False), HOLD)
     # steps 0, 3, 6 on the cadence, and the last step, 7
-    assert [traj.state(k).step_count for k in range(traj.nsnapshots)] == [0, 3, 6, 7]
-    assert traj.times == [traj.state(k).t for k in range(traj.nsnapshots)]
+    assert [s.step_count for s in traj.read["states"]] == [0, 3, 6, 7]
+    assert traj.times == [s.t for s in traj.read["states"]]
 
 
 def test_nonregular_warns():
@@ -374,15 +375,14 @@ def test_rm_lp_monitor_under_bound():
     from rlab.flow import rm_lp_series
     from rlab.functionals import EstimateConstants, lp_curvature_bound
     st = curved_state(16)
-    traj = run(st, FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3, diagnostics=False))
-    series = rm_lp_series(traj, 3.0)
+    traj = run(st, FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3, diagnostics=False),
+               {"geo": lambda traj, geo: geo})
+    series = rm_lp_series(traj.read["geo"], 3.0)
     assert len(series) == traj.nsnapshots and all(v >= 0 for _, v in series)
+    assert [t for t, _ in series] == traj.times
     # with the observed sup-norm bounds as inputs the monitored shape covers
     # the recorded integrals (C_user calibrated at 1 suffices here)
-    from rlab.tensor import curvature as _curv, norm_sq as _nsq
-    K = max(float(np.sqrt(np.max(_nsq(_curv(traj.state(k).metric).ric,
-                                      traj.state(k).metric, 0, 2))))
-            for k in range(traj.nsnapshots))
+    K = max(float(np.sqrt(np.max(norm_sq(f.ric, f.metric, 0, 2)))) for f in traj.read["geo"])
     consts = EstimateConstants(K=max(K, 0.1), L=1.0, P=1.0, rho=1.0, C_user=1.0)
     vol_pad = 40.0   # flat-ish T^2(2pi x 2pi) volume, padded
     bound = lp_curvature_bound(2, 3.0, consts, traj.times[-1], series[0][1], vol_pad)
@@ -407,24 +407,25 @@ def test_run_shared_geometry_bitwise(params):
     # run() hands each accepted state's geometry to its diagnostics row and to
     # the next step's first stage; bare calls build their own and must agree
     st, dt = curved_state(16), 1e-3
-    traj = run(st, params, Schedule(t_end=4 * dt, dt=dt))
+    traj = run(st, params, Schedule(t_end=4 * dt, dt=dt), HOLD)
     s, cum = st, 0.0
     for k in range(traj.nsnapshots):
         if k:
             s = step(s, params, dt)
         row = _diagnose(_geometry(s, params), cum, dt if k else 0.0)
         cum = row["int_hess_sq_cum"]
-        assert np.array_equal(traj.state(k).metric.values, s.metric.values)
-        assert np.array_equal(traj.state(k).u, s.u)
+        assert np.array_equal(traj.read["states"][k].metric.values, s.metric.values)
+        assert np.array_equal(traj.read["states"][k].u, s.u)
         assert all(traj.diagnostics[c][k] == row[c] for c in DIAG_COLUMNS)
 
 
-def test_trajectory_frame_is_the_snapshot_geometry_at_the_flow_parameters():
+def test_readers_get_the_snapshot_geometry_at_the_flow_parameters():
     st, p = curved_state(16), FlowParams(1.0, 0.3, 0.5, -0.3)
-    traj = run(st, p, Schedule(t_end=2e-3, dt=1e-3, diagnostics=False))
-    for k in range(traj.nsnapshots):
-        f = traj.frame(k)
-        assert type(f) is Geometry and f.metric is traj.state(k).metric
+    traj = run(st, p, Schedule(t_end=2e-3, dt=1e-3, diagnostics=False),
+               {"geo": lambda traj, geo: (traj.last, geo)})
+    assert len(traj.read["geo"]) == traj.nsnapshots == 3
+    for k, (s, f) in enumerate(traj.read["geo"]):
+        assert type(f) is Geometry and f.metric is s.metric and f.u is s.u
         assert (f.alpha1, f.beta1, f.beta2, f.t) == (p.alpha1, p.beta1, p.beta2,
                                                      traj.times[k])
 
@@ -472,13 +473,12 @@ def test_run_lands_on_t_end(t_end, dt, nsteps):
     # whole steps of dt, then one shortened step for the remainder
     grid, m, u = random_instance(3, 16, 1)
     traj = run(FlowState(grid, m, u), FlowParams(2.0), Schedule(t_end=t_end, dt=dt))
-    assert abs(traj.times[-1] - t_end) <= 1e-12
-    assert traj.state(traj.nsnapshots - 1).step_count == nsteps
+    assert abs(traj.times[-1] - t_end) <= 1e-12 and traj.last.t == traj.times[-1]
+    assert traj.last.step_count == nsteps
     assert len(traj.diagnostics["t"]) == nsteps + 1
     # the last row adds int |Hess u|^2 times the step actually taken
-    last = traj.state(traj.nsnapshots - 1)
     h = t_end - traj.times[-2]
-    row = _diagnose(_geometry(last, FlowParams(2.0)),
+    row = _diagnose(_geometry(traj.last, FlowParams(2.0)),
                     traj.diagnostics["int_hess_sq_cum"][-2], h)
     assert row["int_hess_sq_cum"] == traj.diagnostics["int_hess_sq_cum"][-1]
 
@@ -489,48 +489,36 @@ def test_run_rejects_a_nonpositive_t_end(t_end):
         run(flat_state(), FlowParams(2.0), Schedule(t_end=t_end, dt=1e-3))
 
 
-def held(traj):
-    return [k for k, s in enumerate(traj.states) if s is not None]
-
-
 @pytest.mark.parametrize("cadence, t_end, nsnap", [(1, 0.007, 8), (3, 0.007, 4),
                                                    (2, 0.0065, 5)])
-def test_keep_rule_holds_the_kept_snapshots_bitwise(cadence, t_end, nsnap):
-    # the rule sees the planned snapshot count; the trajectory holds its
-    # indices and the last, each bitwise the keep-all run's, and still counts
-    # and times every recorded snapshot
+def test_readers_read_every_snapshot_bitwise(cadence, t_end, nsnap):
+    # each reader sees every recorded snapshot, of the planned count, with the
+    # geometry its step built; reading changes no state, time or diagnostic,
+    # and the trajectory holds its last state alone
     sched = Schedule(t_end=t_end, dt=1e-3, cadence=cadence)
-    full = run(curved_state(16), FlowParams(2.0), sched)
-    seen = []
-    part = run(curved_state(16), FlowParams(2.0), sched,
-               lambda n: seen.append(n) or {0, n - 3})
-    assert seen == [nsnap] == [full.nsnapshots] and part.nsnapshots == nsnap
-    assert held(full) == list(range(nsnap)) and held(part) == [0, nsnap - 3, nsnap - 1]
-    assert part.times == full.times and part.diagnostics == full.diagnostics
-    for k in held(part):
-        assert part.state(k).step_count == full.state(k).step_count
-        assert np.array_equal(part.state(k).metric.values, full.state(k).metric.values)
-        assert np.array_equal(part.state(k).u, full.state(k).u)
+    bare = run(curved_state(16), FlowParams(2.0), sched)
+    traj = run(curved_state(16), FlowParams(2.0), sched,
+               {"n": lambda traj, geo: traj.nsnap, "s": lambda traj, geo: (traj.last, geo),
+                "none": lambda traj, geo: None})
+    assert traj.read["n"] == [nsnap] * nsnap and "none" not in traj.read
+    assert traj.times == bare.times and traj.diagnostics == bare.diagnostics
+    assert [s.t for s, _ in traj.read["s"]] == traj.times
+    assert all(geo.metric is s.metric for s, geo in traj.read["s"])
+    assert traj.last is traj.read["s"][-1][0] and not hasattr(traj, "states")
+    assert traj.last.step_count == bare.last.step_count
+    assert np.array_equal(traj.last.metric.values, bare.last.metric.values)
+    assert np.array_equal(traj.last.u, bare.last.u)
 
 
-def test_reading_a_dropped_snapshot_is_named():
-    traj = run(curved_state(16), FlowParams(2.0),
-               Schedule(t_end=4e-3, dt=1e-3, diagnostics=False), lambda n: [1])
-    assert held(traj) == [1, 4]
-    for read in (traj.state, traj.frame):
-        with pytest.raises(IndexError, match=r"^snapshot 2 was not kept \(held: \[1, 4\]\)$"):
-            read(2)
-    assert traj.frame(1).t == traj.times[1]
-
-
-def test_keep_rule_holds_the_last_accepted_state_of_an_abort():
+@pytest.mark.parametrize("cadence", [1, 2])
+def test_run_holds_the_last_accepted_state_of_an_abort(cadence):
+    # recorded once, and read only if it is a snapshot on the cadence
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     m = perturbed_flat_metric(g, {(0, 0): [{"amp": 0.8, "wave": [0, 1]}]})
     st = FlowState(g, m, np.zeros(g.shape))
-    sched = Schedule(t_end=2.0, dt=0.5, diagnostics=False)
-    full = run(st, FlowParams(2.0), sched)
-    last = run(st, FlowParams(2.0), sched, lambda n: ())
-    assert full.aborted and last.aborted == full.aborted
-    assert last.nsnapshots == full.nsnapshots and held(last) == [full.nsnapshots - 1]
-    assert np.array_equal(last.state(last.nsnapshots - 1).metric.values,
-                          full.state(full.nsnapshots - 1).metric.values)
+    sched = Schedule(t_end=2.0, dt=0.5, cadence=cadence, diagnostics=False)
+    traj = run(st, FlowParams(2.0), sched, HOLD)
+    states = traj.read["states"]
+    assert traj.aborted and traj.times[-1] == traj.last.t
+    assert traj.nsnapshots == len(states) + (traj.last is not states[-1])
+    assert traj.last.step_count % cadence == 0 or traj.last is not states[-1]

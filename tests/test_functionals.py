@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import HOLD
 from rlab.functionals import (EstimateConstants, OptimizerOpts, PositivityError,
                               calibrate_uniform_constant, delta_u_bound,
                               gbc_defect, gbc_defect_coupled, lambda_bounds,
@@ -386,10 +387,9 @@ def test_delta_u_bound_calibration_on_run():
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     m, u0 = verification_initial_data(g)
     traj = run(FlowState(g, m, u0), FlowParams(2.0),
-               Schedule(t_end=0.02, dt=2e-3, diagnostics=False))
+               Schedule(t_end=0.02, dt=2e-3, diagnostics=False), HOLD)
     K = obs = 0.0
-    for k in range(traj.nsnapshots):
-        s = traj.state(k)
+    for s in traj.read["states"]:
         cb = curvature(s.metric)
         K = max(K, float(np.sqrt(np.max(norm_sq(cb.ric, s.metric, 0, 2)))))
         H = hessian(s.u, g, cb.gamma_p, grad_stack(s.u, g))

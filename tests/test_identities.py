@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import RHF, eval_index, make_verification_run
+from conftest import HOLD, RHF, eval_index, evaluate, frames, make_verification_run
 from rlab.flow import FlowParams, FlowState, Schedule, run
 from rlab.identities import (APPENDIX_A_IDS, APPENDIX_C_IDS, LEMMA31_IDS,
                              REGISTRY, Identity, ResidualReport,
-                             converges, evaluate_identity, refinement_order,
+                             converges, refinement_order,
                              residual_field, verify_lemma_52, with_order)
 from rlab.instances import random_instance, verification_initial_data
 from rlab.mesh import MetricField, build_grid, flat_metric, grad_stack
@@ -15,9 +15,9 @@ from rlab.tensor import norm_sq
 def test_flat_stationary_residuals_zero(manifest):
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     st = FlowState(g, flat_metric(g), np.zeros(g.shape))
-    traj = run(st, RHF, Schedule(t_end=0.01, dt=2e-3, diagnostics=False))
+    traj = run(st, RHF, Schedule(t_end=0.01, dt=2e-3, diagnostics=False), HOLD)
     for ident in APPENDIX_A_IDS:
-        rep = evaluate_identity(traj, ident, 2)
+        rep = evaluate(traj, ident, 2)
         assert rep.max_res < 1e-12, rep.identity
 
 
@@ -25,12 +25,12 @@ def test_registry_orders_two_levels(rhf_runs, general_runs, manifest):
     # order on the 16 -> 32 pair for every box identity; the full three-level
     # study lives in the acceptance suite
     for ident in APPENDIX_A_IDS + ("A.12", "A.13"):
-        seq = [evaluate_identity(rhf_runs[r], ident, eval_index(rhf_runs[r]))
+        seq = [evaluate(rhf_runs[r], ident, eval_index(rhf_runs[r]))
                for r in (16, 32)]
         ratio = seq[0].max_res / max(seq[1].max_res, 1e-300)
         assert ratio > 2.8 or seq[1].max_res < 1e-10, (ident, ratio)
     for ident in APPENDIX_C_IDS + LEMMA31_IDS:
-        seq = [evaluate_identity(general_runs[r], ident, eval_index(general_runs[r]))
+        seq = [evaluate(general_runs[r], ident, eval_index(general_runs[r]))
                for r in (16, 32)]
         ratio = seq[0].max_res / max(seq[1].max_res, 1e-300)
         assert ratio > 2.8, (ident, ratio)
@@ -43,9 +43,9 @@ def test_residual_thresholds_from_manifest(rhf_runs, general_runs, manifest):
         for res in (16, 32):
             traj = runs[res]
             bound = manifest["c_id"]
-            h2dt2 = max(traj.grid.spacing) ** 2 + traj.dt ** 2
+            h2dt2 = max(traj.last.grid.spacing) ** 2 + traj.dt ** 2
             for ident in ids:
-                rep = evaluate_identity(traj, ident, eval_index(traj))
+                rep = evaluate(traj, ident, eval_index(traj))
                 assert rep.max_res <= bound[ident] * h2dt2 * 1.01, ident
 
 
@@ -54,9 +54,9 @@ def test_negative_controls_box(rhf_runs, general_runs):
     for runs, ids in ((rhf_runs, APPENDIX_A_IDS + ("A.12", "A.13")),
                       (general_runs, APPENDIX_C_IDS + LEMMA31_IDS)):
         for ident in ids:
-            good = [evaluate_identity(runs[r], ident, eval_index(runs[r]))
+            good = [evaluate(runs[r], ident, eval_index(runs[r]))
                     for r in (16, 32)]
-            bad = [evaluate_identity(runs[r], ident, eval_index(runs[r]),
+            bad = [evaluate(runs[r], ident, eval_index(runs[r]),
                                      mutate=True) for r in (16, 32)]
             assert bad[1].max_res > 5.0 * good[1].max_res, ident
             ratio = bad[0].max_res / bad[1].max_res
@@ -65,10 +65,10 @@ def test_negative_controls_box(rhf_runs, general_runs):
 
 def test_a11_norm_bound(rhf_runs, manifest):
     traj = rhf_runs[16]
-    rep = evaluate_identity(traj, "A.11", eval_index(traj),
+    rep = evaluate(traj, "A.11", eval_index(traj),
                             c_id=manifest["c_id"]["A.11"])
     assert rep.max_res <= rep.bound
-    rep2 = evaluate_identity(traj, "A.11", eval_index(traj),
+    rep2 = evaluate(traj, "A.11", eval_index(traj),
                              c_id=manifest["c_id"]["A.11"] * 1e-3)
     assert rep2.max_res > rep2.bound  # negative control
 
@@ -77,12 +77,12 @@ def test_c_identities_coincide_with_a_at_rhf(rhf_runs):
     # C.6 is A.8 and 3.11 is A.9 at (2,0,0,0): identical residuals bitwise
     traj = rhf_runs[16]
     k = eval_index(traj)
-    frames = tuple(traj.frame(k + d) for d in (-1, 0, 1))
-    a8, _, _, f0 = residual_field(REGISTRY["A.8"], frames)
-    c6, _, _, _ = residual_field(REGISTRY["C.6"], frames)
+    window = frames(traj, k)
+    a8, _, _, f0 = residual_field(REGISTRY["A.8"], window)
+    c6, _, _, _ = residual_field(REGISTRY["C.6"], window)
     assert np.array_equal(a8, c6)
-    a9 = residual_field(REGISTRY["A.9"], frames)[0]
-    l311 = residual_field(REGISTRY["3.11"], frames)[0]
+    a9 = residual_field(REGISTRY["A.9"], window)[0]
+    l311 = residual_field(REGISTRY["3.11"], window)[0]
     assert np.array_equal(a9, l311)
 
 
@@ -90,26 +90,30 @@ def test_u_zero_reduces_to_ricci_flow_identities():
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     m, _ = verification_initial_data(g)
     st = FlowState(g, m, np.zeros(g.shape))
-    traj = run(st, FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3, diagnostics=False))
+    traj = run(st, FlowParams(2.0), Schedule(t_end=0.01, dt=1e-3, diagnostics=False),
+               HOLD)
     k = 5
     # u-dependent quantities vanish exactly along the run
     for ident in ("A.4", "A.8"):
-        assert evaluate_identity(traj, ident, k).max_res < 1e-13
+        assert evaluate(traj, ident, k).max_res < 1e-13
     # remaining identities still close
     for ident in ("A.2", "A.6", "A.7"):
-        assert evaluate_identity(traj, ident, k).max_res < 0.2
+        assert evaluate(traj, ident, k).max_res < 0.2
 
 
 def test_rejects_wrong_params_for_a_family(general_runs):
     with pytest.raises(ValueError):
-        evaluate_identity(general_runs[16], "A.2", 3)
+        evaluate(general_runs[16], "A.2", 3)
 
 
 def test_rejects_boundary_snapshot(rhf_runs):
-    with pytest.raises(IndexError):
-        evaluate_identity(rhf_runs[16], "A.8", 0)
-    with pytest.raises(IndexError):
-        evaluate_identity(rhf_runs[16], "A.8", rhf_runs[16].nsnapshots - 1)
+    # the first and the last snapshot lack a time neighbour: a window of two
+    # snapshots has no middle one to evaluate
+    from rlab.identities import evaluate_identity
+    traj = rhf_runs[16]
+    for edge in (frames(traj, 1)[:2], frames(traj, traj.nsnapshots - 2)[1:]):
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            evaluate_identity(edge, "A.8", traj.dt)
 
 
 def test_pair_identity_rejects_times_that_differ_next_to_k():
@@ -119,7 +123,7 @@ def test_pair_identity_rejects_times_that_differ_next_to_k():
     t2 = make_verification_run(16, 2e-3, RHF, t_end=0.011)
     assert t1.times[5] == t2.times[5] and t1.times[6] != t2.times[6]
     with pytest.raises(ValueError, match="snapshot times"):
-        evaluate_identity(t1, "6.50", 5, other=t2)
+        evaluate(t1, "6.50", 5, other=t2)
 
 
 def test_residual_translation_invariance():
@@ -129,11 +133,11 @@ def test_residual_translation_invariance():
         m, u0 = verification_initial_data(g)
         vals = np.roll(m.values, shift, axis=-1)
         st = FlowState(g, MetricField(g, vals), np.roll(u0, shift, axis=-1))
-        return run(st, RHF, Schedule(t_end=0.008, dt=2e-3, diagnostics=False))
+        return run(st, RHF, Schedule(t_end=0.008, dt=2e-3, diagnostics=False), HOLD)
 
     t0, t1 = rolled(0), rolled(5)
-    r0 = [evaluate_identity(t0, i, 2) for i in ("A.2", "A.8")]
-    r1 = [evaluate_identity(t1, i, 2) for i in ("A.2", "A.8")]
+    r0 = [evaluate(t0, i, 2) for i in ("A.2", "A.8")]
+    r1 = [evaluate(t1, i, 2) for i in ("A.2", "A.8")]
     for a, b in zip(r0, r1):
         assert abs(a.max_res - b.max_res) < 1e-11 * max(a.max_res, 1e-30)
         assert abs(a.l2_res - b.l2_res) < 1e-11 * max(a.l2_res, 1e-30)
@@ -148,10 +152,10 @@ def test_time_derivative_second_order_next_to_a_shortened_step():
     res = []
     for dt in (4e-3, 2e-3, 1e-3):
         traj = run(FlowState(g, m, u0), RHF,
-                   Schedule(t_end=5.5 * dt, dt=dt, diagnostics=False))
+                   Schedule(t_end=5.5 * dt, dt=dt, diagnostics=False), HOLD)
         k = traj.nsnapshots - 2
         assert traj.times[k + 1] - traj.times[k] < 0.6 * dt
-        res.append(evaluate_identity(traj, "A.10", k).max_res)
+        res.append(evaluate(traj, "A.10", k).max_res)
     assert res[0] / res[1] > 3.0 and res[1] / res[2] > 3.0, res
 
 
@@ -163,18 +167,19 @@ def test_uneven_spacing_forms_the_middle_quantity_once(monkeypatch):
     from rlab.tensor import rough_laplacian
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     m, u0 = verification_initial_data(g)
-    traj = run(FlowState(g, m, u0), RHF, Schedule(t_end=0.011, dt=2e-3, diagnostics=False))
+    traj = run(FlowState(g, m, u0), RHF, Schedule(t_end=0.011, dt=2e-3, diagnostics=False),
+               HOLD)
     k = traj.nsnapshots - 2
-    fm, f0, fp = frames = tuple(traj.frame(k + d) for d in (-1, 0, 1))
+    fm, f0, fp = window = frames(traj, k)
     hm, hp = f0.t - fm.t, fp.t - f0.t
     assert hp < 0.6 * hm
     calls = []
     dudu = ids.QUANTITIES["dudu"]
     monkeypatch.setitem(ids.QUANTITIES, "counted", lambda f: calls.append(f) or dudu(f))
     c8 = REGISTRY["C.8"]
-    res = residual_field(Identity("counted", "counted", c8.rhs), frames)[0]
+    res = residual_field(Identity("counted", "counted", c8.rhs), window)[0]
     assert [id(f) for f in calls] == [id(fm), id(fp), id(f0)]
-    q = [dudu(f)[0] for f in frames]
+    q = [dudu(f)[0] for f in window]
     ref = ((hm * hm * q[2] - hp * hp * q[0] + (hp * hp - hm * hm) * q[1])
            / (hm * hp * (hm + hp))) - c8.rhs(f0)
     ref = ref - rough_laplacian(q[1], g, f0.gamma, f0.metric, 0, 2)
@@ -190,9 +195,8 @@ def test_residual_field_public_api(rhf_runs):
         return (-2.0 * norm_sq(frame.hess, frame.metric, 0, 2)
                 - 4.0 * frame.grad_sq ** 2)
 
-    frames = tuple(traj.frame(k + d) for d in (-1, 0, 1))
-    res = residual_field(Identity("user", "grad_sq", rhs), frames)[0]
-    rep = evaluate_identity(traj, "A.8", k)
+    res = residual_field(Identity("user", "grad_sq", rhs), frames(traj, k))[0]
+    rep = evaluate(traj, "A.8", k)
     assert abs(float(np.max(np.abs(res))) - rep.max_res) < 1e-12
 
 
@@ -246,22 +250,22 @@ def trajectory_pair():
     pm = m.values.copy()
     pm[0, 0] = pm[0, 0] + 1e-3 * np.sin(g.coords()[1])
     sched = Schedule(t_end=0.016, dt=2e-3, diagnostics=False)
-    t1 = run(FlowState(g, m, u0), RHF, sched)
-    t2 = run(FlowState(g, MetricField(g, pm), u0), RHF, sched)
+    t1 = run(FlowState(g, m, u0), RHF, sched, HOLD)
+    t2 = run(FlowState(g, MetricField(g, pm), u0), RHF, sched, HOLD)
     return t1, t2
 
 
 def test_pair_identities(trajectory_pair, manifest):
     t1, t2 = trajectory_pair
-    h2dt2 = max(t1.grid.spacing) ** 2 + t1.dt ** 2
+    h2dt2 = max(t1.last.grid.spacing) ** 2 + t1.dt ** 2
     for ident in ("6.50", "6.51"):
-        rep = evaluate_identity(t1, ident, 6, other=t2)
+        rep = evaluate(t1, ident, 6, other=t2)
         assert rep.max_res <= manifest["c_id"][ident] * h2dt2 * 1.01, ident
-        bad = evaluate_identity(t1, ident, 6, other=t2, mutate=True)
+        bad = evaluate(t1, ident, 6, other=t2, mutate=True)
         assert bad.max_res > 5.0 * max(rep.max_res, 1e-30), ident
-    rep = evaluate_identity(t1, "6.53", 6, other=t2, c_id=manifest["c_id"]["6.53"])
+    rep = evaluate(t1, "6.53", 6, other=t2, c_id=manifest["c_id"]["6.53"])
     assert 0 < rep.max_res <= rep.bound
-    rep2 = evaluate_identity(t1, "6.53", 6, other=t2,
+    rep2 = evaluate(t1, "6.53", 6, other=t2,
                              c_id=manifest["c_id"]["6.53"], mutate=True)
     assert rep2.max_res > rep2.bound
 
@@ -269,21 +273,21 @@ def test_pair_identities(trajectory_pair, manifest):
 def test_evaluator_dispatches_on_pair_and_bound_entries(trajectory_pair):
     t1, t2 = trajectory_pair
     for ident in ("6.50", "6.51", "6.53"):
-        with pytest.raises(ValueError, match="other"):
-            evaluate_identity(t1, ident, 6)
-    with pytest.raises(ValueError, match="other"):
-        evaluate_identity(t1, "A.8", 6, other=t2)
+        with pytest.raises(ValueError, match="reads the DiffBundles"):
+            evaluate(t1, ident, 6)
+    with pytest.raises(ValueError, match="reads the Geometries"):
+        evaluate(t1, "A.8", 6, other=t2)
     # a bound entry reports c_id times its bound, shrunk 1000-fold by mutate
-    a11 = evaluate_identity(t1, "A.11", 6, c_id=2.0)
+    a11 = evaluate(t1, "A.11", 6, c_id=2.0)
     assert a11.bound > 0 and a11.to_dict()["bound"] == a11.bound
-    shrunk = evaluate_identity(t1, "A.11", 6, c_id=2.0, mutate=True)
+    shrunk = evaluate(t1, "A.11", 6, c_id=2.0, mutate=True)
     assert shrunk.bound == pytest.approx(1e-3 * a11.bound, rel=1e-12)
     assert shrunk.max_res == a11.max_res
-    assert evaluate_identity(t1, "6.53", 6, other=t2).bound > 0
+    assert evaluate(t1, "6.53", 6, other=t2).bound > 0
     # an equality entry carries no bound and writes none
-    a8 = evaluate_identity(t1, "A.8", 6)
+    a8 = evaluate(t1, "A.8", 6)
     assert a8.bound is None and "bound" not in a8.to_dict()
-    assert evaluate_identity(t1, "6.50", 6, other=t2).bound is None
+    assert evaluate(t1, "6.50", 6, other=t2).bound is None
 
 
 def test_converges_is_a_floor_with_a_two_level_ratio():
@@ -313,9 +317,9 @@ def test_pair_rejects_mismatch(trajectory_pair):
     g = build_grid("torus", 2, [24, 24], [2 * np.pi] * 2)
     m, u0 = verification_initial_data(g)
     other = run(FlowState(g, m, u0), RHF,
-                Schedule(t_end=0.004, dt=2e-3, diagnostics=False))
+                Schedule(t_end=0.004, dt=2e-3, diagnostics=False), HOLD)
     with pytest.raises(ValueError):
-        evaluate_identity(t1, "6.50", 1, other=other)
+        evaluate(t1, "6.50", 1, other=other)
 
 
 def test_a4_a8_magnitudes_comparable(rhf_runs):
@@ -323,6 +327,6 @@ def test_a4_a8_magnitudes_comparable(rhf_runs):
     # scales should sit within an order of magnitude of each other
     traj = rhf_runs[32]
     k = eval_index(traj)
-    a4 = evaluate_identity(traj, "A.4", k).max_res
-    a8 = evaluate_identity(traj, "A.8", k).max_res
+    a4 = evaluate(traj, "A.4", k).max_res
+    a8 = evaluate(traj, "A.8", k).max_res
     assert a8 / 10.0 <= a4 <= a8 * 10.0

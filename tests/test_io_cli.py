@@ -11,10 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import RHF, SRC, make_verification_run, run_cli
+from conftest import HOLD, RHF, SRC, evaluate, make_verification_run, run_cli
 from rlab.config import ConfigError, config_hash, validate
 from rlab.flow import FlowParams, FlowState, Schedule
-from rlab.identities import evaluate_identity
 from rlab.instances import (VERIFICATION_METRIC_TERMS, VERIFICATION_U_TERMS,
                             random_instance, verification_initial_data)
 from rlab.mesh import build_grid
@@ -419,7 +418,7 @@ VERIFICATION_DATA = {"metric": {"family": "perturbed",
 
 def spy_verify(tmp_path, monkeypatch, schedule, verify):
     """Run the verify stage on the canonical instance; return the rk4 steps it
-    takes per resolution, and (trajectory, identity, k, options, report) for
+    takes per resolution, and (frames, identity, dt, options, report) for
     each report it evaluates."""
     import rlab.flow
     import rlab.identities
@@ -431,14 +430,14 @@ def spy_verify(tmp_path, monkeypatch, schedule, verify):
         steps[res] = steps.get(res, 0) + 1
         return real_step(state, *args, **kwargs)
 
-    def evaluate(traj, ident_id, k, **kwargs):
-        rep = evaluate_identity(traj, ident_id, k, **kwargs)
-        evals.append((traj, ident_id, k, kwargs, rep))
+    def spy(frames, ident_id, dt, **kwargs):
+        rep = real_evaluate(frames, ident_id, dt, **kwargs)
+        evals.append((frames, ident_id, dt, kwargs, rep))
         return rep
 
-    real_step = rlab.flow.step
+    real_step, real_evaluate = rlab.flow.step, rlab.identities.evaluate_identity
     monkeypatch.setattr(rlab.flow, "step", step)
-    monkeypatch.setattr(rlab.identities, "evaluate_identity", evaluate)
+    monkeypatch.setattr(rlab.identities, "evaluate_identity", spy)
     cfg = write_cfg(tmp_path, {"initial_data": VERIFICATION_DATA,
                                "schedule": schedule, "verify": verify})
     run_experiment(cfg, tmp_path / "v", stages=["verify"])
@@ -447,17 +446,19 @@ def spy_verify(tmp_path, monkeypatch, schedule, verify):
 
 def test_verify_stops_at_the_last_snapshot_it_reads(tmp_path, monkeypatch, rhf_runs):
     # k = round(0.75 steps) reads snapshots k - 1, k and k + 1: 7/25/97 of the
-    # 8/32/128 steps to t_end; the reports equal those of full-length runs
+    # 8/32/128 steps to t_end; the reports, on the geometries the steps
+    # built, equal those on fresh geometries of full-length runs
     steps, evals = spy_verify(
         tmp_path, monkeypatch, {"t_end": 0.016, "dt": 2e-3},
         {"identities": ["A.2", "A.8", "A.10", "A.8:negctl"],
          "resolutions": [16, 32, 64], "t_eval_frac": 0.75})
     assert steps == {16: 7, 32: 25, 64: 97}
     assert len(evals) == 12
-    for traj, ident_id, k, kwargs, rep in evals:
-        full = rhf_runs[traj.grid.shape[0]]
-        assert full.dt == traj.dt and full.nsnapshots > traj.nsnapshots
-        assert rep == evaluate_identity(full, ident_id, k, **kwargs)
+    for frames, ident_id, dt, kwargs, rep in evals:
+        full = rhf_runs[frames[1].grid.shape[0]]
+        k = full.times.index(frames[1].t)
+        assert full.dt == dt and [f.t for f in frames] == full.times[k - 1:k + 2]
+        assert rep == evaluate(full, ident_id, k, **kwargs)
 
 
 def test_verify_runs_the_shortened_last_step_it_reads(tmp_path, monkeypatch):
@@ -470,9 +471,11 @@ def test_verify_runs_the_shortened_last_step_it_reads(tmp_path, monkeypatch):
     assert steps == {16: 6, 32: 20}
     full = {res: make_verification_run(res, 2e-3 * (16 / res) ** 2, RHF, t_end=0.0101)
             for res in (16, 32)}
-    for traj, ident_id, k, kwargs, rep in evals:
-        assert full[traj.grid.shape[0]].dt == traj.dt
-        assert rep == evaluate_identity(full[traj.grid.shape[0]], ident_id, k, **kwargs)
+    for frames, ident_id, dt, kwargs, rep in evals:
+        run = full[frames[1].grid.shape[0]]
+        k = run.times.index(frames[1].t)
+        assert run.dt == dt and [f.t for f in frames] == run.times[k - 1:k + 2]
+        assert rep == evaluate(run, ident_id, k, **kwargs)
 
 
 def test_verify_names_a_level_that_blows_up(tmp_path):
@@ -654,20 +657,18 @@ def test_entropy_uniqueness_outputs_unchanged_without_diagnostics(tmp_path, monk
     import rlab.flow
     from rlab.cli import run_experiment
     cfg = write_cfg(tmp_path, STAGE_CFG)
-    real_run, flags = rlab.flow.run, []
+    real_snapshots, flags = rlab.flow.snapshots, []
 
-    def spy(state, params, schedule, keep=None, reader=None, force=None):
+    def spy(state, params, schedule, force=None):
         flags.append(schedule.diagnostics)
         if force is not None:
             schedule = replace(schedule, diagnostics=force)
-        return real_run(state, params, schedule, keep, reader)
+        return real_snapshots(state, params, schedule)
 
-    monkeypatch.setattr(rlab.flow, "run", spy)
+    monkeypatch.setattr(rlab.flow, "snapshots", spy)
     run_experiment(cfg, tmp_path / "off", stages=["entropy", "uniqueness"])
     assert flags == [False, False]
-    monkeypatch.setattr(rlab.flow, "run",
-                        lambda st, p, s, keep=None, reader=None:
-                        spy(st, p, s, keep, reader, force=True))
+    monkeypatch.setattr(rlab.flow, "snapshots", lambda st, p, s: spy(st, p, s, force=True))
     run_experiment(cfg, tmp_path / "on", stages=["entropy", "uniqueness"])
     for name in ("entropy.csv", "energy.csv", "manifest.json"):
         assert ((tmp_path / "off" / name).read_bytes()
@@ -682,8 +683,8 @@ def test_stages_share_one_base_flow(tmp_path, monkeypatch, stages):
     import rlab.flow
     from rlab.cli import run_experiment
     cfg = write_cfg(tmp_path, STAGE_CFG)
-    real_run, calls = rlab.flow.run, []
-    monkeypatch.setattr(rlab.flow, "run", lambda *a: calls.append(1) or real_run(*a))
+    real, calls = rlab.flow.snapshots, []
+    monkeypatch.setattr(rlab.flow, "snapshots", lambda *a: calls.append(1) or real(*a))
     run_experiment(cfg, tmp_path / "all", stages=stages)
     assert len(calls) == 2
     # the same bytes as one experiment per stage
@@ -962,6 +963,30 @@ def test_uniqueness_twin_steps_at_the_base_flow_dt(tmp_path):
     assert len(ts) == 3 and ts[-1] == 0.01 and abs(ts[0] - 3.806e-3) < 1e-6
 
 
+def test_uniqueness_names_a_twin_that_aborts(tmp_path, monkeypatch):
+    # the twin steps in lockstep, one step ahead of the base flow: an abort of
+    # its second step, the third step taken, stops the uniqueness stage alone,
+    # with its reason
+    import rlab.flow
+    from rlab.cli import run_experiment
+    real_step, steps = rlab.flow.step, []
+
+    def step(state, *a, **kw):
+        steps.append(1)
+        if len(steps) == 3:
+            raise rlab.flow.BlowUpError("planted", state=state)
+        return real_step(state, *a, **kw)
+
+    monkeypatch.setattr(rlab.flow, "step", step)
+    manifest, code = run_experiment(write_cfg(tmp_path, STAGE_CFG), tmp_path / "o",
+                                    stages=["run", "uniqueness"])
+    assert code == 1 and manifest["abort_reason"] == "perturbed twin: planted"
+    assert manifest["checks"]["run.completed"] is True
+    assert manifest["checks"]["uniqueness.completed"] is False
+    assert len(steps) == 3 + 3 and manifest["outputs"] == ["checkpoint.rlab",
+                                                           "diagnostics.csv"]
+
+
 def test_entropy_solves_each_sampled_snapshot_once(tmp_path, monkeypatch):
     # 10 samples of a 4-step flow are its 5 snapshots, each minimized once
     import rlab.functionals
@@ -1000,11 +1025,11 @@ def test_entropy_rows_read_along_the_flow_match_kept_states_bitwise(tmp_path, ex
     _, code = run_experiment(path, tmp_path / "e", stages=["entropy"])
     assert code == 0
     cfg = load_config(path)
-    traj = flow_from(cfg, build_from_config(cfg), diagnostics=False)
-    assert all(s is not None for s in traj.states)
+    traj = flow_from(cfg, build_from_config(cfg), HOLD, diagnostics=False)
+    assert len(traj.read["states"]) == traj.nsnapshots
     rows, prev = [], None
     for k in np.unique(np.linspace(0, traj.nsnapshots - 1, 3).astype(int)):
-        st = traj.state(int(k))
+        st = traj.read["states"][k]
         geo = Geometry(st.metric, st.u, 2.0)
         assert np.array_equal(geo.scalar - 2.0 * geo.grad_sq, geo.S)
         rep = mu_minimize(geo, 0.5 - st.t, OptimizerOpts(seed=7, nseeds=1),
@@ -1069,34 +1094,88 @@ def _spy_flows(monkeypatch):
     return trajs
 
 
-def _held(traj):
-    return [k for k, s in enumerate(traj.states) if s is not None]
-
-
 @pytest.mark.parametrize("stages, reads", [
-    (["run"], lambda n: []),
-    (["entropy"], lambda n: []),                   # its samples are read as they come
-    (["uniqueness"], lambda n: list(range(n)))])
+    (["run"], lambda n: {}),
+    (["entropy"], lambda n: {"entropy": 2}),               # its two samples
+    (["uniqueness"], lambda n: {"uniqueness": n})])        # the twin, then n - 1 rows
 def test_base_flow_holds_what_its_stages_read(tmp_path, monkeypatch, stages, reads):
+    # the base flow holds its last state alone; each stage reads it as it runs
     from rlab.cli import run_experiment
     trajs = _spy_flows(monkeypatch)
     _, code = run_experiment(write_cfg(tmp_path, STAGE_CFG), tmp_path / "o", stages=stages)
     base = trajs[0]
-    assert code == 0 and base.nsnapshots == 5
-    # a run-only base flow holds its last state alone
-    assert _held(base) == sorted(set(reads(5)) | {4})
+    assert code == 0 and base.nsnapshots == 5 and len(trajs) == 1
+    assert base.last.step_count == 4 and not hasattr(base, "states")
+    assert {name: len(got) for name, got in base.read.items()} == reads(5)
 
 
 def test_verify_level_holds_at_most_four_states(tmp_path, monkeypatch):
+    # each level's flow holds its last state, and its reader the geometries
+    # of snapshots k - 1, k and k + 1: while the entries are evaluated on
+    # them, no other geometry the level's flow built is alive
+    import gc
+    import weakref
+
+    import rlab.flow
+    import rlab.identities
     from rlab.cli import run_experiment
+    built, live = [], []
+    real_geometry, real_evaluate = rlab.flow._geometry, rlab.identities.evaluate_identity
+
+    def geometry(*args):
+        geo = real_geometry(*args)
+        built.append(weakref.ref(geo))
+        return geo
+
+    def evaluate(frames, *args, **kwargs):
+        gc.collect()
+        live.append(([f.t for f in frames], sorted(r().t for r in built if r())))
+        return real_evaluate(frames, *args, **kwargs)
+
+    monkeypatch.setattr(rlab.flow, "_geometry", geometry)
+    monkeypatch.setattr(rlab.identities, "evaluate_identity", evaluate)
     trajs = _spy_flows(monkeypatch)
     cfg = write_cfg(tmp_path, {"verify": {"identities": ["A.8"],
                                           "resolutions": [16, 24, 32]}})
     _, code = run_experiment(cfg, tmp_path / "o", stages=["verify"])
-    assert code == 0 and len(trajs) == 3
-    for traj in trajs:
-        k = traj.nsnapshots - 2
-        assert _held(traj) == [k - 1, k, k + 1] and len(_held(traj)) <= 4
+    assert code == 0 and len(trajs) == 3 and len(live) == 3
+    for traj, (window, alive) in zip(trajs, live):
+        assert window == alive == traj.times[-3:]
+
+
+def _count_connections(monkeypatch):
+    # the grid shape of every Levi-Civita pass (tensor._connection), in order
+    import rlab.tensor
+    real, calls = rlab.tensor._connection, []
+    monkeypatch.setattr(rlab.tensor, "_connection",
+                        lambda m: calls.append(m.grid.shape) or real(m))
+    return calls
+
+
+def test_verify_builds_each_snapshot_curvature_once(tmp_path, monkeypatch):
+    # a level's flow makes one pass per rk4 stage and per state it reaches,
+    # 4 per step and 1 for the initial state; its entries, read on the
+    # geometries the steps built, add none
+    from rlab.cli import run_experiment, verify_plan
+    from rlab.config import load_config
+    from rlab.flow import step_plan
+    calls = _count_connections(monkeypatch)
+    ids = ["A.2", "A.3", "A.4", "A.5", "A.6", "A.7", "A.8", "A.9", "A.10", "A.8:negctl"]
+    cfg = write_cfg(tmp_path, {"verify": {"identities": ids, "resolutions": [16, 24, 32]}})
+    run_experiment(cfg, tmp_path / "o", stages=["verify"])
+    want = {(res, res): 4 * step_plan(s["t_end"], s["dt"])[0] + 1
+            for res, _, _, s in verify_plan(load_config(cfg))[1]}
+    assert {shape: calls.count(shape) for shape in set(calls)} == want
+
+
+def test_uniqueness_builds_each_snapshot_curvature_once(tmp_path, monkeypatch):
+    # the base flow and its twin, 4 steps each, and nothing besides: each
+    # energy row reads the two geometries the steps built
+    from rlab.cli import run_experiment
+    calls = _count_connections(monkeypatch)
+    _, code = run_experiment(write_cfg(tmp_path, STAGE_CFG), tmp_path / "o",
+                             stages=["uniqueness"])
+    assert code == 0 and len(calls) == 2 * (4 * 4 + 1)
 
 
 def test_verify_level_reads_the_base_flow_it_equals(tmp_path, monkeypatch):
@@ -1108,8 +1187,8 @@ def test_verify_level_reads_the_base_flow_it_equals(tmp_path, monkeypatch):
                                           "resolutions": [16, 32]}})
     trajs = _spy_flows(monkeypatch)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "all")]) == 0
-    assert [t.grid.shape for t in trajs] == [(16, 16), (32, 32)]
-    assert _held(trajs[0]) == [2, 3, 4]
+    assert [t.last.grid.shape for t in trajs] == [(16, 16), (32, 32)]
+    assert list(trajs[0].read) == ["verify"]
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
     assert len(trajs) == 4
     assert ((tmp_path / "all" / "residuals.json").read_bytes()

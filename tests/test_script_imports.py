@@ -1,9 +1,10 @@
 """The demos, scripts and benchmark import only names that rlab defines,
 and call rlab callables only with arguments that bind to their signatures.
 
-They are parsed, not run: ``scripts/calibrate_manifest.py`` rewrites
-``tests/manifest.json`` when it runs.  The benchmark's tracer also names
-private rlab functions, which must exist for its counters to read them.
+They are parsed; of them only the demos are run, each in a process of its
+own: ``scripts/calibrate_manifest.py`` rewrites ``tests/manifest.json`` when
+it runs.  The benchmark's tracer also names private rlab functions, which
+must exist for its counters to read them.
 """
 
 import ast
@@ -11,9 +12,13 @@ import functools
 import importlib
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import SRC
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [p for d in ("demos", "scripts", "perfbench")
@@ -35,6 +40,17 @@ def rlab_imports(path):
 
 def test_sources_found():
     assert {p.parent.name for p in SOURCES} == {"demos", "scripts", "perfbench"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "demos"],
+                         ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    # in a scratch directory, where a demo writes its CSV files, with rlab
+    # from this checkout and no bytecode written
+    r = subprocess.run([sys.executable, str(path)], cwd=tmp_path, capture_output=True,
+                       text=True, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC,
+                                       "PYTHONDONTWRITEBYTECODE": "1"})
+    assert r.returncode == 0, r.stderr
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

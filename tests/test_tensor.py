@@ -475,3 +475,36 @@ def test_lazy_curvature_parts_match_eager_formulas():
     assert np.array_equal(cb.rm13, np.einsum("lm...,ijkm...->lijk...", m.inv, cb.rm4))
     assert np.array_equal(cb.weyl, weyl_tensor(cb.rm4, cb.ric, cb.scalar, m))
     assert cb.weyl is cb.weyl     # computed once, then cached
+
+
+def _traced_nabla_nabla(vals, grid, gamma, metric, con, cov):
+    """The rough Laplacian in two passes: nabla nabla T whole, then traced."""
+    from rlab.tensor import cov_d
+    D2 = cov_d(cov_d(vals, grid, gamma, con, cov), grid, gamma, con, cov + 1)
+    return np.einsum("ab...,ab...->...", metric.inv, np.moveaxis(D2, (con, con + 1), (0, 1)))
+
+
+@pytest.mark.parametrize("con, cov", [(0, 0), (1, 0), (0, 2), (0, 4), (1, 3)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rough_laplacian_streams_its_slices_bitwise(n, con, cov):
+    # summed one slice (nabla_a nabla T)_b at a time, a-major, b-minor, the
+    # Laplacian equals the trace of the whole nabla nabla T bitwise; from
+    # n = 3 on, a tensor's traced peak stays under half the two-pass one
+    import tracemalloc
+    from rlab.tensor import rough_laplacian
+    _, m, u = random_instance(n, 8 if n > 2 else 12, seed=3)
+    f = Geometry(m, u)
+    T = {(0, 0): f.u, (1, 0): f.du_up, (0, 2): f.hess, (0, 4): f.rm4,
+         (1, 3): f.rm13}[con, cov]
+    args = (T, m.grid, f.gamma, m, con, cov)
+    peaks = []
+    for form in (_traced_nabla_nabla, rough_laplacian):
+        tracemalloc.start()
+        try:
+            got = form(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(got, _traced_nabla_nabla(*args))
+    if n > 2 and con + cov > 0:
+        assert peaks[1] < 0.5 * peaks[0], peaks

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import RHF
+from conftest import HOLD, RHF, bundle, bundles, geometry
 from rlab.flow import FlowState, Schedule, run
 from rlab.instances import verification_initial_data
 from rlab.mesh import MetricField, build_grid
@@ -17,8 +17,8 @@ def make_pair(delta, res=RES, dt=5e-4):
     pm = m.values.copy()
     pm[0, 0] = pm[0, 0] + delta * np.sin(g.coords()[1])
     sched = Schedule(t_end=0.02, dt=dt, cadence=1, diagnostics=False)
-    t1 = run(FlowState(g, m, u0), RHF, sched)
-    t2 = run(FlowState(g, MetricField(g, pm), u0), RHF, sched)
+    t1 = run(FlowState(g, m, u0), RHF, sched, HOLD)
+    t2 = run(FlowState(g, MetricField(g, pm), u0), RHF, sched, HOLD)
     return t1, t2
 
 
@@ -31,22 +31,22 @@ def pairs():
 
 def test_identical_pair_zero(pairs):
     t1 = pairs[0]
-    g = t1.grid
+    g = t1.last.grid
     m, u0 = verification_initial_data(g)
-    t1b = run(FlowState(g, m, u0), RHF, SCHED)
-    b = difference_bundle(t1, t1b, 5)
+    t1b = run(FlowState(g, m, u0), RHF, SCHED, HOLD)
+    b = bundle(t1, t1b, 5)
     for name in ("h", "A", "B", "T", "U", "v", "w", "x", "y", "z"):
         assert not np.any(getattr(b, name)), name
-    assert energy(difference_bundle(t1, t1b, 5)) == 0.0
-    assert energy(difference_bundle(t1, t1b, 0)) == 0.0   # defined limit at t = 0
-    trace = energy_trace(t1, t1b)
+    assert energy(bundle(t1, t1b, 5)) == 0.0
+    assert energy(bundle(t1, t1b, 0)) == 0.0   # defined limit at t = 0
+    trace = energy_trace(bundles(t1, t1b))
     fit = gronwall_fit(trace)
     assert fit["outcome"] == "identically-zero" and fit["N"] is None
 
 
 def test_gronwall_fit_needs_two_points(pairs):
     t1, t2, _ = pairs
-    trace = energy_trace(t1, t2, indices=[1, 2])
+    trace = energy_trace(bundles(t1, t2, [1, 2]))
     assert gronwall_fit(trace)["outcome"] == "fit"
     for window in (slice(1, None), slice(2, None)):
         assert gronwall_fit(trace, window=window) == {
@@ -66,9 +66,9 @@ def test_energy_trace_builds_only_the_energy_differences(pairs, monkeypatch):
     monkeypatch.setattr(rlab.uniqueness, "cov_d",
                         lambda *a: built.append("cov_d") or real_cov_d(*a))
     t1, t2, _ = pairs
-    energy_trace(t1, t2, indices=range(1, 4))
+    energy_trace(bundles(t1, t2, range(1, 4)))
     assert built == []
-    b = difference_bundle(t1, t2, 1)
+    b = bundle(t1, t2, 1)
     b.U, b.z, b.B, b.x
     assert sorted(built) == ["cov_d", "cov_d", "d3u", "d3u", "grad_rm13", "grad_rm13"]
 
@@ -81,16 +81,16 @@ def test_energy_trace_norms_each_difference_once(pairs, monkeypatch):
     monkeypatch.setattr(rlab.uniqueness, "norm_sq",
                         lambda *a: calls.append(a[2:]) or real(*a))
     t1, t2, _ = pairs
-    trace = energy_trace(t1, t2, indices=range(1, 4))
+    trace = energy_trace(bundles(t1, t2, range(1, 4)))
     assert len(calls) == 5 * 3
-    b = difference_bundle(t1, t2, 2)
+    b = bundle(t1, t2, 2)
     assert trace.values[1] == energy(b)
     assert trace.norms[1] == b.norms()
 
 
 def test_bundle_initial_structure(pairs):
     t1, t2, _ = pairs
-    b0 = difference_bundle(t1, t2, 1)
+    b0 = bundle(t1, t2, 1)
     # metric difference carries the delta perturbation, the potential does not
     assert np.max(np.abs(b0.v)) < 5e-4
     assert 1e-4 < np.max(np.abs(b0.h)) < 2e-3
@@ -101,7 +101,7 @@ def test_eq69_consistency_refines():
     for res, dt in ((16, 5e-4), (32, 1.25e-4)):
         t1, t2 = make_pair(1e-3, res, dt)
         k = int(round(0.01 / dt))
-        b = difference_bundle(t1, t2, k)
+        b = bundle(t1, t2, k)
         r = b.eq69_residual()
         errs.append(float(np.max(np.abs(r))))
     assert errs[1] < errs[0] / 2.5
@@ -110,13 +110,13 @@ def test_eq69_consistency_refines():
 def test_energy_weight_and_beta_validation(pairs):
     t1, t2, _ = pairs
     with pytest.raises(ValueError):
-        energy(difference_bundle(t1, t2, 10), beta=1.5)
+        energy(bundle(t1, t2, 10), beta=1.5)
 
 
 def test_energy_amplitude_scaling(pairs):
     t1, t2, t3 = pairs
-    tr2 = energy_trace(t1, t2)
-    tr3 = energy_trace(t1, t3)
+    tr2 = energy_trace(bundles(t1, t2))
+    tr3 = energy_trace(bundles(t1, t3))
     k = len(tr2.values) // 2
     ratio = tr2.values[k] / tr3.values[k]
     assert abs(ratio - 4.0) < 0.4          # O(delta^2) within 10%
@@ -124,8 +124,8 @@ def test_energy_amplitude_scaling(pairs):
 
 def test_gronwall_rate_amplitude_independent(pairs):
     t1, t2, t3 = pairs
-    tr2 = energy_trace(t1, t2)
-    tr3 = energy_trace(t1, t3)
+    tr2 = energy_trace(bundles(t1, t2))
+    tr3 = energy_trace(bundles(t1, t3))
     half = len(tr2.times) // 2
     f2 = gronwall_fit(tr2, window=slice(half, None))
     f3 = gronwall_fit(tr3, window=slice(half, None))
@@ -135,7 +135,7 @@ def test_gronwall_rate_amplitude_independent(pairs):
 
 def test_growth_bound_with_inflated_rate(pairs):
     t1, t2, _ = pairs
-    tr = energy_trace(t1, t2)
+    tr = energy_trace(bundles(t1, t2))
     half = len(tr.times) // 2
     fit = gronwall_fit(tr, window=slice(half, None))
     N = abs(fit["N"])
@@ -146,7 +146,7 @@ def test_growth_bound_with_inflated_rate(pairs):
 
 def test_energy_trace_rows(pairs):
     t1, t2, _ = pairs
-    tr = energy_trace(t1, t2, indices=range(1, 6))
+    tr = energy_trace(bundles(t1, t2, range(1, 6)))
     rows = tr.rows()
     assert len(rows) == 5 and len(rows[0]) == 7
     assert all(r[1] > 0 for r in rows)
@@ -157,6 +157,8 @@ def test_pair_validation(pairs):
     g = build_grid("torus", 2, [24, 24], [2 * np.pi] * 2)
     m, u0 = verification_initial_data(g)
     other = run(FlowState(g, m, u0), RHF,
-                Schedule(t_end=0.002, dt=5e-4, diagnostics=False))
-    with pytest.raises(ValueError):
-        difference_bundle(t1, other, 1)
+                Schedule(t_end=0.002, dt=5e-4, diagnostics=False), HOLD)
+    with pytest.raises(ValueError, match="share a grid"):
+        bundle(t1, other, 1)
+    with pytest.raises(ValueError, match="share snapshot times"):
+        difference_bundle(geometry(t1, 1), geometry(t2, 2))
