@@ -4,8 +4,9 @@
     python3 scripts/time_layers.py
 
 Each figure is the best of 5 calls, on seeded random tori at 64^2, 16^3
-and 12^4: the stencils ``diff1``, ``diff2`` and ``grad_stack`` on a
-10-component stack, ``MetricField`` (symmetrization, cofactors and the SPD
+and 12^4 (``flow_rhs`` and the rk4 ``step`` also at 16^4): the stencils
+``diff1``, ``diff2`` and ``grad_stack`` on a 10-component stack,
+``MetricField`` (symmetrization, cofactors and the SPD
 rule), the Levi-Civita pass alone (``tensor._connection``), the Levi-Civita
 pass and R_AB on a fresh ``Geometry``, ``ricci`` and ``riemann_norm_sq`` of
 that R_AB, ``hessian`` from its Gamma, ``flow_rhs`` on a fresh geometry
@@ -30,7 +31,13 @@ step``, is the mean count of minor page faults (``resource.getrusage``)
 over 20 rk4 steps at each grid, after one warm-up step, each grid in a
 fresh process of its own (``time_layers.py minflt n res``), so that the
 heap the other rows grew does not hide them: the allocations of a step
-that the allocator returns to the system show up there.  ``ru_maxrss_mb``
+that the allocator returns to the system show up there.  ``run peak`` is
+the working set of a 2-step rk4 run with diagnostics of ``random_instance(4,
+res, 1)`` at its CFL dt, at 12^4 and 16^4, each grid in a fresh process
+(``time_layers.py runpeak n res``, started before this process grows, since
+a child's ``ru_maxrss`` starts at its parent's) and the run alone holding
+its initial state: ``ru_maxrss`` after one run, then the tracemalloc peak
+above the initial state of a second, both in MB.  ``ru_maxrss_mb``
 is this process's peak resident set at the end.  rlab is imported from
 ``src/``; nothing is written.  Pin the numerical thread pools
 (``OMP_NUM_THREADS=1`` and the like) to compare two checkouts.
@@ -50,7 +57,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rlab.cli import twin_from
-from rlab.flow import FlowParams, FlowState, _diagnose, _geometry, flow_rhs, step
+from rlab.flow import (FlowParams, FlowState, Schedule, _diagnose, _geometry, cfl_dt,
+                       flow_rhs, run, step)
 from rlab.functionals import (_form_weights, _mu_gradient, _preconditioner, _w_eval,
                               mu_minimize)
 from rlab.identities import APPENDIX_A_IDS, evaluate_identity, lemma52_defects
@@ -62,6 +70,7 @@ from rlab.uniqueness import difference_bundle, energy
 
 REPEATS = 5
 GRIDS = ((2, 64), (3, 16), (4, 12))
+PEAK_GRIDS = ((4, 12), (4, 16))
 COMPONENTS = 10
 DT = 1e-4
 FAULT_STEPS = 20
@@ -156,8 +165,31 @@ def minflt_per_step(n, res):
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / FAULT_STEPS
 
 
+def run_peak(n, res):
+    """ru_maxrss and the tracemalloc peak above the initial state, in MB, of a
+    2-step rk4 run with diagnostics, which alone holds its initial state."""
+    grid, metric, u = random_instance(n, res, seed=1)
+    dt = cfl_dt(Geometry(metric, u), 0.5)
+    held, sched = [FlowState(grid, metric, u)], Schedule(t_end=2 * dt, dt=dt)
+    del metric, u
+    run(held.pop(), FlowParams(2.0), sched)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    held.append(FlowState(*random_instance(n, res, seed=1)))
+    tracemalloc.start()
+    try:
+        run(held.pop(), FlowParams(2.0), sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"ru_maxrss_mb": round(rss, 1), "tracemalloc_mb": round(peak / 2 ** 20, 1)}
+
+
 def main():
     ms, faults = {}, {}
+    for n, res in PEAK_GRIDS:       # first: a child's ru_maxrss starts at its parent's
+        faults.update({f"run peak {res}^{n} {k}": v for k, v in json.loads(subprocess.run(
+            [sys.executable, "-B", __file__, "runpeak", str(n), str(res)],
+            capture_output=True, text=True, check=True).stdout).items()})
     params = FlowParams(2.0)
     for n, res in GRIDS:
         grid, metric, u = random_instance(n, res, seed=7)
@@ -192,6 +224,11 @@ def main():
             iterations = mu_minimize(Geometry(metric, u), 1.0).iterations
             ms[f"mu iteration {label}"] = round(ms[f"mu_minimize {label}"] / iterations, 4)
             ms.update({f"{k} {label}": v for k, v in mu_parts_ms(metric, u).items()})
+    grid, metric, u = random_instance(4, 16, seed=7)
+    state = FlowState(grid, metric, u)
+    ms["flow_rhs 16^4"] = best_ms(lambda: flow_rhs(_geometry(state, params)))
+    ms["rk4 step 16^4"] = best_ms(lambda: step(state, params, DT))
+    del grid, metric, u, state
     for res in (10, 16):
         twins = twin_states(FlowState(*random_instance(3, res, seed=7)))
         ms[f"energy row on step-built geometries {res}^3"] = best_ms(
@@ -208,5 +245,7 @@ def main():
 if __name__ == "__main__":
     if sys.argv[1:2] == ["minflt"]:
         print(minflt_per_step(int(sys.argv[2]), int(sys.argv[3])))
+    elif sys.argv[1:2] == ["runpeak"]:
+        print(json.dumps(run_peak(int(sys.argv[2]), int(sys.argv[3]))))
     else:
         main()

@@ -6,12 +6,14 @@ compare, uniqueness, constants.  Exit status: 0 all selected checks passed,
 
 Every stage's flow is built by ``flow_from`` and holds its last state alone:
 the stages read it as it runs, on the geometry each step built, through
-``verify_reader``, ``entropy_reader`` and ``uniqueness_reader``.  A verify
-level equal to the base flow through k + 1 reads the base flow.  A flow
-stage (run, verify, entropy, uniqueness) whose flow stops before t_end raises
-BlowUpError once it has written what it can (run: diagnostics and last state;
-others: nothing); the runner records ``<stage>.completed`` false, the first
-message as ``abort_reason``, and runs the other stages.
+``verify_reader``, ``entropy_reader`` and ``uniqueness_reader``.  Each flow's
+initial data waits in a one-shot holder, a one-element list that the flow
+pops as it starts, so no frame or closure keeps it past the first step.  A
+verify level equal to the base flow through k + 1 reads the base flow.  A
+flow stage (run, verify, entropy, uniqueness) whose flow stops before t_end
+raises BlowUpError once it has written what it can (run: diagnostics and
+last state; others: nothing); the runner records ``<stage>.completed``
+false, the first message as ``abort_reason``, and runs the other stages.
 
 The manifest is deterministic: it contains the config hash, tool version,
 seeds, relative output paths, and the pass/fail summary - no timestamps -
@@ -114,12 +116,12 @@ def seed_of(cfg):
 
 
 def flow_from(cfg, initial, readers=None, **schedule):
-    """Every stage's flow: the config's, from ``initial`` = (grid, metric, u0),
-    with ``schedule`` replacing fields of the config's schedule, and ``flow.run``'s
-    ``readers``."""
+    """Every stage's flow: the config's, from the (grid, metric, u0) it pops
+    from the holder ``initial``, with ``schedule`` replacing fields of the
+    config's schedule, and ``flow.run``'s ``readers``."""
     from .flow import FlowState, run
     sched = replace(schedule_from(cfg), **schedule)
-    return run(FlowState(*initial), flow_params_from(cfg), sched, readers)
+    return run(FlowState(*initial.pop()), flow_params_from(cfg), sched, readers)
 
 
 def completed(traj, where=""):
@@ -225,7 +227,7 @@ def stage_verify(cfg, out: Path, checks, outputs, base):
     reports = []
     for res, k, shared, sched in levels:    # shared levels, at one k, read the base flow
         traj = base() if shared and base else flow_from(
-            cfg, build_from_config(cfg, res), {"verify": verify_reader(entries, k)}, **sched)
+            cfg, [build_from_config(cfg, res)], {"verify": verify_reader(entries, k)}, **sched)
         if "verify" not in traj.read:       # it stopped before snapshot k + 1
             completed(traj, f"verify at resolution {res}: ")
         reports.append(traj.read["verify"][0])
@@ -313,9 +315,10 @@ def twin_from(cfg, grid, metric, u):
 
 
 def uniqueness_reader(cfg, twin):
-    """The uniqueness stage's reader (``flow.run``'s): the twin (``twin_from``)
-    steps in lockstep at the base flow's dt.  It returns the twin's trajectory
-    at snapshot 0, then (t, E, norms) on the geometries the two steps built."""
+    """The uniqueness stage's reader (``flow.run``'s): the twin, popped from
+    the holder ``twin`` (``twin_from``) as it starts, steps in lockstep at the
+    base flow's dt.  It returns the twin's trajectory at snapshot 0, then
+    (t, E, norms) on the geometries the two steps built."""
     from .flow import FlowState, snapshots
     from .uniqueness import difference_bundle, energy
     beta, twin_flow, ahead = cfg.get("uniqueness", {}).get("beta", 0.5), None, None
@@ -323,7 +326,7 @@ def uniqueness_reader(cfg, twin):
     def read(traj, geo):
         nonlocal twin_flow, ahead
         if twin_flow is None:
-            twin_flow = snapshots(FlowState(*twin), traj.params, replace(
+            twin_flow = snapshots(FlowState(*twin.pop()), traj.params, replace(
                 schedule_from(cfg), dt=traj.dt, diagnostics=False))
             ahead = next(twin_flow)
         if ahead is None:               # the twin aborted
@@ -431,8 +434,8 @@ def run_experiment(config_path, out_dir, stages=None, res_override=None,
             if pair not in SCALAR_PAIRS:
                 raise ConfigError(f"compare.scalar_pairs: unknown pair {pair!r}")
     reads_base = {"run", "entropy", "uniqueness"} & set(selected)
-    initial = build_from_config(cfg) if reads_base else None
-    twin = twin_from(cfg, *initial) if "uniqueness" in selected else None
+    initial = [build_from_config(cfg)] if reads_base else []    # holders its flows pop
+    twin = [twin_from(cfg, *initial[0])] if "uniqueness" in selected else []
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks, outputs, aborts = {}, [], {}

@@ -8,9 +8,12 @@ and u == 0 reduces to Ricci flow.  Integration is ungauged explicit
 passes the one SPD rule of ``MetricField``; its failure, or a non-finite
 potential on the accepted state, aborts the run with a diagnostic snapshot.
 A run holds its last state alone; each snapshot is read as it is recorded,
-on the geometry its step built (``snapshots``, ``run``'s readers).  A step
-holds one rk4 stage state and one stage slope at a time, and each accepted
-state's geometry is released once the step's first slope is read.
+on the geometry its step built (``snapshots``, ``run``'s readers).  A flow
+holds one accepted state: ``run`` and ``snapshots`` keep no reference to
+the initial state once the flow has it, so it is freed when the first step
+leaves it unless the caller keeps it.  A step holds one slope sum, in k1's
+arrays, and one stage state and slope at a time; each accepted state's
+geometry is released once the step's first slope is read.
 """
 
 from __future__ import annotations
@@ -109,19 +112,25 @@ def step(state: FlowState, params: FlowParams, dt: float,
          method: str = "rk4", k1=None) -> FlowState:
     """One explicit step; every stage metric passes ``MetricField``'s SPD rule
     and u is checked finite on the accepted state.  ``k1`` is the slope
-    (dg/dt, du/dt) at ``state`` when the caller already has it."""
+    (dg/dt, du/dt) at ``state`` when the caller already has it; rk4 sums
+    (k1 + 2 k2 + 2 k3 + k4) / 6 into k1's arrays (a given ``k1`` receives
+    the sum) and drops each stage's slope once the next stage state is formed."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     try:
         gdot, udot = k1 if k1 is not None else flow_rhs(_geometry(state, params))
-        if method == "rk4":     # (k1 + 2 k2 + 2 k3 + k4) / 6, summed in that order
+        if method == "rk4":     # summed in that order; a += w*b rounds as a + w*b
             kg, ku = gdot, udot
             for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
-                kg, ku = flow_rhs(_geometry(_advance(state, kg, ku, c * dt), params))
-                gdot, udot = gdot + w * kg, udot + w * ku
-            gdot, udot = gdot / 6.0, udot / 6.0
+                stage, kg, ku = _advance(state, kg, ku, c * dt), None, None
+                kg, ku = flow_rhs(_geometry(stage, params))
+                udot += w * ku
+                gdot += w * kg
+                del stage
+            gdot /= 6.0
+            udot /= 6.0
         new = _advance(state, gdot, udot, dt)
     except SPDError as e:
         raise BlowUpError(f"metric lost positive definiteness at t={state.t + dt:.6g}: {e}",
@@ -220,7 +229,9 @@ def rm_lp_series(frames, p: float):
 def snapshots(initial_state: FlowState, params: FlowParams, schedule: Schedule):
     """Integrate to t_end, yielding (traj, geo) as each snapshot is recorded as
     ``traj.last``, with the geometry its step built; ``traj`` gathers per-step
-    diagnostics, and an aborted run records its last accepted state unyielded."""
+    diagnostics, and an aborted run records its last accepted state unyielded.
+    The generator holds one accepted state: ``initial_state`` goes once the
+    first step leaves it and ``traj.last`` moves on, unless the caller keeps it."""
     # one geometry per accepted state, shared by its diagnostics row, the
     # initial step bound, the consumer and the first slope of the step leaving it
     geo = _geometry(initial_state, params)
@@ -234,6 +245,7 @@ def snapshots(initial_state: FlowState, params: FlowParams, schedule: Schedule):
     t_end = initial_state.t + schedule.t_end
     traj = Trajectory(params, dt, -(-nsteps // schedule.cadence) + 1)
     state, h, cum_hess = initial_state, 0.0, 0.0
+    del initial_state                   # the first step leaves it
     for k in range(nsteps + 1):         # k = 0 is the initial state
         if k:
             h = t_end - state.t if short and k == nsteps else dt
@@ -244,7 +256,7 @@ def snapshots(initial_state: FlowState, params: FlowParams, schedule: Schedule):
                 traj.aborted = str(e)
                 traj.record(e.state)    # the last accepted state, once
                 return
-            geo = _geometry(state, params)
+            geo = _geometry(state, params)   # k1, now the slope sum, lives to the next k1
         if k % schedule.cadence == 0 or k == nsteps:
             traj.record(state)
             yield traj, geo
@@ -257,10 +269,13 @@ def snapshots(initial_state: FlowState, params: FlowParams, schedule: Schedule):
 
 def run(initial_state: FlowState, params: FlowParams, schedule: Schedule,
         readers=None) -> Trajectory:
-    """Integrate to t_end (``snapshots``).  ``readers`` maps names to callables
-    reader(traj, geo), called on each snapshot yielded (``traj.last``, of
-    ``traj.nsnap`` planned); ``read[name]`` lists its results but None."""
-    for traj, geo in snapshots(initial_state, params, schedule):
+    """Integrate to t_end (``snapshots``, which alone holds ``initial_state``
+    once called).  ``readers`` maps names to callables reader(traj, geo),
+    called on each snapshot yielded (``traj.last``, of ``traj.nsnap``
+    planned); ``read[name]`` lists its results but None."""
+    flow = snapshots(initial_state, params, schedule)
+    del initial_state       # freed after the first step unless the caller keeps it
+    for traj, geo in flow:
         for name, reader in (readers or {}).items():
             if (got := reader(traj, geo)) is not None:
                 traj.read.setdefault(name, []).append(got)

@@ -87,9 +87,10 @@ def rhs_hess(f: Geometry):
     out -= np.einsum("ip...,jp...->ij...", f.ric, f.hess_mixed)
     out -= np.einsum("jp...,ip...->ij...", f.ric, f.hess_mixed)
     out -= 2.0 * a1 * f.grad_sq * f.hess
-    out += 2.0 * b1 * np.einsum("k...,kij...->ij...", f.du_up, f.d3u)
-    out += 2.0 * b1 * np.einsum("ik...,jk...->ij...", f.hess, f.hess_mixed)
-    out += 2.0 * b1 * np.einsum("pijq...,p...,q...->ij...", f.rm4, f.du_up, f.du_up)
+    if b1:      # at b1 = 0 the terms vanish, and grad^3 u is not built
+        out += 2.0 * b1 * np.einsum("k...,kij...->ij...", f.du_up, f.d3u)
+        out += 2.0 * b1 * np.einsum("ik...,jk...->ij...", f.hess, f.hess_mixed)
+        out += 2.0 * b1 * np.einsum("pijq...,p...,q...->ij...", f.rm4, f.du_up, f.du_up)
     return out
 
 

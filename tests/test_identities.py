@@ -86,6 +86,16 @@ def test_c_identities_coincide_with_a_at_rhf(rhf_runs):
     assert np.array_equal(a9, l311)
 
 
+def test_hessian_identity_builds_grad3_u_only_when_b1_is_not_zero(rhf_runs, general_runs):
+    # the b1 terms of the Hessian's evolution read nabla^3 u; at b1 = 0 they
+    # vanish and are skipped, so A.5 leaves no d3u on the middle geometry,
+    # while C.7 at b1 = 0.5 still forms it
+    for runs, ident, formed in ((rhf_runs, "A.5", False), (general_runs, "C.7", True)):
+        window = frames(runs[16], eval_index(runs[16]))
+        residual_field(REGISTRY[ident], window)
+        assert ("d3u" in vars(window[1])) is formed, ident
+
+
 def test_u_zero_reduces_to_ricci_flow_identities():
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     m, _ = verification_initial_data(g)

@@ -871,7 +871,7 @@ def test_cli_and_run_share_the_default_step_safety(tmp_path):
     from rlab.flow import cfl_dt, run
     from rlab.tensor import Geometry
     cfg = load_config(write_cfg(tmp_path, {"schedule": {"t_end": 0.01, "dt": None}}))
-    traj_cli = flow_from(cfg, build_from_config(cfg))
+    traj_cli = flow_from(cfg, [build_from_config(cfg)])
     grid, metric, u0 = build_from_config(cfg)
     state = FlowState(grid, metric, u0)
     traj = run(state, flow_params_from(cfg), Schedule(t_end=0.01, diagnostics=False))
@@ -904,7 +904,7 @@ def test_aborted_run_records_its_last_state_once(tmp_path):
             "0,0": [{"amp": 0.8, "wave": [0, 1]}]}}},
         "schedule": {"t_end": 2.0, "dt": 0.5}}, name="blowup.json").read_text())
     checks, outputs = {}, []
-    traj = flow_from(cfg, build_from_config(cfg))
+    traj = flow_from(cfg, [build_from_config(cfg)])
     with pytest.raises(BlowUpError, match="^metric lost positive definiteness"):
         stage_run(cfg, tmp_path, checks, outputs, lambda: traj)
     assert traj.aborted is not None and checks == {}
@@ -1025,7 +1025,7 @@ def test_entropy_rows_read_along_the_flow_match_kept_states_bitwise(tmp_path, ex
     _, code = run_experiment(path, tmp_path / "e", stages=["entropy"])
     assert code == 0
     cfg = load_config(path)
-    traj = flow_from(cfg, build_from_config(cfg), HOLD, diagnostics=False)
+    traj = flow_from(cfg, [build_from_config(cfg)], HOLD, diagnostics=False)
     assert len(traj.read["states"]) == traj.nsnapshots
     rows, prev = [], None
     for k in np.unique(np.linspace(0, traj.nsnapshots - 1, 3).astype(int)):
@@ -1141,6 +1141,45 @@ def test_verify_level_holds_at_most_four_states(tmp_path, monkeypatch):
     assert code == 0 and len(trajs) == 3 and len(live) == 3
     for traj, (window, alive) in zip(trajs, live):
         assert window == alive == traj.times[-3:]
+
+
+def test_each_flow_frees_its_initial_metric_after_its_first_step(tmp_path, monkeypatch):
+    # the run stage's base flow, the uniqueness twin and a verify level's own
+    # flow each pop their initial data as they start: once a flow steps from
+    # its first accepted state, no frame or closure holds its initial metric
+    # (no gc pass: only references could keep it)
+    import weakref
+
+    import rlab.cli
+    import rlab.flow
+    from rlab.cli import run_experiment
+    metrics, seen = [], []
+    real_build, real_twin, real_step = (rlab.cli.build_from_config, rlab.cli.twin_from,
+                                        rlab.flow.step)
+
+    def spy(real):
+        def built(*args):
+            grid, metric, u = real(*args)
+            metrics.append((grid.shape, weakref.ref(metric)))
+            return grid, metric, u
+        return built
+
+    def step(state, *args, **kwargs):
+        if state.step_count >= 1:
+            seen.append([(shape, ref() is None) for shape, ref in metrics
+                         if shape == state.grid.shape])
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(rlab.cli, "build_from_config", spy(real_build))
+    monkeypatch.setattr(rlab.cli, "twin_from", spy(real_twin))
+    monkeypatch.setattr(rlab.flow, "step", step)
+    cfg = write_cfg(tmp_path, {**STAGE_CFG, "verify": {"identities": ["A.8"],
+                                                       "resolutions": [16, 32]}})
+    _, code = run_experiment(cfg, tmp_path / "o", stages=["run", "verify", "uniqueness"])
+    assert code == 0
+    assert sorted(shape for shape, _ in metrics) == [(16, 16), (16, 16), (32, 32)]
+    assert seen[0] == [((16, 16), True)] * 2 and seen[-1] == [((32, 32), True)]
+    assert all(gone for row in seen for _, gone in row)
 
 
 def _count_connections(monkeypatch):
