@@ -7,8 +7,9 @@ The file holds the JSON line of ``scripts/time_layers.py``; per workload,
 the result line of ``perfbench/run.py --workload W --seed 1 --seconds 25
 --trace 0``, run unedited as a subprocess; the wall time and summary line
 of the Tier-1 command (``python -m pytest -q --continue-on-collection-errors``
-with ``src`` on ``PYTHONPATH``); and the machine: the git revision (None
-outside a git checkout), ``nproc``, the Python, numpy and glibc versions,
+with ``src`` on ``PYTHONPATH``); and the machine: the git revision (the
+commit, and on a tree with uncommitted changes ``-dirty-`` and a digest of
+``git diff HEAD``; None outside a git checkout), ``nproc``, the Python, numpy and glibc versions,
 rlab's tool version, and whether ``src/rlab/__pycache__`` existed when the
 script started.  Every child runs with ``PYTHONDONTWRITEBYTECODE=1``, so
 none writes bytecode and that flag holds for every figure, and with one
@@ -17,6 +18,7 @@ takes a few minutes; run it on an otherwise idle machine, and compare two
 files made in the same session.
 """
 
+import hashlib
 import json
 import os
 import platform
@@ -58,8 +60,15 @@ def tier1():
 
 
 def revision():
+    """The commit, with a digest of ``git diff HEAD`` after ``-dirty`` on a
+    tree that differs from it; None outside a git checkout."""
     try:
-        return last_line(["git", "describe", "--always", "--dirty", "--abbrev=7"])
+        rev = last_line(["git", "describe", "--always", "--dirty", "--abbrev=7"])
+        if rev.endswith("-dirty"):
+            diff = subprocess.run(["git", "diff", "HEAD"], cwd=ROOT, capture_output=True,
+                                  check=True).stdout
+            rev += "-" + hashlib.sha256(diff).hexdigest()[:12]
+        return rev
     except (OSError, subprocess.CalledProcessError):
         return None
 

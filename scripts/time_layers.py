@@ -13,15 +13,17 @@ that R_AB, ``hessian`` from its Gamma, ``flow_rhs`` on a fresh geometry
 (``flow._geometry``), one rk4 ``step``, one ``_diagnose`` row on a geometry
 that ``flow_rhs`` has already read, as in ``flow.run``, and one uniqueness
 energy snapshot on fresh geometries (``difference_bundle`` of a state and
-its perturbed twin, ``energy`` and ``norms``).  At 64^2 and 16^3 comes
+its perturbed twin, ``energy`` and ``norms``), also as its tracemalloc peak
+above the two states in MB.  At 64^2 and 16^3 comes
 ``lemma52_defects``, whose n^4 einsums do not fit a quick 12^4 row.  The
 uniqueness stage's own row, the energy on the two geometries the steps
 built (which ``flow_rhs`` has read), is timed at 10^3 and 16^3; the verify
 stage's window, all ten entries of the benchmark's verify workload (A.2 to
 A.10 and A.8 mutated) on the step-built geometries of three consecutive
-snapshots of the canonical instance, at 16^2, 32^2 and 64^2; and
-``rough_laplacian`` of Rm (rank (0,4)) at 24^3, with its tracemalloc peak
-above the inputs in MB.
+snapshots of the canonical instance, at 16^2, 32^2 and 64^2; the A.6 entry
+alone on such a window of a 24^3 instance, in ms and as its tracemalloc peak
+above the window in MB; and the compare stage's ``scalar_order`` of every
+pair on a fresh geometry of a 12^3 instance.
 At 16^3 come one cold ``mu_minimize`` on a fresh geometry, which ``mu
 iteration`` divides by its iteration count (one entropy-optimizer
 iteration), and the parts of an iteration: one ``_w_eval``, one
@@ -57,6 +59,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rlab.cli import twin_from
+from rlab.comparison import SCALAR_PAIRS, scalar_order
 from rlab.flow import (FlowParams, FlowState, Schedule, _diagnose, _geometry, cfl_dt,
                        flow_rhs, run, step)
 from rlab.functionals import (_form_weights, _mu_gradient, _preconditioner, _w_eval,
@@ -64,8 +67,7 @@ from rlab.functionals import (_form_weights, _mu_gradient, _preconditioner, _w_e
 from rlab.identities import APPENDIX_A_IDS, evaluate_identity, lemma52_defects
 from rlab.instances import random_instance, verification_initial_data
 from rlab.mesh import MetricField, build_grid, diff1, diff2, grad_stack, integrate
-from rlab.tensor import (Geometry, _connection, hessian, ricci, riemann_norm_sq,
-                         rough_laplacian)
+from rlab.tensor import Geometry, _connection, hessian, ricci, riemann_norm_sq
 from rlab.uniqueness import difference_bundle, energy
 
 REPEATS = 5
@@ -107,16 +109,21 @@ def energy_row(geos):
     return energy(bundle), bundle.norms()
 
 
-def verify_window(res):
-    """The step-built geometries of snapshots 0, 1 and 2 of the canonical
-    instance at res^2, at the verify workload's dt (2e-3 at 16^2, times h^2)."""
-    grid = build_grid("torus", 2, [res, res], [2 * np.pi] * 2)
-    state, params = FlowState(grid, *verification_initial_data(grid)), FlowParams(2.0)
+def window(state, dt):
+    """The step-built geometries of ``state`` and of the next two snapshots."""
+    params = FlowParams(2.0)
     frames = [step_geometry(state, params)]
     for _ in range(2):
-        state = step(state, params, 2e-3 * (16 / res) ** 2)
+        state = step(state, params, dt)
         frames.append(step_geometry(state, params))
     return frames
+
+
+def verify_window(res):
+    """The window of the canonical instance at res^2, at the verify workload's
+    dt (2e-3 at 16^2, times h^2)."""
+    grid = build_grid("torus", 2, [res, res], [2 * np.pi] * 2)
+    return window(FlowState(grid, *verification_initial_data(grid)), 2e-3 * (16 / res) ** 2)
 
 
 def window_reports(frames):
@@ -125,19 +132,25 @@ def window_reports(frames):
             for ident, mutate in [(i, False) for i in APPENDIX_A_IDS] + [("A.8", True)]]
 
 
-def rough_laplacian_rm(n=3, res=24):
-    """(ms, tracemalloc MB above the inputs) of ``rough_laplacian`` of Rm."""
-    grid, metric, u = random_instance(n, res, seed=7)
-    geo = Geometry(metric, u)
-    args = (geo.rm4, grid, geo.gamma, metric, 0, 4)
-    ms = best_ms(lambda: rough_laplacian(*args))
+def a6_window():
+    """The window of a 24^3 random instance, at dt ``DT``."""
+    return window(FlowState(*random_instance(3, 24, seed=7)), DT)
+
+
+def a6_entry(frames):
+    return evaluate_identity(frames, "A.6", DT)
+
+
+def traced_mb(fn, setup):
+    """The tracemalloc peak of ``fn(setup())`` above what ``setup()`` holds, in MB."""
+    args = setup()
     tracemalloc.start()
     try:
-        rough_laplacian(*args)
+        fn(args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return ms, round(peak / 2 ** 20, 1)
+    return round(peak / 2 ** 20, 1)
 
 
 def mu_parts_ms(metric, u, tau=1.0):
@@ -185,7 +198,7 @@ def run_peak(n, res):
 
 
 def main():
-    ms, faults = {}, {}
+    ms, mb, faults = {}, {}, {}
     for n, res in PEAK_GRIDS:       # first: a child's ru_maxrss starts at its parent's
         faults.update({f"run peak {res}^{n} {k}": v for k, v in json.loads(subprocess.run(
             [sys.executable, "-B", __file__, "runpeak", str(n), str(res)],
@@ -204,7 +217,7 @@ def main():
         ms[f"gamma+rm_ab {label}"] = best_ms(lambda: Geometry(metric, u).rm_ab)
         geo = Geometry(metric, u)
         rab = geo.rm_ab
-        ms[f"ricci {label}"] = best_ms(lambda: ricci(rab, metric))
+        ms[f"ricci {label}"] = best_ms(lambda: ricci(rab, metric.inv))
         ms[f"riemann_norm_sq {label}"] = best_ms(lambda: riemann_norm_sq(rab, metric))
         ms[f"hessian {label}"] = best_ms(lambda: hessian(u, grid, geo.gamma_p, geo.du))
         ms[f"flow_rhs {label}"] = best_ms(lambda: flow_rhs(_geometry(state, params)))
@@ -217,6 +230,8 @@ def main():
         twins = twin_states(state)
         ms[f"energy snapshot {label}"] = best_ms(
             lambda: energy_row([_geometry(s, params) for s in twins]))
+        mb[f"energy snapshot {label}"] = traced_mb(
+            energy_row, lambda: [_geometry(s, params) for s in twins])
         if n < 4:
             ms[f"lemma52_defects {label}"] = best_ms(lambda: lemma52_defects(metric, u))
         if n == 3:
@@ -235,10 +250,13 @@ def main():
             energy_row, lambda: [step_geometry(s, params) for s in twins])
     for res in (16, 32, 64):
         ms[f"verify window {res}^2"] = best_ms(window_reports, lambda: verify_window(res))
-    ms["rough_laplacian rm4 24^3"], peak_mb = rough_laplacian_rm()
+    ms["A.6 window 24^3"] = best_ms(a6_entry, a6_window)
+    mb["A.6 window 24^3"] = traced_mb(a6_entry, a6_window)
+    ms["scalar_order 12^3"] = best_ms(
+        lambda geo: [scalar_order(geo, pair) for pair in SCALAR_PAIRS],
+        lambda: Geometry(*random_instance(3, 12, seed=7)[1:]))
     print(json.dumps({"unit": "ms", "best_of": REPEATS, "python": platform.python_version(),
-                      "numpy": np.__version__, "times": ms, **faults,
-                      "rough_laplacian rm4 24^3 tracemalloc_mb": peak_mb,
+                      "numpy": np.__version__, "times": ms, **faults, "tracemalloc_mb": mb,
                       "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 
 

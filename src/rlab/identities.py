@@ -10,7 +10,10 @@ For heat-operator identities the residual is
 with the time derivative taken componentwise at fixed coordinates and the
 Laplacian/RHS evaluated at the middle snapshot.  The difference is
 centered on evenly spaced snapshots and the three-point nonuniform one
-next to a shortened step, second order either way.  Identities marked
+next to a shortened step, second order either way.  A.6/C.5 evolve Rm as
+R_AB on bivectors A = (i<j), and 6.53 reads T as R^l_{Ak}: an index of
+bivectors sees Gamma through its action on the pair, and counts twice in a
+norm (``PAIRS``).  Identities marked
 ``time_only`` compare d/dt Q against an RHS that already contains any
 Laplacian.  Each identity also carries a mutation (sign-flipped RHS) used
 as a negative control: the mutated residual must stay O(1) under
@@ -37,25 +40,20 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .mesh import MetricField, integrate
-from .tensor import (Geometry, cov_d, max_norm, norm_sq, raise_index, rough_laplacian,
-                     sm_tensor)
+from .tensor import (Geometry, _bivectors, bivector_action, bivector_connection, cov_d,
+                     max_norm, norm_sq, ricci, rm_quadratic, rough_laplacian, sm_tensor,
+                     unpack_riemann, wedge)
 from .uniqueness import DiffBundle
 
 
 # --------------------------------------------------------------------------
 # right-hand sides
 
-def _b_tensor(f: Geometry):
-    """B_{ijkl} = -g^{pr} g^{qs} R_{ipjq} R_{krls}."""
-    up = raise_index(raise_index(f.rm4, f.metric, 1), f.metric, 3)  # R_i{}^r{}_j{}^s
-    return -np.einsum("irjs...,krls...->ijkl...", up, f.rm4)
-
-
 def rhs_ric(f: Geometry):
     a1 = f.alpha1
     out = -2.0 * np.einsum("ip...,jp...->ij...", f.ric, f.ric_mixed)
-    out += 2.0 * np.einsum("pijq...,pq...->ij...", f.rm4, f.ric_up)
-    out -= 2.0 * a1 * np.einsum("pijq...,p...,q...->ij...", f.rm4, f.du_up, f.du_up)
+    # R_pijq X^pq is the Ricci trace with X in place of g^{-1}
+    out += 2.0 * ricci(f.rm_ab, f.ric_up - a1 * np.einsum("p...,q...->pq...", f.du_up, f.du_up))
     out += 2.0 * a1 * f.lap_u * f.hess
     out -= 2.0 * a1 * np.einsum("ik...,jk...->ij...", f.hess, f.hess_mixed)
     return out
@@ -82,7 +80,7 @@ def rhs_du(f: Geometry):
 
 def rhs_hess(f: Geometry):
     a1, b1, b2 = f.alpha1, f.beta1, f.beta2
-    out = 2.0 * np.einsum("pijq...,pq...->ij...", f.rm4, f.hess_up)
+    out = 2.0 * ricci(f.rm_ab, f.hess_up)
     out += b2 * f.hess
     out -= np.einsum("ip...,jp...->ij...", f.ric, f.hess_mixed)
     out -= np.einsum("jp...,ip...->ij...", f.ric, f.hess_mixed)
@@ -90,25 +88,18 @@ def rhs_hess(f: Geometry):
     if b1:      # at b1 = 0 the terms vanish, and grad^3 u is not built
         out += 2.0 * b1 * np.einsum("k...,kij...->ij...", f.du_up, f.d3u)
         out += 2.0 * b1 * np.einsum("ik...,jk...->ij...", f.hess, f.hess_mixed)
-        out += 2.0 * b1 * np.einsum("pijq...,p...,q...->ij...", f.rm4, f.du_up, f.du_up)
+        out += 2.0 * b1 * ricci(f.rm_ab, np.einsum("p...,q...->pq...", f.du_up, f.du_up))
     return out
 
 
-def rhs_rm4(f: Geometry):
-    a1 = f.alpha1
-    B = _b_tensor(f)
-    # B_{ijkl} - B_{ijlk} - B_{iljk} + B_{ikjl}
-    out = 2.0 * (B - np.swapaxes(B, 2, 3)
-                 - np.transpose(B, (0, 2, 3, 1) + tuple(range(4, B.ndim)))
-                 + np.transpose(B, (0, 2, 1, 3) + tuple(range(4, B.ndim))))
-    rm = f.rm4
-    out -= np.einsum("ip...,pjkl...->ijkl...", f.ric_mixed, rm)
-    out -= np.einsum("jp...,ipkl...->ijkl...", f.ric_mixed, rm)
-    out -= np.einsum("kp...,ijpl...->ijkl...", f.ric_mixed, rm)
-    out -= np.einsum("lp...,ijkp...->ijkl...", f.ric_mixed, rm)
-    out += 2.0 * a1 * (np.einsum("il...,jk...->ijkl...", f.hess, f.hess)
-                       - np.einsum("ik...,jl...->ijkl...", f.hess, f.hess))
-    return out
+def rhs_rm_ab(f: Geometry):
+    """A.6/C.5 on bivectors A = (i<j), B = (k<l), beside the Laplacian:
+    Hamilton's quadratic term (``rm_quadratic``), -Ric_i^p R_pjkl - Ric_j^p
+    R_ipkl - Ric_k^p R_ijpl - Ric_l^p R_ijkp and 2 a1 (H_il H_jk - H_ik H_jl)."""
+    X = np.einsum("pa...,pb...->ab...",
+                  bivector_action(np.swapaxes(f.ric_mixed, 0, 1)), f.rm_ab)
+    return (rm_quadratic(f.rm_ab, f.ginv) - X - np.swapaxes(X, 0, 1)
+            - 2.0 * f.alpha1 * wedge(f.hess))
 
 
 def rhs_scalar(f: Geometry):
@@ -162,7 +153,7 @@ def rhs_lnvol(f: Geometry):
 def rhs_rm13(f: Geometry):
     """d/dt of the (1,3) curvature: Laplacian + raised box-RHS + metric-motion term."""
     lap = rough_laplacian(f.rm13, f.grid, f.gamma, f.metric, 1, 3)
-    raised = np.einsum("lm...,ijkm...->lijk...", f.ginv, rhs_rm4(f))
+    raised = np.einsum("lm...,ijkm...->lijk...", f.ginv, unpack_riemann(rhs_rm_ab(f), f.grid.n))
     a1 = f.alpha1
     dginv = 2.0 * f.ric_up - 2.0 * a1 * np.einsum("l...,m...->lm...", f.du_up, f.du_up)
     motion = np.einsum("lm...,ijkm...->lijk...", dginv, f.rm4)
@@ -184,8 +175,9 @@ def rhs_grad_rm13(f: Geometry):
 
 def rhs_h(b: DiffBundle):
     """6.50: d/dt h = -2 tr T + 2 a1 (w w + w du~ + du~ w)."""
-    w, du2 = b.w, b.f2.du
-    return (-2.0 * np.einsum("llij...->ij...", b.T)
+    w, du2, t = b.w, b.f2.du, _bivectors(b.grid.n)
+    tr = np.einsum("li,lij...->ij...", t.sgn, b.T[np.arange(b.grid.n)[:, None], t.biv])
+    return (-2.0 * tr                                      # T^l_{lij}
             + 2.0 * b.f1.alpha1 * (np.einsum("i...,j...->ij...", w, w)
                                    + np.einsum("i...,j...->ij...", w, du2)
                                    + np.einsum("j...,i...->ij...", w, du2)))
@@ -221,9 +213,8 @@ def bound_rm13(f: Geometry):
 
 def bound_T(b: DiffBundle):
     """6.53: |h| + |A| + |nabla A| + |T| + |w| + |y|, each a max over the grid."""
-    m = b.metric
-    return (max_norm(b.h, m, 0, 2) + max_norm(b.A, m, 1, 2) + max_norm(b.B, m, 1, 3)
-            + max_norm(b.T, m, 1, 3) + max_norm(b.w, m, 0, 1) + max_norm(b.y, m, 0, 2))
+    return max_norm(b.B, b.metric, 1, 3) + sum(float(np.sqrt(np.max(b.norm_sq(k))))
+                                               for k in "hATwy")
 
 
 # quantity extractors: (array, con, cov); "h", "A", "T" read a DiffBundle
@@ -232,7 +223,7 @@ QUANTITIES = {
     "gamma": lambda f: (f.gamma, 1, 2),
     "du": lambda f: (f.du, 0, 1),
     "hess": lambda f: (f.hess, 0, 2),
-    "rm4": lambda f: (f.rm4, 0, 4),
+    "rm_ab": lambda f: (f.rm_ab, 0, 2),
     "scalar": lambda f: (f.scalar, 0, 0),
     "grad_sq": lambda f: (f.grad_sq, 0, 0),
     "S": lambda f: (f.S, 0, 0),
@@ -243,8 +234,10 @@ QUANTITIES = {
     "grad_rm13": lambda f: (f.grad_rm13, 1, 4),
     "h": lambda b: (b.h, 0, 2),
     "A": lambda b: (b.A, 1, 2),
-    "T": lambda b: (b.T, 1, 3),
+    "T": lambda b: (b.T, 1, 2),
 }
+# the axes of a quantity that hold an antisymmetric pair as bivectors A = (i<j)
+PAIRS = {"rm_ab": (0, 1), **DiffBundle.PAIRS}
 
 
 @dataclass(frozen=True)
@@ -263,7 +256,7 @@ REGISTRY = {
     "A.3": Identity("A.3", "gamma", rhs_gamma, time_only=True, family="rhf"),
     "A.4": Identity("A.4", "du", rhs_du, family="rhf"),
     "A.5": Identity("A.5", "hess", rhs_hess, family="rhf"),
-    "A.6": Identity("A.6", "rm4", rhs_rm4, family="rhf"),
+    "A.6": Identity("A.6", "rm_ab", rhs_rm_ab, family="rhf"),
     "A.7": Identity("A.7", "scalar", rhs_scalar, family="rhf"),
     "A.8": Identity("A.8", "grad_sq", rhs_grad_sq, family="rhf"),
     "A.9": Identity("A.9", "S", rhs_S_direct, family="rhf"),
@@ -272,7 +265,7 @@ REGISTRY = {
     "A.13": Identity("A.13", "grad_rm13", rhs_grad_rm13, time_only=True, family="rhf"),
     "C.3": Identity("C.3", "ric", rhs_ric),
     "C.4": Identity("C.4", "scalar", rhs_scalar),
-    "C.5": Identity("C.5", "rm4", rhs_rm4),
+    "C.5": Identity("C.5", "rm_ab", rhs_rm_ab),
     "C.6": Identity("C.6", "grad_sq", rhs_grad_sq),
     "C.7": Identity("C.7", "hess", rhs_hess),
     "C.8": Identity("C.8", "dudu", rhs_dudu),
@@ -308,8 +301,8 @@ class ResidualReport:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _norms(res: np.ndarray, metric: MetricField, con: int, cov: int):
-    nsq = norm_sq(res, metric, con, cov)
+def _norms(res: np.ndarray, metric: MetricField, con: int, cov: int, pairs=()):
+    nsq = norm_sq(res, metric, con, cov, pairs)
     return float(np.sqrt(np.max(nsq))), float(np.sqrt(integrate(nsq, metric)))
 
 
@@ -331,7 +324,10 @@ def residual_field(ident: Identity, frames, mutate: bool = False):
     if ident.rhs is not None:       # in place, so no right side outlives its use
         res -= -ident.rhs(f0) if mutate else ident.rhs(f0)
     if not ident.time_only:
-        res -= rough_laplacian(Q0, f0.grid, f0.gamma, f0.metric, con, cov)
+        pairs = PAIRS.get(ident.quantity, ())
+        lam = bivector_connection(f0.gamma) if pairs else None
+        slots = [lam if s in pairs else f0.gamma for s in range(con + cov)]
+        res -= rough_laplacian(Q0, f0.grid, f0.gamma, f0.metric, con, cov, slots)
     return res, con, cov, f0
 
 
@@ -352,7 +348,7 @@ def evaluate_identity(frames, ident_id: str, dt: float, c_id: float = 1.0,
     if ident.family == "rhf" and (f0.alpha1, f0.beta1, f0.beta2) != (2.0, 0.0, 0.0):
         raise ValueError(f"identity {ident_id} requires a (2,0,0,0) trajectory")
     res, con, cov, f0 = residual_field(ident, frames, mutate)
-    mx, l2 = _norms(res, f0.metric, con, cov)
+    mx, l2 = _norms(res, f0.metric, con, cov, PAIRS.get(ident.quantity, ()))
     bound = None
     if ident.bound is not None:
         bound = (1e-3 if mutate else 1.0) * c_id * ident.bound(f0)

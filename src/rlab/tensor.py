@@ -14,7 +14,11 @@ n(n+1)/2 first derivatives of g, through the first-kind Christoffel symbols.
 The pass keeps Gamma^k_P on the symmetric pairs P; the full Gamma^k_ij is
 unpacked from it only for the callers that index it, never for the flow.
 Pair exchange and both pair antisymmetries are exact, first Bianchi holds to
-rounding, and Ric and |Rm|^2 are read off R_AB without a 4-tensor.
+rounding.  Ric, |Rm|^2, the contractions R_pijq X^pq (``ricci``), Hamilton's
+quadratic term (``rm_quadratic``) and the action of a (1,1) field or of Gamma
+on a bivector index (``bivector_action``) are read off R_AB without a
+4-tensor; ``cov_d``, ``rough_laplacian`` and ``norm_sq`` take an index that
+holds an antisymmetric pair as bivectors.
 
 The weighted-connection curvature is computed directly from the
 connection coefficients of nabla^u_X Y = nabla_X Y - (Yu)X - (Xu)Y, which
@@ -51,12 +55,23 @@ def riemann_13(gamma: np.ndarray, grid: Grid) -> np.ndarray:
     return R
 
 
+def ricci_13(gamma: np.ndarray, grid: Grid) -> np.ndarray:
+    """Ric_{jk} = R^i_{ijk} of ``riemann_13``, traced as it is formed:
+    d_i G^i_{jk} - d_j G^i_{ik} + G^p_{jk} G^i_{ip} - G^p_{ik} G^i_{jp}."""
+    tr = np.einsum("iip...->p...", gamma)               # G^i_{ip}
+    ric = sum(diff1(gamma[i], grid, i) for i in range(grid.n)) - grad_stack(tr, grid)
+    ric += np.einsum("pjk...,p...->jk...", gamma, tr)
+    ric -= np.einsum("pik...,ijp...->jk...", gamma, gamma)
+    return ric
+
+
 @lru_cache(maxsize=None)
 def _bivectors(n: int) -> SimpleNamespace:
     """Index tables of R_AB in dimension n, built once: symmetric pairs P =
     (a<=b) (``pa, pb``, numbered by ``sym``), per [l, P] of Gamma_{l,P} the
     entries (a, (b, l)) and (b, (a, l)) of d_c g_Q it adds (``first``),
-    bivectors A = (i<j) (``bi, bj``), per entry A <= B the pairs of F in
+    bivectors A = (i<j) (``bi, bj``), the bivector of any pair (``biv``) and
+    its sign, 0 on i = j (``sgn``), per entry A <= B the pairs of F in
     R_{ijkl} = F_{(ik)(jl)} - F_{(il)(jk)} as (A, B, ((P, Q), (P, Q)))
     (``terms``), and per Ric_jk, j <= k, its nonzero terms g^{il} R_{ijkl}
     as (sign, i, l, A, B) (``trace``)."""
@@ -75,8 +90,9 @@ def _bivectors(n: int) -> SimpleNamespace:
     trace = np.sign(tj - ti) * np.sign(tl - tk), ti, tl, biv[ti, tj], biv[tk, tl]
     first = [((l, P), (a, sym[b, l]), (b, sym[a, l]))
              for l in range(n) for P, (a, b) in enumerate(zip(pa.tolist(), pb.tolist()))]
+    sgn = np.sign(np.arange(n) - np.arange(n)[:, None])     # R_{..ij} = sgn[i, j] R_{..A}
     return SimpleNamespace(
-        sym=sym, pa=pa, pb=pb, first=first, bi=bi, bj=bj,
+        sym=sym, pa=pa, pb=pb, first=first, bi=bi, bj=bj, biv=biv, sgn=sgn,
         terms=list(zip(A.tolist(), B.tolist(), PQ.tolist())),
         trace=[list(zip(*row)) for row in zip(*(x.tolist() for x in trace))])
 
@@ -130,30 +146,85 @@ def riemann_bivector(metric: MetricField, dg, gl, gam) -> np.ndarray:
     return R
 
 
-def ricci(rab: np.ndarray, metric: MetricField) -> np.ndarray:
-    """Ric_{jk} = g^{il} R_{ijkl}, traced off R_AB over the (n-1)^2 nonzero
-    terms of each j <= k; symmetric by construction."""
-    t, shape = _bivectors(metric.n), metric.grid.shape
+def ricci(rab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """X^{il} R_{ijkl} for a symmetric (2,0) field X, traced off R_AB over the
+    (n-1)^2 nonzero terms of each j <= k and mirrored; at X = g^{-1} it is Ric."""
+    t, shape = _bivectors(len(x)), rab.shape[2:]
     ric, term = np.zeros((len(t.pa),) + shape), np.empty(shape)
     for r, terms in zip(ric, t.trace):
         for sign, i, l, a, b in terms:
-            np.multiply(metric.inv[i, l], rab[a, b], out=term)
+            np.multiply(x[i, l], rab[a, b], out=term)
             (np.add if sign > 0 else np.subtract)(r, term, out=r)
     return ric[t.sym]
 
 
-def riemann_norm_sq(rab: np.ndarray, metric: MetricField) -> np.ndarray:
-    """|Rm|^2 = 4 tr(G R G R), with G^{AB} = g^{ik} g^{jl} - g^{il} g^{jk} the
-    inverse metric on bivectors."""
-    t, gi = _bivectors(metric.n), metric.inv
-    G, tmp = np.empty_like(rab), np.empty(rab.shape[2:])  # entry by entry, no gathers
+def wedge(x: np.ndarray) -> np.ndarray:
+    """W_AB = x_ik x_jl - x_il x_jk on bivectors A = (i<j), B = (k<l), entry by
+    entry with no gathers: at x = g^{-1} the inverse metric G^{AB} on bivectors."""
+    t = _bivectors(len(x))
+    W, tmp = np.empty((len(t.bi),) * 2 + x.shape[2:]), np.empty(x.shape[2:])
     for A, B, _ in t.terms:
         (i, j), (k, l) = (t.bi[A], t.bj[A]), (t.bi[B], t.bj[B])
-        np.multiply(gi[i, k], gi[j, l], out=G[A, B])
-        G[A, B] -= np.multiply(gi[i, l], gi[j, k], out=tmp)
-        G[B, A] = G[A, B]
+        np.multiply(x[i, k], x[j, l], out=W[A, B])
+        W[A, B] -= np.multiply(x[i, l], x[j, k], out=tmp)
+        W[B, A] = W[A, B]
+    return W
+
+
+def riemann_norm_sq(rab: np.ndarray, metric: MetricField) -> np.ndarray:
+    """|Rm|^2 = 4 tr(G R G R), with G^{AB} = ``wedge(g^{-1})``."""
+    G = wedge(metric.inv)
     X = np.einsum("ab...,bc...->ac...", G, rab)
     return 4.0 * np.einsum("ab...,ba...->...", X, X)
+
+
+def rm_quadratic(rab: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Hamilton's quadratic term of d/dt Rm on bivectors A = (i<j), B = (k<l):
+    2 (B_ijkl - B_ijlk - B_iljk + B_ikjl), with B_ijkl = -g^pr g^qs R_ipjq R_krls.
+
+    By first Bianchi, B_ijkl - B_ijlk = -Q_AB with Q = R G R, and B_ikjl =
+    W_ijkl - Q_ikjl / 2, where W_ijkl = V^rs R_rjls traces R_AB (``ricci``)
+    with V the symmetric part of g^pr g^qs R_ipkq, one pair i <= k at a time:
+    no array has n^4 components per point."""
+    t = _bivectors(len(ginv))
+    Q = np.einsum("ac...,cb...->ab...", np.einsum("ac...,cb...->ab...", rab, wedge(ginv)), rab)
+    entries = [(A, B, t.bi[A], t.bj[A], t.bi[B], t.bj[B]) for A, B in np.ndindex(Q.shape[:2])]
+
+    def at(X, a, b, c, d):              # X_abcd of a matrix on bivectors
+        return t.sgn[a, b] * t.sgn[c, d] * X[t.biv[a, b], t.biv[c, d]]
+
+    C = np.empty_like(rab)
+    for A, B, i, j, k, l in entries:
+        C[A, B] = 0.5 * (at(Q, i, l, j, k) - at(Q, i, k, j, l)) - Q[A, B]
+    for a, b in zip(t.pa.tolist(), t.pb.tolist()):
+        S = np.einsum("p,q,pq...->pq...", t.sgn[a], t.sgn[b], rab[np.ix_(t.biv[a], t.biv[b])])
+        V = np.einsum("rp...,pq...->rq...", ginv, S + np.swapaxes(S, 0, 1))
+        W = ricci(rab, 0.5 * np.einsum("rq...,qs...->rs...", V, ginv))   # W_ajbl at [j, l]
+        for A, B, i, j, k, l in entries:
+            if sorted((i, k)) == [a, b]:
+                C[A, B] += W[j, l]
+            if sorted((i, l)) == [a, b]:
+                C[A, B] -= W[j, k]
+    return 2.0 * C
+
+
+def bivector_action(m: np.ndarray) -> np.ndarray:
+    """L[P, A, ...], with sum_P L[P, A] Q_P = m^p_i Q_{pj} + m^p_j Q_{ip} on
+    bivectors A = (i<j): how m^p_i (axes [p, i, ...]) acts on a covariant
+    antisymmetric pair."""
+    n, t = len(m), _bivectors(len(m))
+    L = np.zeros((len(t.bi),) * 2 + m.shape[2:])
+    for A, (i, j) in enumerate(zip(t.bi.tolist(), t.bj.tolist())):
+        for p in range(n):              # sgn is 0 on a repeated index
+            L[t.biv[p, j], A] += t.sgn[p, j] * m[p, i]
+            L[t.biv[i, p], A] += t.sgn[i, p] * m[p, j]
+    return L
+
+
+def bivector_connection(gamma: np.ndarray) -> np.ndarray:
+    """Lambda[P, a, A], Gamma^p_{ai} acting on a covariant bivector index A, in
+    gamma's layout [p, a, s] for ``cov_d`` and ``rough_laplacian``."""
+    return np.moveaxis(bivector_action(np.swapaxes(gamma, 1, 2)), 2, 1)
 
 
 def unpack_riemann(rab: np.ndarray, n: int) -> np.ndarray:
@@ -190,41 +261,47 @@ def weyl_tensor(rm4: np.ndarray, ric: np.ndarray, scal: np.ndarray,
 # covariant derivatives
 
 def cov_d(vals: np.ndarray, grid: Grid, gamma: np.ndarray,
-          con: int, cov: int) -> np.ndarray:
+          con: int, cov: int, slots=None) -> np.ndarray:
     """Covariant derivative.
 
     The new covariant index is inserted *after* the contravariant block, at
     axis ``con``, so the output again follows the (upper..., lower...) axis
-    convention and may be fed back into ``cov_d``.
+    convention and may be fed back into ``cov_d``.  Index s sees ``slots[s]``,
+    a connection in gamma's layout [p, a, s]: Gamma by default, and on a
+    covariant antisymmetric pair held as bivectors ``bivector_connection``.
     """
     rank = con + cov
+    slots = slots or (gamma,) * rank
     D = grad_stack(vals, grid)
     if rank == 0:
         return D
     idx = _LETTERS[:rank]
     for s in range(con):
         src = idx[:s] + "p" + idx[s + 1:]
-        D += np.einsum(f"{idx[s]}ap...,{src}...->a{idx}...", gamma, vals)
+        D += np.einsum(f"{idx[s]}ap...,{src}...->a{idx}...", slots[s], vals)
     for s in range(con, rank):
         src = idx[:s] + "p" + idx[s + 1:]
-        D -= np.einsum(f"pa{idx[s]}...,{src}...->a{idx}...", gamma, vals)
+        D -= np.einsum(f"pa{idx[s]}...,{src}...->a{idx}...", slots[s], vals)
     return np.ascontiguousarray(np.moveaxis(D, 0, con))
 
 
 def rough_laplacian(vals: np.ndarray, grid: Grid, gamma: np.ndarray,
-                    metric: MetricField, con: int, cov: int) -> np.ndarray:
+                    metric: MetricField, con: int, cov: int, slots=None) -> np.ndarray:
     """Delta T = g^{ab} nabla_a nabla_b T, summed a-major, b-minor one slice d_a
-    (nabla T)_b + ``cov_d``'s Gamma terms (its order) at a time; no nabla nabla T."""
-    V = np.moveaxis(cov_d(vals, grid, gamma, con, cov), con, 0)    # V[b] = (nabla T)_b
+    (nabla T)_b + ``cov_d``'s Gamma terms (its order) at a time; no nabla nabla T.
+    The indices of T see ``slots`` as in ``cov_d``; the new one sees Gamma."""
+    slots = slots or (gamma,) * (con + cov)
+    V = np.moveaxis(cov_d(vals, grid, gamma, con, cov, slots), con, 0)   # V[b] = (nabla T)_b
     idx = _LETTERS[:con + cov]
     subs = [f"{idx[s]}p...,{idx[:s]}p{idx[s + 1:]}...->{idx}..." for s in range(con)]
     subs += [f"p...,p{idx}...->{idx}..."] + [
         f"p{idx[s]}...,{idx[:s]}p{idx[s + 1:]}...->{idx}..." for s in range(con, con + cov)]
+    conns = [*slots[:con], None, *slots[con:]]        # per term of subs
     out, S = np.zeros(vals.shape), np.empty(vals.shape)
     for a, b in np.ndindex(grid.n, grid.n):
         diff1(V[b], grid, a, S)
         for s, sub in enumerate(subs):
-            term = np.einsum(sub, *((gamma[:, a, b], V) if s == con else (gamma[:, a], V[b])))
+            term = np.einsum(sub, *((gamma[:, a, b], V) if s == con else (conns[s][:, a], V[b])))
             (np.add if s < con else np.subtract)(S, term, out=S)
         out += np.multiply(S, metric.inv[a, b], out=S)
     return out
@@ -246,14 +323,18 @@ def hessian(u: np.ndarray, grid: Grid, gam: np.ndarray,
     return H[t.sym]
 
 
-def raise_index(vals: np.ndarray, metric: MetricField, axis: int) -> np.ndarray:
+def raise_index(vals: np.ndarray, metric: MetricField, axis: int, inv=None) -> np.ndarray:
     idx = _LETTERS[:vals.ndim - metric.grid.n]
     src = idx[:axis] + "p" + idx[axis + 1:]
-    return np.einsum(f"{idx[axis]}p...,{src}...->{idx}...", metric.inv, vals)
+    return np.einsum(f"{idx[axis]}p...,{src}...->{idx}...",
+                     metric.inv if inv is None else inv, vals)
 
 
-def norm_sq(vals: np.ndarray, metric: MetricField, con: int, cov: int) -> np.ndarray:
-    """Pointwise |T|^2_g, all indices contracted with g / g^{-1}."""
+def norm_sq(vals: np.ndarray, metric: MetricField, con: int, cov: int,
+            pairs=()) -> np.ndarray:
+    """Pointwise |T|^2_g, all indices contracted with g / g^{-1}.  A covariant
+    axis in ``pairs`` holds an antisymmetric pair as bivectors A = (i<j): it is
+    contracted with G^{AB} (``wedge``) and counts twice."""
     if con + cov == 0:
         return vals * vals
     lowered = vals
@@ -264,9 +345,10 @@ def norm_sq(vals: np.ndarray, metric: MetricField, con: int, cov: int) -> np.nda
                             metric.values, lowered)
     raised = vals
     for s in range(con, con + cov):
-        raised = raise_index(raised, metric, s)
+        raised = raise_index(raised, metric, s, wedge(metric.inv) if s in pairs else None)
     idx = _LETTERS[:vals.ndim - metric.grid.n]
-    return np.einsum(f"{idx}...,{idx}...->...", lowered, raised)
+    out = np.einsum(f"{idx}...,{idx}...->...", lowered, raised)
+    return out * 2 ** len(pairs) if pairs else out
 
 
 def max_norm(vals: np.ndarray, metric: MetricField, con: int, cov: int) -> float:
@@ -318,12 +400,14 @@ class Geometry:
     ``gamma_p`` (Gamma^k_P on the symmetric pairs, which the Hessian reads) and
     ``rm_ab`` (the one curvature build) share one Levi-Civita pass, whichever
     is read first; ``gamma``, the full Gamma^k_ij, is unpacked from ``gamma_p``
-    only for cov_d and the other callers that index it.  Ric and |Rm|^2 read
-    R_AB, and ``rm4`` unpacks it only for Weyl, Sm, nabla Rm and the
-    identities, never the flow.
-    ``rm_ref`` and ``rm_wy`` are the Levi-Civita and weighted-connection
-    curvatures through the same Gamma-form route (``riemann_13``), so that
-    relations between them vanish to rounding at constant u.
+    only for cov_d and the other callers that index it.  The flow, A.2-A.10
+    and the uniqueness energy (T as ``rm13_ab``) read R_AB.  Four fields hold
+    n^4 components per point: ``rm4`` and ``rm13``, unpacked from R_AB for
+    Weyl, Sm (3.12), nabla Rm (A.11-A.13, the uniqueness U), and ``rm_ref``
+    and ``rm_wy``, the Levi-Civita and weighted-connection curvatures through
+    the same Gamma-form route (``riemann_13``) for Lemma 5.2 and the Killing
+    comparisons.  ``ric_ref`` and ``ric_wy`` trace that route as it is formed
+    (``ricci_13``), so relations between them vanish to rounding at constant u.
     The flow parameters enter the coupled curvature Sic = Ric - a1 du x du,
     its trace S, its trace-free part Sin, S_{ijkl} (``sm_tensor``) and the
     field Xi; a1 = 2 is the harmonic-map coupled flow.
@@ -358,7 +442,7 @@ class Geometry:
 
     @cached_property
     def ric(self):
-        return ricci(self.rm_ab, self.metric)
+        return ricci(self.rm_ab, self.ginv)
 
     @cached_property
     def rm4(self):          # R_{ijkl}, unpacked for the callers with four indices
@@ -367,6 +451,12 @@ class Geometry:
     @cached_property
     def rm13(self):         # R^l_{ijk}, raised from the lowered tensor
         return np.einsum("lm...,ijkm...->lijk...", self.ginv, self.rm4)
+
+    @property
+    def rm13_ab(self):      # R^l_{Ak} = g^{lm} R_{A(km)}: rm13, its first pair a bivector A;
+        # not kept, as only the uniqueness T, a difference of two, reads it
+        t = _bivectors(self.grid.n)
+        return np.einsum("lm...,km,akm...->lak...", self.ginv, t.sgn, self.rm_ab[:, t.biv])
 
     @cached_property
     def weyl(self):
@@ -441,8 +531,8 @@ class Geometry:
         return lower_rm(riemann_13(self.gamma, self.grid), self.metric)
 
     @cached_property
-    def ric_ref(self):      # g^{il} R_{ijkl} of rm_ref
-        return np.einsum("il...,ijkl...->jk...", self.ginv, self.rm_ref)
+    def ric_ref(self):      # R^i_{ijk} of rm_ref, traced from Gamma without it
+        return ricci_13(self.gamma, self.grid)
 
     @cached_property
     def rm_wy(self):        # R^u_{ijkl}, curvature of the weighted connection
@@ -450,8 +540,8 @@ class Geometry:
         return lower_rm(riemann_13(gamma_u, self.grid), self.metric)
 
     @cached_property
-    def ric_wy(self):       # g^{il} R^u_{ijkl}
-        return np.einsum("il...,ijkl...->jk...", self.ginv, self.rm_wy)
+    def ric_wy(self):       # R^{u i}_{ijk}, as ric_ref
+        return ricci_13(weighted_christoffel(self.gamma, self.du, self.grid.n), self.grid)
 
     @cached_property
     def ric_wy_hat(self):   # g^{il} R^u_{jilk}

@@ -5,9 +5,11 @@ the energy
 
     E(t) = int [ t^{-1} |h|^2 + t^{-beta} |A|^2 + |T|^2 + |v|^2 + |w|^2 ] dV,
 
-(all norms in the first trajectory's metric), and least-squares estimation
-of the exponential growth rate N with E' <= N E.  Every flow runs on a
-closed torus, where the energy needs no cutoff weight.
+(all norms in the first trajectory's metric; T = Rm - Rm~ is held as R^l_{Ak},
+its antisymmetric pair a bivector A = (i<j), which counts twice in |T|^2),
+and least-squares estimation of the exponential growth rate N with
+E' <= N E.  Every flow runs on a closed torus, where the energy needs no
+cutoff weight.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ class DiffBundle:
     # difference field -> (the Geometry field it differences, its rank)
     DIFFS = {"h": ("g", 0, 2),             # g - g~
              "A": ("gamma", 1, 2),         # Gamma - Gamma~
-             "T": ("rm13", 1, 3),          # Rm - Rm~
+             "T": ("rm13_ab", 1, 2),       # Rm - Rm~, as R^l_{Ak}
              "U": ("grad_rm13", 1, 4),     # nabla Rm - nabla~ Rm~
              "v": ("u", 0, 0),             # u - u~
              "w": ("du", 0, 1),            # du - du~
              "y": ("hess", 0, 2),          # Hess u - Hess~ u~
              "z": ("d3u", 0, 3)}           # nabla^3 u - nabla~^3 u~
+    PAIRS = {"T": (1,)}                    # T's antisymmetric pair, as bivectors A = (i<j)
 
     def __init__(self, f1: Geometry, f2: Geometry):
         self.f1, self.f2, self.t = f1, f2, f1.t
@@ -52,7 +55,8 @@ class DiffBundle:
         """Pointwise squared norm of the difference ``name``, cached."""
         if name not in self._norm_sq:
             _, con, cov = DiffBundle.DIFFS[name]
-            self._norm_sq[name] = norm_sq(getattr(self, name), self.metric, con, cov)
+            self._norm_sq[name] = norm_sq(getattr(self, name), self.metric, con, cov,
+                                          DiffBundle.PAIRS.get(name, ()))
         return self._norm_sq[name]
 
     @cached_property

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,6 +17,12 @@ from rlab.uniqueness import difference_bundle
 
 MANIFEST_PATH = Path(__file__).parent / "manifest.json"
 SRC = str(Path(rlab.__file__).resolve().parents[1])
+
+# the benchmark's configs (perfbench/workloads.py), loaded from their file
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 RHF = FlowParams(2.0)
 GENERAL = FlowParams(1.0, 0.0, 0.5, -0.3)

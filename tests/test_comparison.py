@@ -299,7 +299,7 @@ def test_compare_stage_shares_one_geometry_per_instance(tmp_path, monkeypatch):
     from rlab.snapshots import write_verdicts_csv
     cfg = {"grid": {"n": 3, "resolutions": [8] * 3}, "compare": {"instances": 2},
            "seed": 5}
-    calls = {"riemann_13": 0, "_connection": 0}
+    calls = {"ricci_13": 0, "_connection": 0}
     for name in calls:
         real = getattr(tensor, name)
         def counted(*a, _real=real, _name=name):
@@ -307,7 +307,7 @@ def test_compare_stage_shares_one_geometry_per_instance(tmp_path, monkeypatch):
             return _real(*a)
         monkeypatch.setattr(tensor, name, counted)
     stage_compare(cfg, tmp_path, {}, [], None)
-    assert calls == {"riemann_13": 2 * 2, "_connection": 2}
+    assert calls == {"ricci_13": 2 * 2, "_connection": 2}
     # the per-pair path (one geometry per pair) writes the same bytes
     per_pair = [scalar_order(Geometry(m, u), pair)
                 for _, m, u in (random_instance(3, 8, 5 + i) for i in range(2))

@@ -497,14 +497,14 @@ def test_rough_laplacian_streams_its_slices_bitwise(n, con, cov):
     T = {(0, 0): f.u, (1, 0): f.du_up, (0, 2): f.hess, (0, 4): f.rm4,
          (1, 3): f.rm13}[con, cov]
     args = (T, m.grid, f.gamma, m, con, cov)
-    peaks = []
+    peaks, got = [], []
     for form in (_traced_nabla_nabla, rough_laplacian):
         tracemalloc.start()
         try:
-            got = form(*args)
+            got.append(form(*args))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert np.array_equal(got, _traced_nabla_nabla(*args))
+    assert np.array_equal(got[1], got[0])
     if n > 2 and con + cov > 0:
         assert peaks[1] < 0.5 * peaks[0], peaks

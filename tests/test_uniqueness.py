@@ -1,7 +1,11 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
-from conftest import HOLD, RHF, bundle, bundles, geometry
+from conftest import HOLD, RHF, bundle, bundles, geometry, workloads
+from rlab.cli import run_experiment
 from rlab.flow import FlowState, Schedule, run
 from rlab.instances import verification_initial_data
 from rlab.mesh import MetricField, build_grid
@@ -162,3 +166,35 @@ def test_pair_validation(pairs):
         bundle(t1, other, 1)
     with pytest.raises(ValueError, match="share snapshot times"):
         difference_bundle(geometry(t1, 1), geometry(t2, 2))
+
+
+# the perturbation-scaling oracle: halving the twin's delta scales E by 1/4
+# and each difference norm by 1/2, to leading order.  On the benchmark's
+# uniqueness instance the worst deviations over the snapshots with t > 0 were
+# 3.746e-7 (E) and 4.251e-6 (the norms, v's the largest); each bound is ten
+# times its worst deviation
+E_RATIO_BOUND = 3.75e-6
+NORM_RATIO_BOUND = 4.25e-5
+
+
+def test_energy_scales_with_the_square_of_the_perturbation(tmp_path):
+    grid, idata = workloads.curved_torus(1, 3, workloads.UNIQ_RES)
+    rows = []
+    for delta in (workloads.UNIQ_DELTA, workloads.UNIQ_DELTA / 2):
+        cfg = {"grid": grid, "initial_data": idata, "flow": {"alpha1": 2.0},
+               "schedule": {"t_end": workloads.UNIQ_DT * workloads.UNIQ_STEPS,
+                            "dt": workloads.UNIQ_DT, "method": "rk4", "cadence": 1},
+               "uniqueness": {"delta": delta, "beta": 0.5}}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        out = tmp_path / str(delta)
+        _, code = run_experiment(tmp_path / "config.json", out, stages=["uniqueness"])
+        assert code == 0
+        with open(out / "energy.csv", newline="") as fh:
+            rows.append([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+    full, half = rows
+    assert len(full) == len(half) == workloads.UNIQ_STEPS
+    for a, b in zip(full, half):
+        assert a[0] == b[0] > 0
+        assert abs(a[1] / b[1] - 4.0) <= E_RATIO_BOUND, a[0]
+        for x, y in zip(a[2:], b[2:]):
+            assert abs(x / y - 2.0) <= NORM_RATIO_BOUND, a[0]
