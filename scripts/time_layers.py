@@ -21,9 +21,10 @@ built (which ``flow_rhs`` has read), is timed at 10^3 and 16^3; the verify
 stage's window, all ten entries of the benchmark's verify workload (A.2 to
 A.10 and A.8 mutated) on the step-built geometries of three consecutive
 snapshots of the canonical instance, at 16^2, 32^2 and 64^2; the A.6 entry
-alone on such a window of a 24^3 instance, in ms and as its tracemalloc peak
-above the window in MB; and the compare stage's ``scalar_order`` of every
-pair on a fresh geometry of a 12^3 instance.
+alone on such a window of a 24^3 instance, and the A.12 and A.13 entries
+each alone on such a window of an 8^4 instance, in ms and as the tracemalloc
+peak above the window in MB; and the compare stage's ``scalar_order`` of
+every pair on a fresh geometry of a 12^3 instance.
 At 16^3 come one cold ``mu_minimize`` on a fresh geometry, which ``mu
 iteration`` divides by its iteration count (one entropy-optimizer
 iteration), and the parts of an iteration: one ``_w_eval``, one
@@ -141,6 +142,11 @@ def a6_entry(frames):
     return evaluate_identity(frames, "A.6", DT)
 
 
+def window_8_4():
+    """The window of ``random_instance(4, 8, 3)``, at dt ``DT``."""
+    return window(FlowState(*random_instance(4, 8, seed=3)), DT)
+
+
 def traced_mb(fn, setup):
     """The tracemalloc peak of ``fn(setup())`` above what ``setup()`` holds, in MB."""
     args = setup()
@@ -252,6 +258,11 @@ def main():
         ms[f"verify window {res}^2"] = best_ms(window_reports, lambda: verify_window(res))
     ms["A.6 window 24^3"] = best_ms(a6_entry, a6_window)
     mb["A.6 window 24^3"] = traced_mb(a6_entry, a6_window)
+    for ident in ("A.12", "A.13"):
+        def entry(frames, ident=ident):
+            return evaluate_identity(frames, ident, DT)
+        ms[f"{ident} window 8^4"] = best_ms(entry, window_8_4)
+        mb[f"{ident} window 8^4"] = traced_mb(entry, window_8_4)
     ms["scalar_order 12^3"] = best_ms(
         lambda geo: [scalar_order(geo, pair) for pair in SCALAR_PAIRS],
         lambda: Geometry(*random_instance(3, 12, seed=7)[1:]))

@@ -120,6 +120,14 @@ def validate(config: dict) -> dict:
     if "safety" in sched and sched.get("dt") is not None:
         raise ConfigError("schedule.safety: no effect next to a numeric schedule.dt; "
                           "it scales the step bound only when dt is null")
+    c = config.get("constants", {})
+    positive, no_k = ("C_user", "Cn_user", "C_s", "C0"), not c.get("K", 0.0) > 0
+    for key, bad, why in (*((k, c.get(k, 0.0) < 0, "is below 0") for k in ("K", "D", "A")),
+                          *((k, c.get(k, 1.0) <= 0, "is not positive") for k in positive),
+                          *((k, no_k, "has no effect without a positive constants.K, as "
+                             "lambda2 alone reads it") for k in ("L", "P"))):
+        if key in c and bad:
+            raise ConfigError(f"constants.{key}: {c[key]!r} {why}")
     return config
 
 

@@ -10,16 +10,16 @@ For heat-operator identities the residual is
 with the time derivative taken componentwise at fixed coordinates and the
 Laplacian/RHS evaluated at the middle snapshot.  The difference is
 centered on evenly spaced snapshots and the three-point nonuniform one
-next to a shortened step, second order either way.  A.6/C.5 evolve Rm as
-R_AB on bivectors A = (i<j), and 6.53 reads T as R^l_{Ak}: an index of
+next to a shortened step, second order either way.  Rm has one layout,
+R_AB on bivectors A = (i<j): A.6/C.5 evolve it, A.11-A.13 read R^l_{Ak} and
+its nabla, 3.12 contracts it, and 6.53 reads T as R^l_{Ak}.  An index of
 bivectors sees Gamma through its action on the pair, and counts twice in a
-norm (``PAIRS``).  Identities marked
-``time_only`` compare d/dt Q against an RHS that already contains any
-Laplacian.  Each identity also carries a mutation (sign-flipped RHS) used
-as a negative control: the mutated residual must stay O(1) under
-refinement, guarding against vacuously-zero tests.  A norm-bound entry has
-no RHS: the max norm of its residual is compared with a bound, which the
-mutation shrinks 1000-fold.
+norm (``PAIRS``).  Identities marked ``time_only`` compare d/dt Q against an
+RHS that already contains any Laplacian.  Each identity also carries a
+mutation (sign-flipped RHS) used as a negative control: the mutated residual
+must stay O(1) under refinement, guarding against vacuously-zero tests.  A
+norm-bound entry has no RHS: the max norm of its residual is compared with a
+bound, which the mutation shrinks 1000-fold.
 
 Registry contents: the coupled-flow evolution equations at (2,0,0,0)
 ("A.*", with the A.11 bound), their generalized-parameter versions
@@ -41,8 +41,8 @@ import numpy as np
 
 from .mesh import MetricField, integrate
 from .tensor import (Geometry, _bivectors, bivector_action, bivector_connection, cov_d,
-                     max_norm, norm_sq, ricci, rm_quadratic, rough_laplacian, sm_tensor,
-                     unpack_riemann, wedge)
+                     max_norm, norm_sq, raise_last, ricci, rm_quadratic, rough_laplacian,
+                     sm_tensor, wedge)
 from .uniqueness import DiffBundle
 
 
@@ -126,7 +126,9 @@ def rhs_S_direct(f: Geometry):
 
 def rhs_sic(f: Geometry):
     a1, b1, b2 = f.alpha1, f.beta1, f.beta2
-    out = 2.0 * np.einsum("kijl...,kl...->ij...", f.sm, f.sic_up)
+    # S_kijl Sic^kl = R_kijl Sic^kl - (a1/2)(du_j (Sic du)_i + du_i (Sic du)_j)
+    cross = np.einsum("ik...,k...,j...->ij...", f.sic, f.du_up, f.du)
+    out = 2.0 * (ricci(f.rm_ab, f.sic_up) - 0.5 * a1 * (cross + np.swapaxes(cross, 0, 1)))
     out -= 2.0 * np.einsum("ik...,jk...->ij...", f.sic, f.sic_mixed)
     out += 2.0 * a1 * f.lap_u * f.hess
     out -= 2.0 * a1 * b2 * np.einsum("i...,j...->ij...", f.du, f.du)
@@ -151,25 +153,20 @@ def rhs_lnvol(f: Geometry):
 
 
 def rhs_rm13(f: Geometry):
-    """d/dt of the (1,3) curvature: Laplacian + raised box-RHS + metric-motion term."""
-    lap = rough_laplacian(f.rm13, f.grid, f.gamma, f.metric, 1, 3)
-    raised = np.einsum("lm...,ijkm...->lijk...", f.ginv, unpack_riemann(rhs_rm_ab(f), f.grid.n))
-    a1 = f.alpha1
-    dginv = 2.0 * f.ric_up - 2.0 * a1 * np.einsum("l...,m...->lm...", f.du_up, f.du_up)
-    motion = np.einsum("lm...,ijkm...->lijk...", dginv, f.rm4)
-    return lap + raised + motion
+    """d/dt R^l_{Ak}: its Laplacian, g^{lm} (A.6's RHS)_{A(km)} and (d/dt g^{lm}) R_{A(km)}."""
+    lam = bivector_connection(f.gamma)
+    lap = rough_laplacian(f.rm13_ab, f.grid, f.gamma, f.metric, 1, 2, (f.gamma, lam, f.gamma))
+    dginv = 2.0 * f.ric_up - 2.0 * f.alpha1 * np.einsum("l...,m...->lm...", f.du_up, f.du_up)
+    return lap + raise_last(rhs_rm_ab(f), f.ginv) + raise_last(f.rm_ab, dginv)
 
 
 def rhs_grad_rm13(f: Geometry):
-    """d/dt of nabla Rm: nabla of the d/dt identity plus connection-motion terms."""
-    dA12 = cov_d(rhs_rm13(f), f.grid, f.gamma, 1, 3)     # [l,a,i,j,k]
-    dtG = rhs_gamma(f)                                   # d/dt Gamma^k_{ij}
-    W = f.rm13
-    out = dA12
-    out = out + np.einsum("lap...,pijk...->laijk...", dtG, W)
-    out = out - np.einsum("pai...,lpjk...->laijk...", dtG, W)
-    out = out - np.einsum("paj...,lipk...->laijk...", dtG, W)
-    out = out - np.einsum("pak...,lijp...->laijk...", dtG, W)
+    """d/dt nabla_a R^l_{Ak}: nabla of A.12's right side plus d/dt Gamma on each index."""
+    dtG, W, lam = rhs_gamma(f), f.rm13_ab, bivector_connection(f.gamma)
+    out = cov_d(rhs_rm13(f), f.grid, f.gamma, 1, 2, (f.gamma, lam, f.gamma))   # [l, a, A, k]
+    out += np.einsum("lap...,pbk...->labk...", dtG, W)
+    out -= np.einsum("pab...,lpk...->labk...", bivector_connection(dtG), W)
+    out -= np.einsum("pak...,lbp...->labk...", dtG, W)
     return out
 
 
@@ -230,14 +227,14 @@ QUANTITIES = {
     "sic": lambda f: (f.sic, 0, 2),
     "dudu": lambda f: (np.einsum("i...,j...->ij...", f.du, f.du), 0, 2),
     "ln_sqrt_det": lambda f: (f.ln_sqrt_det, 0, 0),
-    "rm13": lambda f: (f.rm13, 1, 3),
-    "grad_rm13": lambda f: (f.grad_rm13, 1, 4),
+    "rm13": lambda f: (f.rm13_ab, 1, 2),
+    "grad_rm13": lambda f: (f.grad_rm13, 1, 3),
     "h": lambda b: (b.h, 0, 2),
     "A": lambda b: (b.A, 1, 2),
     "T": lambda b: (b.T, 1, 2),
 }
 # the axes of a quantity that hold an antisymmetric pair as bivectors A = (i<j)
-PAIRS = {"rm_ab": (0, 1), **DiffBundle.PAIRS}
+PAIRS = {"rm_ab": (0, 1), "rm13": (1,), "grad_rm13": (2,), **DiffBundle.PAIRS}
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ n(n+1)/2 first derivatives of g, through the first-kind Christoffel symbols.
 The pass keeps Gamma^k_P on the symmetric pairs P; the full Gamma^k_ij is
 unpacked from it only for the callers that index it, never for the flow.
 Pair exchange and both pair antisymmetries are exact, first Bianchi holds to
-rounding.  Ric, |Rm|^2, the contractions R_pijq X^pq (``ricci``), Hamilton's
-quadratic term (``rm_quadratic``) and the action of a (1,1) field or of Gamma
-on a bivector index (``bivector_action``) are read off R_AB without a
-4-tensor; ``cov_d``, ``rough_laplacian`` and ``norm_sq`` take an index that
-holds an antisymmetric pair as bivectors.
+rounding.  Ric, |Rm|^2, the contractions R_pijq X^pq (``ricci``), R^l_{Ak}
+(``raise_last``), Weyl, Hamilton's quadratic term (``rm_quadratic``) and the
+action of a (1,1) field or of Gamma on a bivector index (``bivector_action``)
+are read off R_AB without a 4-tensor; ``cov_d``, ``rough_laplacian`` and
+``norm_sq`` take an index that holds an antisymmetric pair as bivectors.
 
 The weighted-connection curvature is computed directly from the
 connection coefficients of nabla^u_X Y = nabla_X Y - (Yu)X - (Xu)Y, which
@@ -227,34 +227,15 @@ def bivector_connection(gamma: np.ndarray) -> np.ndarray:
     return np.moveaxis(bivector_action(np.swapaxes(gamma, 1, 2)), 2, 1)
 
 
-def unpack_riemann(rab: np.ndarray, n: int) -> np.ndarray:
-    """R_{ijkl} from R_AB; the pair antisymmetries are exact (sign flips)."""
-    t = _bivectors(n)
-    half = np.zeros(rab.shape[:1] + (n, n) + rab.shape[2:])   # R_{A,kl}
-    half[:, t.bi, t.bj], half[:, t.bj, t.bi] = rab, -rab
-    rm4 = np.zeros((n, n) + half.shape[1:])
-    rm4[t.bi, t.bj], rm4[t.bj, t.bi] = half, -half
-    return rm4
+def raise_last(rab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x^{lm} X_{A(km)} at axes [l, A, k]: the last index of a field X_AB on
+    bivector pairs raised with a (2,0) field x; at R_AB and g^{-1} it is R^l_{Ak}."""
+    t = _bivectors(len(x))
+    return np.einsum("lm...,km,akm...->lak...", x, t.sgn, rab[:, t.biv])
 
 
 def lower_rm(rm13: np.ndarray, metric: MetricField) -> np.ndarray:
     return np.ascontiguousarray(np.einsum("lm...,mijk...->ijkl...", metric.values, rm13))
-
-
-def weyl_tensor(rm4: np.ndarray, ric: np.ndarray, scal: np.ndarray,
-                metric: MetricField) -> np.ndarray:
-    """Weyl part of the lowered curvature (identically zero for n <= 3)."""
-    n = metric.n
-    g = metric.values
-    if n < 4:
-        return np.zeros_like(rm4)
-    gR = (np.einsum("il...,jk...->ijkl...", g, ric)
-          - np.einsum("ik...,jl...->ijkl...", g, ric)
-          + np.einsum("jk...,il...->ijkl...", g, ric)
-          - np.einsum("jl...,ik...->ijkl...", g, ric))
-    gg = (np.einsum("il...,jk...->ijkl...", g, g)
-          - np.einsum("ik...,jl...->ijkl...", g, g))
-    return rm4 - gR / (n - 2) + scal * gg / ((n - 1) * (n - 2))
 
 
 # --------------------------------------------------------------------------
@@ -337,13 +318,9 @@ def norm_sq(vals: np.ndarray, metric: MetricField, con: int, cov: int,
     contracted with G^{AB} (``wedge``) and counts twice."""
     if con + cov == 0:
         return vals * vals
-    lowered = vals
+    lowered = raised = vals
     for s in range(con):
-        idx = _LETTERS[:vals.ndim - metric.grid.n]
-        src = idx[:s] + "p" + idx[s + 1:]
-        lowered = np.einsum(f"{idx[s]}p...,{src}...->{idx}...",
-                            metric.values, lowered)
-    raised = vals
+        lowered = raise_index(lowered, metric, s, metric.values)   # g in place of g^{-1}
     for s in range(con, con + cov):
         raised = raise_index(raised, metric, s, wedge(metric.inv) if s in pairs else None)
     idx = _LETTERS[:vals.ndim - metric.grid.n]
@@ -400,17 +377,18 @@ class Geometry:
     ``gamma_p`` (Gamma^k_P on the symmetric pairs, which the Hessian reads) and
     ``rm_ab`` (the one curvature build) share one Levi-Civita pass, whichever
     is read first; ``gamma``, the full Gamma^k_ij, is unpacked from ``gamma_p``
-    only for cov_d and the other callers that index it.  The flow, A.2-A.10
-    and the uniqueness energy (T as ``rm13_ab``) read R_AB.  Four fields hold
-    n^4 components per point: ``rm4`` and ``rm13``, unpacked from R_AB for
-    Weyl, Sm (3.12), nabla Rm (A.11-A.13, the uniqueness U), and ``rm_ref``
+    only for cov_d and the other callers that index it.  Every reader of the
+    Levi-Civita curvature reads R_AB: the flow, Appendix A, 3.12, Weyl (on
+    bivectors), and R^l_{Ak} (``rm13_ab``) and its nabla for A.11-A.13 and the
+    uniqueness T and U.  Two fields hold n^4 components per point: ``rm_ref``
     and ``rm_wy``, the Levi-Civita and weighted-connection curvatures through
     the same Gamma-form route (``riemann_13``) for Lemma 5.2 and the Killing
-    comparisons.  ``ric_ref`` and ``ric_wy`` trace that route as it is formed
+    comparisons; the weighted one has no pair symmetry, so it has no bivector
+    form.  ``ric_ref`` and ``ric_wy`` trace that route as it is formed
     (``ricci_13``), so relations between them vanish to rounding at constant u.
     The flow parameters enter the coupled curvature Sic = Ric - a1 du x du,
-    its trace S, its trace-free part Sin, S_{ijkl} (``sm_tensor``) and the
-    field Xi; a1 = 2 is the harmonic-map coupled flow.
+    its trace S, its trace-free part Sin, |Sm|^2 and the field Xi; a1 = 2 is
+    the harmonic-map coupled flow.
     """
 
     def __init__(self, metric: MetricField, u: np.ndarray, alpha1: float = 2.0,
@@ -444,23 +422,17 @@ class Geometry:
     def ric(self):
         return ricci(self.rm_ab, self.ginv)
 
-    @cached_property
-    def rm4(self):          # R_{ijkl}, unpacked for the callers with four indices
-        return unpack_riemann(self.rm_ab, self.grid.n)
-
-    @cached_property
-    def rm13(self):         # R^l_{ijk}, raised from the lowered tensor
-        return np.einsum("lm...,ijkm...->lijk...", self.ginv, self.rm4)
-
     @property
-    def rm13_ab(self):      # R^l_{Ak} = g^{lm} R_{A(km)}: rm13, its first pair a bivector A;
-        # not kept, as only the uniqueness T, a difference of two, reads it
-        t = _bivectors(self.grid.n)
-        return np.einsum("lm...,km,akm...->lak...", self.ginv, t.sgn, self.rm_ab[:, t.biv])
+    def rm13_ab(self):      # R^l_{Ak}, the bivector A at axis 1; its readers keep what they build
+        return raise_last(self.rm_ab, self.ginv)
 
     @cached_property
-    def weyl(self):
-        return weyl_tensor(self.rm4, self.ric, self.scalar, self.metric)
+    def weyl(self):         # W_AB on bivectors, identically zero for n <= 3
+        n, g, ric = self.grid.n, self.g, self.ric
+        if n < 4:
+            return np.zeros_like(self.rm_ab)
+        g_ric = wedge(g + ric) - wedge(g) - wedge(ric)      # the Kulkarni-Nomizu g.Ric
+        return self.rm_ab + g_ric / (n - 2) - self.scalar * wedge(g) / ((n - 1) * (n - 2))
 
     @cached_property
     def scalar(self):       # traced from Ric, without the 4-tensor
@@ -519,8 +491,9 @@ class Geometry:
         return cov_d(self.ric, self.grid, self.gamma, 0, 2)
 
     @cached_property
-    def grad_rm13(self):    # nabla_a R^l_{ijk}
-        return cov_d(self.rm13, self.grid, self.gamma, 1, 3)
+    def grad_rm13(self):    # nabla_a R^l_{Ak}, the bivector A at axis 2
+        lam = bivector_connection(self.gamma)
+        return cov_d(self.rm13_ab, self.grid, self.gamma, 1, 2, (self.gamma, lam, self.gamma))
 
     @cached_property
     def ln_sqrt_det(self):
@@ -574,10 +547,6 @@ class Geometry:
     @cached_property
     def sin(self):
         return self.sic - (self.S / self.grid.n) * self.g
-
-    @cached_property
-    def sm(self):
-        return sm_tensor(self.rm4, self.du, self.g, self.alpha1)
 
     @cached_property
     def sm_sq(self):

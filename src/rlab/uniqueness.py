@@ -6,7 +6,8 @@ the energy
     E(t) = int [ t^{-1} |h|^2 + t^{-beta} |A|^2 + |T|^2 + |v|^2 + |w|^2 ] dV,
 
 (all norms in the first trajectory's metric; T = Rm - Rm~ is held as R^l_{Ak},
-its antisymmetric pair a bivector A = (i<j), which counts twice in |T|^2),
+its antisymmetric pair a bivector A = (i<j), which counts twice in |T|^2, and
+U = nabla Rm - nabla~ Rm~ as nabla_a R^l_{Ak}),
 and least-squares estimation of the exponential growth rate N with
 E' <= N E.  Every flow runs on a closed torus, where the energy needs no
 cutoff weight.
@@ -31,12 +32,12 @@ class DiffBundle:
     DIFFS = {"h": ("g", 0, 2),             # g - g~
              "A": ("gamma", 1, 2),         # Gamma - Gamma~
              "T": ("rm13_ab", 1, 2),       # Rm - Rm~, as R^l_{Ak}
-             "U": ("grad_rm13", 1, 4),     # nabla Rm - nabla~ Rm~
+             "U": ("grad_rm13", 1, 3),     # nabla Rm - nabla~ Rm~, as nabla_a R^l_{Ak}
              "v": ("u", 0, 0),             # u - u~
              "w": ("du", 0, 1),            # du - du~
              "y": ("hess", 0, 2),          # Hess u - Hess~ u~
              "z": ("d3u", 0, 3)}           # nabla^3 u - nabla~^3 u~
-    PAIRS = {"T": (1,)}                    # T's antisymmetric pair, as bivectors A = (i<j)
+    PAIRS = {"T": (1,), "U": (2,)}         # the antisymmetric pair, as bivectors A = (i<j)
 
     def __init__(self, f1: Geometry, f2: Geometry):
         self.f1, self.f2, self.t = f1, f2, f1.t

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (HOLD, LEVELS, RHF, bundle, bundles, eval_index, evaluate,
                       make_verification_run, run_cli)
+from oracles import sm, unpack_riemann
 from rlab.comparison import (killing_report, ricci_order, scalar_order,
                              weighted_divergence_integral)
 from rlab.flow import FlowState, Schedule, run
@@ -169,7 +170,7 @@ def test_criterion_5_curvature_oracles():
     xs = g4.coords()
     phi = 0.05 * np.sin(xs[0] + 2 * xs[1]) + 0.04 * np.cos(xs[1] - xs[2] + xs[3])
     mc = conformal_metric(g4, phi)
-    err_weyl = float(np.sqrt(np.max(norm_sq(curvature(mc).weyl, mc, 0, 4))))
+    err_weyl = float(np.sqrt(np.max(norm_sq(unpack_riemann(curvature(mc).weyl, 4), mc, 0, 4))))
     gch, mch = euclidean_chart(2, 192, 3.0)   # h = 1/64, matching the sphere
     u, _ = radial_potential(gch, lambda r: 0.2 * r + 0.05 * r ** 2)
     wb = cpl = Geometry(mch, u, 2.0)
@@ -184,7 +185,7 @@ def test_criterion_5_curvature_oracles():
         cf = example512("custom", pt, X, Y, phi_prime=lambda r: 0.2 + 0.1 * r,
                         phi_second=lambda r: 0.1)
         nw = np.einsum("ijkl,i,j,k,l->", wb.rm_wy[(...,) + idx], X, Y, Y, X)
-        nl = np.einsum("ijkl,i,j,k,l->", cpl.sm[(...,) + idx], X, Y, Y, X)
+        nl = np.einsum("ijkl,i,j,k,l->", sm(cpl)[(...,) + idx], X, Y, Y, X)
         err_512 = max(err_512, abs(nw - cf["rm_wy"]), abs(nl - cf["rm_l"]))
     ok = err_sphere <= 1e-3 and err_weyl <= 1e-3 and err_512 <= 1e-3
     report(5, ok, f"round-sphere R=2 within {err_sphere:.2e} at h=1/64; "

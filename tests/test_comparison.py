@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import rm4, sm
 from rlab.comparison import (OrderVerdict, _lie, _nabla_x_flat, example512,
                              killing_report, lemma57_defect, ricci_order, scalar_order,
                              solve_c0, tilde_weight, weighted_divergence_integral,
@@ -232,8 +233,8 @@ def test_remark_513_2_pointwise():
     du_up = np.einsum("ij...,j...->i...", m.inv, cpl.du)
     rng = np.random.default_rng(6)
     Y = rng.standard_normal((2,) + grid.shape)
-    quad_l = np.einsum("ijkl...,i...,j...,k...,l...->...", cpl.sm, du_up, Y, Y, du_up)
-    quad = np.einsum("ijkl...,i...,j...,k...,l...->...", cb.rm4, du_up, Y, Y, du_up)
+    quad_l = np.einsum("ijkl...,i...,j...,k...,l...->...", sm(cpl), du_up, Y, Y, du_up)
+    quad = np.einsum("ijkl...,i...,j...,k...,l...->...", rm4(cb), du_up, Y, Y, du_up)
     assert np.all(quad_l <= quad + 1e-12)
 
 
@@ -265,7 +266,7 @@ def test_example512_cross_module():
                         phi_prime=lambda r: 0.2 + 0.1 * r,
                         phi_second=lambda r: 0.1)
         nw = np.einsum("ijkl,i,j,k,l->", wb.rm_wy[(...,) + idx], X, Y, Y, X)
-        nl = np.einsum("ijkl,i,j,k,l->", cpl.sm[(...,) + idx], X, Y, Y, X)
+        nl = np.einsum("ijkl,i,j,k,l->", sm(cpl)[(...,) + idx], X, Y, Y, X)
         assert abs(nw - cf["rm_wy"]) < 1e-3
         assert abs(nl - cf["rm_l"]) < 1e-3
 

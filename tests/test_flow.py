@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import HOLD, SRC
+from oracles import rm4
 from rlab.flow import (DIAG_COLUMNS, BlowUpError, FlowParams, FlowState, Schedule,
                        _diagnose, _geometry, cfl_dt, flow_rhs, is_regular, run, step)
 from rlab.instances import (perturbed_flat_metric, random_instance,
@@ -119,8 +120,8 @@ def test_cfl_dt_curvature_scaling():
     # two amplitudes whose curvature maxima both exceed 1
     from rlab.tensor import norm_sq
     st5, st10 = state(0.6), state(0.75)
-    m5 = np.sqrt(np.max(norm_sq(curvature(st5.metric).rm4, st5.metric, 0, 4)))
-    m10 = np.sqrt(np.max(norm_sq(curvature(st10.metric).rm4, st10.metric, 0, 4)))
+    m5 = np.sqrt(np.max(norm_sq(rm4(curvature(st5.metric)), st5.metric, 0, 4)))
+    m10 = np.sqrt(np.max(norm_sq(rm4(curvature(st10.metric)), st10.metric, 0, 4)))
     assert m5 > 1 and m10 > 1
     r = cfl_dt(Geometry(st5.metric, st5.u), 1.0) / cfl_dt(Geometry(st10.metric, st10.u), 1.0)
     assert abs(r - m10 / m5) < 1e-12
@@ -481,10 +482,10 @@ def test_diagnose_curvature_norms_match_tensor_norms():
         _, m, u = random_instance(n, res, seed=21)
         cb = curvature(m)
         du = grad_stack(u, m.grid)
-        rm_sq = norm_sq(cb.rm4, m, 0, 4)
+        rm_sq = norm_sq(rm4(cb), m, 0, 4)
         for a1 in (2.0, -0.7):
             row = _diagnose(_geometry(FlowState(m.grid, m, u), FlowParams(a1)), 0.0, 0.0)
-            sm_sq = integrate(norm_sq(sm_tensor(cb.rm4, du, m.values, a1), m, 0, 4), m)
+            sm_sq = integrate(norm_sq(sm_tensor(rm4(cb), du, m.values, a1), m, 0, 4), m)
             assert abs(row["max_rm"] - np.sqrt(np.max(rm_sq))) <= 1e-13 * row["max_rm"]
             assert abs(row["int_rm_sq"] - integrate(rm_sq, m)) <= 1e-13 * row["int_rm_sq"]
             assert abs(row["int_sm_sq"] - sm_sq) <= 1e-12 * sm_sq, (n, a1)

@@ -534,10 +534,19 @@ def test_cli_rejects_bad_verify_identities_before_any_stage(tmp_path):
     ("schedule.dt", {"schedule": {"t_end": 0.008, "dt": None},
                      "verify": {"identities": ["A.8"]}}),
     ("schedule.dt", {"schedule": {"t_end": 0.008}, "verify": {"identities": ["A.8"]}}),
-], ids=["safety-next-to-dt", "verify-null-dt", "verify-absent-dt"])
+    *((f"constants.{k}", {"constants": {k: -1.0}}) for k in ("K", "D", "A")),
+    *((f"constants.{k}", {"constants": {k: 0.0}}) for k in ("C_user", "Cn_user", "C_s", "C0")),
+    ("constants.L", {"constants": {"L": 5.0}}),
+    ("constants.P", {"constants": {"K": 0.0, "P": 7.0}}),
+], ids=["safety-next-to-dt", "verify-null-dt", "verify-absent-dt",
+        *(f"{k}-negative" for k in ("K", "D", "A")),
+        *(f"{k}-zero" for k in ("C_user", "Cn_user", "C_s", "C0")),
+        "L-without-K", "P-with-zero-K"])
 def test_config_keys_that_cannot_change_the_run_are_rejected(tmp_path, key, extra):
     # safety scales only the step bound that a null dt asks for; the verify
-    # stage scales a numeric dt per level and has no step bound to fall back on
+    # stage scales a numeric dt per level and has no step bound to fall back on;
+    # a constant out of its range, or L and P without the positive K that
+    # lambda2 needs, is rejected before the base flow runs
     from rlab.cli import run_experiment
     cfg = write_cfg(tmp_path, extra)
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):

@@ -394,5 +394,5 @@ def test_metric_and_geometry_fields_are_c_contiguous(n):
     from rlab.tensor import Geometry
     _, m, u = random_instance(n, 8, seed=11)
     geo = Geometry(m, u)
-    for arr in (m.values, m.inv, m.sqrt_det, geo.gamma, geo.ric, geo.rm4, geo.hess):
+    for arr in (m.values, m.inv, m.sqrt_det, geo.gamma, geo.ric, geo.rm_ab, geo.hess):
         assert arr.flags.c_contiguous

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import rm4, rm13, sm, unpack_riemann
 from rlab.instances import (conformal_metric, euclidean_chart,
                             perturbed_flat_metric, product_metric,
                             radial_potential, random_instance,
@@ -51,7 +52,7 @@ def test_christoffel_diagonal_pattern():
 def test_curvature_flat_exact():
     g = build_grid("torus", 2, [16, 16], [2 * np.pi] * 2)
     cb = curvature(flat_metric(g))
-    for arr in (cb.rm4, cb.rm13, cb.ric, cb.scalar, cb.weyl):
+    for arr in (rm4(cb), rm13(cb), cb.ric, cb.scalar, cb.weyl):
         assert np.all(arr == 0.0)
 
 
@@ -68,11 +69,11 @@ def test_weyl_conformal_vanishing_n4():
     phi = 0.05 * np.sin(xs[0] + 2 * xs[1]) + 0.04 * np.cos(xs[1] - xs[2] + xs[3])
     m = conformal_metric(g, phi)
     cb = curvature(m)
-    assert np.sqrt(np.max(norm_sq(cb.weyl, m, 0, 4))) < 1e-10
+    assert np.sqrt(np.max(norm_sq(unpack_riemann(cb.weyl, 4), m, 0, 4))) < 1e-10
     # and a generic metric has a genuinely nonzero Weyl part
     mg = perturbed_flat_metric(g, {(0, 0): [{"amp": 0.1, "wave": [0, 1, 0, 0]}],
                                    (1, 2): [{"amp": 0.05, "wave": [0, 0, 0, 1]}]})
-    assert np.sqrt(np.max(norm_sq(curvature(mg).weyl, mg, 0, 4))) > 1e-3
+    assert np.sqrt(np.max(norm_sq(unpack_riemann(curvature(mg).weyl, 4), mg, 0, 4))) > 1e-3
 
 
 def test_weyl_zero_in_low_dimensions():
@@ -82,7 +83,7 @@ def test_weyl_zero_in_low_dimensions():
 
 def test_riemann_symmetries_exact():
     _, m, _ = random_instance(3, 12, seed=4)
-    R = curvature(m).rm4
+    R = rm4(curvature(m))
     assert np.max(np.abs(R + np.swapaxes(R, 0, 1))) < 1e-14
     assert np.max(np.abs(R + np.swapaxes(R, 2, 3))) < 1e-14
     perm = (2, 3, 0, 1) + tuple(range(4, R.ndim))
@@ -105,7 +106,7 @@ def test_curvature_scaling():
     cb = curvature(m)
     c2 = 3.7
     cb2 = curvature(m.scaled(c2))
-    assert np.allclose(cb2.rm13, cb.rm13, rtol=0, atol=1e-13)
+    assert np.allclose(rm13(cb2), rm13(cb), rtol=0, atol=1e-13)
     assert np.allclose(cb2.scalar, cb.scalar / c2, rtol=0, atol=1e-13)
 
 
@@ -114,7 +115,7 @@ def test_curvature_n1_zero():
     vals = np.ones((1, 1) + g.shape) * (1.0 + 0.2 * np.sin(g.coords()[0]))
     from rlab.mesh import MetricField
     cb = curvature(MetricField(g, vals))
-    assert np.all(cb.rm4 == 0.0) and np.all(cb.ric == 0.0)
+    assert np.all(rm4(cb) == 0.0) and np.all(cb.ric == 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def test_coupled_trace_identities_rounding():
     cpl = Geometry(m, u, 1.3, 0.4, -0.2)
     trs = np.einsum("jk...,jk...->...", m.inv, cpl.sic)
     assert np.max(np.abs(trs - cpl.S)) < 1e-12
-    smtr = np.einsum("kl...,iklj...->ij...", m.inv, cpl.sm)
+    smtr = np.einsum("kl...,iklj...->ij...", m.inv, sm(cpl))
     assert np.max(np.abs(smtr - cpl.sic)) < 1e-12
     trsin = np.einsum("jk...,jk...->...", m.inv, cpl.sin)
     assert np.max(np.abs(trsin)) < 1e-12
@@ -211,7 +212,7 @@ def test_wy_example_radial_signs():
         T = np.array([xs[0][idx], xs[1][idx]])
         Y = np.array([-T[1], T[0]])
         wy_val = np.einsum("ijkl,i,j,k,l->", wb.rm_wy[(...,) + idx], T, Y, Y, T)
-        l_val = np.einsum("ijkl,i,j,k,l->", cpl.sm[(...,) + idx], T, Y, Y, T)
+        l_val = np.einsum("ijkl,i,j,k,l->", sm(cpl)[(...,) + idx], T, Y, Y, T)
         expect = 2.0 * sign * np.dot(T, T) * np.dot(Y, Y)
         assert abs(wy_val - expect) < 1e-10
         assert abs(l_val) < 1e-10
@@ -223,7 +224,7 @@ def test_remark_513_pointwise():
     cpl = Geometry(m, u, 2.0)
     rng = np.random.default_rng(13)
     X = rng.standard_normal((2,) + grid.shape)
-    quad = np.einsum("ijkl...,i...,j...,k...,l...->...", cpl.sm, X, X, X, X)
+    quad = np.einsum("ijkl...,i...,j...,k...,l...->...", sm(cpl), X, X, X, X)
     xdu = np.einsum("i...,i...->...", X, cpl.du)
     xsq = np.einsum("ij...,i...,j...->...", m.values, X, X)
     assert np.max(np.abs(quad + 2 * xdu ** 2 * xsq)) < 1e-11
@@ -239,7 +240,7 @@ def test_bundle_invariants_randomized_instances():
         cpl = Geometry(m, u, 1.2, 0.3, -0.1)
         assert np.max(np.abs(np.einsum("jk...,jk...->...", m.inv, cpl.sic)
                              - cpl.S)) < 1e-12
-        assert np.max(np.abs(np.einsum("kl...,iklj...->ij...", m.inv, cpl.sm)
+        assert np.max(np.abs(np.einsum("kl...,iklj...->ij...", m.inv, sm(cpl))
                              - cpl.sic)) < 1e-12
         assert np.max(np.abs(np.einsum("jk...,jk...->...", m.inv, cpl.sin))) < 1e-12
         wb = Geometry(m, u, 2.0)
@@ -404,7 +405,7 @@ def test_direct_ricci_matches_contraction():
     for n, res in ((2, 16), (3, 10), (4, 8)):
         _, m, _ = random_instance(n, res, seed=11)
         cb = curvature(m)
-        R, ref = cb.rm4, _riemann_four_index(m, curvature(m).gamma)
+        R, ref = rm4(cb), _riemann_four_index(m, curvature(m).gamma)
         assert np.max(np.abs(R - ref)) <= 1e-13 * np.max(np.abs(ref)), n
         traced = np.einsum("il...,ijkl...->jk...", m.inv, R)
         assert np.max(np.abs(cb.ric - traced)) <= 1e-13 * np.max(np.abs(cb.ric)), n
@@ -468,12 +469,15 @@ def test_geometry_drops_its_connection_pass_after_rm_ab(first):
 
 
 def test_lazy_curvature_parts_match_eager_formulas():
-    from rlab.tensor import weyl_tensor
+    from rlab.tensor import wedge
     _, m, _ = random_instance(4, 8, seed=12)
     cb = curvature(m)
+    bi, bj = np.triu_indices(4, 1)
     assert "rm13" not in vars(cb) and "weyl" not in vars(cb)
-    assert np.array_equal(cb.rm13, np.einsum("lm...,ijkm...->lijk...", m.inv, cb.rm4))
-    assert np.array_equal(cb.weyl, weyl_tensor(cb.rm4, cb.ric, cb.scalar, m))
+    assert np.array_equal(cb.rm13_ab, rm13(cb)[:, bi, bj])
+    g, ric = m.values, cb.ric      # W_AB = R_AB + (g.Ric)/2 - R wedge(g)/6 at n = 4
+    assert np.array_equal(cb.weyl, cb.rm_ab + (wedge(g + ric) - wedge(g) - wedge(ric)) / 2
+                          - cb.scalar * wedge(g) / 6)
     assert cb.weyl is cb.weyl     # computed once, then cached
 
 
@@ -494,8 +498,8 @@ def test_rough_laplacian_streams_its_slices_bitwise(n, con, cov):
     from rlab.tensor import rough_laplacian
     _, m, u = random_instance(n, 8 if n > 2 else 12, seed=3)
     f = Geometry(m, u)
-    T = {(0, 0): f.u, (1, 0): f.du_up, (0, 2): f.hess, (0, 4): f.rm4,
-         (1, 3): f.rm13}[con, cov]
+    T = {(0, 0): lambda: f.u, (1, 0): lambda: f.du_up, (0, 2): lambda: f.hess,
+         (0, 4): lambda: rm4(f), (1, 3): lambda: rm13(f)}[con, cov]()
     args = (T, m.grid, f.gamma, m, con, cov)
     peaks, got = [], []
     for form in (_traced_nabla_nabla, rough_laplacian):
