@@ -78,15 +78,13 @@ def build_from_config(cfg, res_override=None):
             comps = {tuple(int(s) for s in key.split(",")): terms
                      for key, terms in mspec.get("components", {}).items()}
             metric = perturbed_flat_metric(grid, comps)
-        elif family == "product":
+        else:               # "product", the last family config.validate admits
             from .instances import product_metric
             diag = mspec.get("diag", [1.0] * grid.n)
             metric = product_metric(grid, [
                 float(entry) if isinstance(entry, (int, float))
                 else lambda xs, terms=entry: 1.0 + trig_scalar(grid, terms)
                 for entry in diag])
-        else:
-            raise ConfigError(f"initial_data.metric.family: unknown family {family!r}")
     except SPDError as e:
         raise ConfigError(f"initial_data.metric: {e}") from e
     u0 = trig_scalar(grid, idata.get("u_terms", []))
@@ -187,6 +185,9 @@ def verify_plan(cfg):
     base_grid = cfg["grid"]["resolutions"]
     levels = []
     for res in vcfg.get("resolutions", [16, 32]):
+        if levels and res <= levels[-1][0]:     # a fitted order reads h coarse to fine
+            raise ConfigError(f"verify.resolutions: level {res}: not above the level "
+                              f"before it, {levels[-1][0]}; levels run coarse to fine")
         grid_from(cfg, res)
         dt = sched.dt * (base_grid[0] / res) ** 2
         # the residuals read snapshots k - 1, k and k + 1: integrate to k + 1

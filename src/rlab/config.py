@@ -20,6 +20,9 @@ class ConfigError(ValueError):
 
 
 DEFAULT_SEED = 1234     # the root seed of a config that names none, and the optimizer's
+# the initial-metric families (an absent family is flat) and the family reading each key
+FAMILIES = ("flat", "conformal", "perturbed", "product")
+READ_BY = {"phi_terms": "conformal", "components": "perturbed", "diag": "product"}
 _TERM = {"amp": float, "wave": [int], "kind": str, "phase": float}
 
 SCHEMA = {
@@ -91,6 +94,14 @@ def validate(config: dict) -> dict:
                               else f"{path}: must be at least 1, got {val!r}")
     n, idata = g["n"], config.get("initial_data", {})
     mspec = idata.get("metric", {})
+    family = mspec.get("family", "flat")
+    if family not in FAMILIES:
+        raise ConfigError(f"initial_data.metric.family: unknown family {family!r}, "
+                          f"not one of {', '.join(FAMILIES)}")
+    for key, reader in READ_BY.items():
+        if key in mspec and reader != family:
+            raise ConfigError(f"initial_data.metric.{key}: read only by the family "
+                              f"{reader!r}, not by {family!r}")
     for key in (comps := mspec.get("components", {})):
         ij = key.split(",")
         if len(ij) != 2 or not all(s.strip().isdigit() and int(s) < n for s in ij):

@@ -43,7 +43,7 @@ from .mesh import MetricField, integrate
 from .tensor import (Geometry, _bivectors, bivector_action, bivector_connection, cov_d,
                      max_norm, norm_sq, raise_last, ricci, rm_quadratic, rough_laplacian,
                      sm_tensor, wedge)
-from .uniqueness import DiffBundle
+from .uniqueness import DiffBundle, line_fit
 
 
 # --------------------------------------------------------------------------
@@ -449,13 +449,12 @@ def verify_lemma_52(metric: MetricField, u: np.ndarray):
 # refinement orders and negative controls
 
 def refinement_order(reports) -> float:
-    """Least-squares slope of log(max_res) against log(h); needs >= 3 levels."""
+    """The slope of ln max(max_res, 1e-300) against ln h, by ``line_fit`` (one h
+    raises its ValueError); needs >= 3 levels."""
     if len(reports) < 3:
         raise ValueError("order estimation requires at least 3 resolutions")
-    hs = np.array([r.h for r in reports])
-    res = np.array([max(r.max_res, 1e-300) for r in reports])
-    slope = np.polyfit(np.log(hs), np.log(res), 1)[0]
-    return float(slope)
+    return line_fit(np.log([r.h for r in reports]),
+                    np.log([max(r.max_res, 1e-300) for r in reports]))[0]
 
 
 def converges(seq) -> bool:

@@ -130,20 +130,29 @@ def energy_trace(bundles, beta: float = 0.5) -> EnergyTrace:
     return EnergyTrace([(b.t, energy(b, beta=beta), b.norms()) for b in bundles])
 
 
+def line_fit(x, y):
+    """Closed-form least-squares line through (x, y), with no BLAS or LAPACK call:
+    slope sum(dx dy) / sum(dx^2), dx = x - mean x, dy = y - mean y, and the rms of
+    dy - slope dx, 0.0 on two points.  Equal x fix no slope: a ValueError."""
+    if np.all(x == x[0]):
+        raise ValueError("every x is equal: sum (x - mean x)^2 is 0 and fixes no slope")
+    dx, dy = x - np.mean(x), y - np.mean(y)
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    r = dy - slope * dx
+    return slope, float(np.sqrt(np.sum(r * r) / len(x))) if len(x) > 2 else 0.0
+
+
 def gronwall_fit(trace: EnergyTrace, window=None) -> dict:
-    """Least-squares slope of ln E over the window; identically-zero energy
-    is reported as the distinguished forward-uniqueness outcome, and a
-    window of fewer than 2 points, which fixes no slope, as its own."""
+    """Growth rate N of ln E over the window and its residual, by ``line_fit``
+    (equal times raise its ValueError); identically-zero energy is the distinguished
+    forward-uniqueness outcome, and fewer than 2 points, fixing no slope, its own."""
     sel = slice(None) if window is None else window
-    t = trace.times[sel]
-    e = trace.values[sel]
+    t, e = trace.times[sel], trace.values[sel]
     if len(t) < 2:
         return {"outcome": "too-few-points", "N": None, "residual": None}
     if np.all(e == 0.0):
         return {"outcome": "identically-zero", "N": None, "residual": 0.0}
     if np.any(e <= 0.0):
         raise ValueError("energy must be positive on the fit window")
-    coef, res = np.polyfit(t, np.log(e), 1, full=True)[0:2]
-    N = float(coef[0])
-    resid = float(np.sqrt(res[0] / len(t))) if len(res) else 0.0
+    N, resid = line_fit(t, np.log(e))
     return {"outcome": "fit", "N": N, "residual": resid}

@@ -95,3 +95,29 @@ def test_value_comparison_sees_a_change_beyond_tolerance():
             tol, values = entry["tolerance"], entry["values"]
             assert not mismatches(values, values, **tol)
             assert len(mismatches(moved(values, **tol), values, **tol)) == leaves(values), name
+
+
+@pytest.mark.parametrize("workload", ("verify", "entropy"))
+def test_no_stage_calls_blas_or_lapack(workload, tmp_path, monkeypatch):
+    # the first np.polyfit paged LAPACK's least-squares solver in at the end of
+    # the verify stage, on top of the heap's high-water mark, and np.vdot alone
+    # raised entropy's peak RSS by about 0.2 MB; flow4d's code paths call none
+    import numpy as np
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a stage called {name}")
+        return call
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):      # LinAlgError stays
+            monkeypatch.setattr(np.linalg, name, forbidden(f"numpy.linalg.{name}"))
+    for name in ("polyfit", "dot", "vdot", "inner", "tensordot", "matmul"):
+        monkeypatch.setattr(np, name, forbidden(f"numpy.{name}"))
+    golden = json.loads((GOLDEN / workload / "golden.json").read_text())
+    files = regen.run_calls(GOLDEN / workload, golden["calls"], tmp_path)
+    assert sorted(files) == sorted(golden["files"])
+    found = [m for name, entry in golden["files"].items()
+             for m in mismatches(regen.record(files[name])["values"], entry["values"],
+                                 where=name, **entry["tolerance"])]
+    assert not found, found

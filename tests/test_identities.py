@@ -250,6 +250,25 @@ def test_refinement_order_requires_three():
         refinement_order([reps[0], reps[0]])
 
 
+def reports_at(hs, max_res):
+    return [ResidualReport("A.8", 0.0, h, 1e-3, r, r) for h, r in zip(hs, max_res)]
+
+
+@pytest.mark.parametrize("levels", range(3, 13))
+def test_refinement_order_is_polyfits_slope(levels):
+    # the closed-form slope is the least-squares line np.polyfit fits
+    rng = np.random.default_rng(levels)
+    hs = np.sort(rng.uniform(0.01, 1.0, levels))[::-1]
+    res = hs ** 2 * np.exp(rng.normal(0.0, 0.3, levels))
+    want = np.polyfit(np.log(hs), np.log(res), 1)[0]
+    assert refinement_order(reports_at(hs, res)) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_refinement_order_at_one_h_is_a_value_error():
+    with pytest.raises(ValueError, match="every x is equal"):
+        refinement_order(reports_at([0.1] * 3, [1e-3, 2e-3, 4e-3]))
+
+
 # --------------------------------------------------------------------------
 # pair identities
 

@@ -538,15 +538,25 @@ def test_cli_rejects_bad_verify_identities_before_any_stage(tmp_path):
     *((f"constants.{k}", {"constants": {k: 0.0}}) for k in ("C_user", "Cn_user", "C_s", "C0")),
     ("constants.L", {"constants": {"L": 5.0}}),
     ("constants.P", {"constants": {"K": 0.0, "P": 7.0}}),
+    ("initial_data.metric.components", {"initial_data": {"metric": {
+        "family": "flat", "components": BASE_CFG["initial_data"]["metric"]["components"]}}}),
+    ("initial_data.metric.components", {"initial_data": {"metric": {
+        "components": BASE_CFG["initial_data"]["metric"]["components"]}}}),
+    ("initial_data.metric.phi_terms", {"initial_data": {"metric": {
+        "family": "perturbed", "components": {}, "phi_terms": [{"amp": 0.1, "wave": [1, 0]}]}}}),
+    ("initial_data.metric.diag", {"initial_data": {"metric": {
+        "family": "conformal", "phi_terms": [{"amp": 0.1, "wave": [1, 0]}], "diag": [1.0, 2.0]}}}),
 ], ids=["safety-next-to-dt", "verify-null-dt", "verify-absent-dt",
         *(f"{k}-negative" for k in ("K", "D", "A")),
         *(f"{k}-zero" for k in ("C_user", "Cn_user", "C_s", "C0")),
-        "L-without-K", "P-with-zero-K"])
+        "L-without-K", "P-with-zero-K", "flat-components", "no-family-components",
+        "perturbed-phi_terms", "conformal-diag"])
 def test_config_keys_that_cannot_change_the_run_are_rejected(tmp_path, key, extra):
     # safety scales only the step bound that a null dt asks for; the verify
     # stage scales a numeric dt per level and has no step bound to fall back on;
     # a constant out of its range, or L and P without the positive K that
-    # lambda2 needs, is rejected before the base flow runs
+    # lambda2 needs, is rejected before the base flow runs; each initial-metric
+    # key is read by one family, and an absent family is flat, which reads none
     from rlab.cli import run_experiment
     cfg = write_cfg(tmp_path, extra)
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
@@ -554,6 +564,15 @@ def test_config_keys_that_cannot_change_the_run_are_rejected(tmp_path, key, extr
     assert not (tmp_path / "o").exists()
     r = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "c")])
     assert r.returncode == 2 and key in r.stderr
+
+
+def test_verify_rejects_an_unknown_metric_family_before_its_output(tmp_path, capsys):
+    # the family was checked only when the first level was built, after the
+    # output directory was made
+    err = config_error(tmp_path, capsys, {"initial_data": {"metric": {"family": "bogus"}},
+                                          "verify": {"identities": ["A.8"]}},
+                       command="verify")
+    assert err.startswith("config error: initial_data.metric.family: unknown family 'bogus'")
 
 
 def test_constants_stage_reads_the_reduced_flow(tmp_path):
@@ -747,10 +766,14 @@ def test_bad_schedule_and_grid_values_exit_2_before_any_stage(tmp_path, capsys, 
 @pytest.mark.parametrize("resolutions, why", [
     ([8, 16, 32], "level 8: 1 step of dt 0.008 to t_end"),
     ([4, 16, 32], "level 4: 4 below stencil minimum 8"),
-], ids=["one-step", "below-torus-minimum"])
+    ([16, 16, 16], "level 16: not above the level before it, 16"),
+    ([32, 16], "level 16: not above the level before it, 32"),
+], ids=["one-step", "below-torus-minimum", "repeated", "descending"])
 def test_verify_levels_that_cannot_be_evaluated_are_config_errors(tmp_path, capsys,
                                                                    resolutions, why):
-    # the residuals read snapshots k - 1, k and k + 1 of every level
+    # the residuals read snapshots k - 1, k and k + 1 of every level, and the
+    # fitted order reads the levels coarse to fine: a repeated level fixed no
+    # slope, and a descending family inverted the verdict and its control
     err = config_error(tmp_path, capsys, {
         **with_schedule(t_end=0.004),
         "verify": {"identities": ["A.8"], "resolutions": resolutions}})

@@ -1,5 +1,6 @@
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from rlab.cli import run_experiment
 from rlab.flow import FlowState, Schedule, run
 from rlab.instances import verification_initial_data
 from rlab.mesh import MetricField, build_grid
-from rlab.uniqueness import difference_bundle, energy, energy_trace, gronwall_fit
+from rlab.uniqueness import (EnergyTrace, difference_bundle, energy, energy_trace,
+                              gronwall_fit)
 
 RES = 16
 SCHED = Schedule(t_end=0.02, dt=5e-4, cadence=1, diagnostics=False)
@@ -55,6 +57,43 @@ def test_gronwall_fit_needs_two_points(pairs):
     for window in (slice(1, None), slice(2, None)):
         assert gronwall_fit(trace, window=window) == {
             "outcome": "too-few-points", "N": None, "residual": None}
+
+
+def exact_line(x, y):
+    """Slope and root-mean-square residual of the least-squares line, in
+    rational arithmetic on the floats given."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    slope = (sum((a - mx) * (b - my) for a, b in zip(x, y))
+             / sum((a - mx) ** 2 for a in x))
+    ss = sum((b - my - slope * (a - mx)) ** 2 for a, b in zip(x, y))
+    return float(slope), float(np.sqrt(float(ss / len(x))))
+
+
+@pytest.mark.parametrize("points", range(3, 13))
+def test_gronwall_fit_is_polyfits_line(points):
+    # N and the root-mean-square residual of the closed-form fit are
+    # np.polyfit's slope and sqrt(residual sum of squares / points).  polyfit's
+    # sum comes from LAPACK's rotated right side and loses about eps |ln E| / r
+    # (1.6e-12 relative at 3 points here), so the residual also meets the
+    # rational-arithmetic line to 1e-13
+    rng = np.random.default_rng(points)
+    t = np.sort(rng.uniform(0.0, 0.02, points))
+    e = 1e-4 * np.exp(-40.0 * t + rng.normal(0.0, 0.05, points))
+    fit = gronwall_fit(EnergyTrace([(tk, ek, {}) for tk, ek in zip(t, e)]))
+    (slope, _), res = np.polyfit(t, np.log(e), 1, full=True)[0:2]
+    assert fit["outcome"] == "fit"
+    assert fit["N"] == pytest.approx(slope, rel=1e-12, abs=0)
+    assert fit["residual"] == pytest.approx(np.sqrt(res[0] / points), rel=1e-11, abs=0)
+    n_exact, resid_exact = exact_line(t, np.log(e))
+    assert fit["N"] == pytest.approx(n_exact, rel=1e-13, abs=0)
+    assert fit["residual"] == pytest.approx(resid_exact, rel=1e-13, abs=0)
+
+
+def test_gronwall_fit_on_two_points_has_residual_zero():
+    fit = gronwall_fit(EnergyTrace([(0.01, 2e-4, {}), (0.02, 1e-4, {})]))
+    assert fit["N"] == pytest.approx(-100.0 * np.log(2.0), rel=1e-12)
+    assert fit["residual"] == 0.0
 
 
 def test_energy_trace_builds_only_the_energy_differences(pairs, monkeypatch):
